@@ -91,21 +91,23 @@ const PARSE_FILES: &[&str] = &[
 
 /// Path prefixes allowed to read the wall clock. `parallel.rs` *is* the
 /// wall-clock loader; `timing.rs` is the virtual-time loader's one
-/// sanctioned measurement helper; CLI/bench/datasets-encode are offline
-/// tooling; vendored shims mirror upstream crates' behaviour.
+/// sanctioned measurement helper; CLI/bench/datasets-encode and the
+/// stand-alone end-to-end benchmark (`benchmark/`) are offline tooling;
+/// vendored shims mirror upstream crates' behaviour.
 const CLOCK_ALLOW: &[&str] = &[
     "crates/loader/src/parallel.rs",
     "crates/loader/src/timing.rs",
     "crates/cli/",
     "crates/bench/",
     "crates/analyze/",
+    "benchmark/",
     "vendor/",
 ];
 
-/// Path prefixes allowed to print: binaries, benches, the analyzer
-/// itself, vendored test/bench harnesses.
+/// Path prefixes allowed to print: binaries, benches, the end-to-end
+/// benchmark binary, the analyzer itself, vendored test/bench harnesses.
 const DEBUG_OUTPUT_ALLOW: &[&str] =
-    &["crates/cli/", "crates/bench/", "crates/analyze/", "vendor/"];
+    &["crates/cli/", "crates/bench/", "crates/analyze/", "benchmark/", "vendor/"];
 
 /// Directories that are test/example code wholesale (integration tests,
 /// examples, benches): exempt from every rule, same as `#[cfg(test)]`.

@@ -6,9 +6,14 @@
 //!
 //! Numbers to look for in the output:
 //!
-//! * `images/s` must grow ≥2x going from 1 to 4 workers (storage latency
-//!   overlapped with decode — the wall-clock realization of the paper's
-//!   Appendix A.1 prefetching argument),
+//! * `images/s` grows with workers only while the `bound` column says
+//!   `decode`. Storage latency is overlapped by the loader's fetch stage
+//!   — `prefetch_records` (8) reads in flight whatever the worker count,
+//!   the wall-clock realization of the paper's Appendix A.1 prefetching
+//!   argument — so behind this high-latency profile one worker already
+//!   sees 8-deep overlap and the 1 → 4 worker curve flattens as soon as
+//!   the row turns `storage`-bound (before the fetch stage existed,
+//!   workers *were* the I/O depth and this sweep showed ≥2x),
 //! * bytes/image at scan group 1-2 lands ≥2x below full quality (the
 //!   paper's headline traffic saving) while throughput *rises*, and
 //! * the dynamic-fidelity run reads strictly fewer total bytes than the
@@ -84,23 +89,28 @@ fn bench_worker_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Explicit acceptance summary: delivered images/sec per configuration and
-/// the 1 -> 4 worker speedup at each scan group.
+/// Explicit summary: delivered images/sec and the bottleneck verdict per
+/// configuration, and the first -> last worker-count speedup at each scan
+/// group.
 fn worker_scaling_summary(workers: &[usize], groups: &[usize]) {
     let (store, db) = setup();
     println!("\nimages/sec (DecodeMode::Real, emulated remote-object-store I/O):");
-    println!("{:>6} {:>8} {:>12} {:>12}", "group", "workers", "images/s", "KiB/image");
+    println!(
+        "{:>6} {:>8} {:>12} {:>12} {:>9}",
+        "group", "workers", "images/s", "KiB/image", "bound"
+    );
     for &group in groups {
         let mut rates = Vec::with_capacity(workers.len());
         for &w in workers {
             let epoch = loader_for(&store, &db, w, group).run_epoch(0);
             rates.push(epoch.images_per_sec());
             println!(
-                "{:>6} {:>8} {:>12.1} {:>12.1}",
+                "{:>6} {:>8} {:>12.1} {:>12.1} {:>9}",
                 group,
                 w,
                 epoch.images_per_sec(),
-                epoch.mean_image_bytes() / 1024.0
+                epoch.mean_image_bytes() / 1024.0,
+                epoch.bottleneck.as_str()
             );
         }
         if let (Some(first), Some(last)) = (rates.first(), rates.last()) {

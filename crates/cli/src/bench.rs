@@ -1,5 +1,8 @@
 //! `pcr bench`: stream a container with the wall-clock parallel loader,
-//! sweeping worker counts × scan groups, with optional JSON output.
+//! sweeping worker counts × scan groups, with optional JSON output. Each
+//! sweep cell carries where the time went (I/O and decode shares, a
+//! bottleneck verdict) and, under emulated I/O, how far the measured rate
+//! sits from the Appendix A.2 prediction at the loader's I/O depth.
 
 use crate::args::{parse, ArgSpec};
 use crate::{human_bytes, smoke};
@@ -9,6 +12,7 @@ use pcr_loader::{
     ShardStoreConfig, ShardedSource,
 };
 use pcr_metrics::JsonValue;
+use pcr_sim::queueing;
 use pcr_storage::ObjectStore;
 use std::path::Path;
 use std::sync::Arc;
@@ -19,17 +23,25 @@ USAGE:
     pcr bench <dir> [options]
 
 OPTIONS:
-    --workers <list>   Comma-separated worker counts (default 1,2,4)
+    --workers <list>   Comma-separated decode worker counts (default 1,2,4)
     --groups <list>    Comma-separated scan groups (default 1,5,10)
     --batch <n>        Minibatch size (default 32)
     --decode <mode>    real | skip (default real: decode pixels)
     --io <mode>        instant | emulated (default emulated: sleep each
-                       read's modeled device service time)
+                       read's modeled device service time, 8 reads in
+                       flight whatever the worker count)
     --readahead <b>    Store readahead in bytes (default 262144)
     --json <path>      Also write the sweep as a JSON report
 
 Every sweep row runs against a freshly loaded store — cold cache, zeroed
 device statistics — so rows are independent, comparable measurements.
+
+Per row: `io` is the share of the I/O window's slot-time spent in device
+service, `dec` the share of the decode workers' time spent decoding,
+`bound` where most of the decode workers' time went — waiting for bytes
+(storage), decoding (decode), or waiting for the consumer (consumer) —
+and, with --io emulated, `meas/pred` is measured img/s over
+min(decode rate, Lemma A.2 at the I/O depth) for a cold cache.
 
 With PCR_BENCH_SMOKE=1 the sweep is clamped to 1,2 workers and the
 lowest/highest requested groups, so CI finishes in seconds.";
@@ -48,6 +60,12 @@ struct Row {
     images_per_sec: f64,
     mean_image_bytes: f64,
     cache_hit_rate: f64,
+    io_wait_share: f64,
+    decode_busy_share: f64,
+    bottleneck: &'static str,
+    /// Appendix A.2's images/s for this cell; `None` under `--io instant`,
+    /// where storage is not modeled.
+    predicted_images_per_sec: Option<f64>,
 }
 
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -116,8 +134,19 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
     let mut rows = Vec::new();
     println!(
-        "\n{:>7} {:>5} {:>7} {:>12} {:>8} {:>9} {:>10} {:>9}",
-        "workers", "group", "images", "bytes", "wall s", "img/s", "bytes/img", "hit rate"
+        "\n{:>7} {:>5} {:>7} {:>12} {:>8} {:>9} {:>10} {:>9} {:>5} {:>5} {:>8} {:>9}",
+        "workers",
+        "group",
+        "images",
+        "bytes",
+        "wall s",
+        "img/s",
+        "bytes/img",
+        "hit rate",
+        "io",
+        "dec",
+        "bound",
+        "meas/pred"
     );
     for &g in &groups {
         for &w in &workers {
@@ -130,6 +159,26 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let store = fresh_store();
             let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&source), cfg);
             let epoch = loader.run_epoch(0);
+            // Lemma A.4 over Lemma A.2 at the loader's I/O depth: the
+            // decode roof is what the workers measured, the storage roof
+            // what the device profile predicts for uncached reads.
+            let predicted_images_per_sec = (io == IoModel::EmulatedLatency).then(|| {
+                let decode_rate = match decode {
+                    DecodeMode::Real => {
+                        w as f64 * epoch.images as f64 / epoch.decode_cpu_seconds.max(1e-9)
+                    }
+                    _ => f64::INFINITY,
+                };
+                queueing::system_throughput(
+                    decode_rate,
+                    queueing::loader_throughput_at_depth(
+                        &store_cfg.profile,
+                        epoch.mean_image_bytes(),
+                        source.num_images() / source.num_records().max(1),
+                        loader.config().prefetch_records,
+                    ),
+                )
+            });
             let row = Row {
                 workers: w,
                 group: g,
@@ -139,9 +188,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 images_per_sec: epoch.images_per_sec(),
                 mean_image_bytes: epoch.mean_image_bytes(),
                 cache_hit_rate: store.cache_hit_rate(),
+                io_wait_share: epoch.io_wait_share,
+                decode_busy_share: epoch.decode_busy_share,
+                bottleneck: epoch.bottleneck.as_str(),
+                predicted_images_per_sec,
             };
             println!(
-                "{:>7} {:>5} {:>7} {:>12} {:>8.3} {:>9.1} {:>10.0} {:>9.2}",
+                "{:>7} {:>5} {:>7} {:>12} {:>8.3} {:>9.1} {:>10.0} {:>9.2} {:>5.2} {:>5.2} {:>8} {:>9}",
                 row.workers,
                 row.group,
                 row.images,
@@ -149,7 +202,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 row.wall_seconds,
                 row.images_per_sec,
                 row.mean_image_bytes,
-                row.cache_hit_rate
+                row.cache_hit_rate,
+                row.io_wait_share,
+                row.decode_busy_share,
+                row.bottleneck,
+                row.measured_over_predicted().map_or("-".to_string(), |r| format!("{r:.2}"))
             );
             rows.push(row);
         }
@@ -163,7 +220,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+impl Row {
+    fn measured_over_predicted(&self) -> Option<f64> {
+        self.predicted_images_per_sec.filter(|&p| p > 0.0).map(|p| self.images_per_sec / p)
+    }
+}
+
 fn report_json(dir: &str, rows: &[Row]) -> JsonValue {
+    let number = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::F64);
     let entries = rows
         .iter()
         .map(|r| {
@@ -176,6 +240,11 @@ fn report_json(dir: &str, rows: &[Row]) -> JsonValue {
                 ("images_per_sec", JsonValue::F64(r.images_per_sec)),
                 ("mean_image_bytes", JsonValue::F64(r.mean_image_bytes)),
                 ("cache_hit_rate", JsonValue::F64(r.cache_hit_rate)),
+                ("io_wait_share", JsonValue::F64(r.io_wait_share)),
+                ("decode_busy_share", JsonValue::F64(r.decode_busy_share)),
+                ("bottleneck", JsonValue::str(r.bottleneck)),
+                ("predicted_images_per_sec", number(r.predicted_images_per_sec)),
+                ("measured_over_predicted", number(r.measured_over_predicted())),
             ])
         })
         .collect();

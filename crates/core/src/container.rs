@@ -31,9 +31,7 @@
 //! ([`ShardIndex::entry`]) — O(1) open regardless of catalog size.
 //!
 //! The normative byte-level specification (with a worked hexdump) lives
-//! in `docs/FORMAT.md`; this module is its implementation. The older
-//! one-file-per-record layout in [`crate::fsdir`] remains for small
-//! debugging datasets but is superseded by this container.
+//! in `docs/FORMAT.md`; this module is its implementation.
 //!
 //! ```
 //! use pcr_core::container::{write_container, PcrContainer};

@@ -42,7 +42,6 @@ pub mod container;
 pub mod dataset;
 pub mod declog;
 pub mod error;
-pub mod fsdir;
 pub mod record;
 pub mod wire;
 

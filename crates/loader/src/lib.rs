@@ -59,6 +59,7 @@
 pub mod baseline_loader;
 pub mod config;
 pub mod fidelity;
+mod handoff;
 pub mod loader;
 pub mod order;
 pub mod parallel;
@@ -76,12 +77,14 @@ pub use fidelity::{
 pub use loader::{populate_store, run_virtual_epoch, EpochResult, LoadedRecord, PcrLoader};
 pub use order::EpochOrder;
 pub use parallel::{
-    EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats, WallClockEpoch,
+    Bottleneck, EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats,
+    WallClockEpoch,
 };
 pub use pipeline::{spawn_epoch, PipelineConfig, PipelineStats, RunningPipeline};
 pub use retry::{
-    deliver_with_degradation, read_with_retry, DecodeCheck, Delivery, FaultReport,
-    QuarantineEntry, RetryBudget, RetryOutcome, RetryPolicy, Timeline, QUARANTINE_DETAIL_CAP,
+    deliver_with_degradation, read_with_retry, DecodeCheck, Delivery, FaultReport, Ladder,
+    QuarantineEntry, RetryBudget, RetryOutcome, RetryPolicy, Rung, Timeline,
+    QUARANTINE_DETAIL_CAP,
 };
 pub use sharded::{open_container_store, OpenedContainer, ShardStoreConfig, ShardedSource};
 pub use source::{ReadPlan, ReadPlanner, RecordSource};

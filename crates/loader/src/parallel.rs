@@ -14,36 +14,57 @@
 //! [`pcr_storage::ByteView`] reads keep the hot loop allocation-free so
 //! the pipeline runs as fast as the hardware allows.
 //!
-//! Structure (paper Appendix A.1's loader, realized with OS threads):
+//! Structure (paper Appendix A.1's loader, realized with OS threads). I/O
+//! depth and decode parallelism are separate knobs: `prefetch_records`
+//! sets how many reads are outstanding (Lemma A.2's `W`), `loader.threads`
+//! how many records decode at once.
 //!
 //! ```text
-//! shared EpochOrder bijection + atomic cursor (no materialized order)
-//!   ├── worker 0 ─ read prefix ─ [emulate I/O] ─ decode ──┐
-//!   ├── worker 1 ─ ...                                    ├─ bounded record
-//!   └── worker W ─ ...                                    │  channel
-//!                                                         ▼  (prefetch_records)
-//!                                             assembler: records → batches
-//!                                                         │  bounded batch
-//!                                                         ▼  channel
-//!                                               consumer (train loop)      (prefetch_batches)
+//! shared EpochOrder bijection (no materialized order)
+//!   │  each fetcher claims the next position k
+//!   ├── fetcher 0 ─ plan ─ read+retry ─ [emulate I/O] ─┐  fetch stage:
+//!   ├── fetcher 1 ─ ...                                ├─ prefetch_records
+//!   └── fetcher P ─ ...                                │  reads in flight
+//!                                                      ▼
+//!                       in-order hand-off: position k before k+1; a
+//!                       window of prefetch_records completed reads,
+//!                       staged as zero-copy ByteViews
+//!                                                      │
+//!   ├── decode worker 0 ─ decode check ─ [ladder ↓] ───┤  decode stage:
+//!   └── decode worker T ─ ...                          ├─ loader.threads
+//!                                                      ▼  bounded record channel
+//!                                          assembler: records → batches
+//!                                                      │  bounded batch channel
+//!                                                      ▼  (prefetch_batches)
+//!                                            consumer (train loop)
 //! ```
 //!
-//! Both channels are bounded, so a slow consumer exerts backpressure all
-//! the way to the reads; `prefetch_batches = 2` is classic double
-//! buffering (one batch being consumed, one staged).
+//! Fetchers hold no decode state — they plan, read through
+//! [`crate::retry::Ladder::fetch`] (retry, backoff and read-failure
+//! degradation included) and realize [`IoModel::EmulatedLatency`] service
+//! time *before* the bytes move on, so nothing is decoded before it has
+//! "arrived". Decode workers take records strictly in epoch-order
+//! position (the `handoff` module), so one decode worker delivers the
+//! [`EpochOrder`] sequence exactly, however the reads raced; a record
+//! whose bytes fail the decode check resumes its ladder from the next
+//! lower group on the decode worker itself (the rare path).
+//!
+//! Every queue is bounded, so a slow consumer exerts backpressure all the
+//! way to the reads; `prefetch_batches = 2` is classic double buffering
+//! (one batch being consumed, one staged).
 
 use crate::config::{DecodeMode, LoaderConfig};
+use crate::handoff::Handoff;
 use crate::order::EpochOrder;
 use crate::retry::{
-    deliver_with_degradation, DecodeCheck, Delivery, FaultReport, RetryBudget, RetryOutcome,
-    RetryPolicy, Timeline,
+    DecodeCheck, Delivery, FaultReport, Ladder, RetryBudget, RetryPolicy, Rung, Timeline,
 };
 use crate::source::{ReadPlanner, RecordSource};
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use pcr_core::{MetaDb, RecordScratch};
 use pcr_jpeg::ImageBuf;
 use pcr_storage::ObjectStore;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,14 +75,18 @@ pub enum IoModel {
     /// scaling then measures pure decode parallelism.
     #[default]
     Instant,
-    /// Sleep each read's modeled service time — the duration the clocked
-    /// store path returns for a [`Clock::Wall`](pcr_storage::Clock::Wall) read — on the issuing
-    /// worker thread. Cached bytes cost only request overhead, so a warm
-    /// page cache speeds emulated I/O exactly as it would a real device.
-    /// Requests to different records are assumed to hit independent
-    /// backends — the remote-object-store regime — so worker counts
-    /// overlap first-byte latencies exactly like a real multi-connection
-    /// loader.
+    /// Sleep each successful read's modeled service time — the duration
+    /// the clocked store path returns for a
+    /// [`Clock::Wall`](pcr_storage::Clock::Wall) read — on the fetch
+    /// thread that issued it, before the bytes are handed to a decode
+    /// worker; a read that succeeds but then fails the decode check has
+    /// cost its service time all the same. Cached bytes cost only request
+    /// overhead, so a warm page cache speeds emulated I/O exactly as it
+    /// would a real device. Requests to different records are assumed to
+    /// hit independent backends — the remote-object-store regime — so the
+    /// [`ParallelConfig::prefetch_records`] reads in flight overlap their
+    /// first-byte latencies exactly like a real multi-connection loader,
+    /// whatever the decode thread count.
     EmulatedLatency,
 }
 
@@ -70,7 +95,7 @@ pub enum IoModel {
 /// batches are involved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelConfig {
-    /// Shared loader parameters: `threads` is the worker-pool size,
+    /// Shared loader parameters: `threads` is the decode worker count,
     /// `scan_group` the prefix quality, `shuffle`/`seed` the epoch order,
     /// `decode` what workers do with the bytes ([`DecodeMode::Real`]
     /// decodes pixels; [`DecodeMode::Skip`] delivers labels only;
@@ -78,7 +103,11 @@ pub struct ParallelConfig {
     pub loader: LoaderConfig,
     /// Images per delivered [`Minibatch`].
     pub batch_size: usize,
-    /// Bounded depth of the worker → assembler record channel.
+    /// The prefetch queue, in records: how many reads the fetch stage
+    /// keeps in flight — the I/O depth `W` of Lemma A.2, independent of
+    /// `loader.threads` — and the bounded depth of each queue behind it
+    /// (completed reads staged in epoch order for the decode workers;
+    /// the decode worker → assembler record channel).
     pub prefetch_records: usize,
     /// Bounded depth of the assembler → consumer batch channel; 2 is
     /// double buffering.
@@ -150,10 +179,20 @@ pub struct ParallelStats {
     pub records_loaded: AtomicU64,
     /// Images decoded (0 unless [`DecodeMode::Real`]).
     pub images_decoded: AtomicU64,
-    /// Total decode nanoseconds summed across workers.
+    /// Total decode nanoseconds summed across decode workers (under
+    /// [`DecodeMode::Modeled`], the modeled cost they slept).
     pub decode_nanos: AtomicU64,
-    /// Total emulated-I/O wait nanoseconds summed across workers.
+    /// Total nanoseconds requests spent in realized (emulated) device
+    /// service, summed across every read in flight — so it exceeds wall
+    /// time when reads overlap.
     pub io_wait_nanos: AtomicU64,
+    /// Total nanoseconds decode workers waited on the in-order hand-off
+    /// for the next record to arrive: the pipeline starving on storage.
+    pub decode_starved_nanos: AtomicU64,
+    /// Total nanoseconds fetchers waited, completed read in hand, for
+    /// room in a full hand-off window: storage running ahead of decode
+    /// (or of a slow read at the head of the window).
+    pub fetch_blocked_nanos: AtomicU64,
     /// Read attempts that were retried (faulted then re-issued).
     pub retries: AtomicU64,
     /// Records delivered below the requested scan group.
@@ -179,6 +218,25 @@ impl ParallelStats {
         }
     }
 
+    /// Which stage bound an epoch of `wall_seconds` run with
+    /// `decode_threads` decode workers, from where those workers' time
+    /// went: waiting on the hand-off for bytes (storage), decoding, or —
+    /// the remainder — blocked sending downstream to a consumer that is
+    /// not keeping up.
+    pub fn bottleneck(&self, wall_seconds: f64, decode_threads: usize) -> Bottleneck {
+        let worker_nanos = wall_seconds * 1e9 * decode_threads.max(1) as f64;
+        let starved = self.decode_starved_nanos.load(Ordering::Relaxed) as f64;
+        let busy = self.decode_nanos.load(Ordering::Relaxed) as f64;
+        let downstream = (worker_nanos - starved - busy).max(0.0);
+        if starved >= busy && starved >= downstream {
+            Bottleneck::Storage
+        } else if busy >= downstream {
+            Bottleneck::Decode
+        } else {
+            Bottleneck::Consumer
+        }
+    }
+
     /// Consolidated fault accounting: the quarantine's exact label
     /// multiset plus the live retry/degradation counters.
     pub fn fault_report(&self) -> FaultReport {
@@ -190,16 +248,41 @@ impl ParallelStats {
     }
 }
 
+/// The stage an epoch's throughput was bound by (see
+/// [`ParallelStats::bottleneck`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bottleneck {
+    /// Decode workers mostly waited for bytes to arrive.
+    Storage,
+    /// Decode workers were mostly busy decoding.
+    Decode,
+    /// Decode workers mostly waited for the consumer to take batches.
+    Consumer,
+}
+
+impl Bottleneck {
+    /// The verdict as one lower-case word (`storage`/`decode`/`consumer`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Bottleneck::Storage => "storage",
+            Bottleneck::Decode => "decode",
+            Bottleneck::Consumer => "consumer",
+        }
+    }
+}
+
 /// A running epoch: a stream of minibatches plus live statistics.
 ///
 /// Iterate [`EpochStream::batches`] until disconnect for the full epoch,
 /// then call [`EpochStream::join`]; dropping the receiver early tears the
-/// pipeline down cleanly (workers notice the closed channel and exit).
+/// pipeline down cleanly (decode workers notice the closed channel and
+/// close the hand-off, which releases the fetchers).
 pub struct EpochStream {
     /// Minibatch stream; iterate until disconnect for a full epoch.
     pub batches: Receiver<Minibatch>,
     /// Shared statistics, live while the epoch runs.
     pub stats: Arc<ParallelStats>,
+    /// Fetch-stage and decode-stage threads.
     pub(crate) workers: Vec<std::thread::JoinHandle<()>>,
     pub(crate) assembler: Option<std::thread::JoinHandle<()>>,
 }
@@ -234,6 +317,15 @@ pub struct WallClockEpoch {
     pub wall_seconds: f64,
     /// Summed worker decode seconds (CPU cost of the epoch).
     pub decode_cpu_seconds: f64,
+    /// Share of the prefetch window's slot-time (`prefetch_records` ×
+    /// wall) spent in realized device service; 0 under
+    /// [`IoModel::Instant`].
+    pub io_wait_share: f64,
+    /// Share of the decode workers' time (`threads` × wall) spent
+    /// decoding.
+    pub decode_busy_share: f64,
+    /// The stage that bound the epoch.
+    pub bottleneck: Bottleneck,
     /// Retry/degradation/quarantine accounting for the epoch. Clean runs
     /// report [`FaultReport::is_clean`].
     pub faults: FaultReport,
@@ -321,56 +413,55 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     pub fn spawn_epoch_at(&self, epoch: u64, scan_group: usize) -> EpochStream {
         let cfg = &self.config;
         let stats = Arc::new(ParallelStats::default());
-        let planner = ReadPlanner::from_config(&cfg.loader).at_group(scan_group);
 
-        // Work queue: the shared streaming epoch order plus an atomic
-        // cursor. Workers claim the next *position* with a fetch-add and
-        // resolve it to a record index through the Feistel bijection —
-        // no per-epoch Vec, no O(n) channel backlog, just a few words of
-        // state however many records the catalog holds.
-        let order = Arc::new(planner.epoch_iter(self.source.num_records(), epoch));
-        let cursor = Arc::new(AtomicUsize::new(0));
-        // One retry budget per epoch, shared by all workers.
-        let budget = Arc::new(RetryBudget::new(cfg.loader.retry.epoch_retry_budget_s));
+        // Work queue: the shared streaming epoch order plus the hand-off
+        // window. Fetchers claim the next *position* and resolve it to a
+        // record index through the Feistel bijection — no per-epoch Vec,
+        // no O(n) channel backlog, just a few words of state however many
+        // records the catalog holds.
+        let order =
+            ReadPlanner::from_config(&cfg.loader).epoch_iter(self.source.num_records(), epoch);
+        let depth = cfg.prefetch_records.max(1);
+        let fetchers = depth.min(order.num_records());
+        let shared = Arc::new(EpochShared {
+            store: Arc::clone(&self.store),
+            stats: Arc::clone(&stats),
+            handoff: Handoff::new(order.num_records(), depth),
+            order,
+            scan_group,
+            decode: cfg.loader.decode,
+            io: cfg.io,
+            segment_workers: cfg.segment_workers.max(1),
+            retry: cfg.loader.retry.clone(),
+            // One retry budget per epoch, shared by every stage thread.
+            budget: RetryBudget::new(cfg.loader.retry.epoch_retry_budget_s),
+            source: Arc::clone(&self.source),
+        });
 
-        // Worker → assembler channel (bounded: the prefetch queue).
-        // Workers send the record *index* with the decoded images; the
-        // assembler resolves labels straight from the shared source, so
-        // no per-record label Vec is ever allocated or copied.
-        let (rec_tx, rec_rx) = bounded::<(Vec<ImageBuf>, usize)>(cfg.prefetch_records.max(1));
+        // Decode worker → assembler channel (bounded). Workers send the
+        // record *index* with the decoded images; the assembler resolves
+        // labels straight from the shared source, so no per-record label
+        // Vec is ever allocated or copied.
+        let (rec_tx, rec_rx) = bounded::<(Vec<ImageBuf>, usize)>(depth);
         let threads = cfg.loader.threads.max(1);
-        let mut workers = Vec::with_capacity(threads);
+        let mut workers = Vec::with_capacity(fetchers + threads);
+        for f in 0..fetchers {
+            let shared = Arc::clone(&shared);
+            // Fetchers only plan, read and sleep: a small stack, and no
+            // decode buffers, keep a deep window cheap in memory.
+            let handle = std::thread::Builder::new()
+                .name(format!("pcr-fetch-{f}"))
+                .stack_size(FETCH_STACK_BYTES)
+                .spawn(move || shared.fetch_loop())
+                .expect("spawn fetcher");
+            workers.push(handle);
+        }
         for w in 0..threads {
-            let order = Arc::clone(&order);
-            let cursor = Arc::clone(&cursor);
+            let shared = Arc::clone(&shared);
             let rec_tx = rec_tx.clone();
-            let store = Arc::clone(&self.store);
-            let source = Arc::clone(&self.source);
-            let stats = Arc::clone(&stats);
-            let decode = cfg.loader.decode;
-            let planner = planner.clone();
-            let io = cfg.io;
-            let segment_workers = cfg.segment_workers.max(1);
-            let retry = cfg.loader.retry.clone();
-            let budget = Arc::clone(&budget);
             let handle = std::thread::Builder::new()
                 .name(format!("pcr-parallel-{w}"))
-                .spawn(move || {
-                    worker_loop(
-                        &order,
-                        &cursor,
-                        &rec_tx,
-                        &store,
-                        &*source,
-                        &stats,
-                        &planner,
-                        decode,
-                        io,
-                        segment_workers,
-                        &retry,
-                        &budget,
-                    )
-                })
+                .spawn(move || shared.decode_loop(&rec_tx))
                 .expect("spawn worker");
             workers.push(handle);
         }
@@ -446,122 +537,197 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         let wall_seconds = t0.elapsed().as_secs_f64();
         let stats = Arc::clone(&stream.stats);
         stream.join();
+        let threads = self.config.loader.threads.max(1);
+        let decode_cpu_seconds = stats.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        let io_wait_seconds = stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        let share = |seconds: f64, lanes: usize| {
+            if wall_seconds > 0.0 {
+                seconds / (wall_seconds * lanes as f64)
+            } else {
+                0.0
+            }
+        };
         WallClockEpoch {
             images,
             batches,
             bytes: stats.bytes_read.load(Ordering::Relaxed),
             wall_seconds,
-            decode_cpu_seconds: stats.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            decode_cpu_seconds,
+            io_wait_share: share(io_wait_seconds, self.config.prefetch_records.max(1)),
+            decode_busy_share: share(decode_cpu_seconds, threads),
+            bottleneck: stats.bottleneck(wall_seconds, threads),
             faults: stats.fault_report(),
         }
     }
 }
 
-/// One worker: claim epoch-order positions from the shared atomic
-/// cursor, resolve each to a record index through the streaming
-/// [`EpochOrder`] bijection, read planned prefixes through the clocked
-/// store path — with retry/backoff and fidelity degradation on failure —
-/// realize I/O time, decode, push downstream. Returns when the order is
-/// exhausted or the consumer disappears.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<S: RecordSource + ?Sized>(
-    order: &EpochOrder,
-    cursor: &AtomicUsize,
-    rec_tx: &crossbeam::channel::Sender<(Vec<ImageBuf>, usize)>,
-    store: &ObjectStore,
-    source: &S,
-    stats: &ParallelStats,
-    planner: &ReadPlanner,
+/// Stack of a fetch thread. A fetcher's deepest call chain is the store
+/// read path plus an error `format!`; 256 KiB leaves that an order of
+/// magnitude of headroom in debug builds.
+const FETCH_STACK_BYTES: usize = 256 << 10;
+
+/// What the fetch stage hands a decode worker for one epoch-order
+/// position: the record, its ladder so far, and the rung the ladder
+/// produced (`None`: no prefix was readable).
+struct Fetched {
+    idx: usize,
+    ladder: Ladder,
+    rung: Option<Rung>,
+}
+
+/// Everything one epoch's stage threads share.
+struct EpochShared<S: ?Sized> {
+    store: Arc<ObjectStore>,
+    stats: Arc<ParallelStats>,
+    handoff: Handoff<Fetched>,
+    order: EpochOrder,
+    scan_group: usize,
     decode: DecodeMode,
     io: IoModel,
     segment_workers: usize,
-    retry: &RetryPolicy,
-    budget: &RetryBudget,
-) {
-    let mut scratch = RecordScratch::new();
-    loop {
-        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-        if pos >= order.num_records() {
-            return; // epoch drained
+    retry: RetryPolicy,
+    budget: RetryBudget,
+    source: Arc<S>,
+}
+
+/// Closes the hand-off if its stage thread unwinds, so a panic in one
+/// stage cannot leave the other parked on a window that will never move.
+struct CloseOnPanic<'a>(&'a Handoff<Fetched>);
+
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
         }
-        let idx = order.get(pos);
-        // The same clocked, cached, counted read path the virtual-time
-        // loader uses — wrapped in retry/backoff, with fidelity
-        // degradation stepping down the scan-group prefix when a range
-        // stays unreadable. Real decode doubles as the integrity check:
-        // silently flipped bits surface as decode failures and degrade
-        // instead of propagating corrupt pixels.
-        let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match decode {
-            DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
-            DecodeMode::Real => {
-                let t0 = Instant::now();
-                let decoded = source.decode_real_segmented(
-                    idx,
-                    &read.data,
-                    planner.scan_group,
-                    &mut scratch,
-                    segment_workers,
-                );
-                stats.decode_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                match decoded {
-                    Some(images) => DecodeCheck::Images(images),
-                    None => DecodeCheck::Failed,
-                }
-            }
-        };
-        let mut outcome = RetryOutcome::default();
-        let delivery = deliver_with_degradation(
-            store,
-            source,
+    }
+}
+
+fn add_elapsed(counter: &AtomicU64, since: Instant) {
+    counter.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
+impl<S: RecordSource + ?Sized> EpochShared<S> {
+    /// One rung of a record's ladder on the wall clock: the same clocked,
+    /// cached, counted read path the virtual-time loader uses, wrapped in
+    /// retry/backoff and read-failure degradation, then — for
+    /// [`IoModel::EmulatedLatency`] — the successful read's service time,
+    /// slept before the bytes go anywhere.
+    fn fetch_rung(&self, idx: usize, ladder: &mut Ladder) -> Option<Rung> {
+        let rung = ladder.fetch(
+            &self.store,
+            &*self.source,
             idx,
-            planner.scan_group,
             Timeline::Wall,
-            retry,
-            budget,
+            &self.retry,
+            &self.budget,
             &mut |s| std::thread::sleep(Duration::from_secs_f64(s)),
-            &mut decode_check,
-            &mut outcome,
-        );
-        stats.retries.fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
-        stats
-            .backoff_micros
-            .fetch_add((outcome.backoff_s * 1e6) as u64, Ordering::Relaxed);
-        let (read, images, degraded) = match delivery {
-            Delivery::Delivered { read, group: _, degraded, images } => (read, images, degraded),
-            Delivery::Quarantined { reason } => {
-                stats.quarantined_records.fetch_add(1, Ordering::Relaxed);
-                if let Ok(mut q) = stats.quarantine.lock() {
-                    q.note_quarantine(idx, source.labels(idx), reason);
-                }
-                continue;
-            }
-        };
-        if degraded {
-            stats.degraded_records.fetch_add(1, Ordering::Relaxed);
-        }
-        let read_len = read.data.len() as u64;
-        stats.bytes_read.fetch_add(read_len, Ordering::Relaxed);
-        if io == IoModel::EmulatedLatency {
-            let service = read.finish - read.start;
+        )?;
+        if self.io == IoModel::EmulatedLatency {
+            let service = rung.read.finish - rung.read.start;
             let t0 = Instant::now();
             std::thread::sleep(Duration::from_secs_f64(service.max(0.0)));
-            stats.io_wait_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            add_elapsed(&self.stats.io_wait_nanos, t0);
         }
-        if let DecodeMode::Modeled { seconds_per_byte } = decode {
-            // Wall-clock realization of the modeled cost, so modeled
-            // and real runs remain comparable end to end.
-            let modeled = read_len as f64 * seconds_per_byte;
-            std::thread::sleep(Duration::from_secs_f64(modeled));
+        Some(rung)
+    }
+
+    /// One fetcher: claim the next epoch-order position, resolve it
+    /// through the streaming [`EpochOrder`] bijection, fetch the record's
+    /// first deliverable rung, stage it — parking, read in hand, while
+    /// the position lies beyond the window. Returns when every position
+    /// is claimed or the hand-off closes.
+    fn fetch_loop(&self) {
+        let _guard = CloseOnPanic(&self.handoff);
+        while let Some(pos) = self.handoff.claim() {
+            let idx = self.order.get(pos);
+            let mut ladder = Ladder::new(self.scan_group);
+            let rung = self.fetch_rung(idx, &mut ladder);
+            let t0 = Instant::now();
+            self.handoff.stage(pos, Fetched { idx, ladder, rung });
+            add_elapsed(&self.stats.fetch_blocked_nanos, t0);
         }
-        if !images.is_empty() {
-            stats.images_decoded.fetch_add(images.len() as u64, Ordering::Relaxed);
-        }
-        // Labels travel as the record index — the assembler reads the
-        // slices out of the shared source, so the per-record
-        // `labels().to_vec()` allocation is gone from the hot loop.
-        stats.records_loaded.fetch_add(1, Ordering::Relaxed);
-        if rec_tx.send((images, idx)).is_err() {
-            return; // consumer gone
+    }
+
+    /// One decode worker: take fetched records in epoch-order position,
+    /// run the decode check — resuming the record's ladder from the next
+    /// lower group when it fails — account, push downstream. Returns when
+    /// the epoch is drained or the consumer disappears.
+    fn decode_loop(&self, rec_tx: &Sender<(Vec<ImageBuf>, usize)>) {
+        let _guard = CloseOnPanic(&self.handoff);
+        let stats = &*self.stats;
+        let mut scratch = RecordScratch::new();
+        loop {
+            let t0 = Instant::now();
+            let Some((_, Fetched { idx, ladder, rung })) = self.handoff.take() else {
+                return;
+            };
+            add_elapsed(&stats.decode_starved_nanos, t0);
+            // Real decode doubles as the integrity check: silently
+            // flipped bits surface as decode failures and degrade
+            // instead of propagating corrupt pixels.
+            let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match self.decode
+            {
+                DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
+                DecodeMode::Real => {
+                    let t0 = Instant::now();
+                    let decoded = self.source.decode_real_segmented(
+                        idx,
+                        &read.data,
+                        self.scan_group,
+                        &mut scratch,
+                        self.segment_workers,
+                    );
+                    add_elapsed(&stats.decode_nanos, t0);
+                    match decoded {
+                        Some(images) => DecodeCheck::Images(images),
+                        None => DecodeCheck::Failed,
+                    }
+                }
+            };
+            let (delivery, outcome) =
+                ladder.deliver(rung, &mut |l| self.fetch_rung(idx, l), &mut decode_check);
+            stats.retries.fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
+            stats
+                .backoff_micros
+                .fetch_add((outcome.backoff_s * 1e6) as u64, Ordering::Relaxed);
+            let (read, images, degraded) = match delivery {
+                Delivery::Delivered { read, group: _, degraded, images } => {
+                    (read, images, degraded)
+                }
+                Delivery::Quarantined { reason } => {
+                    stats.quarantined_records.fetch_add(1, Ordering::Relaxed);
+                    if let Ok(mut q) = stats.quarantine.lock() {
+                        q.note_quarantine(idx, self.source.labels(idx), reason);
+                    }
+                    continue;
+                }
+            };
+            if degraded {
+                stats.degraded_records.fetch_add(1, Ordering::Relaxed);
+            }
+            let read_len = read.data.len() as u64;
+            stats.bytes_read.fetch_add(read_len, Ordering::Relaxed);
+            if let DecodeMode::Modeled { seconds_per_byte } = self.decode {
+                // Wall-clock realization of the modeled cost, so modeled
+                // and real runs remain comparable end to end — and decode
+                // time all the same to the bottleneck verdict.
+                let modeled = read_len as f64 * seconds_per_byte;
+                let t0 = Instant::now();
+                std::thread::sleep(Duration::from_secs_f64(modeled));
+                add_elapsed(&stats.decode_nanos, t0);
+            }
+            if !images.is_empty() {
+                stats.images_decoded.fetch_add(images.len() as u64, Ordering::Relaxed);
+            }
+            // Labels travel as the record index — the assembler reads the
+            // slices out of the shared source, so the per-record
+            // `labels().to_vec()` allocation is gone from the hot loop.
+            stats.records_loaded.fetch_add(1, Ordering::Relaxed);
+            if rec_tx.send((images, idx)).is_err() {
+                // Consumer gone: release the fetchers and fellow workers.
+                self.handoff.close();
+                return;
+            }
         }
     }
 }
@@ -594,8 +760,9 @@ mod tests {
                 }
             }
             let img = pcr_jpeg::ImageBuf::from_raw(32, 32, 3, data).unwrap();
-            b.add_image(SampleMeta { label: (i % 3) as u32, id: format!("s{i}") }, &img, 85)
-                .unwrap();
+            // One label per image, so a label sequence names a delivery
+            // order, not just a multiset.
+            b.add_image(SampleMeta { label: i as u32, id: format!("s{i}") }, &img, 85).unwrap();
         }
         let ds = b.finish().unwrap();
         let store = ObjectStore::new(profile);
@@ -740,36 +907,110 @@ mod tests {
     }
 
     #[test]
-    fn emulated_io_latency_overlaps_across_workers() {
-        // Skip decode so the epoch is pure emulated I/O: with per-request
-        // latency dominating, W workers overlap W sleeps and the epoch
-        // shrinks accordingly even on a single core.
-        let (store, db) = make(24, DeviceProfile::hdd_7200rpm());
-        let run = |threads: usize| {
+    fn emulated_io_latency_overlaps_across_prefetch_depth() {
+        // Skip decode and one decode thread, so the epoch is pure emulated
+        // I/O and nothing but `prefetch_records` can overlap it: a deeper
+        // window overlaps that many sleeps even on a single core.
+        let run = |prefetch_records: usize| {
+            // 96 images in records of 4: 24 records, one seek each.
+            let (store, db) = make(96, DeviceProfile::hdd_7200rpm());
             let cfg = ParallelConfig {
                 loader: LoaderConfig {
-                    threads,
+                    threads: 1,
                     decode: DecodeMode::Skip,
                     ..LoaderConfig::at_group(1)
                 },
                 io: IoModel::EmulatedLatency,
+                prefetch_records,
                 ..ParallelConfig::default()
             };
-            ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).run_epoch(0)
+            let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
+            let t0 = Instant::now();
+            let stream = loader.spawn_epoch(0);
+            let mut labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
+            let wall_seconds = t0.elapsed().as_secs_f64();
+            stream.join();
+            labels.sort_unstable();
+            (labels, wall_seconds, store.device_stats().busy_time)
         };
-        let one = run(1);
-        let six = run(6);
-        // thread::sleep never returns early, so a single worker's epoch
-        // is floored at 24 serialized emulated seeks (~300ms) and any
-        // epoch at one seek — assertable even under coarse clocks.
-        assert!(one.wall_seconds > 0.012, "epoch covers at least one seek");
-        assert_eq!(one.images, six.images);
-        // The >2x overlap ratio additionally assumes the 6-worker run is
+        let (one_labels, one_wall, one_service) = run(1);
+        let (six_labels, six_wall, _) = run(6);
+        assert_eq!(one_labels.len(), 96);
+        assert_eq!(one_labels, six_labels);
+        // thread::sleep never returns early, so at depth 1 the epoch is
+        // floored at its 24 serialized emulated seeks (~300ms) —
+        // assertable even under coarse clocks.
+        assert!(one_service > 0.012 * 24.0, "24 hdd seeks, got {one_service:.3}s");
+        assert!(
+            one_wall >= one_service,
+            "depth 1 serializes every read: wall {one_wall:.3}s < service {one_service:.3}s"
+        );
+        // The >2x overlap ratio additionally assumes the depth-6 run is
         // not descheduled for long stretches; strict mode only.
         if std::env::var_os("PCR_STRICT_TIMING").is_some() {
-            assert!(one.wall_seconds > six.wall_seconds * 2.0,
-                "1 worker {:.3}s should be >2x slower than 6 workers {:.3}s",
-                one.wall_seconds, six.wall_seconds);
+            assert!(
+                one_wall > six_wall * 2.0,
+                "depth 1 {one_wall:.3}s should be >2x slower than depth 6 {six_wall:.3}s"
+            );
+        }
+    }
+
+    /// The fault mix of the benchmark's storage-bound workload, dense
+    /// enough to hit a 20-record epoch several times over.
+    fn noisy_plan() -> pcr_storage::FaultPlan {
+        pcr_storage::FaultPlan {
+            seed: 11,
+            transient: 0.2,
+            torn: 0.1,
+            latency: 0.2,
+            latency_factor: 8.0,
+            ..pcr_storage::FaultPlan::default()
+        }
+    }
+
+    #[test]
+    fn one_decode_worker_delivers_the_epoch_order_exactly() {
+        // Eight reads race — spiked, retried after backoff, torn — and
+        // complete in any order; one decode worker must still see them in
+        // EpochOrder position, run after run.
+        let (store, db) = make(80, DeviceProfile::ssd_sata());
+        let cfg = ParallelConfig {
+            batch_size: 7,
+            prefetch_records: 8,
+            io: IoModel::EmulatedLatency,
+            ..ParallelConfig::real(1, 10)
+        };
+        let expected: Vec<u32> = cfg
+            .loader
+            .epoch_order(db.records.len(), 3)
+            .into_iter()
+            .flat_map(|idx| db.records[idx].labels.clone())
+            .collect();
+        assert_eq!(expected.len(), 80);
+        let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
+        for run in 0..2 {
+            // Re-arming the plan resets its per-site attempt counters.
+            store.set_fault_plan(Some(noisy_plan()));
+            let stream = loader.spawn_epoch(3);
+            let labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
+            let stats = Arc::clone(&stream.stats);
+            stream.join();
+            assert_eq!(labels, expected, "run {run}");
+            assert!(stats.retries.load(Ordering::Relaxed) > 0, "the plan injected faults");
+            assert!(stats.fault_report().quarantined_records == 0);
+        }
+    }
+
+    /// Joins every pipeline thread, failing if one panicked.
+    fn join_all(
+        workers: Vec<std::thread::JoinHandle<()>>,
+        assembler: Option<std::thread::JoinHandle<()>>,
+    ) {
+        for w in workers {
+            w.join().expect("stage thread exits cleanly");
+        }
+        if let Some(a) = assembler {
+            a.join().expect("assembler exits cleanly");
         }
     }
 
@@ -782,12 +1023,41 @@ mod tests {
         let first = stream.batches.iter().next().expect("one batch");
         assert_eq!(first.images.len(), 2);
         drop(stream.batches);
-        for w in stream.workers {
-            w.join().expect("worker exits cleanly");
+        join_all(stream.workers, stream.assembler);
+    }
+
+    #[test]
+    fn consumer_can_drop_early_with_fetchers_parked_on_a_full_window() {
+        // The consumer takes one batch and stops. Every queue then fills:
+        // batch channel (1 record), assembler (1), record channel (8),
+        // the decode worker blocked sending (1), the hand-off window (8)
+        // and 8 fetchers each holding a read beyond it — 28 records read,
+        // and nothing moves again until the receiver goes away.
+        let (store, db) = make(160, DeviceProfile::ssd_sata());
+        let cfg = ParallelConfig {
+            batch_size: 4,
+            prefetch_records: 8,
+            prefetch_batches: 1,
+            io: IoModel::EmulatedLatency,
+            ..ParallelConfig::real(1, 10)
+        };
+        let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
+        let stream = loader.spawn_epoch(0);
+        let first = stream.batches.recv().expect("one batch");
+        assert_eq!(first.images.len(), 4);
+        // The last read issued is the state to cancel from: each fetcher
+        // has its final read in hand and parks as soon as it has slept
+        // that read's ~0.1 ms of service.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while store.device_stats().reads < 28 {
+            assert!(Instant::now() < deadline, "the pipeline never filled its queues");
+            std::thread::yield_now();
         }
-        if let Some(a) = stream.assembler {
-            a.join().expect("assembler exits cleanly");
-        }
+        let stats = Arc::clone(&stream.stats);
+        // `join` drops the receiver itself and must return.
+        stream.join();
+        assert_eq!(store.device_stats().reads, 28, "backpressure reached the reads");
+        assert!(stats.records_loaded.load(Ordering::Relaxed) <= 13, "the epoch was cancelled");
     }
 
     #[test]

@@ -254,15 +254,132 @@ pub enum Delivery {
     },
 }
 
-/// Delivers record `idx` at the longest intact scan-group prefix.
+/// One successful rung of the fidelity ladder: the bytes the store
+/// delivered and the scan group they cover.
+#[derive(Debug)]
+pub struct Rung {
+    /// The successful read (of `group`'s prefix).
+    pub read: ReadResult,
+    /// Scan group the read covers.
+    pub group: usize,
+}
+
+/// One record's walk down the fidelity ladder: which group to try next,
+/// what failed on the way, and the retries spent so far.
+///
+/// The ladder is a value rather than a loop so that it can be carried
+/// between pipeline stages: the wall-clock loader's fetch stage runs
+/// [`Ladder::fetch`] ahead of time and hands the ladder on with the
+/// [`Rung`] it produced; the decode worker then calls [`Ladder::deliver`]
+/// with that already-fetched rung, and only a rejected decode makes it
+/// fetch again — from the next lower group, with the same skip rule,
+/// budget and counters as a ladder walked in one place
+/// ([`deliver_with_degradation`]).
+#[derive(Debug)]
+pub struct Ladder {
+    requested: usize,
+    /// Next group to try; 0 once the ladder is exhausted.
+    next_group: usize,
+    /// `(offset, len)` of the last plan tried — a lower group planning the
+    /// same bytes is skipped.
+    tried_plan: Option<(u64, u64)>,
+    last_failure: String,
+    outcome: RetryOutcome,
+}
+
+impl Ladder {
+    /// A ladder starting at `requested_group` (at least 1).
+    pub fn new(requested_group: usize) -> Self {
+        let requested = requested_group.max(1);
+        Self {
+            requested,
+            next_group: requested,
+            tried_plan: None,
+            last_failure: String::new(),
+            outcome: RetryOutcome::default(),
+        }
+    }
+
+    /// Reads the longest prefix of record `idx` the store will deliver at
+    /// or below the current rung, with [`read_with_retry`] on every rung.
+    /// Steps down one group per persistent failure (skipping groups whose
+    /// plan is byte-identical to the one just tried) and returns `None`
+    /// when group 1 itself is unreadable or the object is gone.
+    #[allow(clippy::too_many_arguments)] // read_with_retry's context plus the record
+    pub fn fetch<S: RecordSource + ?Sized>(
+        &mut self,
+        store: &ObjectStore,
+        source: &S,
+        idx: usize,
+        timeline: Timeline,
+        policy: &RetryPolicy,
+        budget: &RetryBudget,
+        sleep: &mut dyn FnMut(f64),
+    ) -> Option<Rung> {
+        while self.next_group >= 1 {
+            let group = self.next_group;
+            self.next_group -= 1;
+            let plan = source.plan(idx, group);
+            // A lower group that plans the exact same bytes (clamped
+            // formats, baseline whole-object reads) cannot succeed where
+            // the last one just failed — don't burn retries on it.
+            if self.tried_plan.replace((plan.offset, plan.len)) == Some((plan.offset, plan.len)) {
+                continue;
+            }
+            let key = mix((idx as u64) << 8 | group as u64);
+            match read_with_retry(store, &plan, timeline, policy, budget, key, sleep, &mut self.outcome)
+            {
+                Ok(read) => return Some(Rung { read, group }),
+                Err(e) => {
+                    self.last_failure = e.to_string();
+                    if matches!(e, ReadError::NotFound { .. }) {
+                        // The object itself is gone; no prefix can help.
+                        self.next_group = 0;
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Runs `decode_check` over `first` and every further rung `fetch`
+    /// produces until one is accepted or the ladder is exhausted.
+    /// `decode_check` is called once per successful read with the
+    /// delivered bytes and the group; real decoding modes validate there,
+    /// so silent bit flips degrade instead of propagating corrupt pixels.
+    /// Returns the delivery and the record's total retry outcome.
+    pub fn deliver(
+        mut self,
+        first: Option<Rung>,
+        fetch: &mut dyn FnMut(&mut Ladder) -> Option<Rung>,
+        decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
+    ) -> (Delivery, RetryOutcome) {
+        let mut rung = first;
+        while let Some(Rung { read, group }) = rung {
+            let images = match decode_check(&read, group) {
+                DecodeCheck::Accepted => Vec::new(),
+                DecodeCheck::Images(images) => images,
+                DecodeCheck::Failed => {
+                    self.last_failure =
+                        format!("undecodable at group {group} ({} bytes)", read.data.len());
+                    rung = fetch(&mut self);
+                    continue;
+                }
+            };
+            let degraded = group < self.requested;
+            return (Delivery::Delivered { read, group, degraded, images }, self.outcome);
+        }
+        (Delivery::Quarantined { reason: self.last_failure }, self.outcome)
+    }
+}
+
+/// Delivers record `idx` at the longest intact scan-group prefix: a
+/// [`Ladder`] walked start to finish in one place.
 ///
 /// Tries `requested_group` first; on persistent read failure or a failed
-/// decode check, steps down one group at a time (skipping groups whose
-/// plan is byte-identical to the one that just failed) and quarantines
-/// only when group 1 itself cannot be delivered. `decode_check` is called
-/// once per successful read with the delivered bytes and the group; real
-/// decoding modes validate there, so silent bit flips degrade instead of
-/// propagating corrupt pixels.
+/// decode check, steps down one group at a time and quarantines only when
+/// group 1 itself cannot be delivered. Retry counters accumulate into
+/// `out`.
 #[allow(clippy::too_many_arguments)]
 pub fn deliver_with_degradation<S: RecordSource + ?Sized>(
     store: &ObjectStore,
@@ -276,54 +393,14 @@ pub fn deliver_with_degradation<S: RecordSource + ?Sized>(
     decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
     out: &mut RetryOutcome,
 ) -> Delivery {
-    let requested = requested_group.max(1);
-    let mut last_failure = String::new();
-    let mut failed_plan: Option<(u64, u64)> = None;
-    for group in (1..=requested).rev() {
-        let plan = source.plan(idx, group);
-        // A lower group that plans the exact same bytes (clamped formats,
-        // baseline whole-object reads) cannot succeed where this one just
-        // failed — don't burn retries on it.
-        if failed_plan == Some((plan.offset, plan.len)) {
-            continue;
-        }
-        let key = mix((idx as u64) << 8 | group as u64);
-        match read_with_retry(store, &plan, timeline, policy, budget, key, sleep, out) {
-            Ok(read) => match decode_check(&read, group) {
-                DecodeCheck::Accepted => {
-                    return Delivery::Delivered {
-                        read,
-                        group,
-                        degraded: group < requested,
-                        images: Vec::new(),
-                    }
-                }
-                DecodeCheck::Images(images) => {
-                    return Delivery::Delivered {
-                        read,
-                        group,
-                        degraded: group < requested,
-                        images,
-                    }
-                }
-                DecodeCheck::Failed => {
-                    last_failure =
-                        format!("undecodable at group {group} ({} bytes)", read.data.len());
-                    failed_plan = Some((plan.offset, plan.len));
-                }
-            },
-            Err(e) => {
-                let not_found = matches!(e, ReadError::NotFound { .. });
-                last_failure = e.to_string();
-                failed_plan = Some((plan.offset, plan.len));
-                if not_found {
-                    // The object itself is gone; no prefix can help.
-                    break;
-                }
-            }
-        }
-    }
-    Delivery::Quarantined { reason: last_failure }
+    let mut ladder = Ladder::new(requested_group);
+    let mut fetch =
+        |l: &mut Ladder| l.fetch(store, source, idx, timeline, policy, budget, &mut *sleep);
+    let first = fetch(&mut ladder);
+    let (delivery, spent) = ladder.deliver(first, &mut fetch, decode_check);
+    out.retries += spent.retries;
+    out.backoff_s += spent.backoff_s;
+    delivery
 }
 
 /// One quarantined record (detail kept for the first
@@ -538,6 +615,50 @@ mod tests {
             read.start >= 1.0 + 0.25 - 1e-9,
             "second attempt issues after the backoff: start {}",
             read.start
+        );
+    }
+
+    #[test]
+    fn undecodable_reads_still_cost_their_service_time() {
+        use crate::parallel::{IoModel, ParallelConfig, ParallelLoader};
+        use pcr_core::{PcrDatasetBuilder, SampleMeta};
+        use std::sync::Arc;
+
+        let mut b = PcrDatasetBuilder::new(4, 10).with_name_prefix("f");
+        for i in 0..4u32 {
+            let px = (0..32 * 32 * 3).map(|k| ((k * 7 + i * 31) % 251) as u8).collect();
+            let img = ImageBuf::from_raw(32, 32, 3, px).unwrap();
+            b.add_image(SampleMeta { label: i, id: format!("f{i}") }, &img, 85).unwrap();
+        }
+        let ds = b.finish().unwrap();
+        let db = Arc::new(ds.db.clone());
+        // Every seed flips one bit somewhere in the record. Take the
+        // first whose flip lands where the full prefix reads fine but
+        // fails to decode while a shorter prefix is intact: two
+        // successful reads, one delivery, on an uncached store.
+        let (delivered, io_wait_s, device) = (0..256u64)
+            .find_map(|seed| {
+                let store = Arc::new(ObjectStore::new(DeviceProfile::ssd_sata()));
+                crate::loader::populate_store(&store, &ds);
+                store.set_fault_plan(Some(FaultPlan { seed, bit_flip: 1.0, ..FaultPlan::default() }));
+                let cfg = ParallelConfig { io: IoModel::EmulatedLatency, ..ParallelConfig::real(1, 10) };
+                let stream = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).spawn_epoch(0);
+                let delivered: usize = stream.batches.iter().map(|b| b.images.len()).sum();
+                let stats = Arc::clone(&stream.stats);
+                stream.join();
+                let io_wait_s = stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+                (stats.degraded_records.load(Ordering::Relaxed) == 1)
+                    .then(|| (delivered, io_wait_s, store.device_stats()))
+            })
+            .expect("some flip lands in a late scan group");
+        assert_eq!(delivered, 4, "degraded, not quarantined");
+        assert!(device.reads >= 2, "the undecodable read and the delivered one");
+        // busy_time sums the modeled service of every device read, and
+        // thread::sleep never returns early.
+        assert!(
+            io_wait_s >= device.busy_time,
+            "slept {io_wait_s:.6}s of {:.6}s modeled service: a read was free",
+            device.busy_time
         );
     }
 

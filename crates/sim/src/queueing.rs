@@ -12,9 +12,25 @@ pub fn expected_item_read_time(profile: &DeviceProfile, mean_bytes: f64, items_p
     profile.read_time((mean_bytes * n) as u64, false) / n
 }
 
-/// Lemma A.2: loader throughput `X_g = W / E[s(x, g)]` in items/second.
+/// Lemma A.2: loader throughput `X_g = W / E[s(x, g)]` in items/second,
+/// for a single outstanding request (`W = 1`).
 pub fn loader_throughput(profile: &DeviceProfile, mean_bytes: f64, items_per_record: usize) -> f64 {
     1.0 / expected_item_read_time(profile, mean_bytes, items_per_record)
+}
+
+/// Lemma A.2 with `W = depth` requests outstanding against independent
+/// backends (the regime `DeviceProfile::remote_object_store` models):
+/// each request stream delivers [`loader_throughput`], so the loader
+/// delivers `depth` times that. `depth` is the wall-clock loader's I/O
+/// depth (`ParallelConfig::prefetch_records`), not its decode thread
+/// count; 0 is treated as 1.
+pub fn loader_throughput_at_depth(
+    profile: &DeviceProfile,
+    mean_bytes: f64,
+    items_per_record: usize,
+    depth: usize,
+) -> f64 {
+    depth.max(1) as f64 * loader_throughput(profile, mean_bytes, items_per_record)
 }
 
 /// Lemma A.3: the data-pipeline speedup of scan group `g` is the ratio of
@@ -113,6 +129,17 @@ mod tests {
         let x = loader_throughput(&p, 110_000.0, 128);
         let t = expected_item_read_time(&p, 110_000.0, 128);
         assert!((x * t - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn depth_scales_lemma_a2_linearly() {
+        let p = DeviceProfile::remote_object_store();
+        let one = loader_throughput(&p, 18_000.0, 8);
+        for depth in [1usize, 2, 8, 64] {
+            let x = loader_throughput_at_depth(&p, 18_000.0, 8, depth);
+            assert!((x - one * depth as f64).abs() <= 1e-9 * x, "depth {depth}: {x} vs {one}");
+        }
+        assert_eq!(loader_throughput_at_depth(&p, 18_000.0, 8, 0), one, "depth 0 reads as 1");
     }
 
     #[test]

@@ -127,6 +127,39 @@ fn retry_policy() -> RetryPolicy {
     }
 }
 
+/// The two I/O depths the wall-clock cases run at: reads strictly one at
+/// a time, and the default window of 8 racing fetchers.
+fn prefetch_depth(deep: bool) -> usize {
+    if deep {
+        8
+    } else {
+        1
+    }
+}
+
+/// One wall-clock epoch with a single decode worker — so delivery order
+/// is the epoch order — as `(labels, pixels)` per image, with the
+/// loader's statistics.
+fn wall_epoch_in_order(
+    store: Arc<ObjectStore>,
+    loader_cfg: LoaderConfig,
+    prefetch_records: usize,
+) -> (Vec<(u32, ImageBuf)>, Arc<pcr::loader::ParallelStats>) {
+    assert_eq!(loader_cfg.threads, 1, "one decode worker makes the order deterministic");
+    let cfg = ParallelConfig {
+        loader: loader_cfg,
+        batch_size: 3,
+        prefetch_records,
+        ..ParallelConfig::default()
+    };
+    let stream = ParallelLoader::new(store, Arc::new(dataset().db.clone()), cfg).spawn_epoch(0);
+    let delivered =
+        stream.batches.iter().flat_map(|b| b.labels.into_iter().zip(b.images)).collect();
+    let stats = Arc::clone(&stream.stats);
+    stream.join();
+    (delivered, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -222,6 +255,7 @@ proptest! {
         plan in arb_plan(),
         epoch in 0u64..3,
         group in 1usize..=NUM_GROUPS,
+        deep in any::<bool>(),
     ) {
         let ds = dataset();
         let store = Arc::new(faulted_store(plan));
@@ -236,6 +270,7 @@ proptest! {
                 retry: retry_policy(),
             },
             batch_size: 4,
+            prefetch_records: prefetch_depth(deep),
             ..ParallelConfig::default()
         };
         let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
@@ -252,6 +287,87 @@ proptest! {
             *delivered.entry(label).or_insert(0) += count;
         }
         prop_assert_eq!(delivered, expected_labels(&ds.db));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The wall-clock face of byte-exact degradation, and of cross-loader
+    /// equivalence: faults are a function of (plan, site, attempt), so
+    /// the wall loader — fetching ahead, resuming ladders across its two
+    /// stages — must quarantine the records the virtual loader does and
+    /// deliver every other record with the pixels the virtual loader
+    /// decoded (which the case above pins to a clean prefix decode at
+    /// the delivered group), in epoch order, at either I/O depth.
+    #[test]
+    fn wall_clock_degraded_records_decode_byte_identically(
+        plan in arb_clean_bytes_plan(),
+        group in 2usize..=NUM_GROUPS,
+        deep in any::<bool>(),
+    ) {
+        let ds = dataset();
+        let cfg = LoaderConfig {
+            threads: 1,
+            scan_group: group,
+            shuffle: true,
+            seed: 4,
+            decode: DecodeMode::Real,
+            retry: retry_policy(),
+        };
+        let oracle_store = faulted_store(plan.clone());
+        let oracle = PcrLoader::new(&oracle_store, &ds.db, cfg.clone()).run_epoch(0, 0.0);
+        let mut by_record: BTreeMap<usize, &pcr::loader::LoadedRecord> =
+            oracle.records.iter().map(|r| (r.record, r)).collect();
+
+        let (delivered, stats) =
+            wall_epoch_in_order(Arc::new(faulted_store(plan)), cfg.clone(), prefetch_depth(deep));
+        let faults = stats.fault_report();
+        prop_assert_eq!(faults.quarantined_records, oracle.faults.quarantined_records);
+        prop_assert_eq!(faults.degraded_records, oracle.faults.degraded_records);
+        prop_assert_eq!(faults.retries, oracle.faults.retries);
+
+        let mut delivered = delivered.into_iter();
+        for idx in cfg.epoch_order(ds.db.num_records(), 0) {
+            let Some(expected) = by_record.remove(&idx) else {
+                continue; // quarantined by both loaders
+            };
+            for (label, image) in expected.labels.iter().zip(&expected.images) {
+                let (got_label, got_image) = delivered.next().expect("record delivered");
+                prop_assert_eq!(got_label, *label, "record {}", idx);
+                prop_assert_eq!(&got_image, image, "record {}", idx);
+            }
+        }
+        prop_assert!(delivered.next().is_none(), "nothing beyond the oracle's records");
+    }
+}
+
+/// A quiet plan must be a no-op for the wall-clock loader too: the same
+/// images in the same order, the same bytes, a clean fault report — at
+/// either I/O depth.
+#[test]
+fn wall_clock_quiet_plan_epoch_is_identical_to_no_plan() {
+    let cfg = LoaderConfig {
+        threads: 1,
+        scan_group: 5,
+        shuffle: true,
+        seed: 3,
+        decode: DecodeMode::Real,
+        retry: RetryPolicy::default(),
+    };
+    for depth in [1, 8] {
+        let bare = Arc::new(ObjectStore::new(DeviceProfile::ram()));
+        populate_store(&bare, dataset());
+        let (a, a_stats) = wall_epoch_in_order(bare, cfg.clone(), depth);
+        let (b, b_stats) =
+            wall_epoch_in_order(Arc::new(faulted_store(FaultPlan::quiet(99))), cfg.clone(), depth);
+        assert_eq!(a.len() as u64, expected_labels(&dataset().db).values().sum::<u64>());
+        assert_eq!(a, b, "depth {depth}");
+        let bytes = |s: &pcr::loader::ParallelStats| {
+            s.bytes_read.load(std::sync::atomic::Ordering::Relaxed)
+        };
+        assert_eq!(bytes(&a_stats), bytes(&b_stats), "depth {depth}");
+        assert!(b_stats.fault_report().is_clean());
     }
 }
 

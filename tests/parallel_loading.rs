@@ -177,7 +177,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For a fixed seed, the epoch record order and the delivered label
-    /// multiset are invariant across worker counts *and* across
+    /// multiset are invariant across worker counts, I/O depths *and*
     /// fidelity-controller decisions: a controller that changes the scan
     /// group between (or during a sequence of) epochs changes how many
     /// bytes are read, never which records are visited, in what order,
@@ -187,6 +187,7 @@ proptest! {
         workers in 1usize..5,
         seed in 0u64..1_000,
         groups in prop::collection::vec(1usize..=10, 1..4),
+        deep in any::<bool>(),
     ) {
         let (store, db, expected) = proptest_fixture();
         let n = db.records.len();
@@ -205,7 +206,13 @@ proptest! {
             prop_assert_eq!(&order, &reference_order);
 
             // And the delivered label multiset matches the dataset.
-            let cfg = ParallelConfig { loader: base.clone(), batch_size: 5, ..ParallelConfig::default() };
+            // …nor does the I/O depth: one read at a time, or 8 racing.
+            let cfg = ParallelConfig {
+                loader: base.clone(),
+                batch_size: 5,
+                prefetch_records: if deep { 8 } else { 1 },
+                ..ParallelConfig::default()
+            };
             let loader = ParallelLoader::new(Arc::clone(store), Arc::clone(db), cfg);
             let stream = loader.spawn_epoch_at(epoch as u64, g);
             let mut labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
