@@ -25,22 +25,13 @@
 //! `PCR_BENCH_SMOKE=1` (CI) shrinks the epoch count so the gate runs in
 //! seconds.
 
-use pcr_core::{MetaDb, PcrDataset, PcrRecord, RecordScratch};
-use pcr_datasets::{to_pcr_dataset, to_pcr_dataset_restart, DatasetSpec, Scale, SyntheticDataset};
-use pcr_jpeg::{decode_coeffs_observed, DecodeObserver};
+use pcr_core::{MetaDb, RecordScratch};
+use pcr_datasets::{to_pcr_dataset, DatasetSpec, Scale, SyntheticDataset};
 use pcr_loader::{populate_store, LoaderConfig, RecordSource, ReadPlanner};
 use pcr_metrics::JsonValue;
 use pcr_storage::{Clock, DeviceProfile, ObjectStore};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// MCU-unit restart interval for the segment-parallel measurement (the
-/// encoder rounds it up to one MCU row per segment — ~20 segments per AC
-/// scan at this image size, enough work units for 4 workers).
-const RESTART_INTERVAL: u16 = 1;
-
-/// Worker count the restart-parallel makespan is modeled for.
-const SEGMENT_WORKERS: usize = 4;
 
 fn smoke() -> bool {
     std::env::var_os("PCR_BENCH_SMOKE").is_some()
@@ -101,119 +92,18 @@ fn measure(store: &Arc<ObjectStore>, db: &Arc<MetaDb>, epochs: u64) -> (u64, f64
     (images, secs, rate)
 }
 
-/// [`DecodeObserver`] stamping wall-clock time on every restart segment
-/// the sequential decoder reports — the per-scan duration lists the
-/// restart-parallel model schedules onto virtual workers.
-#[derive(Default)]
-struct SegTimer {
-    /// `scans[s]` = decode nanos of scan `s`'s restart segments, in order.
-    scans: Vec<Vec<u64>>,
-    t0: Option<Instant>,
-}
-
-impl DecodeObserver for SegTimer {
-    fn scan_begin(&mut self, scan_idx: usize, nsegs: usize) {
-        if self.scans.len() <= scan_idx {
-            self.scans.resize_with(scan_idx + 1, Vec::new);
-        }
-        self.scans[scan_idx].reserve(nsegs);
-    }
-    fn segment_begin(&mut self, _scan_idx: usize, _seg: usize, _units: u32) {
-        self.t0 = Some(Instant::now());
-    }
-    fn segment_end(&mut self, scan_idx: usize, _seg: usize) {
-        if let Some(t0) = self.t0.take() {
-            self.scans[scan_idx].push(t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Longest-processing-time-first greedy makespan of `durs` on `workers`
-/// identical workers — the schedule `decode_coeffs_workers` approximates
-/// when it spreads one scan's restart segments over its thread pool.
-fn lpt_makespan(durs: &[u64], workers: usize) -> u64 {
-    let mut sorted = durs.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut loads = vec![0u64; workers.max(1)];
-    for d in sorted {
-        if let Some(least) = loads.iter_mut().min() {
-            *least += d;
-        }
-    }
-    loads.into_iter().max().unwrap_or(0)
-}
-
-/// Measures the restart-marker corpus: every image decodes sequentially
-/// under a [`SegTimer`], and the observed per-segment times are scheduled
-/// onto `workers` modeled cores per scan (scans are sequential barriers —
-/// later scans refine the coefficients earlier ones produced). Returns
-/// `(images, single_thread_rate, modeled_parallel_rate)` in
-/// images/CPU-sec, both built from per-image best-of-epochs times.
-///
-/// Modeled, not measured, on purpose: CI runners (and this box) are often
-/// single-core, where spawning real segment workers measures scheduler
-/// contention, not the algorithm. The model keeps every non-entropy nano
-/// sequential (marker parse, dequant+IDCT, color) and replaces each
-/// scan's summed segment time with its LPT makespan, so Amdahl's law is
-/// respected; `loader::parallel` tests prove the real worker path is
-/// pixel-identical, and this bench prices it.
-fn measure_restart(pcr: &PcrDataset, epochs: u64, workers: usize) -> (u64, f64, f64) {
-    let full_group = pcr.db.num_groups();
-    let num_images: usize =
-        pcr.db.records.iter().map(|r| r.num_images as usize).sum();
-    let mut best_total = vec![u64::MAX; num_images];
-    let mut best_modeled = vec![u64::MAX; num_images];
-    let mut pool: Vec<Vec<i16>> = Vec::new();
-    for _ in 0..epochs {
-        let mut img_idx = 0;
-        for rec_bytes in &pcr.records {
-            let rec = PcrRecord::parse(rec_bytes).expect("valid record");
-            for i in 0..rec.num_images() {
-                let jpeg = rec.jpeg_at_group(i, full_group).expect("assembled prefix");
-                let mut timer = SegTimer::default();
-                let t0 = Instant::now();
-                let decoded =
-                    decode_coeffs_observed(&jpeg, &mut pool, &mut timer).expect("decode");
-                let img = decoded.to_image().expect("pixels");
-                let total = t0.elapsed().as_nanos() as u64;
-                assert!(img.width() > 0);
-                decoded.coeffs.recycle_into(&mut pool);
-                let entropy: u64 = timer.scans.iter().flatten().sum();
-                let makespan: u64 =
-                    timer.scans.iter().map(|s| lpt_makespan(s, workers)).sum();
-                let modeled = total - entropy + makespan;
-                if total < best_total[img_idx] {
-                    best_total[img_idx] = total;
-                    best_modeled[img_idx] = modeled;
-                }
-                img_idx += 1;
-            }
-        }
-    }
-    let total: u64 = best_total.iter().sum();
-    let modeled: u64 = best_modeled.iter().sum();
-    let rate = |nanos: u64| {
-        if nanos > 0 { num_images as f64 * 1e9 / nanos as f64 } else { 0.0 }
-    };
-    (num_images as u64, rate(total), rate(modeled))
-}
-
-/// Extracts `"<key>":<number>` following `"<section>":{` in a committed
-/// BENCH_decode.json (the workspace has no JSON parser; the file is
-/// machine-written by this bench, so a positional scan is reliable).
-fn committed_field(text: &str, section: &str, key: &str) -> Option<f64> {
+/// Extracts `"images_per_cpu_sec":<number>` following `"<section>":{` in
+/// a committed BENCH_decode.json (the workspace has no JSON parser; the
+/// file is machine-written by this bench, so a positional scan is
+/// reliable).
+fn committed_number(text: &str, section: &str) -> Option<f64> {
     let sec = text.find(&format!("\"{section}\""))?;
     let tail = &text[sec..];
-    let pat = format!("\"{key}\":");
-    let at = tail.find(&pat)?;
+    let pat = "\"images_per_cpu_sec\":";
+    let at = tail.find(pat)?;
     let num = &tail[at + pat.len()..];
     let end = num.find([',', '}'])?;
     num[..end].trim().parse().ok()
-}
-
-/// The section's `images_per_cpu_sec` trajectory number.
-fn committed_number(text: &str, section: &str) -> Option<f64> {
-    committed_field(text, section, "images_per_cpu_sec")
 }
 
 fn main() {
@@ -236,32 +126,12 @@ fn main() {
          (1 worker, scan group {full_group}) -> {rate:.1} images/CPU-sec"
     );
 
-    // Same corpus re-encoded with restart markers: sequential decode under
-    // a segment timer, then the per-scan LPT-makespan model prices the
-    // 4-worker segment-parallel path (see `measure_restart`).
-    let ds = SyntheticDataset::generate(&DatasetSpec::ham10000_like(Scale::Tiny));
-    let (pcr_restart, _) = to_pcr_dataset_restart(&ds, 8, RESTART_INTERVAL);
-    let restart_epochs = if smoke() { 6 } else { 12 };
-    let (_, restart_seq_rate, restart_par_rate) =
-        measure_restart(&pcr_restart, restart_epochs, SEGMENT_WORKERS);
-    let restart_speedup =
-        if restart_seq_rate > 0.0 { restart_par_rate / restart_seq_rate } else { 0.0 };
-    println!(
-        "decode_hot: restart-marker corpus (interval {RESTART_INTERVAL}): \
-         {restart_seq_rate:.1} images/CPU-sec single-thread, modeled \
-         {SEGMENT_WORKERS}-worker segment-parallel {restart_par_rate:.1} \
-         ({restart_speedup:.2}x)"
-    );
-
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let committed_path = format!("{root}/BENCH_decode.json");
     let committed = std::fs::read_to_string(&committed_path).ok();
     let committed_current = committed.as_deref().and_then(|t| committed_number(t, "current"));
     let committed_baseline =
         committed.as_deref().and_then(|t| committed_number(t, "baseline_pre_pr"));
-    let committed_restart_speedup = committed
-        .as_deref()
-        .and_then(|t| committed_field(t, "restart_parallel", "speedup_vs_single_thread"));
 
     let doc = JsonValue::object([
         ("bench", JsonValue::str("decode_hot")),
@@ -288,17 +158,6 @@ fn main() {
                         .filter(|b| *b > 0.0)
                         .map_or(JsonValue::Null, |b| JsonValue::F64(rate / b)),
                 ),
-            ]),
-        ),
-        (
-            "restart_parallel",
-            JsonValue::object([
-                ("restart_interval", JsonValue::U64(u64::from(RESTART_INTERVAL))),
-                ("workers", JsonValue::U64(SEGMENT_WORKERS as u64)),
-                ("modeled", JsonValue::Bool(true)),
-                ("single_thread_images_per_cpu_sec", JsonValue::F64(restart_seq_rate)),
-                ("images_per_cpu_sec", JsonValue::F64(restart_par_rate)),
-                ("speedup_vs_single_thread", JsonValue::F64(restart_speedup)),
             ]),
         ),
     ]);
@@ -328,39 +187,5 @@ fn main() {
         );
     } else {
         println!("no committed BENCH_decode.json current number: gate skipped");
-    }
-
-    // Multi-core gate. Gated on the modeled speedup ratio, not the
-    // absolute modeled throughput: CPU steal on a shared runner scales
-    // the numerator and denominator of the ratio together (both come
-    // from the same observed segment times), so the ratio holds within a
-    // few percent even when absolute numbers swing 35%. Absolute entropy
-    // throughput is already covered by the single-thread gate above —
-    // the restart corpus runs the same hot path. What this catches is
-    // parallelization-quality regressions: a coarsened restart interval,
-    // a serialized scan, or segment skew would all drop the ratio.
-    if let Some(committed) = committed_restart_speedup.filter(|c| *c > 0.0) {
-        let tolerance: f64 = std::env::var("PCR_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.20);
-        let floor = committed * (1.0 - tolerance);
-        println!(
-            "committed restart-parallel speedup: {committed:.2}x on \
-             {SEGMENT_WORKERS} workers, floor {floor:.2}x"
-        );
-        assert!(
-            restart_speedup >= floor,
-            "restart-parallel decode regression: modeled {restart_speedup:.2}x over \
-             single-thread is below the committed floor {floor:.2}x; investigate or \
-             re-baseline BENCH_decode.json"
-        );
-        assert!(
-            restart_speedup > 1.5,
-            "restart-parallel model no longer clears 1.5x over single-thread \
-             (got {restart_speedup:.2}x on {SEGMENT_WORKERS} workers)"
-        );
-    } else {
-        println!("no committed restart_parallel speedup: multi-core gate skipped");
     }
 }

@@ -3,8 +3,7 @@
 //! The experiment harness that regenerates every table and figure of the
 //! PCR paper (see `DESIGN.md` for the experiment index). The `experiments`
 //! binary dispatches to the modules here; Criterion microbenchmarks live
-//! under `benches/` (including `parallel_loader`, the wall-clock
-//! worker-scaling sweep).
+//! under `benches/` (the wall-clock worker-scaling sweep is `pcr bench`).
 //!
 //! ```
 //! use pcr_bench::{Ctx, STANDARD_GROUPS};

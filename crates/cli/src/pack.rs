@@ -40,9 +40,10 @@ OPTIONS:
                             needs re-encoding (default 85)
     --restart-interval <n>  Emit JPEG restart markers every n MCU units
                             (rounded up per scan to MCU-row multiples),
-                            so each image's entropy segments can decode
-                            on multiple cores. 0 = none (default). Only
-                            affects images the packer encodes itself.
+                            writing version-2 records whose entropy
+                            splits into independently decodable
+                            segments. 0 = none (default). Only affects
+                            images the packer encodes itself.
     --format <v>            Container format: v3 (columnar footers +
                             manifest stats, O(1) open; default) or v1
                             (row footers, readable by older tooling)

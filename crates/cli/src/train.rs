@@ -9,10 +9,10 @@ use pcr_loader::{
     IoModel, LoaderConfig, ParallelConfig, ParallelLoader, RecordSource, ShardStoreConfig,
 };
 use pcr_core::{DecisionLogWriter, DecisionRecord, DECISION_LOG_FILE};
-use pcr_metrics::{EpochFaultCounters, FidelityEpoch, FidelityTrace, TriggerKind};
+use pcr_metrics::{FidelityEpoch, FidelityTrace, TriggerKind};
 use pcr_storage::FaultPlan;
 use pcr_nn::{Matrix, Mlp, ModelSpec, SgdMomentum};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,6 +71,36 @@ const SPEC: ArgSpec = ArgSpec {
     ],
     bool_flags: &["dynamic", "no-declog"],
 };
+
+/// Appends the records one epoch owes the decision log (its decision,
+/// plus a `degraded` audit record when the storage plane degraded it) and
+/// returns how many were *not* persisted. An append failure may leave a
+/// torn frame, so the writer is retired on the first one
+/// (`DecisionLogWriter::open` recovers the tail next session), the run
+/// continues, and every record from then on counts as unpersisted. A log
+/// that was never open (`--no-declog`, open failure) counts nothing.
+fn persist(
+    declog: &mut Option<(PathBuf, DecisionLogWriter)>,
+    log_failed: &mut bool,
+    records: &[DecisionRecord],
+) -> u64 {
+    let mut unpersisted = 0;
+    for record in records {
+        match declog.take() {
+            Some((path, mut w)) => match w.append(record) {
+                Ok(()) => *declog = Some((path, w)),
+                Err(e) => {
+                    unpersisted += 1;
+                    *log_failed = true;
+                    eprintln!("warning: decision log write failed ({}): {e}", path.display());
+                }
+            },
+            None if *log_failed => unpersisted += 1,
+            None => {}
+        }
+    }
+    unpersisted
+}
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = parse(argv, &SPEC)?;
@@ -214,7 +244,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         stream.join();
         let wall = t0.elapsed().as_secs_f64();
         let bytes = stats.bytes_read.load(Ordering::Relaxed);
-        let faults = stats.fault_report();
         let loss = if seen > 0 { loss_sum / seen as f64 } else { f64::NAN };
         let acc = if seen > 0 { correct as f64 / seen as f64 } else { 0.0 };
         let images_per_sec = if wall > 0.0 { seen as f64 / wall } else { 0.0 };
@@ -231,56 +260,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             images_per_sec,
             cache_hit_rate: opened.store.cache_hit_rate(),
             loss,
-            faults: EpochFaultCounters {
-                retries: faults.retries,
-                degraded_records: faults.degraded_records,
-                quarantined_records: faults.quarantined_records,
-                quarantined_images: faults.quarantined_images(),
-            },
+            faults: stats.fault_report().epoch_counters(),
         };
-        if let Some((path, mut w)) = declog.take() {
-            // An append failure may leave a torn frame, so the writer is
-            // retired (open() recovers the tail next session); the run
-            // continues and every unpersisted decision is counted.
-            match w.append(&DecisionRecord::from_epoch(&entry, bytes_full)) {
-                Ok(()) => declog = Some((path, w)),
-                Err(e) => {
-                    trace.log_write_failures += 1;
-                    log_failed = true;
-                    eprintln!("warning: decision log write failed ({}): {e}", path.display());
-                }
-            }
-        } else if log_failed {
-            trace.log_write_failures += 1;
-        }
-        // Additive audit record (FORMAT.md §7): epochs the storage plane
-        // degraded get a `degraded` entry — `images` carries the
-        // degraded-record count, `loss` the quarantined-record count.
+        trace.log_write_failures += persist(
+            &mut declog,
+            &mut log_failed,
+            &DecisionRecord::epoch_records(&entry, bytes_full),
+        );
         if entry.faults.degraded_records > 0 || entry.faults.quarantined_records > 0 {
-            if let Some((path, mut w)) = declog.take() {
-                let rec = DecisionRecord {
-                    epoch,
-                    trigger: TriggerKind::Degraded,
-                    scan_group: u16::try_from(group).unwrap_or(u16::MAX),
-                    bytes_read: bytes,
-                    bytes_full,
-                    images: entry.faults.degraded_records,
-                    cache_hit_rate: opened.store.cache_hit_rate(),
-                    loss: entry.faults.quarantined_records as f64,
-                    probe_scores: Vec::new(),
-                };
-                match w.append(&rec) {
-                    Ok(()) => declog = Some((path, w)),
-                    Err(e) => {
-                        trace.log_write_failures += 1;
-                        log_failed = true;
-                        eprintln!(
-                            "warning: decision log write failed ({}): {e}",
-                            path.display()
-                        );
-                    }
-                }
-            }
             println!(
                 "  !! faults: {} retried read(s), {} degraded, {} quarantined ({} image(s))",
                 entry.faults.retries,
@@ -362,4 +349,42 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         println!("wrote {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_record_after_a_failed_append_is_counted() {
+        let path = std::env::temp_dir().join(format!("pcr-train-declog-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut declog = Some((path.clone(), DecisionLogWriter::open(&path).unwrap()));
+        let mut failed = false;
+        let ok = DecisionRecord {
+            epoch: 0,
+            trigger: TriggerKind::Hold,
+            scan_group: 5,
+            bytes_read: 10,
+            bytes_full: 20,
+            images: 4,
+            cache_hit_rate: 0.5,
+            loss: 1.0,
+            probe_scores: Vec::new(),
+        };
+        // More probe scores than the wire's u16 count: append refuses it.
+        let unencodable = DecisionRecord {
+            probe_scores: vec![(1, 1.0); usize::from(u16::MAX) + 1],
+            ..ok.clone()
+        };
+        assert_eq!(persist(&mut declog, &mut failed, std::slice::from_ref(&ok)), 0);
+        // The decision fails; the same epoch's `degraded` record and every
+        // later epoch's records have no writer left, and all are counted.
+        assert_eq!(persist(&mut declog, &mut failed, &[unencodable, ok.clone()]), 2);
+        assert!(declog.is_none() && failed);
+        assert_eq!(persist(&mut declog, &mut failed, &[ok.clone(), ok.clone()]), 2);
+        // A log that was never open is not a failure.
+        assert_eq!(persist(&mut None, &mut false, &[ok]), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
 }

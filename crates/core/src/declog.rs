@@ -123,6 +123,28 @@ impl DecisionRecord {
         }
     }
 
+    /// Every durable record one epoch appends, in log order: its decision
+    /// ([`DecisionRecord::from_epoch`]) and, only when the storage plane
+    /// degraded or quarantined records (so zero-fault runs serialize
+    /// byte-identically to pre-fault-plane builds), the additive
+    /// `degraded` audit record. FORMAT.md §7.3.1's field reuse lives here
+    /// and nowhere else: `images` carries the degraded-record count,
+    /// `loss` the quarantined-record count, and there are no probe scores.
+    pub fn epoch_records(e: &FidelityEpoch, bytes_full: u64) -> Vec<Self> {
+        let decision = Self::from_epoch(e, bytes_full);
+        if e.faults.degraded_records == 0 && e.faults.quarantined_records == 0 {
+            return vec![decision];
+        }
+        let degraded = Self {
+            trigger: TriggerKind::Degraded,
+            images: e.faults.degraded_records,
+            loss: e.faults.quarantined_records as f64,
+            probe_scores: Vec::new(),
+            ..decision.clone()
+        };
+        vec![decision, degraded]
+    }
+
     /// Rehydrates a trace entry; `images_per_sec` is not stored in the
     /// log (wall-clock), so the caller supplies it (commonly 0.0).
     pub fn to_epoch(&self, images_per_sec: f64) -> FidelityEpoch {
@@ -787,6 +809,31 @@ mod tests {
         let back = DecisionLog::parse(&log.to_bytes().unwrap()).unwrap();
         back.verify().unwrap();
         assert_eq!(back.records(), &[rec]);
+    }
+
+    #[test]
+    fn epoch_records_add_a_degraded_record_only_to_faulted_epochs() {
+        let mut epoch = sample(4, TriggerKind::Hold, 5).to_epoch(0.0);
+        let decision = DecisionRecord::from_epoch(&epoch, 900);
+        assert_eq!(DecisionRecord::epoch_records(&epoch, 900), vec![decision.clone()]);
+
+        epoch.faults.degraded_records = 7;
+        epoch.faults.quarantined_records = 2;
+        let records = DecisionRecord::epoch_records(&epoch, 900);
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0], decision, "the decision itself is unchanged by faults");
+        let degraded = &records[1];
+        assert_eq!(degraded.trigger, TriggerKind::Degraded);
+        assert_eq!((degraded.images, degraded.loss), (7, 2.0), "FORMAT.md §7.3.1 field reuse");
+        assert!(degraded.probe_scores.is_empty());
+        assert_eq!(
+            (degraded.epoch, degraded.scan_group, degraded.bytes_read, degraded.bytes_full),
+            (decision.epoch, decision.scan_group, decision.bytes_read, decision.bytes_full)
+        );
+        assert_eq!(degraded.cache_hit_rate, decision.cache_hit_rate);
+        // Quarantine alone (nothing delivered degraded) still gets one.
+        epoch.faults.degraded_records = 0;
+        assert_eq!(DecisionRecord::epoch_records(&epoch, 900).len(), 2);
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub const MAGIC: &[u8; 4] = b"PCR1";
 pub const VERSION: u16 = 1;
 /// Format version carrying a `restart_interval u16` header field — the
 /// requested JPEG restart interval the record's images were encoded
-/// with, enabling segment-parallel decode of a single image. Records
-/// built with interval 0 keep [`VERSION`] and stay byte-identical to
+/// with (decoders read the segments in sequence). Records built with
+/// interval 0 keep [`VERSION`] and stay byte-identical to
 /// pre-restart writers.
 pub const VERSION_RESTART: u16 = 2;
 /// Scan groups produced by the default progressive script for color images.
@@ -470,28 +470,6 @@ impl<'a> PcrRecord<'a> {
         let assembled = self.jpeg_at_group_into(i, g, &mut jpeg);
         let decoded = assembled.and_then(|()| {
             pcr_jpeg::decode_with(&jpeg, &mut scratch.decode).map_err(Error::from)
-        });
-        scratch.jpeg = jpeg;
-        decoded
-    }
-
-    /// Like [`PcrRecord::decode_image_with`], but decodes the image's
-    /// restart-marker entropy segments on up to `workers` threads (see
-    /// [`pcr_jpeg::decode_with_workers`]). For `workers <= 1`, or a
-    /// stream without restart markers, this is the sequential path —
-    /// output is byte-identical either way.
-    pub fn decode_image_segmented(
-        &self,
-        i: usize,
-        g: usize,
-        scratch: &mut RecordScratch,
-        workers: usize,
-    ) -> Result<ImageBuf> {
-        let mut jpeg = std::mem::take(&mut scratch.jpeg);
-        let assembled = self.jpeg_at_group_into(i, g, &mut jpeg);
-        let decoded = assembled.and_then(|()| {
-            pcr_jpeg::decode_with_workers(&jpeg, &mut scratch.decode, workers)
-                .map_err(Error::from)
         });
         scratch.jpeg = jpeg;
         decoded

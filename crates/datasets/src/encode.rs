@@ -30,7 +30,7 @@ pub fn to_pcr_dataset(ds: &SyntheticDataset, images_per_record: usize) -> (PcrDa
 
 /// Like [`to_pcr_dataset`], but encodes images with restart markers every
 /// `restart_interval` MCU units (0 disables them), producing version-2
-/// records whose entropy segments decode on multiple cores.
+/// records (FORMAT.md §5); pixels are identical either way.
 pub fn to_pcr_dataset_restart(
     ds: &SyntheticDataset,
     images_per_record: usize,

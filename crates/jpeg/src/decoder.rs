@@ -10,7 +10,7 @@ use crate::bitio::{split_restart_segments, BitReader};
 use crate::consts::*;
 use crate::dentropy::{decode_scan_range, mcu_units, DecodeTables};
 use crate::error::{Error, Result};
-use crate::frame::{CoeffPlanes, FrameInfo, RowBandStore, ScanInfo};
+use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::HuffDecoder;
 use crate::image::ImageBuf;
 use crate::marker::{self, Segment, SegmentReader};
@@ -18,8 +18,8 @@ use crate::sample::{coeffs_to_planes, coeffs_to_planes_pooled, planes_to_image};
 
 /// Callbacks around entropy-decode work units, letting callers outside
 /// this crate attribute wall-clock time to scans and restart segments
-/// (the decoder itself takes no timestamps). Only the sequential decode
-/// path reports segments; all methods default to no-ops.
+/// (the decoder itself takes no timestamps). All methods default to
+/// no-ops.
 pub trait DecodeObserver {
     /// A scan is about to decode as `nsegs` restart segments.
     fn scan_begin(&mut self, scan_idx: usize, nsegs: usize) {
@@ -112,29 +112,6 @@ pub fn decode_with(data: &[u8], scratch: &mut DecodeScratch) -> Result<ImageBuf>
     img
 }
 
-/// [`decode_with`] plus segment parallelism: restart segments of
-/// row-aligned scans decode on up to `workers` threads. Pixel output is
-/// identical for every worker count.
-pub fn decode_with_workers(
-    data: &[u8],
-    scratch: &mut DecodeScratch,
-    workers: usize,
-) -> Result<ImageBuf> {
-    let decoded = decode_coeffs_workers(data, &mut scratch.coeff_pool, workers)?;
-    let planes = coeffs_to_planes_pooled(
-        &decoded.coeffs,
-        &decoded.frame,
-        &decoded.qtables,
-        &mut scratch.plane_pool,
-    )?;
-    let img = planes_to_image(&planes, &decoded.frame);
-    for p in planes {
-        p.recycle_into(&mut scratch.plane_pool);
-    }
-    decoded.coeffs.recycle_into(&mut scratch.coeff_pool);
-    img
-}
-
 /// Decodes a stream to quantized coefficients plus tables and scan list.
 pub fn decode_coeffs(data: &[u8]) -> Result<DecodedCoeffs> {
     decode_coeffs_pooled(data, &mut Vec::new())
@@ -143,35 +120,15 @@ pub fn decode_coeffs(data: &[u8]) -> Result<DecodedCoeffs> {
 /// [`decode_coeffs`] with coefficient-plane storage drawn from `pool`
 /// (recycle with [`CoeffPlanes::recycle_into`]).
 pub fn decode_coeffs_pooled(data: &[u8], pool: &mut Vec<Vec<i16>>) -> Result<DecodedCoeffs> {
-    decode_coeffs_opts(data, pool, 1, &mut NoopObserver)
+    decode_coeffs_observed(data, pool, &mut NoopObserver)
 }
 
-/// [`decode_coeffs_pooled`] with restart segments of row-aligned scans
-/// decoded on up to `workers` threads. `workers <= 1` is the sequential
-/// path; any worker count produces identical coefficients.
-pub fn decode_coeffs_workers(
-    data: &[u8],
-    pool: &mut Vec<Vec<i16>>,
-    workers: usize,
-) -> Result<DecodedCoeffs> {
-    decode_coeffs_opts(data, pool, workers, &mut NoopObserver)
-}
-
-/// Sequential [`decode_coeffs_pooled`] reporting every scan and restart
+/// [`decode_coeffs_pooled`] reporting every scan and restart
 /// segment to `obs` — the hook benchmarks use to time segments without
 /// this crate owning a clock.
 pub fn decode_coeffs_observed(
     data: &[u8],
     pool: &mut Vec<Vec<i16>>,
-    obs: &mut dyn DecodeObserver,
-) -> Result<DecodedCoeffs> {
-    decode_coeffs_opts(data, pool, 1, obs)
-}
-
-fn decode_coeffs_opts(
-    data: &[u8],
-    pool: &mut Vec<Vec<i16>>,
-    workers: usize,
     obs: &mut dyn DecodeObserver,
 ) -> Result<DecodedCoeffs> {
     let mut reader = SegmentReader::new(data);
@@ -250,7 +207,6 @@ fn decode_coeffs_opts(
                     &tables,
                     entropy,
                     restart_interval,
-                    workers,
                     scans.len(),
                     obs,
                 )?;
@@ -279,7 +235,6 @@ fn decode_scan_entropy(
     tables: &DecodeTables<'_, HuffDecoder>,
     entropy: &[u8],
     interval: u16,
-    workers: usize,
     scan_idx: usize,
     obs: &mut dyn DecodeObserver,
 ) -> Result<()> {
@@ -297,23 +252,6 @@ fn decode_scan_entropy(
     let expected = total.div_ceil(interval) as usize;
     let nseg = ranges.len().min(expected);
     obs.scan_begin(scan_idx, nseg);
-    // Segment-parallel decode requires every segment to cover whole block
-    // rows of a single component, so the bands are disjoint `&mut` slices.
-    let row_aligned = scan.components.len() == 1
-        && interval % frame.components[scan.components[0].comp_index].blocks_w == 0;
-    if workers > 1 && nseg > 1 && row_aligned {
-        return decode_segments_parallel(
-            frame,
-            coeffs,
-            scan,
-            tables,
-            entropy,
-            &ranges[..nseg],
-            interval,
-            total,
-            workers,
-        );
-    }
     for (seg, &(s, e)) in ranges[..nseg].iter().enumerate() {
         let start = seg as u32 * interval;
         let units = start..(start + interval).min(total);
@@ -321,65 +259,6 @@ fn decode_scan_entropy(
         let mut bits = BitReader::new(&entropy[s..e]);
         decode_scan_range(frame, coeffs, scan, tables, &mut bits, units)?;
         obs.segment_end(scan_idx, seg);
-    }
-    Ok(())
-}
-
-/// Decodes row-aligned restart segments of a single-component scan on up
-/// to `workers` threads, each writing its own disjoint row band.
-#[allow(clippy::too_many_arguments)]
-fn decode_segments_parallel(
-    frame: &FrameInfo,
-    coeffs: &mut CoeffPlanes,
-    scan: &ScanInfo,
-    tables: &DecodeTables<'_, HuffDecoder>,
-    entropy: &[u8],
-    ranges: &[(usize, usize)],
-    interval: u32,
-    total: u32,
-    workers: usize,
-) -> Result<()> {
-    let ci = scan.components[0].comp_index;
-    let c = &frame.components[ci];
-    // Carve the component plane into per-segment row bands.
-    let mut jobs: Vec<(std::ops::Range<u32>, &[u8], RowBandStore<'_>)> =
-        Vec::with_capacity(ranges.len());
-    let mut rest: &mut [i16] = coeffs.plane_mut(ci);
-    let mut row0 = 0u32;
-    for (seg, &(s, e)) in ranges.iter().enumerate() {
-        let start = seg as u32 * interval;
-        let units = start..(start + interval).min(total);
-        let rows = (units.end - units.start).div_ceil(c.blocks_w);
-        let take = (rows as usize * c.alloc_w as usize * 64).min(rest.len());
-        let (band, tail) = rest.split_at_mut(take);
-        rest = tail;
-        jobs.push((units, &entropy[s..e], RowBandStore { comp: ci, row0, alloc_w: c.alloc_w, data: band }));
-        row0 += rows;
-    }
-    // Contiguous chunks keep results in segment order, so the first error
-    // reported matches what the sequential path would have returned.
-    let per = jobs.len().div_ceil(workers);
-    let results: Vec<Result<()>> = std::thread::scope(|sc| {
-        let mut handles = Vec::new();
-        while !jobs.is_empty() {
-            let chunk: Vec<_> = jobs.drain(..per.min(jobs.len())).collect();
-            handles.push(sc.spawn(move || {
-                chunk
-                    .into_iter()
-                    .map(|(units, data, mut band)| {
-                        let mut bits = BitReader::new(data);
-                        decode_scan_range(frame, &mut band, scan, tables, &mut bits, units)
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("segment decode worker panicked"))
-            .collect()
-    });
-    for r in results {
-        r?;
     }
     Ok(())
 }

@@ -4,7 +4,7 @@
 use crate::bitio::{extend, BitSource};
 use crate::consts::ZIGZAG;
 use crate::error::{Error, Result};
-use crate::frame::{BlockStore, FrameInfo, ScanInfo};
+use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{HuffDecoder, SymbolDecoder};
 use std::ops::Range;
 
@@ -40,7 +40,7 @@ impl<D> DecodeTables<'_, D> {
 /// Number of restart-interval units in a scan: MCUs for an interleaved
 /// scan, blocks for a non-interleaved one (T.81 E.1.4 — in a
 /// non-interleaved scan the MCU is a single block). Restart intervals
-/// and segment-parallel decode both count in these units.
+/// count in these units.
 pub fn mcu_units(frame: &FrameInfo, scan: &ScanInfo) -> u32 {
     if scan.components.len() == 1 {
         let c = &frame.components[scan.components[0].comp_index];
@@ -55,9 +55,9 @@ pub fn mcu_units(frame: &FrameInfo, scan: &ScanInfo) -> u32 {
 /// Returns normally at the end of the scan's MCUs; a truncated stream decodes
 /// zero bits for the remainder (graceful degradation, which the PCR partial
 /// read path relies on between scan-group boundaries).
-pub fn decode_scan<B: BlockStore, D: SymbolDecoder, R: BitSource>(
+pub fn decode_scan<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     tables: &DecodeTables<'_, D>,
     r: &mut R,
@@ -70,11 +70,10 @@ pub fn decode_scan<B: BlockStore, D: SymbolDecoder, R: BitSource>(
 ///
 /// Decoder state (DC predictors, EOB run) starts fresh, exactly the
 /// reset a restart marker demands, so decoding a whole scan equals
-/// decoding its segments in sequence — or in parallel, since disjoint
-/// unit ranges of a non-interleaved scan touch disjoint blocks.
-pub fn decode_scan_range<B: BlockStore, D: SymbolDecoder, R: BitSource>(
+/// decoding its segments in sequence.
+pub fn decode_scan_range<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     tables: &DecodeTables<'_, D>,
     r: &mut R,
@@ -139,9 +138,9 @@ fn for_each_block(
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot indexes the
 // per-scan vectors sized from scan.components; k is guarded <= 63 before
 // ZIGZAG[k]; block_mut returns an 8x8 block so the try_into cannot fail.
-fn decode_sequential<B: BlockStore, D: SymbolDecoder, R: BitSource>(
+fn decode_sequential<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     tables: &DecodeTables<'_, D>,
     r: &mut R,
@@ -219,9 +218,9 @@ fn decode_sequential<B: BlockStore, D: SymbolDecoder, R: BitSource>(
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot indexes the
 // per-scan vectors sized from scan.components; DC writes touch index 0 only.
-fn decode_dc_first<B: BlockStore, D: SymbolDecoder, R: BitSource>(
+fn decode_dc_first<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     tables: &DecodeTables<'_, D>,
     r: &mut R,
@@ -255,9 +254,9 @@ fn decode_dc_first<B: BlockStore, D: SymbolDecoder, R: BitSource>(
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot < 
 // scan.components.len() by for_each_block; DC writes touch index 0 only.
-fn decode_dc_refine<B: BlockStore, R: BitSource>(
+fn decode_dc_refine<R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     r: &mut R,
     units: Range<u32>,
@@ -276,9 +275,9 @@ fn decode_dc_refine<B: BlockStore, R: BitSource>(
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have
 // exactly one component (scan.validate); k is guarded <= se <= 63 before
 // ZIGZAG[k]; block_mut returns an 8x8 block so the try_into cannot fail.
-fn decode_ac_first<B: BlockStore, D: SymbolDecoder, R: BitSource>(
+fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     tables: &DecodeTables<'_, D>,
     r: &mut R,
@@ -395,9 +394,9 @@ fn apply_corrections<R: BitSource>(
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have one
 // component; ZIGZAG indices come from band positions k/target <= se <= 63
 // (target > se errors first); block_mut's 8x8 block makes try_into total.
-fn decode_ac_refine<B: BlockStore, D: SymbolDecoder, R: BitSource>(
+fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
-    coeffs: &mut B,
+    coeffs: &mut CoeffPlanes,
     scan: &ScanInfo,
     tables: &DecodeTables<'_, D>,
     r: &mut R,

@@ -24,9 +24,8 @@ pub struct EncodeConfig {
     pub optimize_huffman: bool,
     /// Requested restart interval in MCU units (0 = no restart markers).
     /// The encoder rounds it *up* per scan to a whole number of MCU rows
-    /// (see [`scan_restart_interval`]) so every restart segment covers a
-    /// disjoint band of block rows — the alignment the segment-parallel
-    /// decoder exploits.
+    /// (see [`scan_restart_interval`]) so every restart segment covers
+    /// whole block rows.
     pub restart_interval: u16,
 }
 

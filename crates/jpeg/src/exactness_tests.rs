@@ -113,15 +113,21 @@ fn fast_decoder_matches_reference_at_every_truncation_level() {
 /// of the two readers agree everywhere, not only at clean boundaries.
 #[test]
 fn fast_decoder_matches_reference_on_ragged_truncations() {
-    let (_, stream) = corpus().swap_remove(1); // 41x23 S444 q100 progressive
-    for frac in [30usize, 55, 71, 83, 97] {
-        let cut = stream.len() * frac / 100;
-        let fast = decode(&stream[..cut]);
-        let oracle = reference::reference_decode(&stream[..cut]);
-        match (fast, oracle) {
-            (Ok(f), Ok(o)) => assert_eq!(f.data(), o.data(), "cut at {frac}%"),
-            (Err(_), Err(_)) => {}
-            (f, o) => panic!("divergent outcome at {frac}%: fast={f:?} oracle={o:?}"),
+    let corpus = corpus();
+    // 41x23 S444 q100 progressive, and 48x32 S420 progressive with a
+    // restart marker per MCU row (cuts land inside restart segments).
+    for (name, stream) in [&corpus[1], &corpus[7]] {
+        for frac in [30usize, 55, 71, 83, 97] {
+            let cut = stream.len() * frac / 100;
+            let fast = decode(&stream[..cut]);
+            let oracle = reference::reference_decode(&stream[..cut]);
+            match (fast, oracle) {
+                (Ok(f), Ok(o)) => assert_eq!(f.data(), o.data(), "{name}: cut at {frac}%"),
+                (Err(_), Err(_)) => {}
+                (f, o) => {
+                    panic!("{name}: divergent outcome at {frac}%: fast={f:?} oracle={o:?}")
+                }
+            }
         }
     }
 }
@@ -177,11 +183,11 @@ fn restart_encode_decodes_identically_to_markerless() {
     }
 }
 
-/// Segment-parallel decode is invariant in the worker count: 1, 2, and 4
-/// workers produce identical coefficients and pixels on restart streams.
+/// A row-aligned restart stream (one segment per block row) matches the
+/// reference at the coefficient level and through the pooled pixel path.
 #[test]
-fn restart_parallel_workers_match_sequential() {
-    use crate::decoder::{decode_coeffs_workers, decode_with_workers, DecodeScratch};
+fn restart_row_aligned_stream_matches_reference_coefficients() {
+    use crate::decoder::{decode_with, DecodeScratch};
     let img = test_image(64, 48, 1, 11);
     let cfg = EncodeConfig {
         quality: 92,
@@ -191,13 +197,11 @@ fn restart_parallel_workers_match_sequential() {
         restart_interval: 1,
     };
     let stream = encode(&img, &cfg).unwrap();
-    let baseline = crate::decoder::decode_coeffs(&stream).unwrap();
-    for workers in [1usize, 2, 4] {
-        let parallel = decode_coeffs_workers(&stream, &mut Vec::new(), workers).unwrap();
-        assert_eq!(baseline.coeffs, parallel.coeffs, "{workers} workers");
-        let px = decode_with_workers(&stream, &mut DecodeScratch::default(), workers).unwrap();
-        assert_eq!(decode(&stream).unwrap().data(), px.data(), "{workers} workers pixels");
-    }
+    let fast = crate::decoder::decode_coeffs(&stream).unwrap();
+    let oracle = reference::reference_decode_coeffs(&stream).unwrap();
+    assert_eq!(fast.coeffs, oracle.coeffs);
+    let px = decode_with(&stream, &mut DecodeScratch::default()).unwrap();
+    assert_eq!(reference::reference_decode(&stream).unwrap().data(), px.data());
 }
 
 /// Truncating a restart stream at every scan-group level keeps the two
@@ -484,10 +488,10 @@ proptest! {
         let fast = decode(&prefix).unwrap();
         let oracle = reference::reference_decode(&prefix).unwrap();
         prop_assert_eq!(fast.data(), oracle.data());
-        // And the segment-parallel path agrees with the sequential one.
+        // Coefficient-level identity too, not only after the IDCT's rounding.
         let seq = crate::decoder::decode_coeffs(&prefix).unwrap();
-        let par = crate::decoder::decode_coeffs_workers(&prefix, &mut Vec::new(), 4).unwrap();
-        prop_assert_eq!(seq.coeffs, par.coeffs);
+        let ref_coeffs = reference::reference_decode_coeffs(&prefix).unwrap();
+        prop_assert_eq!(seq.coeffs, ref_coeffs.coeffs);
     }
 
     /// Corruption: flipping a single bit inside a restart stream's

@@ -185,60 +185,9 @@ impl CoeffPlanes {
         &self.planes[comp]
     }
 
-    /// Mutable raw plane for a component.
-    pub fn plane_mut(&mut self, comp: usize) -> &mut [i16] {
-        &mut self.planes[comp]
-    }
-
     /// Number of component planes.
     pub fn num_components(&self) -> usize {
         self.planes.len()
-    }
-}
-
-/// Mutable 8x8-block access for entropy decoding.
-///
-/// Implemented by the full [`CoeffPlanes`] (the normal decode target) and
-/// by row-band views over a single component's plane, which is how
-/// restart-segment-parallel decode hands disjoint `&mut` bands of one
-/// image to multiple workers: the scan logic in `dentropy` is written
-/// once against this trait and never learns which it is writing into.
-pub trait BlockStore {
-    /// Mutable 64-coefficient block at (component, block row, block col),
-    /// natural order.
-    fn block_mut(&mut self, frame: &FrameInfo, comp: usize, row: u32, col: u32) -> &mut [i16];
-}
-
-impl BlockStore for CoeffPlanes {
-    #[inline]
-    fn block_mut(&mut self, frame: &FrameInfo, comp: usize, row: u32, col: u32) -> &mut [i16] {
-        CoeffPlanes::block_mut(self, frame, comp, row, col)
-    }
-}
-
-/// A `&mut` view over a contiguous band of block rows of one component's
-/// plane. Disjoint bands of the same plane (from `split_at_mut`) can be
-/// handed to different threads, which is what lets restart segments of a
-/// row-aligned scan decode in parallel without locking.
-#[derive(Debug)]
-pub struct RowBandStore<'a> {
-    /// Component index the band belongs to.
-    pub comp: usize,
-    /// First block row covered by `data`.
-    pub row0: u32,
-    /// Allocated blocks per row (the plane stride).
-    pub alloc_w: u32,
-    /// The band: `(rows * alloc_w) * 64` coefficients.
-    pub data: &'a mut [i16],
-}
-
-impl BlockStore for RowBandStore<'_> {
-    #[inline]
-    fn block_mut(&mut self, _frame: &FrameInfo, comp: usize, row: u32, col: u32) -> &mut [i16] {
-        debug_assert_eq!(comp, self.comp, "band store fed a foreign component");
-        debug_assert!(row >= self.row0, "block row below the band");
-        let idx = ((row - self.row0) as usize * self.alloc_w as usize + col as usize) * 64;
-        &mut self.data[idx..idx + 64]
     }
 }
 

@@ -56,8 +56,7 @@ pub mod transcode;
 
 pub use decoder::{
     count_scans, decode, decode_coeffs, decode_coeffs_observed, decode_coeffs_pooled,
-    decode_coeffs_workers, decode_with, decode_with_workers, DecodeObserver, DecodeScratch,
-    DecodedCoeffs, NoopObserver,
+    decode_with, DecodeObserver, DecodeScratch, DecodedCoeffs, NoopObserver,
 };
 pub use encoder::{default_progressive_script, encode, EncodeConfig};
 pub use error::{Error, Result};

@@ -14,7 +14,7 @@
 use crate::parallel::{ParallelLoader, WallClockEpoch};
 use pcr_autotune::{select_lowest_qualifying, PlateauDetector, DEFAULT_MSSIM_THRESHOLD};
 use pcr_core::{DecisionLogWriter, DecisionRecord, MetaDb, PcrRecord, RecordScratch};
-use pcr_metrics::{msssim, EpochFaultCounters, FidelityEpoch, FidelityTrace, Plane, TriggerKind};
+use pcr_metrics::{msssim, FidelityEpoch, FidelityTrace, Plane, TriggerKind};
 use pcr_storage::{Clock, ObjectStore};
 
 /// Configuration of the online fidelity policy.
@@ -223,28 +223,16 @@ impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {
     /// may then switch groups for the *next* epoch), and the whole
     /// trajectory — group chosen, bytes read, cache hit rate, throughput,
     /// loss — is returned as a [`FidelityTrace`] ready for JSON export.
+    ///
+    /// When `log` is given the container's audit plane is attached: every
+    /// epoch's records ([`DecisionRecord::epoch_records`]) are appended to
+    /// the durable decision log (FORMAT.md §7) as they happen, so the
+    /// trajectory survives in the artifact; the first failed append ends
+    /// the run with its error. The trace carries the same schema plus
+    /// wall-clock throughput, which the durable log deliberately omits to
+    /// stay byte-deterministic under seeded replay. Without a log the
+    /// result is always `Ok`.
     pub fn run_dynamic<F>(
-        &self,
-        epochs: u64,
-        controller: &mut FidelityController,
-        loss_of: F,
-    ) -> FidelityTrace
-    where
-        F: FnMut(u64, &WallClockEpoch) -> f64,
-    {
-        self.run_dynamic_logged(epochs, controller, loss_of, None)
-            .expect("run_dynamic without a log sink cannot fail")
-    }
-
-    /// [`ParallelLoader::run_dynamic`] with the container's audit plane
-    /// attached: when `log` is given, every epoch's decision — trigger
-    /// kind, probe scores, scan group, bytes read vs a fixed full-quality
-    /// epoch, cache hit rate, loss — is appended to the durable decision
-    /// log (FORMAT.md §7) as it happens, so the trajectory survives in
-    /// the artifact. The returned trace carries the same schema (plus
-    /// wall-clock throughput, which the durable log deliberately omits
-    /// to stay byte-deterministic under seeded replay).
-    pub fn run_dynamic_logged<F>(
         &self,
         epochs: u64,
         controller: &mut FidelityController,
@@ -276,32 +264,11 @@ impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {
                 images_per_sec: result.images_per_sec(),
                 cache_hit_rate: self.store().cache_hit_rate(),
                 loss,
-                faults: EpochFaultCounters {
-                    retries: result.faults.retries,
-                    degraded_records: result.faults.degraded_records,
-                    quarantined_records: result.faults.quarantined_records,
-                    quarantined_images: result.faults.quarantined_images(),
-                },
+                faults: result.faults.epoch_counters(),
             };
             if let Some(w) = log.as_deref_mut() {
-                w.append(&DecisionRecord::from_epoch(&entry, bytes_full))?;
-                // Additive audit record (FORMAT.md §7): only epochs the
-                // storage plane actually degraded get one, so zero-fault
-                // runs serialize byte-identically to pre-fault-plane
-                // builds. Field reuse: `images` = degraded records,
-                // `loss` = quarantined records.
-                if entry.faults.degraded_records > 0 || entry.faults.quarantined_records > 0 {
-                    w.append(&DecisionRecord {
-                        epoch,
-                        trigger: TriggerKind::Degraded,
-                        scan_group: u16::try_from(scan_group).unwrap_or(u16::MAX),
-                        bytes_read: result.bytes,
-                        bytes_full,
-                        images: entry.faults.degraded_records,
-                        cache_hit_rate: self.store().cache_hit_rate(),
-                        loss: entry.faults.quarantined_records as f64,
-                        probe_scores: Vec::new(),
-                    })?;
+                for record in DecisionRecord::epoch_records(&entry, bytes_full) {
+                    w.append(&record)?;
                 }
             }
             trace.push(entry);
@@ -407,7 +374,7 @@ mod tests {
         let fixed_bytes = epochs * db.bytes_at_group(10);
         let fidelity = FidelityConfig { plateau_window: 1, ..FidelityConfig::default() };
         let mut ctrl = FidelityController::new(fidelity, scores());
-        let trace = loader.run_dynamic(epochs, &mut ctrl, |e, _| loss_at(e));
+        let trace = loader.run_dynamic(epochs, &mut ctrl, |e, _| loss_at(e), None).unwrap();
 
         assert_eq!(trace.epochs.len(), epochs as usize);
         assert_eq!(trace.total_images(), epochs * db.num_images() as u64);

@@ -11,11 +11,13 @@
 //!   record prefixes, decodes truncated progressive JPEGs, and yields
 //!   [`Minibatch`]es with double-buffered prefetch.
 //!
-//! Equivalent loaders for the baseline formats (fixed-quality record
-//! files and file-per-image) live in [`baseline_loader`] so end-to-end
-//! comparisons share one worker/timing model.
+//! The baseline formats (fixed-quality record files and file-per-image)
+//! are not separate loaders but another [`source::RecordSource`]: a
+//! `[ObjectMeta]` slice plans whole-object reads, and
+//! `PcrLoader::over(&store, &objects[..], config)` runs it on the same
+//! worker/timing model, so end-to-end comparisons are apples-to-apples.
 //!
-//! All of them plan reads through one abstraction — [`source::RecordSource`]
+//! Both loaders plan reads through one abstraction — [`source::RecordSource`]
 //! (what to read) + [`source::ReadPlanner`] (how much, in which order) —
 //! and read through the store's single clocked path
 //! ([`pcr_storage::ObjectStore::read`]), so wall-clock workers share the
@@ -56,20 +58,17 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline_loader;
 pub mod config;
 pub mod fidelity;
 mod handoff;
 pub mod loader;
 pub mod order;
 pub mod parallel;
-pub mod pipeline;
 pub mod retry;
 pub mod sharded;
 pub mod source;
 pub mod timing;
 
-pub use baseline_loader::{FilePerImageLoader, ObjectMeta, RecordFileLoader};
 pub use config::{DecodeMode, LoaderConfig};
 pub use fidelity::{
     probe_group_scores, probe_source_scores, FidelityConfig, FidelityController, FidelityDecision,
@@ -80,11 +79,10 @@ pub use parallel::{
     Bottleneck, EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats,
     WallClockEpoch,
 };
-pub use pipeline::{spawn_epoch, PipelineConfig, PipelineStats, RunningPipeline};
 pub use retry::{
     deliver_with_degradation, read_with_retry, DecodeCheck, Delivery, FaultReport, Ladder,
     QuarantineEntry, RetryBudget, RetryOutcome, RetryPolicy, Rung, Timeline,
     QUARANTINE_DETAIL_CAP,
 };
 pub use sharded::{open_container_store, OpenedContainer, ShardStoreConfig, ShardedSource};
-pub use source::{ReadPlan, ReadPlanner, RecordSource};
+pub use source::{ObjectMeta, ReadPlan, ReadPlanner, RecordSource};

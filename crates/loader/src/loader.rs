@@ -138,9 +138,10 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
 /// reading through the clocked store path ([`Clock::Virtual`](pcr_storage::Clock::Virtual)) and
 /// charging decode cost per [`DecodeMode`].
 ///
-/// [`PcrLoader`] and both [`crate::baseline_loader`] loaders are thin
-/// wrappers over this one function — the worker/timing model exists in
-/// exactly one place.
+/// [`PcrLoader`] is a thin wrapper over this one function for every
+/// source — PCR records, packed shards, or baseline-format objects
+/// (`[ObjectMeta]`, whole-object reads) — so the worker/timing model
+/// exists in exactly one place and format comparisons share it.
 pub fn run_virtual_epoch<S: RecordSource + ?Sized>(
     store: &ObjectStore,
     source: &S,
@@ -358,6 +359,58 @@ mod tests {
             eight < one / 2.0,
             "8 threads ({eight:.4}s) should be much faster than 1 ({one:.4}s)"
         );
+    }
+
+    #[test]
+    fn record_layout_beats_file_per_image_on_hdd() {
+        use crate::source::ObjectMeta;
+        use pcr_core::RecordFileBuilder;
+        // Same 32 images stored both ways on an HDD, loaded as baseline
+        // objects through the one engine; the record layout's sequential
+        // access must win (paper Figure 1).
+        let store = ObjectStore::new(DeviceProfile::hdd_7200rpm());
+        let mut objects_fpi = Vec::new();
+        let mut rb = RecordFileBuilder::new();
+        for i in 0..32u32 {
+            let pixels = (0..32 * 32 * 3u32).map(|p| ((p * 5 + i * 7) % 256) as u8).collect();
+            let img = ImageBuf::from_raw(32, 32, 3, pixels).unwrap();
+            let jpeg = pcr_jpeg::encode(&img, &pcr_jpeg::EncodeConfig::baseline(85)).unwrap();
+            store.put(&format!("img-{i}"), jpeg.clone());
+            objects_fpi.push(ObjectMeta { name: format!("img-{i}"), labels: vec![i % 2] });
+            rb.add_jpeg(SampleMeta { label: i % 2, id: format!("i{i}") }, jpeg);
+        }
+        store.put("rec-0", rb.build().unwrap());
+        let objects_rec =
+            [ObjectMeta { name: "rec-0".into(), labels: (0..32).map(|i| i % 2).collect() }];
+        let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(10) };
+
+        let fpi = PcrLoader::over(&store, &objects_fpi[..], cfg.clone()).run_epoch(0, 0.0);
+        store.device().reset();
+        let rec = PcrLoader::over(&store, &objects_rec[..], cfg).run_epoch(0, 0.0);
+
+        assert_eq!(fpi.images, 32);
+        assert_eq!(rec.images, 32);
+        assert!(
+            rec.duration < fpi.duration / 4.0,
+            "record {rec:.4?}s vs file-per-image {fpi:.4?}s",
+            rec = rec.duration,
+            fpi = fpi.duration
+        );
+    }
+
+    #[test]
+    fn file_per_image_issues_one_read_per_image() {
+        use crate::source::ObjectMeta;
+        let store = ObjectStore::new(DeviceProfile::ssd_sata());
+        let mut objects = Vec::new();
+        for i in 0..5u32 {
+            store.put(&format!("f{i}"), vec![0u8; 1000]);
+            objects.push(ObjectMeta { name: format!("f{i}"), labels: vec![0] });
+        }
+        let cfg = LoaderConfig { decode: DecodeMode::Skip, ..Default::default() };
+        let r = PcrLoader::over(&store, &objects[..], cfg).run_epoch(0, 0.0);
+        assert_eq!(store.device_stats().reads, 5);
+        assert_eq!(r.bytes, 5000);
     }
 
     #[test]

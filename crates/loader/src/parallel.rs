@@ -114,14 +114,6 @@ pub struct ParallelConfig {
     pub prefetch_batches: usize,
     /// Storage-time realization.
     pub io: IoModel,
-    /// Threads each worker may split one image's restart-marker entropy
-    /// segments across (see
-    /// [`pcr_core::PcrRecord::decode_image_segmented`]). 1 (the default)
-    /// decodes sequentially; higher values only take effect on records
-    /// encoded with restart markers (`pcr pack --restart-interval`) —
-    /// marker-less records fall back to the sequential path with
-    /// identical output.
-    pub segment_workers: usize,
 }
 
 impl Default for ParallelConfig {
@@ -132,7 +124,6 @@ impl Default for ParallelConfig {
             prefetch_records: 8,
             prefetch_batches: 2,
             io: IoModel::Instant,
-            segment_workers: 1,
         }
     }
 }
@@ -150,13 +141,6 @@ impl ParallelConfig {
             },
             ..Self::default()
         }
-    }
-
-    /// [`ParallelConfig::real`] with restart-segment parallelism: each of
-    /// the `threads` workers may additionally fan one image's entropy
-    /// segments out over `segment_workers` threads.
-    pub fn real_segmented(threads: usize, scan_group: usize, segment_workers: usize) -> Self {
-        Self { segment_workers: segment_workers.max(1), ..Self::real(threads, scan_group) }
     }
 }
 
@@ -197,8 +181,6 @@ pub struct ParallelStats {
     pub retries: AtomicU64,
     /// Records delivered below the requested scan group.
     pub degraded_records: AtomicU64,
-    /// Records quarantined (no scan-group prefix deliverable).
-    pub quarantined_records: AtomicU64,
     /// Total backoff microseconds slept across workers.
     pub backoff_micros: AtomicU64,
     /// Exact quarantine accounting (label multiset + bounded detail),
@@ -431,7 +413,6 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
             scan_group,
             decode: cfg.loader.decode,
             io: cfg.io,
-            segment_workers: cfg.segment_workers.max(1),
             retry: cfg.loader.retry.clone(),
             // One retry budget per epoch, shared by every stage thread.
             budget: RetryBudget::new(cfg.loader.retry.epoch_retry_budget_s),
@@ -584,7 +565,6 @@ struct EpochShared<S: ?Sized> {
     scan_group: usize,
     decode: DecodeMode,
     io: IoModel,
-    segment_workers: usize,
     retry: RetryPolicy,
     budget: RetryBudget,
     source: Arc<S>,
@@ -670,13 +650,8 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                 DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
                 DecodeMode::Real => {
                     let t0 = Instant::now();
-                    let decoded = self.source.decode_real_segmented(
-                        idx,
-                        &read.data,
-                        self.scan_group,
-                        &mut scratch,
-                        self.segment_workers,
-                    );
+                    let decoded =
+                        self.source.decode_real(idx, &read.data, self.scan_group, &mut scratch);
                     add_elapsed(&stats.decode_nanos, t0);
                     match decoded {
                         Some(images) => DecodeCheck::Images(images),
@@ -695,7 +670,6 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                     (read, images, degraded)
                 }
                 Delivery::Quarantined { reason } => {
-                    stats.quarantined_records.fetch_add(1, Ordering::Relaxed);
                     if let Ok(mut q) = stats.quarantine.lock() {
                         q.note_quarantine(idx, self.source.labels(idx), reason);
                     }
@@ -739,17 +713,7 @@ mod tests {
     use pcr_storage::DeviceProfile;
 
     fn make(n: usize, profile: DeviceProfile) -> (Arc<ObjectStore>, Arc<MetaDb>) {
-        make_restart(n, profile, 0)
-    }
-
-    fn make_restart(
-        n: usize,
-        profile: DeviceProfile,
-        restart_interval: u16,
-    ) -> (Arc<ObjectStore>, Arc<MetaDb>) {
-        let mut b = PcrDatasetBuilder::new(4, 10)
-            .with_name_prefix("w")
-            .with_restart_interval(restart_interval);
+        let mut b = PcrDatasetBuilder::new(4, 10).with_name_prefix("w");
         for i in 0..n {
             let mut data = Vec::new();
             for y in 0..32u32 {
@@ -800,18 +764,23 @@ mod tests {
         let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(3, 10) };
         let loader = ParallelLoader::new(store, db, cfg);
         let stream = loader.spawn_epoch(0);
-        let mut total = 0usize;
+        let mut sizes = Vec::new();
         for b in stream.batches.iter() {
             assert_eq!(b.images.len(), b.labels.len());
-            assert!(b.images.len() <= 4);
-            total += b.images.len();
+            sizes.push(b.images.len());
         }
-        assert_eq!(total, 13);
+        assert_eq!(sizes, [4, 4, 4, 1], "full batches, then the remainder");
         let stats = Arc::clone(&stream.stats);
         stream.join();
         assert_eq!(stats.images_decoded.load(Ordering::Relaxed), 13);
         assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 4);
         assert!(stats.bytes_read.load(Ordering::Relaxed) > 0);
+        // Decode throughput comes from wall-clock Instant deltas; a coarse
+        // or virtualized CI clock can legitimately measure zero, so the
+        // strictly-positive check is opt-in (PCR_STRICT_TIMING=1).
+        if std::env::var_os("PCR_STRICT_TIMING").is_some() {
+            assert!(stats.decode_images_per_cpu_sec() > 0.0);
+        }
     }
 
     #[test]
@@ -827,31 +796,6 @@ mod tests {
         let two = labels_at(2);
         assert_eq!(two.len(), 17);
         assert_eq!(two, labels_at(8));
-    }
-
-    #[test]
-    fn segment_workers_deliver_identical_pixels() {
-        // A restart-marker dataset decoded with segment parallelism must
-        // deliver the exact pixels of the sequential path — the loader
-        // face of the jpeg crate's exactness guarantee.
-        let (store, db) = make_restart(9, DeviceProfile::ram(), 1);
-        let pixels_at = |segment_workers: usize| {
-            let cfg = ParallelConfig {
-                batch_size: 3,
-                segment_workers,
-                ..ParallelConfig::real(2, 10)
-            };
-            let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg);
-            let stream = loader.spawn_epoch(5);
-            let mut imgs: Vec<Vec<u8>> =
-                stream.batches.iter().flat_map(|b| b.images).map(|i| i.data().to_vec()).collect();
-            stream.join();
-            imgs.sort_unstable();
-            imgs
-        };
-        let seq = pixels_at(1);
-        assert_eq!(seq.len(), 9);
-        assert_eq!(seq, pixels_at(4));
     }
 
     #[test]
@@ -902,6 +846,9 @@ mod tests {
             loader.run_epoch(0).bytes
         };
         let low = at(1);
+        // Wall-clock reads run through the clocked store path, so the
+        // (uncached) device counted exactly the bytes the loader did.
+        assert_eq!(store.device_stats().bytes, low, "device saw the same traffic");
         let full = at(10);
         assert!(low < full / 2, "group-1 bytes {low} vs full {full}");
     }
@@ -999,6 +946,27 @@ mod tests {
             assert!(stats.retries.load(Ordering::Relaxed) > 0, "the plan injected faults");
             assert!(stats.fault_report().quarantined_records == 0);
         }
+    }
+
+    #[test]
+    fn shuffling_is_epoch_dependent() {
+        // 8 records: enough that two epochs drawing the same permutation
+        // by chance (legitimate for any shuffle at tiny n) cannot happen
+        // in practice. One decode worker delivers the epoch order itself.
+        let (store, db) = make(32, DeviceProfile::ram());
+        let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(1, 10) };
+        let loader = ParallelLoader::new(store, db, cfg);
+        let order_of = |epoch: u64| {
+            let stream = loader.spawn_epoch(epoch);
+            let labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
+            stream.join();
+            labels
+        };
+        let e0 = order_of(0);
+        let e1 = order_of(1);
+        assert_eq!(e0.len(), 32);
+        assert_ne!(e0, e1, "different epochs shuffle differently");
+        assert_eq!(order_of(0), e0, "same epoch is deterministic");
     }
 
     /// Joins every pipeline thread, failing if one panicked.

@@ -23,6 +23,7 @@
 
 use crate::source::{ReadPlan, RecordSource};
 use pcr_jpeg::ImageBuf;
+use pcr_metrics::EpochFaultCounters;
 use pcr_storage::{Clock, ObjectStore, ReadError, ReadResult};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -456,21 +457,13 @@ impl FaultReport {
         }
     }
 
-    /// Folds another report into this one (used to merge per-worker
-    /// accounting into the epoch's).
-    pub fn merge(&mut self, other: &FaultReport) {
-        self.retries += other.retries;
-        self.backoff_s += other.backoff_s;
-        self.degraded_records += other.degraded_records;
-        self.quarantined_records += other.quarantined_records;
-        for (&label, &n) in &other.quarantined_labels {
-            *self.quarantined_labels.entry(label).or_insert(0) += n;
-        }
-        for e in &other.quarantine {
-            if self.quarantine.len() >= QUARANTINE_DETAIL_CAP {
-                break;
-            }
-            self.quarantine.push(e.clone());
+    /// The per-epoch counters a `FidelityEpoch` trace entry carries.
+    pub fn epoch_counters(&self) -> EpochFaultCounters {
+        EpochFaultCounters {
+            retries: self.retries,
+            degraded_records: self.degraded_records,
+            quarantined_records: self.quarantined_records,
+            quarantined_images: self.quarantined_images(),
         }
     }
 }
@@ -672,11 +665,18 @@ mod tests {
         assert_eq!(r.quarantined_labels.get(&1), Some(&2));
         assert_eq!(r.quarantined_labels.get(&2), Some(&2));
         assert_eq!(r.quarantine.len(), 2);
-        let mut m = FaultReport::default();
-        m.merge(&r);
-        m.merge(&r);
-        assert_eq!(m.quarantined_images(), 8);
-        assert!(!m.is_clean());
+        assert!(!r.is_clean());
+        r.retries = 5;
+        r.degraded_records = 1;
+        assert_eq!(
+            r.epoch_counters(),
+            EpochFaultCounters {
+                retries: 5,
+                degraded_records: 1,
+                quarantined_records: 2,
+                quarantined_images: 4,
+            }
+        );
     }
 
     #[test]

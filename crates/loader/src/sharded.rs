@@ -118,17 +118,6 @@ impl RecordSource for ShardedSource {
         // *is* a `.pcr` record prefix, wherever in the shard it came from.
         crate::source::decode_pcr_prefix(bytes, scan_group, scratch)
     }
-
-    fn decode_real_segmented(
-        &self,
-        _idx: usize,
-        bytes: &[u8],
-        scan_group: usize,
-        scratch: &mut RecordScratch,
-        segment_workers: usize,
-    ) -> Option<Vec<ImageBuf>> {
-        crate::source::decode_pcr_prefix_segmented(bytes, scan_group, scratch, segment_workers)
-    }
 }
 
 /// How [`open_container_store`] materializes a container as an object

@@ -2,13 +2,13 @@
 //! read ([`RecordSource`]), *how much* of it and in *which order*
 //! ([`ReadPlanner`]).
 //!
-//! Before this module existed the prefix-length math and epoch-order
-//! plumbing lived in three copies — the virtual-time
-//! [`crate::loader::PcrLoader`], the wall-clock [`crate::parallel`]
-//! workers, and [`crate::baseline_loader`]'s generic loop. All three now
-//! implement against these two types, so a policy layer (the
-//! [`crate::fidelity::FidelityController`]) can change the scan-group
-//! prefix online and every loader obeys without further plumbing.
+//! The prefix-length math and epoch-order plumbing live here and nowhere
+//! else: the virtual-time [`crate::loader::PcrLoader`] and the wall-clock
+//! [`crate::parallel`] workers both implement against these two types —
+//! over PCR records and baseline-format objects alike — so a policy layer
+//! (the [`crate::fidelity::FidelityController`]) can change the
+//! scan-group prefix online and every loader obeys without further
+//! plumbing.
 
 use crate::config::LoaderConfig;
 use crate::order::EpochOrder;
@@ -56,22 +56,6 @@ pub trait RecordSource: Send + Sync {
         scan_group: usize,
         scratch: &mut RecordScratch,
     ) -> Option<Vec<ImageBuf>>;
-
-    /// Like [`RecordSource::decode_real`], but may split one image's
-    /// restart-marker entropy segments across up to `segment_workers`
-    /// threads. Sources whose format carries no restart markers (or that
-    /// simply don't implement segment parallelism) fall back to the
-    /// sequential decode; output is identical either way.
-    fn decode_real_segmented(
-        &self,
-        idx: usize,
-        bytes: &[u8],
-        scan_group: usize,
-        scratch: &mut RecordScratch,
-        _segment_workers: usize,
-    ) -> Option<Vec<ImageBuf>> {
-        self.decode_real(idx, bytes, scan_group, scratch)
-    }
 }
 
 /// Decodes a planned `.pcr` record prefix into images at `scan_group`,
@@ -84,24 +68,11 @@ pub(crate) fn decode_pcr_prefix(
     scan_group: usize,
     scratch: &mut RecordScratch,
 ) -> Option<Vec<ImageBuf>> {
-    decode_pcr_prefix_segmented(bytes, scan_group, scratch, 1)
-}
-
-/// [`decode_pcr_prefix`] with restart-segment parallelism: each image's
-/// entropy segments decode on up to `segment_workers` threads (see
-/// [`pcr_core::PcrRecord::decode_image_segmented`]). Marker-less records
-/// take the sequential path unchanged.
-pub(crate) fn decode_pcr_prefix_segmented(
-    bytes: &[u8],
-    scan_group: usize,
-    scratch: &mut RecordScratch,
-    segment_workers: usize,
-) -> Option<Vec<ImageBuf>> {
     let rec = PcrRecord::parse(bytes).ok()?;
     let g = rec.available_groups().min(scan_group).max(1);
     let mut images = Vec::with_capacity(rec.num_images());
     for i in 0..rec.num_images() {
-        images.push(rec.decode_image_segmented(i, g, scratch, segment_workers).ok()?);
+        images.push(rec.decode_image_with(i, g, scratch).ok()?);
     }
     Some(images)
 }
@@ -129,20 +100,16 @@ impl RecordSource for MetaDb {
     ) -> Option<Vec<ImageBuf>> {
         decode_pcr_prefix(bytes, scan_group, scratch)
     }
-
-    fn decode_real_segmented(
-        &self,
-        _idx: usize,
-        bytes: &[u8],
-        scan_group: usize,
-        scratch: &mut RecordScratch,
-        segment_workers: usize,
-    ) -> Option<Vec<ImageBuf>> {
-        decode_pcr_prefix_segmented(bytes, scan_group, scratch, segment_workers)
-    }
 }
 
-/// Metadata the baseline loaders need per object: name and image labels.
+/// Metadata of one baseline-format object — a fixed-quality record file
+/// (TFRecord-style, read whole and sequentially) or a single image file
+/// (the small random accesses of PyTorch's `ImageFolder`, paper Figure 1):
+/// name and image labels. A `[ObjectMeta]` slice is a [`RecordSource`]
+/// with no scan-group knob — every plan is the full object, which is
+/// exactly the cost Figure 1 charges these formats with — so
+/// `PcrLoader::over(&store, &objects[..], config)` loads them through the
+/// same engine, page cache and device statistics as PCR traffic.
 #[derive(Debug, Clone)]
 pub struct ObjectMeta {
     /// Object name in the store.

@@ -48,7 +48,9 @@ fn main() {
 
     let loader =
         ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), ParallelConfig::real(4, full));
-    let trace = loader.run_dynamic(8, &mut controller, |e, _| loss_at(e));
+    let trace = loader
+        .run_dynamic(8, &mut controller, |e, _| loss_at(e), None)
+        .expect("no decision log attached, so nothing can fail");
 
     println!("\n{:>6} {:>6} {:>12} {:>10} {:>10} {:>8}", "epoch", "group", "bytes", "img/s", "hit rate", "loss");
     for e in &trace.epochs {

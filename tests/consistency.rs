@@ -3,7 +3,9 @@
 //! the analytical queueing model must all agree with each other.
 
 use pcr::datasets::{DatasetSpec, Scale, SyntheticDataset};
-use pcr::loader::{populate_store, DecodeMode, LoaderConfig, PcrLoader};
+use pcr::loader::{
+    populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
+};
 use pcr::sim::{loader_throughput, run_pipeline, ComputeUnit};
 use pcr::storage::{DeviceProfile, ObjectStore};
 
@@ -85,20 +87,14 @@ fn threaded_pipeline_agrees_with_virtual_loader_bytes() {
     let store = Arc::new(ObjectStore::new(DeviceProfile::ram()));
     populate_store(&store, &pcr_ds);
     let db = Arc::new(pcr_ds.db.clone());
-    let cfg = pcr::loader::PipelineConfig {
-        threads: 2,
-        scan_group: 2,
-        batch_size: 16,
-        prefetch: 4,
-        shuffle_seed: Some(1),
-    };
-    let pipe = pcr::loader::spawn_epoch(Arc::clone(&store), db, cfg, 0);
-    let stats = Arc::clone(&pipe.stats);
+    let cfg = ParallelConfig { batch_size: 16, prefetch_records: 4, ..ParallelConfig::real(2, 2) };
+    let stream = ParallelLoader::new(Arc::clone(&store), db, cfg).spawn_epoch(0);
+    let stats = Arc::clone(&stream.stats);
     let mut labels = 0usize;
-    for b in pipe.batches.iter() {
+    for b in stream.batches.iter() {
         labels += b.labels.len();
     }
-    pipe.join();
+    stream.join();
     assert_eq!(labels, pcr_ds.db.num_images());
     assert_eq!(
         stats.bytes_read.load(std::sync::atomic::Ordering::Relaxed),

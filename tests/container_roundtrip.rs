@@ -104,7 +104,7 @@ fn wall_clock_dynamic_run_from_shards_matches_in_memory_traffic() {
     let run = |loader: ParallelLoader<dyn RecordSource>| {
         let fidelity = FidelityConfig { plateau_window: 1, ..FidelityConfig::default() };
         let mut ctrl = FidelityController::new(fidelity, scores.clone());
-        loader.run_dynamic(epochs, &mut ctrl, |e, _| losses(e))
+        loader.run_dynamic(epochs, &mut ctrl, |e, _| losses(e), None).expect("no log sink, no error")
     };
 
     let cfg = ParallelConfig {
@@ -168,11 +168,11 @@ fn restart_marker_containers_roundtrip_end_to_end() {
     // Format-compat matrix for the restart-marker (record version 2)
     // container format. For interval 0 (the legacy layout) and a real
     // restart interval: pack → verify() → stream an epoch → decode.
-    // Version-1 and version-2 containers must deliver the same label
-    // multiset and decode to images of the same geometry; only v2 may
-    // report multiple entropy segments per chunk.
+    // Version-1 and version-2 containers must deliver the same labels
+    // and byte-identical pixels; only v2 may report multiple entropy
+    // segments per chunk.
     let ds = SyntheticDataset::generate(&DatasetSpec::ham10000_like(Scale::Tiny));
-    let mut delivered: Vec<(u16, Vec<u32>)> = Vec::new();
+    let mut delivered: Vec<Vec<(u32, Vec<u8>)>> = Vec::new();
     for interval in [0u16, 1] {
         let (pcr, _) = pcr::datasets::to_pcr_dataset_restart(&ds, 4, interval);
         let dir = tmpdir(&format!("restart-{interval}"));
@@ -200,31 +200,31 @@ fn restart_marker_containers_roundtrip_end_to_end() {
             assert!(max_segments > 1, "restart markers split the entropy");
         }
 
-        // Stream a real decode epoch through the sharded source, with
-        // segment workers engaged — old and new containers take the
-        // same path.
+        // Stream a real decode epoch through the sharded source — old
+        // and new containers take the same path.
         let opened = open_container_store(&dir, &ShardStoreConfig::default()).expect("store");
         let loader = ParallelLoader::new(
             Arc::clone(&opened.store),
             Arc::clone(&opened.source) as Arc<dyn RecordSource>,
-            ParallelConfig { batch_size: 4, segment_workers: 2, ..ParallelConfig::real(2, 10) },
+            ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) },
         );
         let stream = loader.spawn_epoch(0);
-        let mut labels = Vec::new();
+        let mut samples: Vec<(u32, Vec<u8>)> = Vec::new();
         for b in stream.batches.iter() {
-            for img in &b.images {
+            for (img, &label) in b.images.iter().zip(&b.labels) {
                 assert!(img.width() > 0 && img.height() > 0);
+                samples.push((label, img.data().to_vec()));
             }
-            labels.extend(b.labels);
         }
         stream.join();
-        labels.sort_unstable();
-        delivered.push((interval, labels));
+        samples.sort_unstable();
+        delivered.push(samples);
         std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert_eq!(
-        delivered[0].1, delivered[1].1,
-        "v1 and v2 containers deliver the same label multiset"
+    assert_eq!(delivered[0].len(), ds.train.len());
+    assert!(
+        delivered[0] == delivered[1],
+        "v1 and v2 containers deliver the same labels and byte-identical pixels"
     );
 }
 
@@ -235,7 +235,7 @@ fn container_format_matrix_v1_v2_v3() {
     // v3 (columnar footers + manifest stats, restart-marker records).
     // Every variant must open, verify, resolve entries identical to the
     // metadata DB, and deliver the same label multiset through both a
-    // sequential skip epoch and a segmented-parallel decode epoch.
+    // virtual-time skip epoch and a wall-clock real-decode epoch.
     use pcr::core::{write_container_versioned, COLUMNAR_VERSION, CONTAINER_VERSION_ROWS};
     let ds = SyntheticDataset::generate(&DatasetSpec::ham10000_like(Scale::Tiny));
     let mut native: Vec<u32> = ds.train.iter().map(|s| s.label).collect();
@@ -247,7 +247,7 @@ fn container_format_matrix_v1_v2_v3() {
         ("v2", CONTAINER_VERSION_ROWS, 1, false),
         ("v3", COLUMNAR_VERSION, 1, true),
     ];
-    // (sequential epoch bytes, parallel epoch bytes) per variant.
+    // (virtual-time epoch bytes, wall-clock epoch bytes) per variant.
     let mut streamed: Vec<(u64, u64)> = Vec::new();
     for (tag, version, restart, columnar) in variants {
         let (pcr, _) = pcr::datasets::to_pcr_dataset_restart(&ds, 4, restart);
@@ -287,11 +287,11 @@ fn container_format_matrix_v1_v2_v3() {
         assert_eq!(labels, native, "{tag} label multiset");
         assert_eq!(seq_bytes, pcr.db.bytes_at_group(10), "{tag} bytes vs metadata DB");
 
-        // One segmented-parallel real-decode epoch.
+        // One wall-clock real-decode epoch.
         let loader = ParallelLoader::new(
             Arc::clone(&opened.store),
             Arc::clone(&opened.source) as Arc<dyn RecordSource>,
-            ParallelConfig { batch_size: 4, segment_workers: 2, ..ParallelConfig::real(2, 10) },
+            ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) },
         );
         let epoch = loader.run_epoch(0);
         assert_eq!(epoch.images, ds.train.len(), "{tag} parallel epoch images");
@@ -334,7 +334,7 @@ fn decision_log_accumulates_across_runs_and_is_covered_by_verify() {
         let mut ctrl = FidelityController::new(fidelity, scores.clone());
         let mut w = DecisionLogWriter::open(&log_path).expect("open log");
         let trace = loader
-            .run_dynamic_logged(epochs, &mut ctrl, |e, _| if e == 0 { 1.0 } else { 0.5 }, Some(&mut w))
+            .run_dynamic(epochs, &mut ctrl, |e, _| if e == 0 { 1.0 } else { 0.5 }, Some(&mut w))
             .expect("logged run");
         assert_eq!(w.records_written(), epochs, "session {session}");
         assert_eq!(trace.epochs.len(), epochs as usize);

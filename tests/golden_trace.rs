@@ -95,7 +95,7 @@ fn replay(container_dir: &Path, log_path: &Path) -> FidelityTrace {
     let _ = std::fs::remove_file(log_path);
     let mut w = DecisionLogWriter::open(log_path).expect("open fresh log");
     loader
-        .run_dynamic_logged(GOLDEN_EPOCHS, &mut ctrl, |e, _| golden_loss(e), Some(&mut w))
+        .run_dynamic(GOLDEN_EPOCHS, &mut ctrl, |e, _| golden_loss(e), Some(&mut w))
         .expect("logged golden run")
 }
 

@@ -218,7 +218,7 @@ proptest! {
         bytes in prop::collection::vec(proptest::any::<u8>(), 0..512)
     ) {
         // The restart-segment splitter is the first thing untrusted
-        // entropy bytes hit on the parallel path: any input must yield
+        // entropy bytes of a restart stream hit: any input must yield
         // in-bounds, non-overlapping, ordered segments — never a panic.
         let segs = pcr::jpeg::bitio::split_restart_segments(&bytes);
         let mut prev_end = 0usize;
@@ -237,14 +237,12 @@ proptest! {
     #[test]
     fn corrupted_restart_streams_never_panic(seed in proptest::any::<u64>()) {
         // Bit-flip anywhere in a real restart-marker stream — including
-        // inside DRI payloads and RSTn markers — then decode both
-        // sequentially and with segment workers. Errors are fine;
-        // panics are not.
+        // inside DRI payloads and RSTn markers — then decode. Errors are
+        // fine; panics are not.
         let mut jpeg = restart_jpeg();
         let pos = (seed as usize) % jpeg.len();
         jpeg[pos] ^= 1 << (seed % 8);
         let _ = pcr::jpeg::decode(&jpeg);
-        let _ = pcr::jpeg::decode_coeffs_workers(&jpeg, &mut Vec::new(), 4);
     }
 
     #[test]
@@ -252,7 +250,6 @@ proptest! {
         let jpeg = restart_jpeg();
         let cut = jpeg.len() * usize::try_from(cut_permille).unwrap() / 1000;
         let _ = pcr::jpeg::decode(&jpeg[..cut]);
-        let _ = pcr::jpeg::decode_coeffs_workers(&jpeg[..cut], &mut Vec::new(), 4);
     }
 }
 
