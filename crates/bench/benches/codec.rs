@@ -2,6 +2,7 @@
 //! the paper's Appendix A.5 baseline-vs-progressive decode comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pcr_datasets::{DatasetSpec, Scale, SyntheticDataset};
 use pcr_jpeg::{decode, encode, to_progressive, EncodeConfig, ImageBuf};
 
 fn test_image(side: u32) -> ImageBuf {
@@ -59,6 +60,20 @@ fn bench_transcode(c: &mut Criterion) {
     let baseline = encode(&img, &EncodeConfig::baseline(85)).unwrap();
     g.throughput(Throughput::Bytes(baseline.len() as u64));
     g.bench_function("to_progressive_128", |b| b.iter(|| to_progressive(&baseline).unwrap()));
+    // The image `pcr pack` and the `pack_write` benchmark workload spend
+    // their time on: a HAM10000-like 167 px source at quality 100, where
+    // the four AC-refinement scans carry most of the bits.
+    let spec = DatasetSpec {
+        mean_side: 167,
+        side_jitter: 0,
+        train_images: 1,
+        test_images: 0,
+        ..DatasetSpec::ham10000_like(Scale::Tiny)
+    };
+    let dense = &SyntheticDataset::generate(&spec).train[0].image;
+    let baseline = encode(dense, &EncodeConfig::baseline(spec.jpeg_quality)).unwrap();
+    g.throughput(Throughput::Bytes(baseline.len() as u64));
+    g.bench_function("to_progressive_167_q100", |b| b.iter(|| to_progressive(&baseline).unwrap()));
     g.finish();
 }
 

@@ -28,7 +28,12 @@ SOURCES (exactly one):
                             gets its sorted index as the label, the
                             ImageFolder convention); mixing both layouts
                             is an error. Subdirectories without JPEGs
-                            are ignored.
+                            are ignored. Every decodable JPEG, baseline
+                            or progressive, is losslessly re-scripted to
+                            the default 10-scan progressive script, so
+                            scan group k means the same fidelity for
+                            every image. Files that cannot be read or
+                            decoded are named on stderr and skipped.
 
 OPTIONS:
     --out <dir>             Output container directory (required)
@@ -36,8 +41,9 @@ OPTIONS:
                             (default tiny)
     --images-per-record <n> Images packed per .pcr record (default 16)
     --records-per-shard <n> Records packed per shard file (default 8)
-    --quality <q>           JPEG quality for --images transcoding that
-                            needs re-encoding (default 85)
+    --quality <q>           JPEG quality for --images files the lossless
+                            transcode refuses (e.g. missing EOI) and that
+                            are re-encoded from pixels (default 85)
     --restart-interval <n>  Emit JPEG restart markers every n MCU units
                             (rounded up per scan to MCU-row multiples),
                             writing version-2 records whose entropy
@@ -129,6 +135,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     };
 
     let start = Instant::now();
+    // When packing proper began: synthetic generation is not packing.
+    let mut pack_start = start;
     let manifest = match (args.value("dataset"), args.value("images")) {
         (Some(_), Some(_)) => return Err("--dataset and --images are mutually exclusive".into()),
         (None, None) => return Err("one of --dataset or --images is required".into()),
@@ -142,6 +150,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 );
             }
             let ds = SyntheticDataset::generate(&spec);
+            pack_start = Instant::now();
             let mut builder = PcrDatasetBuilder::new(images_per_record, DEFAULT_NUM_GROUPS)
                 .with_name_prefix(&spec.name)
                 .with_restart_interval(restart_interval);
@@ -158,12 +167,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
             progress.done();
             let dataset = builder.finish().map_err(|e| e.to_string())?;
-            let manifest = write_container_versioned(&dataset, out, records_per_shard, version)
-                .map_err(|e| e.to_string())?;
-            if !json {
-                println!("packed in {:.1}s", start.elapsed().as_secs_f64());
-            }
-            manifest
+            write_container_versioned(&dataset, out, records_per_shard, version)
+                .map_err(|e| e.to_string())?
         }
         (None, Some(srcdir)) => {
             let quality: u8 = args.number("quality", 85u8)?;
@@ -180,6 +185,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
     };
 
+    let pack_seconds = pack_start.elapsed().as_secs_f64();
+    let images_per_sec = manifest.num_images() as f64 / pack_seconds.max(1e-9);
     if json {
         let doc = JsonValue::object([
             ("out", JsonValue::str(out.display().to_string())),
@@ -189,11 +196,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             ("images", JsonValue::U64(manifest.num_images() as u64)),
             ("file_bytes", JsonValue::U64(manifest.total_file_bytes())),
             ("seconds", JsonValue::F64(start.elapsed().as_secs_f64())),
+            ("images_per_sec", JsonValue::F64(images_per_sec)),
         ]);
         println!("{}", doc.render());
     } else {
         println!(
-            "wrote {} -> {} shard(s), {} record(s), {} image(s), {}",
+            "wrote {} -> {} shard(s), {} record(s), {} image(s), {} in {pack_seconds:.1}s \
+             ({images_per_sec:.0} images/s)",
             out.display(),
             manifest.shards.len(),
             manifest.num_records(),
@@ -283,15 +292,22 @@ fn pack_image_dir(
     let total = loose.len() + classes.iter().map(|(_, f)| f.len()).sum::<usize>();
     let mut progress = Progress::new(total, !json);
     let mut add_file = |path: &Path, label: u32, builder: &mut PcrDatasetBuilder| {
-        let Ok(bytes) = std::fs::read(path) else {
-            skipped += 1;
-            return;
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                eprintln!("skipping {}: {e}", path.display());
+                skipped += 1;
+                return;
+            }
         };
         let id = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
         let meta = SampleMeta { label, id };
-        // Baseline JPEGs are losslessly transcoded to progressive; already-
-        // progressive streams are regrouped as-is. Anything else (or an
-        // exotic coding mode the codec lacks) is re-encoded from pixels.
+        // Every JPEG the codec can decode to coefficients — baseline or
+        // progressive, whatever its scan script — is losslessly re-scripted
+        // to the default progressive script, so scan group k means the same
+        // fidelity for every image of the dataset. A progressive stream the
+        // transcode refuses is regrouped as-is; anything else that still
+        // decodes to pixels is re-encoded from them.
         let added = builder
             .add_baseline_jpeg(meta.clone(), &bytes)
             .or_else(|_| builder.add_progressive_jpeg(meta.clone(), bytes.clone()))

@@ -161,6 +161,7 @@ pub struct PcrDatasetBuilder {
     name_prefix: String,
     current: PcrRecordBuilder,
     dataset: PcrDataset,
+    bytes_flushed: u64,
 }
 
 impl PcrDatasetBuilder {
@@ -174,6 +175,7 @@ impl PcrDatasetBuilder {
             name_prefix: "record".to_string(),
             current: PcrRecordBuilder::new(num_groups),
             dataset: PcrDataset::default(),
+            bytes_flushed: 0,
         }
     }
 
@@ -204,7 +206,8 @@ impl PcrDatasetBuilder {
         self.maybe_flush()
     }
 
-    /// Adds a baseline JPEG (lossless transcode, the `jpegtran` step).
+    /// Adds a baseline or progressive JPEG, losslessly re-scripted to the
+    /// default progressive script (the `jpegtran` step).
     pub fn add_baseline_jpeg(&mut self, meta: SampleMeta, jpeg: &[u8]) -> Result<()> {
         self.current.add_baseline_jpeg(meta, jpeg)?;
         self.maybe_flush()
@@ -240,6 +243,7 @@ impl PcrDatasetBuilder {
         };
         drop(rec);
         self.dataset.db.records.push(meta);
+        self.bytes_flushed += bytes.len() as u64;
         self.dataset.records.push(bytes);
         Ok(())
     }
@@ -253,7 +257,7 @@ impl PcrDatasetBuilder {
     /// Encoded bytes flushed to the dataset so far (excludes the partial
     /// record still accumulating). Progress-reporting hook for packers.
     pub fn bytes_flushed(&self) -> u64 {
-        self.dataset.records.iter().map(|r| r.len() as u64).sum()
+        self.bytes_flushed
     }
 
     /// Flushes any partial record and returns the dataset.
@@ -304,6 +308,19 @@ mod tests {
         assert_eq!(ds.db.records[2].num_images, 2);
         assert_eq!(ds.db.num_images(), 10);
         assert_eq!(ds.db.records[1].name, "train-00001.pcr");
+    }
+
+    #[test]
+    fn progress_counters_track_flushed_records_only() {
+        let mut b = PcrDatasetBuilder::new(4, 10);
+        for i in 0..6u32 {
+            assert_eq!((b.records_flushed(), b.bytes_flushed() > 0), (i as usize / 4, i >= 4));
+            b.add_image(SampleMeta { label: 0, id: format!("i{i}") }, &img(i), 85).unwrap();
+        }
+        let flushed = b.bytes_flushed();
+        let ds = b.finish().unwrap();
+        // One full record was flushed before `finish` added the partial one.
+        assert_eq!(flushed, ds.records[0].len() as u64);
     }
 
     #[test]

@@ -135,8 +135,11 @@ impl PcrRecordBuilder {
         self.add_progressive_jpeg(meta, jpeg)
     }
 
-    /// Adds a sequential (baseline) JPEG by losslessly transcoding it to
-    /// progressive first — the `jpegtran` conversion step of the paper.
+    /// Adds a JPEG by losslessly transcoding it to the default progressive
+    /// scan script first — the `jpegtran` conversion step of the paper.
+    /// Despite the name the input may be baseline *or* progressive: any
+    /// stream that decodes to coefficients is re-scripted, so scan group
+    /// *k* holds the same scans for every image of a dataset.
     pub fn add_baseline_jpeg(&mut self, meta: SampleMeta, jpeg: &[u8]) -> Result<()> {
         let prog = pcr_jpeg::to_progressive(jpeg)?;
         self.add_progressive_jpeg(meta, prog)
@@ -704,6 +707,44 @@ mod tests {
         let rec = PcrRecord::parse(&bytes).unwrap();
         // Full-quality decode equals the baseline decode (lossless transcode).
         assert_eq!(rec.decode_image(0, 10).unwrap(), pcr_jpeg::decode(&base).unwrap());
+    }
+
+    /// `add_baseline_jpeg` takes progressive input too and re-scripts it:
+    /// a 4-scan progressive source lands in the record as the same ten
+    /// scans its baseline twin does, so scan group k means one fidelity.
+    #[test]
+    fn progressive_input_is_rescripted_to_the_default_script() {
+        use pcr_jpeg::frame::ScanComponent;
+        let img = test_image(11, 40, 24);
+        let base = pcr_jpeg::encode(&img, &EncodeConfig::baseline(80)).unwrap();
+        let dc_table = |i: usize| u8::from(i > 0);
+        let mut script = vec![pcr_jpeg::ScanInfo {
+            components: (0..3)
+                .map(|i| ScanComponent { comp_index: i, dc_table: dc_table(i), ac_table: 0 })
+                .collect(),
+            ss: 0,
+            se: 0,
+            ah: 0,
+            al: 0,
+        }];
+        script.extend((0..3).map(|i| pcr_jpeg::ScanInfo {
+            components: vec![ScanComponent { comp_index: i, dc_table: 0, ac_table: dc_table(i) }],
+            ss: 1,
+            se: 63,
+            ah: 0,
+            al: 0,
+        }));
+        let four_scans = pcr_jpeg::transcode(&base, true, Some(script)).unwrap();
+        assert_eq!(pcr_jpeg::count_scans(&four_scans).unwrap(), 4);
+        let packed = |jpeg: &[u8]| {
+            let mut b = PcrRecordBuilder::with_default_groups();
+            b.add_baseline_jpeg(SampleMeta { label: 1, id: "p".into() }, jpeg).unwrap();
+            b.build().unwrap()
+        };
+        let bytes = packed(&four_scans);
+        let full = PcrRecord::parse(&bytes).unwrap().jpeg_at_group(0, 10).unwrap();
+        assert_eq!(pcr_jpeg::count_scans(&full).unwrap(), 10);
+        assert_eq!(bytes, packed(&base));
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! check, one shift, one mask per probe. The same 0xFF scanner
 //! ([`find_ff`]) backs `SegmentReader::skip_entropy`, which is how
 //! `scansplit` walks scan boundaries without decoding.
+//!
+//! The writer is the same shape turned round: [`BitWriter`] gathers up
+//! to 32 bits per call (a Huffman code with its magnitude bits fused) in
+//! a 64-bit accumulator and moves four bytes at a time to the output,
+//! taking the per-byte stuffing loop only for a word that the same
+//! has-zero-byte test finds an 0xFF in.
 
 use crate::error::{Error, Result};
 
@@ -83,10 +89,19 @@ pub fn split_restart_segments(data: &[u8]) -> Vec<(usize, usize)> {
 
 /// Writes bits MSB-first into a byte buffer, inserting a 0x00 stuff byte
 /// after every literal 0xFF as required by T.81 section B.1.1.5.
+///
+/// Batched like the reader: bits gather at the low end of a 64-bit
+/// accumulator (always fewer than 32 between calls) and leave four bytes
+/// at a time. A word that holds no `0xFF` — the same has-zero-byte test
+/// as [`find_ff`], applied to one `u32` — is appended with a single
+/// slice copy; only a word that does takes the per-byte stuffing loop.
+/// Output is byte-identical to emitting one byte at a time (the retained
+/// reference writer the tests compare against).
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
-    acc: u32,
+    /// Low `nbits` bits are pending output; everything above is stale.
+    acc: u64,
     nbits: u32,
 }
 
@@ -96,38 +111,52 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Appends the low `n` bits of `value` (MSB first). `n` must be <= 24.
+    /// Appends the low `n` bits of `value` (MSB first). `n` must be <= 32.
     #[inline]
     pub fn put_bits(&mut self, value: u32, n: u32) {
-        if n == 0 {
-            return;
-        }
-        debug_assert!(n <= 24);
-        let mask = (1u32 << n) - 1;
-        self.acc = (self.acc << n) | (value & mask);
+        debug_assert!(n <= 32);
+        // `nbits < 32` on entry, so the shift keeps every pending bit.
+        self.acc = (self.acc << n) | (u64::from(value) & ((1u64 << n) - 1));
         self.nbits += n;
-        while self.nbits >= 8 {
-            let byte = ((self.acc >> (self.nbits - 8)) & 0xFF) as u8;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            // A byte equals 0xFF iff its complement is zero.
+            if (!word).wrapping_sub(0x0101_0101) & word & 0x8080_8080 == 0 {
+                self.out.extend_from_slice(&word.to_be_bytes());
+            } else {
+                self.put_bytes_stuffed(word, 4);
+            }
+        }
+    }
+
+    /// Appends the low `count` bytes of `word`, most significant first,
+    /// stuffing a 0x00 after each 0xFF.
+    #[cold]
+    fn put_bytes_stuffed(&mut self, word: u32, count: u32) {
+        for i in (0..count).rev() {
+            let byte = (word >> (8 * i)) as u8;
             self.out.push(byte);
             if byte == 0xFF {
                 self.out.push(0x00);
             }
-            self.nbits -= 8;
         }
+    }
+
+    /// Pads the pending bits to a byte boundary with 1-bits (T.81
+    /// B.1.1.5) and moves every pending byte to the output.
+    fn flush_padded(&mut self) {
+        let pad = (8 - self.nbits % 8) % 8;
+        self.acc = (self.acc << pad) | ((1u64 << pad) - 1);
+        self.nbits += pad;
+        self.put_bytes_stuffed(self.acc as u32, self.nbits / 8);
+        self.nbits = 0;
     }
 
     /// Pads the final partial byte with 1-bits (T.81 B.1.1.5) and returns the
     /// completed entropy-coded segment.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            let byte = (((self.acc << pad) | ((1u32 << pad) - 1)) & 0xFF) as u8;
-            self.out.push(byte);
-            if byte == 0xFF {
-                self.out.push(0x00);
-            }
-            self.nbits = 0;
-        }
+        self.flush_padded();
         self.out
     }
 
@@ -137,18 +166,19 @@ impl BitWriter {
     /// and gets its `0x00` stuffed); the marker itself is written raw —
     /// markers are exactly the byte pairs that must *not* be stuffed.
     pub fn restart(&mut self, n: u8) {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.put_bits((1u32 << pad) - 1, pad);
-        }
-        debug_assert_eq!(self.nbits, 0);
+        self.flush_padded();
         self.out.push(0xFF);
         self.out.push(0xD0 | (n & 7));
     }
 
-    /// Number of full bytes emitted so far (excluding buffered bits).
+    /// Number of full bytes emitted so far (excluding the bits of a
+    /// partial byte): whole bytes still in the accumulator count, with
+    /// the stuffing they will get.
     pub fn len(&self) -> usize {
-        self.out.len()
+        let pending = self.nbits / 8;
+        let word = (self.acc >> (self.nbits % 8)) as u32;
+        let stuffed = (0..pending).filter(|i| (word >> (8 * i)) as u8 == 0xFF).count();
+        self.out.len() + pending as usize + stuffed
     }
 
     /// True if nothing has been emitted or buffered.

@@ -486,45 +486,27 @@ fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitio::{BitReader, BitWriter};
-    use crate::entropy::{encode_scan, StatsSink, WriteSink};
+    use crate::bitio::BitReader;
+    use crate::entropy::{ScanEncoder, ScanTables};
     use crate::frame::{CoeffPlanes, ScanComponent, Subsampling};
-    use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder};
+    use crate::huffman::HuffDecoder;
 
-    /// Runs encode(stats)->tables->encode(write)->decode for one scan and
-    /// returns the decoded coefficient planes.
+    /// Runs encode (optimal tables) -> decode for one scan and returns
+    /// the decoded coefficient planes.
     fn roundtrip_scan(
         frame: &FrameInfo,
         coeffs: &CoeffPlanes,
         scan: &ScanInfo,
         into: &mut CoeffPlanes,
     ) {
-        let mut stats = StatsSink::new();
-        encode_scan(frame, coeffs, scan, &mut stats).unwrap();
-        let mut dc_enc: [Option<HuffEncoder>; 4] = [None, None, None, None];
-        let mut ac_enc: [Option<HuffEncoder>; 4] = [None, None, None, None];
-        let mut dc_dec: [Option<HuffDecoder>; 4] = [None, None, None, None];
-        let mut ac_dec: [Option<HuffDecoder>; 4] = [None, None, None, None];
-        for t in 0..4u8 {
-            if stats.dc_used(t) {
-                let tbl = gen_optimal_table(&stats.dc_counts[t as usize]).unwrap();
-                dc_enc[t as usize] = Some(HuffEncoder::from_table(&tbl).unwrap());
-                dc_dec[t as usize] = Some(HuffDecoder::from_table(&tbl).unwrap());
-            }
-            if stats.ac_used(t) {
-                let tbl = gen_optimal_table(&stats.ac_counts[t as usize]).unwrap();
-                ac_enc[t as usize] = Some(HuffEncoder::from_table(&tbl).unwrap());
-                ac_dec[t as usize] = Some(HuffDecoder::from_table(&tbl).unwrap());
-            }
-        }
-        let mut writer = BitWriter::new();
-        {
-            let mut sink = WriteSink { writer: &mut writer, dc: dc_enc, ac: ac_enc };
-            encode_scan(frame, coeffs, scan, &mut sink).unwrap();
-        }
-        let bytes = writer.finish();
+        let mut tables = ScanTables::default();
+        let bytes =
+            ScanEncoder::new(coeffs).encode_scan(frame, scan, 0, true, &mut tables).unwrap();
+        let decoders =
+            tables.each_ref().map(|t| t.as_ref().map(|t| HuffDecoder::from_table(t).unwrap()));
         let mut reader = BitReader::new(&bytes);
-        let tables = DecodeTables { dc: &dc_dec, ac: &ac_dec };
+        let (dc, ac) = decoders.split_at(4);
+        let tables = DecodeTables { dc: dc.try_into().unwrap(), ac: ac.try_into().unwrap() };
         decode_scan(frame, into, scan, &tables, &mut reader).unwrap();
     }
 

@@ -1,11 +1,10 @@
 //! Top-level JPEG encoding: pixels or raw coefficients -> complete streams.
 
-use crate::bitio::BitWriter;
 use crate::consts::*;
-use crate::entropy::{encode_scan, encode_scan_restart, EntropySink, StatsSink, WriteSink};
+use crate::entropy::{ScanEncoder, ScanTables};
 use crate::error::Result;
 use crate::frame::{CoeffPlanes, FrameInfo, ScanComponent, ScanInfo, Subsampling};
-use crate::huffman::{gen_optimal_table, HuffEncoder, HuffTable};
+use crate::huffman::HuffTable;
 use crate::image::ImageBuf;
 use crate::marker;
 use crate::sample::{image_to_planes, planes_to_coeffs};
@@ -220,58 +219,36 @@ pub fn encode_from_coeffs_restart(
     });
 
     let use_optimized = optimize_huffman || frame.progressive;
+    // Table slots as the scan walk numbers them: DC ids 0..4, AC ids 0..4.
+    let mut tables: ScanTables = Default::default();
     if !use_optimized {
-        // Standard tables once, up front.
-        marker::write_dht(&mut out, 0, 0, &HuffTable::std_dc_luma());
-        marker::write_dht(&mut out, 1, 0, &HuffTable::std_ac_luma());
-        if frame.components.len() > 1 {
-            marker::write_dht(&mut out, 0, 1, &HuffTable::std_dc_chroma());
-            marker::write_dht(&mut out, 1, 1, &HuffTable::std_ac_chroma());
+        // Standard tables once, up front: luma DC + AC, then chroma.
+        let standard = [
+            (HuffTable::std_dc_luma(), HuffTable::std_ac_luma()),
+            (HuffTable::std_dc_chroma(), HuffTable::std_ac_chroma()),
+        ];
+        let used = frame.components.len().min(2);
+        for (id, (dc, ac)) in standard.into_iter().take(used).enumerate() {
+            marker::write_dht(&mut out, 0, id as u8, &dc);
+            marker::write_dht(&mut out, 1, id as u8, &ac);
+            (tables[id], tables[4 + id]) = (Some(dc), Some(ac));
         }
     }
 
+    let mut encoder = ScanEncoder::new(coeffs);
     let mut last_dri: u16 = 0;
     for scan in &scans {
         let interval = scan_restart_interval(frame, scan, restart_interval);
-        let (dc_tables, ac_tables) = if use_optimized {
-            let mut stats = StatsSink::new();
-            encode_scan_restart(frame, coeffs, scan, &mut stats, u32::from(interval))?;
-            let mut dc: [Option<HuffTable>; 4] = [None, None, None, None];
-            let mut ac: [Option<HuffTable>; 4] = [None, None, None, None];
-            for t in 0..4u8 {
-                if stats.dc_used(t) {
-                    dc[t as usize] = Some(gen_optimal_table(&stats.dc_counts[t as usize])?);
-                }
-                if stats.ac_used(t) {
-                    ac[t as usize] = Some(gen_optimal_table(&stats.ac_counts[t as usize])?);
+        let entropy =
+            encoder.encode_scan(frame, scan, u32::from(interval), use_optimized, &mut tables)?;
+        if use_optimized {
+            // Per-scan tables: DC ids ascending, then AC ids ascending.
+            for (slot, table) in tables.iter().enumerate() {
+                if let Some(table) = table {
+                    marker::write_dht(&mut out, (slot / 4) as u8, (slot % 4) as u8, table);
                 }
             }
-            for (id, t) in dc.iter().enumerate() {
-                if let Some(t) = t {
-                    marker::write_dht(&mut out, 0, id as u8, t);
-                }
-            }
-            for (id, t) in ac.iter().enumerate() {
-                if let Some(t) = t {
-                    marker::write_dht(&mut out, 1, id as u8, t);
-                }
-            }
-            (dc, ac)
-        } else {
-            let std_dc = [
-                Some(HuffTable::std_dc_luma()),
-                Some(HuffTable::std_dc_chroma()),
-                None,
-                None,
-            ];
-            let std_ac = [
-                Some(HuffTable::std_ac_luma()),
-                Some(HuffTable::std_ac_chroma()),
-                None,
-                None,
-            ];
-            (std_dc, std_ac)
-        };
+        }
 
         if interval != last_dri {
             marker::write_dri(&mut out, interval);
@@ -279,29 +256,7 @@ pub fn encode_from_coeffs_restart(
         }
         marker::write_sos(&mut out, frame, scan);
 
-        let mut writer = BitWriter::new();
-        {
-            let mk = |t: &Option<HuffTable>| -> Result<Option<HuffEncoder>> {
-                t.as_ref().map(HuffEncoder::from_table).transpose()
-            };
-            let mut sink = WriteSink {
-                writer: &mut writer,
-                dc: [
-                    mk(&dc_tables[0])?,
-                    mk(&dc_tables[1])?,
-                    mk(&dc_tables[2])?,
-                    mk(&dc_tables[3])?,
-                ],
-                ac: [
-                    mk(&ac_tables[0])?,
-                    mk(&ac_tables[1])?,
-                    mk(&ac_tables[2])?,
-                    mk(&ac_tables[3])?,
-                ],
-            };
-            encode_scan_restart(frame, coeffs, scan, &mut sink, u32::from(interval))?;
-        }
-        out.extend_from_slice(&writer.finish());
+        out.extend_from_slice(&entropy);
     }
 
     out.extend_from_slice(&[0xFF, EOI]);
@@ -326,32 +281,6 @@ pub fn sequential_scan(frame: &FrameInfo) -> ScanInfo {
         ah: 0,
         al: 0,
     }
-}
-
-/// Estimates the entropy-coded size in bytes of one scan without emitting it
-/// (used by size-planning tools).
-pub fn scan_size_estimate(
-    frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
-    scan: &ScanInfo,
-) -> Result<usize> {
-    struct CountingSink {
-        bits: u64,
-    }
-    impl EntropySink for CountingSink {
-        fn dc_symbol(&mut self, _t: u8, _s: u8) {
-            self.bits += 6; // rough average code length
-        }
-        fn ac_symbol(&mut self, _t: u8, _s: u8) {
-            self.bits += 6;
-        }
-        fn bits(&mut self, _v: u32, n: u32) {
-            self.bits += u64::from(n);
-        }
-    }
-    let mut sink = CountingSink { bits: 0 };
-    encode_scan(frame, coeffs, scan, &mut sink)?;
-    Ok((sink.bits / 8) as usize)
 }
 
 #[cfg(test)]

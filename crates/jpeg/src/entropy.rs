@@ -1,107 +1,228 @@
 //! Entropy-coded segment generation for baseline and progressive scans.
 //!
-//! Encoding is written against an [`EntropySink`] so the same traversal can
-//! run twice per scan: once gathering symbol statistics (to build optimal
-//! Huffman tables, as `jpegtran -optimize` does and progressive scans
-//! require in practice) and once emitting bits.
+//! The write path mirrors the read path's shape:
+//! [`ScanEncoder::encode_scan`] walks each scan's coefficients **once**.
+//! The walk ([`tokenize_scan`]) counts symbol frequencies per Huffman
+//! table *and* records what it would have emitted as a compact token
+//! stream ([`ScanTokens`]: one `u32` per Huffman symbol
+//! with up to 15 trailing raw bits fused in, or per group of raw bits, or
+//! per restart marker). Optimal tables are built from the counts — as
+//! `jpegtran -optimize` does and progressive scans require in practice —
+//! and emission ([`ScanTokens::replay`]) is a linear pass over the tokens
+//! through one merged code table ([`CodeBook`]) into the
+//! [`crate::bitio::BitWriter`]. Raw bits concatenate, so how the walk
+//! groups them into tokens never shows in the output: the bytes equal
+//! those of walking the scan twice, once for statistics and once for
+//! bits (the retained reference encoder the tests compare against).
+//!
+//! The walk reads blocks from a zigzag-ordered copy of the coefficient
+//! planes ([`ZigzagPlanes`], built once per image), so a spectral band is
+//! a contiguous slice and [`crate::simd::nonzero_mask64`] of a block is
+//! already in scan order: the AC loops visit only the set bits and take
+//! zero runs from bit distances.
 //!
 //! The progressive successive-approximation logic mirrors libjpeg's
 //! `jcphuff.c` (`encode_mcu_AC_first` / `encode_mcu_AC_refine`), which is
 //! the de-facto reference for the corner cases T.81 figure G.7 leaves
 //! implicit.
 
-use crate::bitio::bit_size;
+use crate::bitio::{bit_size, BitWriter};
+use crate::consts::ZIGZAG;
 use crate::dentropy::mcu_units;
 use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
+use crate::huffman::{gen_optimal_table, HuffEncoder, HuffTable};
+use crate::simd::nonzero_mask64;
 use std::ops::Range;
 
-/// Receives Huffman symbols and raw bits during scan encoding.
-pub trait EntropySink {
-    /// A DC-class symbol coded with DC table `table`.
-    fn dc_symbol(&mut self, table: u8, sym: u8);
-    /// An AC-class symbol coded with AC table `table`.
-    fn ac_symbol(&mut self, table: u8, sym: u8);
-    /// `n` raw bits (magnitude/sign/correction bits).
-    fn bits(&mut self, value: u32, n: u32);
-    /// A restart boundary: `RSTn` where `n` cycles 0..8. Statistic sinks
-    /// ignore this (the marker codes no symbols); byte sinks must pad to
-    /// a byte boundary and emit the marker.
-    fn restart(&mut self, n: u8) {
-        let _ = n;
-    }
-}
+/// Huffman table slots of a scan: DC tables 0..4, then AC tables 0..4.
+pub(crate) const TABLE_SLOTS: usize = 8;
+/// A scan's Huffman tables by slot.
+pub(crate) type ScanTables = [Option<HuffTable>; TABLE_SLOTS];
+/// Slot of AC table 0.
+const AC_SLOT: usize = 4;
+/// Most raw bits one token carries.
+const TOKEN_BITS: u32 = 15;
+/// Token code index (`slot * 256 + symbol` for symbols) of raw bits with
+/// no symbol; [`CodeBook`] gives it a zero-length code.
+const RAW: u32 = (TABLE_SLOTS * 256) as u32;
+/// Token code index of restart marker `RST0`; `RSTn` is `RESTART + n`.
+const RESTART: u32 = RAW + 1;
 
-/// Counts symbol frequencies per table; used to build optimal tables.
+/// The coefficient planes with every block permuted into zigzag (scan)
+/// order, blocks in the same row-major MCU-padded layout as
+/// [`CoeffPlanes`].
 #[derive(Debug)]
-pub struct StatsSink {
-    /// Frequency of each symbol per DC table id.
-    pub dc_counts: [[u32; 256]; 4],
-    /// Frequency of each symbol per AC table id.
-    pub ac_counts: [[u32; 256]; 4],
+struct ZigzagPlanes {
+    planes: Vec<Vec<[i16; 64]>>,
 }
 
-impl Default for StatsSink {
+impl ZigzagPlanes {
+    /// Copies `coeffs` into zigzag order.
+    fn new(coeffs: &CoeffPlanes) -> Self {
+        let planes = (0..coeffs.num_components())
+            .map(|comp| {
+                let blocks = coeffs.plane(comp).chunks_exact(64);
+                blocks.map(|b| core::array::from_fn(|k| b[ZIGZAG[k]])).collect()
+            })
+            .collect();
+        Self { planes }
+    }
+}
+
+/// What one scan's walk produced: per-table symbol counts and the token
+/// stream emission replays. One value serves every scan of an image
+/// ([`ScanTokens::clear`] keeps the allocation).
+///
+/// Token layout (`u32`): bits 20.. hold the code index (`slot * 256 +
+/// symbol`, [`RAW`], or `RESTART + n`), bits 16..20 the raw-bit count
+/// (at most [`TOKEN_BITS`]), bits 0..16 the raw bits that follow the code.
+#[derive(Debug)]
+struct ScanTokens {
+    tokens: Vec<u32>,
+    counts: [[u32; 256]; TABLE_SLOTS],
+}
+
+impl Default for ScanTokens {
     fn default() -> Self {
-        Self { dc_counts: [[0; 256]; 4], ac_counts: [[0; 256]; 4] }
+        Self { tokens: Vec::new(), counts: [[0; 256]; TABLE_SLOTS] }
     }
 }
 
-impl StatsSink {
-    /// Fresh zeroed counts.
-    pub fn new() -> Self {
-        Self::default()
+impl ScanTokens {
+    /// Forgets the previous scan, keeping the token buffer's capacity.
+    fn clear(&mut self) {
+        self.tokens.clear();
+        self.counts = [[0; 256]; TABLE_SLOTS];
     }
 
-    /// True if any symbol of the DC table was used.
-    pub fn dc_used(&self, table: u8) -> bool {
-        self.dc_counts[table as usize].iter().any(|&c| c > 0)
+    /// Symbol frequencies of table slot `slot` (DC tables 0..4, then AC
+    /// tables 0..4), if the scan coded a symbol with it.
+    fn counts(&self, slot: usize) -> Option<&[u32; 256]> {
+        self.counts.get(slot).filter(|c| c.iter().any(|&n| n > 0))
     }
 
-    /// True if any symbol of the AC table was used.
-    pub fn ac_used(&self, table: u8) -> bool {
-        self.ac_counts[table as usize].iter().any(|&c| c > 0)
+    /// A Huffman symbol of table slot `slot` followed by the low `n` raw
+    /// bits of `bits` (`n <= 64`).
+    #[inline]
+    fn symbol(&mut self, slot: usize, sym: u8, bits: u64, n: u32) {
+        self.counts[slot][usize::from(sym)] += 1;
+        let index = (slot * 256 + usize::from(sym)) as u32;
+        if n <= TOKEN_BITS {
+            self.tokens.push(index << 20 | n << 16 | bits as u32 & ((1 << n) - 1));
+        } else {
+            self.tokens.push(index << 20);
+            self.raw(bits, n);
+        }
     }
-}
 
-impl EntropySink for StatsSink {
-    fn dc_symbol(&mut self, table: u8, sym: u8) {
-        self.dc_counts[table as usize][sym as usize] += 1;
+    /// The low `n` raw bits of `bits` (`n <= 64`), most significant first.
+    #[inline]
+    fn raw(&mut self, bits: u64, mut n: u32) {
+        while n > TOKEN_BITS {
+            n -= TOKEN_BITS;
+            let group = (bits >> n) as u32 & ((1 << TOKEN_BITS) - 1);
+            self.tokens.push(RAW << 20 | TOKEN_BITS << 16 | group);
+        }
+        if n > 0 {
+            self.tokens.push(RAW << 20 | n << 16 | bits as u32 & ((1 << n) - 1));
+        }
     }
-    fn ac_symbol(&mut self, table: u8, sym: u8) {
-        self.ac_counts[table as usize][sym as usize] += 1;
-    }
-    fn bits(&mut self, _value: u32, _n: u32) {}
-}
 
-/// Writes symbols/bits through Huffman encoders into a [`crate::bitio::BitWriter`].
-pub struct WriteSink<'a> {
-    /// Destination bit writer.
-    pub writer: &'a mut crate::bitio::BitWriter,
-    /// DC encoders per table id.
-    pub dc: [Option<crate::huffman::HuffEncoder>; 4],
-    /// AC encoders per table id.
-    pub ac: [Option<crate::huffman::HuffEncoder>; 4],
-}
-
-impl EntropySink for WriteSink<'_> {
-    fn dc_symbol(&mut self, table: u8, sym: u8) {
-        self.dc[table as usize]
-            .as_ref()
-            .expect("DC table present")
-            .encode(self.writer, sym);
-    }
-    fn ac_symbol(&mut self, table: u8, sym: u8) {
-        self.ac[table as usize]
-            .as_ref()
-            .expect("AC table present")
-            .encode(self.writer, sym);
-    }
-    fn bits(&mut self, value: u32, n: u32) {
-        self.writer.put_bits(value, n);
-    }
+    /// A restart boundary: `RSTn` where `n` cycles 0..8.
     fn restart(&mut self, n: u8) {
-        self.writer.restart(n);
+        self.tokens.push((RESTART + u32::from(n & 7)) << 20);
+    }
+
+    /// Emits the scan through `codes` into `writer`.
+    fn replay(&self, codes: &CodeBook, writer: &mut BitWriter) {
+        for &token in &self.tokens {
+            let index = (token >> 20) as usize;
+            let n = token >> 16 & 0xF;
+            match codes.codes.get(index) {
+                // At most 16 code bits and 15 raw bits: one 31-bit write.
+                Some(&(code, len)) => {
+                    writer.put_bits(u32::from(code) << n | token & 0xFFFF, u32::from(len) + n)
+                }
+                None => writer.restart((index as u32 - RESTART) as u8),
+            }
+        }
+    }
+}
+
+/// The `(code, length)` of every symbol of a scan's tables, indexed like
+/// token code indices, plus a zero-length entry at [`RAW`].
+#[derive(Debug)]
+struct CodeBook {
+    codes: [(u16, u8); RAW as usize + 1],
+}
+
+impl CodeBook {
+    /// Derives the codes of `tables` (DC tables 0..4, then AC tables
+    /// 0..4). Fails if a table is malformed or a symbol `tokens` counted
+    /// has no code — possible only with tables not built from `tokens`.
+    fn new(tables: &ScanTables, tokens: &ScanTokens) -> Result<Self> {
+        let mut codes = [(0u16, 0u8); RAW as usize + 1];
+        let no_code = |slot: usize, sym: usize| {
+            Error::BadHuffman(format!("symbol {sym:#04x} of table slot {slot} has no code"))
+        };
+        for (slot, (table, counts)) in tables.iter().zip(&tokens.counts).enumerate() {
+            let Some(table) = table else {
+                match counts.iter().position(|&n| n > 0) {
+                    Some(sym) => return Err(no_code(slot, sym)),
+                    None => continue,
+                }
+            };
+            let encoder = HuffEncoder::from_table(table)?;
+            for sym in 0..=255u8 {
+                let len = encoder.code_len(sym);
+                if len == 0 && counts[usize::from(sym)] > 0 {
+                    return Err(no_code(slot, usize::from(sym)));
+                }
+                codes[slot * 256 + usize::from(sym)] = (encoder.code(sym), len);
+            }
+        }
+        Ok(Self { codes })
+    }
+}
+
+/// The entropy encoder of one image: its coefficients in scan order and
+/// the token buffer every scan reuses.
+#[derive(Debug)]
+pub(crate) struct ScanEncoder {
+    coeffs: ZigzagPlanes,
+    tokens: ScanTokens,
+}
+
+impl ScanEncoder {
+    /// Prepares `coeffs` for encoding.
+    pub(crate) fn new(coeffs: &CoeffPlanes) -> Self {
+        Self { coeffs: ZigzagPlanes::new(coeffs), tokens: ScanTokens::default() }
+    }
+
+    /// Encodes one scan and returns its entropy-coded bytes, with a
+    /// restart marker every `interval` MCU units (0 disables restarts).
+    /// With `optimize`, `tables` is first replaced by the optimal table
+    /// of every slot the scan uses (`None` elsewhere); without, the scan
+    /// is coded with `tables` as given.
+    pub(crate) fn encode_scan(
+        &mut self,
+        frame: &FrameInfo,
+        scan: &ScanInfo,
+        interval: u32,
+        optimize: bool,
+        tables: &mut ScanTables,
+    ) -> Result<Vec<u8>> {
+        self.tokens.clear();
+        tokenize_scan(frame, &self.coeffs, scan, interval, &mut self.tokens)?;
+        if optimize {
+            for (slot, table) in tables.iter_mut().enumerate() {
+                *table = self.tokens.counts(slot).map(|c| gen_optimal_table(c)).transpose()?;
+            }
+        }
+        let mut writer = BitWriter::new();
+        self.tokens.replay(&CodeBook::new(tables, &self.tokens)?, &mut writer);
+        Ok(writer.finish())
     }
 }
 
@@ -114,93 +235,98 @@ fn magnitude(v: i32) -> (u32, u32) {
     (pattern & ((1u32 << n) - 1), n)
 }
 
-/// Encodes one full scan's entropy data into `sink` with no restarts.
-pub fn encode_scan(
-    frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
-    scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
-) -> Result<()> {
-    encode_scan_restart(frame, coeffs, scan, sink, 0)
+/// Point-transformed magnitudes `|c| >> al` of a zigzag-ordered block.
+/// The lanes keep the `u16` bit patterns (`|i16::MIN|` included), so
+/// [`nonzero_mask64`] of the result marks the coefficients a scan at
+/// point transform `al` sees as nonzero.
+#[inline]
+fn magnitudes(zz: &[i16; 64], al: u32) -> [i16; 64] {
+    core::array::from_fn(|k| (u32::from(zz[k].unsigned_abs()) >> al) as i16)
 }
 
-/// Encodes one scan's entropy data into `sink`, emitting an `RSTn`
-/// boundary every `interval` MCU units (0 disables restarts).
+/// Bits `ss..=se` of a zigzag-order block mask.
+#[inline]
+fn band_mask(scan: &ScanInfo) -> u64 {
+    (u64::MAX >> (63 - u32::from(scan.se))) & (u64::MAX << scan.ss)
+}
+
+/// Walks one scan into `tokens`, with a restart boundary every `interval`
+/// MCU units (0 disables restarts).
 ///
 /// Per T.81 each restart fully resets the entropy state: DC predictors,
 /// the end-of-band run, and buffered correction bits are flushed at the
-/// boundary and start fresh in the next segment. Both the statistics and
-/// byte sinks see the same segmented traversal, so optimized Huffman
-/// tables account for the extra flush symbols restarts introduce.
-pub fn encode_scan_restart(
+/// boundary and start fresh in the next segment, so the symbol counts
+/// include the extra flush symbols restarts introduce.
+fn tokenize_scan(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
     interval: u32,
+    tokens: &mut ScanTokens,
 ) -> Result<()> {
     scan.validate(frame)?;
+    // The counts and code tables are indexed by table slot.
+    if scan.components.iter().any(|sc| sc.dc_table.max(sc.ac_table) as usize >= AC_SLOT) {
+        return Err(Error::BadScan("Huffman table selector above 3".into()));
+    }
     let total = mcu_units(frame, scan);
     if interval == 0 || interval >= total {
-        return encode_scan_units(frame, coeffs, scan, sink, 0..total);
+        return tokenize_units(frame, coeffs, scan, tokens, 0..total);
     }
     let nseg = total.div_ceil(interval);
     for seg in 0..nseg {
         let start = seg * interval;
         let end = (start + interval).min(total);
-        encode_scan_units(frame, coeffs, scan, sink, start..end)?;
+        tokenize_units(frame, coeffs, scan, tokens, start..end)?;
         if seg + 1 < nseg {
-            sink.restart((seg % 8) as u8);
+            tokens.restart((seg % 8) as u8);
         }
     }
     Ok(())
 }
 
-/// Encodes one restart segment (a contiguous MCU-unit range) with fresh
+/// Walks one restart segment (a contiguous MCU-unit range) with fresh
 /// entropy state.
-fn encode_scan_units(
+fn tokenize_units(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
+    tokens: &mut ScanTokens,
     units: Range<u32>,
 ) -> Result<()> {
     if !frame.progressive {
-        return encode_sequential(frame, coeffs, scan, sink, units);
+        return tokenize_sequential(frame, coeffs, scan, tokens, units);
     }
-    if scan.is_dc() {
-        if scan.is_refinement() {
-            encode_dc_refine(frame, coeffs, scan, sink, units)
-        } else {
-            encode_dc_first(frame, coeffs, scan, sink, units)
-        }
-    } else if scan.is_refinement() {
-        encode_ac_refine(frame, coeffs, scan, sink, units)
-    } else {
-        encode_ac_first(frame, coeffs, scan, sink, units)
+    match (scan.is_dc(), scan.is_refinement()) {
+        (true, false) => tokenize_dc_first(frame, coeffs, scan, tokens, units),
+        (true, true) => tokenize_dc_refine(frame, coeffs, scan, tokens, units),
+        (false, false) => tokenize_ac_first(frame, coeffs, scan, tokens, units),
+        (false, true) => tokenize_ac_refine(frame, coeffs, scan, tokens, units),
     }
 }
 
 /// Iterates the blocks of MCU units `units` — interleaved scans in MCU
 /// order, single-component scans in row-major block order — calling
-/// `f(comp_slot, row, col)` where `comp_slot` indexes `scan.components`.
+/// `f(comp_slot, block)` where `comp_slot` indexes `scan.components`.
 fn for_each_block(
     frame: &FrameInfo,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
     units: Range<u32>,
-    mut f: impl FnMut(usize, u32, u32) -> Result<()>,
+    mut f: impl FnMut(usize, &[i16; 64]) -> Result<()>,
 ) -> Result<()> {
-    if scan.components.len() == 1 {
-        let c = &frame.components[scan.components[0].comp_index];
-        let bw = c.blocks_w;
-        let mut row = units.start / bw;
-        let mut col = units.start % bw;
+    let block = |comp: usize, row: u32, col: u32| {
+        let alloc_w = frame.components[comp].alloc_w as usize;
+        &coeffs.planes[comp][row as usize * alloc_w + col as usize]
+    };
+    if let [sc] = scan.components[..] {
+        let bw = frame.components[sc.comp_index].blocks_w;
+        let (mut row, mut col) = (units.start / bw, units.start % bw);
         for _ in units {
-            f(0, row, col)?;
+            f(0, block(sc.comp_index, row, col))?;
             col += 1;
             if col == bw {
-                col = 0;
-                row += 1;
+                (row, col) = (row + 1, 0);
             }
         }
         return Ok(());
@@ -212,7 +338,8 @@ fn for_each_block(
             let c = &frame.components[sc.comp_index];
             for by in 0..u32::from(c.v) {
                 for bx in 0..u32::from(c.h) {
-                    f(slot, my * u32::from(c.v) + by, mx * u32::from(c.h) + bx)?;
+                    let (row, col) = (my * u32::from(c.v) + by, mx * u32::from(c.h) + bx);
+                    f(slot, block(sc.comp_index, row, col))?;
                 }
             }
         }
@@ -220,243 +347,269 @@ fn for_each_block(
     Ok(())
 }
 
-fn encode_sequential(
+/// One DC difference: the size-category symbol plus its magnitude bits.
+#[inline]
+fn tokenize_dc_diff(tokens: &mut ScanTokens, table: u8, dc: i32, pred: &mut i32) {
+    let (pattern, n) = magnitude(dc - *pred);
+    *pred = dc;
+    tokens.symbol(usize::from(table), n as u8, u64::from(pattern), n);
+}
+
+fn tokenize_sequential(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
+    tokens: &mut ScanTokens,
     units: Range<u32>,
 ) -> Result<()> {
-    let mut preds = vec![0i32; scan.components.len()];
-    for_each_block(frame, scan, units, |slot, row, col| {
+    let mut preds = [0i32; 4];
+    for_each_block(frame, coeffs, scan, units, |slot, zz| {
         let sc = scan.components[slot];
-        let block = coeffs.block(frame, sc.comp_index, row, col);
-        // DC
-        let dc = i32::from(block[0]);
-        let diff = dc - preds[slot];
-        preds[slot] = dc;
-        let (pat, n) = magnitude(diff);
-        sink.dc_symbol(sc.dc_table, n as u8);
-        sink.bits(pat, n);
-        // AC
-        let mut r = 0u32;
-        for k in 1..64 {
-            let v = i32::from(block[crate::consts::ZIGZAG[k]]);
-            if v == 0 {
-                r += 1;
-                continue;
-            }
+        tokenize_dc_diff(tokens, sc.dc_table, i32::from(zz[0]), &mut preds[slot]);
+        let ac = AC_SLOT + usize::from(sc.ac_table);
+        let mut mask = nonzero_mask64(zz) & !1;
+        let mut next = 1u32;
+        while mask != 0 {
+            let k = mask.trailing_zeros();
+            mask &= mask - 1;
+            let mut r = k - next;
+            next = k + 1;
             while r > 15 {
-                sink.ac_symbol(sc.ac_table, 0xF0);
+                tokens.symbol(ac, 0xF0, 0, 0);
                 r -= 16;
             }
-            let (pat, n) = magnitude(v);
+            let (pattern, n) = magnitude(i32::from(zz[k as usize]));
             if n > 10 {
                 return Err(Error::BadInput("AC coefficient out of range".into()));
             }
-            sink.ac_symbol(sc.ac_table, ((r as u8) << 4) | n as u8);
-            sink.bits(pat, n);
-            r = 0;
+            tokens.symbol(ac, ((r as u8) << 4) | n as u8, u64::from(pattern), n);
         }
-        if r > 0 {
-            sink.ac_symbol(sc.ac_table, 0x00); // EOB
+        if next < 64 {
+            tokens.symbol(ac, 0x00, 0, 0); // EOB
         }
         Ok(())
     })
 }
 
-fn encode_dc_first(
+fn tokenize_dc_first(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
+    tokens: &mut ScanTokens,
     units: Range<u32>,
 ) -> Result<()> {
     let al = u32::from(scan.al);
-    let mut preds = vec![0i32; scan.components.len()];
-    for_each_block(frame, scan, units, |slot, row, col| {
-        let sc = scan.components[slot];
-        let dc = i32::from(coeffs.block(frame, sc.comp_index, row, col)[0]) >> al;
-        let diff = dc - preds[slot];
-        preds[slot] = dc;
-        let (pat, n) = magnitude(diff);
-        sink.dc_symbol(sc.dc_table, n as u8);
-        sink.bits(pat, n);
+    let mut preds = [0i32; 4];
+    for_each_block(frame, coeffs, scan, units, |slot, zz| {
+        let table = scan.components[slot].dc_table;
+        tokenize_dc_diff(tokens, table, i32::from(zz[0]) >> al, &mut preds[slot]);
         Ok(())
     })
 }
 
-fn encode_dc_refine(
+fn tokenize_dc_refine(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
+    tokens: &mut ScanTokens,
     units: Range<u32>,
 ) -> Result<()> {
     let al = u32::from(scan.al);
-    for_each_block(frame, scan, units, |slot, row, col| {
-        let sc = scan.components[slot];
-        let dc = i32::from(coeffs.block(frame, sc.comp_index, row, col)[0]);
-        sink.bits(((dc >> al) & 1) as u32, 1);
+    // One bit per block, packed into full tokens.
+    let (mut bits, mut n) = (0u64, 0u32);
+    for_each_block(frame, coeffs, scan, units, |_slot, zz| {
+        bits = bits << 1 | u64::from((i32::from(zz[0]) >> al) & 1 != 0);
+        n += 1;
+        if n == TOKEN_BITS {
+            tokens.raw(bits, n);
+            (bits, n) = (0, 0);
+        }
         Ok(())
-    })
+    })?;
+    tokens.raw(bits, n);
+    Ok(())
+}
+
+/// Correction bits buffered across the blocks of an end-of-band run
+/// (libjpeg's `MAX_CORR_BITS` discipline keeps them under 1000), packed
+/// most significant first.
+struct CorrectionBits {
+    words: [u64; 16],
+    len: u32,
+}
+
+impl CorrectionBits {
+    /// Appends the low `n` bits of `bits` (`n < 64`).
+    #[inline]
+    fn push(&mut self, bits: u64, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let (word, used) = ((self.len / 64) as usize, self.len % 64);
+        let free = 64 - used;
+        if n <= free {
+            self.words[word] |= bits << (free - n);
+        } else {
+            self.words[word] |= bits >> (n - free);
+            self.words[word + 1] = bits << (64 - (n - free));
+        }
+        self.len += n;
+    }
+
+    /// Moves every buffered bit to `tokens`.
+    fn drain(&mut self, tokens: &mut ScanTokens) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let n = self.len.saturating_sub(64 * i as u32).min(64);
+            if n == 0 {
+                break;
+            }
+            tokens.raw(*word >> (64 - n), n);
+            *word = 0;
+        }
+        self.len = 0;
+    }
 }
 
 /// Per-scan AC encoding state: the lazily flushed end-of-band run plus (for
 /// refinement scans) buffered correction bits.
 struct AcState {
     eobrun: u32,
-    pending: Vec<u8>,
-    table: u8,
+    pending: CorrectionBits,
+    slot: usize,
 }
 
 impl AcState {
-    fn flush_eobrun(&mut self, sink: &mut dyn EntropySink) {
-        if self.eobrun > 0 {
-            let nbits = 31 - self.eobrun.leading_zeros();
-            sink.ac_symbol(self.table, (nbits << 4) as u8);
-            if nbits > 0 {
-                sink.bits(self.eobrun & ((1 << nbits) - 1), nbits);
-            }
-            self.eobrun = 0;
+    fn new(scan: &ScanInfo) -> Self {
+        Self {
+            eobrun: 0,
+            pending: CorrectionBits { words: [0; 16], len: 0 },
+            slot: AC_SLOT + usize::from(scan.components[0].ac_table),
         }
-        self.flush_pending(sink);
     }
 
-    fn flush_pending(&mut self, sink: &mut dyn EntropySink) {
-        for &b in &self.pending {
-            sink.bits(u32::from(b), 1);
+    #[inline]
+    fn flush_eobrun(&mut self, tokens: &mut ScanTokens) {
+        if self.eobrun > 0 {
+            let nbits = 31 - self.eobrun.leading_zeros();
+            tokens.symbol(self.slot, (nbits << 4) as u8, u64::from(self.eobrun), nbits);
+            self.eobrun = 0;
         }
-        self.pending.clear();
+        if self.pending.len > 0 {
+            self.pending.drain(tokens);
+        }
+    }
+
+    /// Counts a block that ends in an end-of-band, with its trailing
+    /// correction bits.
+    #[inline]
+    fn end_of_band(&mut self, tokens: &mut ScanTokens, bits: u64, n: u32) {
+        self.eobrun += 1;
+        self.pending.push(bits, n);
+        // Flush well before the correction-bit buffer could grow
+        // unboundedly (libjpeg's MAX_CORR_BITS discipline).
+        if self.eobrun == 0x7FFF || self.pending.len > 930 {
+            self.flush_eobrun(tokens);
+        }
     }
 }
 
-fn encode_ac_first(
+fn tokenize_ac_first(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
+    tokens: &mut ScanTokens,
     units: Range<u32>,
 ) -> Result<()> {
-    let sc = scan.components[0];
     let al = u32::from(scan.al);
-    let mut st = AcState { eobrun: 0, pending: Vec::new(), table: sc.ac_table };
-    for_each_block(frame, scan, units, |_slot, row, col| {
-        let block = coeffs.block(frame, sc.comp_index, row, col);
-        let mut r = 0u32;
-        for k in scan.ss as usize..=scan.se as usize {
-            let raw = i32::from(block[crate::consts::ZIGZAG[k]]);
-            if raw == 0 {
-                r += 1;
-                continue;
-            }
-            let neg = raw < 0;
-            let t = raw.unsigned_abs() >> al;
-            if t == 0 {
-                r += 1;
-                continue;
-            }
-            st.flush_eobrun(sink);
+    let band = band_mask(scan);
+    let mut st = AcState::new(scan);
+    for_each_block(frame, coeffs, scan, units, |_slot, zz| {
+        let mag = magnitudes(zz, al);
+        let mut mask = nonzero_mask64(&mag) & band;
+        let mut next = u32::from(scan.ss);
+        if mask != 0 {
+            st.flush_eobrun(tokens);
+        }
+        while mask != 0 {
+            let k = mask.trailing_zeros();
+            mask &= mask - 1;
+            let mut r = k - next;
+            next = k + 1;
             while r > 15 {
-                sink.ac_symbol(sc.ac_table, 0xF0);
+                tokens.symbol(st.slot, 0xF0, 0, 0);
                 r -= 16;
             }
+            let t = u32::from(mag[k as usize] as u16);
             let nbits = 32 - t.leading_zeros();
             if nbits > 10 {
                 return Err(Error::BadInput("AC coefficient out of range".into()));
             }
-            sink.ac_symbol(sc.ac_table, ((r as u8) << 4) | nbits as u8);
-            let pattern = if neg { !t } else { t } & ((1 << nbits) - 1);
-            sink.bits(pattern, nbits);
-            r = 0;
+            let pattern = if zz[k as usize] < 0 { !t } else { t };
+            tokens.symbol(st.slot, ((r as u8) << 4) | nbits as u8, u64::from(pattern), nbits);
         }
-        if r > 0 {
-            st.eobrun += 1;
-            if st.eobrun == 0x7FFF {
-                st.flush_eobrun(sink);
-            }
+        if next <= u32::from(scan.se) {
+            st.end_of_band(tokens, 0, 0);
         }
         Ok(())
     })?;
-    st.flush_eobrun(sink);
+    st.flush_eobrun(tokens);
     Ok(())
 }
 
-fn encode_ac_refine(
+fn tokenize_ac_refine(
     frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
+    coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    sink: &mut dyn EntropySink,
+    tokens: &mut ScanTokens,
     units: Range<u32>,
 ) -> Result<()> {
-    let sc = scan.components[0];
     let al = u32::from(scan.al);
-    let mut st = AcState { eobrun: 0, pending: Vec::new(), table: sc.ac_table };
-    for_each_block(frame, scan, units, |_slot, row, col| {
-        let block = coeffs.block(frame, sc.comp_index, row, col);
-        // Pass 1: point-transformed absolute values and the EOB position
-        // (index of the last coefficient that becomes newly nonzero).
-        let mut absval = [0u32; 64];
-        let mut eob = scan.ss as usize; // any value < first 1 is fine
-        let mut has_new = false;
-        for k in scan.ss as usize..=scan.se as usize {
-            let raw = i32::from(block[crate::consts::ZIGZAG[k]]);
-            let t = raw.unsigned_abs() >> al;
-            absval[k] = t;
-            if t == 1 {
-                eob = k;
-                has_new = true;
-            }
-        }
-        if !has_new {
-            eob = 0; // ensures `k <= eob` is false in the ZRL fold check
-        }
+    let band = band_mask(scan);
+    let mut st = AcState::new(scan);
+    for_each_block(frame, coeffs, scan, units, |_slot, zz| {
+        let mag = magnitudes(zz, al);
+        // Coefficients earlier scans already made nonzero (`|c| >> al`
+        // above 1) send one correction bit; those becoming nonzero now
+        // (exactly 1) send a symbol and a sign.
+        let known = nonzero_mask64(&magnitudes(zz, al + 1)) & band;
+        let mut mask = nonzero_mask64(&mag) & band;
+        let new = mask & !known;
+        // Position of the last newly nonzero coefficient; a run of 16
+        // zeros at or before it needs a ZRL, one after it folds into the
+        // end-of-band.
+        let eob = 63u32.saturating_sub(new.leading_zeros());
+        let mut next = u32::from(scan.ss);
         let mut r = 0u32;
-        let mut br: Vec<u8> = Vec::new();
-        for k in scan.ss as usize..=scan.se as usize {
-            let t = absval[k];
-            if t == 0 {
-                r += 1;
-                continue;
-            }
-            // Emit required ZRLs unless they fold into the trailing EOB.
+        // This block's correction bits since the last symbol.
+        let (mut bits, mut n) = (0u64, 0u32);
+        while mask != 0 {
+            let k = mask.trailing_zeros();
+            mask &= mask - 1;
+            r += k - next;
+            next = k + 1;
             while r > 15 && k <= eob {
-                st.flush_eobrun(sink);
-                sink.ac_symbol(sc.ac_table, 0xF0);
+                st.flush_eobrun(tokens);
+                tokens.symbol(st.slot, 0xF0, bits, n);
+                (bits, n) = (0, 0);
                 r -= 16;
-                for &b in &br {
-                    sink.bits(u32::from(b), 1);
-                }
-                br.clear();
             }
-            if t > 1 {
-                // Previously nonzero: just a correction bit.
-                br.push((t & 1) as u8);
+            if known >> k & 1 != 0 {
+                bits = bits << 1 | u64::from(mag[k as usize] as u16 & 1);
+                n += 1;
                 continue;
             }
-            // Newly nonzero coefficient.
-            st.flush_eobrun(sink);
-            sink.ac_symbol(sc.ac_table, ((r as u8) << 4) | 1);
-            let sign = if i32::from(block[crate::consts::ZIGZAG[k]]) < 0 { 0 } else { 1 };
-            sink.bits(sign, 1);
-            for &b in &br {
-                sink.bits(u32::from(b), 1);
-            }
-            br.clear();
+            st.flush_eobrun(tokens);
+            let sign = u64::from(zz[k as usize] >= 0);
+            tokens.symbol(st.slot, ((r as u8) << 4) | 1, sign << n | bits, n + 1);
+            (bits, n) = (0, 0);
             r = 0;
         }
-        if r > 0 || !br.is_empty() {
-            st.eobrun += 1;
-            st.pending.append(&mut br);
-            // Flush well before the correction-bit buffer could grow
-            // unboundedly (libjpeg's MAX_CORR_BITS discipline).
-            if st.eobrun == 0x7FFF || st.pending.len() > 930 {
-                st.flush_eobrun(sink);
-            }
+        if r + (u32::from(scan.se) + 1 - next) > 0 || n > 0 {
+            st.end_of_band(tokens, bits, n);
         }
         Ok(())
     })?;
-    st.flush_eobrun(sink);
+    st.flush_eobrun(tokens);
     Ok(())
 }
 
@@ -482,61 +635,48 @@ mod tests {
         (frame, coeffs)
     }
 
-    fn scan_all_dc(al: u8, ah: u8) -> ScanInfo {
+    fn gray_scan(ss: u8, se: u8, ah: u8, al: u8) -> ScanInfo {
         ScanInfo {
             components: vec![ScanComponent { comp_index: 0, dc_table: 0, ac_table: 0 }],
-            ss: 0,
-            se: 0,
+            ss,
+            se,
             ah,
             al,
         }
     }
 
+    fn tokenize(frame: &FrameInfo, coeffs: &CoeffPlanes, scan: &ScanInfo) -> ScanTokens {
+        let mut tokens = ScanTokens::default();
+        tokenize_scan(frame, &ZigzagPlanes::new(coeffs), scan, 0, &mut tokens).unwrap();
+        tokens
+    }
+
     #[test]
     fn sequential_scan_produces_symbols() {
         let (frame, coeffs) = tiny_frame(false);
-        let scan = ScanInfo {
-            components: vec![ScanComponent { comp_index: 0, dc_table: 0, ac_table: 0 }],
-            ss: 0,
-            se: 63,
-            ah: 0,
-            al: 0,
-        };
-        let mut stats = StatsSink::new();
-        encode_scan(&frame, &coeffs, &scan, &mut stats).unwrap();
-        assert!(stats.dc_used(0));
-        assert!(stats.ac_used(0));
+        let tokens = tokenize(&frame, &coeffs, &gray_scan(0, 63, 0, 0));
         // 4 blocks -> 4 DC symbols.
-        let dc_total: u32 = stats.dc_counts[0].iter().sum();
-        assert_eq!(dc_total, 4);
+        assert_eq!(tokens.counts(0).unwrap().iter().sum::<u32>(), 4);
+        assert!(tokens.counts(AC_SLOT).is_some());
+        assert!(tokens.counts(1).is_none() && tokens.counts(AC_SLOT + 1).is_none());
     }
 
     #[test]
     fn dc_first_and_refine_symbol_counts() {
         let (frame, coeffs) = tiny_frame(true);
-        let mut stats = StatsSink::new();
-        encode_scan(&frame, &coeffs, &scan_all_dc(1, 0), &mut stats).unwrap();
-        let dc_total: u32 = stats.dc_counts[0].iter().sum();
-        assert_eq!(dc_total, 4);
-        // Refinement emits no Huffman symbols at all.
-        let mut stats = StatsSink::new();
-        encode_scan(&frame, &coeffs, &scan_all_dc(0, 1), &mut stats).unwrap();
-        assert!(!stats.dc_used(0));
+        let tokens = tokenize(&frame, &coeffs, &gray_scan(0, 0, 0, 1));
+        assert_eq!(tokens.counts(0).unwrap().iter().sum::<u32>(), 4);
+        // Refinement emits no Huffman symbols at all: four raw bits.
+        let tokens = tokenize(&frame, &coeffs, &gray_scan(0, 0, 1, 0));
+        assert!(tokens.counts(0).is_none());
+        assert_eq!(tokens.tokens, [RAW << 20 | 4 << 16]);
     }
 
     #[test]
     fn ac_first_emits_eob_runs() {
         let (frame, coeffs) = tiny_frame(true);
-        let scan = ScanInfo {
-            components: vec![ScanComponent { comp_index: 0, dc_table: 0, ac_table: 0 }],
-            ss: 1,
-            se: 63,
-            ah: 0,
-            al: 0,
-        };
-        let mut stats = StatsSink::new();
-        encode_scan(&frame, &coeffs, &scan, &mut stats).unwrap();
-        assert!(stats.ac_used(0));
+        let tokens = tokenize(&frame, &coeffs, &gray_scan(1, 63, 0, 0));
+        assert!(tokens.counts(AC_SLOT).is_some());
     }
 
     #[test]
@@ -546,6 +686,42 @@ mod tests {
         assert_eq!(magnitude(1), (1, 1));
         assert_eq!(magnitude(-1), (0, 1));
         assert_eq!(magnitude(0), (0, 0));
+    }
+
+    #[test]
+    fn long_bit_strings_split_into_tokens_in_order() {
+        let mut tokens = ScanTokens::default();
+        tokens.symbol(AC_SLOT, 0x21, 0x1_2345_6789, 33);
+        tokens.raw(0b101, 3);
+        let mut tables: ScanTables = Default::default();
+        tables[AC_SLOT] = Some(HuffTable::std_ac_luma());
+        let mut w = BitWriter::new();
+        tokens.replay(&CodeBook::new(&tables, &tokens).unwrap(), &mut w);
+        let mut expect = BitWriter::new();
+        HuffEncoder::from_table(&HuffTable::std_ac_luma()).unwrap().encode(&mut expect, 0x21);
+        expect.put_bits((0x1_2345_6789u64 >> 1) as u32, 32);
+        expect.put_bits(1, 1);
+        expect.put_bits(0b101, 3);
+        assert_eq!(w.finish(), expect.finish());
+    }
+
+    #[test]
+    fn uncoded_symbol_is_an_error_not_silence() {
+        let (frame, coeffs) = tiny_frame(false);
+        let tokens = tokenize(&frame, &coeffs, &gray_scan(0, 63, 0, 0));
+        let mut tables: ScanTables = Default::default();
+        tables[0] = Some(HuffTable::std_dc_luma());
+        // AC slot left empty although the scan coded AC symbols.
+        assert!(CodeBook::new(&tables, &tokens).is_err());
+    }
+
+    #[test]
+    fn table_selector_above_three_is_refused() {
+        let (frame, coeffs) = tiny_frame(false);
+        let mut scan = gray_scan(0, 63, 0, 0);
+        scan.components[0].dc_table = 4; // would alias AC table 0's slot
+        let mut tokens = ScanTokens::default();
+        assert!(tokenize_scan(&frame, &ZigzagPlanes::new(&coeffs), &scan, 0, &mut tokens).is_err());
     }
 
     #[test]
@@ -562,7 +738,8 @@ mod tests {
         };
         let mut count = [0usize; 3];
         let total = mcu_units(&frame, &scan);
-        for_each_block(&frame, &scan, 0..total, |slot, _r, _c| {
+        let coeffs = ZigzagPlanes::new(&CoeffPlanes::new(&frame));
+        for_each_block(&frame, &coeffs, &scan, 0..total, |slot, _block| {
             count[slot] += 1;
             Ok(())
         })

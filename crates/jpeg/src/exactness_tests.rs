@@ -13,17 +13,28 @@
 //! * property tests over random coefficient blocks (decode kernel),
 //!   random sample blocks (encode quantization), random Huffman tables
 //!   (two-level LUT vs canonical walk), and random stuffed bitstreams
-//!   (batched vs per-byte reader).
+//!   (batched vs per-byte reader);
+//! * the write path held to the same standard: the batched bit writer
+//!   against the per-byte one, the heap-based `gen_optimal_table`
+//!   against libjpeg's sweep, and the single-walk token-replay encoder
+//!   against the retained two-pass `dyn EntropySink` encoder — identical
+//!   tables and identical bytes over random planes and random legal
+//!   scans, plus pinned corner cases (EOB runs across 0x7FFF, the
+//!   correction-bit buffer flush, ZRLs folding into a trailing EOB).
 
 use crate::bitio::{BitReader, BitSource, BitWriter};
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
 use crate::decoder::decode;
+use crate::dentropy::mcu_units;
 use crate::encoder::{encode, EncodeConfig};
-use crate::frame::Subsampling;
+use crate::entropy::{ScanEncoder, ScanTables};
+use crate::error::Result;
+use crate::frame::{CoeffPlanes, FrameInfo, ScanComponent, ScanInfo, Subsampling};
 use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder, SymbolDecoder};
 use crate::image::ImageBuf;
 use crate::reference;
-use crate::reference::{ReferenceBitReader, ReferenceHuffDecoder};
+use crate::reference::{ReferenceBitReader, ReferenceBitWriter, ReferenceHuffDecoder};
+use crate::reference_encoder::{reference_encode_scan, reference_gen_optimal_table};
 use crate::sample::{BlockIdct, FastBlockIdct};
 use crate::scansplit::{assemble_prefix, split_scans};
 use proptest::prelude::*;
@@ -270,6 +281,194 @@ fn fast_quantize(spatial: &[f64; 64], q: &[u16; 64]) -> [i16; 64] {
     core::array::from_fn(|i| descale(raw[i] * qm[i]) as i16)
 }
 
+/// One scan through the production write path: a single walk into
+/// tokens, optimal tables from its counts, a linear replay.
+fn token_encode_scan(
+    frame: &FrameInfo,
+    coeffs: &CoeffPlanes,
+    scan: &ScanInfo,
+    interval: u32,
+) -> Result<(ScanTables, Vec<u8>)> {
+    let mut tables = ScanTables::default();
+    let bytes = ScanEncoder::new(coeffs).encode_scan(frame, scan, interval, true, &mut tables)?;
+    Ok((tables, bytes))
+}
+
+/// Token replay and the two-pass reference agree on the tables and on
+/// every byte — or both refuse the scan.
+fn assert_scan_encoders_agree(
+    frame: &FrameInfo,
+    coeffs: &CoeffPlanes,
+    scan: &ScanInfo,
+    interval: u32,
+    what: &str,
+) {
+    let fast = token_encode_scan(frame, coeffs, scan, interval);
+    let oracle = reference_encode_scan(frame, coeffs, scan, interval);
+    match (fast, oracle) {
+        (Ok(fast), Ok(oracle)) => {
+            assert_eq!(fast.0, oracle.0, "tables: {what}, {scan:?}, interval {interval}");
+            assert_eq!(fast.1, oracle.1, "bytes: {what}, {scan:?}, interval {interval}");
+        }
+        (Err(_), Err(_)) => {}
+        (f, o) => panic!("{what}, {scan:?}: divergent outcome: fast={f:?} oracle={o:?}"),
+    }
+}
+
+fn single_scan(comp_index: usize, ss: u8, se: u8, ah: u8, al: u8) -> ScanInfo {
+    ScanInfo {
+        components: vec![ScanComponent { comp_index, dc_table: 0, ac_table: 0 }],
+        ss,
+        se,
+        ah,
+        al,
+    }
+}
+
+/// Gray progressive frame whose every block is `block(index)`.
+fn gray_planes(
+    w: u32,
+    h: u32,
+    mut block: impl FnMut(u32) -> [i16; 64],
+) -> (FrameInfo, CoeffPlanes) {
+    let frame = FrameInfo::for_encode(w, h, 1, Subsampling::S444, true).unwrap();
+    let mut coeffs = CoeffPlanes::new(&frame);
+    let c = frame.components[0].clone();
+    for row in 0..c.alloc_h {
+        for col in 0..c.alloc_w {
+            coeffs.block_mut(&frame, 0, row, col).copy_from_slice(&block(row * c.alloc_w + col));
+        }
+    }
+    (frame, coeffs)
+}
+
+/// More than 0x7FFF consecutive end-of-band blocks: the run counter
+/// flushes at 0x7FFF exactly and starts over, in first and refinement
+/// scans, with and without correction bits riding along.
+#[test]
+fn eob_runs_across_0x7fff_match_two_pass_encoder() {
+    // 182 x 182 = 33124 blocks; zigzag position 1 is natural index 1.
+    let (frame, coeffs) = gray_planes(1456, 1456, |i| {
+        let mut b = [0i16; 64];
+        b[0] = (i % 200) as i16;
+        // One known coefficient in every seventh block (a correction bit
+        // per block in the refinement scan), one new one at the very end.
+        b[1] = if i == 33123 { 1 } else if i % 7 == 0 { 6 } else { 0 };
+        b
+    });
+    assert!(mcu_units(&frame, &single_scan(0, 1, 63, 0, 0)) > 0x7FFF);
+    for (ah, al) in [(0, 2), (0, 3), (1, 0)] {
+        let scan = single_scan(0, 1, 63, ah, al);
+        assert_scan_encoders_agree(&frame, &coeffs, &scan, 0, "long EOB run");
+    }
+}
+
+/// Blocks that only carry correction bits pile them up across an EOB
+/// run until the buffer passes 930 bits and is flushed early.
+#[test]
+fn correction_bit_buffer_flush_matches_two_pass_encoder() {
+    let (frame, coeffs) = gray_planes(128, 128, |i| {
+        // Every AC coefficient already nonzero at Al=1: 63 correction
+        // bits per block, no symbol.
+        core::array::from_fn(|k| if k == 0 { 50 } else { 4 + ((i as usize + k) % 9) as i16 })
+    });
+    for interval in [0, 16, 100] {
+        for scan in [single_scan(0, 1, 63, 1, 0), single_scan(0, 5, 40, 2, 1)] {
+            assert_scan_encoders_agree(&frame, &coeffs, &scan, interval, "corr flush");
+        }
+    }
+}
+
+/// Zero runs of 16 and more in refinement scans: ZRLs (with correction
+/// bits attached) before the last newly nonzero coefficient, folded
+/// into the end-of-band after it; plus all-zero and all-nonzero blocks
+/// through every scan type.
+#[test]
+fn zero_run_and_dense_block_corner_cases_match_two_pass_encoder() {
+    use crate::consts::ZIGZAG;
+    let (frame, coeffs) = gray_planes(64, 64, |i| {
+        let mut zz = [0i16; 64];
+        zz[0] = 3 * i as i16 - 90;
+        match i % 6 {
+            // New coefficient early, then a long zero run and known
+            // coefficients only: the ZRLs fold into the EOB.
+            0 => {
+                zz[3] = -2;
+                (41..50).for_each(|k| zz[k] = 9);
+            }
+            // Known coefficients, a 40-long zero run, then a new one:
+            // two ZRLs carrying correction bits.
+            1 => {
+                (1..8).for_each(|k| zz[k] = -12 - k as i16);
+                zz[50] = 3;
+                zz[63] = -5;
+            }
+            // Runs of exactly 15, 16 and 17 zeros between new coefficients.
+            2 => [1, 17, 34, 52].iter().for_each(|&k| zz[k] = 2),
+            3 => {} // all zero
+            // All nonzero: small (all new at Al=1) and large (all known).
+            4 => (1..64).for_each(|k| zz[k] = if k % 2 == 0 { 2 } else { -3 }),
+            _ => (1..64).for_each(|k| zz[k] = 40 - 3 * k as i16 - i16::from(k > 12)),
+        }
+        let mut natural = [0i16; 64];
+        (0..64).for_each(|k| natural[ZIGZAG[k]] = zz[k]);
+        natural
+    });
+    let scans = [
+        single_scan(0, 0, 0, 0, 1),
+        single_scan(0, 0, 0, 1, 0),
+        single_scan(0, 1, 63, 0, 0),
+        single_scan(0, 1, 63, 0, 1),
+        single_scan(0, 1, 63, 1, 0),
+        single_scan(0, 1, 63, 2, 1),
+        single_scan(0, 2, 51, 1, 0),
+    ];
+    for scan in &scans {
+        for interval in [0, 8, 24] {
+            assert_scan_encoders_agree(&frame, &coeffs, scan, interval, "corner blocks");
+        }
+    }
+    let mut sequential = frame.clone();
+    sequential.progressive = false;
+    for interval in [0, 8] {
+        let scan = single_scan(0, 0, 63, 0, 0);
+        assert_scan_encoders_agree(&sequential, &coeffs, &scan, interval, "corner blocks");
+    }
+}
+
+/// `gen_optimal_table` returns libjpeg's exact `(bits, vals)`: ties
+/// broken toward the higher symbol, a lone symbol, a full alphabet, and
+/// Fibonacci-like skew that needs the 16-bit length limiting.
+#[test]
+fn heap_optimal_tables_match_libjpeg_sweep_on_pinned_shapes() {
+    let mut shapes: Vec<Vec<u32>> = vec![
+        vec![5; 12],
+        (0..256).map(|s| [3, 3, 7, 1][s % 4]).collect(),
+        vec![7; 256],
+        (0..256u32).map(|s| 1 + s.wrapping_mul(2654435761) % 1000).collect(),
+    ];
+    let mut lone = vec![0u32; 256];
+    lone[42] = 5;
+    shapes.push(lone);
+    let mut fib = vec![0u32; 256];
+    let (mut a, mut b) = (1u32, 1u32);
+    for f in fib.iter_mut().skip(3).step_by(5).take(40) {
+        *f = a;
+        (a, b) = (b, a + b);
+    }
+    shapes.push(fib.clone());
+    // Every symbol live *and* a skewed head: the longest codes pass 16 bits.
+    shapes.push(fib.iter().map(|&f| f.max(1)).collect());
+    for freq in &shapes {
+        let fast = gen_optimal_table(freq).unwrap();
+        assert_eq!(fast, reference_gen_optimal_table(freq).unwrap(), "freq {freq:?}");
+    }
+    // The skewed shapes really exercise the limiter: unlimited lengths
+    // would exceed 16 bits, the table's do not.
+    let t = gen_optimal_table(&fib).unwrap();
+    assert!(t.bits[15] > 0, "expected 16-bit codes, got {:?}", t.bits);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -377,6 +576,143 @@ proptest! {
             prop_assert_eq!(fast.decode(&mut rf).unwrap(), sym);
             prop_assert_eq!(oracle.decode_symbol(&mut rr).unwrap(), sym);
         }
+    }
+
+    /// Writers: the batched 64-bit writer and the per-byte reference
+    /// writer produce identical bytes — and report identical lengths
+    /// after every step — over random `(value, n <= 24)` sequences
+    /// biased toward 0xFF-dense output, with restart markers interleaved.
+    #[test]
+    fn batched_writer_matches_reference_on_random_sequences(
+        ops in proptest::collection::vec((any::<u32>(), 0u32..25, 0u32..40), 0..300),
+    ) {
+        let mut fast = BitWriter::new();
+        let mut oracle = ReferenceBitWriter::default();
+        for &(value, n, kind) in &ops {
+            match kind {
+                0 => {
+                    fast.restart(value as u8);
+                    oracle.restart(value as u8);
+                }
+                // All-ones and 0xFF-aligned patterns: stuffing everywhere.
+                1..=15 => {
+                    fast.put_bits(u32::MAX, n);
+                    oracle.put_bits(u32::MAX, n);
+                }
+                16..=19 => {
+                    fast.put_bits(value | 0x00FF_FF00, n);
+                    oracle.put_bits(value | 0x00FF_FF00, n);
+                }
+                _ => {
+                    fast.put_bits(value, n);
+                    oracle.put_bits(value, n);
+                }
+            }
+            prop_assert_eq!(fast.len(), oracle.len());
+            prop_assert_eq!(fast.is_empty(), oracle.is_empty());
+        }
+        prop_assert_eq!(fast.finish(), oracle.finish());
+    }
+
+    /// Optimal tables: the heap-ordered merge and libjpeg's two sweeps
+    /// agree on `(bits, vals)` for random frequency vectors — narrow
+    /// value ranges (ties everywhere) through heavy skew (length limiting).
+    #[test]
+    fn heap_optimal_tables_match_libjpeg_sweep(
+        seed in any::<u32>(),
+        nsyms in 1usize..257,
+        spread in 0u32..5,
+    ) {
+        let mut s = seed | 1;
+        let mut freq: Vec<u32> = (0..nsyms)
+            .map(|_| {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                match spread {
+                    0 => (s >> 30) + 1,
+                    1 => (s >> 28) % 5,
+                    2 => (s >> 16) % 1000,
+                    3 => 1 << ((s >> 27) % 28),
+                    _ => (s >> 8) * u32::from(s.is_multiple_of(3)),
+                }
+            })
+            .collect();
+        // At least one symbol must be live.
+        let live = seed as usize % nsyms;
+        freq[live] = freq[live].max(1);
+        let oracle = reference_gen_optimal_table(&freq).unwrap();
+        prop_assert_eq!(gen_optimal_table(&freq).unwrap(), oracle);
+    }
+
+    /// The encoder: a single walk into tokens plus a linear replay equals
+    /// the two-pass `dyn EntropySink` walk — same optimal tables, same
+    /// bytes — for every scan type over random planes (block mix from
+    /// all-zero through all-nonzero, magnitudes up to the 10-bit limit
+    /// and just past it), random table ids, bands, point transforms and
+    /// restart intervals.
+    #[test]
+    fn token_replay_matches_two_pass_encoder_on_random_scans(
+        seed in any::<u32>(),
+        (w, h) in (1u32..72, 1u32..72),
+        layout in 0u8..3,
+        kind in 0u8..6,
+        (a, b) in (1u8..64, 1u8..64),
+        al in 0u8..4,
+        interleaved in any::<bool>(),
+        interval in 0u32..40,
+        density in 0u32..6,
+    ) {
+        let layouts = [(1, Subsampling::S444), (3, Subsampling::S444), (3, Subsampling::S420)];
+        let (channels, subsampling) = layouts[usize::from(layout)];
+        let progressive = kind > 0;
+        let frame = FrameInfo::for_encode(w, h, channels, subsampling, progressive).unwrap();
+        let mut coeffs = CoeffPlanes::new(&frame);
+        let mut s = seed | 1;
+        let mut next = |m: u32| {
+            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+            (s >> 8) % m
+        };
+        for (ci, c) in frame.components.iter().enumerate() {
+            for row in 0..c.alloc_h {
+                for col in 0..c.alloc_w {
+                    // Per-block mix: empty, sparse, dense-small, dense-large, full.
+                    let class = (next(6) + density) % 6;
+                    let block = coeffs.block_mut(&frame, ci, row, col);
+                    block[0] = next(2048) as i16 - 1024;
+                    for v in block.iter_mut().skip(1) {
+                        let (keep, amp) = match class {
+                            0 => (false, 1),
+                            1 => (next(9) == 0, 4),
+                            2 => (next(2) == 0, 8),
+                            3 => (next(3) != 0, 1023),
+                            4 => (true, 6),
+                            _ => (next(40) == 0, 1100),
+                        };
+                        let m = 1 + next(amp) as i16;
+                        *v = if !keep { 0 } else if next(2) == 0 { m } else { -m };
+                    }
+                }
+            }
+        }
+        let ncomp = frame.components.len();
+        let mut component = |comp_index: usize| ScanComponent {
+            comp_index,
+            dc_table: next(4) as u8,
+            ac_table: next(4) as u8,
+        };
+        let all: Vec<ScanComponent> = (0..ncomp).map(&mut component).collect();
+        let one = vec![component(seed as usize % ncomp)];
+        let (ss, se) = (a.min(b), a.max(b));
+        let scan = match kind {
+            0..=2 => {
+                let components = if interleaved { all } else { one };
+                let (se, ah, al) = [(63, 0, 0), (0, 0, al), (0, al + 1, al)][usize::from(kind)];
+                ScanInfo { components, ss: 0, se, ah, al }
+            }
+            3 => ScanInfo { components: one, ss, se, ah: 0, al },
+            _ => ScanInfo { components: one, ss, se, ah: al + 1, al },
+        };
+        let interval = interval.min(mcu_units(&frame, &scan));
+        assert_scan_encoders_agree(&frame, &coeffs, &scan, interval, "random scan");
     }
 
     /// Readers: the batched 64-bit reader and the per-byte reference

@@ -12,6 +12,8 @@
 
 use crate::bitio::{BitSource, BitWriter};
 use crate::error::{Error, Result};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A Huffman table in canonical (DHT) form: `bits[l]` = number of codes of
 /// length `l + 1`, and `vals` lists symbols in code order.
@@ -120,6 +122,12 @@ impl HuffEncoder {
     #[inline]
     pub fn code_len(&self, symbol: u8) -> u8 {
         self.len[symbol as usize] // pcr-lint: allow(no-panic-in-hot-path) — u8 indexes [_; 256]
+    }
+
+    /// Code bits for a symbol, right-aligned (0 if absent).
+    #[inline]
+    pub(crate) fn code(&self, symbol: u8) -> u16 {
+        self.code[symbol as usize] // pcr-lint: allow(no-panic-in-hot-path) — u8 indexes [_; 256]
     }
 }
 
@@ -398,83 +406,64 @@ impl SymbolDecoder for HuffDecoder {
 ///
 /// `freq` has one slot per symbol (up to 256). Symbols with zero frequency
 /// get no code. At least one symbol must have nonzero frequency.
+///
+/// libjpeg finds each merge's two rarest trees with two sweeps over all
+/// 257 slots; here only the live trees sit in a min-heap ordered the way
+/// those sweeps break ties (lowest frequency first, highest symbol index
+/// among equals, the merged tree keeping the first one's index), so the
+/// merge sequence — and with it every code length — is the same.
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — faithful port of
-// libjpeg's jpeg_gen_optimal_table: every index is bounded by that
-// algorithm's MAX_CLEN/nsyms invariants (codesize/others/freq all have
-// nsyms + 1 slots, bits has MAX_CLEN + 1, and the adjustment loops walk
-// l in 1..=MAX_CLEN), and the function runs at pack time only.
+// libjpeg's jpeg_gen_optimal_table: every index is a symbol index below
+// nsyms + 1 <= 257 (codesize/others have 257 slots) or a code length the
+// MAX_CLEN check keeps inside bits' MAX_CLEN + 1 slots (the adjustment
+// loops walk l in 1..=MAX_CLEN), and the function runs at pack time only.
 pub fn gen_optimal_table(freq_in: &[u32]) -> Result<HuffTable> {
     const MAX_CLEN: usize = 32;
+    const END: usize = usize::MAX;
     let nsyms = freq_in.len().min(256);
+    let mut trees: BinaryHeap<Reverse<(u64, Reverse<usize>)>> = freq_in
+        .iter()
+        .take(nsyms)
+        .enumerate()
+        .filter(|&(_, &f)| f != 0)
+        .map(|(sym, &f)| Reverse((u64::from(f), Reverse(sym))))
+        .collect();
     // One extra pseudo-symbol (257th) with freq 1 guarantees no real symbol
     // gets the all-ones code and that at least two symbols exist.
-    let mut freq = vec![0i64; nsyms + 1];
-    for (f, &v) in freq.iter_mut().zip(freq_in.iter()) {
-        *f = i64::from(v);
-    }
-    freq[nsyms] = 1;
+    trees.push(Reverse((1, Reverse(nsyms))));
 
-    let mut codesize = vec![0usize; nsyms + 1];
-    let mut others = vec![-1i64; nsyms + 1];
-
-    loop {
-        // Find the two smallest nonzero frequencies (c1 lowest, prefer
-        // higher symbol index on ties like libjpeg).
-        let mut c1: i64 = -1;
-        let mut v = i64::MAX;
-        for (i, &f) in freq.iter().enumerate() {
-            if f != 0 && f <= v {
-                v = f;
-                c1 = i as i64;
+    let mut codesize = [0usize; 257];
+    // A tree is the chain of its symbols, starting at the tree's index.
+    let mut others = [END; 257];
+    // Moves every symbol chained from `head` one level down; returns the
+    // chain's last symbol.
+    let mut deepen = |others: &[usize; 257], head: usize| -> Result<usize> {
+        let mut n = head;
+        loop {
+            codesize[n] += 1;
+            if codesize[n] > MAX_CLEN {
+                return Err(Error::BadHuffman("code length explosion".into()));
             }
-        }
-        let mut c2: i64 = -1;
-        v = i64::MAX;
-        for (i, &f) in freq.iter().enumerate() {
-            if f != 0 && f <= v && i as i64 != c1 {
-                v = f;
-                c2 = i as i64;
+            if others[n] == END {
+                return Ok(n);
             }
+            n = others[n];
         }
-        if c2 < 0 {
+    };
+    while let Some(Reverse((f1, Reverse(c1)))) = trees.pop() {
+        let Some(Reverse((f2, Reverse(c2)))) = trees.pop() else {
             break; // only one tree left
-        }
-        let (c1u, c2u) = (c1 as usize, c2 as usize);
-        freq[c1u] += freq[c2u];
-        freq[c2u] = 0;
-        // Increment codesize of everything in c1's tree.
-        let mut n = c1u;
-        loop {
-            codesize[n] += 1;
-            if codesize[n] > MAX_CLEN {
-                return Err(Error::BadHuffman("code length explosion".into()));
-            }
-            match others[n] {
-                -1 => break,
-                next => n = next as usize,
-            }
-        }
-        others[n] = c2;
-        let mut n = c2u;
-        loop {
-            codesize[n] += 1;
-            if codesize[n] > MAX_CLEN {
-                return Err(Error::BadHuffman("code length explosion".into()));
-            }
-            match others[n] {
-                -1 => break,
-                next => n = next as usize,
-            }
-        }
+        };
+        trees.push(Reverse((f1 + f2, Reverse(c1))));
+        let tail = deepen(&others, c1)?;
+        deepen(&others, c2)?;
+        others[tail] = c2;
     }
 
     // Count codes per length.
     let mut bits = [0i32; MAX_CLEN + 1];
-    for (i, &cs) in codesize.iter().enumerate() {
-        if cs > 0 {
-            let _ = i;
-            bits[cs] += 1;
-        }
+    for &cs in codesize.iter().filter(|&&cs| cs > 0) {
+        bits[cs] += 1;
     }
 
     // JPEG limits code lengths to 16 bits; push overlong codes down
@@ -505,15 +494,11 @@ pub fn gen_optimal_table(freq_in: &[u32]) -> Result<HuffTable> {
         out_bits[l - 1] = bits[l] as u8;
     }
     // Emit symbols sorted by (code length, symbol value); exclude the
-    // pseudo-symbol (index nsyms).
-    let mut vals = Vec::new();
-    for l in 1..=MAX_CLEN {
-        for (sym, &cs) in codesize.iter().enumerate().take(nsyms) {
-            if cs == l {
-                vals.push(sym as u8);
-            }
-        }
-    }
+    // pseudo-symbol (index nsyms). The sort is stable and starts from
+    // ascending symbols.
+    let mut vals: Vec<u8> =
+        (0..nsyms).filter(|&sym| codesize[sym] > 0).map(|sym| sym as u8).collect();
+    vals.sort_by_key(|&sym| codesize[usize::from(sym)]);
     HuffTable::new(out_bits, vals)
 }
 

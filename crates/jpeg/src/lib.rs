@@ -38,7 +38,7 @@ pub mod dct;
 pub mod decoder;
 pub mod dentropy;
 pub mod encoder;
-pub mod entropy;
+mod entropy;
 pub mod error;
 pub mod frame;
 pub mod huffman;
@@ -49,6 +49,8 @@ mod exactness_tests;
 pub mod metrics_psnr;
 #[cfg(test)]
 pub(crate) mod reference;
+#[cfg(test)]
+pub(crate) mod reference_encoder;
 pub mod sample;
 pub mod scansplit;
 pub mod simd;

@@ -1,5 +1,7 @@
 //! Retained reference implementations of the decode hot-path primitives
-//! (compiled only for tests): the per-byte bit reader, the canonical
+//! (compiled only for tests): the per-byte bit reader (and, for the write
+//! path, the per-byte bit writer the two-pass encoder in
+//! [`crate::reference_encoder`] emits through), the canonical
 //! mincode/maxcode Huffman decoder, and the O(8³) basis-matrix DCT that
 //! the AAN butterfly replaced. The bit-exactness suite decodes every
 //! stream through both stacks and asserts *byte-identical* pixels — the
@@ -121,6 +123,64 @@ impl BitSource for ReferenceBitReader<'_> {
         }
         self.nbits -= n;
         Ok(())
+    }
+}
+
+/// The original byte-at-a-time bit writer: a 32-bit accumulator that
+/// pushes one byte (and its stuffing) per loop turn. Semantically
+/// identical to the batched [`crate::bitio::BitWriter`]; kept as the
+/// oracle the writer equivalence tests and the reference encoder run
+/// against.
+#[derive(Debug, Default)]
+pub(crate) struct ReferenceBitWriter {
+    out: Vec<u8>,
+    acc: u32,
+    nbits: u32,
+}
+
+impl ReferenceBitWriter {
+    /// Appends the low `n` bits of `value` (MSB first), `n <= 24`.
+    pub(crate) fn put_bits(&mut self, value: u32, n: u32) {
+        if n == 0 {
+            return;
+        }
+        assert!(n <= 24);
+        let mask = (1u32 << n) - 1;
+        self.acc = (self.acc << n) | (value & mask);
+        self.nbits += n;
+        while self.nbits >= 8 {
+            let byte = ((self.acc >> (self.nbits - 8)) & 0xFF) as u8;
+            self.out.push(byte);
+            if byte == 0xFF {
+                self.out.push(0x00);
+            }
+            self.nbits -= 8;
+        }
+    }
+
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        if self.nbits > 0 {
+            let pad = 8 - self.nbits;
+            self.put_bits((1u32 << pad) - 1, pad);
+        }
+        self.out
+    }
+
+    pub(crate) fn restart(&mut self, n: u8) {
+        if self.nbits > 0 {
+            let pad = 8 - self.nbits;
+            self.put_bits((1u32 << pad) - 1, pad);
+        }
+        self.out.push(0xFF);
+        self.out.push(0xD0 | (n & 7));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.out.is_empty() && self.nbits == 0
     }
 }
 
