@@ -8,14 +8,12 @@ use crate::args::{parse, ArgSpec};
 use crate::{human_bytes, smoke};
 use pcr_core::container::PcrContainer;
 use pcr_loader::{
-    DecodeMode, IoModel, LoaderConfig, ParallelConfig, ParallelLoader, RecordSource,
-    ShardStoreConfig, ShardedSource,
+    open_container_store, DecodeMode, IoModel, LoaderConfig, OpenedContainer, ParallelConfig,
+    ParallelLoader, ShardStoreConfig, WallClockEpoch,
 };
 use pcr_metrics::JsonValue;
 use pcr_sim::queueing;
-use pcr_storage::ObjectStore;
 use std::path::Path;
-use std::sync::Arc;
 
 pub const HELP: &str = "pcr bench — worker x scan-group streaming sweep over a container
 
@@ -24,7 +22,8 @@ USAGE:
 
 OPTIONS:
     --workers <list>   Comma-separated decode worker counts (default 1,2,4)
-    --groups <list>    Comma-separated scan groups (default 1,5,10)
+    --groups <list>    Comma-separated scan groups (default 1,5,10), clamped
+                       to the container's group count
     --batch <n>        Minibatch size (default 32)
     --decode <mode>    real | skip (default real: decode pixels)
     --io <mode>        instant | emulated (default emulated: sleep each
@@ -33,7 +32,7 @@ OPTIONS:
     --readahead <b>    Store readahead in bytes (default 262144)
     --json <path>      Also write the sweep as a JSON report
 
-Every sweep row runs against a freshly loaded store — cold cache, zeroed
+Every sweep row runs against a freshly opened store — cold cache, zeroed
 device statistics — so rows are independent, comparable measurements.
 
 Per row: `io` is the share of the I/O window's slot-time spent in device
@@ -51,18 +50,13 @@ const SPEC: ArgSpec = ArgSpec {
     bool_flags: &[],
 };
 
+/// One sweep cell: the loader's own epoch report plus what only the
+/// sweep knows.
 struct Row {
     workers: usize,
     group: usize,
-    images: usize,
-    bytes: u64,
-    wall_seconds: f64,
-    images_per_sec: f64,
-    mean_image_bytes: f64,
+    epoch: WallClockEpoch,
     cache_hit_rate: f64,
-    io_wait_share: f64,
-    decode_busy_share: f64,
-    bottleneck: &'static str,
     /// Appendix A.2's images/s for this cell; `None` under `--io instant`,
     /// where storage is not modeled.
     predicted_images_per_sec: Option<f64>,
@@ -97,36 +91,34 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         println!("PCR_BENCH_SMOKE=1: clamping sweep to workers {workers:?}, groups {groups:?}");
     }
 
-    // Open + verify once; the shard bytes are re-loaded into a *fresh*
-    // store (cold cache, zeroed device stats) for every sweep row, so
-    // rows are independent measurements — without this, later rows would
-    // be served from the cache earlier rows warmed and the worker/group
-    // comparison would be meaningless.
+    // Every sweep row opens the container into a *fresh* store (cold
+    // cache, zeroed device stats), so rows are independent measurements —
+    // without this, later rows would be served from the cache earlier
+    // rows warmed and the worker/group comparison would be meaningless.
     let store_cfg = ShardStoreConfig {
         readahead: args.number("readahead", 256u64 << 10)?,
         ..ShardStoreConfig::default()
     };
     let container = PcrContainer::open(Path::new(dir)).map_err(|e| e.to_string())?;
-    let mut shard_blobs = Vec::with_capacity(container.shards.len());
-    for i in 0..container.shards.len() {
-        let bytes = container.read_shard_verified(i).map_err(|e| e.to_string())?;
-        shard_blobs.push((container.manifest.shards[i].file_name.clone(), bytes));
-    }
-    let source = Arc::new(ShardedSource::from_container(&container).map_err(|e| e.to_string())?);
-    let fresh_store = || {
-        let store =
-            Arc::new(ObjectStore::with_cache(store_cfg.profile.clone(), store_cfg.cache_bytes));
-        store.set_readahead(store_cfg.readahead);
-        for (name, bytes) in &shard_blobs {
-            store.put(name, bytes.clone());
+    let full_group = container.num_groups().max(1);
+    let requested = std::mem::take(&mut groups);
+    for &g in &requested {
+        let clamped = g.clamp(1, full_group);
+        if !groups.contains(&clamped) {
+            groups.push(clamped);
         }
-        store
-    };
+    }
+    if requested.iter().any(|g| !(1..=full_group).contains(g)) {
+        println!(
+            "container has {full_group} scan group(s): requested groups {requested:?} \
+             clamped to {groups:?}"
+        );
+    }
     println!(
         "container {}: {} record(s), {} image(s), {} | device {} | {:?} decode",
         dir,
-        source.num_records(),
-        source.num_images(),
+        container.num_records(),
+        container.num_images(),
         human_bytes(container.total_data_bytes()),
         store_cfg.profile.name,
         decode,
@@ -156,8 +148,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 io,
                 ..ParallelConfig::default()
             };
-            let store = fresh_store();
-            let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&source), cfg);
+            let OpenedContainer { store, source, .. } =
+                open_container_store(Path::new(dir), &store_cfg).map_err(|e| e.to_string())?;
+            let loader = ParallelLoader::new(store.clone(), source, cfg);
             let epoch = loader.run_epoch(0);
             // Lemma A.4 over Lemma A.2 at the loader's I/O depth: the
             // decode roof is what the workers measured, the storage roof
@@ -174,38 +167,27 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     queueing::loader_throughput_at_depth(
                         &store_cfg.profile,
                         epoch.mean_image_bytes(),
-                        source.num_images() / source.num_records().max(1),
+                        container.num_images() / container.num_records().max(1),
                         loader.config().prefetch_records,
                     ),
                 )
             });
-            let row = Row {
-                workers: w,
-                group: g,
-                images: epoch.images,
-                bytes: epoch.bytes,
-                wall_seconds: epoch.wall_seconds,
-                images_per_sec: epoch.images_per_sec(),
-                mean_image_bytes: epoch.mean_image_bytes(),
-                cache_hit_rate: store.cache_hit_rate(),
-                io_wait_share: epoch.io_wait_share,
-                decode_busy_share: epoch.decode_busy_share,
-                bottleneck: epoch.bottleneck.as_str(),
-                predicted_images_per_sec,
-            };
+            let cache_hit_rate = store.cache_hit_rate();
+            let row = Row { workers: w, group: g, epoch, cache_hit_rate, predicted_images_per_sec };
+            let e = &row.epoch;
             println!(
                 "{:>7} {:>5} {:>7} {:>12} {:>8.3} {:>9.1} {:>10.0} {:>9.2} {:>5.2} {:>5.2} {:>8} {:>9}",
-                row.workers,
-                row.group,
-                row.images,
-                row.bytes,
-                row.wall_seconds,
-                row.images_per_sec,
-                row.mean_image_bytes,
-                row.cache_hit_rate,
-                row.io_wait_share,
-                row.decode_busy_share,
-                row.bottleneck,
+                w,
+                g,
+                e.images,
+                e.bytes,
+                e.wall_seconds,
+                e.images_per_sec(),
+                e.mean_image_bytes(),
+                cache_hit_rate,
+                e.io_wait_share,
+                e.decode_busy_share,
+                e.bottleneck.as_str(),
                 row.measured_over_predicted().map_or("-".to_string(), |r| format!("{r:.2}"))
             );
             rows.push(row);
@@ -222,7 +204,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
 impl Row {
     fn measured_over_predicted(&self) -> Option<f64> {
-        self.predicted_images_per_sec.filter(|&p| p > 0.0).map(|p| self.images_per_sec / p)
+        self.predicted_images_per_sec.filter(|&p| p > 0.0).map(|p| self.epoch.images_per_sec() / p)
     }
 }
 
@@ -231,18 +213,19 @@ fn report_json(dir: &str, rows: &[Row]) -> JsonValue {
     let entries = rows
         .iter()
         .map(|r| {
+            let e = &r.epoch;
             JsonValue::object([
                 ("workers", JsonValue::U64(r.workers as u64)),
                 ("scan_group", JsonValue::U64(r.group as u64)),
-                ("images", JsonValue::U64(r.images as u64)),
-                ("bytes", JsonValue::U64(r.bytes)),
-                ("wall_seconds", JsonValue::F64(r.wall_seconds)),
-                ("images_per_sec", JsonValue::F64(r.images_per_sec)),
-                ("mean_image_bytes", JsonValue::F64(r.mean_image_bytes)),
+                ("images", JsonValue::U64(e.images as u64)),
+                ("bytes", JsonValue::U64(e.bytes)),
+                ("wall_seconds", JsonValue::F64(e.wall_seconds)),
+                ("images_per_sec", JsonValue::F64(e.images_per_sec())),
+                ("mean_image_bytes", JsonValue::F64(e.mean_image_bytes())),
                 ("cache_hit_rate", JsonValue::F64(r.cache_hit_rate)),
-                ("io_wait_share", JsonValue::F64(r.io_wait_share)),
-                ("decode_busy_share", JsonValue::F64(r.decode_busy_share)),
-                ("bottleneck", JsonValue::str(r.bottleneck)),
+                ("io_wait_share", JsonValue::F64(e.io_wait_share)),
+                ("decode_busy_share", JsonValue::F64(e.decode_busy_share)),
+                ("bottleneck", JsonValue::str(e.bottleneck.as_str())),
                 ("predicted_images_per_sec", number(r.predicted_images_per_sec)),
                 ("measured_over_predicted", number(r.measured_over_predicted())),
             ])

@@ -2,10 +2,8 @@
 
 use crate::args::{parse, ArgSpec};
 use crate::human_bytes;
-use pcr_core::container::{write_container_versioned, ContainerManifest};
-use pcr_core::{
-    PcrDatasetBuilder, SampleMeta, CONTAINER_VERSION, CONTAINER_VERSION_ROWS, DEFAULT_NUM_GROUPS,
-};
+use pcr_core::container::{write_container, ContainerManifest};
+use pcr_core::{PcrDatasetBuilder, SampleMeta, CONTAINER_VERSION, DEFAULT_NUM_GROUPS};
 use pcr_datasets::{DatasetSpec, Scale, SyntheticDataset, IMAGES_PER_RECORD, RECORDS_PER_SHARD};
 use pcr_metrics::JsonValue;
 use std::io::Write;
@@ -50,9 +48,6 @@ OPTIONS:
                             splits into independently decodable
                             segments. 0 = none (default). Only affects
                             images the packer encodes itself.
-    --format <v>            Container format: v3 (columnar footers +
-                            manifest stats, O(1) open; default) or v1
-                            (row footers, readable by older tooling)
     --json                  Print a machine-readable summary to stdout
                             and suppress progress output
 
@@ -69,7 +64,6 @@ const SPEC: ArgSpec = ArgSpec {
         "records-per-shard",
         "quality",
         "restart-interval",
-        "format",
     ],
     bool_flags: &["json"],
 };
@@ -128,11 +122,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let records_per_shard = args.number("records-per-shard", RECORDS_PER_SHARD)?.max(1);
     let restart_interval: u16 = args.number("restart-interval", 0u16)?;
     let json = args.flag("json");
-    let version = match args.value_or("format", "v3") {
-        "v1" | "rows" => CONTAINER_VERSION_ROWS,
-        "v3" | "columnar" => CONTAINER_VERSION,
-        other => return Err(format!("unknown --format {other:?} (v1 | v3)")),
-    };
 
     let start = Instant::now();
     // When packing proper began: synthetic generation is not packing.
@@ -167,8 +156,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
             progress.done();
             let dataset = builder.finish().map_err(|e| e.to_string())?;
-            write_container_versioned(&dataset, out, records_per_shard, version)
-                .map_err(|e| e.to_string())?
+            write_container(&dataset, out, records_per_shard).map_err(|e| e.to_string())?
         }
         (None, Some(srcdir)) => {
             let quality: u8 = args.number("quality", 85u8)?;
@@ -179,7 +167,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 records_per_shard,
                 quality,
                 restart_interval,
-                version,
                 json,
             )?
         }
@@ -190,7 +177,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if json {
         let doc = JsonValue::object([
             ("out", JsonValue::str(out.display().to_string())),
-            ("format_version", JsonValue::U64(u64::from(version))),
+            ("format_version", JsonValue::U64(u64::from(CONTAINER_VERSION))),
             ("shards", JsonValue::U64(manifest.shards.len() as u64)),
             ("records", JsonValue::U64(manifest.num_records() as u64)),
             ("images", JsonValue::U64(manifest.num_images() as u64)),
@@ -237,7 +224,6 @@ fn dataset_spec(name: &str, scale: Scale) -> Result<DatasetSpec, String> {
 
 /// Packs a directory of JPEG files: `<srcdir>/*.jpg` at label 0 and
 /// `<srcdir>/<class>/*.jpg` labeled by sorted class-directory index.
-#[allow(clippy::too_many_arguments)]
 fn pack_image_dir(
     srcdir: &Path,
     out: &Path,
@@ -245,7 +231,6 @@ fn pack_image_dir(
     records_per_shard: usize,
     quality: u8,
     restart_interval: u16,
-    version: u16,
     json: bool,
 ) -> Result<ContainerManifest, String> {
     let mut builder = PcrDatasetBuilder::new(images_per_record, DEFAULT_NUM_GROUPS)
@@ -345,7 +330,7 @@ fn pack_image_dir(
         println!("packed {packed} image(s), skipped {skipped}");
     }
     let dataset = builder.finish().map_err(|e| e.to_string())?;
-    write_container_versioned(&dataset, out, records_per_shard, version).map_err(|e| e.to_string())
+    write_container(&dataset, out, records_per_shard).map_err(|e| e.to_string())
 }
 
 fn is_jpeg_name(path: &Path) -> bool {

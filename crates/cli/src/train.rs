@@ -9,13 +9,11 @@ use pcr_loader::{
     IoModel, LoaderConfig, ParallelConfig, ParallelLoader, RecordSource, ShardStoreConfig,
 };
 use pcr_core::{DecisionLogWriter, DecisionRecord, DECISION_LOG_FILE};
-use pcr_metrics::{FidelityEpoch, FidelityTrace, TriggerKind};
 use pcr_storage::FaultPlan;
 use pcr_nn::{Matrix, Mlp, ModelSpec, SgdMomentum};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 pub const HELP: &str = "pcr train — wall-clock training epochs from a container
 
@@ -27,7 +25,7 @@ OPTIONS:
     --dynamic         Online fidelity control: start at full quality,
                       probe per-group MSSIM, drop the scan-group prefix
                       when the training loss plateaus
-    --group <g>       Fixed scan group when not --dynamic (default: full)
+    --group <g>       Fixed scan group (default: full); not with --dynamic
     --model <name>    resnet | shufflenet (default resnet)
     --threads <n>     Loader worker threads (default 4)
     --batch <n>       Minibatch size (default 32)
@@ -107,6 +105,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let dir = args.positional.first().ok_or("usage: pcr train <dir> [options]")?;
     let mut epochs: u64 = args.number("epochs", 8u64)?.max(1);
     let dynamic = args.flag("dynamic");
+    if dynamic && args.value("group").is_some() {
+        return Err("--dynamic and --group cannot be combined: --dynamic starts at full quality \
+                    and lets the controller pick each epoch's scan group, --group fixes it"
+            .into());
+    }
     let threads = args.number("threads", 4usize)?.max(1);
     let batch = args.number("batch", 32usize)?.max(1);
     let lr: f32 = args.number("lr", 0.05f32)?;
@@ -182,7 +185,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     read_deadline_s: read_deadline_ms / 1000.0,
                     ..pcr_loader::RetryPolicy::default()
                 },
-                ..LoaderConfig::at_group(full_group)
+                // The group epochs run at unless a controller overrides it.
+                ..LoaderConfig::at_group(fixed_group)
             },
             batch_size: batch,
             io,
@@ -206,95 +210,74 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
         }
     };
-    let bytes_full = source.bytes_at_group(full_group);
-
     let mut model = Mlp::new(model_spec.clone(), num_classes, seed);
     let mut opt = SgdMomentum::new(0.9);
     let dim = model_spec.input_dim();
-    let mut trace = FidelityTrace::new();
     let mut log_failed = false;
-    let mut trigger = if dynamic { TriggerKind::Start } else { TriggerKind::Fixed };
+    let mut log_write_failures = 0;
+    // The consumer's training accuracy, for the sink's table row.
+    let train_acc = Cell::new(0.0f64);
     println!(
         "\n{:>6} {:>6} {:>12} {:>8} {:>9} {:>9} {:>8}",
         "epoch", "group", "bytes", "img/s", "loss", "train acc", "hit rate"
     );
-    for epoch in 0..epochs {
-        let group = controller.as_ref().map_or(fixed_group, FidelityController::group);
-        let t0 = Instant::now();
-        let stream = loader.spawn_epoch_at(epoch, group);
-        let mut loss_sum = 0.0f64;
-        let mut correct = 0usize;
-        let mut seen = 0usize;
-        for b in stream.batches.iter() {
-            if b.images.is_empty() {
-                continue;
-            }
-            let mut features = Vec::with_capacity(b.images.len() * dim);
-            for img in &b.images {
-                features.extend(model_spec.featurize(img));
-            }
-            let x = Matrix::from_vec(b.images.len(), dim, features);
-            let step = model.backward(&x, &b.labels);
-            opt.step(&mut model, &step.grads, lr);
-            loss_sum += step.loss * step.n as f64;
-            correct += step.correct;
-            seen += step.n;
-        }
-        let stats = Arc::clone(&stream.stats);
-        stream.join();
-        let wall = t0.elapsed().as_secs_f64();
-        let bytes = stats.bytes_read.load(Ordering::Relaxed);
-        let loss = if seen > 0 { loss_sum / seen as f64 } else { f64::NAN };
-        let acc = if seen > 0 { correct as f64 / seen as f64 } else { 0.0 };
-        let images_per_sec = if wall > 0.0 { seen as f64 / wall } else { 0.0 };
-        let entry = FidelityEpoch {
-            epoch,
-            scan_group: group,
-            trigger,
-            probe_scores: controller
-                .as_ref()
-                .map(FidelityController::probe_scores_wire)
-                .unwrap_or_default(),
-            bytes_read: bytes,
-            images: seen as u64,
-            images_per_sec,
-            cache_hit_rate: opened.store.cache_hit_rate(),
-            loss,
-            faults: stats.fault_report().epoch_counters(),
-        };
-        trace.log_write_failures += persist(
-            &mut declog,
-            &mut log_failed,
-            &DecisionRecord::epoch_records(&entry, bytes_full),
-        );
-        if entry.faults.degraded_records > 0 || entry.faults.quarantined_records > 0 {
-            println!(
-                "  !! faults: {} retried read(s), {} degraded, {} quarantined ({} image(s))",
-                entry.faults.retries,
-                entry.faults.degraded_records,
-                entry.faults.quarantined_records,
-                entry.faults.quarantined_images,
-            );
-        }
-        trace.push(entry);
-        println!(
-            "{:>6} {:>6} {:>12} {:>8.1} {:>9.4} {:>9.3} {:>8.2}",
-            epoch,
-            group,
-            bytes,
-            images_per_sec,
-            loss,
-            acc,
-            opened.store.cache_hit_rate()
-        );
-        if let Some(ctrl) = controller.as_mut() {
-            let switched = ctrl.observe_loss(loss);
-            if let Some(next) = switched {
-                println!("  -> fidelity controller drops to scan group {next} for the next epoch");
-            }
-            trigger = ctrl.trigger_after(switched);
-        }
-    }
+    let mut trace = loader
+        .run_dynamic(
+            epochs,
+            controller.as_mut(),
+            // One epoch of MLP steps over the delivered minibatches; the
+            // loss the controller observes is the epoch's mean.
+            |_, batches| {
+                let mut loss_sum = 0.0f64;
+                let mut correct = 0usize;
+                let mut seen = 0usize;
+                for b in batches {
+                    if b.images.is_empty() {
+                        continue;
+                    }
+                    let mut features = Vec::with_capacity(b.images.len() * dim);
+                    for img in &b.images {
+                        features.extend(model_spec.featurize(img));
+                    }
+                    let x = Matrix::from_vec(b.images.len(), dim, features);
+                    let step = model.backward(&x, &b.labels);
+                    opt.step(&mut model, &step.grads, lr);
+                    loss_sum += step.loss * step.n as f64;
+                    correct += step.correct;
+                    seen += step.n;
+                }
+                train_acc.set(if seen > 0 { correct as f64 / seen as f64 } else { 0.0 });
+                if seen > 0 { loss_sum / seen as f64 } else { f64::NAN }
+            },
+            |entry, records, switched| {
+                log_write_failures += persist(&mut declog, &mut log_failed, records);
+                if entry.faults.degraded_records > 0 || entry.faults.quarantined_records > 0 {
+                    println!(
+                        "  !! faults: {} retried read(s), {} degraded, {} quarantined ({} image(s))",
+                        entry.faults.retries,
+                        entry.faults.degraded_records,
+                        entry.faults.quarantined_records,
+                        entry.faults.quarantined_images,
+                    );
+                }
+                println!(
+                    "{:>6} {:>6} {:>12} {:>8.1} {:>9.4} {:>9.3} {:>8.2}",
+                    entry.epoch,
+                    entry.scan_group,
+                    entry.bytes_read,
+                    entry.images_per_sec,
+                    entry.loss,
+                    train_acc.get(),
+                    entry.cache_hit_rate
+                );
+                if let Some(next) = switched {
+                    println!("  -> fidelity controller drops to scan group {next} for the next epoch");
+                }
+                Ok(())
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    trace.log_write_failures = log_write_failures;
 
     let full_cost = epochs * source.bytes_at_group(full_group);
     println!(
@@ -354,6 +337,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcr_metrics::TriggerKind;
 
     #[test]
     fn every_record_after_a_failed_append_is_counted() {

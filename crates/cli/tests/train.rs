@@ -1,0 +1,86 @@
+//! `pcr train` through the built binary: the decision log it leaves in
+//! the container is the history of the loop that ships.
+
+use pcr_core::{DecisionRecord, PcrContainer};
+use pcr_jpeg::{encode, EncodeConfig, ImageBuf};
+use pcr_metrics::TriggerKind;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const IMAGES: u32 = 10;
+
+fn pcr() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pcr"));
+    cmd.env_remove("PCR_BENCH_SMOKE");
+    cmd
+}
+
+/// Packs ten 24x24 JPEGs in two class directories into `<tag>/container`
+/// and runs `pcr train` over it with `options`.
+fn pack_and_train(tag: &str, options: &[&str]) -> (PathBuf, Output) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    for i in 0..IMAGES {
+        let class = dir.join("src").join(format!("class{}", i % 2));
+        std::fs::create_dir_all(&class).unwrap();
+        let data = (0..24 * 24 * 3).map(|p| ((p * 7 + i * 31 + (i % 2) * 90) % 251) as u8).collect();
+        let img = ImageBuf::from_raw(24, 24, 3, data).unwrap();
+        let jpeg = encode(&img, &EncodeConfig::baseline(90)).unwrap();
+        std::fs::write(class.join(format!("{i}.jpg")), jpeg).unwrap();
+    }
+    let container = dir.join("container");
+    let packed = pcr()
+        .args(["pack", "--images-per-record", "4", "--images"])
+        .arg(dir.join("src"))
+        .arg("--out")
+        .arg(&container)
+        .output()
+        .unwrap();
+    assert!(packed.status.success(), "pack failed: {}", String::from_utf8_lossy(&packed.stderr));
+    let trained = pcr().arg("train").arg(&container).args(options).output().unwrap();
+    (container, trained)
+}
+
+/// The verified container and the records `pcr train` appended to it.
+fn audit(dir: &Path, trained: &Output) -> (PcrContainer, Vec<DecisionRecord>) {
+    assert!(trained.status.success(), "train failed: {}", String::from_utf8_lossy(&trained.stderr));
+    let container = PcrContainer::open(dir).unwrap();
+    container.verify().expect("container and its decision log verify");
+    let log = container.decision_log().unwrap().expect("decisions.pcrd written");
+    (container, log.records().to_vec())
+}
+
+#[test]
+fn fixed_group_run_logs_one_fixed_record_per_epoch() {
+    let (dir, out) = pack_and_train("train-fixed", &["--group", "2", "--epochs", "2", "--threads", "1"]);
+    let (container, records) = audit(&dir, &out);
+    assert_eq!(records.len(), 2);
+    for (epoch, r) in records.iter().enumerate() {
+        assert_eq!((r.epoch, r.trigger, r.scan_group), (epoch as u64, TriggerKind::Fixed, 2));
+        assert_eq!(r.bytes_read, container.bytes_at_group(2).unwrap());
+        assert_eq!(r.images, u64::from(IMAGES));
+        assert!(r.probe_scores.is_empty() && r.loss.is_finite());
+    }
+}
+
+#[test]
+fn dynamic_run_starts_at_full_quality_with_its_probe_scores() {
+    let (dir, out) = pack_and_train("train-dynamic", &["--dynamic", "--epochs", "3", "--threads", "1"]);
+    let (container, records) = audit(&dir, &out);
+    assert_eq!(records.len(), 3);
+    let first = &records[0];
+    assert_eq!(first.trigger, TriggerKind::Start);
+    assert_eq!(usize::from(first.scan_group), container.num_groups());
+    assert_eq!(first.probe_scores.len(), 4, "groups 1, 2, 5 and full");
+    assert_eq!(first.bytes_read, first.bytes_full);
+    assert!(records[1..].iter().all(|r| r.trigger != TriggerKind::Start));
+}
+
+#[test]
+fn dynamic_with_a_fixed_group_is_rejected() {
+    let (dir, out) = pack_and_train("train-conflict", &["--dynamic", "--group", "2"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--dynamic") && stderr.contains("--group"), "stderr: {stderr}");
+    assert!(!dir.join(pcr_core::DECISION_LOG_FILE).exists(), "nothing ran");
+}

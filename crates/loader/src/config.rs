@@ -72,23 +72,6 @@ impl LoaderConfig {
     pub fn at_group(scan_group: usize) -> Self {
         Self { scan_group, ..Self::default() }
     }
-
-    /// The record visitation order for `epoch` over `n` records — shared by
-    /// the virtual-time and wall-clock loaders so a fixed `(seed, epoch)`
-    /// pair names the same schedule in both, letting experiments switch
-    /// between modeled and measured runs without changing the data order.
-    /// Delegates to [`crate::source::ReadPlanner`], the single owner of the
-    /// shuffle math.
-    pub fn epoch_order(&self, n: usize, epoch: u64) -> Vec<usize> {
-        crate::source::ReadPlanner::from_config(self).epoch_order(n, epoch)
-    }
-
-    /// Streaming form of [`LoaderConfig::epoch_order`]: the same schedule
-    /// as a constant-size [`crate::order::EpochOrder`] bijection, with no
-    /// allocation proportional to `n`.
-    pub fn epoch_iter(&self, n: usize, epoch: u64) -> crate::order::EpochOrder {
-        crate::source::ReadPlanner::from_config(self).epoch_iter(n, epoch)
-    }
 }
 
 #[cfg(test)]

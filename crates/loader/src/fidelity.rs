@@ -6,14 +6,17 @@
 //! (MSSIM against full quality, via `pcr-metrics`) clears a threshold.
 //!
 //! The policy layer is deliberately separate from the mechanism layer: the
-//! controller only *chooses* a scan group; [`ParallelLoader::run_epoch_at`]
-//! obeys it through the same [`ReadPlanner`](crate::source::ReadPlanner)
-//! every loader plans with, so the epoch record order is untouched by
-//! fidelity decisions and runs stay comparable across policies.
+//! controller only *chooses* a scan group;
+//! [`ParallelLoader::spawn_epoch_at`] obeys it through the same
+//! [`ReadPlanner`](crate::source::ReadPlanner) every loader plans with, so
+//! the epoch record order is untouched by fidelity decisions and runs stay
+//! comparable across policies. [`ParallelLoader::run_dynamic`] is the one
+//! epoch loop around the two — the loop `pcr train` runs and the golden
+//! decision trace pins.
 
-use crate::parallel::{ParallelLoader, WallClockEpoch};
+use crate::parallel::{Minibatch, ParallelLoader};
 use pcr_autotune::{select_lowest_qualifying, PlateauDetector, DEFAULT_MSSIM_THRESHOLD};
-use pcr_core::{DecisionLogWriter, DecisionRecord, MetaDb, PcrRecord, RecordScratch};
+use pcr_core::{DecisionRecord, PcrRecord, RecordScratch};
 use pcr_metrics::{msssim, FidelityEpoch, FidelityTrace, Plane, TriggerKind};
 use pcr_storage::{Clock, ObjectStore};
 
@@ -69,7 +72,7 @@ pub struct FidelityController {
 
 impl FidelityController {
     /// Creates a controller over candidate `scores` (`(group, score)`
-    /// pairs, e.g. from [`probe_group_scores`]). Training starts at the
+    /// pairs, e.g. from [`probe_source_scores`]). Training starts at the
     /// highest candidate group — full quality — exactly as the paper
     /// prescribes.
     pub fn new(config: FidelityConfig, scores: Vec<(usize, f64)>) -> Self {
@@ -82,11 +85,6 @@ impl FidelityController {
     /// The scan group the next epoch should read at.
     pub fn group(&self) -> usize {
         self.current
-    }
-
-    /// The candidate quality scores the controller selects from.
-    pub fn scores(&self) -> &[(usize, f64)] {
-        &self.scores
     }
 
     /// Every switch the controller has made, in order.
@@ -141,28 +139,18 @@ impl FidelityController {
 
 /// Measures MSSIM-vs-full-quality per candidate scan group over a sample
 /// of stored records — the per-run `pcr-metrics` reading a
-/// [`FidelityController`] selects with.
+/// [`FidelityController`] selects with — for any PCR-format
+/// [`RecordSource`](crate::source::RecordSource): a `MetaDb` over
+/// per-record objects or a `ShardedSource` whose plans point into packed
+/// shard objects. Full records are fetched via the source's own
+/// full-quality read plan, so the probe works identically for both.
+/// (Baseline sources whose bytes are not `.pcr` records contribute no
+/// samples; their candidates score 0.)
 ///
 /// Reads flow through the clocked store path ([`Clock::Wall`]), so probe
 /// traffic is visible in the device/cache statistics like any other read;
 /// probe before training (or reset the device) if that matters to an
 /// experiment. At most `max_images` images are decoded.
-pub fn probe_group_scores(
-    store: &ObjectStore,
-    db: &MetaDb,
-    candidates: &[usize],
-    max_images: usize,
-) -> Vec<(usize, f64)> {
-    probe_source_scores(store, db, candidates, max_images)
-}
-
-/// [`probe_group_scores`] over any PCR-format
-/// [`RecordSource`](crate::source::RecordSource) — e.g. a
-/// `ShardedSource` whose plans point into packed shard objects. Full
-/// records are fetched via the source's own full-quality read plan, so
-/// the probe works identically for per-record objects and shard ranges.
-/// (Baseline sources whose bytes are not `.pcr` records contribute no
-/// samples; their candidates score 0.)
 pub fn probe_source_scores<S: crate::source::RecordSource + ?Sized>(
     store: &ObjectStore,
     source: &S,
@@ -217,48 +205,54 @@ pub fn probe_source_scores<S: crate::source::RecordSource + ?Sized>(
 }
 
 impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {
-    /// Runs `epochs` wall-clock epochs under online fidelity control:
-    /// each epoch reads at the controller's current scan group, `loss_of`
-    /// reports that epoch's training loss back to the controller (which
-    /// may then switch groups for the *next* epoch), and the whole
-    /// trajectory — group chosen, bytes read, cache hit rate, throughput,
-    /// loss — is returned as a [`FidelityTrace`] ready for JSON export.
+    /// Runs `epochs` wall-clock epochs — the one epoch loop of a training
+    /// run. Each epoch reads at the controller's current scan group (with
+    /// no controller: at the configured group, recorded as
+    /// [`TriggerKind::Fixed`]); `consume` is handed the epoch index and
+    /// its minibatches and returns that epoch's training loss, which the
+    /// controller observes (and may then switch groups for the *next*
+    /// epoch). Batches `consume` leaves unread are cancelled, not drained
+    /// (see [`EpochStream::fold`](crate::parallel::EpochStream::fold)).
     ///
-    /// When `log` is given the container's audit plane is attached: every
-    /// epoch's records ([`DecisionRecord::epoch_records`]) are appended to
-    /// the durable decision log (FORMAT.md §7) as they happen, so the
-    /// trajectory survives in the artifact; the first failed append ends
-    /// the run with its error. The trace carries the same schema plus
-    /// wall-clock throughput, which the durable log deliberately omits to
-    /// stay byte-deterministic under seeded replay. Without a log the
-    /// result is always `Ok`.
-    pub fn run_dynamic<F>(
+    /// `sink` then receives the epoch's trace entry — group chosen, bytes
+    /// read, cache hit rate, throughput, loss — the durable records it
+    /// owes the container's decision log
+    /// ([`DecisionRecord::epoch_records`], FORMAT.md §7) and the group the
+    /// controller just switched to, if it did. What to do with them is
+    /// the caller's policy: append strictly and return the error, which
+    /// ends the run, or persist best-effort and carry on. The returned
+    /// [`FidelityTrace`] carries the same schema plus wall-clock
+    /// throughput, which the durable records deliberately omit to stay
+    /// byte-deterministic under seeded replay.
+    pub fn run_dynamic(
         &self,
         epochs: u64,
-        controller: &mut FidelityController,
-        mut loss_of: F,
-        mut log: Option<&mut DecisionLogWriter>,
-    ) -> pcr_core::Result<FidelityTrace>
-    where
-        F: FnMut(u64, &WallClockEpoch) -> f64,
-    {
+        mut controller: Option<&mut FidelityController>,
+        mut consume: impl FnMut(u64, &mut dyn Iterator<Item = Minibatch>) -> f64,
+        mut sink: impl FnMut(&FidelityEpoch, &[DecisionRecord], Option<usize>) -> pcr_core::Result<()>,
+    ) -> pcr_core::Result<FidelityTrace> {
         // What a fixed full-quality epoch reads, for the bytes-saved
         // rollup (a plan at usize::MAX clamps to the full record).
         let source = self.source();
         let bytes_full: u64 =
             (0..source.num_records()).map(|i| source.plan(i, usize::MAX).len).sum();
         let mut trace = FidelityTrace::new();
-        let mut trigger = TriggerKind::Start;
+        let mut trigger =
+            if controller.is_some() { TriggerKind::Start } else { TriggerKind::Fixed };
         for epoch in 0..epochs {
-            let scan_group = controller.group();
-            let result = self.run_epoch_at(epoch, scan_group);
-            let loss = loss_of(epoch, &result);
-            let switched = controller.observe_loss(loss);
+            let scan_group = controller
+                .as_deref()
+                .map_or(self.config().loader.scan_group, FidelityController::group);
+            let (loss, result) =
+                self.spawn_epoch_at(epoch, scan_group).fold(|batches| consume(epoch, batches));
             let entry = FidelityEpoch {
                 epoch,
                 scan_group,
                 trigger,
-                probe_scores: controller.probe_scores_wire(),
+                probe_scores: controller
+                    .as_deref()
+                    .map(FidelityController::probe_scores_wire)
+                    .unwrap_or_default(),
                 bytes_read: result.bytes,
                 images: result.images as u64,
                 images_per_sec: result.images_per_sec(),
@@ -266,13 +260,13 @@ impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {
                 loss,
                 faults: result.faults.epoch_counters(),
             };
-            if let Some(w) = log.as_deref_mut() {
-                for record in DecisionRecord::epoch_records(&entry, bytes_full) {
-                    w.append(&record)?;
-                }
+            let mut switched = None;
+            if let Some(ctrl) = controller.as_deref_mut() {
+                switched = ctrl.observe_loss(loss);
+                trigger = ctrl.trigger_after(switched);
             }
+            sink(&entry, &DecisionRecord::epoch_records(&entry, bytes_full), switched)?;
             trace.push(entry);
-            trigger = controller.trigger_after(switched);
         }
         Ok(trace)
     }
@@ -284,26 +278,12 @@ mod tests {
     use crate::config::{DecodeMode, LoaderConfig};
     use crate::loader::populate_store;
     use crate::parallel::ParallelConfig;
-    use pcr_core::{PcrDatasetBuilder, SampleMeta};
+    use pcr_core::MetaDb;
     use pcr_storage::DeviceProfile;
     use std::sync::Arc;
 
     fn fixture(n: usize) -> (Arc<ObjectStore>, Arc<MetaDb>) {
-        let mut b = PcrDatasetBuilder::new(4, 10).with_name_prefix("f");
-        for i in 0..n {
-            let mut data = Vec::new();
-            for y in 0..32u32 {
-                for x in 0..32u32 {
-                    data.push(((x * 3 + y * 7 + i as u32 * 5) % 256) as u8);
-                    data.push(((x + y) % 256) as u8);
-                    data.push((y % 256) as u8);
-                }
-            }
-            let img = pcr_jpeg::ImageBuf::from_raw(32, 32, 3, data).unwrap();
-            b.add_image(SampleMeta { label: (i % 3) as u32, id: format!("s{i}") }, &img, 85)
-                .unwrap();
-        }
-        let ds = b.finish().unwrap();
+        let ds = crate::loader::test_dataset(n, 4, |i| (i % 3) as u32);
         let store = ObjectStore::with_cache(DeviceProfile::ram(), 256 << 20);
         populate_store(&store, &ds);
         (Arc::new(store), Arc::new(ds.db.clone()))
@@ -351,7 +331,7 @@ mod tests {
     #[test]
     fn probe_scores_increase_with_group_and_saturate() {
         let (store, db) = fixture(6);
-        let scores = probe_group_scores(&store, &db, &[1, 5, 10], 8);
+        let scores = probe_source_scores(&store, &*db, &[1, 5, 10], 8);
         assert_eq!(scores.len(), 3);
         let s: std::collections::HashMap<usize, f64> = scores.iter().copied().collect();
         assert!(s[&1] <= s[&5] + 0.02, "group 1 {} vs group 5 {}", s[&1], s[&5]);
@@ -374,7 +354,17 @@ mod tests {
         let fixed_bytes = epochs * db.bytes_at_group(10);
         let fidelity = FidelityConfig { plateau_window: 1, ..FidelityConfig::default() };
         let mut ctrl = FidelityController::new(fidelity, scores());
-        let trace = loader.run_dynamic(epochs, &mut ctrl, |e, _| loss_at(e), None).unwrap();
+        let trace = loader
+            .run_dynamic(
+                epochs,
+                Some(&mut ctrl),
+                |e, batches| {
+                    batches.for_each(drop);
+                    loss_at(e)
+                },
+                |_, _, _| Ok(()),
+            )
+            .unwrap();
 
         assert_eq!(trace.epochs.len(), epochs as usize);
         assert_eq!(trace.total_images(), epochs * db.num_images() as u64);
@@ -393,5 +383,72 @@ mod tests {
         }
         // Wall-clock traffic went through the cache: repeat epochs hit.
         assert!(store.cache_hit_rate() > 0.5, "hit rate {}", store.cache_hit_rate());
+    }
+
+    #[test]
+    fn consumer_sees_every_image_once_and_may_stop_mid_epoch() {
+        // 78 images in 20 records: twice what the queues of this
+        // configuration can hold, so a cancelled epoch cannot have read
+        // everything.
+        let (store, db) = fixture(78);
+        let mut expected: Vec<u32> =
+            db.records.iter().flat_map(|r| r.labels.iter().copied()).collect();
+        expected.sort_unstable();
+        let cfg = ParallelConfig { batch_size: 4, prefetch_records: 2, ..ParallelConfig::real(2, 2) };
+        let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg);
+
+        // Fixed group (no controller): every epoch hands the consumer the
+        // whole label multiset, pixels paired with labels.
+        let mut seen: Vec<Vec<u32>> = Vec::new();
+        let mut logged = Vec::new();
+        let trace = loader
+            .run_dynamic(
+                2,
+                None,
+                |epoch, batches| {
+                    let mut labels = Vec::new();
+                    for b in batches {
+                        assert_eq!(b.images.len(), b.labels.len(), "epoch {epoch}");
+                        labels.extend(b.labels);
+                    }
+                    labels.sort_unstable();
+                    seen.push(labels);
+                    0.25
+                },
+                |entry, records, switched| {
+                    assert_eq!((records.len(), switched), (1, None));
+                    logged.push((entry.epoch, records[0].trigger, records[0].images));
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(seen, [expected.clone(), expected]);
+        assert_eq!(logged, [(0, TriggerKind::Fixed, 78), (1, TriggerKind::Fixed, 78)]);
+        for e in &trace.epochs {
+            assert_eq!((e.scan_group, e.bytes_read, e.loss), (2, db.bytes_at_group(2), 0.25));
+            assert!(e.probe_scores.is_empty());
+        }
+
+        // A consumer that stops after one batch still gets a folded
+        // report — of the cancelled epoch — and every stage thread of it
+        // is gone by the time the sink runs: each holds the store and the
+        // source until it exits, so only this test and the loader do now.
+        // The sink's error then ends the run.
+        let mut sunk = 0;
+        let stopped = loader.run_dynamic(
+            3,
+            None,
+            |_, batches| batches.next().map_or(f64::NAN, |b| b.labels.len() as f64),
+            |entry, _, _| {
+                let holders = (Arc::strong_count(&store), Arc::strong_count(&db));
+                assert_eq!(holders, (2, 2), "a stage thread outlived its epoch");
+                assert_eq!((entry.epoch, entry.images, entry.loss), (0, 4, 4.0));
+                assert!(entry.bytes_read < db.bytes_at_group(2), "the epoch was cancelled");
+                sunk += 1;
+                Err(pcr_core::Error::BadInput("disk full".into()))
+            },
+        );
+        assert!(matches!(stopped, Err(pcr_core::Error::BadInput(_))));
+        assert_eq!(sunk, 1, "no epoch runs after a failed sink");
     }
 }

@@ -24,7 +24,12 @@
 //! page cache, readahead, and device statistics with the virtual-time
 //! loader. On top sits the policy layer: [`fidelity::FidelityController`]
 //! adjusts the scan-group prefix online from loss plateaus and MSSIM
-//! scores — the paper's *dynamic* compression knob.
+//! scores — the paper's *dynamic* compression knob — and
+//! [`ParallelLoader::run_dynamic`] is the one epoch loop around both: it
+//! hands each epoch's minibatches to the caller's training step, folds
+//! the epoch into a trace entry ([`EpochStream::fold`]) and emits the
+//! records the container's decision log is owed. `pcr train` is a caller
+//! of that loop, not a copy of it.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -70,19 +75,16 @@ pub mod source;
 pub mod timing;
 
 pub use config::{DecodeMode, LoaderConfig};
-pub use fidelity::{
-    probe_group_scores, probe_source_scores, FidelityConfig, FidelityController, FidelityDecision,
-};
-pub use loader::{populate_store, run_virtual_epoch, EpochResult, LoadedRecord, PcrLoader};
+pub use fidelity::{probe_source_scores, FidelityConfig, FidelityController, FidelityDecision};
+pub use loader::{populate_store, EpochResult, LoadedRecord, PcrLoader};
 pub use order::EpochOrder;
 pub use parallel::{
     Bottleneck, EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats,
     WallClockEpoch,
 };
 pub use retry::{
-    deliver_with_degradation, read_with_retry, DecodeCheck, Delivery, FaultReport, Ladder,
-    QuarantineEntry, RetryBudget, RetryOutcome, RetryPolicy, Rung, Timeline,
-    QUARANTINE_DETAIL_CAP,
+    DecodeCheck, Delivery, FaultReport, Ladder, QuarantineEntry, RetryBudget, RetryOutcome,
+    RetryPolicy, Rung, Timeline, QUARANTINE_DETAIL_CAP,
 };
 pub use sharded::{open_container_store, OpenedContainer, ShardStoreConfig, ShardedSource};
 pub use source::{ObjectMeta, ReadPlan, ReadPlanner, RecordSource};

@@ -14,10 +14,7 @@
 //! per-epoch record order.
 
 use crate::config::{DecodeMode, LoaderConfig};
-use crate::retry::{
-    deliver_with_degradation, DecodeCheck, Delivery, FaultReport, RetryBudget, RetryOutcome,
-    Timeline,
-};
+use crate::retry::{DecodeCheck, Delivery, FaultReport, Ladder, RetryBudget, Timeline};
 use crate::source::{ReadPlanner, RecordSource};
 use pcr_core::{MetaDb, RecordScratch};
 use pcr_jpeg::ImageBuf;
@@ -127,115 +124,101 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
 
     /// Streams one epoch starting at virtual time `start`, returning every
     /// record with its ready timestamp.
+    ///
+    /// This is the virtual-time epoch engine every modeled run goes
+    /// through: a greedy closed system of `config.threads` workers over
+    /// any [`RecordSource`] — PCR records, packed shards, or
+    /// baseline-format objects (`[ObjectMeta]`, whole-object reads) —
+    /// reading through the clocked store path
+    /// ([`Clock::Virtual`](pcr_storage::Clock::Virtual)) and charging
+    /// decode cost per [`DecodeMode`], so the worker/timing model exists in
+    /// exactly one place and format comparisons share it.
     pub fn run_epoch(&self, epoch: u64, start: f64) -> EpochResult {
-        let planner = ReadPlanner::from_config(&self.config);
-        run_virtual_epoch(self.store, self.source, &self.config, &planner, epoch, start)
-    }
-}
-
-/// The virtual-time epoch engine every modeled loader runs on: a greedy
-/// closed system of `config.threads` workers over any [`RecordSource`],
-/// reading through the clocked store path ([`Clock::Virtual`](pcr_storage::Clock::Virtual)) and
-/// charging decode cost per [`DecodeMode`].
-///
-/// [`PcrLoader`] is a thin wrapper over this one function for every
-/// source — PCR records, packed shards, or baseline-format objects
-/// (`[ObjectMeta]`, whole-object reads) — so the worker/timing model
-/// exists in exactly one place and format comparisons share it.
-pub fn run_virtual_epoch<S: RecordSource + ?Sized>(
-    store: &ObjectStore,
-    source: &S,
-    config: &LoaderConfig,
-    planner: &ReadPlanner,
-    epoch: u64,
-    start: f64,
-) -> EpochResult {
-    // Streaming order: the Feistel bijection yields indices one at a
-    // time, so epoch start allocates nothing proportional to n.
-    let order = planner.epoch_iter(source.num_records(), epoch);
-    let mut scratch = RecordScratch::new();
-    let threads = config.threads.max(1);
-    let budget = RetryBudget::new(config.retry.epoch_retry_budget_s);
-    let mut faults = FaultReport::default();
-    // Each worker's virtual "free at" time.
-    let mut free_at = vec![start; threads];
-    let mut out: Vec<LoadedRecord> = Vec::with_capacity(order.num_records());
-    for (seq, rec_idx) in order.enumerate() {
-        // Greedy: the earliest-free worker takes the next record.
-        let worker = (0..threads)
-            .min_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).expect("no NaN"))
-            .expect("threads >= 1");
-        let issued = free_at[worker];
-        // Decode cost accumulates across ladder attempts (failed decodes
-        // are charged too, matching the wall-clock workers' semantics).
-        let mut decode_cost = 0.0f64;
-        let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match config.decode
-        {
-            DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
-            DecodeMode::Real => {
-                let (decoded, elapsed) = crate::timing::measure(|| {
-                    source.decode_real(rec_idx, &read.data, planner.scan_group, &mut scratch)
-                });
-                decode_cost += elapsed;
-                match decoded {
-                    Some(images) => DecodeCheck::Images(images),
-                    None => DecodeCheck::Failed,
+        let Self { store, source, config } = self;
+        let planner = ReadPlanner::from_config(config);
+        // Streaming order: the Feistel bijection yields indices one at a
+        // time, so epoch start allocates nothing proportional to n.
+        let order = planner.epoch_iter(source.num_records(), epoch);
+        let mut scratch = RecordScratch::new();
+        let threads = config.threads.max(1);
+        let budget = RetryBudget::new(config.retry.epoch_retry_budget_s);
+        let mut faults = FaultReport::default();
+        // Each worker's virtual "free at" time.
+        let mut free_at = vec![start; threads];
+        let mut out: Vec<LoadedRecord> = Vec::with_capacity(order.num_records());
+        for (seq, rec_idx) in order.enumerate() {
+            // Greedy: the earliest-free worker takes the next record.
+            let worker = (0..threads)
+                .min_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).expect("no NaN"))
+                .expect("threads >= 1");
+            let issued = free_at[worker];
+            // Decode cost accumulates across ladder attempts (failed decodes
+            // are charged too, matching the wall-clock workers' semantics).
+            let mut decode_cost = 0.0f64;
+            let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match config.decode
+            {
+                DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
+                DecodeMode::Real => {
+                    let (decoded, elapsed) = crate::timing::measure(|| {
+                        source.decode_real(rec_idx, &read.data, planner.scan_group, &mut scratch)
+                    });
+                    decode_cost += elapsed;
+                    match decoded {
+                        Some(images) => DecodeCheck::Images(images),
+                        None => DecodeCheck::Failed,
+                    }
                 }
-            }
-        };
-        let mut outcome = RetryOutcome::default();
-        let delivery = deliver_with_degradation(
-            store,
-            source,
-            rec_idx,
-            planner.scan_group,
-            Timeline::Virtual { start: issued },
-            &config.retry,
-            &budget,
-            &mut |_| {}, // virtual: backoff is charged by issuing later
-            &mut decode_check,
-            &mut outcome,
-        );
-        faults.retries += u64::from(outcome.retries);
-        faults.backoff_s += outcome.backoff_s;
-        match delivery {
-            Delivery::Delivered { read, group, degraded, images } => {
-                if let DecodeMode::Modeled { seconds_per_byte } = config.decode {
-                    decode_cost = read.data.len() as f64 * seconds_per_byte;
+            };
+            // The record's fidelity ladder, fetched and delivered in one
+            // place (virtual: backoff is charged by issuing later).
+            let mut ladder = Ladder::new(planner.scan_group);
+            let mut fetch = |l: &mut Ladder| {
+                let timeline = Timeline::Virtual { start: issued };
+                l.fetch(store, *source, rec_idx, timeline, &config.retry, &budget, &mut |_| {})
+            };
+            let first = fetch(&mut ladder);
+            let (delivery, outcome) = ladder.deliver(first, &mut fetch, &mut decode_check);
+            faults.retries += u64::from(outcome.retries);
+            faults.backoff_s += outcome.backoff_s;
+            match delivery {
+                Delivery::Delivered { read, group, degraded, images } => {
+                    if let DecodeMode::Modeled { seconds_per_byte } = config.decode {
+                        decode_cost = read.data.len() as f64 * seconds_per_byte;
+                    }
+                    if degraded {
+                        faults.degraded_records += 1;
+                    }
+                    let ready = read.finish + decode_cost;
+                    free_at[worker] = ready;
+                    out.push(LoadedRecord {
+                        seq,
+                        record: rec_idx,
+                        worker,
+                        issued,
+                        read_finish: read.finish,
+                        ready,
+                        bytes: read.data.len() as u64,
+                        labels: source.labels(rec_idx).to_vec(),
+                        images,
+                        delivered_group: group,
+                        degraded,
+                    });
                 }
-                if degraded {
-                    faults.degraded_records += 1;
+                Delivery::Quarantined { reason } => {
+                    // The worker spent its backoff and any decode attempts
+                    // but delivers nothing; the record's labels are accounted
+                    // in the quarantine multiset.
+                    faults.note_quarantine(rec_idx, source.labels(rec_idx), reason);
+                    free_at[worker] = issued + outcome.backoff_s + decode_cost;
                 }
-                let ready = read.finish + decode_cost;
-                free_at[worker] = ready;
-                out.push(LoadedRecord {
-                    seq,
-                    record: rec_idx,
-                    worker,
-                    issued,
-                    read_finish: read.finish,
-                    ready,
-                    bytes: read.data.len() as u64,
-                    labels: source.labels(rec_idx).to_vec(),
-                    images,
-                    delivered_group: group,
-                    degraded,
-                });
-            }
-            Delivery::Quarantined { reason } => {
-                // The worker spent its backoff and any decode attempts
-                // but delivers nothing; the record's labels are accounted
-                // in the quarantine multiset.
-                faults.note_quarantine(rec_idx, source.labels(rec_idx), reason);
-                free_at[worker] = issued + outcome.backoff_s + decode_cost;
             }
         }
+        out.sort_by(|a, b| a.ready.partial_cmp(&b.ready).expect("no NaN"));
+        let images = out.iter().map(|r| r.labels.len()).sum();
+        let bytes = out.iter().map(|r| r.bytes).sum();
+        let duration = out.last().map_or(0.0, |r| r.ready - start);
+        EpochResult { records: out, images, bytes, duration, faults }
     }
-    out.sort_by(|a, b| a.ready.partial_cmp(&b.ready).expect("no NaN"));
-    let images = out.iter().map(|r| r.labels.len()).sum();
-    let bytes = out.iter().map(|r| r.bytes).sum();
-    let duration = out.last().map_or(0.0, |r| r.ready - start);
-    EpochResult { records: out, images, bytes, duration, faults }
 }
 
 /// Loads every record of a PCR dataset into an object store under its DB
@@ -246,33 +229,39 @@ pub fn populate_store(store: &ObjectStore, dataset: &pcr_core::PcrDataset) {
     }
 }
 
+/// The dataset this crate's unit tests load: `n` patterned 32x32 images,
+/// `images_per_record` to a record, 10 scan groups, labeled by `label`.
+#[cfg(test)]
+pub(crate) fn test_dataset(
+    n: usize,
+    images_per_record: usize,
+    label: impl Fn(usize) -> u32,
+) -> pcr_core::PcrDataset {
+    let mut b = pcr_core::PcrDatasetBuilder::new(images_per_record, 10).with_name_prefix("t");
+    for i in 0..n {
+        let mut data = Vec::new();
+        for y in 0..32u32 {
+            for x in 0..32u32 {
+                data.push(((x * 3 + y * 7 + i as u32 * 5) % 256) as u8);
+                data.push(((x + y) % 256) as u8);
+                data.push((y % 256) as u8);
+            }
+        }
+        let img = ImageBuf::from_raw(32, 32, 3, data).unwrap();
+        b.add_image(pcr_core::SampleMeta { label: label(i), id: format!("s{i}") }, &img, 85).unwrap();
+    }
+    b.finish().unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr_core::{PcrDatasetBuilder, SampleMeta};
+    use pcr_core::SampleMeta;
     use pcr_jpeg::ImageBuf;
     use pcr_storage::DeviceProfile;
 
-    fn make_dataset(n: usize) -> pcr_core::PcrDataset {
-        let mut b = PcrDatasetBuilder::new(4, 10).with_name_prefix("t");
-        for i in 0..n {
-            let mut data = Vec::new();
-            for y in 0..40u32 {
-                for x in 0..40u32 {
-                    data.push(((x * 7 + y * 3 + i as u32 * 11) % 256) as u8);
-                    data.push(((x + y) % 256) as u8);
-                    data.push(((x * y) % 256) as u8);
-                }
-            }
-            let img = ImageBuf::from_raw(40, 40, 3, data).unwrap();
-            b.add_image(SampleMeta { label: (i % 2) as u32, id: format!("i{i}") }, &img, 85)
-                .unwrap();
-        }
-        b.finish().unwrap()
-    }
-
     fn setup(n: usize, profile: DeviceProfile) -> (ObjectStore, pcr_core::MetaDb) {
-        let ds = make_dataset(n);
+        let ds = test_dataset(n, 4, |i| (i % 2) as u32);
         let store = ObjectStore::new(profile);
         populate_store(&store, &ds);
         (store, ds.db)
@@ -332,7 +321,7 @@ mod tests {
         let r = loader.run_epoch(0, 0.0);
         let total: usize = r.records.iter().map(|rec| rec.images.len()).sum();
         assert_eq!(total, 4);
-        assert_eq!(r.records[0].images[0].width(), 40);
+        assert_eq!(r.records[0].images[0].width(), 32);
         // Real decode charges measured wall-clock time to the virtual
         // timeline; a coarse CI clock can measure zero, so the strict
         // inequality is opt-in (PCR_STRICT_TIMING=1).

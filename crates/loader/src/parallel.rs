@@ -189,17 +189,6 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
-    /// Mean decode throughput in images/second of summed worker CPU time.
-    pub fn decode_images_per_cpu_sec(&self) -> f64 {
-        let n = self.images_decoded.load(Ordering::Relaxed) as f64;
-        let secs = self.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        if secs > 0.0 {
-            n / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Which stage bound an epoch of `wall_seconds` run with
     /// `decode_threads` decode workers, from where those workers' time
     /// went: waiting on the hand-off for bytes (storage), decoding, or —
@@ -256,9 +245,10 @@ impl Bottleneck {
 /// A running epoch: a stream of minibatches plus live statistics.
 ///
 /// Iterate [`EpochStream::batches`] until disconnect for the full epoch,
-/// then call [`EpochStream::join`]; dropping the receiver early tears the
-/// pipeline down cleanly (decode workers notice the closed channel and
-/// close the hand-off, which releases the fetchers).
+/// then call [`EpochStream::join`] — or let [`EpochStream::fold`] do both
+/// and report; dropping the receiver early tears the pipeline down cleanly
+/// (decode workers notice the closed channel and close the hand-off, which
+/// releases the fetchers).
 pub struct EpochStream {
     /// Minibatch stream; iterate until disconnect for a full epoch.
     pub batches: Receiver<Minibatch>,
@@ -267,6 +257,13 @@ pub struct EpochStream {
     /// Fetch-stage and decode-stage threads.
     pub(crate) workers: Vec<std::thread::JoinHandle<()>>,
     pub(crate) assembler: Option<std::thread::JoinHandle<()>>,
+    /// What [`EpochStream::fold`] reports against: when the spawn began,
+    /// the decode worker count, the I/O depth, and whether images (rather
+    /// than labels) count deliveries.
+    started: Instant,
+    threads: usize,
+    depth: usize,
+    pairs_images: bool,
 }
 
 impl EpochStream {
@@ -275,7 +272,7 @@ impl EpochStream {
     /// the closed channel) instead of deadlocking; drain `batches` before
     /// calling if you want the full epoch.
     pub fn join(self) {
-        let EpochStream { batches, workers, assembler, stats: _ } = self;
+        let EpochStream { batches, workers, assembler, .. } = self;
         drop(batches);
         for w in workers {
             let _ = w.join();
@@ -284,15 +281,54 @@ impl EpochStream {
             let _ = a.join();
         }
     }
+
+    /// Folds the epoch into its report: hands the minibatches to
+    /// `consumer`, joins the pipeline once it returns, and turns the
+    /// statistics plus the time since the spawn began into a
+    /// [`WallClockEpoch`]. A consumer that returns before the stream is
+    /// exhausted cancels the rest of the epoch exactly as an early
+    /// [`EpochStream::join`] does; the report then covers what was read
+    /// and delivered up to that point.
+    pub fn fold<R>(
+        self,
+        consumer: impl FnOnce(&mut dyn Iterator<Item = Minibatch>) -> R,
+    ) -> (R, WallClockEpoch) {
+        let (threads, depth, pairs_images) = (self.threads, self.depth, self.pairs_images);
+        let mut images = 0usize;
+        let out = consumer(&mut self.batches.iter().inspect(|b| {
+            images += if pairs_images { b.images.len() } else { b.labels.len() };
+        }));
+        let wall_seconds = self.started.elapsed().as_secs_f64();
+        let stats = Arc::clone(&self.stats);
+        self.join();
+        let decode_cpu_seconds = stats.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        let io_wait_seconds = stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        let share = |seconds: f64, lanes: usize| {
+            if wall_seconds > 0.0 {
+                seconds / (wall_seconds * lanes as f64)
+            } else {
+                0.0
+            }
+        };
+        let report = WallClockEpoch {
+            images,
+            bytes: stats.bytes_read.load(Ordering::Relaxed),
+            wall_seconds,
+            decode_cpu_seconds,
+            io_wait_share: share(io_wait_seconds, depth),
+            decode_busy_share: share(decode_cpu_seconds, threads),
+            bottleneck: stats.bottleneck(wall_seconds, threads),
+            faults: stats.fault_report(),
+        };
+        (out, report)
+    }
 }
 
-/// Wall-clock results of one fully drained epoch.
+/// Wall-clock results of one epoch (see [`EpochStream::fold`]).
 #[derive(Debug, Clone)]
 pub struct WallClockEpoch {
     /// Images delivered (labels delivered under non-decoding modes).
     pub images: usize,
-    /// Minibatches delivered.
-    pub batches: usize,
     /// Compressed bytes read.
     pub bytes: u64,
     /// Real elapsed seconds from spawn to last batch.
@@ -393,6 +429,7 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     /// `(seed, epoch)` only, so changing the group never changes which
     /// records are visited or in what order.
     pub fn spawn_epoch_at(&self, epoch: u64, scan_group: usize) -> EpochStream {
+        let started = Instant::now();
         let cfg = &self.config;
         let stats = Arc::new(ParallelStats::default());
 
@@ -494,51 +531,22 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
             })
             .expect("spawn assembler");
 
-        EpochStream { batches: batch_rx, stats, workers, assembler: Some(assembler) }
+        EpochStream {
+            batches: batch_rx,
+            stats,
+            workers,
+            assembler: Some(assembler),
+            started,
+            threads,
+            depth,
+            pairs_images,
+        }
     }
 
-    /// Runs one epoch to completion, draining every batch, and reports
-    /// wall-clock throughput.
+    /// Runs one epoch at the configured scan group to completion,
+    /// draining every batch, and reports wall-clock throughput.
     pub fn run_epoch(&self, epoch: u64) -> WallClockEpoch {
-        self.run_epoch_at(epoch, self.config.loader.scan_group)
-    }
-
-    /// Runs one epoch at `scan_group` (see [`ParallelLoader::spawn_epoch_at`])
-    /// to completion and reports wall-clock throughput.
-    pub fn run_epoch_at(&self, epoch: u64, scan_group: usize) -> WallClockEpoch {
-        let t0 = Instant::now();
-        let stream = self.spawn_epoch_at(epoch, scan_group);
-        let mut images = 0usize;
-        let mut batches = 0usize;
-        let pairs_images = matches!(self.config.loader.decode, DecodeMode::Real);
-        for b in stream.batches.iter() {
-            images += if pairs_images { b.images.len() } else { b.labels.len() };
-            batches += 1;
-        }
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let stats = Arc::clone(&stream.stats);
-        stream.join();
-        let threads = self.config.loader.threads.max(1);
-        let decode_cpu_seconds = stats.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        let io_wait_seconds = stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        let share = |seconds: f64, lanes: usize| {
-            if wall_seconds > 0.0 {
-                seconds / (wall_seconds * lanes as f64)
-            } else {
-                0.0
-            }
-        };
-        WallClockEpoch {
-            images,
-            batches,
-            bytes: stats.bytes_read.load(Ordering::Relaxed),
-            wall_seconds,
-            decode_cpu_seconds,
-            io_wait_share: share(io_wait_seconds, self.config.prefetch_records.max(1)),
-            decode_busy_share: share(decode_cpu_seconds, threads),
-            bottleneck: stats.bottleneck(wall_seconds, threads),
-            faults: stats.fault_report(),
-        }
+        self.spawn_epoch(epoch).fold(|batches| batches.for_each(drop)).1
     }
 }
 
@@ -709,35 +717,20 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr_core::{PcrDatasetBuilder, SampleMeta};
     use pcr_storage::DeviceProfile;
 
     fn make(n: usize, profile: DeviceProfile) -> (Arc<ObjectStore>, Arc<MetaDb>) {
-        let mut b = PcrDatasetBuilder::new(4, 10).with_name_prefix("w");
-        for i in 0..n {
-            let mut data = Vec::new();
-            for y in 0..32u32 {
-                for x in 0..32u32 {
-                    data.push(((x * 3 + y * 7 + i as u32 * 5) % 256) as u8);
-                    data.push(((x + y) % 256) as u8);
-                    data.push((y % 256) as u8);
-                }
-            }
-            let img = pcr_jpeg::ImageBuf::from_raw(32, 32, 3, data).unwrap();
-            // One label per image, so a label sequence names a delivery
-            // order, not just a multiset.
-            b.add_image(SampleMeta { label: i as u32, id: format!("s{i}") }, &img, 85).unwrap();
-        }
-        let ds = b.finish().unwrap();
+        // One label per image, so a label sequence names a delivery
+        // order, not just a multiset.
+        let ds = crate::loader::test_dataset(n, 4, |i| i as u32);
         let store = ObjectStore::new(profile);
         crate::loader::populate_store(&store, &ds);
         (Arc::new(store), Arc::new(ds.db.clone()))
     }
 
     fn sorted_labels(loader: &ParallelLoader, epoch: u64) -> Vec<u32> {
-        let stream = loader.spawn_epoch(epoch);
-        let mut labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
-        stream.join();
+        let (mut labels, _) =
+            loader.spawn_epoch(epoch).fold(|b| b.flat_map(|b| b.labels).collect::<Vec<u32>>());
         labels.sort_unstable();
         labels
     }
@@ -779,7 +772,7 @@ mod tests {
         // or virtualized CI clock can legitimately measure zero, so the
         // strictly-positive check is opt-in (PCR_STRICT_TIMING=1).
         if std::env::var_os("PCR_STRICT_TIMING").is_some() {
-            assert!(stats.decode_images_per_cpu_sec() > 0.0);
+            assert!(stats.decode_nanos.load(Ordering::Relaxed) > 0);
         }
     }
 
@@ -872,13 +865,10 @@ mod tests {
                 ..ParallelConfig::default()
             };
             let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
-            let t0 = Instant::now();
-            let stream = loader.spawn_epoch(0);
-            let mut labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
-            let wall_seconds = t0.elapsed().as_secs_f64();
-            stream.join();
+            let (mut labels, epoch) =
+                loader.spawn_epoch(0).fold(|b| b.flat_map(|b| b.labels).collect::<Vec<u32>>());
             labels.sort_unstable();
-            (labels, wall_seconds, store.device_stats().busy_time)
+            (labels, epoch.wall_seconds, store.device_stats().busy_time)
         };
         let (one_labels, one_wall, one_service) = run(1);
         let (six_labels, six_wall, _) = run(6);
@@ -927,8 +917,7 @@ mod tests {
             io: IoModel::EmulatedLatency,
             ..ParallelConfig::real(1, 10)
         };
-        let expected: Vec<u32> = cfg
-            .loader
+        let expected: Vec<u32> = ReadPlanner::from_config(&cfg.loader)
             .epoch_order(db.records.len(), 3)
             .into_iter()
             .flat_map(|idx| db.records[idx].labels.clone())
@@ -1026,17 +1015,5 @@ mod tests {
         stream.join();
         assert_eq!(store.device_stats().reads, 28, "backpressure reached the reads");
         assert!(stats.records_loaded.load(Ordering::Relaxed) <= 13, "the epoch was cancelled");
-    }
-
-    #[test]
-    fn epoch_order_matches_virtual_time_loader() {
-        // The wall-clock path must visit records in the same per-epoch
-        // order as PcrLoader so modeled and measured runs are comparable.
-        let cfg = LoaderConfig { seed: 42, ..LoaderConfig::at_group(3) };
-        let a = cfg.epoch_order(20, 7);
-        let b = cfg.epoch_order(20, 7);
-        let c = cfg.epoch_order(20, 8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -1,13 +1,13 @@
 //! Retry, backoff, and fidelity degradation around the storage read path.
 //!
-//! Every loader read goes through [`read_with_retry`]: transient
+//! Every loader read goes through [`Ladder::fetch`]: transient
 //! [`ReadError`]s are retried under a [`RetryPolicy`] — capped
 //! decorrelated-jitter backoff, a per-read deadline on modeled service
 //! time, and a shared per-epoch retry budget ([`RetryBudget`]) so a
 //! pathological store cannot stall an epoch forever.
 //!
-//! When retries are exhausted, [`deliver_with_degradation`] makes PCR's
-//! progressive structure the recovery mechanism: scan-group prefixes are
+//! When retries are exhausted, the [`Ladder`] makes PCR's progressive
+//! structure the recovery mechanism: scan-group prefixes are
 //! nested, so if groups `k+1..=G` of a record are unreadable the loader
 //! steps the request down — `G, G-1, …, 1` — and delivers the record at
 //! the longest intact prefix instead of failing the epoch. Records whose
@@ -134,11 +134,6 @@ impl RetryBudget {
             }
         }
     }
-
-    /// Remaining budget in seconds.
-    pub fn remaining_s(&self) -> f64 {
-        self.0.load(Ordering::Relaxed) as f64 / 1e6
-    }
 }
 
 /// Which timeline a retried read runs on. Backoff on the wall timeline is
@@ -173,7 +168,7 @@ pub struct RetryOutcome {
 /// later instead). Counters accumulate into `out` so ladder steps share
 /// one outcome.
 #[allow(clippy::too_many_arguments)] // the retry loop's full context; bundling would obscure call sites
-pub fn read_with_retry(
+fn read_with_retry(
     store: &ObjectStore,
     plan: &ReadPlan<'_>,
     timeline: Timeline,
@@ -274,8 +269,8 @@ pub struct Rung {
 /// [`Rung`] it produced; the decode worker then calls [`Ladder::deliver`]
 /// with that already-fetched rung, and only a rejected decode makes it
 /// fetch again — from the next lower group, with the same skip rule,
-/// budget and counters as a ladder walked in one place
-/// ([`deliver_with_degradation`]).
+/// budget and counters as the virtual-time loader's ladder, which is
+/// fetched and delivered in one place.
 #[derive(Debug)]
 pub struct Ladder {
     requested: usize,
@@ -302,11 +297,11 @@ impl Ladder {
     }
 
     /// Reads the longest prefix of record `idx` the store will deliver at
-    /// or below the current rung, with [`read_with_retry`] on every rung.
+    /// or below the current rung, with retry/backoff on every rung.
     /// Steps down one group per persistent failure (skipping groups whose
     /// plan is byte-identical to the one just tried) and returns `None`
     /// when group 1 itself is unreadable or the object is gone.
-    #[allow(clippy::too_many_arguments)] // read_with_retry's context plus the record
+    #[allow(clippy::too_many_arguments)] // the retry loop's context plus the record
     pub fn fetch<S: RecordSource + ?Sized>(
         &mut self,
         store: &ObjectStore,
@@ -372,36 +367,6 @@ impl Ladder {
         }
         (Delivery::Quarantined { reason: self.last_failure }, self.outcome)
     }
-}
-
-/// Delivers record `idx` at the longest intact scan-group prefix: a
-/// [`Ladder`] walked start to finish in one place.
-///
-/// Tries `requested_group` first; on persistent read failure or a failed
-/// decode check, steps down one group at a time and quarantines only when
-/// group 1 itself cannot be delivered. Retry counters accumulate into
-/// `out`.
-#[allow(clippy::too_many_arguments)]
-pub fn deliver_with_degradation<S: RecordSource + ?Sized>(
-    store: &ObjectStore,
-    source: &S,
-    idx: usize,
-    requested_group: usize,
-    timeline: Timeline,
-    policy: &RetryPolicy,
-    budget: &RetryBudget,
-    sleep: &mut dyn FnMut(f64),
-    decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
-    out: &mut RetryOutcome,
-) -> Delivery {
-    let mut ladder = Ladder::new(requested_group);
-    let mut fetch =
-        |l: &mut Ladder| l.fetch(store, source, idx, timeline, policy, budget, &mut *sleep);
-    let first = fetch(&mut ladder);
-    let (delivery, spent) = ladder.deliver(first, &mut fetch, decode_check);
-    out.retries += spent.retries;
-    out.backoff_s += spent.backoff_s;
-    delivery
 }
 
 /// One quarantined record (detail kept for the first
@@ -493,7 +458,7 @@ mod tests {
         assert!(b.try_spend(0.003));
         assert!(!b.try_spend(0.003), "only 2ms left");
         assert!(b.try_spend(0.002));
-        assert!(b.remaining_s() < 1e-9);
+        assert!(!b.try_spend(1e-6), "spent to the microsecond");
         assert!(RetryBudget::new(f64::INFINITY).try_spend(1e9));
         assert!(!RetryBudget::new(0.0).try_spend(1e-6));
     }
@@ -614,16 +579,9 @@ mod tests {
     #[test]
     fn undecodable_reads_still_cost_their_service_time() {
         use crate::parallel::{IoModel, ParallelConfig, ParallelLoader};
-        use pcr_core::{PcrDatasetBuilder, SampleMeta};
         use std::sync::Arc;
 
-        let mut b = PcrDatasetBuilder::new(4, 10).with_name_prefix("f");
-        for i in 0..4u32 {
-            let px = (0..32 * 32 * 3).map(|k| ((k * 7 + i * 31) % 251) as u8).collect();
-            let img = ImageBuf::from_raw(32, 32, 3, px).unwrap();
-            b.add_image(SampleMeta { label: i, id: format!("f{i}") }, &img, 85).unwrap();
-        }
-        let ds = b.finish().unwrap();
+        let ds = crate::loader::test_dataset(4, 4, |i| i as u32);
         let db = Arc::new(ds.db.clone());
         // Every seed flips one bit somewhere in the record. Take the
         // first whose flip lands where the full prefix reads fine but

@@ -77,11 +77,6 @@ impl ShardedSource {
         &self.records[idx].1.name
     }
 
-    /// Object name of the shard holding record `idx`.
-    pub fn shard_of(&self, idx: usize) -> &str {
-        &self.shard_names[self.records[idx].0 as usize]
-    }
-
     /// Bytes an epoch reads at scan group `g` — matches
     /// `MetaDb::bytes_at_group` for the same records.
     pub fn bytes_at_group(&self, g: usize) -> u64 {
@@ -198,25 +193,10 @@ mod tests {
     use crate::loader::{populate_store, PcrLoader};
     use crate::parallel::{ParallelConfig, ParallelLoader};
     use pcr_core::container::write_container;
-    use pcr_core::{PcrDatasetBuilder, SampleMeta};
     use std::sync::atomic::Ordering;
 
     fn dataset(n: usize) -> pcr_core::PcrDataset {
-        let mut b = PcrDatasetBuilder::new(3, 10).with_name_prefix("sh");
-        for i in 0..n {
-            let mut data = Vec::new();
-            for y in 0..32u32 {
-                for x in 0..32u32 {
-                    data.push(((x * 3 + y * 7 + i as u32 * 5) % 256) as u8);
-                    data.push(((x + y) % 256) as u8);
-                    data.push((y % 256) as u8);
-                }
-            }
-            let img = pcr_jpeg::ImageBuf::from_raw(32, 32, 3, data).unwrap();
-            b.add_image(SampleMeta { label: (i % 4) as u32, id: format!("s{i}") }, &img, 85)
-                .unwrap();
-        }
-        b.finish().unwrap()
+        crate::loader::test_dataset(n, 3, |i| (i % 4) as u32)
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

@@ -4,9 +4,11 @@
 //! 1. build the HAM10000-like dataset as PCR records in a cache-backed
 //!    object store (with readahead, so adjacent prefix reads coalesce),
 //! 2. probe per-scan-group MSSIM against full quality (`pcr-metrics`),
-//! 3. train "at full quality" (a synthetic loss curve here) until the
-//!    plateau detector trips, at which point the `FidelityController`
-//!    drops the scan-group prefix to the cheapest qualifying group,
+//! 3. run the one epoch loop (`ParallelLoader::run_dynamic`), consuming
+//!    every decoded minibatch it hands over — "training" is a synthetic
+//!    loss curve here — until the plateau detector trips, at which point
+//!    the `FidelityController` drops the scan-group prefix to the
+//!    cheapest qualifying group,
 //! 4. export the per-epoch trajectory as JSON (the `BENCH_*.json` format
 //!    the bench harness records).
 //!
@@ -14,7 +16,7 @@
 
 use pcr::datasets::{to_pcr_dataset, DatasetSpec, Scale, SyntheticDataset};
 use pcr::loader::{
-    populate_store, probe_group_scores, FidelityConfig, FidelityController, ParallelConfig,
+    populate_store, probe_source_scores, FidelityConfig, FidelityController, ParallelConfig,
     ParallelLoader,
 };
 use pcr::storage::{DeviceProfile, ObjectStore};
@@ -30,7 +32,7 @@ fn main() {
     let full = db.num_groups();
 
     // Per-group quality scores: MSSIM vs full quality on a record sample.
-    let scores = probe_group_scores(&store, &db, &[1, 2, 5, full], 12);
+    let scores = probe_source_scores(&store, &*db, &[1, 2, 5, full], 12);
     println!("probed MSSIM per scan group:");
     for &(g, s) in &scores {
         println!("  group {g:>2}: {s:.4}");
@@ -48,9 +50,22 @@ fn main() {
 
     let loader =
         ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), ParallelConfig::real(4, full));
+    let mut pixels = 0u64;
     let trace = loader
-        .run_dynamic(8, &mut controller, |e, _| loss_at(e), None)
-        .expect("no decision log attached, so nothing can fail");
+        .run_dynamic(
+            8,
+            Some(&mut controller),
+            // The training step: every minibatch of the epoch arrives
+            // here, decoded at the group the controller chose. Leaving
+            // batches unread would cancel the rest of the epoch.
+            |epoch, batches| {
+                pixels += batches.flat_map(|b| b.images).map(|i| u64::from(i.width() * i.height())).sum::<u64>();
+                loss_at(epoch)
+            },
+            // No decision log attached: the per-epoch records go nowhere.
+            |_, _, _| Ok(()),
+        )
+        .expect("the sink never fails");
 
     println!("\n{:>6} {:>6} {:>12} {:>10} {:>10} {:>8}", "epoch", "group", "bytes", "img/s", "hit rate", "loss");
     for e in &trace.epochs {
@@ -65,6 +80,7 @@ fn main() {
         trace.total_images(),
         8 * db.bytes_at_group(full),
     );
+    println!("decoded {:.1} Mpx in all", pixels as f64 / 1e6);
     println!("controller decisions: {:?}", controller.decisions());
     println!("\ntrajectory JSON:\n{}", trace.to_json());
 }

@@ -21,7 +21,7 @@ use pcr::core::{MetaDb, PcrDatasetBuilder, RecordScratch, SampleMeta};
 use pcr::jpeg::ImageBuf;
 use pcr::loader::{
     populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
-    RecordSource, RetryPolicy,
+    ReadPlanner, RecordSource, RetryPolicy,
 };
 use pcr::storage::{DeviceProfile, FaultPlan, ObjectStore};
 use proptest::prelude::*;
@@ -328,7 +328,7 @@ proptest! {
         prop_assert_eq!(faults.retries, oracle.faults.retries);
 
         let mut delivered = delivered.into_iter();
-        for idx in cfg.epoch_order(ds.db.num_records(), 0) {
+        for idx in ReadPlanner::from_config(&cfg).epoch_iter(ds.db.num_records(), 0) {
             let Some(expected) = by_record.remove(&idx) else {
                 continue; // quarantined by both loaders
             };

@@ -88,18 +88,9 @@ fn threaded_pipeline_agrees_with_virtual_loader_bytes() {
     populate_store(&store, &pcr_ds);
     let db = Arc::new(pcr_ds.db.clone());
     let cfg = ParallelConfig { batch_size: 16, prefetch_records: 4, ..ParallelConfig::real(2, 2) };
-    let stream = ParallelLoader::new(Arc::clone(&store), db, cfg).spawn_epoch(0);
-    let stats = Arc::clone(&stream.stats);
-    let mut labels = 0usize;
-    for b in stream.batches.iter() {
-        labels += b.labels.len();
-    }
-    stream.join();
-    assert_eq!(labels, pcr_ds.db.num_images());
-    assert_eq!(
-        stats.bytes_read.load(std::sync::atomic::Ordering::Relaxed),
-        pcr_ds.db.bytes_at_group(2)
-    );
+    let epoch = ParallelLoader::new(Arc::clone(&store), db, cfg).run_epoch(0);
+    assert_eq!(epoch.images, pcr_ds.db.num_images());
+    assert_eq!(epoch.bytes, pcr_ds.db.bytes_at_group(2));
 }
 
 #[test]

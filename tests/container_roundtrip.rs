@@ -104,7 +104,17 @@ fn wall_clock_dynamic_run_from_shards_matches_in_memory_traffic() {
     let run = |loader: ParallelLoader<dyn RecordSource>| {
         let fidelity = FidelityConfig { plateau_window: 1, ..FidelityConfig::default() };
         let mut ctrl = FidelityController::new(fidelity, scores.clone());
-        loader.run_dynamic(epochs, &mut ctrl, |e, _| losses(e), None).expect("no log sink, no error")
+        loader
+            .run_dynamic(
+                epochs,
+                Some(&mut ctrl),
+                |e, batches| {
+                    batches.for_each(drop);
+                    losses(e)
+                },
+                |_, _, _| Ok(()),
+            )
+            .expect("the sink never fails")
     };
 
     let cfg = ParallelConfig {
@@ -334,7 +344,15 @@ fn decision_log_accumulates_across_runs_and_is_covered_by_verify() {
         let mut ctrl = FidelityController::new(fidelity, scores.clone());
         let mut w = DecisionLogWriter::open(&log_path).expect("open log");
         let trace = loader
-            .run_dynamic(epochs, &mut ctrl, |e, _| if e == 0 { 1.0 } else { 0.5 }, Some(&mut w))
+            .run_dynamic(
+                epochs,
+                Some(&mut ctrl),
+                |e, batches| {
+                    batches.for_each(drop);
+                    if e == 0 { 1.0 } else { 0.5 }
+                },
+                |_, records, _| records.iter().try_for_each(|r| w.append(r)),
+            )
             .expect("logged run");
         assert_eq!(w.records_written(), epochs, "session {session}");
         assert_eq!(trace.epochs.len(), epochs as usize);

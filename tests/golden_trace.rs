@@ -95,7 +95,16 @@ fn replay(container_dir: &Path, log_path: &Path) -> FidelityTrace {
     let _ = std::fs::remove_file(log_path);
     let mut w = DecisionLogWriter::open(log_path).expect("open fresh log");
     loader
-        .run_dynamic(GOLDEN_EPOCHS, &mut ctrl, |e, _| golden_loss(e), Some(&mut w))
+        .run_dynamic(
+            GOLDEN_EPOCHS,
+            Some(&mut ctrl),
+            |e, batches| {
+                batches.for_each(drop);
+                golden_loss(e)
+            },
+            // Strict: the first failed append ends the run.
+            |_, records, _| records.iter().try_for_each(|r| w.append(r)),
+        )
         .expect("logged golden run")
 }
 
