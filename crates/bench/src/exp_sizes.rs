@@ -7,7 +7,7 @@ use crate::context::{banner, Ctx};
 use pcr_datasets::{test_progressive_jpegs, to_pcr_dataset, to_record_files, IMAGES_PER_RECORD};
 use pcr_jpeg::scansplit::split_scans;
 use pcr_jpeg::{EncodeConfig, Subsampling};
-use pcr_metrics::{quartiles, Plane};
+use pcr_metrics::{quartiles, MsssimReference, Plane};
 
 /// Figure 15 + A.4: conversion time and bytes for PCR vs static re-encodes
 /// at 50/75/90/95% quality.
@@ -81,14 +81,18 @@ pub fn fig17(ctx: &Ctx) {
         for jpeg in sample {
             let layout = split_scans(jpeg).expect("layout");
             let full = pcr_jpeg::decode(jpeg).expect("decode").to_luma();
-            let fp = Plane::from_u8(full.width() as usize, full.height() as usize, full.data());
+            let mut reference = MsssimReference::new(&Plane::from_u8(
+                full.width() as usize,
+                full.height() as usize,
+                full.data(),
+            ));
             for (g, vals) in per_scan.iter_mut().enumerate().skip(1) {
                 let gg = g.min(layout.num_scans());
                 let prefix =
                     pcr_jpeg::assemble_prefix(jpeg, &layout, gg).expect("prefix");
                 let dec = pcr_jpeg::decode(&prefix).expect("decode").to_luma();
                 let dp = Plane::from_u8(dec.width() as usize, dec.height() as usize, dec.data());
-                vals.push(pcr_metrics::msssim(&fp, &dp));
+                vals.push(reference.score(&dp));
             }
         }
         for (scan, vals) in per_scan.iter().enumerate().skip(1) {

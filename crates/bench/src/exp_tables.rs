@@ -5,7 +5,7 @@ use crate::context::{banner, Ctx};
 use pcr_datasets::{to_pcr_dataset, IMAGES_PER_RECORD};
 use pcr_jpeg::scansplit::{assemble_prefix, split_scans};
 use pcr_jpeg::EncodeConfig;
-use pcr_metrics::{Log2Histogram, Plane};
+use pcr_metrics::{Log2Histogram, MsssimReference, Plane};
 use pcr_nn::ModelSpec;
 use pcr_storage::DeviceProfile;
 
@@ -42,16 +42,22 @@ pub fn fig2(ctx: &Ctx) {
     let layout = split_scans(&jpeg).expect("layout");
     let full = pcr_jpeg::decode(&jpeg).expect("decode");
     let full_luma = full.to_luma();
+    let mut reference = MsssimReference::new(&Plane::from_u8(
+        full_luma.width() as usize,
+        full_luma.height() as usize,
+        full_luma.data(),
+    ));
     banner("fig2", &[("columns", "scan,bytes,psnr_db,msssim".into())]);
     for n in [1usize, 3, 10] {
         let prefix = assemble_prefix(&jpeg, &layout, n).expect("prefix");
         let dec = pcr_jpeg::decode(&prefix).expect("decode");
         let psnr = pcr_jpeg::psnr(&full, &dec);
         let luma = dec.to_luma();
-        let ms = pcr_metrics::msssim(
-            &Plane::from_u8(full_luma.width() as usize, full_luma.height() as usize, full_luma.data()),
-            &Plane::from_u8(luma.width() as usize, luma.height() as usize, luma.data()),
-        );
+        let ms = reference.score(&Plane::from_u8(
+            luma.width() as usize,
+            luma.height() as usize,
+            luma.data(),
+        ));
         println!("{n},{},{:.2},{:.4}", prefix.len(), psnr, ms);
     }
 }

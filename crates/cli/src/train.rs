@@ -162,8 +162,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         let probe_images = if smoke() { 8 } else { 32 };
         let candidates: Vec<usize> =
             [1, 2, 5, full_group].iter().copied().filter(|&g| g <= full_group).collect();
-        let scores = probe_source_scores(&opened.store, &*source, &candidates, probe_images);
-        println!("probed MSSIM per scan group:");
+        let (scores, probe_s) = pcr_loader::timing::measure(|| {
+            probe_source_scores(&opened.store, &*source, &candidates, probe_images)
+        });
+        println!(
+            "probed MSSIM per scan group ({} images, {:.0} ms):",
+            probe_images.min(source.num_images()),
+            probe_s * 1e3
+        );
         for &(g, s) in &scores {
             println!("  group {g:>2}: {s:.4}");
         }

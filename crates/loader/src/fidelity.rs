@@ -17,8 +17,8 @@
 use crate::parallel::{Minibatch, ParallelLoader};
 use pcr_autotune::{select_lowest_qualifying, PlateauDetector, DEFAULT_MSSIM_THRESHOLD};
 use pcr_core::{DecisionRecord, PcrRecord, RecordScratch};
-use pcr_metrics::{msssim, FidelityEpoch, FidelityTrace, Plane, TriggerKind};
-use pcr_storage::{Clock, ObjectStore};
+use pcr_metrics::{FidelityEpoch, FidelityTrace, MsssimReference, Plane, TriggerKind};
+use pcr_storage::{ByteView, Clock, ObjectStore};
 
 /// Configuration of the online fidelity policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,25 +147,44 @@ impl FidelityController {
 /// (Baseline sources whose bytes are not `.pcr` records contribute no
 /// samples; their candidates score 0.)
 ///
-/// Reads flow through the clocked store path ([`Clock::Wall`]), so probe
-/// traffic is visible in the device/cache statistics like any other read;
-/// probe before training (or reset the device) if that matters to an
-/// experiment. At most `max_images` images are decoded.
+/// The sample is the first `max_images` images of the records that read
+/// and parse, in record order (one whose full-quality decode then fails
+/// stays in the sample and contributes no score). Reads happen on the
+/// calling thread, one record after another, through the clocked store
+/// path ([`Clock::Wall`]), so probe traffic shows in the device/cache
+/// statistics like any other read and is the same whatever machine
+/// probes; probe before training (or reset the device) if that matters to
+/// an experiment. Decoding and scoring then fan out over the machine's
+/// cores, a run of consecutive images each, and the per-image scores are
+/// summed in image order: the result does not depend on the core count, to
+/// the bit.
+///
+/// Each image is decoded once per *distinct* group after clamping to the
+/// record's group count and scored against one prepared
+/// [`MsssimReference`]. A candidate that clamps to the full group is the
+/// reference itself and scores 1.0 by definition, undecoded.
 pub fn probe_source_scores<S: crate::source::RecordSource + ?Sized>(
     store: &ObjectStore,
     source: &S,
     candidates: &[usize],
     max_images: usize,
 ) -> Vec<(usize, f64)> {
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    probe_with_workers(store, source, candidates, max_images, workers)
+}
+
+fn probe_with_workers<S: crate::source::RecordSource + ?Sized>(
+    store: &ObjectStore,
+    source: &S,
+    candidates: &[usize],
+    max_images: usize,
+    workers: usize,
+) -> Vec<(usize, f64)> {
     let mut candidates: Vec<usize> = candidates.to_vec();
     candidates.sort_unstable();
     candidates.dedup();
-    let mut sums = vec![0.0f64; candidates.len()];
-    // Per-candidate sample counts: a group whose decode fails for some
-    // image must not have its mean deflated by images it never scored.
-    let mut counts = vec![0u64; candidates.len()];
-    let mut measured = 0usize;
-    let mut scratch = RecordScratch::new();
+    // (record bytes, image index) of every sampled image.
+    let mut sampled: Vec<(ByteView, usize)> = Vec::new();
     'records: for idx in 0..source.num_records() {
         // A plan at usize::MAX clamps to the full record for PCR sources.
         let plan = source.plan(idx, usize::MAX);
@@ -173,28 +192,44 @@ pub fn probe_source_scores<S: crate::source::RecordSource + ?Sized>(
             continue;
         };
         let Ok(rec) = PcrRecord::parse(&read.data) else { continue };
-        let full_group = rec.num_groups();
         for i in 0..rec.num_images() {
-            if measured >= max_images.max(1) {
+            if sampled.len() >= max_images.max(1) {
                 break 'records;
             }
-            let Ok(full) = rec.decode_image_with(i, full_group, &mut scratch) else { continue };
-            let full_luma = full.to_luma();
-            let reference = Plane::from_u8(
-                full_luma.width() as usize,
-                full_luma.height() as usize,
-                full_luma.data(),
-            );
-            for (slot, &g) in candidates.iter().enumerate() {
-                let g = g.clamp(1, full_group);
-                let Ok(img) = rec.decode_image_with(i, g, &mut scratch) else { continue };
-                let luma = img.to_luma();
-                let plane =
-                    Plane::from_u8(luma.width() as usize, luma.height() as usize, luma.data());
-                sums[slot] += msssim(&reference, &plane);
+            sampled.push((read.data.clone(), i));
+        }
+    }
+
+    let score_all = |images: &[(ByteView, usize)]| {
+        let mut scratch = RecordScratch::new();
+        images
+            .iter()
+            .map(|(bytes, i)| score_image(bytes, *i, &candidates, &mut scratch))
+            .collect::<Vec<_>>()
+    };
+    // One run of consecutive images per worker, the first of them scored
+    // on this thread; concatenated in image order whoever finishes first.
+    let per_image = std::thread::scope(|scope| {
+        let mut runs = sampled.chunks(sampled.len().div_ceil(workers.max(1)).max(1));
+        let own = runs.next().unwrap_or_default();
+        let spawned: Vec<_> = runs.map(|run| scope.spawn(|| score_all(run))).collect();
+        let mut per_image = score_all(own);
+        for worker in spawned {
+            per_image.extend(worker.join().expect("probe worker panicked"));
+        }
+        per_image
+    });
+
+    let mut sums = vec![0.0f64; candidates.len()];
+    // Per-candidate sample counts: a group whose decode fails for some
+    // image must not have its mean deflated by images it never scored.
+    let mut counts = vec![0u64; candidates.len()];
+    for scores in per_image.iter().flatten() {
+        for (slot, score) in scores.iter().enumerate() {
+            if let Some(score) = score {
+                sums[slot] += score;
                 counts[slot] += 1;
             }
-            measured += 1;
         }
     }
     candidates
@@ -202,6 +237,38 @@ pub fn probe_source_scores<S: crate::source::RecordSource + ?Sized>(
         .zip(sums.into_iter().zip(counts))
         .map(|(g, (s, n))| (g, s / n.max(1) as f64))
         .collect()
+}
+
+/// One sampled image's MSSIM per candidate (sorted ascending): `None`
+/// for the image when its full-quality decode fails, `None` for a
+/// candidate whose own decode fails.
+fn score_image(
+    record: &[u8],
+    image: usize,
+    candidates: &[usize],
+    scratch: &mut RecordScratch,
+) -> Option<Vec<Option<f64>>> {
+    let rec = PcrRecord::parse(record).ok()?;
+    let full_group = rec.num_groups();
+    let mut luma_at = |group: usize| {
+        let luma = rec.decode_image_with(image, group, scratch).ok()?.to_luma();
+        Some(Plane::from_u8(luma.width() as usize, luma.height() as usize, luma.data()))
+    };
+    let mut reference = MsssimReference::new(&luma_at(full_group)?);
+    // Sorted candidates stay sorted when clamped, so the ones that share
+    // a group are neighbours and the previous answer serves them.
+    let mut previous: Option<(usize, Option<f64>)> = None;
+    let scores = candidates.iter().map(|&g| {
+        let g = g.clamp(1, full_group);
+        let score = match previous {
+            Some((scored, score)) if scored == g => score,
+            _ if g == full_group => Some(1.0),
+            _ => luma_at(g).map(|plane| reference.score(&plane)),
+        };
+        previous = Some((g, score));
+        score
+    });
+    Some(scores.collect())
 }
 
 impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {
@@ -335,7 +402,33 @@ mod tests {
         assert_eq!(scores.len(), 3);
         let s: std::collections::HashMap<usize, f64> = scores.iter().copied().collect();
         assert!(s[&1] <= s[&5] + 0.02, "group 1 {} vs group 5 {}", s[&1], s[&5]);
-        assert!(s[&10] > 0.999, "full quality MSSIM {}", s[&10]);
+        // Below full quality the scores are the ones the five-filter kernel
+        // and the sequential probe returned for this fixture, to the bit;
+        // the full group is the reference itself.
+        let bits: Vec<(usize, u64)> = scores.iter().map(|&(g, s)| (g, s.to_bits())).collect();
+        assert_eq!(
+            bits,
+            [(1, 0x3fe8_16b0_4311_89b4), (5, 0x3fef_ac37_7f3c_72c9), (10, 1.0f64.to_bits())]
+        );
+    }
+
+    #[test]
+    fn probe_scores_each_distinct_group_once_whatever_the_worker_count() {
+        let (store, db) = fixture(6);
+        let want = probe_source_scores(&store, &*db, &[1, 5, 10], 8);
+        // Repeats and groups beyond the record's ten clamp onto the full
+        // group: same scores for 1, 5 and 10, and 1.0 for the extra key.
+        let clamped = probe_source_scores(&store, &*db, &[1, 5, 10, 10, 99], 8);
+        assert_eq!(clamped[..3], want[..]);
+        assert_eq!(clamped[3..], [(99, 1.0)]);
+        // Six images over one, three and more workers than images.
+        let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            v.iter().map(|&(g, s)| (g, s.to_bits())).collect()
+        };
+        for workers in [1, 3, 16] {
+            let got = probe_with_workers(&store, &*db, &[1, 5, 10], 8, workers);
+            assert_eq!(bits(&got), bits(&want), "{workers} workers");
+        }
     }
 
     #[test]

@@ -33,6 +33,8 @@
 
 pub mod histogram;
 pub mod json;
+#[cfg(test)]
+mod reference;
 pub mod regression;
 pub mod ssim;
 pub mod stats;
@@ -41,7 +43,7 @@ pub mod trace;
 pub use histogram::Log2Histogram;
 pub use json::JsonValue;
 pub use regression::{linear_regression, student_t_sf, LinearFit};
-pub use ssim::{msssim, msssim_u8, ssim, Plane};
+pub use ssim::{msssim, msssim_u8, ssim, MsssimReference, Plane};
 pub use stats::{
     cosine_similarity, cosine_similarity_f32, mean, mean_ci95, quantile, quartiles, std_dev,
 };

@@ -1,9 +1,23 @@
 //! SSIM and multiscale SSIM (MSSIM) image similarity, after Wang,
 //! Simoncelli & Bovik 2003 — the estimator the paper uses to predict how
 //! much compression a training task tolerates (section 4.4).
+//!
+//! There is one kernel. A [`MsssimReference`] prepares the reference image
+//! once — its scale pyramid and, per scale, its filtered mean and filtered
+//! square — and [`MsssimReference::score`] then filters only the candidate
+//! side (three filters a scale, not five), a few rows at a time, into
+//! buffers it reuses from one candidate to the next. The two-argument
+//! [`msssim`] is `MsssimReference::new(a).score(b)`.
+//!
+//! Everything is `f64` and every pixel accumulates its filter taps in the
+//! same order whichever loop shape computes it, so a score is a pure
+//! function of the two images: bit-identical across candidates, call
+//! forms, thread counts and commits. Scores land in `decisions.pcrd` and
+//! in the golden trace, which is why the kernel is exact rather than
+//! exact-to-tolerance.
 
 /// A grayscale f64 image plane for metric computation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Plane {
     /// Width in pixels.
     pub width: usize,
@@ -20,27 +34,29 @@ impl Plane {
         Self { width, height, data: data.iter().map(|&v| f64::from(v)).collect() }
     }
 
-    /// 2x2 box downsample (floors odd dimensions).
+    /// 2x2 box downsample (floors odd dimensions; a side of 1 stays 1 and
+    /// an empty side stays empty).
     pub fn downsample2(&self) -> Plane {
-        let w = (self.width / 2).max(1);
-        let h = (self.height / 2).max(1);
-        let mut data = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let mut s = 0.0;
-                let mut n = 0.0;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let sx = (x * 2 + dx).min(self.width - 1);
-                        let sy = (y * 2 + dy).min(self.height - 1);
-                        s += self.data[sy * self.width + sx];
-                        n += 1.0;
-                    }
-                }
-                data.push(s / n);
-            }
-        }
-        Plane { width: w, height: h, data }
+        let mut out = Plane::default();
+        downsample_into(self, &mut out);
+        out
+    }
+}
+
+fn downsample_into(src: &Plane, dst: &mut Plane) {
+    let half = |side: usize| (side / 2).max(side.min(1));
+    let (w, h) = (half(src.width), half(src.height));
+    dst.width = w;
+    dst.height = h;
+    dst.data.clear();
+    let row = |y: usize| &src.data[y * src.width..(y + 1) * src.width];
+    for y in 0..h {
+        // Only a side of 1 ever clamps: floored halves stay inside.
+        let (top, bottom) = (row(2 * y), row((2 * y + 1).min(src.height - 1)));
+        dst.data.extend((0..w).map(|x| {
+            let (x0, x1) = (2 * x, (2 * x + 1).min(src.width - 1));
+            (0.0 + top[x0] + top[x1] + bottom[x0] + bottom[x1]) / 4.0
+        }));
     }
 }
 
@@ -61,74 +77,195 @@ fn gaussian_kernel(radius: usize, sigma: f64) -> Vec<f64> {
     k
 }
 
-/// Separable gaussian filter with edge clamping.
-fn filter(p: &Plane, kernel: &[f64]) -> Plane {
-    let r = kernel.len() / 2;
-    let (w, h) = (p.width, p.height);
-    let mut tmp = vec![0.0; w * h];
-    for y in 0..h {
-        for x in 0..w {
+/// Pixels per register block of [`weighted_sum`]: eight SSE2 accumulators.
+const BLOCK: usize = 16;
+
+/// `dst[x] = Σ tap(i)[x] * kernel[i]` — the one inner loop of the filter.
+/// A block of pixels is carried in registers across the taps, so the
+/// compiler vectorises across `x` while every pixel still adds its taps
+/// one at a time, first to last, from zero: the order (and so the bits) of
+/// a per-pixel tap loop.
+fn weighted_sum<'a>(dst: &mut [f64], kernel: &[f64], tap: impl Fn(usize) -> &'a [f64]) {
+    let n = dst.len();
+    if n < BLOCK {
+        for (x, d) in dst.iter_mut().enumerate() {
             let mut s = 0.0;
             for (i, &k) in kernel.iter().enumerate() {
-                let sx = (x + i).saturating_sub(r).min(w - 1);
-                s += p.data[y * w + sx] * k;
+                s += tap(i)[x] * k;
             }
-            tmp[y * w + x] = s;
+            *d = s;
+        }
+        return;
+    }
+    // Whole blocks, the last one moved back to end at `n`: the pixels it
+    // shares with its neighbour are computed twice, to the same bits.
+    for x in (0..n).step_by(BLOCK) {
+        let x = x.min(n - BLOCK);
+        let mut acc = [0.0f64; BLOCK];
+        for (i, &k) in kernel.iter().enumerate() {
+            let src: &[f64; BLOCK] =
+                tap(i)[x..x + BLOCK].try_into().expect("block-sized slice");
+            for (a, &s) in acc.iter_mut().zip(src) {
+                *a += s * k;
+            }
+        }
+        dst[x..x + BLOCK].copy_from_slice(&acc);
+    }
+}
+
+/// What a [`RowFilter`] filters: a plane, or the pixel-wise product of two.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Plane(&'a [f64]),
+    Product(&'a [f64], &'a [f64]),
+}
+
+impl Source<'_> {
+    /// Writes row `y` of the source, `dst.len()` wide, into `dst`.
+    fn write_row(self, y: usize, dst: &mut [f64]) {
+        let w = dst.len();
+        match self {
+            Source::Plane(p) => dst.copy_from_slice(&p[y * w..][..w]),
+            Source::Product(p, q) => {
+                for ((d, a), b) in dst.iter_mut().zip(&p[y * w..][..w]).zip(&q[y * w..][..w]) {
+                    *d = a * b;
+                }
+            }
         }
     }
-    let mut out = vec![0.0; w * h];
-    for y in 0..h {
-        for x in 0..w {
-            let mut s = 0.0;
-            for (i, &k) in kernel.iter().enumerate() {
-                let sy = (y + i).saturating_sub(r).min(h - 1);
-                s += tmp[sy * w + x] * k;
-            }
-            out[y * w + x] = s;
-        }
+}
+
+/// The separable, edge-clamped gaussian filter, streamed over the rows of
+/// a non-empty image: the horizontal pass runs `radius` rows ahead of the
+/// vertical one and keeps only the rows the vertical taps still need, so a
+/// filter's working set is a dozen rows whatever the image height.
+#[derive(Debug, Default)]
+struct RowFilter {
+    /// The source row being filtered, its edge pixels repeated `radius`
+    /// times on either side: a clamped tap reads the same value unclamped.
+    padded: Vec<f64>,
+    /// Horizontally filtered rows, row `y` in slot `y % taps`.
+    ring: Vec<f64>,
+    /// Rows `0..rows_done` have been through the horizontal pass.
+    rows_done: usize,
+}
+
+impl RowFilter {
+    /// Starts over for an image `w` wide and a kernel of `taps`.
+    fn reset(&mut self, w: usize, taps: usize) {
+        self.padded.resize(w + taps - 1, 0.0);
+        self.ring.resize(w * taps, 0.0);
+        self.rows_done = 0;
     }
-    Plane { width: w, height: h, data: out }
+
+    /// Filtered row `y` of the `h`-row image `source` into `out`; rows
+    /// must be asked for in order.
+    fn row(&mut self, y: usize, h: usize, kernel: &[f64], source: Source<'_>, out: &mut [f64]) {
+        let Self { padded, ring, rows_done } = self;
+        let (w, taps, r) = (out.len(), kernel.len(), kernel.len() / 2);
+        while *rows_done <= (y + r).min(h - 1) {
+            let (left, rest) = padded.split_at_mut(r);
+            let (row, right) = rest.split_at_mut(w);
+            source.write_row(*rows_done, row);
+            left.fill(row[0]);
+            right.fill(row[w - 1]);
+            let slot = &mut ring[*rows_done % taps * w..][..w];
+            weighted_sum(slot, kernel, |i| &padded[i..i + w]);
+            *rows_done += 1;
+        }
+        // Vertically a clamped tap only changes which row it reads.
+        weighted_sum(out, kernel, |i| {
+            let sy = (y + i).saturating_sub(r).min(h - 1);
+            &ring[sy % taps * w..][..w]
+        });
+    }
+}
+
+/// What [`MsssimReference::score`] reuses from one candidate to the next;
+/// all of it is overwritten before it is read.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Filters of the candidate, its square and reference×candidate.
+    mu: RowFilter,
+    sq: RowFilter,
+    cross: RowFilter,
+    /// One output row of each.
+    rows: Vec<f64>,
+}
+
+/// One scale of a prepared reference: the plane with its filtered mean
+/// and filtered square.
+#[derive(Debug)]
+struct Scale {
+    plane: Plane,
+    kernel: Vec<f64>,
+    mu: Vec<f64>,
+    sq: Vec<f64>,
+}
+
+impl Scale {
+    /// Prepares the non-empty `plane`.
+    fn new(plane: Plane, s: &mut Scratch) -> Self {
+        let (w, h, a) = (plane.width, plane.height, &plane.data);
+        // Kernel radius shrinks for tiny images.
+        let radius = 5.min((w.min(h) - 1) / 2).max(1);
+        let kernel = gaussian_kernel(radius, 1.5);
+        let (mut mu, mut sq) = (vec![0.0; w * h], vec![0.0; w * h]);
+        s.mu.reset(w, kernel.len());
+        s.sq.reset(w, kernel.len());
+        for (y, (mu, sq)) in mu.chunks_exact_mut(w).zip(sq.chunks_exact_mut(w)).enumerate() {
+            s.mu.row(y, h, &kernel, Source::Plane(a), mu);
+            s.sq.row(y, h, &kernel, Source::Product(a, a), sq);
+        }
+        Self { plane, kernel, mu, sq }
+    }
+
+    /// Mean SSIM and mean contrast-structure of this scale against a
+    /// candidate `b` of the same shape: the three candidate-side filters
+    /// advance together and each finished row is folded into the sums.
+    fn ssim_cs(&self, b: &[f64], s: &mut Scratch) -> (f64, f64) {
+        let (w, h, a) = (self.plane.width, self.plane.height, &self.plane.data);
+        let kernel = &self.kernel[..];
+        s.mu.reset(w, kernel.len());
+        s.sq.reset(w, kernel.len());
+        s.cross.reset(w, kernel.len());
+        s.rows.resize(3 * w, 0.0);
+        let (mu_b, rest) = s.rows.split_at_mut(w);
+        let (sq_b, cross) = rest.split_at_mut(w);
+        let mut ssim_sum = 0.0;
+        let mut cs_sum = 0.0;
+        let reference_rows = self.mu.chunks_exact(w).zip(self.sq.chunks_exact(w));
+        for (y, (mu_a, sq_a)) in reference_rows.enumerate() {
+            s.mu.row(y, h, kernel, Source::Plane(b), mu_b);
+            s.sq.row(y, h, kernel, Source::Product(b, b), sq_b);
+            s.cross.row(y, h, kernel, Source::Product(a, b), cross);
+            for x in 0..w {
+                let (ma, mb) = (mu_a[x], mu_b[x]);
+                let va = (sq_a[x] - ma * ma).max(0.0);
+                let vb = (sq_b[x] - mb * mb).max(0.0);
+                let cov = cross[x] - ma * mb;
+                let l = (2.0 * ma * mb + C1) / (ma * ma + mb * mb + C1);
+                let cs = (2.0 * cov + C2) / (va + vb + C2);
+                ssim_sum += l * cs;
+                cs_sum += cs;
+            }
+        }
+        let n = a.len() as f64;
+        (ssim_sum / n, cs_sum / n)
+    }
 }
 
 /// Mean SSIM and mean contrast-structure (CS) over a pair of planes.
 ///
-/// Returns `(ssim, cs)`; `cs` is used by the multiscale aggregation.
+/// Returns `(ssim, cs)`; `cs` is used by the multiscale aggregation. Two
+/// empty planes are identical: `(1.0, 1.0)`.
 pub fn ssim_cs(a: &Plane, b: &Plane) -> (f64, f64) {
     assert_eq!((a.width, a.height), (b.width, b.height), "shape mismatch");
-    // Kernel radius shrinks for tiny images.
-    let radius = 5.min((a.width.min(a.height) - 1) / 2).max(1);
-    let kernel = gaussian_kernel(radius, 1.5);
-
-    let mu_a = filter(a, &kernel);
-    let mu_b = filter(b, &kernel);
-    let sq = |p: &Plane| Plane {
-        width: p.width,
-        height: p.height,
-        data: p.data.iter().map(|v| v * v).collect(),
-    };
-    let prod = Plane {
-        width: a.width,
-        height: a.height,
-        data: a.data.iter().zip(&b.data).map(|(x, y)| x * y).collect(),
-    };
-    let sigma_a2 = filter(&sq(a), &kernel);
-    let sigma_b2 = filter(&sq(b), &kernel);
-    let sigma_ab = filter(&prod, &kernel);
-
-    let n = a.data.len() as f64;
-    let mut ssim_sum = 0.0;
-    let mut cs_sum = 0.0;
-    for i in 0..a.data.len() {
-        let (ma, mb) = (mu_a.data[i], mu_b.data[i]);
-        let va = (sigma_a2.data[i] - ma * ma).max(0.0);
-        let vb = (sigma_b2.data[i] - mb * mb).max(0.0);
-        let cov = sigma_ab.data[i] - ma * mb;
-        let l = (2.0 * ma * mb + C1) / (ma * ma + mb * mb + C1);
-        let cs = (2.0 * cov + C2) / (va + vb + C2);
-        ssim_sum += l * cs;
-        cs_sum += cs;
+    if a.data.is_empty() {
+        return (1.0, 1.0);
     }
-    (ssim_sum / n, cs_sum / n)
+    let mut scratch = Scratch::default();
+    Scale::new(a.clone(), &mut scratch).ssim_cs(&b.data, &mut scratch)
 }
 
 /// Single-scale mean SSIM.
@@ -139,35 +276,76 @@ pub fn ssim(a: &Plane, b: &Plane) -> f64 {
 /// The standard 5-scale MS-SSIM weights.
 pub const MSSSIM_WEIGHTS: [f64; 5] = [0.0448, 0.2856, 0.3001, 0.2363, 0.1333];
 
-/// Multiscale SSIM. Scales are dropped (with weight renormalization) if the
-/// image becomes smaller than 8 pixels on a side.
-pub fn msssim(a: &Plane, b: &Plane) -> f64 {
-    assert_eq!((a.width, a.height), (b.width, b.height), "shape mismatch");
-    let mut pa = a.clone();
-    let mut pb = b.clone();
-    let mut values = Vec::new(); // (cs or ssim, weight)
-    let mut used_weights = Vec::new();
-    for (level, &w) in MSSSIM_WEIGHTS.iter().enumerate() {
-        let last = level == MSSSIM_WEIGHTS.len() - 1
-            || pa.width / 2 < 8
-            || pa.height / 2 < 8;
-        let (s, cs) = ssim_cs(&pa, &pb);
-        values.push(if last { s } else { cs });
-        used_weights.push(w);
-        if last {
-            break;
+/// A reference image prepared for multiscale SSIM against any number of
+/// candidates: its scale pyramid and each scale's filtered mean and
+/// filtered square are computed once, here, and [`MsssimReference::score`]
+/// filters only the candidate. Scales are dropped (with weight
+/// renormalization) if the image becomes smaller than 8 pixels on a side.
+#[derive(Debug)]
+pub struct MsssimReference {
+    width: usize,
+    height: usize,
+    /// Finest first; none for an empty reference.
+    scales: Vec<Scale>,
+    scratch: Scratch,
+    /// The candidate's pyramid level in use, and the one being built.
+    level: Plane,
+    coarser: Plane,
+}
+
+impl MsssimReference {
+    /// Prepares `reference`.
+    pub fn new(reference: &Plane) -> Self {
+        let mut scratch = Scratch::default();
+        let mut scales = Vec::new();
+        let mut next = (!reference.data.is_empty()).then(|| reference.clone());
+        while let Some(plane) = next {
+            let last = scales.len() == MSSSIM_WEIGHTS.len() - 1
+                || plane.width / 2 < 8
+                || plane.height / 2 < 8;
+            next = (!last).then(|| plane.downsample2());
+            scales.push(Scale::new(plane, &mut scratch));
         }
-        pa = pa.downsample2();
-        pb = pb.downsample2();
+        Self {
+            width: reference.width,
+            height: reference.height,
+            scales,
+            scratch,
+            level: Plane::default(),
+            coarser: Plane::default(),
+        }
     }
-    let wsum: f64 = used_weights.iter().sum();
-    let mut out = 1.0f64;
-    for (v, w) in values.iter().zip(&used_weights) {
-        // Components can be slightly negative on pathological inputs; clamp
-        // for the weighted geometric mean.
-        out *= v.max(1e-6).powf(w / wsum);
+
+    /// MS-SSIM of `candidate` against the reference. Scoring leaves no
+    /// state behind: the same candidate scores the same bits whatever was
+    /// scored before it. Two empty planes are identical: `1.0`.
+    pub fn score(&mut self, candidate: &Plane) -> f64 {
+        let shape = (candidate.width, candidate.height);
+        assert_eq!((self.width, self.height), shape, "shape mismatch");
+        let Self { scales, scratch, level, coarser, .. } = self;
+        let used = &MSSSIM_WEIGHTS[..scales.len()];
+        let wsum: f64 = used.iter().sum();
+        let mut out = 1.0f64;
+        for (i, (scale, w)) in scales.iter().zip(used).enumerate() {
+            let last = i == scales.len() - 1;
+            let plane = if i == 0 { candidate } else { &*level };
+            let (ssim, cs) = scale.ssim_cs(&plane.data, scratch);
+            // Components can be slightly negative on pathological inputs;
+            // clamp for the weighted geometric mean.
+            out *= (if last { ssim } else { cs }).max(1e-6).powf(w / wsum);
+            if !last {
+                downsample_into(plane, coarser);
+                std::mem::swap(level, coarser);
+            }
+        }
+        out
     }
-    out
+}
+
+/// Multiscale SSIM of two planes of one shape; see [`MsssimReference`],
+/// which this is one use of.
+pub fn msssim(a: &Plane, b: &Plane) -> f64 {
+    MsssimReference::new(a).score(b)
 }
 
 /// Convenience: MS-SSIM between two 8-bit luma buffers.
@@ -178,6 +356,7 @@ pub fn msssim_u8(width: usize, height: usize, a: &[u8], b: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn gradient(w: usize, h: usize) -> Plane {
         let mut data = Vec::with_capacity(w * h);
@@ -252,6 +431,39 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_planes_are_total() {
+        // Empty planes are identical by definition, whichever side is 0.
+        for (w, h) in [(0, 0), (0, 5), (5, 0)] {
+            let e = Plane::from_u8(w, h, &[]);
+            assert_eq!(msssim(&e, &e), 1.0, "{w}x{h}");
+            assert_eq!(ssim_cs(&e, &e), (1.0, 1.0), "{w}x{h}");
+            assert!(e.downsample2().data.is_empty(), "{w}x{h}");
+        }
+        // One- and two-pixel planes run the shrunken-radius kernel.
+        for (w, h) in [(1, 1), (2, 1), (1, 2)] {
+            let p = gradient(w, h);
+            let q = Plane { data: p.data.iter().map(|v| v + 40.0).collect(), ..p.clone() };
+            assert!((msssim(&p, &p) - 1.0).abs() < 1e-9, "{w}x{h}");
+            let s = msssim(&p, &q);
+            assert!(s.is_finite() && s > 0.0 && s < 1.0, "{w}x{h}: {s}");
+            assert_eq!(s.to_bits(), crate::reference::msssim(&p, &q).to_bits(), "{w}x{h}");
+            assert_eq!((p.downsample2().width, p.downsample2().height), (1, 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn empty_planes_of_different_shapes_still_mismatch() {
+        msssim(&Plane::from_u8(0, 5, &[]), &Plane::from_u8(0, 3, &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn prepared_reference_rejects_another_shape() {
+        MsssimReference::new(&gradient(16, 16)).score(&gradient(16, 17));
+    }
+
+    #[test]
     fn symmetric() {
         let p = gradient(32, 32);
         let mut q = p.clone();
@@ -261,5 +473,56 @@ mod tests {
         let ab = msssim(&p, &q);
         let ba = msssim(&q, &p);
         assert!((ab - ba).abs() < 1e-12);
+    }
+
+    /// Pseudo-random `w`×`h` content: uniform noise, a noisy gradient, or a
+    /// constant (zero variance everywhere), by `seed`.
+    fn content(w: usize, h: usize, seed: u64) -> Plane {
+        let mut s = seed;
+        let data = (0..w * h)
+            .map(|i| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let noise = (s >> 56) as usize;
+                match seed % 3 {
+                    0 => noise as f64,
+                    1 => (((i % w) * 3 + (i / w) * 2 + noise / 16) % 256) as f64,
+                    _ => (seed % 251) as f64,
+                }
+            })
+            .collect();
+        Plane { width: w, height: h, data }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The prepared reference, the two-argument form and the retained
+        /// pre-rewrite kernel agree to the bit — on odd sizes, on sides
+        /// below the 8-pixel scale cut-off and the 11-tap kernel, and for
+        /// one reference scored against several candidates in a row, with
+        /// a repeat at the end (scratch reuse must not leak state).
+        #[test]
+        fn prepared_reference_matches_retained_kernel_bit_for_bit(
+            sides in (1usize..=200, 1usize..=200),
+            narrow in 0u8..4,
+            seed in any::<u64>(),
+            candidates in 1usize..=3,
+        ) {
+            let (mut w, mut h) = sides;
+            if narrow & 1 != 0 { w = 1 + w % 12; }
+            if narrow & 2 != 0 { h = 1 + h % 12; }
+            let a = content(w, h, seed);
+            let bs: Vec<Plane> =
+                (1..=candidates as u64).map(|k| content(w, h, seed.wrapping_add(k))).collect();
+            let mut prepared = MsssimReference::new(&a);
+            for b in bs.iter().chain(bs.first()) {
+                let want = crate::reference::msssim(&a, b).to_bits();
+                prop_assert_eq!(prepared.score(b).to_bits(), want, "{}x{} prepared", w, h);
+                prop_assert_eq!(msssim(&a, b).to_bits(), want, "{}x{} two-argument", w, h);
+            }
+            let bits = |(ssim, cs): (f64, f64)| (ssim.to_bits(), cs.to_bits());
+            let want = bits(crate::reference::ssim_cs(&a, &bs[0]));
+            prop_assert_eq!(bits(ssim_cs(&a, &bs[0])), want, "{}x{} single scale", w, h);
+        }
     }
 }

@@ -5,7 +5,7 @@
 use pcr_datasets::SyntheticDataset;
 use pcr_jpeg::scansplit::{assemble_prefix, split_scans};
 use pcr_jpeg::EncodeConfig;
-use pcr_metrics::Plane;
+use pcr_metrics::{MsssimReference, Plane};
 use pcr_nn::{Matrix, ModelSpec};
 use std::collections::HashMap;
 
@@ -54,12 +54,14 @@ pub fn featurize(
             .expect("encode");
         let layout = split_scans(&jpeg).expect("progressive layout");
         let measure_mssim = idx % mssim_stride == 0;
-        let reference = if measure_mssim {
-            let full = pcr_jpeg::decode(&jpeg).expect("decode full");
-            Some(full.to_luma())
-        } else {
-            None
-        };
+        let mut reference = measure_mssim.then(|| {
+            let full = pcr_jpeg::decode(&jpeg).expect("decode full").to_luma();
+            MsssimReference::new(&Plane::from_u8(
+                full.width() as usize,
+                full.height() as usize,
+                full.data(),
+            ))
+        });
         if measure_mssim {
             mssim_count += 1;
         }
@@ -69,12 +71,13 @@ pub fn featurize(
             *bytes.get_mut(&g).expect("group present") += prefix.len() as f64;
             let img = pcr_jpeg::decode(&prefix).expect("decode prefix");
             per_group.get_mut(&g).expect("group present").extend(model.featurize(&img));
-            if let Some(ref full) = reference {
+            if let Some(reference) = &mut reference {
                 let luma = img.to_luma();
-                let m = pcr_metrics::msssim(
-                    &Plane::from_u8(full.width() as usize, full.height() as usize, full.data()),
-                    &Plane::from_u8(luma.width() as usize, luma.height() as usize, luma.data()),
-                );
+                let m = reference.score(&Plane::from_u8(
+                    luma.width() as usize,
+                    luma.height() as usize,
+                    luma.data(),
+                ));
                 *mssim_sum.get_mut(&g).expect("group present") += m;
             }
         }
