@@ -20,20 +20,34 @@
 //!   `n × 8` bytes a materialized Fisher–Yates permutation would hold;
 //! * **RSS delta** across open (Linux `/proc/self/statm`, best-effort).
 //!
+//! A second, **store arm** proves the other half of a bounded open: that
+//! `open_container_store` (with `verify: true`) plus one epoch holds
+//! memory that does not grow with the container's *data bytes*. It
+//! fabricates containers of same-sized records at 1× and 16× data bytes,
+//! opens each as a store, streams one `DecodeMode::Skip` epoch through
+//! the wall-clock loader, and records the RSS delta across open + epoch.
+//!
 //! Outputs and gating:
 //!
 //! * writes a fresh `target/BENCH_catalog.json`;
 //! * **fails** when best-of open latency at the largest scale exceeds
 //!   `FLATNESS_GATE` (2.0) × the smallest scale's, with a small absolute
 //!   slack so microsecond-level noise can't flake CI. A committed
-//!   `BENCH_catalog.json` at the repo root records the trajectory.
+//!   `BENCH_catalog.json` at the repo root records the trajectory;
+//! * **fails** when the store arm's RSS delta at 16× data bytes exceeds
+//!   `STORE_RSS_GATE` (1.2) × the 1× delta plus `STORE_RSS_SLACK`, or
+//!   when the store's own `resident_bytes()` exceeds its free-list bound.
 //!
 //! `PCR_BENCH_SMOKE=1` (CI) shrinks the scales to 1k/5k/20k so the run
-//! finishes in seconds; the flatness gate still applies.
+//! finishes in seconds; the flatness gates still apply (the store arm is
+//! the same size either way).
 
 use pcr_core::container::{write_container, PcrContainer};
 use pcr_core::{MetaDb, PcrDataset, RecordMeta};
-use pcr_loader::EpochOrder;
+use pcr_loader::{
+    open_container_store, DecodeMode, EpochOrder, LoaderConfig, ParallelConfig, ParallelLoader,
+    ShardStoreConfig,
+};
 use pcr_metrics::JsonValue;
 use std::time::Instant;
 
@@ -49,6 +63,29 @@ const FLATNESS_GATE: f64 = 2.0;
 /// microseconds; without a floor, scheduler jitter alone could trip a
 /// 2× ratio between two sub-millisecond numbers.
 const SLACK_SECS: f64 = 0.5e-3;
+
+/// Store arm: record payload length. Above glibc's 128 KiB mmap
+/// threshold on purpose — the fabricated dataset's blobs are then mapped
+/// one by one and unmapped when it drops, so RSS is back at its floor
+/// before the measured open instead of sitting in the allocator's free
+/// lists where the store's reads could hide in it.
+const STORE_RECORD_LEN: usize = 160 << 10;
+
+/// Store arm: records at 1× and 16× data bytes (5 MiB and 80 MiB). The
+/// small one already has more records than the loader's prefetch window
+/// and the store's free list hold, so both epochs reach steady state.
+const STORE_SCALES: [usize; 2] = [32, 512];
+
+/// Store-arm gate: RSS growth across open + one epoch at 16× data bytes
+/// must stay under this multiple of the 1× growth (plus
+/// [`STORE_RSS_SLACK`]).
+const STORE_RSS_GATE: f64 = 1.2;
+
+/// Absolute slack on the store gate: the delta is a few MiB of read
+/// buffers and thread arenas and moves by about one MiB between runs. A
+/// store that held the dataset would overshoot by the 75 MiB between the
+/// scales.
+const STORE_RSS_SLACK: u64 = 2 << 20;
 
 /// Timed repetitions per measurement; best-of filters preemption noise.
 const REPS: usize = 11;
@@ -66,13 +103,13 @@ fn smoke() -> bool {
     std::env::var_os("PCR_BENCH_SMOKE").is_some()
 }
 
-/// Fabricates an `n`-record dataset of stub blobs with real metadata rows.
-/// Deterministic; no encoder in the loop.
-fn fabricate(n: usize) -> PcrDataset {
+/// Fabricates an `n`-record dataset of `record_len`-byte stub blobs with
+/// real metadata rows. Deterministic; no encoder in the loop.
+fn fabricate(n: usize, record_len: usize) -> PcrDataset {
     let mut records = Vec::with_capacity(n);
     let mut metas = Vec::with_capacity(n);
     for i in 0..n {
-        let mut blob = vec![0u8; RECORD_LEN];
+        let mut blob = vec![0u8; record_len];
         for (j, b) in blob.iter_mut().enumerate() {
             *b = (i.wrapping_mul(31).wrapping_add(j * 7) & 0xFF) as u8;
         }
@@ -81,7 +118,7 @@ fn fabricate(n: usize) -> PcrDataset {
             name: format!("r{i:07}"),
             num_images: 1,
             // [headers, half, full]: monotone, last == blob length.
-            group_offsets: vec![4, (RECORD_LEN / 2) as u64, RECORD_LEN as u64],
+            group_offsets: vec![4, (record_len / 2) as u64, record_len as u64],
             labels: vec![(i % 10) as u32],
         });
     }
@@ -111,7 +148,7 @@ struct ScaleRow {
 fn measure_scale(n: usize) -> ScaleRow {
     let dir = std::env::temp_dir().join(format!("pcr-catalog-scale-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let ds = fabricate(n);
+    let ds = fabricate(n, RECORD_LEN);
     let records_per_shard = n.div_ceil(SHARDS);
     write_container(&ds, &dir, records_per_shard).expect("pack stub container");
     drop(ds); // the catalog path must not depend on in-memory records
@@ -164,6 +201,54 @@ fn measure_scale(n: usize) -> ScaleRow {
     }
 }
 
+struct StoreRow {
+    records: usize,
+    data_bytes: u64,
+    total_bytes: u64,
+    resident_bytes: u64,
+    rss_delta_bytes: Option<u64>,
+}
+
+/// The store arm at one scale: pack `n` same-sized records, then measure
+/// what a verified `open_container_store` plus one full-group
+/// `DecodeMode::Skip` epoch adds to the process's resident set.
+fn measure_store(n: usize) -> StoreRow {
+    let dir = std::env::temp_dir().join(format!("pcr-catalog-store-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = fabricate(n, STORE_RECORD_LEN);
+    write_container(&ds, &dir, n.div_ceil(SHARDS)).expect("pack store-arm container");
+    drop(ds);
+
+    let rss_before = rss_bytes();
+    let opened = open_container_store(&dir, &ShardStoreConfig { verify: true, ..Default::default() })
+        .expect("open container store");
+    let loader = ParallelLoader::new(
+        opened.store.clone(),
+        opened.source.clone(),
+        ParallelConfig {
+            loader: LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(NUM_GROUPS) },
+            ..ParallelConfig::default()
+        },
+    );
+    let epoch = loader.run_epoch(0);
+    let rss_after = rss_bytes();
+    assert_eq!(epoch.images, n, "the epoch delivers every record");
+    assert_eq!(epoch.bytes, (n * STORE_RECORD_LEN) as u64, "and reads every byte of it");
+
+    let row = StoreRow {
+        records: n,
+        data_bytes: opened.container.total_data_bytes(),
+        total_bytes: opened.store.total_bytes(),
+        resident_bytes: opened.store.resident_bytes(),
+        rss_delta_bytes: match (rss_before, rss_after) {
+            (Some(b), Some(a)) => Some(a.saturating_sub(b)),
+            _ => None,
+        },
+    };
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    row
+}
+
 /// Extracts `"<key>":<number>` following `"<section>":{` in a committed
 /// BENCH_catalog.json (machine-written by this bench; positional scan).
 fn committed_field(text: &str, section: &str, key: &str) -> Option<f64> {
@@ -212,6 +297,33 @@ fn main() {
         SLACK_SECS * 1e3,
     );
 
+    println!(
+        "\n{:>9} {:>12} {:>14} {:>14} {:>12}",
+        "records", "data bytes", "addressable B", "resident B", "rss delta B"
+    );
+    let store_rows: Vec<StoreRow> = STORE_SCALES.iter().map(|&n| measure_store(n)).collect();
+    for r in &store_rows {
+        println!(
+            "{:>9} {:>12} {:>14} {:>14} {:>12}",
+            r.records,
+            r.data_bytes,
+            r.total_bytes,
+            r.resident_bytes,
+            r.rss_delta_bytes.map_or("-".to_string(), |d| d.to_string()),
+        );
+    }
+    let (store_first, store_last) = (&store_rows[0], &store_rows[store_rows.len() - 1]);
+    let store_rss_ratio = match (store_first.rss_delta_bytes, store_last.rss_delta_bytes) {
+        (Some(a), Some(b)) if a > 0 => Some(b as f64 / a as f64),
+        _ => None,
+    };
+    println!(
+        "store open + epoch: {}x data bytes -> {} RSS delta (gate {STORE_RSS_GATE:.1}x + {} KiB slack)",
+        store_last.data_bytes / store_first.data_bytes.max(1),
+        store_rss_ratio.map_or("unmeasured".to_string(), |r| format!("{r:.2}x")),
+        STORE_RSS_SLACK >> 10,
+    );
+
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let committed = std::fs::read_to_string(format!("{root}/BENCH_catalog.json")).ok();
     let committed_ratio =
@@ -240,6 +352,34 @@ fn main() {
         ("shards", JsonValue::U64(SHARDS as u64)),
         ("smoke", JsonValue::Bool(smoke())),
         ("scales", JsonValue::Array(scale_entries)),
+        (
+            "store",
+            JsonValue::object([
+                ("record_bytes", JsonValue::U64(STORE_RECORD_LEN as u64)),
+                (
+                    "scales",
+                    JsonValue::Array(
+                        store_rows
+                            .iter()
+                            .map(|r| {
+                                JsonValue::object([
+                                    ("records", JsonValue::U64(r.records as u64)),
+                                    ("data_bytes", JsonValue::U64(r.data_bytes)),
+                                    ("total_bytes", JsonValue::U64(r.total_bytes)),
+                                    ("resident_bytes", JsonValue::U64(r.resident_bytes)),
+                                    (
+                                        "rss_delta_bytes",
+                                        r.rss_delta_bytes.map_or(JsonValue::Null, JsonValue::U64),
+                                    ),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+                ("rss_ratio", store_rss_ratio.map_or(JsonValue::Null, JsonValue::F64)),
+                ("gate", JsonValue::F64(STORE_RSS_GATE)),
+            ]),
+        ),
         (
             "flatness",
             JsonValue::object([
@@ -294,4 +434,30 @@ fn main() {
          struct, not a materialized permutation",
         last.epoch_order_bytes
     );
+
+    // The store gates: what a verified open plus an epoch keeps resident
+    // must not scale with the container's data bytes. The store's own
+    // count is exact and portable; the RSS delta is the process's view of
+    // the same thing (Linux only).
+    let pool_bound = (pcr_storage::bytes::POOL_CAP * STORE_RECORD_LEN) as u64;
+    for r in &store_rows {
+        assert!(
+            r.resident_bytes <= pool_bound,
+            "store over {} data bytes keeps {} bytes resident, more than its free list \
+             can park ({pool_bound}); it is holding record data",
+            r.data_bytes,
+            r.resident_bytes,
+        );
+    }
+    if let (Some(small), Some(large)) = (store_first.rss_delta_bytes, store_last.rss_delta_bytes) {
+        assert!(
+            large as f64 <= small as f64 * STORE_RSS_GATE + STORE_RSS_SLACK as f64,
+            "open_container_store + one epoch grew RSS by {small} bytes over {} data bytes \
+             but by {large} over {} ({:.2}x, gate {STORE_RSS_GATE:.1}x + {STORE_RSS_SLACK} \
+             bytes); resident memory is scaling with the dataset",
+            store_first.data_bytes,
+            store_last.data_bytes,
+            large as f64 / small.max(1) as f64,
+        );
+    }
 }

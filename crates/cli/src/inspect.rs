@@ -22,8 +22,9 @@ OPTIONS:
                     (\"40\") or a half-open range (\"32..48\", \"..8\", \"40..\")
     --trigger <t>   With --trace: only records with this trigger kind
                     (start | hold | plateau | retune | fixed | degraded)
-    --verify        Re-read every shard and verify all record checksums
-                    (and the decision-log CRC chain, when present)
+    --verify        Stream every shard through a 64 KiB buffer and verify
+                    its footer and all record checksums (and the
+                    decision-log CRC chain, when present)
     --json          Emit the selected view as JSON on stdout
 
 The default (manifest) view ends with the fidelity byte breakdown: for

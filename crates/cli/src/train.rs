@@ -43,8 +43,11 @@ OPTIONS:
                       Per-read service deadline; slower reads count as
                       timeouts and are retried (default: off)
 
-Each epoch streams decoded minibatches from the packed shards through
-the wall-clock parallel loader and trains a small MLP on them; the loss
+The container is verified once at open (every shard streamed through its
+checksums) and its shard files are then read in place, one positional
+read per record prefix — the dataset is never held in memory. Each epoch
+streams decoded minibatches from the packed shards through the
+wall-clock parallel loader and trains a small MLP on them; the loss
 the fidelity controller observes is the real training loss of that
 epoch. Unless --no-declog is given, every epoch's fidelity decision is
 appended to the container's own decisions.pcrd audit log (inspect it

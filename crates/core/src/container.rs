@@ -60,7 +60,7 @@
 use crate::colfooter::{self, ColumnarIndex, COLUMNAR_VERSION};
 use crate::dataset::{PcrDataset, RecordMeta};
 use crate::error::{Error, Result};
-use crate::wire::{crc32, put_bytes, put_u16, put_u32, put_u64, Reader};
+use crate::wire::{crc32, crc32_update, put_bytes, put_u16, put_u32, put_u64, Reader};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -83,6 +83,9 @@ pub const CONTAINER_VERSION_ROWS: u16 = 1;
 pub const SHARD_HEADER_LEN: u64 = 12;
 /// Size in bytes of a shard file's fixed trailer.
 pub const SHARD_TRAILER_LEN: u64 = 12;
+/// Size in bytes of the one buffer [`PcrContainer::verify_shard`] streams
+/// a shard's record bytes through.
+pub const VERIFY_CHUNK: usize = 64 << 10;
 
 /// One record's entry in a shard footer: everything a loader needs to plan
 /// a ranged prefix read, plus an integrity checksum.
@@ -237,7 +240,19 @@ impl ShardIndex {
     /// columnar footers alike. [`PcrContainer::open`] uses the lazy path
     /// in [`crate::colfooter`] for columnar shards instead.
     pub fn parse(file_name: &str, bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
+        Self::parse_parts(file_name, bytes, bytes, bytes.len() as u64)
+    }
+
+    /// The strict parser over the parts of a shard file an index is made
+    /// of, so a caller holding a file need not read — or allocate — the
+    /// record region between them: `header` is any prefix of the file
+    /// holding its first [`SHARD_HEADER_LEN`] bytes (fewer only when the
+    /// file is shorter), `tail` any suffix long enough to hold footer and
+    /// trailer, `file_len` the whole file's length. Same checks, error
+    /// variants and offsets as [`ShardIndex::parse`], which is this
+    /// function over a whole file.
+    pub fn parse_parts(file_name: &str, header: &[u8], tail: &[u8], file_len: u64) -> Result<Self> {
+        let mut r = Reader::new(header);
         if r.bytes(4, "shard magic")? != SHARD_MAGIC {
             return Err(Error::BadMagic);
         }
@@ -247,13 +262,15 @@ impl ShardIndex {
         }
         let num_groups = r.u16("shard group count")?;
         let record_count = r.u32("shard record count")?;
-        let file_len = bytes.len() as u64;
         if file_len < SHARD_HEADER_LEN + SHARD_TRAILER_LEN {
             return Err(Error::Truncated { context: "shard trailer" });
         }
         // Trailer: footer_len (u32), footer_crc (u32), "PCRF".
-        // pcr-lint: allow(no-panic-in-hot-path) — file_len >= HEADER + TRAILER checked above
-        let trailer = &bytes[bytes.len() - SHARD_TRAILER_LEN as usize..];
+        let trailer_at = tail
+            .len()
+            .checked_sub(SHARD_TRAILER_LEN as usize)
+            .ok_or(Error::Truncated { context: "shard trailer" })?;
+        let (before_trailer, trailer) = tail.split_at(trailer_at);
         let mut t = Reader::new(trailer);
         let footer_len = t.u32("footer length")? as u64;
         let footer_crc = t.u32("footer crc")?;
@@ -266,9 +283,13 @@ impl ShardIndex {
         if footer_start < SHARD_HEADER_LEN {
             return Err(Error::Malformed("shard footer overlaps header".into()));
         }
-        // pcr-lint: allow(no-panic-in-hot-path) — HEADER <= footer_start (checked
-        // above) and checked_sub proved footer_start + TRAILER <= file_len.
-        let footer = &bytes[footer_start as usize..(file_len - SHARD_TRAILER_LEN) as usize];
+        // A whole-file `tail` always holds the footer once the two checks
+        // above pass; a shorter one is the caller's to size.
+        let footer = before_trailer
+            .len()
+            .checked_sub(footer_len as usize)
+            .and_then(|at| before_trailer.get(at..))
+            .ok_or(Error::Truncated { context: "shard footer" })?;
         if crc32(footer) != footer_crc {
             return Err(Error::corrupt_at(file_name, footer_start, "shard footer CRC mismatch"));
         }
@@ -632,23 +653,26 @@ fn parse_shard_stats(r: &mut Reader<'_>) -> Result<Option<ShardStats>> {
 }
 
 /// Serializes one shard (header + records + footer + trailer) from record
-/// byte blobs and their metadata. `metas` must parallel `records`.
-/// `version` selects the footer encoding: rows (1) or columnar (3).
+/// byte blobs and their metadata into `out`, replacing its contents.
+/// `metas` must parallel `records`. `version` selects the footer
+/// encoding: rows (1) or columnar (3).
 fn build_shard(
+    out: &mut Vec<u8>,
     num_groups: u16,
     records: &[(&RecordMeta, &[u8])],
     version: u16,
-) -> Vec<u8> {
+) {
     let data_len: usize = records.iter().map(|(_, b)| b.len()).sum();
+    out.clear();
     // pcr-lint: allow(bounded-alloc) — writer side: data_len is the sum of
     // in-memory record buffers already held by the caller.
-    let mut out = Vec::with_capacity(SHARD_HEADER_LEN as usize + data_len);
+    out.reserve(SHARD_HEADER_LEN as usize + data_len);
     out.extend_from_slice(SHARD_MAGIC);
-    put_u16(&mut out, version);
-    put_u16(&mut out, num_groups);
+    put_u16(out, version);
+    put_u16(out, num_groups);
     debug_assert!(records.len() <= u32::MAX as usize);
     // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
-    put_u32(&mut out, records.len() as u32);
+    put_u32(out, records.len() as u32);
     debug_assert_eq!(out.len() as u64, SHARD_HEADER_LEN);
     let mut offsets = Vec::with_capacity(records.len()); // pcr-lint: allow(bounded-alloc) — len of caller's slice
     for (_, bytes) in records {
@@ -680,10 +704,9 @@ fn build_shard(
     // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
     let footer_len = footer.len() as u32;
     out.extend_from_slice(&footer);
-    put_u32(&mut out, footer_len);
-    put_u32(&mut out, footer_crc);
+    put_u32(out, footer_len);
+    put_u32(out, footer_crc);
     out.extend_from_slice(FOOTER_MAGIC);
-    out
 }
 
 /// Writes `dataset` as a sharded container under `dir` with
@@ -731,9 +754,14 @@ pub fn write_container_versioned(
         .iter()
         .zip(dataset.records.iter().map(Vec::as_slice))
         .collect();
+    // One buffer serves every shard: allocating and freeing a shard-sized
+    // vector per shard leaves the first one's pages parked in the
+    // allocator (glibc stops trimming once a large block has been freed),
+    // where they count against the process for the rest of its life.
+    let mut bytes = Vec::new();
     for (i, chunk) in entries.chunks(records_per_shard).enumerate() {
         let file_name = format!("shard-{i:05}.pcrshard");
-        let bytes = build_shard(num_groups, chunk, version);
+        build_shard(&mut bytes, num_groups, chunk, version);
         let index = ShardIndex::parse(&file_name, &bytes).map_err(|e| {
             Error::Malformed(format!("freshly written shard does not parse back: {e}"))
         })?;
@@ -906,53 +934,107 @@ impl PcrContainer {
         // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
         let expected = self.manifest.shards[i].file_len;
         if bytes.len() as u64 != expected {
-            return Err(Error::Malformed(format!(
-                "{}: {} bytes on disk, manifest says {expected}",
-                path.display(),
-                bytes.len(),
-            )));
+            return Err(len_mismatch(&path, bytes.len() as u64, expected));
         }
         Ok(bytes)
     }
 
-    /// Reads shard `i` and verifies it in full: a strict re-parse of the
-    /// footer (including the footer CRC the lazy columnar open defers)
-    /// followed by every record's CRC-32 against the footer index,
-    /// rejecting corrupted data.
+    /// Reads shard `i` whole and verifies it in full — every check of
+    /// [`PcrContainer::verify_shard`], made on the bytes it returns. Kept
+    /// for callers that want the verified bytes in hand; a caller that
+    /// only wants the verdict should stream with `verify_shard` instead
+    /// of allocating a shard.
     ///
     /// # Panics
     /// Like slice indexing, panics when `i` is not a valid shard index.
     pub fn read_shard_verified(&self, i: usize) -> Result<Vec<u8>> {
         let bytes = self.read_shard(i)?;
+        self.check_shard(i, &bytes, &bytes, bytes.len() as u64, &mut |rec| {
+            // `check_shard` has bounded the range by the file length.
+            let range = rec.offset as usize..(rec.offset + rec.len()) as usize;
+            Ok(crc32(bytes.get(range).unwrap_or_default()))
+        })?;
+        Ok(bytes)
+    }
+
+    /// Verifies shard `i` in full without holding it: the file's length
+    /// against the manifest, a strict re-parse of the footer (including
+    /// the footer CRC the lazy columnar open defers), that footer CRC
+    /// against the one seen at open, and every record's bounds and CRC-32
+    /// against the footer index — streaming the record bytes through one
+    /// [`VERIFY_CHUNK`]-sized buffer, so memory is O(footer + 64 KiB)
+    /// whatever the shard's size.
+    ///
+    /// # Panics
+    /// Like slice indexing, panics when `i` is not a valid shard index.
+    pub fn verify_shard(&self, i: usize) -> Result<()> {
+        let path = self.shard_path(i);
+        let mut file = fs::File::open(&path).map_err(io_err("open shard"))?;
+        let file_len = file.metadata().map_err(io_err("stat shard"))?.len();
+        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        let expected = self.manifest.shards[i].file_len;
+        if file_len != expected {
+            return Err(len_mismatch(&path, file_len, expected));
+        }
+        if file_len < SHARD_HEADER_LEN + SHARD_TRAILER_LEN {
+            return Err(Error::Truncated { context: "shard trailer" });
+        }
+        let mut header = [0u8; SHARD_HEADER_LEN as usize];
+        file.read_exact(&mut header).map_err(io_err("read shard header"))?;
+        let tail = read_shard_tail(&mut file, file_len)?;
+        let mut chunk = vec![0u8; VERIFY_CHUNK];
+        self.check_shard(i, &header, &tail, file_len, &mut |rec| {
+            file.seek(SeekFrom::Start(rec.offset)).map_err(io_err("seek record"))?;
+            let mut crc = 0u32;
+            let mut left = rec.len();
+            while left > 0 {
+                let n = left.min(VERIFY_CHUNK as u64) as usize;
+                let part = chunk.get_mut(..n).unwrap_or_default();
+                file.read_exact(part).map_err(io_err("read record"))?;
+                crc = crc32_update(crc, part);
+                left -= n as u64;
+            }
+            Ok(crc)
+        })
+    }
+
+    /// The checks behind [`PcrContainer::verify_shard`] and
+    /// [`PcrContainer::read_shard_verified`], over the index parts of
+    /// shard `i` (as [`ShardIndex::parse_parts`] takes them) and a
+    /// `record_crc` that checksums one record's bytes wherever the caller
+    /// keeps them.
+    fn check_shard(
+        &self,
+        i: usize,
+        header: &[u8],
+        tail: &[u8],
+        file_len: u64,
+        record_crc: &mut dyn FnMut(&ShardRecord) -> Result<u32>,
+    ) -> Result<()> {
         // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
         let file_name = &self.manifest.shards[i].file_name;
-        let index = ShardIndex::parse(file_name, &bytes)?;
+        let index = ShardIndex::parse_parts(file_name, header, tail, file_len)?;
         // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
         if index.footer_crc != self.shards[i].footer_crc {
             return Err(Error::corrupt_at(
                 file_name,
-                (bytes.len() as u64).saturating_sub(SHARD_TRAILER_LEN) + 4,
+                file_len.saturating_sub(SHARD_TRAILER_LEN) + 4,
                 "footer CRC changed since open",
             ));
         }
         for rec in index.entries() {
             let rec = rec?;
-            let start = rec.offset as usize;
-            let end = start + rec.len() as usize;
-            let stored = rec.crc32;
             // Record ranges were validated against the footer start at
             // parse time, but re-check here so a hand-built index cannot
-            // panic the integrity pass.
-            let data = bytes
-                .get(start..end)
-                .ok_or_else(|| {
-                    Error::corrupt_at(
-                        file_name,
-                        rec.offset,
-                        format!("record {} out of shard bounds", rec.name),
-                    )
-                })?;
-            let actual = crc32(data);
+            // send the integrity pass out of bounds.
+            if rec.offset.checked_add(rec.len()).is_none_or(|end| end > file_len) {
+                return Err(Error::corrupt_at(
+                    file_name,
+                    rec.offset,
+                    format!("record {} out of shard bounds", rec.name),
+                ));
+            }
+            let (stored, actual) = (rec.crc32, record_crc(&rec)?);
             if actual != stored {
                 return Err(Error::corrupt_at(
                     file_name,
@@ -965,18 +1047,18 @@ impl PcrContainer {
                 ));
             }
         }
-        Ok(bytes)
+        Ok(())
     }
 
-    /// Full integrity pass: re-reads every shard and verifies every
-    /// record checksum, then — when a decision log is present — checks
-    /// its CRC chain. `Ok(())` means every byte of record data matches
-    /// the footers the manifest vouches for. For columnar containers
-    /// this is where the footer CRC deferred by the O(1) open is
-    /// actually checked.
+    /// Full integrity pass: streams every shard through
+    /// [`PcrContainer::verify_shard`], then — when a decision log is
+    /// present — checks its CRC chain. `Ok(())` means every byte of
+    /// record data matches the footers the manifest vouches for. For
+    /// columnar containers this is where the footer CRC deferred by the
+    /// O(1) open is actually checked.
     pub fn verify(&self) -> Result<()> {
         for i in 0..self.shards.len() {
-            self.read_shard_verified(i)?;
+            self.verify_shard(i)?;
         }
         if let Some(log) = self.decision_log()? {
             log.verify()?;
@@ -1014,11 +1096,7 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
     let mut file = fs::File::open(path).map_err(io_err("open shard"))?;
     let file_len = file.metadata().map_err(io_err("stat shard"))?.len();
     if file_len != summary.file_len {
-        return Err(Error::Malformed(format!(
-            "{}: {file_len} bytes on disk, manifest says {}",
-            path.display(),
-            summary.file_len
-        )));
+        return Err(len_mismatch(path, file_len, summary.file_len));
     }
     if file_len < SHARD_HEADER_LEN + SHARD_TRAILER_LEN {
         return Err(Error::Truncated { context: "shard trailer" });
@@ -1058,25 +1136,9 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
             footer_crc,
         });
     }
-    // Row formats: tail read, then a sparse image for the strict parser.
-    let mut trailer = [0u8; SHARD_TRAILER_LEN as usize];
-    file.seek(SeekFrom::End(-(SHARD_TRAILER_LEN as i64))).map_err(io_err("seek shard"))?;
-    file.read_exact(&mut trailer).map_err(io_err("read shard trailer"))?;
-    let footer_len = u64::from(Reader::new(&trailer).u32("footer length")?);
-    let tail_len = (SHARD_TRAILER_LEN + footer_len).min(file_len - SHARD_HEADER_LEN);
-    // pcr-lint: allow(bounded-alloc) — tail_len clamped to the on-disk file size just above
-    let mut tail = vec![0u8; tail_len as usize];
-    file.seek(SeekFrom::End(-(tail_len as i64))).map_err(io_err("seek shard"))?;
-    file.read_exact(&mut tail).map_err(io_err("read shard footer"))?;
-    // Reassemble a sparse image of the file for the parser: the record
-    // region's contents are irrelevant to index parsing (offsets are
-    // validated against the footer start, data is not checksummed here).
-    // pcr-lint: allow(bounded-alloc) — capacity bounded by the on-disk file size
-    let mut image = Vec::with_capacity((SHARD_HEADER_LEN + file_len - tail_len) as usize);
-    image.extend_from_slice(&head);
-    image.resize((file_len - tail_len) as usize, 0);
-    image.extend_from_slice(&tail);
-    let index = ShardIndex::parse(&file_name, &image)?;
+    // Row formats: the strict parser over header + footer + trailer.
+    let tail = read_shard_tail(&mut file, file_len)?;
+    let index = ShardIndex::parse_parts(&file_name, &head, &tail, file_len)?;
     if index.footer_crc != summary.footer_crc {
         return Err(Error::corrupt_at(
             path.display(),
@@ -1088,6 +1150,31 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
         ));
     }
     Ok(index)
+}
+
+/// Reads a shard file's footer + trailer tail — with the fixed header,
+/// the parts its index is parsed from — leaving the record region on
+/// disk. `file_len` must be at least header + trailer. The trailer's
+/// footer length is untrusted: the tail is clamped to the bytes after the
+/// header, and [`ShardIndex::parse_parts`] rejects a footer that cannot
+/// fit.
+fn read_shard_tail(file: &mut fs::File, file_len: u64) -> Result<Vec<u8>> {
+    let mut trailer = [0u8; SHARD_TRAILER_LEN as usize];
+    file.seek(SeekFrom::End(-(SHARD_TRAILER_LEN as i64))).map_err(io_err("seek shard"))?;
+    file.read_exact(&mut trailer).map_err(io_err("read shard trailer"))?;
+    let footer_len = u64::from(Reader::new(&trailer).u32("footer length")?);
+    let tail_len =
+        (SHARD_TRAILER_LEN + footer_len).min(file_len.saturating_sub(SHARD_HEADER_LEN));
+    // pcr-lint: allow(bounded-alloc) — tail_len clamped to the on-disk file size just above
+    let mut tail = vec![0u8; tail_len as usize];
+    file.seek(SeekFrom::End(-(tail_len as i64))).map_err(io_err("seek shard"))?;
+    file.read_exact(&mut tail).map_err(io_err("read shard footer"))?;
+    Ok(tail)
+}
+
+/// A shard file whose length is not the one its manifest entry records.
+fn len_mismatch(path: &Path, on_disk: u64, expected: u64) -> Error {
+    Error::Malformed(format!("{}: {on_disk} bytes on disk, manifest says {expected}", path.display()))
 }
 
 fn io_err(context: &'static str) -> impl Fn(std::io::Error) -> Error {
@@ -1331,6 +1418,173 @@ mod tests {
         let c = PcrContainer::open(&dir).unwrap();
         let err = c.shards[0].entry(0).unwrap_err();
         assert!(matches!(err, Error::Malformed(_)), "{err:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The tail `read_shard_tail` would hand `parse_parts` for `bytes`.
+    fn minimal_tail(bytes: &[u8]) -> &[u8] {
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 12..n - 8].try_into().unwrap()) as usize;
+        &bytes[n - (12 + footer_len).min(n - 12)..]
+    }
+
+    /// Rewrites the trailer's footer CRC to match the (patched) footer.
+    fn reseal_footer(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 12..n - 8].try_into().unwrap()) as usize;
+        let crc = crc32(&bytes[n - 12 - footer_len..n - 12]);
+        bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn parse_parts_agrees_with_whole_file_parse_on_every_fixture() {
+        let ds = build(4, 2);
+        let shard_of = |version: u16, tag: &str| {
+            let dir = tmpdir(tag);
+            write_container_versioned(&ds, &dir, 2, version).unwrap();
+            let bytes = fs::read(PcrContainer::open(&dir).unwrap().shard_path(0)).unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+            bytes
+        };
+        let v1 = shard_of(CONTAINER_VERSION_ROWS, "parts-v1");
+        let mut v2 = v1.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes()); // header version: not CRC-covered
+        let v3 = shard_of(COLUMNAR_VERSION, "parts-v3");
+        for (version, clean) in [(1u16, v1), (2, v2), (3, v3)] {
+            let n = clean.len();
+            let footer_len =
+                u32::from_le_bytes(clean[n - 12..n - 8].try_into().unwrap()) as usize;
+            let footer_start = n - 12 - footer_len;
+            let patched = |at: usize, with: &[u8], reseal: bool| {
+                let mut b = clean.clone();
+                b[at..at + with.len()].copy_from_slice(with);
+                if reseal {
+                    reseal_footer(&mut b);
+                }
+                b
+            };
+            // Record 0's offset: after the prefixed name in a row footer,
+            // in the offsets column (name blob + name ends) of a columnar.
+            let offset_at = if version == 3 {
+                let desc = n - 12 - 40;
+                let blob = u32::from_le_bytes(clean[desc + 12..desc + 16].try_into().unwrap());
+                let count = u32::from_le_bytes(clean[desc + 4..desc + 8].try_into().unwrap());
+                footer_start + blob as usize + 4 * count as usize
+            } else {
+                let name_len = u32::from_le_bytes(
+                    clean[footer_start..footer_start + 4].try_into().unwrap(),
+                );
+                footer_start + 4 + name_len as usize
+            };
+            let fixtures: Vec<(&str, Vec<u8>, &str)> = vec![
+                ("clean", clean.clone(), "Ok"),
+                ("tampered footer", patched(n - 12 - 5, &[clean[n - 17] ^ 1], false), "Corrupt"),
+                ("truncated", clean[..n / 2].to_vec(), "BadMagic"),
+                ("shorter than header + trailer", clean[..20].to_vec(), "Truncated"),
+                ("shorter than the header", clean[..7].to_vec(), "Truncated"),
+                (
+                    "footer overlapping the header",
+                    patched(n - 12, &((n - 12 - 4) as u32).to_le_bytes(), false),
+                    "Malformed",
+                ),
+                (
+                    "footer longer than the file",
+                    patched(n - 12, &(n as u32).to_le_bytes(), false),
+                    "Truncated",
+                ),
+                ("crafted offset", patched(offset_at, &u64::MAX.to_le_bytes(), true), "Malformed"),
+                ("bad version", patched(4, &0xFEu16.to_le_bytes(), false), "BadVersion"),
+                ("oversized record count", patched(8, &u32::MAX.to_le_bytes(), false), "Malformed"),
+            ];
+            for (what, bytes, expect) in fixtures {
+                let whole = ShardIndex::parse("s.pcrshard", &bytes);
+                let header = &bytes[..bytes.len().min(SHARD_HEADER_LEN as usize)];
+                let tail = if bytes.len() >= 24 { minimal_tail(&bytes) } else { &bytes[..] };
+                let parts = ShardIndex::parse_parts("s.pcrshard", header, tail, bytes.len() as u64);
+                let shown = format!("{whole:?}");
+                assert!(shown.starts_with(expect) || shown.starts_with(&format!("Err({expect}")),
+                    "v{version} {what}: {shown}");
+                assert_eq!(format!("{parts:?}"), shown, "v{version} {what}");
+                if let (Ok(w), Ok(p)) = (&whole, &parts) {
+                    let entries = |i: &ShardIndex| i.entries().collect::<Result<Vec<_>>>().unwrap();
+                    assert_eq!(entries(w), entries(p), "v{version} {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_verify_makes_the_same_calls_as_read_shard_verified() {
+        for version in [CONTAINER_VERSION_ROWS, COLUMNAR_VERSION] {
+            let dir = tmpdir(&format!("streamed-v{version}"));
+            // 24x24 records are a few hundred bytes: shrink nothing, but
+            // pack enough of them that one shard spans several records.
+            let ds = build(12, 2);
+            write_container_versioned(&ds, &dir, 3, version).unwrap();
+            let c = PcrContainer::open(&dir).unwrap();
+            let path = c.shard_path(1);
+            let clean = fs::read(&path).unwrap();
+            let both = |what: &str| {
+                let streamed = c.verify_shard(1);
+                let whole = c.read_shard_verified(1).map(drop);
+                assert_eq!(format!("{streamed:?}"), format!("{whole:?}"), "v{version} {what}");
+                streamed
+            };
+            both("clean").unwrap();
+            let (_, rec) = c.entry(4).unwrap(); // second record of shard 1
+            let n = clean.len();
+            type Damage<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
+            let damage: [(&str, Damage<'_>, &str); 5] = [
+                ("record bit flip", Box::new(|b| b[rec.offset as usize + 9] ^= 0x10), "Corrupt"),
+                ("last record byte", Box::new(|b| b[(rec.offset + rec.len()) as usize - 1] ^= 1), "Corrupt"),
+                ("footer byte", Box::new(|b| b[n - 12 - 45] ^= 1), "Corrupt"),
+                ("footer crc", Box::new(|b| b[n - 6] ^= 1), "Corrupt"),
+                ("shorter on disk", Box::new(|b| b.truncate(n - 1)), "Malformed"),
+            ];
+            for (what, apply, expect) in damage {
+                let mut bytes = clean.clone();
+                apply(&mut bytes);
+                fs::write(&path, &bytes).unwrap();
+                let err = format!("{:?}", both(what).unwrap_err());
+                assert!(err.starts_with(expect), "v{version} {what}: {err}");
+                assert!(c.verify().is_err(), "verify() goes through the streamed verifier");
+            }
+            fs::write(&path, &clean).unwrap();
+            c.verify().unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn streamed_verify_spans_many_chunks() {
+        // One record several times VERIFY_CHUNK, not a multiple of it.
+        let len = 3 * VERIFY_CHUNK + 1234;
+        let blob: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let meta = RecordMeta {
+            name: "big".into(),
+            num_images: 1,
+            group_offsets: vec![8, len as u64],
+            labels: vec![0],
+        };
+        let ds = PcrDataset {
+            records: vec![blob.clone(), blob[..VERIFY_CHUNK].to_vec()],
+            db: crate::dataset::MetaDb {
+                records: vec![
+                    meta.clone(),
+                    RecordMeta { name: "exact".into(), group_offsets: vec![8, VERIFY_CHUNK as u64], ..meta },
+                ],
+            },
+        };
+        let dir = tmpdir("chunks");
+        write_container(&ds, &dir, 2).unwrap();
+        let c = PcrContainer::open(&dir).unwrap();
+        c.verify_shard(0).unwrap();
+        let path = c.shard_path(0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[SHARD_HEADER_LEN as usize + 2 * VERIFY_CHUNK + 17] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        let err = c.verify_shard(0).unwrap_err().to_string();
+        assert!(err.contains("record big CRC mismatch"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

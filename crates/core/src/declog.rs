@@ -30,7 +30,7 @@
 //!   replay diverges.
 
 use crate::error::{Error, Result};
-use crate::wire::{crc32, put_u16, put_u32, put_u64, Reader};
+use crate::wire::{crc32, crc32_update, put_u16, put_u32, put_u64, Reader};
 use pcr_metrics::{FidelityEpoch, TriggerKind};
 use std::fmt::Write as _;
 use std::fs;
@@ -494,12 +494,7 @@ impl DecisionLog {
 
 /// `crc32(prev chain LE ‖ body)` — the chain step.
 fn chain_crc(prev: u32, body: &[u8]) -> u32 {
-    // pcr-lint: allow(bounded-alloc) — body length already validated
-    // against the file (parse) or the u16 score count (encode).
-    let mut buf = Vec::with_capacity(4 + body.len());
-    buf.extend_from_slice(&prev.to_le_bytes());
-    buf.extend_from_slice(body);
-    crc32(&buf)
+    crc32_update(crc32(&prev.to_le_bytes()), body)
 }
 
 /// Appends one framed record (length, body, chain) to `out`; returns the

@@ -16,15 +16,18 @@
 //! only how many bytes each visit reads.
 //!
 //! [`open_container_store`] is the one-call path from a packed directory
-//! to a running loader: open + integrity-verify the container, load each
-//! shard into an [`ObjectStore`] fronting a file-backed device profile
+//! to a running loader: open + integrity-verify the container, register
+//! each shard *file* with an [`ObjectStore`] fronting a device profile
 //! (NVMe-class by default), and configure per-shard readahead so a
-//! loader's adjacent ranged reads within a shard coalesce in the page
-//! cache.
+//! loader's adjacent ranged reads within a shard coalesce in the modeled
+//! page cache. Nothing is loaded: the store keeps one descriptor per
+//! shard and every planned range becomes one positional read of exactly
+//! that range, so resident memory follows the reads in flight, not the
+//! dataset's size.
 
 use crate::source::{ReadPlan, RecordSource};
 use pcr_core::container::{PcrContainer, ShardRecord};
-use pcr_core::{RecordScratch, Result};
+use pcr_core::{Error, RecordScratch, Result};
 use pcr_jpeg::ImageBuf;
 use pcr_storage::{DeviceProfile, ObjectStore};
 use std::path::Path;
@@ -115,21 +118,30 @@ impl RecordSource for ShardedSource {
     }
 }
 
-/// How [`open_container_store`] materializes a container as an object
+/// How [`open_container_store`] presents a container as an object
 /// store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStoreConfig {
     /// Simulated device fronting the shard objects.
     pub profile: DeviceProfile,
-    /// Page-cache size in bytes (0 disables caching).
+    /// Size in bytes of the *modeled* page cache (0 disables it): which
+    /// reads are charged device time. It holds no data — what is
+    /// resident is the store's recycled read buffers
+    /// ([`ObjectStore::resident_bytes`]) and whatever the operating
+    /// system caches of the shard files.
     pub cache_bytes: u64,
     /// Per-shard readahead granularity in bytes (0 disables): ranged
     /// reads are extended to the next boundary so a loader revisiting
     /// adjacent records — or the same record at a higher scan group —
     /// hits cache instead of the device.
     pub readahead: u64,
-    /// Verify every record's CRC-32 while loading shards; corrupted
-    /// containers are rejected before any loader runs.
+    /// Verify every shard in full before registering it
+    /// ([`PcrContainer::verify_shard`]: footer and every record's CRC-32,
+    /// streamed); corrupted containers are rejected before any loader
+    /// runs. This vouches for the bytes as they are *at open*: a file
+    /// damaged afterwards surfaces per read, as a read error or a decode
+    /// failure, and the loader degrades or quarantines the records it
+    /// touches.
     pub verify: bool,
 }
 
@@ -149,16 +161,20 @@ impl Default for ShardStoreConfig {
 pub struct OpenedContainer {
     /// The parsed container (manifest + shard indexes).
     pub container: PcrContainer,
-    /// Object store holding one object per shard file.
+    /// Object store with one registered file object per shard.
     pub store: Arc<ObjectStore>,
     /// Read-planning source over the shard objects.
     pub source: Arc<ShardedSource>,
 }
 
-/// Opens the container at `dir` and loads its shards into an
-/// [`ObjectStore`] under their manifest file names, verifying record
-/// checksums (unless disabled) and configuring readahead. The returned
-/// [`OpenedContainer`] plugs directly into any loader:
+/// Opens the container at `dir` and registers its shard files with an
+/// [`ObjectStore`] under their manifest file names
+/// ([`ObjectStore::put_file`]), verifying each one first (unless
+/// disabled) by streaming it through a 64 KiB buffer, and configuring
+/// readahead. No shard is read into memory, so the open allocates
+/// O(footer + 64 KiB) per shard and holds one descriptor per shard
+/// afterwards. The returned [`OpenedContainer`] plugs directly into any
+/// loader:
 ///
 /// ```no_run
 /// use pcr_loader::sharded::{open_container_store, ShardStoreConfig};
@@ -174,13 +190,13 @@ pub fn open_container_store(dir: &Path, config: &ShardStoreConfig) -> Result<Ope
     let container = PcrContainer::open(dir)?;
     let store = Arc::new(ObjectStore::with_cache(config.profile.clone(), config.cache_bytes));
     store.set_readahead(config.readahead);
-    for i in 0..container.shards.len() {
-        let bytes = if config.verify {
-            container.read_shard_verified(i)?
-        } else {
-            container.read_shard(i)?
-        };
-        store.put(&container.manifest.shards[i].file_name, bytes);
+    for (i, shard) in container.manifest.shards.iter().enumerate() {
+        if config.verify {
+            container.verify_shard(i)?;
+        }
+        store
+            .put_file(&shard.file_name, &container.shard_path(i))
+            .map_err(|e| Error::BadInput(format!("open shard {}: {e}", shard.file_name)))?;
     }
     let source = Arc::new(ShardedSource::from_container(&container)?);
     Ok(OpenedContainer { container, store, source })
@@ -326,5 +342,136 @@ mod tests {
             stats.reads
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    type Labels = std::collections::BTreeMap<u32, u64>;
+
+    fn count(into: &mut Labels, labels: &[u32]) {
+        for &l in labels {
+            *into.entry(l).or_insert(0) += 1;
+        }
+    }
+
+    fn dataset_labels(ds: &pcr_core::PcrDataset) -> Labels {
+        let mut all = Labels::new();
+        ds.db.records.iter().for_each(|r| count(&mut all, &r.labels));
+        all
+    }
+
+    /// One wall-clock epoch with real decode: delivered labels, report.
+    fn wall_epoch(opened: &OpenedContainer) -> (Labels, crate::retry::FaultReport) {
+        let loader = ParallelLoader::new(
+            Arc::clone(&opened.store),
+            Arc::clone(&opened.source),
+            ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) },
+        );
+        let stream = loader.spawn_epoch(0);
+        let mut delivered = Labels::new();
+        for b in stream.batches.iter() {
+            count(&mut delivered, &b.labels);
+        }
+        let stats = Arc::clone(&stream.stats);
+        stream.join();
+        (delivered, stats.fault_report())
+    }
+
+    /// One virtual-time epoch with real decode: delivered labels, report.
+    fn virtual_epoch(opened: &OpenedContainer) -> (Labels, crate::retry::FaultReport) {
+        let cfg = LoaderConfig { decode: DecodeMode::Real, ..LoaderConfig::at_group(10) };
+        let epoch = PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
+        let mut delivered = Labels::new();
+        epoch.records.iter().for_each(|r| count(&mut delivered, &r.labels));
+        (delivered, epoch.faults)
+    }
+
+    #[test]
+    fn shard_truncated_after_open_degrades_and_quarantines_what_it_cut() {
+        let dir = tmpdir("cut");
+        let ds = dataset(18); // 6 records of 3 images, 3 records a shard
+        write_container(&ds, &dir, 3).unwrap();
+        let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
+        // Cut shard 0 inside its second record, right after scan group 3:
+        // record 0 is whole, record 1 keeps an intact 3-group prefix,
+        // record 2 lies wholly beyond the cut.
+        let (_, rec1) = opened.container.entry(1).unwrap();
+        let cut = rec1.offset + rec1.prefix_len(3);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(opened.container.shard_path(0))
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        for (what, (mut labels, faults)) in
+            [("wall", wall_epoch(&opened)), ("virtual", virtual_epoch(&opened))]
+        {
+            let quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
+            assert_eq!(quarantined, vec![2], "{what}: exactly the record beyond the cut");
+            assert_eq!(faults.quarantined_records, 1, "{what}");
+            assert_eq!(faults.degraded_records, 1, "{what}: record 1 steps down to group 3");
+            assert!(faults.retries > 0, "{what}: short reads are retried before degrading");
+            assert!(faults.quarantine[0].reason.contains("short read"), "{what}: {faults:?}");
+            let mut cut_labels = Labels::new();
+            count(&mut cut_labels, &ds.db.records[2].labels);
+            assert_eq!(faults.quarantined_labels, cut_labels, "{what}");
+            count(&mut labels, &ds.db.records[2].labels);
+            assert_eq!(labels, dataset_labels(&ds), "{what}: delivered + quarantined");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shard_removed_after_open_still_conserves_the_epoch() {
+        let dir = tmpdir("unlink");
+        let ds = dataset(12);
+        write_container(&ds, &dir, 2).unwrap();
+        let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
+        std::fs::remove_file(opened.container.shard_path(1)).unwrap();
+        for (what, (mut labels, faults)) in
+            [("wall", wall_epoch(&opened)), ("virtual", virtual_epoch(&opened))]
+        {
+            for (&label, &n) in &faults.quarantined_labels {
+                *labels.entry(label).or_insert(0) += n;
+            }
+            assert_eq!(labels, dataset_labels(&ds), "{what}: delivered + quarantined");
+            // The store's descriptor keeps an unlinked file's bytes
+            // readable on Unix, so nothing is lost there at all.
+            #[cfg(unix)]
+            assert!(faults.is_clean(), "{what}: {faults:?}");
+        }
+        // A later open has no file to register.
+        assert!(open_container_store(&dir, &ShardStoreConfig::default()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resident_bytes_follow_reads_in_flight_not_container_size() {
+        let resident_after_epoch = |images: usize, tag: &str| {
+            let dir = tmpdir(tag);
+            // One label for every image: records differ only by index.
+            let ds = crate::loader::test_dataset(images, 3, |_| 0);
+            write_container(&ds, &dir, 4).unwrap();
+            let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
+            assert_eq!(opened.store.resident_bytes(), 0, "open loads nothing");
+            assert_eq!(opened.store.total_bytes(), opened.container.manifest.total_file_bytes());
+            let (labels, faults) = wall_epoch(&opened);
+            assert!(faults.is_clean());
+            assert_eq!(labels.values().sum::<u64>(), images as u64);
+            let largest =
+                opened.container.shards.iter().map(|s| s.record_len_bounds().1).max().unwrap();
+            let resident = opened.store.resident_bytes();
+            assert!(resident > 0, "the epoch's buffers are parked for the next one");
+            assert!(
+                resident <= pcr_storage::bytes::POOL_CAP as u64 * largest,
+                "{resident} resident bytes for records of at most {largest}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+            opened.store.total_bytes()
+        };
+        // Same-sized records, 16 and 128 of them: the bound above holds at
+        // both sizes, so it is the free list and not the container that
+        // sets what stays resident.
+        let total_small = resident_after_epoch(48, "resident-1x");
+        let total_big = resident_after_epoch(384, "resident-8x");
+        assert!(total_big > 7 * total_small, "{total_small} -> {total_big} addressable bytes");
     }
 }

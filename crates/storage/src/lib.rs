@@ -20,9 +20,14 @@
 //! [`ReadError::NotFound`], and an installed [`FaultPlan`]
 //! ([`ObjectStore::set_fault_plan`]) injects deterministic, seed-keyed
 //! failures — transient errors, torn reads, corrupt ranges, timeouts,
-//! silent bit flips, latency spikes — for chaos testing. Successful reads
-//! return [`ByteView`]s — zero-copy, reference-counted windows into the
-//! stored blobs — so loaders never duplicate record bytes:
+//! silent bit flips, latency spikes — for chaos testing. An object is
+//! either a blob held in memory ([`ObjectStore::put`]) or a file left on
+//! disk ([`ObjectStore::put_file`]) and read range by range with
+//! positional reads, whose real failures surface as the same
+//! [`ReadError`]s. Successful reads return [`ByteView`]s —
+//! reference-counted windows into the stored blob (zero-copy), or the
+//! recycled buffer a file's range was read into — so loaders never
+//! duplicate record bytes:
 //!
 //! ```
 //! use pcr_storage::{Clock, DeviceProfile, ObjectStore};

@@ -1,6 +1,20 @@
-//! An in-memory object store fronted by a simulated device: named blobs
-//! whose reads return both data and modeled completion times. This is what
-//! the data loader reads records from.
+//! An object store fronted by a simulated device: named objects whose
+//! reads return both data and modeled completion times. This is what the
+//! data loader reads records from.
+//!
+//! An object is one of two kinds behind the same read call. A blob
+//! stored with [`ObjectStore::put`] lives in memory and reads are
+//! zero-copy views into it. A file registered with
+//! [`ObjectStore::put_file`] stays on disk: the store keeps one open
+//! descriptor, and each read is a positional read of exactly the
+//! requested range into a recycled buffer, so resident memory is bounded
+//! by the reads in flight, not by the bytes addressable
+//! ([`ObjectStore::resident_bytes`] vs [`ObjectStore::total_bytes`]).
+//! Everything after the bytes — fault plan, page-cache model, readahead,
+//! device statistics, virtual-time queueing — is the same code for both.
+//! The page cache is a *model*: `cache_bytes` decides which reads are
+//! charged device time, never what is held in memory; for registered
+//! files the real caching is the operating system's.
 //!
 //! There is exactly **one** read path, [`ObjectStore::read`], parameterized
 //! by a [`Clock`]: virtual-time loaders pass [`Clock::Virtual`] and get
@@ -9,13 +23,16 @@
 //! statistics, with the modeled service time returned (not queued) so they
 //! can realize it as real latency if they choose.
 
-use crate::bytes::ByteView;
+use crate::bytes::{Buffer, BufferPool, ByteView};
 use crate::cache::PageCache;
 use crate::device::{DeviceStats, SharedDevice};
 use crate::fault::{FaultDecision, FaultPlan, FaultStats, FaultStatsSnapshot, ReadError};
 use crate::profile::DeviceProfile;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,7 +59,8 @@ pub enum Clock {
 /// A read result: the data plus virtual timing.
 #[derive(Debug, Clone)]
 pub struct ReadResult {
-    /// The bytes read — a zero-copy view into the stored object.
+    /// The bytes read: a zero-copy view into an in-memory object, or the
+    /// buffer a registered file's range was read into.
     pub data: ByteView,
     /// Virtual time the request started service.
     pub start: f64,
@@ -52,14 +70,83 @@ pub struct ReadResult {
     pub cached_bytes: u64,
 }
 
-/// Object id plus shared contents.
-type StoredObject = (u64, Arc<Vec<u8>>);
+/// Where an object's bytes live.
+#[derive(Debug, Clone)]
+enum Object {
+    /// Held in memory ([`ObjectStore::put`]).
+    Memory(Arc<Buffer>),
+    /// Left on disk ([`ObjectStore::put_file`]): the open file and the
+    /// length it had when registered, which reads are clamped to.
+    File { file: Arc<File>, len: u64 },
+}
 
-/// A named-blob store with simulated read timing and an optional page cache.
+impl Object {
+    fn len(&self) -> u64 {
+        match self {
+            Object::Memory(buf) => buf.len() as u64,
+            Object::File { len, .. } => *len,
+        }
+    }
+}
+
+/// Positional read: up to `buf.len()` bytes at `offset`, without moving
+/// (or depending on) the file's cursor, so concurrent readers share one
+/// descriptor.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+    std::os::windows::fs::FileExt::seek_read(file, buf, offset)
+}
+
+/// Fills `buf` from `file` at `offset`, mapping real I/O outcomes onto
+/// the [`ReadError`] classes the fault plan injects: end of file before
+/// `buf` is full is a [`ReadError::ShortRead`] with the byte count that
+/// did arrive; `Interrupted`/`WouldBlock`/`TimedOut` are
+/// [`ReadError::Transient`]; any other error is the persistent
+/// [`ReadError::CorruptRange`], which the loader answers by degrading and
+/// then quarantining. The store counts attempts only for an installed
+/// fault plan, so a real transient error reports attempt 1.
+fn fill_from_file(file: &File, name: &str, offset: u64, buf: &mut [u8]) -> Result<(), ReadError> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        match read_at(file, &mut buf[filled..], offset + filled as u64) {
+            Ok(0) => {
+                return Err(ReadError::ShortRead {
+                    object: name.to_string(),
+                    offset,
+                    requested: buf.len() as u64,
+                    delivered: filled as u64,
+                })
+            }
+            Ok(n) => filled += n,
+            Err(e) => return Err(classify_io_error(&e, name, offset, buf.len() as u64)),
+        }
+    }
+    Ok(())
+}
+
+fn classify_io_error(e: &io::Error, name: &str, offset: u64, len: u64) -> ReadError {
+    match e.kind() {
+        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+            ReadError::Transient { object: name.to_string(), offset, attempt: 1 }
+        }
+        _ => ReadError::CorruptRange { object: name.to_string(), offset, len },
+    }
+}
+
+/// A named-object store with simulated read timing and an optional page
+/// cache model.
 #[derive(Debug)]
 pub struct ObjectStore {
     device: SharedDevice,
-    objects: Mutex<HashMap<String, StoredObject>>,
+    /// Object id plus where its bytes live.
+    objects: Mutex<HashMap<String, (u64, Object)>>,
+    /// Free list the buffers of file-backed reads return to.
+    pool: Arc<BufferPool>,
     cache: Mutex<PageCache>,
     next_id: Mutex<u64>,
     /// Readahead granularity in bytes (0 = off): device reads are extended
@@ -88,6 +175,7 @@ impl ObjectStore {
         Self {
             device: SharedDevice::new(profile),
             objects: Mutex::new(HashMap::new()),
+            pool: Arc::new(BufferPool::default()),
             cache: Mutex::new(if cache_bytes == 0 {
                 PageCache::disabled()
             } else {
@@ -139,22 +227,34 @@ impl ObjectStore {
         self.readahead.load(Ordering::Relaxed)
     }
 
-    /// Stores a blob under `name` (instant; ingestion is not simulated).
+    /// Stores a blob under `name` in memory (instant; ingestion is not
+    /// simulated).
     pub fn put(&self, name: &str, data: Vec<u8>) {
+        self.insert(name, Object::Memory(Arc::new(Buffer::owned(data))));
+    }
+
+    /// Registers the file at `path` under `name` without reading it: the
+    /// store opens it once, notes its current length, and serves every
+    /// later [`ObjectStore::read`] of `name` with a positional read of
+    /// just the requested range. A file that shrinks or fails afterwards
+    /// surfaces as a [`ReadError`] on the reads it affects, never a panic.
+    pub fn put_file(&self, name: &str, path: &Path) -> io::Result<()> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        self.insert(name, Object::File { file: Arc::new(file), len });
+        Ok(())
+    }
+
+    fn insert(&self, name: &str, object: Object) {
         let mut id = self.next_id.lock();
         let oid = *id;
         *id += 1;
-        self.objects.lock().insert(name.to_string(), (oid, Arc::new(data)));
+        self.objects.lock().insert(name.to_string(), (oid, object));
     }
 
     /// Size of an object, if present.
     pub fn len_of(&self, name: &str) -> Option<u64> {
-        self.objects.lock().get(name).map(|(_, d)| d.len() as u64)
-    }
-
-    /// Object names (unordered).
-    pub fn names(&self) -> Vec<String> {
-        self.objects.lock().keys().cloned().collect()
+        self.objects.lock().get(name).map(|(_, o)| o.len())
     }
 
     /// Reads `[offset, offset+len)` of `name` on the given [`Clock`].
@@ -189,10 +289,16 @@ impl ObjectStore {
     ///
     /// A missing object returns [`ReadError::NotFound`]. With a
     /// [`FaultPlan`] installed ([`ObjectStore::set_fault_plan`]), reads can
-    /// also fail with the plan's injected [`ReadError`]s; failed attempts
-    /// cost no modeled device time and leave cache/device statistics
-    /// untouched (the retry layer charges backoff instead). With no plan
-    /// installed the only possible error is `NotFound`.
+    /// also fail with the plan's injected [`ReadError`]s. A registered
+    /// file ([`ObjectStore::put_file`]) can fail for real, in the same
+    /// classes: shorter on disk than when registered →
+    /// [`ReadError::ShortRead`] with the bytes that did arrive; an
+    /// interrupted or timed-out read → [`ReadError::Transient`]; any other
+    /// I/O error → the persistent [`ReadError::CorruptRange`]. Failed
+    /// attempts of either origin cost no modeled device time and leave
+    /// cache/device statistics untouched (the retry layer charges backoff
+    /// instead). With no plan installed and only in-memory objects the
+    /// only possible error is `NotFound`.
     pub fn read(
         &self,
         clock: Clock,
@@ -200,14 +306,15 @@ impl ObjectStore {
         offset: u64,
         len: u64,
     ) -> Result<ReadResult, ReadError> {
-        let (oid, data) = {
-            let g = self.objects.lock();
-            let (oid, data) = g
-                .get(name)
-                .ok_or_else(|| ReadError::NotFound { object: name.to_string() })?;
-            (*oid, Arc::clone(data))
-        };
-        let size = data.len() as u64;
+        // The lock covers the lookup only; a file's positional read runs
+        // outside it, on the cloned descriptor.
+        let (oid, object) = self
+            .objects
+            .lock()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| ReadError::NotFound { object: name.to_string() })?;
+        let size = object.len();
         let offset = offset.min(size);
         let end = offset.saturating_add(len).min(size);
         let len = end - offset;
@@ -229,6 +336,16 @@ impl ObjectStore {
                 )?;
             }
         }
+        // The bytes, before any accounting: a real I/O failure leaves the
+        // cache and device statistics as untouched as an injected one.
+        let mut view = match object {
+            Object::Memory(buf) => ByteView::from_shared(buf, offset as usize, end as usize),
+            Object::File { file, .. } => {
+                let mut buf = self.pool.take(len as usize);
+                fill_from_file(&file, name, offset, &mut buf)?;
+                ByteView::whole(Buffer::pooled(buf, Arc::clone(&self.pool)))
+            }
+        };
         // Readahead: extend the cached/charged range (never the delivered
         // data) to the next boundary so adjacent prefix reads coalesce.
         let ra = self.readahead.load(Ordering::Relaxed);
@@ -256,23 +373,17 @@ impl ObjectStore {
                 (0.0, service * latency_factor)
             }
         };
-        let view = match flip {
-            // A silent bit flip must never touch the shared backing store
-            // (other readers would see it): copy the delivered window and
-            // flip the bit in the owned copy.
-            Some((pos, bit)) => {
-                self.fault_stats.bit_flips.fetch_add(1, Ordering::Relaxed);
-                let mut owned = data
-                    .get(offset as usize..end as usize)
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_default();
-                if let Some(byte) = owned.get_mut((pos - offset) as usize) {
-                    *byte ^= 1u8 << bit;
-                }
-                ByteView::from_vec(owned)
+        // A silent bit flip must never touch the backing object (other
+        // readers would see it): flip the bit in an owned copy of the
+        // delivered window.
+        if let Some((pos, bit)) = flip {
+            self.fault_stats.bit_flips.fetch_add(1, Ordering::Relaxed);
+            let mut owned = view.to_vec();
+            if let Some(byte) = owned.get_mut((pos - offset) as usize) {
+                *byte ^= 1u8 << bit;
             }
-            None => ByteView::from_shared(data, offset as usize, end as usize),
-        };
+            view = ByteView::from_vec(owned);
+        }
         Ok(ReadResult { data: view, start, finish, cached_bytes: cached })
     }
 
@@ -351,14 +462,6 @@ impl ObjectStore {
         self.read(Clock::Virtual(now), name, offset, len)
     }
 
-    /// Convenience: reads a whole object at time `now`.
-    pub fn read_all_at(&self, now: f64, name: &str) -> Result<ReadResult, ReadError> {
-        let len = self
-            .len_of(name)
-            .ok_or_else(|| ReadError::NotFound { object: name.to_string() })?;
-        self.read_at(now, name, 0, len)
-    }
-
     /// Device statistics.
     pub fn device_stats(&self) -> DeviceStats {
         self.device.stats()
@@ -374,9 +477,28 @@ impl ObjectStore {
         self.cache.lock().hit_rate()
     }
 
-    /// Total bytes stored.
+    /// Total bytes addressable through the store: the lengths of all
+    /// objects, in memory or on disk.
     pub fn total_bytes(&self) -> u64 {
-        self.objects.lock().values().map(|(_, d)| d.len() as u64).sum()
+        self.objects.lock().values().map(|(_, o)| o.len()).sum()
+    }
+
+    /// Bytes the store itself keeps resident: in-memory objects plus read
+    /// buffers parked in the free list. Registered files contribute only
+    /// the latter, so this stays bounded by (free-list cap × largest read)
+    /// however large the files are. Buffers currently lent out to
+    /// [`ByteView`]s belong to their holders and are not counted.
+    pub fn resident_bytes(&self) -> u64 {
+        let in_memory: u64 = self
+            .objects
+            .lock()
+            .values()
+            .map(|(_, o)| match o {
+                Object::Memory(buf) => buf.len() as u64,
+                Object::File { .. } => 0,
+            })
+            .sum();
+        in_memory + self.pool.parked_bytes()
     }
 }
 
@@ -408,7 +530,6 @@ mod tests {
             Err(ReadError::NotFound { object }) => assert_eq!(object, "nope"),
             other => panic!("expected NotFound, got {other:?}"),
         }
-        assert!(store.read_all_at(0.0, "nope").is_err());
     }
 
     #[test]
@@ -425,8 +546,8 @@ mod tests {
     fn cached_rereads_are_fast() {
         let store = ObjectStore::with_cache(DeviceProfile::hdd_7200rpm(), 64 << 20);
         store.put("a", vec![0; 8 << 20]);
-        let cold = store.read_all_at(0.0, "a").unwrap();
-        let warm = store.read_all_at(cold.finish, "a").unwrap();
+        let cold = store.read_at(0.0, "a", 0, u64::MAX).unwrap();
+        let warm = store.read_at(cold.finish, "a", 0, u64::MAX).unwrap();
         assert_eq!(warm.cached_bytes, 8 << 20);
         assert!((warm.finish - warm.start) < (cold.finish - cold.start) / 100.0);
     }
@@ -575,9 +696,124 @@ mod tests {
         let store = Arc::new(ObjectStore::new(DeviceProfile::ssd_sata()));
         store.put("a", vec![0; 4 << 20]);
         store.put("b", vec![0; 4 << 20]);
-        let r1 = store.read_all_at(0.0, "a").unwrap();
-        let r2 = store.read_all_at(0.0, "b").unwrap();
+        let r1 = store.read_at(0.0, "a", 0, u64::MAX).unwrap();
+        let r2 = store.read_at(0.0, "b", 0, u64::MAX).unwrap();
         // Issued simultaneously, the second finishes ~2x later.
         assert!(r2.finish > r1.finish * 1.8);
+    }
+
+    /// A scratch file holding `bytes`, removed on drop.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(tag: &str, bytes: &[u8]) -> Self {
+            let path = std::env::temp_dir().join(format!(
+                "pcr-store-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::write(&path, bytes).unwrap();
+            Self(path)
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn file_object_reads_ranges_and_clamps_like_memory() {
+        let bytes: Vec<u8> = (0..=255).cycle().take(10_000).collect();
+        let file = TempFile::new("ranges", &bytes);
+        let store = ObjectStore::new(DeviceProfile::ssd_sata());
+        store.put_file("f", &file.0).unwrap();
+        assert_eq!(store.len_of("f"), Some(10_000));
+        assert_eq!(store.total_bytes(), 10_000);
+        let r = store.read_at(0.0, "f", 300, 4096).unwrap();
+        assert_eq!(&r.data[..], &bytes[300..4396]);
+        assert!(r.finish > r.start);
+        assert_eq!(store.read_at(0.0, "f", 9_990, 100).unwrap().data, bytes[9_990..].to_vec());
+        assert!(store.read_at(0.0, "f", 20_000, 5).unwrap().data.is_empty());
+        assert!(store.read_at(0.0, "f", 5, 0).unwrap().data.is_empty());
+        assert!(store.put_file("gone", Path::new("/nonexistent/pcr-no-such-file")).is_err());
+    }
+
+    #[test]
+    fn file_object_keeps_only_recycled_buffers_resident() {
+        let file = TempFile::new("resident", &vec![7u8; 1 << 20]);
+        let store = ObjectStore::new(DeviceProfile::ram());
+        store.put_file("f", &file.0).unwrap();
+        store.put("m", vec![0; 100]);
+        assert_eq!(store.resident_bytes(), 100, "a registered file holds nothing");
+        let held = store.read_at(0.0, "f", 0, 1000).unwrap();
+        for k in 0..50u64 {
+            let r = store.read_at(0.0, "f", k * 2000, 2000).unwrap();
+            assert_eq!(r.data.len(), 2000);
+        }
+        // Fifty sequential reads recycled one buffer; `held` still owns its
+        // own and still reads its own bytes.
+        assert_eq!(store.resident_bytes(), 100 + 2000);
+        assert_eq!(held.data, vec![7u8; 1000]);
+        drop(held);
+        assert_eq!(store.resident_bytes(), 100 + 2000 + 1000);
+        assert_eq!(store.total_bytes(), (1 << 20) + 100);
+    }
+
+    #[test]
+    fn file_shorter_than_registered_is_a_short_read_with_real_count() {
+        let file = TempFile::new("short", &[9u8; 8192]);
+        let store = ObjectStore::with_cache(DeviceProfile::ssd_sata(), 1 << 20);
+        store.put_file("f", &file.0).unwrap();
+        std::fs::OpenOptions::new().write(true).open(&file.0).unwrap().set_len(5000).unwrap();
+        // Wholly before the cut: unaffected.
+        assert_eq!(store.read_at(0.0, "f", 0, 4096).unwrap().data, vec![9u8; 4096]);
+        let stats = store.device_stats();
+        // Straddling and beyond the cut: ShortRead, with what arrived.
+        match store.read_at(0.0, "f", 4096, 4096) {
+            Err(ReadError::ShortRead { object, offset, requested, delivered }) => {
+                assert_eq!((object.as_str(), offset, requested, delivered), ("f", 4096, 4096, 904));
+            }
+            other => panic!("expected ShortRead, got {other:?}"),
+        }
+        match store.read_at(0.0, "f", 6000, 100) {
+            Err(ReadError::ShortRead { delivered, .. }) => assert_eq!(delivered, 0),
+            other => panic!("expected ShortRead, got {other:?}"),
+        }
+        assert_eq!(store.device_stats(), stats, "failed real reads are free, like injected ones");
+    }
+
+    #[test]
+    fn real_io_errors_map_onto_the_injected_classes() {
+        use io::ErrorKind::*;
+        for kind in [Interrupted, WouldBlock, TimedOut] {
+            let e = classify_io_error(&io::Error::from(kind), "f", 10, 20);
+            assert_eq!(e, ReadError::Transient { object: "f".into(), offset: 10, attempt: 1 });
+            assert!(e.is_retryable());
+        }
+        for kind in [PermissionDenied, InvalidInput, Other, UnexpectedEof] {
+            let e = classify_io_error(&io::Error::from(kind), "f", 10, 20);
+            assert_eq!(e, ReadError::CorruptRange { object: "f".into(), offset: 10, len: 20 });
+            assert!(!e.is_retryable(), "persistent: the ladder degrades, then quarantines");
+        }
+    }
+
+    #[test]
+    fn bit_flip_on_a_file_object_leaves_the_file_alone() {
+        let original: Vec<u8> = (0..=255).cycle().take(4096).collect();
+        let file = TempFile::new("flip", &original);
+        let store = ObjectStore::new(DeviceProfile::ram());
+        store.put_file("rec", &file.0).unwrap();
+        store.set_fault_plan(Some(FaultPlan { seed: 3, bit_flip: 1.0, ..FaultPlan::default() }));
+        let (pos, _) = store.fault_plan().unwrap().flipped_bit("rec", 4096).unwrap();
+        let full = store.read_at(0.0, "rec", 0, 4096).unwrap();
+        let diffs: Vec<usize> = (0..4096).filter(|&i| full.data[i] != original[i]).collect();
+        assert_eq!(diffs, vec![pos as usize]);
+        drop(full);
+        store.set_fault_plan(None);
+        // Neither the file nor the recycled buffer carries the flip on.
+        assert_eq!(std::fs::read(&file.0).unwrap(), original);
+        assert_eq!(&store.read_at(0.0, "rec", 0, 4096).unwrap().data[..], &original[..]);
     }
 }
