@@ -466,20 +466,17 @@ fn record_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr_datasets::{pack_to_container_restart, DatasetSpec, Scale, SyntheticDataset};
+    use pcr_datasets::{pack_to_container, DatasetSpec, Scale, SyntheticDataset};
+    use std::path::Path;
 
+    /// Reads the committed legacy fixtures (`tests/fixtures/legacy`): a
+    /// container of marker-less (version-1) records and one of restart
+    /// interval 1 (version-2) records — the writer of the latter is gone.
     #[test]
     fn json_record_view_reports_restart_segments() {
-        let ds = SyntheticDataset::generate(&DatasetSpec::celebahq_smile_like(Scale::Tiny));
-        for interval in [0u16, 1] {
-            let dir = std::env::temp_dir().join(format!(
-                "pcr-inspect-{interval}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            pack_to_container_restart(&ds, &dir, 4, 2, interval).unwrap();
-            let container = PcrContainer::open(&dir).unwrap();
+        let legacy = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/legacy");
+        for (fixture, interval) in [("rows-v1", 0u16), ("columnar-v2", 1)] {
+            let container = PcrContainer::open(&legacy.join(fixture)).unwrap();
             let doc = record_view(&container, 0, true).unwrap().expect("json doc");
             let rendered = doc.render();
             assert!(
@@ -505,7 +502,6 @@ mod tests {
             } else {
                 assert!(max_per_chunk > 1);
             }
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -519,7 +515,7 @@ mod tests {
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            pack_to_container_restart(&ds, &dir, 2, records_per_shard, 0).unwrap();
+            pack_to_container(&ds, &dir, 2, records_per_shard).unwrap();
             let container = PcrContainer::open(&dir).unwrap();
             (dir, container)
         };

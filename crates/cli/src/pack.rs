@@ -42,12 +42,6 @@ OPTIONS:
     --quality <q>           JPEG quality for --images files the lossless
                             transcode refuses (e.g. missing EOI) and that
                             are re-encoded from pixels (default 85)
-    --restart-interval <n>  Emit JPEG restart markers every n MCU units
-                            (rounded up per scan to MCU-row multiples),
-                            writing version-2 records whose entropy
-                            splits into independently decodable
-                            segments. 0 = none (default). Only affects
-                            images the packer encodes itself.
     --json                  Print a machine-readable summary to stdout
                             and suppress progress output
 
@@ -63,7 +57,6 @@ const SPEC: ArgSpec = ArgSpec {
         "images-per-record",
         "records-per-shard",
         "quality",
-        "restart-interval",
     ],
     bool_flags: &["json"],
 };
@@ -120,7 +113,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let out = Path::new(out);
     let images_per_record = args.number("images-per-record", IMAGES_PER_RECORD)?.max(1);
     let records_per_shard = args.number("records-per-shard", RECORDS_PER_SHARD)?.max(1);
-    let restart_interval: u16 = args.number("restart-interval", 0u16)?;
     let json = args.flag("json");
 
     let start = Instant::now();
@@ -141,8 +133,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let ds = SyntheticDataset::generate(&spec);
             pack_start = Instant::now();
             let mut builder = PcrDatasetBuilder::new(images_per_record, DEFAULT_NUM_GROUPS)
-                .with_name_prefix(&spec.name)
-                .with_restart_interval(restart_interval);
+                .with_name_prefix(&spec.name);
             let mut progress = Progress::new(ds.train.len(), !json);
             for (i, s) in ds.train.iter().enumerate() {
                 builder
@@ -166,7 +157,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 images_per_record,
                 records_per_shard,
                 quality,
-                restart_interval,
                 json,
             )?
         }
@@ -230,12 +220,10 @@ fn pack_image_dir(
     images_per_record: usize,
     records_per_shard: usize,
     quality: u8,
-    restart_interval: u16,
     json: bool,
 ) -> Result<ContainerManifest, String> {
-    let mut builder = PcrDatasetBuilder::new(images_per_record, DEFAULT_NUM_GROUPS)
-        .with_name_prefix("pack")
-        .with_restart_interval(restart_interval);
+    let mut builder =
+        PcrDatasetBuilder::new(images_per_record, DEFAULT_NUM_GROUPS).with_name_prefix("pack");
     let mut packed = 0usize;
     let mut skipped = 0usize;
 

@@ -32,14 +32,15 @@
 //! The normative byte-level specification lives in `docs/FORMAT.md` §6;
 //! this module is its implementation.
 
-use crate::container::{ShardRecord, FOOTER_MAGIC, SHARD_HEADER_LEN, SHARD_TRAILER_LEN};
+use crate::container::{
+    read_exact_at, ShardRecord, FOOTER_MAGIC, SHARD_HEADER_LEN, SHARD_TRAILER_LEN,
+};
 use crate::dataset::RecordMeta;
 use crate::error::{Error, Result};
 use crate::wire::{put_u32, put_u64, Reader};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Container format version whose shards carry a columnar footer.
 pub const COLUMNAR_VERSION: u16 = 3;
@@ -149,9 +150,10 @@ fn parse_descriptor(bytes: &[u8]) -> Result<Descriptor> {
 /// Where the footer bytes come from.
 #[derive(Debug, Clone)]
 enum ColSrc {
-    /// Lazy: the open shard file; columns are read on demand with small
-    /// ranged reads. This is what `PcrContainer::open` produces.
-    File(Arc<Mutex<fs::File>>),
+    /// Lazy: the shard's one open handle; columns are read on demand
+    /// with small positional reads. This is what `PcrContainer::open`
+    /// produces.
+    File(Arc<fs::File>),
     /// Eager: an in-memory copy of the footer region, already covered by
     /// a verified footer CRC (the strict `ShardIndex::parse` path).
     Mem(Arc<[u8]>),
@@ -240,7 +242,7 @@ impl ColumnarIndex {
     /// Returns the index and the trailer's footer CRC — which is *not*
     /// verified here; integrity is deferred to `verify()`.
     pub(crate) fn open_lazy(
-        mut file: fs::File,
+        file: Arc<fs::File>,
         num_groups: u16,
         header_records: u32,
         file_len: u64,
@@ -250,10 +252,8 @@ impl ColumnarIndex {
             return Err(Error::Truncated { context: "columnar descriptor" });
         }
         let mut tail = [0u8; TAIL as usize];
-        let seek_err = |e: std::io::Error| Error::BadInput(format!("seek shard tail: {e}"));
-        let read_err = |e: std::io::Error| Error::BadInput(format!("read shard tail: {e}"));
-        file.seek(SeekFrom::End(-(TAIL as i64))).map_err(seek_err)?;
-        file.read_exact(&mut tail).map_err(read_err)?;
+        read_exact_at(&file, &mut tail, file_len - TAIL)
+            .map_err(|e| Error::BadInput(format!("read shard tail: {e}")))?;
         // pcr-lint: allow(no-panic-in-hot-path) — TAIL-sized array split at DESCRIPTOR_LEN < TAIL
         let (desc_bytes, trailer) = tail.split_at(DESCRIPTOR_LEN as usize);
         let mut t = Reader::new(trailer);
@@ -266,7 +266,7 @@ impl ColumnarIndex {
         let layout = Self::build_layout(num_groups, header_records, desc, footer_len, file_len)?;
         let index = Self {
             layout,
-            src: ColSrc::File(Arc::new(Mutex::new(file))),
+            src: ColSrc::File(file),
             bytes_read: Arc::new(AtomicU64::new(0)),
         };
         Ok((index, footer_crc))
@@ -353,15 +353,8 @@ impl ColumnarIndex {
                     .ok_or(Error::Truncated { context: "columnar footer column" })?;
                 buf.copy_from_slice(src);
             }
-            ColSrc::File(file) => {
-                let mut f = file
-                    .lock()
-                    .map_err(|_| Error::Corrupt("columnar index lock poisoned".into()))?;
-                f.seek(SeekFrom::Start(self.layout.footer_start + rel))
-                    .map_err(|e| Error::BadInput(format!("seek shard footer: {e}")))?;
-                f.read_exact(buf)
-                    .map_err(|e| Error::BadInput(format!("read shard footer: {e}")))?;
-            }
+            ColSrc::File(file) => read_exact_at(file, buf, self.layout.footer_start + rel)
+                .map_err(|e| Error::BadInput(format!("read shard footer: {e}")))?,
         }
         self.bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         Ok(())

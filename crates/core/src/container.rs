@@ -23,8 +23,9 @@
 //! `ObjectStore`/`ByteView` read path.
 //!
 //! Two footer encodings exist. Version 1/2 shards store the index as
-//! variable-length rows, parsed eagerly at open. Version 3 — the default
-//! written by this crate — stores it as fixed-stride *columns*
+//! variable-length rows, parsed eagerly at open; they are a read-only
+//! legacy format. Version 3 — the only one this crate writes — stores
+//! it as fixed-stride *columns*
 //! ([`crate::colfooter`]) plus zone-map stats in the manifest, so
 //! [`PcrContainer::open`] reads only each shard's header and a 52-byte
 //! tail and resolves record entries lazily by arithmetic
@@ -62,8 +63,8 @@ use crate::dataset::{PcrDataset, RecordMeta};
 use crate::error::{Error, Result};
 use crate::wire::{crc32, crc32_update, put_bytes, put_u16, put_u32, put_u64, Reader};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic prefix of a shard file.
 pub const SHARD_MAGIC: &[u8; 4] = b"PCRS";
@@ -73,11 +74,12 @@ pub const FOOTER_MAGIC: &[u8; 4] = b"PCRF";
 pub const MANIFEST_MAGIC: &[u8; 4] = b"PCRM";
 /// File name of the manifest inside a container directory.
 pub const MANIFEST_FILE: &str = "manifest.pcrm";
-/// Container format version written by default: version 3, the columnar
-/// footer of [`crate::colfooter`] plus zone-map stats in the manifest.
+/// The container format version [`write_container`] writes: version 3,
+/// the columnar footer of [`crate::colfooter`] plus zone-map stats in the
+/// manifest.
 pub const CONTAINER_VERSION: u16 = COLUMNAR_VERSION;
-/// The original row-footer container version, still written on request
-/// ([`write_container_versioned`]) and always readable.
+/// The original row-footer container version: a read-only legacy
+/// format, no longer written but always readable.
 pub const CONTAINER_VERSION_ROWS: u16 = 1;
 /// Size in bytes of a shard file's fixed header.
 pub const SHARD_HEADER_LEN: u64 = 12;
@@ -652,23 +654,17 @@ fn parse_shard_stats(r: &mut Reader<'_>) -> Result<Option<ShardStats>> {
     }))
 }
 
-/// Serializes one shard (header + records + footer + trailer) from record
-/// byte blobs and their metadata into `out`, replacing its contents.
-/// `metas` must parallel `records`. `version` selects the footer
-/// encoding: rows (1) or columnar (3).
-fn build_shard(
-    out: &mut Vec<u8>,
-    num_groups: u16,
-    records: &[(&RecordMeta, &[u8])],
-    version: u16,
-) {
+/// Serializes one version-3 shard (header + records + columnar footer +
+/// trailer) from record byte blobs and their metadata into `out`,
+/// replacing its contents.
+fn build_shard(out: &mut Vec<u8>, num_groups: u16, records: &[(&RecordMeta, &[u8])]) {
     let data_len: usize = records.iter().map(|(_, b)| b.len()).sum();
     out.clear();
     // pcr-lint: allow(bounded-alloc) — writer side: data_len is the sum of
     // in-memory record buffers already held by the caller.
     out.reserve(SHARD_HEADER_LEN as usize + data_len);
     out.extend_from_slice(SHARD_MAGIC);
-    put_u16(out, version);
+    put_u16(out, COLUMNAR_VERSION);
     put_u16(out, num_groups);
     debug_assert!(records.len() <= u32::MAX as usize);
     // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
@@ -679,26 +675,9 @@ fn build_shard(
         offsets.push(out.len() as u64);
         out.extend_from_slice(bytes);
     }
-    let footer = if version == COLUMNAR_VERSION {
-        let metas: Vec<&RecordMeta> = records.iter().map(|(m, _)| *m).collect();
-        let crcs: Vec<u32> = records.iter().map(|(_, b)| crc32(b)).collect();
-        colfooter::build_footer(num_groups, &metas, &offsets, &crcs, out.len() as u64)
-    } else {
-        let mut footer = Vec::new();
-        for ((meta, bytes), offset) in records.iter().zip(offsets) {
-            put_bytes(&mut footer, meta.name.as_bytes());
-            put_u64(&mut footer, offset);
-            put_u32(&mut footer, meta.num_images);
-            for &o in &meta.group_offsets {
-                put_u64(&mut footer, o);
-            }
-            for &l in &meta.labels {
-                put_u32(&mut footer, l);
-            }
-            put_u32(&mut footer, crc32(bytes));
-        }
-        footer
-    };
+    let metas: Vec<&RecordMeta> = records.iter().map(|(m, _)| *m).collect();
+    let crcs: Vec<u32> = records.iter().map(|(_, b)| crc32(b)).collect();
+    let footer = colfooter::build_footer(num_groups, &metas, &offsets, &crcs, out.len() as u64);
     let footer_crc = crc32(&footer);
     debug_assert!(footer.len() <= u32::MAX as usize);
     // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
@@ -710,29 +689,14 @@ fn build_shard(
 }
 
 /// Writes `dataset` as a sharded container under `dir` with
-/// `records_per_shard` records per shard file, in the default (columnar)
-/// format. Creates the directory if needed; refuses to overwrite an
-/// existing manifest. Returns the manifest that was written.
+/// `records_per_shard` records per shard file, in the columnar format
+/// ([`CONTAINER_VERSION`]). Creates the directory if needed; refuses to
+/// overwrite an existing manifest. Returns the manifest that was written.
 pub fn write_container(
     dataset: &PcrDataset,
     dir: &Path,
     records_per_shard: usize,
 ) -> Result<ContainerManifest> {
-    write_container_versioned(dataset, dir, records_per_shard, CONTAINER_VERSION)
-}
-
-/// [`write_container`] with an explicit container format version:
-/// [`CONTAINER_VERSION_ROWS`] (1, row footers, no manifest stats) or
-/// [`crate::colfooter::COLUMNAR_VERSION`] (3, the default).
-pub fn write_container_versioned(
-    dataset: &PcrDataset,
-    dir: &Path,
-    records_per_shard: usize,
-    version: u16,
-) -> Result<ContainerManifest> {
-    if !matches!(version, CONTAINER_VERSION_ROWS | COLUMNAR_VERSION) {
-        return Err(Error::BadVersion(version));
-    }
     if dataset.records.is_empty() {
         return Err(Error::BadInput("container needs at least one record".into()));
     }
@@ -761,7 +725,7 @@ pub fn write_container_versioned(
     let mut bytes = Vec::new();
     for (i, chunk) in entries.chunks(records_per_shard).enumerate() {
         let file_name = format!("shard-{i:05}.pcrshard");
-        build_shard(&mut bytes, num_groups, chunk, version);
+        build_shard(&mut bytes, num_groups, chunk);
         let index = ShardIndex::parse(&file_name, &bytes).map_err(|e| {
             Error::Malformed(format!("freshly written shard does not parse back: {e}"))
         })?;
@@ -770,10 +734,8 @@ pub fn write_container_versioned(
             .map_err(|_| Error::BadInput("too many records per shard".into()))?;
         let images = u32::try_from(index.num_images())
             .map_err(|_| Error::BadInput("too many images per shard".into()))?;
-        let stats = (version == COLUMNAR_VERSION).then(|| {
-            let metas: Vec<&RecordMeta> = chunk.iter().map(|(m, _)| *m).collect();
-            ShardStats::compute(num_groups, &metas)
-        });
+        let metas: Vec<&RecordMeta> = chunk.iter().map(|(m, _)| *m).collect();
+        let stats = Some(ShardStats::compute(num_groups, &metas));
         shards.push(ShardSummary {
             file_name,
             file_len: bytes.len() as u64,
@@ -783,17 +745,22 @@ pub fn write_container_versioned(
             stats,
         });
     }
-    let manifest = ContainerManifest { version, num_groups, shards };
+    let manifest = ContainerManifest { version: CONTAINER_VERSION, num_groups, shards };
     fs::write(manifest_path, manifest.to_bytes()).map_err(io_err("write manifest"))?;
     Ok(manifest)
 }
 
-/// An opened container: the manifest plus every shard's parsed index.
+/// An opened container: the manifest, every shard's parsed index, and
+/// one open handle per shard file.
 ///
 /// Opening reads only the manifest and each shard's header and footer
 /// (one tail read per shard); record bytes are read later, when a loader
 /// streams them through an object store or [`PcrContainer::verify`]
-/// checksums them.
+/// checksums them. Every later read of a shard — lazy index columns,
+/// records, verification, the object store the loader registers it with
+/// ([`PcrContainer::shard_file`]) — is a positional read on the handle
+/// opened here, so a shard is opened exactly once and the bytes verified
+/// are the bytes served.
 #[derive(Debug, Clone)]
 pub struct PcrContainer {
     /// Directory the container lives in.
@@ -802,24 +769,38 @@ pub struct PcrContainer {
     pub manifest: ContainerManifest,
     /// Parsed shard indexes, parallel to `manifest.shards`.
     pub shards: Vec<ShardIndex>,
+    /// Open shard files, parallel to `manifest.shards`.
+    files: Vec<Arc<fs::File>>,
 }
 
 impl PcrContainer {
-    /// Opens a container directory: parses the manifest, then each
-    /// shard's header and footer index, cross-checking file lengths and
-    /// footer CRCs against the manifest.
+    /// Opens a container directory: parses the manifest, then opens each
+    /// shard once and parses its header and footer index, cross-checking
+    /// file lengths and footer CRCs against the manifest.
     pub fn open(dir: &Path) -> Result<Self> {
         let manifest_bytes =
             fs::read(dir.join(MANIFEST_FILE)).map_err(io_err("read manifest"))?;
         let manifest = ContainerManifest::from_bytes(&manifest_bytes)?;
         // pcr-lint: allow(bounded-alloc) — len of an already-parsed, size-validated Vec
         let mut shards = Vec::with_capacity(manifest.shards.len());
+        // pcr-lint: allow(bounded-alloc) — len of an already-parsed, size-validated Vec
+        let mut files = Vec::with_capacity(manifest.shards.len());
         for summary in &manifest.shards {
             let path = dir.join(&summary.file_name);
-            let index = read_shard_index(&path, summary)?;
-            shards.push(index);
+            let file = Arc::new(fs::File::open(&path).map_err(io_err("open shard"))?);
+            shards.push(read_shard_index(&path, &file, summary)?);
+            files.push(file);
         }
-        Ok(Self { dir: dir.to_path_buf(), manifest, shards })
+        Ok(Self { dir: dir.to_path_buf(), manifest, shards, files })
+    }
+
+    /// The open handle of shard `i`, shared with every reader of it.
+    ///
+    /// # Panics
+    /// Like slice indexing, panics when `i` is not a valid shard index.
+    pub fn shard_file(&self, i: usize) -> &Arc<fs::File> {
+        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        &self.files[i]
     }
 
     /// Scan groups per record.
@@ -903,17 +884,15 @@ impl PcrContainer {
     /// Reads one record's bytes with a single ranged read and verifies
     /// them against the entry's CRC-32 — O(record), not O(shard).
     pub fn read_record(&self, shard: usize, rec: &ShardRecord) -> Result<Vec<u8>> {
-        let path = self.shard_path(shard);
-        let mut file = fs::File::open(&path).map_err(io_err("open shard"))?;
-        file.seek(SeekFrom::Start(rec.offset)).map_err(io_err("seek record"))?;
         // pcr-lint: allow(bounded-alloc) — record length validated against
         // the shard's data region when the entry was parsed.
         let mut bytes = vec![0u8; rec.len() as usize];
-        file.read_exact(&mut bytes).map_err(io_err("read record"))?;
+        read_exact_at(self.shard_file(shard), &mut bytes, rec.offset)
+            .map_err(io_err("read record"))?;
         let actual = crc32(&bytes);
         if actual != rec.crc32 {
             return Err(Error::corrupt_at(
-                path.display(),
+                self.shard_path(shard).display(),
                 rec.offset,
                 format!(
                     "record {} CRC mismatch (stored {:#010x}, computed {actual:#010x})",
@@ -929,14 +908,24 @@ impl PcrContainer {
     /// # Panics
     /// Like slice indexing, panics when `i` is not a valid shard index.
     pub fn read_shard(&self, i: usize) -> Result<Vec<u8>> {
-        let path = self.shard_path(i);
-        let bytes = fs::read(&path).map_err(io_err("read shard"))?;
+        let file_len = self.checked_shard_len(i)?;
+        // pcr-lint: allow(bounded-alloc) — file_len equals the manifest's
+        // file_len, checked just above.
+        let mut bytes = vec![0u8; file_len as usize];
+        read_exact_at(self.shard_file(i), &mut bytes, 0).map_err(io_err("read shard"))?;
+        Ok(bytes)
+    }
+
+    /// Shard `i`'s length on disk now, if it is the length its manifest
+    /// entry records.
+    fn checked_shard_len(&self, i: usize) -> Result<u64> {
+        let file_len = self.shard_file(i).metadata().map_err(io_err("stat shard"))?.len();
         // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
         let expected = self.manifest.shards[i].file_len;
-        if bytes.len() as u64 != expected {
-            return Err(len_mismatch(&path, bytes.len() as u64, expected));
+        if file_len != expected {
+            return Err(len_mismatch(&self.shard_path(i), file_len, expected));
         }
-        Ok(bytes)
+        Ok(file_len)
     }
 
     /// Reads shard `i` whole and verifies it in full — every check of
@@ -968,31 +957,25 @@ impl PcrContainer {
     /// # Panics
     /// Like slice indexing, panics when `i` is not a valid shard index.
     pub fn verify_shard(&self, i: usize) -> Result<()> {
-        let path = self.shard_path(i);
-        let mut file = fs::File::open(&path).map_err(io_err("open shard"))?;
-        let file_len = file.metadata().map_err(io_err("stat shard"))?.len();
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
-        let expected = self.manifest.shards[i].file_len;
-        if file_len != expected {
-            return Err(len_mismatch(&path, file_len, expected));
-        }
+        let file_len = self.checked_shard_len(i)?;
         if file_len < SHARD_HEADER_LEN + SHARD_TRAILER_LEN {
             return Err(Error::Truncated { context: "shard trailer" });
         }
+        let file = self.shard_file(i);
         let mut header = [0u8; SHARD_HEADER_LEN as usize];
-        file.read_exact(&mut header).map_err(io_err("read shard header"))?;
-        let tail = read_shard_tail(&mut file, file_len)?;
+        read_exact_at(file, &mut header, 0).map_err(io_err("read shard header"))?;
+        let tail = read_shard_tail(file, file_len)?;
         let mut chunk = vec![0u8; VERIFY_CHUNK];
         self.check_shard(i, &header, &tail, file_len, &mut |rec| {
-            file.seek(SeekFrom::Start(rec.offset)).map_err(io_err("seek record"))?;
             let mut crc = 0u32;
-            let mut left = rec.len();
-            while left > 0 {
-                let n = left.min(VERIFY_CHUNK as u64) as usize;
+            let mut at = rec.offset;
+            let end = rec.offset + rec.len();
+            while at < end {
+                let n = (end - at).min(VERIFY_CHUNK as u64) as usize;
                 let part = chunk.get_mut(..n).unwrap_or_default();
-                file.read_exact(part).map_err(io_err("read record"))?;
+                read_exact_at(file, part, at).map_err(io_err("read record"))?;
                 crc = crc32_update(crc, part);
-                left -= n as u64;
+                at += n as u64;
             }
             Ok(crc)
         })
@@ -1087,13 +1070,17 @@ impl PcrContainer {
     }
 }
 
-/// Reads and parses one shard's index, cross-checking it against the
-/// manifest summary. For columnar (version 3) shards this reads only the
-/// 12-byte header and the 52-byte descriptor + trailer tail and defers
-/// every entry to lazy column reads — O(1) in the shard's record count.
-/// Row shards (versions 1/2) still read and parse their whole footer.
-fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
-    let mut file = fs::File::open(path).map_err(io_err("open shard"))?;
+/// Reads and parses the index of the shard open as `file` (at `path`),
+/// cross-checking it against the manifest summary. For columnar
+/// (version 3) shards this reads only the 12-byte header and the 52-byte
+/// descriptor + trailer tail and defers every entry to lazy column reads
+/// on `file` — O(1) in the shard's record count. Row shards (versions
+/// 1/2) still read and parse their whole footer.
+fn read_shard_index(
+    path: &Path,
+    file: &Arc<fs::File>,
+    summary: &ShardSummary,
+) -> Result<ShardIndex> {
     let file_len = file.metadata().map_err(io_err("stat shard"))?.len();
     if file_len != summary.file_len {
         return Err(len_mismatch(path, file_len, summary.file_len));
@@ -1104,7 +1091,7 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
     let file_name =
         path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
     let mut head = [0u8; SHARD_HEADER_LEN as usize];
-    file.read_exact(&mut head).map_err(io_err("read shard header"))?;
+    read_exact_at(file, &mut head, 0).map_err(io_err("read shard header"))?;
     let mut h = Reader::new(&head);
     if h.bytes(4, "shard magic")? != SHARD_MAGIC {
         return Err(Error::BadMagic);
@@ -1116,7 +1103,7 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
         // O(1) open: descriptor + trailer only; the footer CRC is noted
         // for verify() but not checked here (that would read the footer).
         let (col, footer_crc) =
-            ColumnarIndex::open_lazy(file, num_groups, record_count, file_len)?;
+            ColumnarIndex::open_lazy(Arc::clone(file), num_groups, record_count, file_len)?;
         if footer_crc != summary.footer_crc {
             return Err(Error::corrupt_at(
                 path.display(),
@@ -1137,7 +1124,7 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
         });
     }
     // Row formats: the strict parser over header + footer + trailer.
-    let tail = read_shard_tail(&mut file, file_len)?;
+    let tail = read_shard_tail(file, file_len)?;
     let index = ShardIndex::parse_parts(&file_name, &head, &tail, file_len)?;
     if index.footer_crc != summary.footer_crc {
         return Err(Error::corrupt_at(
@@ -1158,18 +1145,38 @@ fn read_shard_index(path: &Path, summary: &ShardSummary) -> Result<ShardIndex> {
 /// footer length is untrusted: the tail is clamped to the bytes after the
 /// header, and [`ShardIndex::parse_parts`] rejects a footer that cannot
 /// fit.
-fn read_shard_tail(file: &mut fs::File, file_len: u64) -> Result<Vec<u8>> {
+fn read_shard_tail(file: &fs::File, file_len: u64) -> Result<Vec<u8>> {
     let mut trailer = [0u8; SHARD_TRAILER_LEN as usize];
-    file.seek(SeekFrom::End(-(SHARD_TRAILER_LEN as i64))).map_err(io_err("seek shard"))?;
-    file.read_exact(&mut trailer).map_err(io_err("read shard trailer"))?;
+    read_exact_at(file, &mut trailer, file_len - SHARD_TRAILER_LEN)
+        .map_err(io_err("read shard trailer"))?;
     let footer_len = u64::from(Reader::new(&trailer).u32("footer length")?);
     let tail_len =
         (SHARD_TRAILER_LEN + footer_len).min(file_len.saturating_sub(SHARD_HEADER_LEN));
     // pcr-lint: allow(bounded-alloc) — tail_len clamped to the on-disk file size just above
     let mut tail = vec![0u8; tail_len as usize];
-    file.seek(SeekFrom::End(-(tail_len as i64))).map_err(io_err("seek shard"))?;
-    file.read_exact(&mut tail).map_err(io_err("read shard footer"))?;
+    read_exact_at(file, &mut tail, file_len - tail_len).map_err(io_err("read shard footer"))?;
     Ok(tail)
+}
+
+/// Fills `buf` from `file` at `offset` without moving (or depending on)
+/// the file's cursor, so every reader of a shard shares its one handle.
+#[cfg(unix)]
+pub(crate) fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+pub(crate) fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    let mut filled = 0usize;
+    while let Some(rest) = buf.get_mut(filled..).filter(|r| !r.is_empty()) {
+        match std::os::windows::fs::FileExt::seek_read(file, rest, offset + filled as u64) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// A shard file whose length is not the one its manifest entry records.
@@ -1195,6 +1202,25 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Path of a committed legacy fixture (`tests/fixtures/legacy`):
+    /// containers and records in formats this crate reads but no longer
+    /// writes.
+    fn legacy(name: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/legacy").join(name)
+    }
+
+    /// A scratch copy of legacy fixture container `name`, for tests that
+    /// damage it.
+    fn legacy_copy(name: &str, tag: &str) -> PathBuf {
+        let dir = tmpdir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        for entry in fs::read_dir(legacy(name)).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
         dir
     }
 
@@ -1244,13 +1270,9 @@ mod tests {
 
     #[test]
     fn row_and_columnar_containers_agree() {
-        let dir_v1 = tmpdir("agree-v1");
-        let dir_v3 = tmpdir("agree-v3");
-        let ds = build(9, 3); // 3 records
-        write_container_versioned(&ds, &dir_v1, 2, CONTAINER_VERSION_ROWS).unwrap();
-        write_container_versioned(&ds, &dir_v3, 2, COLUMNAR_VERSION).unwrap();
-        let c1 = PcrContainer::open(&dir_v1).unwrap();
-        let c3 = PcrContainer::open(&dir_v3).unwrap();
+        // The same records behind a row footer and a columnar one.
+        let c1 = PcrContainer::open(&legacy("rows-v2")).unwrap();
+        let c3 = PcrContainer::open(&legacy("columnar-v2")).unwrap();
         assert!(!c1.shards[0].is_columnar());
         assert!(c3.shards[0].is_columnar());
         assert_eq!(c1.num_records(), c3.num_records());
@@ -1273,8 +1295,6 @@ mod tests {
         }
         c1.verify().unwrap();
         c3.verify().unwrap();
-        fs::remove_dir_all(&dir_v1).unwrap();
-        fs::remove_dir_all(&dir_v3).unwrap();
     }
 
     #[test]
@@ -1335,9 +1355,7 @@ mod tests {
 
     #[test]
     fn tampered_row_footer_is_rejected_at_open() {
-        let dir = tmpdir("footer-v1");
-        let ds = build(4, 2);
-        write_container_versioned(&ds, &dir, 2, CONTAINER_VERSION_ROWS).unwrap();
+        let dir = legacy_copy("rows-v1", "footer-v1");
         let c = PcrContainer::open(&dir).unwrap();
         let path = c.shard_path(0);
         let mut bytes = fs::read(&path).unwrap();
@@ -1438,18 +1456,16 @@ mod tests {
 
     #[test]
     fn parse_parts_agrees_with_whole_file_parse_on_every_fixture() {
-        let ds = build(4, 2);
-        let shard_of = |version: u16, tag: &str| {
-            let dir = tmpdir(tag);
-            write_container_versioned(&ds, &dir, 2, version).unwrap();
+        let v1 = fs::read(legacy("rows-v1/shard-00000.pcrshard")).unwrap();
+        let mut v2 = v1.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes()); // header version: not CRC-covered
+        let v3 = {
+            let dir = tmpdir("parts-v3");
+            write_container(&build(4, 2), &dir, 2).unwrap();
             let bytes = fs::read(PcrContainer::open(&dir).unwrap().shard_path(0)).unwrap();
             fs::remove_dir_all(&dir).unwrap();
             bytes
         };
-        let v1 = shard_of(CONTAINER_VERSION_ROWS, "parts-v1");
-        let mut v2 = v1.clone();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes()); // header version: not CRC-covered
-        let v3 = shard_of(COLUMNAR_VERSION, "parts-v3");
         for (version, clean) in [(1u16, v1), (2, v2), (3, v3)] {
             let n = clean.len();
             let footer_len =
@@ -1516,11 +1532,14 @@ mod tests {
     #[test]
     fn streamed_verify_makes_the_same_calls_as_read_shard_verified() {
         for version in [CONTAINER_VERSION_ROWS, COLUMNAR_VERSION] {
-            let dir = tmpdir(&format!("streamed-v{version}"));
-            // 24x24 records are a few hundred bytes: shrink nothing, but
-            // pack enough of them that one shard spans several records.
-            let ds = build(12, 2);
-            write_container_versioned(&ds, &dir, 3, version).unwrap();
+            // Two shards of two records each, in both footer formats.
+            let dir = if version == CONTAINER_VERSION_ROWS {
+                legacy_copy("rows-v1", "streamed-v1")
+            } else {
+                let dir = tmpdir("streamed-v3");
+                write_container(&build(8, 2), &dir, 2).unwrap();
+                dir
+            };
             let c = PcrContainer::open(&dir).unwrap();
             let path = c.shard_path(1);
             let clean = fs::read(&path).unwrap();
@@ -1531,7 +1550,7 @@ mod tests {
                 streamed
             };
             both("clean").unwrap();
-            let (_, rec) = c.entry(4).unwrap(); // second record of shard 1
+            let (_, rec) = c.entry(3).unwrap(); // second record of shard 1
             let n = clean.len();
             type Damage<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
             let damage: [(&str, Damage<'_>, &str); 5] = [
@@ -1603,11 +1622,7 @@ mod tests {
 
     #[test]
     fn crafted_offset_overflow_is_malformed_not_panic() {
-        let dir = tmpdir("overflow");
-        let ds = build(2, 2);
-        write_container_versioned(&ds, &dir, 2, CONTAINER_VERSION_ROWS).unwrap();
-        let c = PcrContainer::open(&dir).unwrap();
-        let mut bytes = fs::read(c.shard_path(0)).unwrap();
+        let mut bytes = fs::read(legacy("rows-v1/shard-00000.pcrshard")).unwrap();
         let n = bytes.len();
         let footer_len =
             u32::from_le_bytes(bytes[n - 12..n - 8].try_into().unwrap()) as usize;
@@ -1624,16 +1639,11 @@ mod tests {
         bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
         let err = ShardIndex::parse("shard-00000.pcrshard", &bytes).unwrap_err();
         assert!(matches!(err, Error::Malformed(_)), "{err:?}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn decreasing_group_offsets_are_malformed_not_panic() {
-        let dir = tmpdir("monotone");
-        let ds = build(2, 2);
-        write_container_versioned(&ds, &dir, 2, CONTAINER_VERSION_ROWS).unwrap();
-        let c = PcrContainer::open(&dir).unwrap();
-        let mut bytes = fs::read(c.shard_path(0)).unwrap();
+        let mut bytes = fs::read(legacy("rows-v1/shard-00000.pcrshard")).unwrap();
         let n = bytes.len();
         let footer_len =
             u32::from_le_bytes(bytes[n - 12..n - 8].try_into().unwrap()) as usize;
@@ -1650,22 +1660,16 @@ mod tests {
         bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
         let err = ShardIndex::parse("shard-00000.pcrshard", &bytes).unwrap_err();
         assert!(matches!(err, Error::Malformed(_)), "{err:?}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn oversized_record_count_is_malformed_not_abort() {
-        let dir = tmpdir("count");
-        let ds = build(2, 2);
-        write_container_versioned(&ds, &dir, 2, CONTAINER_VERSION_ROWS).unwrap();
-        let c = PcrContainer::open(&dir).unwrap();
-        let mut bytes = fs::read(c.shard_path(0)).unwrap();
+        let mut bytes = fs::read(legacy("rows-v1/shard-00000.pcrshard")).unwrap();
         // The header's record_count is not covered by any CRC; a flipped
         // bit there must not drive a giant allocation.
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = ShardIndex::parse("shard-00000.pcrshard", &bytes).unwrap_err();
         assert!(matches!(err, Error::Malformed(_)), "{err:?}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -62,9 +62,10 @@ impl MetaDb {
         self.records.iter().map(|r| r.total_len()).sum()
     }
 
-    /// Total bytes read per epoch when loading at scan group `g`.
+    /// Total bytes read per epoch when loading at scan group `g`,
+    /// clamped to the group count like [`RecordMeta::prefix_len`].
     pub fn bytes_at_group(&self, g: usize) -> u64 {
-        self.records.iter().map(|r| r.group_offsets[g]).sum()
+        self.records.iter().map(|r| r.prefix_len(g)).sum()
     }
 
     /// Mean bytes per image at scan group `g` — the quantity whose ratio
@@ -142,7 +143,7 @@ impl PcrDataset {
     /// Returns the byte prefix of record `i` sufficient for scan group `g` —
     /// what a loader would issue as a single sequential read.
     pub fn record_prefix(&self, i: usize, g: usize) -> &[u8] {
-        let end = self.db.records[i].group_offsets[g] as usize;
+        let end = self.db.records[i].prefix_len(g) as usize;
         &self.records[i][..end.min(self.records[i].len())]
     }
 
@@ -157,7 +158,6 @@ impl PcrDataset {
 pub struct PcrDatasetBuilder {
     images_per_record: usize,
     num_groups: usize,
-    restart_interval: u16,
     name_prefix: String,
     current: PcrRecordBuilder,
     dataset: PcrDataset,
@@ -171,7 +171,6 @@ impl PcrDatasetBuilder {
         Self {
             images_per_record: images_per_record.max(1),
             num_groups,
-            restart_interval: 0,
             name_prefix: "record".to_string(),
             current: PcrRecordBuilder::new(num_groups),
             dataset: PcrDataset::default(),
@@ -182,15 +181,6 @@ impl PcrDatasetBuilder {
     /// Sets the record name prefix.
     pub fn with_name_prefix(mut self, prefix: &str) -> Self {
         self.name_prefix = prefix.to_string();
-        self
-    }
-
-    /// Requests restart markers every `interval` MCU units in images the
-    /// records encode (see [`PcrRecordBuilder::with_restart_interval`]).
-    /// Call before adding images.
-    pub fn with_restart_interval(mut self, interval: u16) -> Self {
-        self.restart_interval = interval;
-        self.current = PcrRecordBuilder::new(self.num_groups).with_restart_interval(interval);
         self
     }
 
@@ -224,10 +214,8 @@ impl PcrDatasetBuilder {
         if self.current.is_empty() {
             return Ok(());
         }
-        let builder = std::mem::replace(
-            &mut self.current,
-            PcrRecordBuilder::new(self.num_groups).with_restart_interval(self.restart_interval),
-        );
+        let builder =
+            std::mem::replace(&mut self.current, PcrRecordBuilder::new(self.num_groups));
         let bytes = builder.build()?;
         let rec = PcrRecord::parse(&bytes)?;
         let name = format!("{}-{:05}.pcr", self.name_prefix, self.dataset.records.len());
@@ -369,6 +357,14 @@ mod tests {
         }
         assert_eq!(last, ds.db.total_bytes());
         assert!(ds.db.mean_image_bytes_at_group(1) < ds.db.mean_image_bytes_at_group(10));
+    }
+
+    #[test]
+    fn bytes_at_group_clamps_past_the_last_group() {
+        let ds = build(6, 3);
+        let g = ds.db.num_groups();
+        assert_eq!(ds.db.bytes_at_group(g + 5), ds.db.bytes_at_group(g));
+        assert_eq!(ds.db.bytes_at_group(usize::MAX), ds.db.total_bytes());
     }
 
     #[test]

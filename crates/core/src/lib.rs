@@ -48,8 +48,8 @@ pub mod wire;
 pub use baseline::{FilePerImageDataset, RecordFile, RecordFileBuilder};
 pub use colfooter::{ColumnarIndex, COLUMNAR_VERSION};
 pub use container::{
-    write_container, write_container_versioned, ContainerManifest, PcrContainer, ShardIndex,
-    ShardRecord, ShardStats, ShardSummary, CONTAINER_VERSION, CONTAINER_VERSION_ROWS,
+    write_container, ContainerManifest, PcrContainer, ShardIndex, ShardRecord, ShardStats,
+    ShardSummary, CONTAINER_VERSION, CONTAINER_VERSION_ROWS,
 };
 pub use dataset::{MetaDb, PcrDataset, PcrDatasetBuilder, RecordMeta};
 pub use declog::{

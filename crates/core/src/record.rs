@@ -29,13 +29,12 @@ use pcr_jpeg::{EncodeConfig, ImageBuf};
 
 /// Magic prefix of every `.pcr` stream.
 pub const MAGIC: &[u8; 4] = b"PCR1";
-/// Original format version: no restart metadata.
+/// The format version [`PcrRecordBuilder`] writes: no restart metadata.
 pub const VERSION: u16 = 1;
-/// Format version carrying a `restart_interval u16` header field — the
-/// requested JPEG restart interval the record's images were encoded
-/// with (decoders read the segments in sequence). Records built with
-/// interval 0 keep [`VERSION`] and stay byte-identical to
-/// pre-restart writers.
+/// Read-only legacy format version carrying a `restart_interval u16`
+/// header field — the requested JPEG restart interval the record's
+/// images were encoded with (decoders read the segments in sequence).
+/// No writer produces it any more; [`PcrRecord::parse`] still reads it.
 pub const VERSION_RESTART: u16 = 2;
 /// Scan groups produced by the default progressive script for color images.
 pub const DEFAULT_NUM_GROUPS: usize = 10;
@@ -87,7 +86,6 @@ impl RecordScratch {
 #[derive(Debug)]
 pub struct PcrRecordBuilder {
     num_groups: usize,
-    restart_interval: u16,
     entries: Vec<(SampleMeta, Vec<u8>, pcr_jpeg::ScanLayout)>,
 }
 
@@ -95,22 +93,12 @@ impl PcrRecordBuilder {
     /// Creates a builder with the given number of scan groups (each scan of
     /// the default script maps to one group).
     pub fn new(num_groups: usize) -> Self {
-        Self { num_groups: num_groups.max(1), restart_interval: 0, entries: Vec::new() }
+        Self { num_groups: num_groups.max(1), entries: Vec::new() }
     }
 
     /// Builder with the standard 10 groups.
     pub fn with_default_groups() -> Self {
         Self::new(DEFAULT_NUM_GROUPS)
-    }
-
-    /// Requests restart markers every `interval` MCU units in images this
-    /// builder encodes itself (see [`PcrRecordBuilder::add_image`]; the
-    /// JPEG encoder rounds the interval up per scan to MCU-row multiples).
-    /// A non-zero interval switches the record to [`VERSION_RESTART`];
-    /// zero keeps the byte-identical [`VERSION`] layout.
-    pub fn with_restart_interval(mut self, interval: u16) -> Self {
-        self.restart_interval = interval;
-        self
     }
 
     /// Adds an already-progressive JPEG byte stream.
@@ -127,11 +115,9 @@ impl PcrRecordBuilder {
         Ok(())
     }
 
-    /// Encodes raw pixels as progressive JPEG at `quality` (with this
-    /// builder's restart interval, if any) and adds them.
+    /// Encodes raw pixels as progressive JPEG at `quality` and adds them.
     pub fn add_image(&mut self, meta: SampleMeta, img: &ImageBuf, quality: u8) -> Result<()> {
-        let cfg = EncodeConfig::progressive(quality).with_restart_interval(self.restart_interval);
-        let jpeg = pcr_jpeg::encode(img, &cfg)?;
+        let jpeg = pcr_jpeg::encode(img, &EncodeConfig::progressive(quality))?;
         self.add_progressive_jpeg(meta, jpeg)
     }
 
@@ -179,13 +165,9 @@ impl PcrRecordBuilder {
 
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        let version = if self.restart_interval == 0 { VERSION } else { VERSION_RESTART };
-        put_u16(&mut out, version);
+        put_u16(&mut out, VERSION);
         put_u32(&mut out, u32::try_from(self.entries.len()).map_err(|_| too_big("image count"))?);
         put_u16(&mut out, u16::try_from(num_groups).map_err(|_| too_big("group count"))?);
-        if version == VERSION_RESTART {
-            put_u16(&mut out, self.restart_interval);
-        }
         put_u64(&mut out, index.len() as u64);
         out.extend_from_slice(&index);
 
@@ -327,7 +309,7 @@ impl<'a> PcrRecord<'a> {
     }
 
     /// Requested restart interval the record's images were encoded with
-    /// (0 for version-1 records and marker-less version-2 streams).
+    /// (0 for version-1 records, the only version written today).
     pub fn restart_interval(&self) -> u16 {
         self.restart_interval
     }
@@ -639,25 +621,39 @@ mod tests {
         assert!(PcrRecord::parse(&bytes[..20]).is_err());
     }
 
+    /// The committed legacy version-2 record: one 16×24 grayscale image
+    /// encoded with restart interval 1 (`tests/fixtures/legacy/README.md`).
+    const RECORD_V2: &[u8] = include_bytes!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/legacy/record-v2.pcr"
+    ));
+
+    /// The fixture record's image.
+    fn record_v2_image() -> ImageBuf {
+        let gray = (0..24u32)
+            .flat_map(|y| {
+                (0..16u32).map(move |x| ((x * 13 + y * 7 + (x * y) % 11 * 9) % 256) as u8)
+            })
+            .collect();
+        ImageBuf::from_raw(16, 24, 1, gray).unwrap()
+    }
+
     #[test]
-    fn restart_record_is_v2_and_reports_segments() {
-        let img = test_image(5, 48, 40);
-        let mut b = PcrRecordBuilder::with_default_groups().with_restart_interval(2);
-        b.add_image(SampleMeta { label: 0, id: "r".into() }, &img, 88).unwrap();
-        let bytes = b.build().unwrap();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION_RESTART);
-        let rec = PcrRecord::parse(&bytes).unwrap();
-        assert_eq!(rec.restart_interval(), 2);
+    fn legacy_restart_record_is_v2_and_reports_segments() {
+        assert_eq!(u16::from_le_bytes([RECORD_V2[4], RECORD_V2[5]]), VERSION_RESTART);
+        let rec = PcrRecord::parse(RECORD_V2).unwrap();
+        assert_eq!(rec.restart_interval(), 1);
         // At least one scan group splits into multiple entropy segments.
         let max_segs = (1..=10).map(|g| rec.segment_count(0, g).unwrap()).max().unwrap();
         assert!(max_segs > 1, "expected multi-segment groups, got max {max_segs}");
-        // Restart framing never changes pixels: decode equals the
-        // marker-less encode of the same image at every group level.
+        // Restart framing never changes pixels: decode equals today's
+        // marker-less record of the same image at every group level.
         let mut plain = PcrRecordBuilder::with_default_groups();
-        plain.add_image(SampleMeta { label: 0, id: "r".into() }, &img, 88).unwrap();
+        let meta = SampleMeta { label: 0, id: "img0".into() };
+        plain.add_image(meta, &record_v2_image(), 85).unwrap();
         let plain_bytes = plain.build().unwrap();
         let plain_rec = PcrRecord::parse(&plain_bytes).unwrap();
-        for g in [1usize, 4, 10] {
+        for g in 1..=10 {
             assert_eq!(
                 rec.decode_image(0, g).unwrap(),
                 plain_rec.decode_image(0, g).unwrap(),
@@ -667,17 +663,10 @@ mod tests {
     }
 
     #[test]
-    fn interval_zero_keeps_v1_layout() {
-        let img = test_image(6, 32, 32);
-        let mut a = PcrRecordBuilder::with_default_groups();
-        a.add_image(SampleMeta { label: 1, id: "z".into() }, &img, 85).unwrap();
-        let mut b = PcrRecordBuilder::with_default_groups().with_restart_interval(0);
-        b.add_image(SampleMeta { label: 1, id: "z".into() }, &img, 85).unwrap();
-        let a = a.build().unwrap();
-        let b = b.build().unwrap();
-        assert_eq!(a, b, "interval 0 must stay byte-identical to the v1 writer");
-        assert_eq!(u16::from_le_bytes([a[4], a[5]]), VERSION);
-        let rec = PcrRecord::parse(&a).unwrap();
+    fn builder_writes_v1_with_one_segment_per_chunk() {
+        let bytes = build_record(1);
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
+        let rec = PcrRecord::parse(&bytes).unwrap();
         assert_eq!(rec.restart_interval(), 0);
         // Marker-less chunks report exactly one entropy segment each.
         for g in 1..=10 {

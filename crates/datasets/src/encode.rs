@@ -25,23 +25,11 @@ pub const IMAGES_PER_RECORD: usize = 16;
 /// Returns the dataset and the total encode wall-clock time in seconds
 /// (used by the Figure 15 conversion-time experiment).
 pub fn to_pcr_dataset(ds: &SyntheticDataset, images_per_record: usize) -> (PcrDataset, f64) {
-    to_pcr_dataset_restart(ds, images_per_record, 0)
-}
-
-/// Like [`to_pcr_dataset`], but encodes images with restart markers every
-/// `restart_interval` MCU units (0 disables them), producing version-2
-/// records (FORMAT.md §5); pixels are identical either way.
-pub fn to_pcr_dataset_restart(
-    ds: &SyntheticDataset,
-    images_per_record: usize,
-    restart_interval: u16,
-) -> (PcrDataset, f64) {
     // pcr-lint: allow(clock-discipline) — pack-time tooling measuring real
     // conversion cost (Figure 15); no virtual timeline exists here.
     let start = std::time::Instant::now();
     let mut b = PcrDatasetBuilder::new(images_per_record, pcr_core::DEFAULT_NUM_GROUPS)
-        .with_name_prefix(&ds.spec.name)
-        .with_restart_interval(restart_interval);
+        .with_name_prefix(&ds.spec.name);
     for s in &ds.train {
         b.add_image(
             SampleMeta { label: s.label, id: s.id.clone() },
@@ -66,23 +54,10 @@ pub fn pack_to_container(
     images_per_record: usize,
     records_per_shard: usize,
 ) -> pcr_core::Result<(ContainerManifest, f64)> {
-    pack_to_container_restart(ds, dir, images_per_record, records_per_shard, 0)
-}
-
-/// Like [`pack_to_container`], but encodes images with restart markers
-/// every `restart_interval` MCU units (0 disables them) — the library
-/// face of `pcr pack --restart-interval`.
-pub fn pack_to_container_restart(
-    ds: &SyntheticDataset,
-    dir: &Path,
-    images_per_record: usize,
-    records_per_shard: usize,
-    restart_interval: u16,
-) -> pcr_core::Result<(ContainerManifest, f64)> {
     // pcr-lint: allow(clock-discipline) — pack-time tooling measuring real
     // conversion cost (Figure 15); no virtual timeline exists here.
     let start = std::time::Instant::now();
-    let (pcr, _) = to_pcr_dataset_restart(ds, images_per_record, restart_interval);
+    let (pcr, _) = to_pcr_dataset(ds, images_per_record);
     let manifest = write_container(&pcr, dir, records_per_shard)?;
     Ok((manifest, start.elapsed().as_secs_f64()))
 }

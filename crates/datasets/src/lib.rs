@@ -34,8 +34,7 @@ pub mod labels;
 pub mod spec;
 
 pub use encode::{
-    pack_to_container, pack_to_container_restart, test_progressive_jpegs, to_file_per_image,
-    to_pcr_dataset, to_pcr_dataset_restart, to_record_files,
+    pack_to_container, test_progressive_jpegs, to_file_per_image, to_pcr_dataset, to_record_files,
     IMAGES_PER_RECORD, RECORDS_PER_SHARD,
 };
 pub use generate::{generate_image, Sample, SyntheticDataset};

@@ -143,32 +143,14 @@ impl BitWriter {
         }
     }
 
-    /// Pads the pending bits to a byte boundary with 1-bits (T.81
-    /// B.1.1.5) and moves every pending byte to the output.
-    fn flush_padded(&mut self) {
+    /// Pads the final partial byte with 1-bits (T.81 B.1.1.5) and returns the
+    /// completed entropy-coded segment.
+    pub fn finish(mut self) -> Vec<u8> {
         let pad = (8 - self.nbits % 8) % 8;
         self.acc = (self.acc << pad) | ((1u64 << pad) - 1);
         self.nbits += pad;
         self.put_bytes_stuffed(self.acc as u32, self.nbits / 8);
-        self.nbits = 0;
-    }
-
-    /// Pads the final partial byte with 1-bits (T.81 B.1.1.5) and returns the
-    /// completed entropy-coded segment.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.flush_padded();
         self.out
-    }
-
-    /// Pads the current partial byte with 1-bits and emits the restart
-    /// marker `RSTn` (`0xFF 0xD0+n`, T.81 E.1.4). The pad byte goes
-    /// through the normal stuffing path (an all-ones pad byte is `0xFF`
-    /// and gets its `0x00` stuffed); the marker itself is written raw —
-    /// markers are exactly the byte pairs that must *not* be stuffed.
-    pub fn restart(&mut self, n: u8) {
-        self.flush_padded();
-        self.out.push(0xFF);
-        self.out.push(0xD0 | (n & 7));
     }
 
     /// Number of full bytes emitted so far (excluding the bits of a
@@ -646,17 +628,20 @@ mod tests {
         }
     }
 
+    /// The test-only writer that frames restart streams: a mid-byte pad
+    /// is 1-bits and an all-ones pad byte gets stuffed; the marker itself
+    /// is written raw.
     #[test]
-    fn bitwriter_restart_aligns_and_emits_marker() {
-        // Mid-byte pad is 1-bits; an all-ones pad byte gets stuffed.
-        let mut w = BitWriter::new();
+    fn reference_writer_restart_aligns_and_emits_marker() {
+        use crate::reference::ReferenceBitWriter;
+        let mut w = ReferenceBitWriter::default();
         w.put_bits(0b1, 1);
         w.restart(2);
         w.put_bits(0xA5, 8);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0xFF, 0x00, 0xFF, 0xD2, 0xA5]);
         // Byte-aligned already: no pad byte at all.
-        let mut w = BitWriter::new();
+        let mut w = ReferenceBitWriter::default();
         w.put_bits(0x3C, 8);
         w.restart(9); // index reduced mod 8
         let bytes = w.finish();

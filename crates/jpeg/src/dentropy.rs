@@ -501,7 +501,7 @@ mod tests {
     ) {
         let mut tables = ScanTables::default();
         let bytes =
-            ScanEncoder::new(coeffs).encode_scan(frame, scan, 0, true, &mut tables).unwrap();
+            ScanEncoder::new(coeffs).encode_scan(frame, scan, true, &mut tables).unwrap();
         let decoders =
             tables.each_ref().map(|t| t.as_ref().map(|t| HuffDecoder::from_table(t).unwrap()));
         let mut reader = BitReader::new(&bytes);

@@ -21,11 +21,6 @@ pub struct EncodeConfig {
     /// Use per-scan optimized Huffman tables. Always effectively true for
     /// progressive output (as with `jpegtran`); selectable for baseline.
     pub optimize_huffman: bool,
-    /// Requested restart interval in MCU units (0 = no restart markers).
-    /// The encoder rounds it *up* per scan to a whole number of MCU rows
-    /// (see [`scan_restart_interval`]) so every restart segment covers
-    /// whole block rows.
-    pub restart_interval: u16,
 }
 
 impl Default for EncodeConfig {
@@ -35,7 +30,6 @@ impl Default for EncodeConfig {
             subsampling: Subsampling::S420,
             progressive: false,
             optimize_huffman: false,
-            restart_interval: 0,
         }
     }
 }
@@ -50,30 +44,6 @@ impl EncodeConfig {
     pub fn progressive(quality: u8) -> Self {
         Self { quality, progressive: true, optimize_huffman: true, ..Self::default() }
     }
-
-    /// Same config with the given requested restart interval.
-    pub fn with_restart_interval(self, interval: u16) -> Self {
-        Self { restart_interval: interval, ..self }
-    }
-}
-
-/// The effective restart interval for one scan: the requested interval
-/// rounded up to a whole number of MCU rows (`blocks_w` of the scanned
-/// component for non-interleaved scans, `mcus_x` for interleaved ones),
-/// clamped to the largest row multiple a DRI field can hold. Returns 0
-/// iff `requested` is 0.
-pub fn scan_restart_interval(frame: &FrameInfo, scan: &ScanInfo, requested: u16) -> u16 {
-    if requested == 0 {
-        return 0;
-    }
-    let row = if scan.components.len() == 1 {
-        frame.components[scan.components[0].comp_index].blocks_w
-    } else {
-        frame.mcus_x
-    };
-    let rounded = u32::from(requested).div_ceil(row) * row;
-    let max_fit = (u32::from(u16::MAX) / row) * row;
-    rounded.min(max_fit) as u16
 }
 
 /// The libjpeg default progressive scan script for YCbCr images
@@ -158,14 +128,7 @@ pub fn encode(img: &ImageBuf, config: &EncodeConfig) -> Result<Vec<u8>> {
     let qtables = qtables_for(config, frame.components.len());
     let planes = image_to_planes(img, &frame)?;
     let coeffs = planes_to_coeffs(&planes, &frame, &qtables)?;
-    encode_from_coeffs_restart(
-        &frame,
-        &coeffs,
-        &qtables,
-        config.optimize_huffman,
-        None,
-        config.restart_interval,
-    )
+    encode_from_coeffs(&frame, &coeffs, &qtables, config.optimize_huffman, None)
 }
 
 /// Encodes a complete JPEG stream from already-quantized coefficients.
@@ -173,29 +136,14 @@ pub fn encode(img: &ImageBuf, config: &EncodeConfig) -> Result<Vec<u8>> {
 /// This is the `jpegtran` path: the transcoder decodes an existing stream to
 /// coefficients and re-encodes them here losslessly. `script` overrides the
 /// scan structure (defaults to single sequential scan or the standard
-/// progressive script depending on `frame.progressive`).
+/// progressive script depending on `frame.progressive`). The stream
+/// carries no restart markers.
 pub fn encode_from_coeffs(
     frame: &FrameInfo,
     coeffs: &CoeffPlanes,
     qtables: &QTables,
     optimize_huffman: bool,
     script: Option<Vec<ScanInfo>>,
-) -> Result<Vec<u8>> {
-    encode_from_coeffs_restart(frame, coeffs, qtables, optimize_huffman, script, 0)
-}
-
-/// [`encode_from_coeffs`] with restart markers: each scan is split into
-/// restart segments of [`scan_restart_interval`] MCU units, with a DRI
-/// segment written ahead of any scan whose effective interval differs
-/// from the previous one. `restart_interval == 0` is byte-identical to
-/// [`encode_from_coeffs`].
-pub fn encode_from_coeffs_restart(
-    frame: &FrameInfo,
-    coeffs: &CoeffPlanes,
-    qtables: &QTables,
-    optimize_huffman: bool,
-    script: Option<Vec<ScanInfo>>,
-    restart_interval: u16,
 ) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     out.extend_from_slice(&[0xFF, SOI]);
@@ -236,11 +184,8 @@ pub fn encode_from_coeffs_restart(
     }
 
     let mut encoder = ScanEncoder::new(coeffs);
-    let mut last_dri: u16 = 0;
     for scan in &scans {
-        let interval = scan_restart_interval(frame, scan, restart_interval);
-        let entropy =
-            encoder.encode_scan(frame, scan, u32::from(interval), use_optimized, &mut tables)?;
+        let entropy = encoder.encode_scan(frame, scan, use_optimized, &mut tables)?;
         if use_optimized {
             // Per-scan tables: DC ids ascending, then AC ids ascending.
             for (slot, table) in tables.iter().enumerate() {
@@ -249,13 +194,7 @@ pub fn encode_from_coeffs_restart(
                 }
             }
         }
-
-        if interval != last_dri {
-            marker::write_dri(&mut out, interval);
-            last_dri = interval;
-        }
         marker::write_sos(&mut out, frame, scan);
-
         out.extend_from_slice(&entropy);
     }
 

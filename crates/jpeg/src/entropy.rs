@@ -5,8 +5,8 @@
 //! The walk ([`tokenize_scan`]) counts symbol frequencies per Huffman
 //! table *and* records what it would have emitted as a compact token
 //! stream ([`ScanTokens`]: one `u32` per Huffman symbol
-//! with up to 15 trailing raw bits fused in, or per group of raw bits, or
-//! per restart marker). Optimal tables are built from the counts — as
+//! with up to 15 trailing raw bits fused in, or per group of raw bits).
+//! Optimal tables are built from the counts — as
 //! `jpegtran -optimize` does and progressive scans require in practice —
 //! and emission ([`ScanTokens::replay`]) is a linear pass over the tokens
 //! through one merged code table ([`CodeBook`]) into the
@@ -33,7 +33,6 @@ use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{gen_optimal_table, HuffEncoder, HuffTable};
 use crate::simd::nonzero_mask64;
-use std::ops::Range;
 
 /// Huffman table slots of a scan: DC tables 0..4, then AC tables 0..4.
 pub(crate) const TABLE_SLOTS: usize = 8;
@@ -46,8 +45,6 @@ const TOKEN_BITS: u32 = 15;
 /// Token code index (`slot * 256 + symbol` for symbols) of raw bits with
 /// no symbol; [`CodeBook`] gives it a zero-length code.
 const RAW: u32 = (TABLE_SLOTS * 256) as u32;
-/// Token code index of restart marker `RST0`; `RSTn` is `RESTART + n`.
-const RESTART: u32 = RAW + 1;
 
 /// The coefficient planes with every block permuted into zigzag (scan)
 /// order, blocks in the same row-major MCU-padded layout as
@@ -75,7 +72,7 @@ impl ZigzagPlanes {
 /// ([`ScanTokens::clear`] keeps the allocation).
 ///
 /// Token layout (`u32`): bits 20.. hold the code index (`slot * 256 +
-/// symbol`, [`RAW`], or `RESTART + n`), bits 16..20 the raw-bit count
+/// symbol` or [`RAW`]), bits 16..20 the raw-bit count
 /// (at most [`TOKEN_BITS`]), bits 0..16 the raw bits that follow the code.
 #[derive(Debug)]
 struct ScanTokens {
@@ -129,22 +126,15 @@ impl ScanTokens {
         }
     }
 
-    /// A restart boundary: `RSTn` where `n` cycles 0..8.
-    fn restart(&mut self, n: u8) {
-        self.tokens.push((RESTART + u32::from(n & 7)) << 20);
-    }
-
     /// Emits the scan through `codes` into `writer`.
     fn replay(&self, codes: &CodeBook, writer: &mut BitWriter) {
         for &token in &self.tokens {
-            let index = (token >> 20) as usize;
             let n = token >> 16 & 0xF;
-            match codes.codes.get(index) {
+            // Every index is at most RAW by construction, so the lookup
+            // never misses; a miss would emit nothing rather than panic.
+            if let Some(&(code, len)) = codes.codes.get((token >> 20) as usize) {
                 // At most 16 code bits and 15 raw bits: one 31-bit write.
-                Some(&(code, len)) => {
-                    writer.put_bits(u32::from(code) << n | token & 0xFFFF, u32::from(len) + n)
-                }
-                None => writer.restart((index as u32 - RESTART) as u8),
+                writer.put_bits(u32::from(code) << n | token & 0xFFFF, u32::from(len) + n);
             }
         }
     }
@@ -200,21 +190,19 @@ impl ScanEncoder {
         Self { coeffs: ZigzagPlanes::new(coeffs), tokens: ScanTokens::default() }
     }
 
-    /// Encodes one scan and returns its entropy-coded bytes, with a
-    /// restart marker every `interval` MCU units (0 disables restarts).
-    /// With `optimize`, `tables` is first replaced by the optimal table
+    /// Encodes one scan and returns its entropy-coded bytes. With
+    /// `optimize`, `tables` is first replaced by the optimal table
     /// of every slot the scan uses (`None` elsewhere); without, the scan
     /// is coded with `tables` as given.
     pub(crate) fn encode_scan(
         &mut self,
         frame: &FrameInfo,
         scan: &ScanInfo,
-        interval: u32,
         optimize: bool,
         tables: &mut ScanTables,
     ) -> Result<Vec<u8>> {
         self.tokens.clear();
-        tokenize_scan(frame, &self.coeffs, scan, interval, &mut self.tokens)?;
+        tokenize_scan(frame, &self.coeffs, scan, &mut self.tokens)?;
         if optimize {
             for (slot, table) in tables.iter_mut().enumerate() {
                 *table = self.tokens.counts(slot).map(|c| gen_optimal_table(c)).transpose()?;
@@ -250,18 +238,11 @@ fn band_mask(scan: &ScanInfo) -> u64 {
     (u64::MAX >> (63 - u32::from(scan.se))) & (u64::MAX << scan.ss)
 }
 
-/// Walks one scan into `tokens`, with a restart boundary every `interval`
-/// MCU units (0 disables restarts).
-///
-/// Per T.81 each restart fully resets the entropy state: DC predictors,
-/// the end-of-band run, and buffered correction bits are flushed at the
-/// boundary and start fresh in the next segment, so the symbol counts
-/// include the extra flush symbols restarts introduce.
+/// Walks one scan into `tokens`.
 fn tokenize_scan(
     frame: &FrameInfo,
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    interval: u32,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
     scan.validate(frame)?;
@@ -269,59 +250,34 @@ fn tokenize_scan(
     if scan.components.iter().any(|sc| sc.dc_table.max(sc.ac_table) as usize >= AC_SLOT) {
         return Err(Error::BadScan("Huffman table selector above 3".into()));
     }
-    let total = mcu_units(frame, scan);
-    if interval == 0 || interval >= total {
-        return tokenize_units(frame, coeffs, scan, tokens, 0..total);
-    }
-    let nseg = total.div_ceil(interval);
-    for seg in 0..nseg {
-        let start = seg * interval;
-        let end = (start + interval).min(total);
-        tokenize_units(frame, coeffs, scan, tokens, start..end)?;
-        if seg + 1 < nseg {
-            tokens.restart((seg % 8) as u8);
-        }
-    }
-    Ok(())
-}
-
-/// Walks one restart segment (a contiguous MCU-unit range) with fresh
-/// entropy state.
-fn tokenize_units(
-    frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
-    scan: &ScanInfo,
-    tokens: &mut ScanTokens,
-    units: Range<u32>,
-) -> Result<()> {
     if !frame.progressive {
-        return tokenize_sequential(frame, coeffs, scan, tokens, units);
+        return tokenize_sequential(frame, coeffs, scan, tokens);
     }
     match (scan.is_dc(), scan.is_refinement()) {
-        (true, false) => tokenize_dc_first(frame, coeffs, scan, tokens, units),
-        (true, true) => tokenize_dc_refine(frame, coeffs, scan, tokens, units),
-        (false, false) => tokenize_ac_first(frame, coeffs, scan, tokens, units),
-        (false, true) => tokenize_ac_refine(frame, coeffs, scan, tokens, units),
+        (true, false) => tokenize_dc_first(frame, coeffs, scan, tokens),
+        (true, true) => tokenize_dc_refine(frame, coeffs, scan, tokens),
+        (false, false) => tokenize_ac_first(frame, coeffs, scan, tokens),
+        (false, true) => tokenize_ac_refine(frame, coeffs, scan, tokens),
     }
 }
 
-/// Iterates the blocks of MCU units `units` — interleaved scans in MCU
-/// order, single-component scans in row-major block order — calling
+/// Iterates the blocks of a scan — interleaved scans in MCU order,
+/// single-component scans in row-major block order — calling
 /// `f(comp_slot, block)` where `comp_slot` indexes `scan.components`.
 fn for_each_block(
     frame: &FrameInfo,
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
-    units: Range<u32>,
     mut f: impl FnMut(usize, &[i16; 64]) -> Result<()>,
 ) -> Result<()> {
     let block = |comp: usize, row: u32, col: u32| {
         let alloc_w = frame.components[comp].alloc_w as usize;
         &coeffs.planes[comp][row as usize * alloc_w + col as usize]
     };
+    let units = 0..mcu_units(frame, scan);
     if let [sc] = scan.components[..] {
         let bw = frame.components[sc.comp_index].blocks_w;
-        let (mut row, mut col) = (units.start / bw, units.start % bw);
+        let (mut row, mut col) = (0, 0);
         for _ in units {
             f(0, block(sc.comp_index, row, col))?;
             col += 1;
@@ -360,10 +316,9 @@ fn tokenize_sequential(
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
-    units: Range<u32>,
 ) -> Result<()> {
     let mut preds = [0i32; 4];
-    for_each_block(frame, coeffs, scan, units, |slot, zz| {
+    for_each_block(frame, coeffs, scan, |slot, zz| {
         let sc = scan.components[slot];
         tokenize_dc_diff(tokens, sc.dc_table, i32::from(zz[0]), &mut preds[slot]);
         let ac = AC_SLOT + usize::from(sc.ac_table);
@@ -396,11 +351,10 @@ fn tokenize_dc_first(
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
-    units: Range<u32>,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     let mut preds = [0i32; 4];
-    for_each_block(frame, coeffs, scan, units, |slot, zz| {
+    for_each_block(frame, coeffs, scan, |slot, zz| {
         let table = scan.components[slot].dc_table;
         tokenize_dc_diff(tokens, table, i32::from(zz[0]) >> al, &mut preds[slot]);
         Ok(())
@@ -412,12 +366,11 @@ fn tokenize_dc_refine(
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
-    units: Range<u32>,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     // One bit per block, packed into full tokens.
     let (mut bits, mut n) = (0u64, 0u32);
-    for_each_block(frame, coeffs, scan, units, |_slot, zz| {
+    for_each_block(frame, coeffs, scan, |_slot, zz| {
         bits = bits << 1 | u64::from((i32::from(zz[0]) >> al) & 1 != 0);
         n += 1;
         if n == TOKEN_BITS {
@@ -518,12 +471,11 @@ fn tokenize_ac_first(
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
-    units: Range<u32>,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     let band = band_mask(scan);
     let mut st = AcState::new(scan);
-    for_each_block(frame, coeffs, scan, units, |_slot, zz| {
+    for_each_block(frame, coeffs, scan, |_slot, zz| {
         let mag = magnitudes(zz, al);
         let mut mask = nonzero_mask64(&mag) & band;
         let mut next = u32::from(scan.ss);
@@ -561,12 +513,11 @@ fn tokenize_ac_refine(
     coeffs: &ZigzagPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
-    units: Range<u32>,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     let band = band_mask(scan);
     let mut st = AcState::new(scan);
-    for_each_block(frame, coeffs, scan, units, |_slot, zz| {
+    for_each_block(frame, coeffs, scan, |_slot, zz| {
         let mag = magnitudes(zz, al);
         // Coefficients earlier scans already made nonzero (`|c| >> al`
         // above 1) send one correction bit; those becoming nonzero now
@@ -647,7 +598,7 @@ mod tests {
 
     fn tokenize(frame: &FrameInfo, coeffs: &CoeffPlanes, scan: &ScanInfo) -> ScanTokens {
         let mut tokens = ScanTokens::default();
-        tokenize_scan(frame, &ZigzagPlanes::new(coeffs), scan, 0, &mut tokens).unwrap();
+        tokenize_scan(frame, &ZigzagPlanes::new(coeffs), scan, &mut tokens).unwrap();
         tokens
     }
 
@@ -721,7 +672,7 @@ mod tests {
         let mut scan = gray_scan(0, 63, 0, 0);
         scan.components[0].dc_table = 4; // would alias AC table 0's slot
         let mut tokens = ScanTokens::default();
-        assert!(tokenize_scan(&frame, &ZigzagPlanes::new(&coeffs), &scan, 0, &mut tokens).is_err());
+        assert!(tokenize_scan(&frame, &ZigzagPlanes::new(&coeffs), &scan, &mut tokens).is_err());
     }
 
     #[test]
@@ -737,9 +688,8 @@ mod tests {
             al: 0,
         };
         let mut count = [0usize; 3];
-        let total = mcu_units(&frame, &scan);
         let coeffs = ZigzagPlanes::new(&CoeffPlanes::new(&frame));
-        for_each_block(&frame, &coeffs, &scan, 0..total, |slot, _block| {
+        for_each_block(&frame, &coeffs, &scan, |slot, _block| {
             count[slot] += 1;
             Ok(())
         })

@@ -20,7 +20,10 @@
 //!   against the retained two-pass `dyn EntropySink` encoder — identical
 //!   tables and identical bytes over random planes and random legal
 //!   scans, plus pinned corner cases (EOB runs across 0x7FFF, the
-//!   correction-bit buffer flush, ZRLs folding into a trailing EOB).
+//!   correction-bit buffer flush, ZRLs folding into a trailing EOB);
+//! * restart-marker streams, which the production encoder no longer
+//!   writes, built by [`reference_encode_restart`] and decoded through
+//!   both stacks.
 
 use crate::bitio::{BitReader, BitSource, BitWriter};
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
@@ -34,7 +37,9 @@ use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder, SymbolDecoder}
 use crate::image::ImageBuf;
 use crate::reference;
 use crate::reference::{ReferenceBitReader, ReferenceBitWriter, ReferenceHuffDecoder};
-use crate::reference_encoder::{reference_encode_scan, reference_gen_optimal_table};
+use crate::reference_encoder::{
+    reference_encode_restart, reference_encode_scan, reference_gen_optimal_table,
+};
 use crate::sample::{BlockIdct, FastBlockIdct};
 use crate::scansplit::{assemble_prefix, split_scans};
 use proptest::prelude::*;
@@ -65,7 +70,8 @@ fn test_image(w: u32, h: u32, channels: u8, kind: u32) -> ImageBuf {
 }
 
 /// The golden corpus: both frame modes, both subsamplings, gray and
-/// color, low through maximum quality, MCU-unaligned geometries.
+/// color, low through maximum quality, MCU-unaligned geometries — plus
+/// restart-marker streams with optimised and Annex K tables.
 fn corpus() -> Vec<(String, Vec<u8>)> {
     let mut streams = Vec::new();
     let cases: &[(u32, u32, u8, Subsampling, u8, bool, u16)] = &[
@@ -88,13 +94,16 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
             subsampling: sub,
             progressive,
             optimize_huffman: progressive,
-            restart_interval: restart,
         };
         let name = format!(
             "{w}x{h} ch{ch} q{q} {} rst{restart}",
             if progressive { "prog" } else { "base" }
         );
-        streams.push((name, encode(&img, &cfg).unwrap()));
+        let stream = match restart {
+            0 => encode(&img, &cfg),
+            _ => reference_encode_restart(&img, &cfg, restart),
+        };
+        streams.push((name, stream.unwrap()));
     }
     streams
 }
@@ -174,10 +183,9 @@ fn restart_encode_decodes_identically_to_markerless() {
             subsampling: Subsampling::S420,
             progressive,
             optimize_huffman: progressive,
-            restart_interval: 0,
         };
         let plain = encode(&img, &base_cfg).unwrap();
-        let marked = encode(&img, &base_cfg.with_restart_interval(interval)).unwrap();
+        let marked = reference_encode_restart(&img, &base_cfg, interval).unwrap();
         assert!(
             marked.windows(4).any(|s| s[0] == 0xFF && s[1] == DRI),
             "{w}x{h}: no DRI segment"
@@ -205,9 +213,8 @@ fn restart_row_aligned_stream_matches_reference_coefficients() {
         subsampling: Subsampling::S444,
         progressive: true,
         optimize_huffman: true,
-        restart_interval: 1,
     };
-    let stream = encode(&img, &cfg).unwrap();
+    let stream = reference_encode_restart(&img, &cfg, 1).unwrap();
     let fast = crate::decoder::decode_coeffs(&stream).unwrap();
     let oracle = reference::reference_decode_coeffs(&stream).unwrap();
     assert_eq!(fast.coeffs, oracle.coeffs);
@@ -221,20 +228,42 @@ fn restart_row_aligned_stream_matches_reference_coefficients() {
 #[test]
 fn restart_streams_match_reference_at_every_truncation_level() {
     let img = test_image(48, 40, 3, 3);
-    let cfg = EncodeConfig {
-        quality: 88,
-        subsampling: Subsampling::S420,
-        progressive: true,
-        optimize_huffman: true,
-        restart_interval: 2,
-    };
-    let stream = encode(&img, &cfg).unwrap();
+    let stream = reference_encode_restart(&img, &EncodeConfig::progressive(88), 2).unwrap();
     let layout = split_scans(&stream).unwrap();
     for n in 1..=layout.num_scans() {
         let prefix = assemble_prefix(&stream, &layout, n).unwrap();
         let fast = decode(&prefix).unwrap();
         let oracle = reference::reference_decode(&prefix).unwrap();
         assert_eq!(fast.data(), oracle.data(), "restart stream, scans 1..={n}");
+    }
+}
+
+/// The committed restart-interval-2 JPEG (`tests/fixtures/legacy`),
+/// written by the production encoder before it lost its restart option:
+/// both decode stacks agree on it at every truncation level, and
+/// [`reference_encode_restart`] reproduces it byte for byte.
+#[test]
+fn committed_restart_jpeg_matches_reference_and_its_builder() {
+    let stream: &[u8] = include_bytes!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/legacy/restart-48x40.jpg"
+    ));
+    let data: Vec<u8> = (0..40u32)
+        .flat_map(|y| (0..48u32).map(move |x| (x, y)))
+        .flat_map(|(x, y)| [(x * 5 + y * 11) % 256, (x + y * 3) % 256, (x * y) % 256])
+        .map(|v| v as u8)
+        .collect();
+    let img = ImageBuf::from_raw(48, 40, 3, data).unwrap();
+    let rebuilt = reference_encode_restart(&img, &EncodeConfig::progressive(85), 2).unwrap();
+    assert_eq!(rebuilt, stream, "builder drifted from the committed stream");
+    let layout = split_scans(stream).unwrap();
+    for n in 1..=layout.num_scans() {
+        let prefix = assemble_prefix(stream, &layout, n).unwrap();
+        let fast = crate::decoder::decode_coeffs(&prefix).unwrap();
+        let oracle = reference::reference_decode_coeffs(&prefix).unwrap();
+        assert_eq!(fast.coeffs, oracle.coeffs, "fixture coefficients, scans 1..={n}");
+        let pixels = decode(&prefix).unwrap();
+        assert_eq!(pixels.data(), reference::reference_decode(&prefix).unwrap().data());
     }
 }
 
@@ -245,14 +274,7 @@ fn restart_streams_match_reference_at_every_truncation_level() {
 #[test]
 fn scan_chunks_carry_their_restart_intervals() {
     let img = test_image(48, 40, 3, 3);
-    let cfg = EncodeConfig {
-        quality: 88,
-        subsampling: Subsampling::S420,
-        progressive: true,
-        optimize_huffman: true,
-        restart_interval: 2,
-    };
-    let stream = encode(&img, &cfg).unwrap();
+    let stream = reference_encode_restart(&img, &EncodeConfig::progressive(88), 2).unwrap();
     // Interval differs between luma and chroma scans, so DRI appears
     // mid-stream, between scan chunks — the case a naive splitter drops.
     let dri_count = stream.windows(2).filter(|w| w == &[0xFF, 0xDD]).count();
@@ -265,6 +287,39 @@ fn scan_chunks_carry_their_restart_intervals() {
     for &(s, e) in &layout.scans {
         assert_eq!(s, pos, "chunk start leaves a gap (dropped segment)");
         pos = e;
+    }
+}
+
+/// The live restart path: `pcr pack <dir>` transcodes camera JPEGs,
+/// which may carry DRI/RST. Transcoding reads coefficients only, so a
+/// restart-marked baseline becomes the very progressive stream its
+/// marker-less twin does — restart framing never reaches a record.
+#[test]
+fn restart_baselines_transcode_to_their_markerless_twins() {
+    use crate::consts::RST0;
+    use crate::transcode::to_progressive;
+    for (i, &(w, h, ch, sub, interval)) in [
+        (48u32, 32u32, 3u8, Subsampling::S420, 1u16),
+        (41, 23, 3, Subsampling::S444, 2),
+        (33, 57, 1, Subsampling::S444, 5),
+        (40, 24, 3, Subsampling::S420, 3),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let img = test_image(w, h, ch, 20 + i as u32);
+        let cfg = EncodeConfig { subsampling: sub, ..EncodeConfig::baseline(85) };
+        let markerless = encode(&img, &cfg).unwrap();
+        let marked = reference_encode_restart(&img, &cfg, interval).unwrap();
+        assert!(
+            marked.windows(2).any(|s| s[0] == 0xFF && (RST0..=RST0 + 7).contains(&s[1])),
+            "{w}x{h}: no RSTn marker"
+        );
+        assert_eq!(
+            to_progressive(&marked).unwrap(),
+            to_progressive(&markerless).unwrap(),
+            "{w}x{h} interval {interval}"
+        );
     }
 }
 
@@ -287,10 +342,9 @@ fn token_encode_scan(
     frame: &FrameInfo,
     coeffs: &CoeffPlanes,
     scan: &ScanInfo,
-    interval: u32,
 ) -> Result<(ScanTables, Vec<u8>)> {
     let mut tables = ScanTables::default();
-    let bytes = ScanEncoder::new(coeffs).encode_scan(frame, scan, interval, true, &mut tables)?;
+    let bytes = ScanEncoder::new(coeffs).encode_scan(frame, scan, true, &mut tables)?;
     Ok((tables, bytes))
 }
 
@@ -300,15 +354,14 @@ fn assert_scan_encoders_agree(
     frame: &FrameInfo,
     coeffs: &CoeffPlanes,
     scan: &ScanInfo,
-    interval: u32,
     what: &str,
 ) {
-    let fast = token_encode_scan(frame, coeffs, scan, interval);
-    let oracle = reference_encode_scan(frame, coeffs, scan, interval);
+    let fast = token_encode_scan(frame, coeffs, scan);
+    let oracle = reference_encode_scan(frame, coeffs, scan, 0);
     match (fast, oracle) {
         (Ok(fast), Ok(oracle)) => {
-            assert_eq!(fast.0, oracle.0, "tables: {what}, {scan:?}, interval {interval}");
-            assert_eq!(fast.1, oracle.1, "bytes: {what}, {scan:?}, interval {interval}");
+            assert_eq!(fast.0, oracle.0, "tables: {what}, {scan:?}");
+            assert_eq!(fast.1, oracle.1, "bytes: {what}, {scan:?}");
         }
         (Err(_), Err(_)) => {}
         (f, o) => panic!("{what}, {scan:?}: divergent outcome: fast={f:?} oracle={o:?}"),
@@ -359,7 +412,7 @@ fn eob_runs_across_0x7fff_match_two_pass_encoder() {
     assert!(mcu_units(&frame, &single_scan(0, 1, 63, 0, 0)) > 0x7FFF);
     for (ah, al) in [(0, 2), (0, 3), (1, 0)] {
         let scan = single_scan(0, 1, 63, ah, al);
-        assert_scan_encoders_agree(&frame, &coeffs, &scan, 0, "long EOB run");
+        assert_scan_encoders_agree(&frame, &coeffs, &scan, "long EOB run");
     }
 }
 
@@ -372,10 +425,8 @@ fn correction_bit_buffer_flush_matches_two_pass_encoder() {
         // bits per block, no symbol.
         core::array::from_fn(|k| if k == 0 { 50 } else { 4 + ((i as usize + k) % 9) as i16 })
     });
-    for interval in [0, 16, 100] {
-        for scan in [single_scan(0, 1, 63, 1, 0), single_scan(0, 5, 40, 2, 1)] {
-            assert_scan_encoders_agree(&frame, &coeffs, &scan, interval, "corr flush");
-        }
+    for scan in [single_scan(0, 1, 63, 1, 0), single_scan(0, 5, 40, 2, 1)] {
+        assert_scan_encoders_agree(&frame, &coeffs, &scan, "corr flush");
     }
 }
 
@@ -424,16 +475,12 @@ fn zero_run_and_dense_block_corner_cases_match_two_pass_encoder() {
         single_scan(0, 2, 51, 1, 0),
     ];
     for scan in &scans {
-        for interval in [0, 8, 24] {
-            assert_scan_encoders_agree(&frame, &coeffs, scan, interval, "corner blocks");
-        }
+        assert_scan_encoders_agree(&frame, &coeffs, scan, "corner blocks");
     }
     let mut sequential = frame.clone();
     sequential.progressive = false;
-    for interval in [0, 8] {
-        let scan = single_scan(0, 0, 63, 0, 0);
-        assert_scan_encoders_agree(&sequential, &coeffs, &scan, interval, "corner blocks");
-    }
+    let scan = single_scan(0, 0, 63, 0, 0);
+    assert_scan_encoders_agree(&sequential, &coeffs, &scan, "corner blocks");
 }
 
 /// `gen_optimal_table` returns libjpeg's exact `(bits, vals)`: ties
@@ -581,7 +628,7 @@ proptest! {
     /// Writers: the batched 64-bit writer and the per-byte reference
     /// writer produce identical bytes — and report identical lengths
     /// after every step — over random `(value, n <= 24)` sequences
-    /// biased toward 0xFF-dense output, with restart markers interleaved.
+    /// biased toward 0xFF-dense output.
     #[test]
     fn batched_writer_matches_reference_on_random_sequences(
         ops in proptest::collection::vec((any::<u32>(), 0u32..25, 0u32..40), 0..300),
@@ -590,12 +637,8 @@ proptest! {
         let mut oracle = ReferenceBitWriter::default();
         for &(value, n, kind) in &ops {
             match kind {
-                0 => {
-                    fast.restart(value as u8);
-                    oracle.restart(value as u8);
-                }
                 // All-ones and 0xFF-aligned patterns: stuffing everywhere.
-                1..=15 => {
+                0..=15 => {
                     fast.put_bits(u32::MAX, n);
                     oracle.put_bits(u32::MAX, n);
                 }
@@ -647,8 +690,7 @@ proptest! {
     /// the two-pass `dyn EntropySink` walk — same optimal tables, same
     /// bytes — for every scan type over random planes (block mix from
     /// all-zero through all-nonzero, magnitudes up to the 10-bit limit
-    /// and just past it), random table ids, bands, point transforms and
-    /// restart intervals.
+    /// and just past it), random table ids, bands and point transforms.
     #[test]
     fn token_replay_matches_two_pass_encoder_on_random_scans(
         seed in any::<u32>(),
@@ -658,7 +700,6 @@ proptest! {
         (a, b) in (1u8..64, 1u8..64),
         al in 0u8..4,
         interleaved in any::<bool>(),
-        interval in 0u32..40,
         density in 0u32..6,
     ) {
         let layouts = [(1, Subsampling::S444), (3, Subsampling::S444), (3, Subsampling::S420)];
@@ -711,8 +752,7 @@ proptest! {
             3 => ScanInfo { components: one, ss, se, ah: 0, al },
             _ => ScanInfo { components: one, ss, se, ah: al + 1, al },
         };
-        let interval = interval.min(mcu_units(&frame, &scan));
-        assert_scan_encoders_agree(&frame, &coeffs, &scan, interval, "random scan");
+        assert_scan_encoders_agree(&frame, &coeffs, &scan, "random scan");
     }
 
     /// Readers: the batched 64-bit reader and the per-byte reference
@@ -815,9 +855,8 @@ proptest! {
             subsampling: if kind.is_multiple_of(2) { Subsampling::S420 } else { Subsampling::S444 },
             progressive: !kind.is_multiple_of(4),
             optimize_huffman: !kind.is_multiple_of(4),
-            restart_interval: interval,
         };
-        let stream = encode(&img, &cfg).unwrap();
+        let stream = reference_encode_restart(&img, &cfg, interval).unwrap();
         let layout = split_scans(&stream).unwrap();
         let n = (kind as usize % layout.num_scans()) + 1;
         let prefix = assemble_prefix(&stream, &layout, n).unwrap();
@@ -840,14 +879,8 @@ proptest! {
         interval in 1u16..5,
     ) {
         let img = test_image(40, 33, 3, kind);
-        let cfg = EncodeConfig {
-            quality: 85,
-            subsampling: Subsampling::S420,
-            progressive: true,
-            optimize_huffman: true,
-            restart_interval: interval,
-        };
-        let mut stream = encode(&img, &cfg).unwrap();
+        let cfg = EncodeConfig::progressive(85);
+        let mut stream = reference_encode_restart(&img, &cfg, interval).unwrap();
         // Flip one bit somewhere after the first SOS so the corruption
         // lands in (or frames) entropy-coded data.
         let sos = stream

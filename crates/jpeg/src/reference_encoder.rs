@@ -5,15 +5,24 @@
 //! byte-at-a-time bit writer. This is the code the token-replay encoder
 //! in [`crate::entropy`] replaced; the exactness suite encodes random
 //! scans through both and asserts identical tables and identical bytes.
+//!
+//! It is also the only code that still writes JPEG restart markers: the
+//! production encoder never emits them, but the decoder must read them
+//! (camera JPEGs carry DRI/RST), so [`reference_encode_restart`] builds
+//! the restart streams the decode tests feed it.
 
 use crate::bitio::bit_size;
-use crate::consts::ZIGZAG;
+use crate::consts::{EOI, SOI, ZIGZAG};
 use crate::dentropy::mcu_units;
+use crate::encoder::{default_progressive_script, qtables_for, sequential_scan, EncodeConfig};
 use crate::entropy::ScanTables;
 use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{HuffEncoder, HuffTable};
+use crate::image::ImageBuf;
+use crate::marker;
 use crate::reference::ReferenceBitWriter;
+use crate::sample::{image_to_planes, planes_to_coeffs};
 use std::ops::Range;
 
 /// Encodes one scan the two-pass way: optimal tables (DC ids 0..4, then
@@ -33,6 +42,18 @@ pub(crate) fn reference_encode_scan(
             tables[slot] = Some(reference_gen_optimal_table(counts)?);
         }
     }
+    let bytes = write_scan(frame, coeffs, scan, &tables, interval)?;
+    Ok((tables, bytes))
+}
+
+/// The byte walk alone: one scan's entropy-coded bytes under `tables`.
+fn write_scan(
+    frame: &FrameInfo,
+    coeffs: &CoeffPlanes,
+    scan: &ScanInfo,
+    tables: &ScanTables,
+    interval: u32,
+) -> Result<Vec<u8>> {
     let encoder = |t: &Option<HuffTable>| t.as_ref().map(|t| HuffEncoder::from_table(t).unwrap());
     let mut writer = ReferenceBitWriter::default();
     let mut sink = WriteSink {
@@ -41,7 +62,7 @@ pub(crate) fn reference_encode_scan(
         ac: core::array::from_fn(|id| encoder(&tables[4 + id])),
     };
     encode_scan_restart(frame, coeffs, scan, &mut sink, interval)?;
-    Ok((tables, writer.finish()))
+    Ok(writer.finish())
 }
 
 /// Receives Huffman symbols and raw bits during scan encoding.
@@ -574,4 +595,84 @@ pub(crate) fn reference_gen_optimal_table(freq_in: &[u32]) -> Result<HuffTable> 
         }
     }
     HuffTable::new(out_bits, vals)
+}
+
+/// A complete JPEG stream carrying restart markers, assembled from the
+/// retained two-pass scan encoder: SOI/JFIF/DQT/SOF, then per scan its
+/// DHTs, a DRI whenever the scan's interval differs from the one in
+/// force, SOS and the scan's entropy bytes. Each scan's interval is
+/// `interval` rounded up to whole MCU rows. Progressive frames and
+/// `config.optimize_huffman` get optimal tables per scan; other baseline
+/// frames get the Annex K tables once, ahead of the first scan — the
+/// camera-JPEG shape. Before the production encoder lost its restart
+/// option this function's output was checked byte-identical to it in
+/// both table modes, so these are the streams that encoder wrote.
+pub(crate) fn reference_encode_restart(
+    img: &ImageBuf,
+    config: &EncodeConfig,
+    interval: u16,
+) -> Result<Vec<u8>> {
+    let frame = FrameInfo::for_encode(
+        img.width(),
+        img.height(),
+        img.channels(),
+        config.subsampling,
+        config.progressive,
+    )?;
+    let qtables = qtables_for(config, frame.components.len());
+    let coeffs = planes_to_coeffs(&image_to_planes(img, &frame)?, &frame, &qtables)?;
+    let mut out = vec![0xFF, SOI];
+    marker::write_jfif(&mut out);
+    for (id, q) in qtables.iter().enumerate() {
+        if let Some(q) = q.filter(|_| frame.components.iter().any(|c| usize::from(c.tq) == id)) {
+            marker::write_dqt(&mut out, id as u8, &q);
+        }
+    }
+    marker::write_sof(&mut out, &frame);
+    let scans = if frame.progressive {
+        default_progressive_script(frame.components.len())
+    } else {
+        vec![sequential_scan(&frame)]
+    };
+    let optimize = config.optimize_huffman || frame.progressive;
+    let mut standard = ScanTables::default();
+    if !optimize {
+        let luma = (HuffTable::std_dc_luma(), HuffTable::std_ac_luma());
+        let chroma = (HuffTable::std_dc_chroma(), HuffTable::std_ac_chroma());
+        let used = frame.components.len().min(2);
+        for (id, (dc, ac)) in [luma, chroma].into_iter().take(used).enumerate() {
+            marker::write_dht(&mut out, 0, id as u8, &dc);
+            marker::write_dht(&mut out, 1, id as u8, &ac);
+            (standard[id], standard[4 + id]) = (Some(dc), Some(ac));
+        }
+    }
+    let mut in_force = 0u16;
+    for scan in &scans {
+        let row = match scan.components[..] {
+            [sc] => frame.components[sc.comp_index].blocks_w,
+            _ => frame.mcus_x,
+        };
+        let rounded = u32::from(interval).div_ceil(row) * row;
+        let scan_interval = rounded.min(u32::from(u16::MAX) / row * row) as u16;
+        let entropy = if optimize {
+            let (tables, entropy) =
+                reference_encode_scan(&frame, &coeffs, scan, u32::from(scan_interval))?;
+            for (slot, table) in tables.iter().enumerate() {
+                if let Some(table) = table {
+                    marker::write_dht(&mut out, (slot / 4) as u8, (slot % 4) as u8, table);
+                }
+            }
+            entropy
+        } else {
+            write_scan(&frame, &coeffs, scan, &standard, u32::from(scan_interval))?
+        };
+        if scan_interval != in_force {
+            marker::write_dri(&mut out, scan_interval);
+            in_force = scan_interval;
+        }
+        marker::write_sos(&mut out, &frame, scan);
+        out.extend_from_slice(&entropy);
+    }
+    out.extend_from_slice(&[0xFF, EOI]);
+    Ok(out)
 }

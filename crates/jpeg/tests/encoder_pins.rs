@@ -1,7 +1,9 @@
 //! Byte pins for the write path: FNV-1a digests of every stream the
-//! entropy *encoder* produces over a layout × size × quality × restart
-//! matrix, generated from the two-pass `dyn EntropySink` encoder this
-//! repository shipped before the token-replay rewrite (commit 22de6e1).
+//! entropy *encoder* produces over a layout × size × quality matrix.
+//! The digests equal those of the two-pass `dyn EntropySink` encoder this
+//! repository shipped before the token-replay rewrite (commit 22de6e1);
+//! they were recomputed at commit 1014515, the last encoder with a
+//! restart-marker option, over restart interval 0 only.
 //! Any change to the encoder — the scan walk, the token stream, the bit
 //! writer, `gen_optimal_table` — must leave every digest unchanged:
 //! PCR containers are byte-identical across encoder versions, so scan
@@ -102,37 +104,32 @@ const OPS: [&str; 7] = [
 ];
 
 /// One digest per operation for a (layout, size) cell, each folding the
-/// streams of every quality × restart interval in a fixed order.
+/// streams of every quality in a fixed order.
 fn cell_digests(channels: u8, subsampling: Subsampling, w: u32, h: u32) -> [u64; 7] {
     let mut digests = [0xCBF2_9CE4_8422_2325u64; 7];
-    let mcu_px = if subsampling == Subsampling::S420 && channels == 3 { 16 } else { 8 };
-    let mcu_row = w.div_ceil(mcu_px) as u16;
     for (qi, &quality) in QUALITIES.iter().enumerate() {
         let img = pin_image(w, h, channels, qi as u32 + w);
-        for restart_interval in [0, 1, mcu_row] {
-            let cfg = |progressive: bool, optimize_huffman: bool| EncodeConfig {
-                quality,
-                subsampling,
-                progressive,
-                optimize_huffman,
-                restart_interval,
-            };
-            let baseline = encode(&img, &cfg(false, false)).unwrap();
-            let progressive = encode(&img, &cfg(true, true)).unwrap();
-            let ncomp = usize::from(channels);
-            let streams = [
-                encode(&img, &cfg(false, true)).unwrap(),
-                to_progressive(&baseline).unwrap(),
-                to_sequential(&progressive).unwrap(),
-                transcode(&baseline, true, Some(custom_progressive_script(ncomp))).unwrap(),
-                transcode(&progressive, false, Some(custom_sequential_script(ncomp))).unwrap(),
-            ];
-            fnv1a(&mut digests[0], &baseline);
-            fnv1a(&mut digests[2], &progressive);
-            fnv1a(&mut digests[1], &streams[0]);
-            for (d, s) in digests[3..].iter_mut().zip(&streams[1..]) {
-                fnv1a(d, s);
-            }
+        let cfg = |progressive: bool, optimize_huffman: bool| EncodeConfig {
+            quality,
+            subsampling,
+            progressive,
+            optimize_huffman,
+        };
+        let baseline = encode(&img, &cfg(false, false)).unwrap();
+        let progressive = encode(&img, &cfg(true, true)).unwrap();
+        let ncomp = usize::from(channels);
+        let streams = [
+            encode(&img, &cfg(false, true)).unwrap(),
+            to_progressive(&baseline).unwrap(),
+            to_sequential(&progressive).unwrap(),
+            transcode(&baseline, true, Some(custom_progressive_script(ncomp))).unwrap(),
+            transcode(&progressive, false, Some(custom_sequential_script(ncomp))).unwrap(),
+        ];
+        fnv1a(&mut digests[0], &baseline);
+        fnv1a(&mut digests[2], &progressive);
+        fnv1a(&mut digests[1], &streams[0]);
+        for (d, s) in digests[3..].iter_mut().zip(&streams[1..]) {
+            fnv1a(d, s);
         }
     }
     digests
@@ -142,18 +139,18 @@ fn cell_digests(channels: u8, subsampling: Subsampling, w: u32, h: u32) -> [u64;
 /// order, columns in `OPS` order.
 #[rustfmt::skip]
 const PINS: [[u64; 7]; 12] = [
-    [0x9b3ec900f8d7ba9b, 0x6c8e5e0b7e9dbeef, 0xacebfc30e855801a, 0x7e48bcc3c3cb4b12, 0xefeb728493f1d9d9, 0xd0c4a814e415155d, 0xefeb728493f1d9d9],
-    [0xdd184754f45c53ba, 0xd7c5347217fd02ef, 0x558d13545a12194e, 0xf8856a18df001298, 0x6e344a9011578827, 0xaf5b7162dee3317c, 0x6e344a9011578827],
-    [0x836780600f13f937, 0xf03f006122f01418, 0xb7ae428b688ee1da, 0x4758edf00fecd3c4, 0x5d799ad2bb9eadc4, 0xc6088b8e0d9d0304, 0x5d799ad2bb9eadc4],
-    [0xeca86932aa665bfa, 0xf1719961b97658c6, 0x6a03384ea0b53fed, 0x86259e878874ed3b, 0x78daa5ef2eda2806, 0x685efa742b101730, 0x78daa5ef2eda2806],
-    [0x8c0251ace6c980c2, 0xcaaf14efe9e4238d, 0xfb82c02836e2c3e4, 0x5033fd45df6c02fe, 0x8bf0388ead9f8e59, 0xe0382bbf097dda25, 0xe992b24e2dd92f0a],
-    [0x9ae99ca135a00ebf, 0xf5f2dbc1885db823, 0x9694f1c9117d11a6, 0x4c65302ab58cfddc, 0x6038a07534c1d1b3, 0xbbf67620bf405bf4, 0x3177f72cbd377349],
-    [0xd17e177f2c477e8e, 0x8f4bdf2638f34a58, 0xc1fa0cd17a6632b3, 0x4b39e63f208e6775, 0x4999b6d3f34427ea, 0x13b2172419690185, 0x081360461f3af549],
-    [0xf3995d8914906ec7, 0xe5bdefadfc59ddd3, 0x1af3ac18cbbf0bd7, 0x058ae99a67655f1d, 0x45c85585f0d32149, 0xa6ef2657c6843957, 0xaf7c19bc4cfa70a4],
-    [0xcd1d2dcbcb28aa38, 0xbae05d95cc9cf4ce, 0xcaaf160a9f218444, 0xcb05256e151650ba, 0xa7cae75568cb193a, 0x889600d5a5a3465e, 0x8c33e457b27a3acf],
-    [0x41fabf984b2af558, 0x20575f5ff286c721, 0x1c650e3051473ac8, 0x862fd2ffe122e82e, 0x28276882c3e34ac9, 0xb07ea4f3f978a48e, 0xaa5e605c251a71c9],
-    [0x5a2936f0a9f925bb, 0x852db4ee175f7e93, 0xdc664d17aaa7830a, 0xba1b5e35b7001506, 0x084fef470fe9eaad, 0xb0d2ffd8e869cb29, 0xc8e833f1ee825a39],
-    [0x354cb0e9fb32c1a3, 0xeefaf421c910532e, 0xa073c1c6f4871d98, 0x65111d2b24fc2d92, 0x480408b17b34dfb3, 0xf34470fdff187c2c, 0x51c0ba65fb8c747e],
+    [0x5b9473cc00cce717, 0xc07b07214be11c2b, 0x729373f372f79602, 0x729373f372f79602, 0xc07b07214be11c2b, 0xfd97fec98a62bcb5, 0xc07b07214be11c2b],
+    [0x381573f3e0f75d14, 0x4a0d6b31b7888225, 0x38928b42c90ae46c, 0x38928b42c90ae46c, 0x4a0d6b31b7888225, 0xad3149ab33208bb2, 0x4a0d6b31b7888225],
+    [0x05042cc2557cb2eb, 0x8415a4a3e15362d2, 0x684f1e3f18041e66, 0x684f1e3f18041e66, 0x8415a4a3e15362d2, 0x9ebdc913c9a5141c, 0x8415a4a3e15362d2],
+    [0x0dfe8c4f88ff6660, 0x6daaad6af42b7650, 0xeaf04b0e3b1f7711, 0xeaf04b0e3b1f7711, 0x6daaad6af42b7650, 0xd504e038dcee98c0, 0x6daaad6af42b7650],
+    [0x2236fac148983aaa, 0xfcb8de4389addca9, 0xf3245b175abaff7c, 0xf3245b175abaff7c, 0xfcb8de4389addca9, 0x444b68f6098b7717, 0x795cebeefb7a1a56],
+    [0xcd9dc7bdca9d3027, 0x449770a185d31d03, 0x71484a25acd4764e, 0x71484a25acd4764e, 0x449770a185d31d03, 0xb964706c23af6b02, 0x00611675591d7d65],
+    [0xaf829864d196a4a0, 0x889a3fdf46973d26, 0x12d3905a85ca24eb, 0x12d3905a85ca24eb, 0x889a3fdf46973d26, 0x515df9cf7acd2bc7, 0xe051f65b279fc0a5],
+    [0x556f2eaa6280574d, 0xbc0f600cce7dcda7, 0x15651d1f36cc9d61, 0x15651d1f36cc9d61, 0xbc0f600cce7dcda7, 0x854fae7ba9bc7dbf, 0x852e606d225a916a],
+    [0xff51ac77f68a44d2, 0xbbc689d0c08f3682, 0xca6a97a72449ac8e, 0xca6a97a72449ac8e, 0xbbc689d0c08f3682, 0xe9247cc92b532b4e, 0x94401570ab291f25],
+    [0xedabcdd65287f538, 0x7dfffa57082d66fb, 0xbbfa8392992df4ea, 0xbbfa8392992df4ea, 0xb7fc617486b378c9, 0xeeac42d397797f10, 0xd0cfdc513f0dc5b1],
+    [0x521397d38c8ce39b, 0xb11f1a053df6444b, 0x61b85c0e412e6dc2, 0x61b85c0e412e6dc2, 0x6cfe57e4efb98639, 0x3a544ac9f859847d, 0x7a5b70fcfdb6fd79],
+    [0x6cc332eab599d06f, 0x36a88d31554d9216, 0x5c2c3626836a9674, 0x5c2c3626836a9674, 0x4fe48717b3e4975f, 0xe21df451c31725d4, 0x1938683c0adad96e],
 ];
 
 #[test]

@@ -171,7 +171,10 @@ pub struct OpenedContainer {
 /// [`ObjectStore`] under their manifest file names
 /// ([`ObjectStore::put_file`]), verifying each one first (unless
 /// disabled) by streaming it through a 64 KiB buffer, and configuring
-/// readahead. No shard is read into memory, so the open allocates
+/// readahead. Each shard is opened once, by [`PcrContainer::open`]: the
+/// index, the verification and the store all read that one handle
+/// ([`PcrContainer::shard_file`]), so the bytes verified are the bytes
+/// served. No shard is read into memory, so the open allocates
 /// O(footer + 64 KiB) per shard and holds one descriptor per shard
 /// afterwards. The returned [`OpenedContainer`] plugs directly into any
 /// loader:
@@ -195,7 +198,7 @@ pub fn open_container_store(dir: &Path, config: &ShardStoreConfig) -> Result<Ope
             container.verify_shard(i)?;
         }
         store
-            .put_file(&shard.file_name, &container.shard_path(i))
+            .put_file(&shard.file_name, Arc::clone(container.shard_file(i)))
             .map_err(|e| Error::BadInput(format!("open shard {}: {e}", shard.file_name)))?;
     }
     let source = Arc::new(ShardedSource::from_container(&container)?);

@@ -32,7 +32,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -233,15 +232,16 @@ impl ObjectStore {
         self.insert(name, Object::Memory(Arc::new(Buffer::owned(data))));
     }
 
-    /// Registers the file at `path` under `name` without reading it: the
-    /// store opens it once, notes its current length, and serves every
-    /// later [`ObjectStore::read`] of `name` with a positional read of
-    /// just the requested range. A file that shrinks or fails afterwards
-    /// surfaces as a [`ReadError`] on the reads it affects, never a panic.
-    pub fn put_file(&self, name: &str, path: &Path) -> io::Result<()> {
-        let file = File::open(path)?;
+    /// Registers the open `file` under `name` without reading it: the
+    /// store notes its current length and serves every later
+    /// [`ObjectStore::read`] of `name` with a positional read of just the
+    /// requested range on that handle, which it shares with the caller —
+    /// so the caller can verify the very bytes the store will serve. A
+    /// file that shrinks or fails afterwards surfaces as a [`ReadError`]
+    /// on the reads it affects, never a panic.
+    pub fn put_file(&self, name: &str, file: Arc<File>) -> io::Result<()> {
         let len = file.metadata()?.len();
-        self.insert(name, Object::File { file: Arc::new(file), len });
+        self.insert(name, Object::File { file, len });
         Ok(())
     }
 
@@ -715,6 +715,10 @@ mod tests {
             std::fs::write(&path, bytes).unwrap();
             Self(path)
         }
+
+        fn open(&self) -> Arc<File> {
+            Arc::new(File::open(&self.0).unwrap())
+        }
     }
 
     impl Drop for TempFile {
@@ -728,7 +732,7 @@ mod tests {
         let bytes: Vec<u8> = (0..=255).cycle().take(10_000).collect();
         let file = TempFile::new("ranges", &bytes);
         let store = ObjectStore::new(DeviceProfile::ssd_sata());
-        store.put_file("f", &file.0).unwrap();
+        store.put_file("f", file.open()).unwrap();
         assert_eq!(store.len_of("f"), Some(10_000));
         assert_eq!(store.total_bytes(), 10_000);
         let r = store.read_at(0.0, "f", 300, 4096).unwrap();
@@ -737,14 +741,13 @@ mod tests {
         assert_eq!(store.read_at(0.0, "f", 9_990, 100).unwrap().data, bytes[9_990..].to_vec());
         assert!(store.read_at(0.0, "f", 20_000, 5).unwrap().data.is_empty());
         assert!(store.read_at(0.0, "f", 5, 0).unwrap().data.is_empty());
-        assert!(store.put_file("gone", Path::new("/nonexistent/pcr-no-such-file")).is_err());
     }
 
     #[test]
     fn file_object_keeps_only_recycled_buffers_resident() {
         let file = TempFile::new("resident", &vec![7u8; 1 << 20]);
         let store = ObjectStore::new(DeviceProfile::ram());
-        store.put_file("f", &file.0).unwrap();
+        store.put_file("f", file.open()).unwrap();
         store.put("m", vec![0; 100]);
         assert_eq!(store.resident_bytes(), 100, "a registered file holds nothing");
         let held = store.read_at(0.0, "f", 0, 1000).unwrap();
@@ -765,7 +768,7 @@ mod tests {
     fn file_shorter_than_registered_is_a_short_read_with_real_count() {
         let file = TempFile::new("short", &[9u8; 8192]);
         let store = ObjectStore::with_cache(DeviceProfile::ssd_sata(), 1 << 20);
-        store.put_file("f", &file.0).unwrap();
+        store.put_file("f", file.open()).unwrap();
         std::fs::OpenOptions::new().write(true).open(&file.0).unwrap().set_len(5000).unwrap();
         // Wholly before the cut: unaffected.
         assert_eq!(store.read_at(0.0, "f", 0, 4096).unwrap().data, vec![9u8; 4096]);
@@ -804,7 +807,7 @@ mod tests {
         let original: Vec<u8> = (0..=255).cycle().take(4096).collect();
         let file = TempFile::new("flip", &original);
         let store = ObjectStore::new(DeviceProfile::ram());
-        store.put_file("rec", &file.0).unwrap();
+        store.put_file("rec", file.open()).unwrap();
         store.set_fault_plan(Some(FaultPlan { seed: 3, bit_flip: 1.0, ..FaultPlan::default() }));
         let (pos, _) = store.fault_plan().unwrap().flipped_bit("rec", 4096).unwrap();
         let full = store.read_at(0.0, "rec", 0, 4096).unwrap();

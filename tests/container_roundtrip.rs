@@ -4,7 +4,7 @@
 //! record/label multisets, same per-scan-group byte counts — and
 //! corrupted shards must be rejected before any loader runs.
 
-use pcr::core::{PcrContainer, PcrDataset};
+use pcr::core::{PcrContainer, PcrDataset, RecordMeta};
 use pcr::datasets::{to_pcr_dataset, DatasetSpec, Scale, SyntheticDataset};
 use pcr::loader::{
     open_container_store, populate_store, DecodeMode, FidelityConfig, FidelityController,
@@ -173,25 +173,49 @@ fn corrupted_shard_checksum_is_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A committed legacy fixture container (`tests/fixtures/legacy`): one
+/// 8-image dataset packed in formats the program reads but no longer
+/// writes, two records of two images per shard.
+fn legacy(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy").join(name)
+}
+
+/// Images in every legacy fixture container.
+const LEGACY_IMAGES: usize = 8;
+
+/// Every record of an opened container, read back into a dataset — bytes
+/// plus the metadata its shard index carries.
+fn dataset_of(container: &PcrContainer) -> PcrDataset {
+    let mut ds = PcrDataset::default();
+    for i in 0..container.num_records() {
+        let (shard, rec) = container.entry(i).expect("entry");
+        ds.records.push(container.read_record(shard, &rec).expect("record"));
+        ds.db.records.push(RecordMeta {
+            name: rec.name,
+            num_images: rec.num_images,
+            group_offsets: rec.group_offsets,
+            labels: rec.labels,
+        });
+    }
+    ds
+}
+
 #[test]
 fn restart_marker_containers_roundtrip_end_to_end() {
     // Format-compat matrix for the restart-marker (record version 2)
-    // container format. For interval 0 (the legacy layout) and a real
-    // restart interval: pack → verify() → stream an epoch → decode.
-    // Version-1 and version-2 containers must deliver the same labels
-    // and byte-identical pixels; only v2 may report multiple entropy
-    // segments per chunk.
-    let ds = SyntheticDataset::generate(&DatasetSpec::ham10000_like(Scale::Tiny));
+    // format, read from committed fixtures of one dataset: marker-less
+    // records (interval 0) and restart-interval-1 records. Each goes
+    // verify() → stream an epoch → decode. Version-1 and version-2
+    // records must deliver the same labels and byte-identical pixels;
+    // only v2 may report multiple entropy segments per chunk.
     let mut delivered: Vec<Vec<(u32, Vec<u8>)>> = Vec::new();
-    for interval in [0u16, 1] {
-        let (pcr, _) = pcr::datasets::to_pcr_dataset_restart(&ds, 4, interval);
-        let dir = tmpdir(&format!("restart-{interval}"));
-        pcr::core::write_container(&pcr, &dir, 3).expect("pack");
+    for (fixture, interval) in [("rows-v1", 0u16), ("columnar-v2", 1)] {
+        let dir = legacy(fixture);
 
         // Integrity: the container CRCs verify regardless of version.
         let container = PcrContainer::open(&dir).expect("open");
         container.verify().expect("verify");
-        assert_eq!(container.num_images(), ds.train.len());
+        assert_eq!(container.num_images(), LEGACY_IMAGES);
 
         // Record-level metadata: version and per-chunk segment counts.
         let shard_bytes = container.read_shard(0).expect("shard");
@@ -229,41 +253,35 @@ fn restart_marker_containers_roundtrip_end_to_end() {
         stream.join();
         samples.sort_unstable();
         delivered.push(samples);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert_eq!(delivered[0].len(), ds.train.len());
+    assert_eq!(delivered[0].len(), LEGACY_IMAGES);
     assert!(
         delivered[0] == delivered[1],
-        "v1 and v2 containers deliver the same labels and byte-identical pixels"
+        "v1 and v2 records deliver the same labels and byte-identical pixels"
     );
 }
 
 #[test]
 fn container_format_matrix_v1_v2_v3() {
-    // Format-compat matrix across *container* format versions: v1 (row
-    // footers, plain records), v2 (row footers, restart-marker records),
-    // v3 (columnar footers + manifest stats, restart-marker records).
-    // Every variant must open, verify, resolve entries identical to the
-    // metadata DB, and deliver the same label multiset through both a
-    // virtual-time skip epoch and a wall-clock real-decode epoch.
-    use pcr::core::{write_container_versioned, COLUMNAR_VERSION, CONTAINER_VERSION_ROWS};
-    let ds = SyntheticDataset::generate(&DatasetSpec::ham10000_like(Scale::Tiny));
-    let mut native: Vec<u32> = ds.train.iter().map(|s| s.label).collect();
-    native.sort_unstable();
-
-    // (tag, container version, restart interval, expect columnar index)
+    // Format-compat matrix across *container* format versions, read from
+    // committed fixtures of one dataset: v1 (row footers, plain records),
+    // v2 (row footers, restart-marker records), v3 (columnar footers +
+    // manifest stats, restart-marker records). Every variant must open,
+    // verify, resolve entries identical to the records they index, and
+    // deliver the same label multiset through both a virtual-time skip
+    // epoch and a wall-clock real-decode epoch.
+    use pcr::core::{COLUMNAR_VERSION, CONTAINER_VERSION_ROWS};
+    // (fixture, container version, restart interval, expect columnar index)
     let variants: [(&str, u16, u16, bool); 3] = [
-        ("v1", CONTAINER_VERSION_ROWS, 0, false),
-        ("v2", CONTAINER_VERSION_ROWS, 1, false),
-        ("v3", COLUMNAR_VERSION, 1, true),
+        ("rows-v1", CONTAINER_VERSION_ROWS, 0, false),
+        ("rows-v2", CONTAINER_VERSION_ROWS, 1, false),
+        ("columnar-v2", COLUMNAR_VERSION, 1, true),
     ];
+    let mut native: Option<Vec<u32>> = None;
     // (virtual-time epoch bytes, wall-clock epoch bytes) per variant.
     let mut streamed: Vec<(u64, u64)> = Vec::new();
     for (tag, version, restart, columnar) in variants {
-        let (pcr, _) = pcr::datasets::to_pcr_dataset_restart(&ds, 4, restart);
-        let dir = tmpdir(&format!("matrix-{tag}"));
-        write_container_versioned(&pcr, &dir, 3, version).expect("pack");
-
+        let dir = legacy(tag);
         let container = PcrContainer::open(&dir).expect("open");
         container.verify().expect("verify");
         assert_eq!(container.manifest.version, version, "{tag}");
@@ -277,14 +295,23 @@ fn container_format_matrix_v1_v2_v3() {
             container.decision_log().expect("absent log is not an error").is_none(),
             "{tag}: no decision log was written"
         );
-        // Lazy (v3) and eager (v1/v2) entry resolution see identical
-        // metadata: both parse paths reproduce the builder's DB.
-        for (i, meta) in pcr.db.records.iter().enumerate() {
-            let (_, rec) = container.entry(i).expect("entry");
-            assert_eq!(rec.name, meta.name, "{tag} record {i}");
-            assert_eq!(rec.labels, meta.labels, "{tag} record {i}");
-            assert_eq!(rec.num_images as usize, meta.labels.len(), "{tag} record {i}");
+        // Lazy (v3) and eager (v1/v2) entry resolution see the metadata
+        // the records themselves carry.
+        let pcr = dataset_of(&container);
+        for (i, (meta, bytes)) in pcr.db.records.iter().zip(&pcr.records).enumerate() {
+            let parsed = pcr::core::PcrRecord::parse(bytes).expect("parse");
+            assert_eq!(parsed.restart_interval(), restart, "{tag} record {i}");
+            assert_eq!(meta.labels, parsed.labels(), "{tag} record {i}");
+            assert_eq!(meta.num_images as usize, meta.labels.len(), "{tag} record {i}");
+            let offsets: Vec<u64> =
+                parsed.cumulative_group_offsets().iter().map(|&o| o as u64).collect();
+            assert_eq!(meta.group_offsets, offsets, "{tag} record {i}");
         }
+        let mut labels_db: Vec<u32> =
+            pcr.db.records.iter().flat_map(|r| r.labels.iter().copied()).collect();
+        labels_db.sort_unstable();
+        let native = native.get_or_insert(labels_db);
+        assert_eq!(native.len(), LEGACY_IMAGES, "{tag}");
 
         let opened = open_container_store(&dir, &ShardStoreConfig::default()).expect("store");
         let names = {
@@ -294,7 +321,7 @@ fn container_format_matrix_v1_v2_v3() {
         let (pairs, seq_bytes) = epoch_records(&opened.store, &*opened.source, &names, 10, 0);
         let mut labels: Vec<u32> = pairs.iter().flat_map(|(_, l)| l.iter().copied()).collect();
         labels.sort_unstable();
-        assert_eq!(labels, native, "{tag} label multiset");
+        assert_eq!(&labels, native, "{tag} label multiset");
         assert_eq!(seq_bytes, pcr.db.bytes_at_group(10), "{tag} bytes vs metadata DB");
 
         // One wall-clock real-decode epoch.
@@ -304,13 +331,31 @@ fn container_format_matrix_v1_v2_v3() {
             ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) },
         );
         let epoch = loader.run_epoch(0);
-        assert_eq!(epoch.images, ds.train.len(), "{tag} parallel epoch images");
+        assert_eq!(epoch.images, LEGACY_IMAGES, "{tag} parallel epoch images");
         streamed.push((seq_bytes, epoch.bytes));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
-    // v2 and v3 pack byte-identical record encodings; the container
+    // v2 and v3 hold byte-identical record encodings; the container
     // format must not change a single byte a loader reads.
     assert_eq!(streamed[1], streamed[2], "row vs columnar delivery");
+
+    // Repacking: the v1 fixture's records written by today's writer give
+    // a v3 container that delivers the same labels and bytes per group.
+    let v1 = open_container_store(&legacy("rows-v1"), &ShardStoreConfig::default()).expect("v1");
+    let pcr = dataset_of(&v1.container);
+    let dir = tmpdir("matrix-repack");
+    pcr::core::write_container(&pcr, &dir, 2).expect("pack");
+    let v3 = open_container_store(&dir, &ShardStoreConfig::default()).expect("v3");
+    assert_eq!(v3.container.manifest.version, COLUMNAR_VERSION);
+    let names = |opened: &OpenedContainer| {
+        let source = Arc::clone(&opened.source);
+        move |idx: usize| source.record_name(idx).to_string()
+    };
+    for g in 1..=pcr.db.num_groups() {
+        let old = epoch_records(&v1.store, &*v1.source, &names(&v1), g, 0);
+        let new = epoch_records(&v3.store, &*v3.source, &names(&v3), g, 0);
+        assert_eq!(new, old, "repacked v1 records at group {g}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -2,11 +2,12 @@
 //! direct way: feed arbitrary, truncated, and bit-flipped bytes into
 //! `PcrRecord::parse`, `ShardIndex::parse`, `ContainerManifest::from_bytes`,
 //! `PcrContainer::open`, `DecisionLog::parse`, and the restart-marker
-//! entropy paths (`split_restart_segments`, segment-parallel decode,
+//! entropy paths (`split_restart_segments`, restart-stream decode,
 //! per-group `segment_count`) and require a `Result` back — never a
-//! panic. This is the runtime twin of the `no-panic-in-hot-path` /
-//! `bounded-alloc` lint rules `pcr-analyze` enforces statically over the
-//! same modules.
+//! panic. Formats the program only reads (row footers, version-2
+//! records, restart-marker JPEGs) come from committed fixtures. This is
+//! the runtime twin of the `no-panic-in-hot-path` / `bounded-alloc` lint
+//! rules `pcr-analyze` enforces statically over the same modules.
 
 use pcr::core::container::{ContainerManifest, ShardIndex};
 use pcr::core::declog::{DecisionLog, DecisionRecord};
@@ -53,25 +54,17 @@ fn valid_bytes(tag: &str) -> (Vec<u8>, Vec<u8>) {
         .clone()
 }
 
-/// Same as [`valid_bytes`], but packed in the legacy row-footer (v1)
-/// format, so both footer parse paths stay under fuzz.
-fn valid_bytes_v1(tag: &str) -> (Vec<u8>, Vec<u8>) {
-    static CACHE: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let ds = SyntheticDataset::generate(&DatasetSpec::ham10000_like(Scale::Tiny));
-            let (pcr, _) = to_pcr_dataset(&ds, 4);
-            let dir = tmpdir(tag);
-            pcr::core::write_container_versioned(&pcr, &dir, 4, pcr::core::CONTAINER_VERSION_ROWS)
-                .expect("pack v1");
-            let manifest_bytes =
-                std::fs::read(dir.join("manifest.pcrm")).expect("manifest written");
-            let container = PcrContainer::open(&dir).expect("container reopens");
-            let shard_bytes = container.read_shard(0).expect("shard readable");
-            let _ = std::fs::remove_dir_all(&dir);
-            (manifest_bytes, shard_bytes)
-        })
-        .clone()
+/// A committed legacy fixture (`tests/fixtures/legacy`): bytes in
+/// formats the program reads but no longer writes.
+fn legacy(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy");
+    std::fs::read(path.join(name)).expect("legacy fixture")
+}
+
+/// Same as [`valid_bytes`], but in the legacy row-footer (v1) format —
+/// the committed fixture — so both footer parse paths stay under fuzz.
+fn valid_bytes_v1() -> (Vec<u8>, Vec<u8>) {
+    (legacy("rows-v1/manifest.pcrm"), legacy("rows-v1/shard-00000.pcrshard"))
 }
 
 proptest! {
@@ -106,7 +99,7 @@ proptest! {
 
     #[test]
     fn truncated_real_bytes_error_instead_of_panicking(cut_permille in 0u64..1000) {
-        for (manifest, shard) in [valid_bytes("trunc"), valid_bytes_v1("trunc-v1")] {
+        for (manifest, shard) in [valid_bytes("trunc"), valid_bytes_v1()] {
             let cut = |b: &[u8]| b.len() * usize::try_from(cut_permille).unwrap() / 1000;
             let m = &manifest[..cut(&manifest)];
             let s = &shard[..cut(&shard)];
@@ -118,7 +111,7 @@ proptest! {
 
     #[test]
     fn bit_flipped_real_bytes_never_panic(seed in proptest::any::<u64>()) {
-        for (mut manifest, mut shard) in [valid_bytes("flip"), valid_bytes_v1("flip-v1")] {
+        for (mut manifest, mut shard) in [valid_bytes("flip"), valid_bytes_v1()] {
             let flip = |b: &mut [u8], s: u64| {
                 if !b.is_empty() {
                     let pos = (s as usize) % b.len();
@@ -189,25 +182,10 @@ fn container_open_survives_a_corrupted_manifest_on_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One real restart-marker progressive JPEG, encoded once and cached
-/// (each case mutates its own copy).
+/// One real restart-marker progressive JPEG: the committed 48×40 fixture
+/// with restart interval 2 (each case mutates its own copy).
 fn restart_jpeg() -> Vec<u8> {
-    static CACHE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let mut data = Vec::new();
-            for y in 0..40u32 {
-                for x in 0..48u32 {
-                    data.push(((x * 5 + y * 11) % 256) as u8);
-                    data.push(((x + y * 3) % 256) as u8);
-                    data.push(((x * y) % 256) as u8);
-                }
-            }
-            let img = pcr::jpeg::ImageBuf::from_raw(48, 40, 3, data).unwrap();
-            let cfg = pcr::jpeg::EncodeConfig::progressive(85).with_restart_interval(2);
-            pcr::jpeg::encode(&img, &cfg).expect("encode")
-        })
-        .clone()
+    legacy("restart-48x40.jpg")
 }
 
 proptest! {
@@ -255,25 +233,26 @@ proptest! {
 
 #[test]
 fn restart_record_truncations_never_panic() {
-    // A version-2 (restart-marker) record under truncation: parse,
+    // Version-2 (restart-marker) records under truncation: parse,
     // per-group segment counting, and image decode must all return
-    // Results at every cut point.
-    use pcr::core::{PcrRecordBuilder, SampleMeta};
-    let mut data = Vec::new();
-    for i in 0..(32 * 32 * 3) as u32 {
-        data.push((i % 251) as u8);
-    }
-    let img = pcr::jpeg::ImageBuf::from_raw(32, 32, 3, data).unwrap();
-    let mut b = PcrRecordBuilder::with_default_groups().with_restart_interval(1);
-    b.add_image(SampleMeta { label: 0, id: "r".into() }, &img, 85).unwrap();
-    let bytes = b.build().unwrap();
-    assert!(PcrRecord::parse(&bytes).is_ok());
-    for permille in (0..=1000).step_by(17) {
-        let cut = bytes.len() * permille / 1000;
-        if let Ok(rec) = PcrRecord::parse(&bytes[..cut]) {
-            for g in 1..=10usize {
-                let _ = rec.segment_count(0, g);
-                let _ = rec.decode_image(0, g);
+    // Results at every cut point. The standalone record is grayscale;
+    // the first record of the row-footer v2 fixture is colour
+    // (subsampled chroma, interleaved DC scans).
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy");
+    let container = PcrContainer::open(&dir.join("rows-v2")).expect("rows-v2 fixture opens");
+    let (shard, entry) = container.entry(0).expect("record 0");
+    let colour = container.read_record(shard, &entry).expect("record 0 bytes");
+    for (bytes, channels) in [(legacy("record-v2.pcr"), 1u8), (colour, 3)] {
+        let rec = PcrRecord::parse(&bytes).expect("fixture record parses");
+        assert_eq!(rec.restart_interval(), 1);
+        assert_eq!(rec.decode_image(0, 10).expect("full decode").channels(), channels);
+        for permille in (0..=1000).step_by(17) {
+            let cut = bytes.len() * permille / 1000;
+            if let Ok(rec) = PcrRecord::parse(&bytes[..cut]) {
+                for g in 1..=10usize {
+                    let _ = rec.segment_count(0, g);
+                    let _ = rec.decode_image(0, g);
+                }
             }
         }
     }
