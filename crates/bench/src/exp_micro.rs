@@ -86,12 +86,11 @@ pub fn fig18(ctx: &Ctx) {
         };
         PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0)
     };
-    let full = run(10);
-    let full_rate = full.images_per_sec();
+    let full_rate = run(10).0.images_per_sec();
     for g in 1..=10usize {
-        let r = run(g);
+        let (r, records) = run(g);
         let predicted = full_rate * full_bytes / pcr.db.mean_image_bytes_at_group(g).max(1.0);
-        let batch_times: Vec<f64> = r.records.iter().map(|rec| rec.ready - rec.issued).collect();
+        let batch_times: Vec<f64> = records.iter().map(|rec| rec.ready - rec.issued).collect();
         let mean_batch = pcr_metrics::mean(&batch_times);
         println!(
             "{},{:.0},{:.0},{:.2}",
@@ -154,8 +153,8 @@ pub fn ablate_layout(ctx: &Ctx) {
         // PCR: one sequential prefix read per record.
         store.device().reset();
         let cfg = LoaderConfig { threads: 8, scan_group: g, shuffle: false, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-        let pcr_epoch = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
-        println!("pcr,{},{:.4},{}", g, pcr_epoch.duration, store.device_stats().reads);
+        let (pcr_epoch, _) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        println!("pcr,{},{:.4},{}", g, pcr_epoch.seconds, store.device_stats().reads);
 
         // Interleaved: per image, read its header+scan byte ranges
         // individually (random access within each record).
@@ -191,7 +190,7 @@ pub fn ablate_record_size(ctx: &Ctx) {
         let store = ObjectStore::new(DeviceProfile::hdd_7200rpm());
         populate_store(&store, &pcr);
         let cfg = LoaderConfig { threads: 8, scan_group: 10, shuffle: true, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-        let epoch = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        let (epoch, _) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
         println!("{},{:.0}", ipr, epoch.images_per_sec());
     }
 }
@@ -208,9 +207,9 @@ pub fn lemma_check(ctx: &Ctx) {
     for &g in &STANDARD_GROUPS {
         store.device().reset();
         let cfg = LoaderConfig { threads: 8, scan_group: g, shuffle: false, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-        let epoch = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        let (_, records) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
         let compute = ComputeUnit { images_per_sec: 1e12, batch_size: 16 };
-        let t = run_pipeline(&epoch, &compute, 0.0);
+        let t = run_pipeline(&records, &compute, 0.0);
         let mean = pcr.db.mean_image_bytes_at_group(g);
         let lemma = pcr_sim::loader_throughput(&profile, mean, IMAGES_PER_RECORD);
         let rel = (t.images_per_sec() - lemma).abs() / lemma;
@@ -235,7 +234,7 @@ mod tests {
         let run = |g: usize| {
             store.device().reset();
             let cfg = LoaderConfig { threads: 8, scan_group: g, shuffle: false, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-            PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0)
+            PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0).0
         };
         let full = run(10);
         let r2 = run(2);

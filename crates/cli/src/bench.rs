@@ -8,8 +8,8 @@ use crate::args::{parse, ArgSpec};
 use crate::{human_bytes, smoke};
 use pcr_core::container::PcrContainer;
 use pcr_loader::{
-    open_container_store, DecodeMode, IoModel, LoaderConfig, OpenedContainer, ParallelConfig,
-    ParallelLoader, ShardStoreConfig, WallClockEpoch,
+    open_container_store, DecodeMode, EpochReport, IoModel, LoaderConfig, OpenedContainer,
+    ParallelConfig, ParallelLoader, ShardStoreConfig,
 };
 use pcr_metrics::JsonValue;
 use pcr_sim::queueing;
@@ -62,7 +62,7 @@ const SPEC: ArgSpec = ArgSpec {
 struct Row {
     workers: usize,
     group: usize,
-    epoch: WallClockEpoch,
+    epoch: EpochReport,
     cache_hit_rate: f64,
     /// `ObjectStore::resident_bytes` / `total_bytes` after the epoch.
     resident_bytes: u64,
@@ -170,7 +170,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let predicted_images_per_sec = (io == IoModel::EmulatedLatency).then(|| {
                 let decode_rate = match decode {
                     DecodeMode::Real => {
-                        w as f64 * epoch.images as f64 / epoch.decode_cpu_seconds.max(1e-9)
+                        w as f64 * epoch.images as f64 / epoch.decode_seconds.max(1e-9)
                     }
                     _ => f64::INFINITY,
                 };
@@ -201,7 +201,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 g,
                 e.images,
                 e.bytes,
-                e.wall_seconds,
+                e.seconds,
                 e.images_per_sec(),
                 e.mean_image_bytes(),
                 cache_hit_rate,
@@ -241,7 +241,7 @@ fn report_json(dir: &str, rows: &[Row]) -> JsonValue {
                 ("scan_group", JsonValue::U64(r.group as u64)),
                 ("images", JsonValue::U64(e.images as u64)),
                 ("bytes", JsonValue::U64(e.bytes)),
-                ("wall_seconds", JsonValue::F64(e.wall_seconds)),
+                ("wall_seconds", JsonValue::F64(e.seconds)),
                 ("images_per_sec", JsonValue::F64(e.images_per_sec())),
                 ("mean_image_bytes", JsonValue::F64(e.mean_image_bytes())),
                 ("cache_hit_rate", JsonValue::F64(r.cache_hit_rate)),

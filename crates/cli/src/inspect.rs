@@ -136,8 +136,7 @@ fn trace_view(
         .iter()
         .filter(|r| (lo..hi).contains(&r.epoch) && trigger.is_none_or(|t| r.trigger == t))
         .collect();
-    let (read, full): (u64, u64) =
-        selected.iter().fold((0, 0), |(r, f), rec| (r + rec.bytes_read, f + rec.bytes_full));
+    let (read, full) = DecisionLog::rollup(selected.iter().copied());
     let saved = full.saturating_sub(read);
     let saved_frac = if full > 0 { saved as f64 / full as f64 } else { 0.0 };
 

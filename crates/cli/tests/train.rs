@@ -1,7 +1,8 @@
 //! `pcr train` through the built binary: the decision log it leaves in
-//! the container is the history of the loop that ships.
+//! the container is the history of the loop that ships, and
+//! `pcr inspect --trace` is how it is read back.
 
-use pcr_core::{DecisionRecord, PcrContainer};
+use pcr_core::{DecisionLogWriter, DecisionRecord, PcrContainer, DECISION_LOG_FILE};
 use pcr_jpeg::{encode, EncodeConfig, ImageBuf};
 use pcr_metrics::TriggerKind;
 use std::path::{Path, PathBuf};
@@ -18,6 +19,13 @@ fn pcr() -> Command {
 /// Packs ten 24x24 JPEGs in two class directories into `<tag>/container`
 /// and runs `pcr train` over it with `options`.
 fn pack_and_train(tag: &str, options: &[&str]) -> (PathBuf, Output) {
+    let container = pack(tag);
+    let trained = pcr().arg("train").arg(&container).args(options).output().unwrap();
+    (container, trained)
+}
+
+/// Packs ten 24x24 JPEGs in two class directories into `<tag>/container`.
+fn pack(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     let _ = std::fs::remove_dir_all(&dir);
     for i in 0..IMAGES {
@@ -37,8 +45,7 @@ fn pack_and_train(tag: &str, options: &[&str]) -> (PathBuf, Output) {
         .output()
         .unwrap();
     assert!(packed.status.success(), "pack failed: {}", String::from_utf8_lossy(&packed.stderr));
-    let trained = pcr().arg("train").arg(&container).args(options).output().unwrap();
-    (container, trained)
+    container
 }
 
 /// The verified container and the records `pcr train` appended to it.
@@ -82,5 +89,47 @@ fn dynamic_with_a_fixed_group_is_rejected() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--dynamic") && stderr.contains("--group"), "stderr: {stderr}");
-    assert!(!dir.join(pcr_core::DECISION_LOG_FILE).exists(), "nothing ran");
+    assert!(!dir.join(DECISION_LOG_FILE).exists(), "nothing ran");
+}
+
+#[test]
+fn trace_rollup_counts_a_faulted_epoch_once() {
+    // Two epochs reading 1000 of 4000 bytes; the second was faulted, so
+    // its decision is followed by a `degraded` audit record repeating
+    // its bytes.
+    let dir = pack("inspect-rollup");
+    let record = |epoch, trigger| DecisionRecord {
+        epoch,
+        trigger,
+        scan_group: 2,
+        bytes_read: 1_000,
+        bytes_full: 4_000,
+        images: 10,
+        cache_hit_rate: 0.0,
+        loss: 1.0,
+        probe_scores: Vec::new(),
+    };
+    let mut log = DecisionLogWriter::open(&dir.join(DECISION_LOG_FILE)).unwrap();
+    let records = [(0, TriggerKind::Fixed), (1, TriggerKind::Fixed), (1, TriggerKind::Degraded)];
+    for (epoch, trigger) in records {
+        log.append(&record(epoch, trigger)).unwrap();
+    }
+    drop(log);
+    let rollup = |filter: &[&str]| {
+        let mut inspect = pcr();
+        inspect.arg("inspect").arg(&dir).args(["--trace", "--json"]).args(filter);
+        let out = inspect.output().unwrap();
+        assert!(out.status.success(), "inspect failed: {}", String::from_utf8_lossy(&out.stderr));
+        let json = String::from_utf8(out.stdout).unwrap();
+        let at = json.find("\"rollup\":").expect("a rollup");
+        json[at..].split_once('}').unwrap().0.to_string()
+    };
+    assert_eq!(
+        rollup(&[]),
+        r#""rollup":{"bytes_read":2000,"bytes_full":8000,"bytes_saved":6000,"saved_fraction":0.75"#
+    );
+    assert_eq!(
+        rollup(&["--trigger", "degraded"]),
+        r#""rollup":{"bytes_read":1000,"bytes_full":4000,"bytes_saved":3000,"saved_fraction":0.75"#
+    );
 }

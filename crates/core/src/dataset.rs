@@ -5,11 +5,7 @@
 
 use crate::error::{Error, Result};
 use crate::record::{PcrRecord, PcrRecordBuilder, SampleMeta};
-use crate::wire::{put_bytes, put_u16, put_u32, put_u64, Reader};
 use pcr_jpeg::ImageBuf;
-
-/// Magic prefix of a serialized metadata database.
-pub const DB_MAGIC: &[u8; 4] = b"PCDB";
 
 /// Metadata for one record, sufficient to plan reads at any scan group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,51 +73,6 @@ impl MetaDb {
         } else {
             self.bytes_at_group(g) as f64 / n as f64
         }
-    }
-
-    /// Serializes the database.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(DB_MAGIC);
-        put_u32(&mut out, self.records.len() as u32);
-        put_u16(&mut out, self.num_groups() as u16);
-        for r in &self.records {
-            put_bytes(&mut out, r.name.as_bytes());
-            put_u32(&mut out, r.num_images);
-            for &off in &r.group_offsets {
-                put_u64(&mut out, off);
-            }
-            for &l in &r.labels {
-                put_u32(&mut out, l);
-            }
-        }
-        out
-    }
-
-    /// Parses a serialized database.
-    pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(data);
-        if r.bytes(4, "db magic")? != DB_MAGIC {
-            return Err(Error::BadMagic);
-        }
-        let n = r.u32("record count")? as usize;
-        let num_groups = r.u16("group count")? as usize;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = String::from_utf8(r.prefixed_bytes("record name")?.to_vec())
-                .map_err(|_| Error::Malformed("record name not UTF-8".into()))?;
-            let num_images = r.u32("image count")?;
-            let mut group_offsets = Vec::with_capacity(num_groups + 1);
-            for _ in 0..=num_groups {
-                group_offsets.push(r.u64("group offset")?);
-            }
-            let mut labels = Vec::with_capacity(num_images as usize);
-            for _ in 0..num_images {
-                labels.push(r.u32("label")?);
-            }
-            records.push(RecordMeta { name, num_images, group_offsets, labels });
-        }
-        Ok(Self { records })
     }
 }
 
@@ -321,14 +272,6 @@ mod tests {
             assert_eq!(meta.group_offsets, offs);
             assert_eq!(meta.total_len() as usize, ds.records[i].len());
         }
-    }
-
-    #[test]
-    fn db_serialization_roundtrip() {
-        let ds = build(5, 2);
-        let bytes = ds.db.to_bytes();
-        let back = MetaDb::from_bytes(&bytes).unwrap();
-        assert_eq!(back, ds.db);
     }
 
     #[test]

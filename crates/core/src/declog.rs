@@ -415,19 +415,32 @@ impl DecisionLog {
         Ok(())
     }
 
-    /// Total bytes actually read across all logged epochs.
-    pub fn total_bytes_read(&self) -> u64 {
-        self.records.iter().map(|r| r.bytes_read).sum()
+    /// `(bytes read, bytes a fixed full-quality run reads)` summed over
+    /// `records` — a selection of one log's records, in log order —
+    /// counting each epoch once. A `degraded` audit record repeats its
+    /// epoch's byte counts (FORMAT.md §7.3.1), so it counts only when the
+    /// selection does not also hold the decision record it follows, as
+    /// when only `degraded` records are selected.
+    pub fn rollup<'a>(records: impl IntoIterator<Item = &'a DecisionRecord>) -> (u64, u64) {
+        let mut previous: Option<&DecisionRecord> = None;
+        let (mut read, mut full) = (0, 0);
+        for r in records {
+            // An audit record right after its own epoch's decision.
+            let repeat = r.trigger == TriggerKind::Degraded
+                && previous.is_some_and(|p| p.epoch == r.epoch && p.trigger != r.trigger);
+            if !repeat {
+                read += r.bytes_read;
+                full += r.bytes_full;
+            }
+            previous = Some(r);
+        }
+        (read, full)
     }
 
-    /// Total bytes the same epochs would have read at fixed full quality.
-    pub fn total_bytes_full(&self) -> u64 {
-        self.records.iter().map(|r| r.bytes_full).sum()
-    }
-
-    /// Bytes saved versus fixed full-quality epochs.
+    /// Bytes the whole log saved versus fixed full-quality epochs.
     pub fn bytes_saved(&self) -> u64 {
-        self.total_bytes_full().saturating_sub(self.total_bytes_read())
+        let (read, full) = Self::rollup(&self.records);
+        full.saturating_sub(read)
     }
 
     /// Readable per-decision comparison against `actual`, treating `self`
@@ -829,6 +842,25 @@ mod tests {
         // Quarantine alone (nothing delivered degraded) still gets one.
         epoch.faults.degraded_records = 0;
         assert_eq!(DecisionRecord::epoch_records(&epoch, 900).len(), 2);
+    }
+
+    #[test]
+    fn rollups_count_a_faulted_epoch_once() {
+        let mut clean = sample(0, TriggerKind::Hold, 4).to_epoch(0.0);
+        clean.bytes_read = 1_000;
+        let mut faulted = sample(1, TriggerKind::Hold, 4).to_epoch(0.0);
+        faulted.bytes_read = 1_000;
+        faulted.faults.degraded_records = 2;
+        let mut records = DecisionRecord::epoch_records(&clean, 4_000);
+        records.extend(DecisionRecord::epoch_records(&faulted, 4_000));
+        assert_eq!(records.len(), 3, "the faulted epoch adds its audit record");
+        assert_eq!(DecisionLog::rollup(&records), (2_000, 8_000));
+        assert_eq!(DecisionLog::from_records(records.clone()).unwrap().bytes_saved(), 6_000);
+        // Selected alone, the audit record stands for its epoch.
+        let degraded = records.iter().filter(|r| r.trigger == TriggerKind::Degraded);
+        assert_eq!(DecisionLog::rollup(degraded), (1_000, 4_000));
+        let decisions = records.iter().filter(|r| r.trigger == TriggerKind::Hold);
+        assert_eq!(DecisionLog::rollup(decisions), (2_000, 8_000));
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! and read through the store's single clocked path
 //! ([`pcr_storage::ObjectStore::read`]), so wall-clock workers share the
 //! page cache, readahead, and device statistics with the virtual-time
-//! loader. On top sits the policy layer: [`fidelity::FidelityController`]
+//! loader. They deliver each record through one step (decode check,
+//! fidelity ladder, retries, fault accounting; see [`retry`]) and report
+//! each epoch in one [`EpochReport`], whose fields mean the same on
+//! either clock. On top sits the policy layer: [`fidelity::FidelityController`]
 //! adjusts the scan-group prefix online from loss plateaus and MSSIM
 //! scores — the paper's *dynamic* compression knob — and
 //! [`ParallelLoader::run_dynamic`] is the one epoch loop around both: it
@@ -49,14 +52,18 @@
 //! populate_store(&store, &ds);
 //! let db = Arc::new(ds.db.clone());
 //!
-//! // Virtual time: modeled epoch at scan group 2.
-//! let modeled = PcrLoader::new(&store, &db, LoaderConfig::at_group(2)).run_epoch(0, 0.0);
-//! assert_eq!(modeled.images, 6);
+//! // Virtual time: a modeled epoch at scan group 2 — its report and the
+//! // per-record timeline.
+//! let (modeled, records) =
+//!     PcrLoader::new(&store, &db, LoaderConfig::at_group(2)).run_epoch(0, 0.0);
+//! assert_eq!((modeled.images, records.len()), (6, 2));
 //!
-//! // Wall clock: the same records through real worker threads.
+//! // Wall clock: the same records through real worker threads, in the
+//! // same report.
 //! let measured = ParallelLoader::new(store, db, ParallelConfig::real(2, 2)).run_epoch(0);
 //! assert_eq!(measured.images, 6);
 //! assert_eq!(measured.bytes, modeled.bytes);
+//! assert_eq!(measured.faults, modeled.faults);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,6 +76,7 @@ mod handoff;
 pub mod loader;
 pub mod order;
 pub mod parallel;
+mod report;
 pub mod retry;
 pub mod sharded;
 pub mod source;
@@ -76,15 +84,10 @@ pub mod timing;
 
 pub use config::{DecodeMode, LoaderConfig};
 pub use fidelity::{probe_source_scores, FidelityConfig, FidelityController, FidelityDecision};
-pub use loader::{populate_store, EpochResult, LoadedRecord, PcrLoader};
+pub use loader::{populate_store, LoadedRecord, PcrLoader};
 pub use order::EpochOrder;
-pub use parallel::{
-    Bottleneck, EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats,
-    WallClockEpoch,
-};
-pub use retry::{
-    DecodeCheck, Delivery, FaultReport, Ladder, QuarantineEntry, RetryBudget, RetryOutcome,
-    RetryPolicy, Rung, Timeline, QUARANTINE_DETAIL_CAP,
-};
+pub use parallel::{EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats};
+pub use report::{Bottleneck, EpochReport};
+pub use retry::{FaultReport, QuarantineEntry, RetryPolicy, QUARANTINE_DETAIL_CAP};
 pub use sharded::{open_container_store, OpenedContainer, ShardStoreConfig, ShardedSource};
 pub use source::{ObjectMeta, ReadPlan, ReadPlanner, RecordSource};

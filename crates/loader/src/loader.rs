@@ -13,8 +13,9 @@
 //! loader see [`crate::parallel`]; both share [`LoaderConfig`] and the
 //! per-epoch record order.
 
-use crate::config::{DecodeMode, LoaderConfig};
-use crate::retry::{DecodeCheck, Delivery, FaultReport, Ladder, RetryBudget, Timeline};
+use crate::config::LoaderConfig;
+use crate::report::{share, Bottleneck, EpochReport};
+use crate::retry::{FaultReport, Ladder, RetryBudget, Rung, Timeline};
 use crate::source::{ReadPlanner, RecordSource};
 use pcr_core::{MetaDb, RecordScratch};
 use pcr_jpeg::ImageBuf;
@@ -39,58 +40,14 @@ pub struct LoadedRecord {
     pub bytes: u64,
     /// Labels of the record's images.
     pub labels: Vec<u32>,
-    /// Decoded images (empty unless [`DecodeMode::Real`]).
+    /// Decoded images (empty unless
+    /// [`DecodeMode::Real`](crate::DecodeMode::Real)).
     pub images: Vec<ImageBuf>,
     /// Scan group actually delivered — equal to the planner's group
     /// unless faults degraded this record to a shorter intact prefix.
     pub delivered_group: usize,
     /// True when faults degraded this record below the requested group.
     pub degraded: bool,
-}
-
-/// Result of streaming one epoch.
-#[derive(Debug)]
-pub struct EpochResult {
-    /// Loaded records sorted by *ready time* (the order the training loop
-    /// would receive them), which generally differs from the shuffled
-    /// issue order because small records finish before large ones.
-    ///
-    /// Contract: every element keeps its [`LoadedRecord::seq`] position in
-    /// the epoch's issue order, so consumers that need the schedule itself
-    /// (e.g. to compare shuffles across seeds, or to align with the
-    /// wall-clock loader's delivery) must reconstruct it by sorting on
-    /// `seq` — see `shuffle_changes_order_deterministically` in this
-    /// module's tests for the canonical pattern.
-    pub records: Vec<LoadedRecord>,
-    /// Total images delivered.
-    pub images: usize,
-    /// Total compressed bytes read.
-    pub bytes: u64,
-    /// Virtual time at which the last record became ready.
-    pub duration: f64,
-    /// Retry/degradation/quarantine accounting for the epoch. Clean runs
-    /// report [`FaultReport::is_clean`].
-    pub faults: FaultReport,
-}
-
-impl EpochResult {
-    /// Loader throughput in images/second of virtual time.
-    pub fn images_per_sec(&self) -> f64 {
-        if self.duration <= 0.0 {
-            0.0
-        } else {
-            self.images as f64 / self.duration
-        }
-    }
-
-    /// Mean bytes per image actually read.
-    pub fn mean_image_bytes(&self) -> f64 {
-        if self.images == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.images as f64
-        }
-    }
 }
 
 /// The PCR loader over an object store populated with `.pcr` records.
@@ -122,8 +79,8 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
         Self { store, source, config }
     }
 
-    /// Streams one epoch starting at virtual time `start`, returning every
-    /// record with its ready timestamp.
+    /// Streams one epoch starting at virtual time `start`: its report,
+    /// and every delivered record with its timeline.
     ///
     /// This is the virtual-time epoch engine every modeled run goes
     /// through: a greedy closed system of `config.threads` workers over
@@ -131,9 +88,21 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
     /// baseline-format objects (`[ObjectMeta]`, whole-object reads) —
     /// reading through the clocked store path
     /// ([`Clock::Virtual`](pcr_storage::Clock::Virtual)) and charging
-    /// decode cost per [`DecodeMode`], so the worker/timing model exists in
-    /// exactly one place and format comparisons share it.
-    pub fn run_epoch(&self, epoch: u64, start: f64) -> EpochResult {
+    /// decode cost per [`DecodeMode`](crate::DecodeMode), so the
+    /// worker/timing model exists in exactly one place and format
+    /// comparisons share it. Each worker is its own I/O lane and decode
+    /// lane: it waits for bytes from `issued` to `read_finish` and decodes
+    /// from `read_finish` to `ready`.
+    ///
+    /// The records come sorted by *ready time* (the order the training
+    /// loop would receive them), which generally differs from the shuffled
+    /// issue order because small records finish before large ones. Each
+    /// keeps its [`LoadedRecord::seq`] position in the issue order, so a
+    /// consumer that needs the schedule itself (to compare shuffles across
+    /// seeds, or to align with the wall-clock loader's delivery) sorts on
+    /// `seq` — see `shuffle_changes_order_deterministically` in this
+    /// module's tests.
+    pub fn run_epoch(&self, epoch: u64, start: f64) -> (EpochReport, Vec<LoadedRecord>) {
         let Self { store, source, config } = self;
         let planner = ReadPlanner::from_config(config);
         // Streaming order: the Feistel bijection yields indices one at a
@@ -143,6 +112,7 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
         let threads = config.threads.max(1);
         let budget = RetryBudget::new(config.retry.epoch_retry_budget_s);
         let mut faults = FaultReport::default();
+        let (mut waited, mut decode_seconds) = (0.0f64, 0.0f64);
         // Each worker's virtual "free at" time.
         let mut free_at = vec![start; threads];
         let mut out: Vec<LoadedRecord> = Vec::with_capacity(order.num_records());
@@ -152,43 +122,22 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
                 .min_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).expect("no NaN"))
                 .expect("threads >= 1");
             let issued = free_at[worker];
-            // Decode cost accumulates across ladder attempts (failed decodes
-            // are charged too, matching the wall-clock workers' semantics).
-            let mut decode_cost = 0.0f64;
-            let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match config.decode
-            {
-                DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
-                DecodeMode::Real => {
-                    let (decoded, elapsed) = crate::timing::measure(|| {
-                        source.decode_real(rec_idx, &read.data, planner.scan_group, &mut scratch)
-                    });
-                    decode_cost += elapsed;
-                    match decoded {
-                        Some(images) => DecodeCheck::Images(images),
-                        None => DecodeCheck::Failed,
-                    }
-                }
-            };
             // The record's fidelity ladder, fetched and delivered in one
             // place (virtual: backoff is charged by issuing later).
-            let mut ladder = Ladder::new(planner.scan_group);
             let mut fetch = |l: &mut Ladder| {
                 let timeline = Timeline::Virtual { start: issued };
-                l.fetch(store, *source, rec_idx, timeline, &config.retry, &budget, &mut |_| {})
+                l.fetch(store, *source, timeline, &config.retry, &budget, &mut |_| {})
             };
+            let mut ladder = Ladder::new(rec_idx, planner.scan_group);
             let first = fetch(&mut ladder);
-            let (delivery, outcome) = ladder.deliver(first, &mut fetch, &mut decode_check);
-            faults.retries += u64::from(outcome.retries);
-            faults.backoff_s += outcome.backoff_s;
-            match delivery {
-                Delivery::Delivered { read, group, degraded, images } => {
-                    if let DecodeMode::Modeled { seconds_per_byte } = config.decode {
-                        decode_cost = read.data.len() as f64 * seconds_per_byte;
-                    }
-                    if degraded {
-                        faults.degraded_records += 1;
-                    }
-                    let ready = read.finish + decode_cost;
+            let step = ladder.deliver(first, &mut fetch, *source, config.decode, &mut scratch);
+            // Decode cost accumulates across ladder attempts: failed
+            // decodes are charged too, as the wall-clock workers spend them.
+            decode_seconds += step.decode_s;
+            match step.rung {
+                Some(Rung { read, group }) => {
+                    waited += read.finish - issued;
+                    let ready = read.finish + step.decode_s;
                     free_at[worker] = ready;
                     out.push(LoadedRecord {
                         seq,
@@ -199,25 +148,35 @@ impl<'a, S: RecordSource + ?Sized> PcrLoader<'a, S> {
                         ready,
                         bytes: read.data.len() as u64,
                         labels: source.labels(rec_idx).to_vec(),
-                        images,
+                        images: step.images,
                         delivered_group: group,
-                        degraded,
+                        degraded: step.faults.degraded_records > 0,
                     });
                 }
-                Delivery::Quarantined { reason } => {
+                None => {
                     // The worker spent its backoff and any decode attempts
-                    // but delivers nothing; the record's labels are accounted
-                    // in the quarantine multiset.
-                    faults.note_quarantine(rec_idx, source.labels(rec_idx), reason);
-                    free_at[worker] = issued + outcome.backoff_s + decode_cost;
+                    // but delivers nothing; the record's labels are
+                    // accounted in the quarantine multiset.
+                    waited += step.faults.backoff_s;
+                    free_at[worker] = issued + step.faults.backoff_s + step.decode_s;
                 }
             }
+            faults.merge(step.faults);
         }
         out.sort_by(|a, b| a.ready.partial_cmp(&b.ready).expect("no NaN"));
-        let images = out.iter().map(|r| r.labels.len()).sum();
-        let bytes = out.iter().map(|r| r.bytes).sum();
-        let duration = out.last().map_or(0.0, |r| r.ready - start);
-        EpochResult { records: out, images, bytes, duration, faults }
+        let seconds = out.last().map_or(0.0, |r| r.ready - start);
+        let report = EpochReport {
+            images: out.iter().map(|r| r.labels.len()).sum(),
+            bytes: out.iter().map(|r| r.bytes).sum(),
+            seconds,
+            decode_seconds,
+            io_wait_share: share(waited, threads, seconds),
+            decode_busy_share: share(decode_seconds, threads, seconds),
+            // Nothing downstream of a virtual worker can block it.
+            bottleneck: Bottleneck::of(waited, decode_seconds, 0.0),
+            faults,
+        };
+        (report, out)
     }
 }
 
@@ -256,6 +215,7 @@ pub(crate) fn test_dataset(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DecodeMode;
     use pcr_core::SampleMeta;
     use pcr_jpeg::ImageBuf;
     use pcr_storage::DeviceProfile;
@@ -271,20 +231,20 @@ mod tests {
     fn epoch_delivers_every_image_once() {
         let (store, db) = setup(12, DeviceProfile::ssd_sata());
         let loader = PcrLoader::new(&store, &db, LoaderConfig::at_group(10));
-        let r = loader.run_epoch(0, 0.0);
+        let (r, records) = loader.run_epoch(0, 0.0);
         assert_eq!(r.images, 12);
-        assert_eq!(r.records.len(), 3);
-        assert!(r.duration > 0.0);
+        assert_eq!(records.len(), 3);
+        assert!(r.seconds > 0.0);
     }
 
     #[test]
     fn lower_scan_groups_read_fewer_bytes_and_finish_sooner() {
         let (store, db) = setup(12, DeviceProfile::hdd_7200rpm());
-        let full = PcrLoader::new(&store, &db, LoaderConfig::at_group(10)).run_epoch(0, 0.0);
+        let (full, _) = PcrLoader::new(&store, &db, LoaderConfig::at_group(10)).run_epoch(0, 0.0);
         store.device().reset();
-        let low = PcrLoader::new(&store, &db, LoaderConfig::at_group(1)).run_epoch(0, 0.0);
+        let (low, _) = PcrLoader::new(&store, &db, LoaderConfig::at_group(1)).run_epoch(0, 0.0);
         assert!(low.bytes < full.bytes / 2, "{} vs {}", low.bytes, full.bytes);
-        assert!(low.duration < full.duration);
+        assert!(low.seconds < full.seconds);
         assert!(low.images_per_sec() > full.images_per_sec());
     }
 
@@ -294,12 +254,12 @@ mod tests {
         let mk = |seed| {
             let cfg = LoaderConfig { seed, ..LoaderConfig::at_group(5) };
             let loader = PcrLoader::new(&store, &db, cfg);
-            // `records` is delivered in ready-time order, which tracks
+            // Records are delivered in ready-time order, which tracks
             // record size rather than the shuffle; reconstruct the issue
             // order from `seq` to observe the shuffled schedule itself.
             let mut by_seq: Vec<(usize, usize)> = loader
                 .run_epoch(0, 0.0)
-                .records
+                .1
                 .iter()
                 .map(|r| (r.seq, r.record))
                 .collect();
@@ -318,15 +278,15 @@ mod tests {
         let (store, db) = setup(4, DeviceProfile::ram());
         let cfg = LoaderConfig { decode: DecodeMode::Real, ..LoaderConfig::at_group(2) };
         let loader = PcrLoader::new(&store, &db, cfg);
-        let r = loader.run_epoch(0, 0.0);
-        let total: usize = r.records.iter().map(|rec| rec.images.len()).sum();
+        let (_, records) = loader.run_epoch(0, 0.0);
+        let total: usize = records.iter().map(|rec| rec.images.len()).sum();
         assert_eq!(total, 4);
-        assert_eq!(r.records[0].images[0].width(), 32);
+        assert_eq!(records[0].images[0].width(), 32);
         // Real decode charges measured wall-clock time to the virtual
         // timeline; a coarse CI clock can measure zero, so the strict
         // inequality is opt-in (PCR_STRICT_TIMING=1).
         if std::env::var_os("PCR_STRICT_TIMING").is_some() {
-            assert!(r.records[0].ready > r.records[0].read_finish);
+            assert!(records[0].ready > records[0].read_finish);
         }
     }
 
@@ -340,7 +300,7 @@ mod tests {
                 decode: DecodeMode::Modeled { seconds_per_byte: 1e-6 },
                 ..LoaderConfig::at_group(10)
             };
-            PcrLoader::new(&store, &db, cfg).run_epoch(0, 0.0).duration
+            PcrLoader::new(&store, &db, cfg).run_epoch(0, 0.0).0.seconds
         };
         let one = run(1);
         let eight = run(8);
@@ -348,6 +308,27 @@ mod tests {
             eight < one / 2.0,
             "8 threads ({eight:.4}s) should be much faster than 1 ({one:.4}s)"
         );
+    }
+
+    #[test]
+    fn modeled_reports_repeat_exactly_and_name_the_stage_that_bound_them() {
+        let (store, db) = setup(16, DeviceProfile::hdd_7200rpm());
+        let run = |decode| {
+            store.device().reset();
+            let cfg = LoaderConfig { threads: 2, decode, ..LoaderConfig::at_group(10) };
+            PcrLoader::new(&store, &db, cfg).run_epoch(0, 0.0).0
+        };
+        // Seeks and nothing else: the workers spend the epoch waiting.
+        let skip = run(DecodeMode::Skip);
+        assert_eq!(skip, run(DecodeMode::Skip), "a modeled epoch repeats to the bit");
+        assert_eq!((skip.bottleneck, skip.decode_seconds), (Bottleneck::Storage, 0.0));
+        assert!(skip.io_wait_share > 0.5, "{skip:?}");
+        // A millisecond a byte dwarfs every seek.
+        let slow = run(DecodeMode::Modeled { seconds_per_byte: 1e-3 });
+        assert_eq!(slow, run(DecodeMode::Modeled { seconds_per_byte: 1e-3 }));
+        assert_eq!(slow.bottleneck, Bottleneck::Decode);
+        assert!(slow.decode_busy_share > 0.5 && slow.io_wait_share < 0.1, "{slow:?}");
+        assert!((slow.decode_seconds - slow.bytes as f64 * 1e-3).abs() < 1e-9);
     }
 
     #[test]
@@ -373,17 +354,17 @@ mod tests {
             [ObjectMeta { name: "rec-0".into(), labels: (0..32).map(|i| i % 2).collect() }];
         let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(10) };
 
-        let fpi = PcrLoader::over(&store, &objects_fpi[..], cfg.clone()).run_epoch(0, 0.0);
+        let (fpi, _) = PcrLoader::over(&store, &objects_fpi[..], cfg.clone()).run_epoch(0, 0.0);
         store.device().reset();
-        let rec = PcrLoader::over(&store, &objects_rec[..], cfg).run_epoch(0, 0.0);
+        let (rec, _) = PcrLoader::over(&store, &objects_rec[..], cfg).run_epoch(0, 0.0);
 
         assert_eq!(fpi.images, 32);
         assert_eq!(rec.images, 32);
         assert!(
-            rec.duration < fpi.duration / 4.0,
+            rec.seconds < fpi.seconds / 4.0,
             "record {rec:.4?}s vs file-per-image {fpi:.4?}s",
-            rec = rec.duration,
-            fpi = fpi.duration
+            rec = rec.seconds,
+            fpi = fpi.seconds
         );
     }
 
@@ -397,7 +378,7 @@ mod tests {
             objects.push(ObjectMeta { name: format!("f{i}"), labels: vec![0] });
         }
         let cfg = LoaderConfig { decode: DecodeMode::Skip, ..Default::default() };
-        let r = PcrLoader::over(&store, &objects[..], cfg).run_epoch(0, 0.0);
+        let (r, _) = PcrLoader::over(&store, &objects[..], cfg).run_epoch(0, 0.0);
         assert_eq!(store.device_stats().reads, 5);
         assert_eq!(r.bytes, 5000);
     }

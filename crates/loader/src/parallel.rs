@@ -39,9 +39,9 @@
 //!                                            consumer (train loop)
 //! ```
 //!
-//! Fetchers hold no decode state — they plan, read through
-//! [`crate::retry::Ladder::fetch`] (retry, backoff and read-failure
-//! degradation included) and realize [`IoModel::EmulatedLatency`] service
+//! Fetchers hold no decode state — they plan, read through the record's
+//! fidelity ladder (retry, backoff and read-failure degradation included;
+//! see [`crate::retry`]) and realize [`IoModel::EmulatedLatency`] service
 //! time *before* the bytes move on, so nothing is decoded before it has
 //! "arrived". Decode workers take records strictly in epoch-order
 //! position (the `handoff` module), so one decode worker delivers the
@@ -56,9 +56,8 @@
 use crate::config::{DecodeMode, LoaderConfig};
 use crate::handoff::Handoff;
 use crate::order::EpochOrder;
-use crate::retry::{
-    DecodeCheck, Delivery, FaultReport, Ladder, RetryBudget, RetryPolicy, Rung, Timeline,
-};
+use crate::report::{share, Bottleneck, EpochReport};
+use crate::retry::{FaultReport, Ladder, RetryBudget, RetryPolicy, Rung, Timeline};
 use crate::source::{ReadPlanner, RecordSource};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use pcr_core::{MetaDb, RecordScratch};
@@ -161,8 +160,6 @@ pub struct ParallelStats {
     pub bytes_read: AtomicU64,
     /// Records fully processed.
     pub records_loaded: AtomicU64,
-    /// Images decoded (0 unless [`DecodeMode::Real`]).
-    pub images_decoded: AtomicU64,
     /// Total decode nanoseconds summed across decode workers (under
     /// [`DecodeMode::Modeled`], the modeled cost they slept).
     pub decode_nanos: AtomicU64,
@@ -173,72 +170,16 @@ pub struct ParallelStats {
     /// Total nanoseconds decode workers waited on the in-order hand-off
     /// for the next record to arrive: the pipeline starving on storage.
     pub decode_starved_nanos: AtomicU64,
-    /// Total nanoseconds fetchers waited, completed read in hand, for
-    /// room in a full hand-off window: storage running ahead of decode
-    /// (or of a slow read at the head of the window).
-    pub fetch_blocked_nanos: AtomicU64,
-    /// Read attempts that were retried (faulted then re-issued).
-    pub retries: AtomicU64,
-    /// Records delivered below the requested scan group.
-    pub degraded_records: AtomicU64,
-    /// Total backoff microseconds slept across workers.
-    pub backoff_micros: AtomicU64,
-    /// Exact quarantine accounting (label multiset + bounded detail),
-    /// merged in by workers as records are quarantined.
-    pub quarantine: Mutex<FaultReport>,
+    /// Retries, degradations and quarantines, merged in by the decode
+    /// workers for every record that had any (a clean record takes no
+    /// lock).
+    faults: Mutex<FaultReport>,
 }
 
 impl ParallelStats {
-    /// Which stage bound an epoch of `wall_seconds` run with
-    /// `decode_threads` decode workers, from where those workers' time
-    /// went: waiting on the hand-off for bytes (storage), decoding, or —
-    /// the remainder — blocked sending downstream to a consumer that is
-    /// not keeping up.
-    pub fn bottleneck(&self, wall_seconds: f64, decode_threads: usize) -> Bottleneck {
-        let worker_nanos = wall_seconds * 1e9 * decode_threads.max(1) as f64;
-        let starved = self.decode_starved_nanos.load(Ordering::Relaxed) as f64;
-        let busy = self.decode_nanos.load(Ordering::Relaxed) as f64;
-        let downstream = (worker_nanos - starved - busy).max(0.0);
-        if starved >= busy && starved >= downstream {
-            Bottleneck::Storage
-        } else if busy >= downstream {
-            Bottleneck::Decode
-        } else {
-            Bottleneck::Consumer
-        }
-    }
-
-    /// Consolidated fault accounting: the quarantine's exact label
-    /// multiset plus the live retry/degradation counters.
+    /// The epoch's fault accounting so far.
     pub fn fault_report(&self) -> FaultReport {
-        let mut r = self.quarantine.lock().map(|g| g.clone()).unwrap_or_default();
-        r.retries = self.retries.load(Ordering::Relaxed);
-        r.degraded_records = self.degraded_records.load(Ordering::Relaxed);
-        r.backoff_s = self.backoff_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        r
-    }
-}
-
-/// The stage an epoch's throughput was bound by (see
-/// [`ParallelStats::bottleneck`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
-    /// Decode workers mostly waited for bytes to arrive.
-    Storage,
-    /// Decode workers were mostly busy decoding.
-    Decode,
-    /// Decode workers mostly waited for the consumer to take batches.
-    Consumer,
-}
-
-impl Bottleneck {
-    /// The verdict as one lower-case word (`storage`/`decode`/`consumer`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Bottleneck::Storage => "storage",
-            Bottleneck::Decode => "decode",
-            Bottleneck::Consumer => "consumer",
-        }
+        self.faults.lock().expect("no worker panics while merging").clone()
     }
 }
 
@@ -284,88 +225,40 @@ impl EpochStream {
 
     /// Folds the epoch into its report: hands the minibatches to
     /// `consumer`, joins the pipeline once it returns, and turns the
-    /// statistics plus the time since the spawn began into a
-    /// [`WallClockEpoch`]. A consumer that returns before the stream is
+    /// statistics plus the time since the spawn began into an
+    /// [`EpochReport`]. A consumer that returns before the stream is
     /// exhausted cancels the rest of the epoch exactly as an early
     /// [`EpochStream::join`] does; the report then covers what was read
     /// and delivered up to that point.
     pub fn fold<R>(
         self,
         consumer: impl FnOnce(&mut dyn Iterator<Item = Minibatch>) -> R,
-    ) -> (R, WallClockEpoch) {
+    ) -> (R, EpochReport) {
         let (threads, depth, pairs_images) = (self.threads, self.depth, self.pairs_images);
         let mut images = 0usize;
         let out = consumer(&mut self.batches.iter().inspect(|b| {
             images += if pairs_images { b.images.len() } else { b.labels.len() };
         }));
-        let wall_seconds = self.started.elapsed().as_secs_f64();
+        let seconds = self.started.elapsed().as_secs_f64();
         let stats = Arc::clone(&self.stats);
         self.join();
-        let decode_cpu_seconds = stats.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        let io_wait_seconds = stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        let share = |seconds: f64, lanes: usize| {
-            if wall_seconds > 0.0 {
-                seconds / (wall_seconds * lanes as f64)
-            } else {
-                0.0
-            }
-        };
-        let report = WallClockEpoch {
+        let secs = |nanos: &AtomicU64| nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        let decode_seconds = secs(&stats.decode_nanos);
+        let starved = secs(&stats.decode_starved_nanos);
+        // What is left of the decode workers' time was spent blocked
+        // sending downstream to a consumer that is not keeping up.
+        let blocked = (seconds * threads as f64 - starved - decode_seconds).max(0.0);
+        let report = EpochReport {
             images,
             bytes: stats.bytes_read.load(Ordering::Relaxed),
-            wall_seconds,
-            decode_cpu_seconds,
-            io_wait_share: share(io_wait_seconds, depth),
-            decode_busy_share: share(decode_cpu_seconds, threads),
-            bottleneck: stats.bottleneck(wall_seconds, threads),
+            seconds,
+            decode_seconds,
+            io_wait_share: share(secs(&stats.io_wait_nanos), depth, seconds),
+            decode_busy_share: share(decode_seconds, threads, seconds),
+            bottleneck: Bottleneck::of(starved, decode_seconds, blocked),
             faults: stats.fault_report(),
         };
         (out, report)
-    }
-}
-
-/// Wall-clock results of one epoch (see [`EpochStream::fold`]).
-#[derive(Debug, Clone)]
-pub struct WallClockEpoch {
-    /// Images delivered (labels delivered under non-decoding modes).
-    pub images: usize,
-    /// Compressed bytes read.
-    pub bytes: u64,
-    /// Real elapsed seconds from spawn to last batch.
-    pub wall_seconds: f64,
-    /// Summed worker decode seconds (CPU cost of the epoch).
-    pub decode_cpu_seconds: f64,
-    /// Share of the prefetch window's slot-time (`prefetch_records` ×
-    /// wall) spent in realized device service; 0 under
-    /// [`IoModel::Instant`].
-    pub io_wait_share: f64,
-    /// Share of the decode workers' time (`threads` × wall) spent
-    /// decoding.
-    pub decode_busy_share: f64,
-    /// The stage that bound the epoch.
-    pub bottleneck: Bottleneck,
-    /// Retry/degradation/quarantine accounting for the epoch. Clean runs
-    /// report [`FaultReport::is_clean`].
-    pub faults: FaultReport,
-}
-
-impl WallClockEpoch {
-    /// Delivered throughput in images per wall-clock second.
-    pub fn images_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.images as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean compressed bytes read per image.
-    pub fn mean_image_bytes(&self) -> f64 {
-        if self.images == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.images as f64
-        }
     }
 }
 
@@ -545,7 +438,7 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
 
     /// Runs one epoch at the configured scan group to completion,
     /// draining every batch, and reports wall-clock throughput.
-    pub fn run_epoch(&self, epoch: u64) -> WallClockEpoch {
+    pub fn run_epoch(&self, epoch: u64) -> EpochReport {
         self.spawn_epoch(epoch).fold(|batches| batches.for_each(drop)).1
     }
 }
@@ -600,11 +493,10 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// retry/backoff and read-failure degradation, then — for
     /// [`IoModel::EmulatedLatency`] — the successful read's service time,
     /// slept before the bytes go anywhere.
-    fn fetch_rung(&self, idx: usize, ladder: &mut Ladder) -> Option<Rung> {
+    fn fetch_rung(&self, ladder: &mut Ladder) -> Option<Rung> {
         let rung = ladder.fetch(
             &self.store,
             &*self.source,
-            idx,
             Timeline::Wall,
             &self.retry,
             &self.budget,
@@ -628,11 +520,9 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
         let _guard = CloseOnPanic(&self.handoff);
         while let Some(pos) = self.handoff.claim() {
             let idx = self.order.get(pos);
-            let mut ladder = Ladder::new(self.scan_group);
-            let rung = self.fetch_rung(idx, &mut ladder);
-            let t0 = Instant::now();
+            let mut ladder = Ladder::new(idx, self.scan_group);
+            let rung = self.fetch_rung(&mut ladder);
             self.handoff.stage(pos, Fetched { idx, ladder, rung });
-            add_elapsed(&self.stats.fetch_blocked_nanos, t0);
         }
     }
 
@@ -650,62 +540,29 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                 return;
             };
             add_elapsed(&stats.decode_starved_nanos, t0);
-            // Real decode doubles as the integrity check: silently
-            // flipped bits surface as decode failures and degrade
-            // instead of propagating corrupt pixels.
-            let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match self.decode
-            {
-                DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
-                DecodeMode::Real => {
-                    let t0 = Instant::now();
-                    let decoded =
-                        self.source.decode_real(idx, &read.data, self.scan_group, &mut scratch);
-                    add_elapsed(&stats.decode_nanos, t0);
-                    match decoded {
-                        Some(images) => DecodeCheck::Images(images),
-                        None => DecodeCheck::Failed,
-                    }
-                }
-            };
-            let (delivery, outcome) =
-                ladder.deliver(rung, &mut |l| self.fetch_rung(idx, l), &mut decode_check);
-            stats.retries.fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
-            stats
-                .backoff_micros
-                .fetch_add((outcome.backoff_s * 1e6) as u64, Ordering::Relaxed);
-            let (read, images, degraded) = match delivery {
-                Delivery::Delivered { read, group: _, degraded, images } => {
-                    (read, images, degraded)
-                }
-                Delivery::Quarantined { reason } => {
-                    if let Ok(mut q) = stats.quarantine.lock() {
-                        q.note_quarantine(idx, self.source.labels(idx), reason);
-                    }
-                    continue;
-                }
-            };
-            if degraded {
-                stats.degraded_records.fetch_add(1, Ordering::Relaxed);
-            }
-            let read_len = read.data.len() as u64;
-            stats.bytes_read.fetch_add(read_len, Ordering::Relaxed);
-            if let DecodeMode::Modeled { seconds_per_byte } = self.decode {
+            let step = ladder.deliver(
+                rung,
+                &mut |l| self.fetch_rung(l),
+                &*self.source,
+                self.decode,
+                &mut scratch,
+            );
+            if let DecodeMode::Modeled { .. } = self.decode {
                 // Wall-clock realization of the modeled cost, so modeled
-                // and real runs remain comparable end to end — and decode
-                // time all the same to the bottleneck verdict.
-                let modeled = read_len as f64 * seconds_per_byte;
-                let t0 = Instant::now();
-                std::thread::sleep(Duration::from_secs_f64(modeled));
-                add_elapsed(&stats.decode_nanos, t0);
+                // and real runs remain comparable end to end.
+                std::thread::sleep(Duration::from_secs_f64(step.decode_s));
             }
-            if !images.is_empty() {
-                stats.images_decoded.fetch_add(images.len() as u64, Ordering::Relaxed);
+            stats.decode_nanos.fetch_add((step.decode_s * 1e9) as u64, Ordering::Relaxed);
+            if !step.faults.is_clean() {
+                stats.faults.lock().expect("no worker panics while merging").merge(step.faults);
             }
+            let Some(rung) = step.rung else { continue };
+            stats.bytes_read.fetch_add(rung.read.data.len() as u64, Ordering::Relaxed);
             // Labels travel as the record index — the assembler reads the
             // slices out of the shared source, so the per-record
             // `labels().to_vec()` allocation is gone from the hot loop.
             stats.records_loaded.fetch_add(1, Ordering::Relaxed);
-            if rec_tx.send((images, idx)).is_err() {
+            if rec_tx.send((step.images, idx)).is_err() {
                 // Consumer gone: release the fetchers and fellow workers.
                 self.handoff.close();
                 return;
@@ -757,22 +614,24 @@ mod tests {
         let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(3, 10) };
         let loader = ParallelLoader::new(store, db, cfg);
         let stream = loader.spawn_epoch(0);
-        let mut sizes = Vec::new();
-        for b in stream.batches.iter() {
-            assert_eq!(b.images.len(), b.labels.len());
-            sizes.push(b.images.len());
-        }
-        assert_eq!(sizes, [4, 4, 4, 1], "full batches, then the remainder");
         let stats = Arc::clone(&stream.stats);
-        stream.join();
-        assert_eq!(stats.images_decoded.load(Ordering::Relaxed), 13);
+        let (sizes, report) = stream.fold(|batches| {
+            batches
+                .map(|b| {
+                    assert_eq!(b.images.len(), b.labels.len());
+                    b.images.len()
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(sizes, [4, 4, 4, 1], "full batches, then the remainder");
+        assert_eq!(report.images, 13);
         assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 4);
-        assert!(stats.bytes_read.load(Ordering::Relaxed) > 0);
+        assert!(report.bytes > 0);
         // Decode throughput comes from wall-clock Instant deltas; a coarse
         // or virtualized CI clock can legitimately measure zero, so the
         // strictly-positive check is opt-in (PCR_STRICT_TIMING=1).
         if std::env::var_os("PCR_STRICT_TIMING").is_some() {
-            assert!(stats.decode_nanos.load(Ordering::Relaxed) > 0);
+            assert!(report.decode_seconds > 0.0);
         }
     }
 
@@ -800,17 +659,17 @@ mod tests {
             ..ParallelConfig::default()
         };
         let loader = ParallelLoader::new(store, db, cfg);
-        let stream = loader.spawn_epoch(0);
-        let mut labels = 0usize;
-        for b in stream.batches.iter() {
-            assert!(b.images.is_empty());
-            assert!(b.labels.len() <= 4);
-            labels += b.labels.len();
-        }
-        assert_eq!(labels, 10);
-        let stats = Arc::clone(&stream.stats);
-        stream.join();
-        assert_eq!(stats.images_decoded.load(Ordering::Relaxed), 0);
+        let (images, report) = loader.spawn_epoch(0).fold(|batches| {
+            batches
+                .map(|b| {
+                    assert!(b.labels.len() <= 4);
+                    b.images.len()
+                })
+                .sum::<usize>()
+        });
+        assert_eq!(images, 0);
+        assert_eq!(report.images, 10, "labels count the deliveries");
+        assert_eq!(report.decode_seconds, 0.0);
     }
 
     #[test]
@@ -825,7 +684,7 @@ mod tests {
         // coarse CI clock can measure zero, so these are opt-in
         // (PCR_STRICT_TIMING=1, matching the loader timing tests).
         if std::env::var_os("PCR_STRICT_TIMING").is_some() {
-            assert!(r.wall_seconds > 0.0);
+            assert!(r.seconds > 0.0);
             assert!(r.images_per_sec() > 0.0);
         }
     }
@@ -868,7 +727,7 @@ mod tests {
             let (mut labels, epoch) =
                 loader.spawn_epoch(0).fold(|b| b.flat_map(|b| b.labels).collect::<Vec<u32>>());
             labels.sort_unstable();
-            (labels, epoch.wall_seconds, store.device_stats().busy_time)
+            (labels, epoch.seconds, store.device_stats().busy_time)
         };
         let (one_labels, one_wall, one_service) = run(1);
         let (six_labels, six_wall, _) = run(6);
@@ -932,8 +791,9 @@ mod tests {
             let stats = Arc::clone(&stream.stats);
             stream.join();
             assert_eq!(labels, expected, "run {run}");
-            assert!(stats.retries.load(Ordering::Relaxed) > 0, "the plan injected faults");
-            assert!(stats.fault_report().quarantined_records == 0);
+            let faults = stats.fault_report();
+            assert!(faults.retries > 0, "the plan injected faults");
+            assert!(faults.quarantined_records == 0);
         }
     }
 

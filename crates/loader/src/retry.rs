@@ -1,27 +1,36 @@
-//! Retry, backoff, and fidelity degradation around the storage read path.
+//! Retry, backoff, and fidelity degradation around the storage read path,
+//! and the one per-record delivery step both loaders run.
 //!
-//! Every loader read goes through [`Ladder::fetch`]: transient
-//! [`ReadError`]s are retried under a [`RetryPolicy`] — capped
-//! decorrelated-jitter backoff, a per-read deadline on modeled service
-//! time, and a shared per-epoch retry budget ([`RetryBudget`]) so a
-//! pathological store cannot stall an epoch forever.
+//! Every loader read is retried under a [`RetryPolicy`]: transient
+//! [`ReadError`]s back off with capped decorrelated jitter, a per-read
+//! deadline on modeled service time turns latency spikes into retryable
+//! faults, and a per-epoch retry budget shared by every worker keeps a
+//! pathological store from stalling an epoch forever.
 //!
-//! When retries are exhausted, the [`Ladder`] makes PCR's progressive
-//! structure the recovery mechanism: scan-group prefixes are
+//! When retries are exhausted, a record's fidelity ladder makes PCR's
+//! progressive structure the recovery mechanism: scan-group prefixes are
 //! nested, so if groups `k+1..=G` of a record are unreadable the loader
 //! steps the request down — `G, G-1, …, 1` — and delivers the record at
 //! the longest intact prefix instead of failing the epoch. Records whose
 //! shortest prefix is still unreadable (or undecodable — silent bit flips
 //! surface here as decode failures) go to a bounded quarantine with exact
-//! per-label accounting, so the delivered label multiset always equals
-//! the expected multiset minus the quarantined one.
+//! per-label accounting in a [`FaultReport`], so the delivered label
+//! multiset always equals the expected multiset minus the quarantined one.
+//!
+//! Both loaders deliver a record through the same step: decode check,
+//! ladder, retries and backoff, fault accounting and modeled decode cost.
+//! They differ only in what they do with the decode seconds it reports —
+//! the virtual-time loader charges them to its timeline, the wall-clock
+//! workers have spent them (or, under a modeled decode, sleep them).
 //!
 //! Backoff is deterministic: the jitter is a pure hash of
 //! `(policy seed, record, group, attempt)`, never a clock or RNG, so a
 //! seeded fault plan replays the identical recovery sequence on both the
 //! virtual and wall timelines.
 
+use crate::config::DecodeMode;
 use crate::source::{ReadPlan, RecordSource};
+use pcr_core::RecordScratch;
 use pcr_jpeg::ImageBuf;
 use pcr_metrics::EpochFaultCounters;
 use pcr_storage::{Clock, ObjectStore, ReadError, ReadResult};
@@ -99,11 +108,11 @@ impl RetryPolicy {
 /// retry on any worker. Stored as integer microseconds so concurrent
 /// spends stay exact.
 #[derive(Debug)]
-pub struct RetryBudget(AtomicU64);
+pub(crate) struct RetryBudget(AtomicU64);
 
 impl RetryBudget {
     /// A budget of `seconds` (values beyond ~584k years saturate).
-    pub fn new(seconds: f64) -> Self {
+    pub(crate) fn new(seconds: f64) -> Self {
         let micros = if seconds.is_finite() && seconds >= 0.0 {
             (seconds * 1e6).min(u64::MAX as f64) as u64
         } else if seconds.is_infinite() && seconds > 0.0 {
@@ -116,7 +125,7 @@ impl RetryBudget {
 
     /// Attempts to reserve `seconds` from the budget; false when the
     /// remaining budget is smaller (nothing is deducted then).
-    pub fn try_spend(&self, seconds: f64) -> bool {
+    pub(crate) fn try_spend(&self, seconds: f64) -> bool {
         let want = (seconds.max(0.0) * 1e6).min(u64::MAX as f64) as u64;
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
@@ -140,7 +149,7 @@ impl RetryBudget {
 /// slept by the caller-provided closure; on the virtual timeline it is
 /// charged by issuing each attempt later.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Timeline {
+pub(crate) enum Timeline {
     /// Real worker threads ([`Clock::Wall`]).
     Wall,
     /// The virtual-time engine: attempts issue at `start` plus the
@@ -151,22 +160,12 @@ pub enum Timeline {
     },
 }
 
-/// Retries accumulated across one record's delivery attempt.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RetryOutcome {
-    /// Failed attempts that were retried.
-    pub retries: u32,
-    /// Backoff seconds spent (slept on the wall timeline, charged to the
-    /// virtual one).
-    pub backoff_s: f64,
-}
-
 /// Reads `plan` with retry/backoff under `policy`, spending from the
 /// epoch's shared `budget`. `key` seeds the jitter (callers pass a hash
 /// of record/group). `sleep` realizes backoff on the wall timeline (pass
 /// a no-op for [`Timeline::Virtual`] — the delay is charged by issuing
-/// later instead). Counters accumulate into `out` so ladder steps share
-/// one outcome.
+/// later instead). Retries and backoff accumulate into `out`, so every
+/// rung of a record's ladder adds to one report.
 #[allow(clippy::too_many_arguments)] // the retry loop's full context; bundling would obscure call sites
 fn read_with_retry(
     store: &ObjectStore,
@@ -176,7 +175,7 @@ fn read_with_retry(
     budget: &RetryBudget,
     key: u64,
     sleep: &mut dyn FnMut(f64),
-    out: &mut RetryOutcome,
+    out: &mut FaultReport,
 ) -> Result<ReadResult, ReadError> {
     let mut prev_delay = policy.base_backoff_s;
     let mut attempt = 0u32;
@@ -215,49 +214,29 @@ fn read_with_retry(
     }
 }
 
-/// What a decode-time integrity check concluded about delivered bytes.
-pub enum DecodeCheck {
-    /// Bytes accepted without decoding (`DecodeMode::Skip`/`Modeled` —
-    /// silent corruption cannot be observed in these modes).
-    Accepted,
-    /// Bytes decoded into images.
-    Images(Vec<ImageBuf>),
-    /// Bytes delivered but undecodable at this group — treated like a
-    /// corrupt range: the ladder steps down to a shorter prefix.
-    Failed,
-}
-
-/// The outcome of delivering one record through retry + degradation.
-#[derive(Debug)]
-pub enum Delivery {
-    /// The record was delivered, possibly at a lower scan group than
-    /// requested.
-    Delivered {
-        /// The successful read (of the delivered group's prefix).
-        read: ReadResult,
-        /// Scan group actually delivered.
-        group: usize,
-        /// True when `group` is lower than requested because of faults.
-        degraded: bool,
-        /// Decoded images (empty when the decode check ran in
-        /// [`DecodeCheck::Accepted`] mode).
-        images: Vec<ImageBuf>,
-    },
-    /// Every prefix down to group 1 was unreadable or undecodable.
-    Quarantined {
-        /// Human-readable reason (the last failure seen).
-        reason: String,
-    },
+/// One record through [`Ladder::deliver`].
+pub(crate) struct Delivery {
+    /// The rung delivered; `None` when the record was quarantined.
+    pub(crate) rung: Option<Rung>,
+    /// Its decoded images (empty unless [`DecodeMode::Real`]).
+    pub(crate) images: Vec<ImageBuf>,
+    /// Decode seconds the record cost: measured under
+    /// [`DecodeMode::Real`] (failed attempts included), modeled under
+    /// [`DecodeMode::Modeled`].
+    pub(crate) decode_s: f64,
+    /// The record's retries and backoff, and its degradation or
+    /// quarantine.
+    pub(crate) faults: FaultReport,
 }
 
 /// One successful rung of the fidelity ladder: the bytes the store
 /// delivered and the scan group they cover.
 #[derive(Debug)]
-pub struct Rung {
+pub(crate) struct Rung {
     /// The successful read (of `group`'s prefix).
-    pub read: ReadResult,
+    pub(crate) read: ReadResult,
     /// Scan group the read covers.
-    pub group: usize,
+    pub(crate) group: usize,
 }
 
 /// One record's walk down the fidelity ladder: which group to try next,
@@ -272,7 +251,8 @@ pub struct Rung {
 /// budget and counters as the virtual-time loader's ladder, which is
 /// fetched and delivered in one place.
 #[derive(Debug)]
-pub struct Ladder {
+pub(crate) struct Ladder {
+    idx: usize,
     requested: usize,
     /// Next group to try; 0 once the ladder is exhausted.
     next_group: usize,
@@ -280,33 +260,32 @@ pub struct Ladder {
     /// same bytes is skipped.
     tried_plan: Option<(u64, u64)>,
     last_failure: String,
-    outcome: RetryOutcome,
+    faults: FaultReport,
 }
 
 impl Ladder {
-    /// A ladder starting at `requested_group` (at least 1).
-    pub fn new(requested_group: usize) -> Self {
+    /// Record `idx`'s ladder, starting at `requested_group` (at least 1).
+    pub(crate) fn new(idx: usize, requested_group: usize) -> Self {
         let requested = requested_group.max(1);
         Self {
+            idx,
             requested,
             next_group: requested,
             tried_plan: None,
             last_failure: String::new(),
-            outcome: RetryOutcome::default(),
+            faults: FaultReport::default(),
         }
     }
 
-    /// Reads the longest prefix of record `idx` the store will deliver at
+    /// Reads the longest prefix of the record the store will deliver at
     /// or below the current rung, with retry/backoff on every rung.
     /// Steps down one group per persistent failure (skipping groups whose
     /// plan is byte-identical to the one just tried) and returns `None`
     /// when group 1 itself is unreadable or the object is gone.
-    #[allow(clippy::too_many_arguments)] // the retry loop's context plus the record
-    pub fn fetch<S: RecordSource + ?Sized>(
+    pub(crate) fn fetch<S: RecordSource + ?Sized>(
         &mut self,
         store: &ObjectStore,
         source: &S,
-        idx: usize,
         timeline: Timeline,
         policy: &RetryPolicy,
         budget: &RetryBudget,
@@ -315,16 +294,16 @@ impl Ladder {
         while self.next_group >= 1 {
             let group = self.next_group;
             self.next_group -= 1;
-            let plan = source.plan(idx, group);
+            let plan = source.plan(self.idx, group);
             // A lower group that plans the exact same bytes (clamped
             // formats, baseline whole-object reads) cannot succeed where
             // the last one just failed — don't burn retries on it.
             if self.tried_plan.replace((plan.offset, plan.len)) == Some((plan.offset, plan.len)) {
                 continue;
             }
-            let key = mix((idx as u64) << 8 | group as u64);
-            match read_with_retry(store, &plan, timeline, policy, budget, key, sleep, &mut self.outcome)
-            {
+            let key = mix((self.idx as u64) << 8 | group as u64);
+            let faults = &mut self.faults;
+            match read_with_retry(store, &plan, timeline, policy, budget, key, sleep, faults) {
                 Ok(read) => return Some(Rung { read, group }),
                 Err(e) => {
                     self.last_failure = e.to_string();
@@ -338,34 +317,54 @@ impl Ladder {
         None
     }
 
-    /// Runs `decode_check` over `first` and every further rung `fetch`
-    /// produces until one is accepted or the ladder is exhausted.
-    /// `decode_check` is called once per successful read with the
-    /// delivered bytes and the group; real decoding modes validate there,
-    /// so silent bit flips degrade instead of propagating corrupt pixels.
-    /// Returns the delivery and the record's total retry outcome.
-    pub fn deliver(
+    /// The per-record step: runs the decode check over `first` and every
+    /// further rung `fetch` produces until one is accepted or the ladder
+    /// is exhausted, then accounts the record — degraded when the rung is
+    /// below the requested group, quarantined when no rung was accepted.
+    /// Under [`DecodeMode::Real`] the decode *is* the check, timed through
+    /// [`crate::timing::measure`], so silent bit flips degrade instead of
+    /// propagating corrupt pixels; the other modes accept any bytes read,
+    /// and [`DecodeMode::Modeled`] prices the delivered ones.
+    pub(crate) fn deliver<S: RecordSource + ?Sized>(
         mut self,
         first: Option<Rung>,
         fetch: &mut dyn FnMut(&mut Ladder) -> Option<Rung>,
-        decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
-    ) -> (Delivery, RetryOutcome) {
+        source: &S,
+        decode: DecodeMode,
+        scratch: &mut RecordScratch,
+    ) -> Delivery {
+        let mut decode_s = 0.0;
         let mut rung = first;
-        while let Some(Rung { read, group }) = rung {
-            let images = match decode_check(&read, group) {
-                DecodeCheck::Accepted => Vec::new(),
-                DecodeCheck::Images(images) => images,
-                DecodeCheck::Failed => {
-                    self.last_failure =
-                        format!("undecodable at group {group} ({} bytes)", read.data.len());
-                    rung = fetch(&mut self);
-                    continue;
+        while let Some(candidate) = rung {
+            let bytes = &candidate.read.data;
+            let images = match decode {
+                DecodeMode::Skip => Vec::new(),
+                DecodeMode::Modeled { seconds_per_byte } => {
+                    decode_s = bytes.len() as f64 * seconds_per_byte;
+                    Vec::new()
+                }
+                DecodeMode::Real => {
+                    let (decoded, seconds) = crate::timing::measure(|| {
+                        source.decode_real(self.idx, bytes, self.requested, scratch)
+                    });
+                    decode_s += seconds;
+                    let Some(images) = decoded else {
+                        let group = candidate.group;
+                        self.last_failure =
+                            format!("undecodable at group {group} ({} bytes)", bytes.len());
+                        rung = fetch(&mut self);
+                        continue;
+                    };
+                    images
                 }
             };
-            let degraded = group < self.requested;
-            return (Delivery::Delivered { read, group, degraded, images }, self.outcome);
+            if candidate.group < self.requested {
+                self.faults.degraded_records += 1;
+            }
+            return Delivery { rung: Some(candidate), images, decode_s, faults: self.faults };
         }
-        (Delivery::Quarantined { reason: self.last_failure }, self.outcome)
+        self.faults.note_quarantine(self.idx, source.labels(self.idx), self.last_failure);
+        Delivery { rung: None, images: Vec::new(), decode_s, faults: self.faults }
     }
 }
 
@@ -422,6 +421,19 @@ impl FaultReport {
         }
     }
 
+    /// Adds `other`'s counters, labels and (capped) detail to this report.
+    pub(crate) fn merge(&mut self, other: FaultReport) {
+        self.retries += other.retries;
+        self.backoff_s += other.backoff_s;
+        self.degraded_records += other.degraded_records;
+        self.quarantined_records += other.quarantined_records;
+        for (label, n) in other.quarantined_labels {
+            *self.quarantined_labels.entry(label).or_insert(0) += n;
+        }
+        let room = QUARANTINE_DETAIL_CAP.saturating_sub(self.quarantine.len());
+        self.quarantine.extend(other.quarantine.into_iter().take(room));
+    }
+
     /// The per-epoch counters a `FidelityEpoch` trace entry carries.
     pub fn epoch_counters(&self) -> EpochFaultCounters {
         EpochFaultCounters {
@@ -475,7 +487,7 @@ mod tests {
         }));
         let policy = RetryPolicy { base_backoff_s: 1e-6, max_backoff_s: 1e-5, ..RetryPolicy::default() };
         let budget = RetryBudget::new(1.0);
-        let mut out = RetryOutcome::default();
+        let mut out = FaultReport::default();
         let mut slept = 0.0;
         let read = read_with_retry(
             &store,
@@ -499,7 +511,7 @@ mod tests {
         store.put("rec", vec![9; 4096]);
         store.set_fault_plan(Some(FaultPlan { seed: 1, corrupt: 1.0, ..FaultPlan::default() }));
         let budget = RetryBudget::new(1.0);
-        let mut out = RetryOutcome::default();
+        let mut out = FaultReport::default();
         let err = read_with_retry(
             &store,
             &plan_of("rec"),
@@ -528,7 +540,7 @@ mod tests {
         let policy =
             RetryPolicy { max_retries: 50, base_backoff_s: 1e-3, ..RetryPolicy::default() };
         let budget = RetryBudget::new(0.0);
-        let mut out = RetryOutcome::default();
+        let mut out = FaultReport::default();
         let r = read_with_retry(
             &store,
             &plan_of("rec"),
@@ -556,7 +568,7 @@ mod tests {
         let policy =
             RetryPolicy { base_backoff_s: 0.25, max_backoff_s: 0.25, ..RetryPolicy::default() };
         let budget = RetryBudget::new(10.0);
-        let mut out = RetryOutcome::default();
+        let mut out = FaultReport::default();
         let read = read_with_retry(
             &store,
             &plan_of("rec"),
@@ -598,7 +610,7 @@ mod tests {
                 let stats = Arc::clone(&stream.stats);
                 stream.join();
                 let io_wait_s = stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-                (stats.degraded_records.load(Ordering::Relaxed) == 1)
+                (stats.fault_report().degraded_records == 1)
                     .then(|| (delivered, io_wait_s, store.device_stats()))
             })
             .expect("some flip lands in a late scan group");

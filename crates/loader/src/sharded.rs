@@ -184,7 +184,7 @@ pub struct OpenedContainer {
 /// use pcr_loader::{LoaderConfig, PcrLoader};
 ///
 /// let opened = open_container_store(std::path::Path::new("data/derm"), &ShardStoreConfig::default())?;
-/// let epoch = PcrLoader::over(&opened.store, &*opened.source, LoaderConfig::at_group(2))
+/// let (epoch, _) = PcrLoader::over(&opened.store, &*opened.source, LoaderConfig::at_group(2))
 ///     .run_epoch(0, 0.0);
 /// println!("{} images from {} shards", epoch.images, opened.container.shards.len());
 /// # Ok::<(), pcr_core::Error>(())
@@ -211,6 +211,7 @@ mod tests {
     use crate::config::{DecodeMode, LoaderConfig};
     use crate::loader::{populate_store, PcrLoader};
     use crate::parallel::{ParallelConfig, ParallelLoader};
+    use crate::retry::FaultReport;
     use pcr_core::container::write_container;
     use std::sync::atomic::Ordering;
 
@@ -262,15 +263,14 @@ mod tests {
             let sharded =
                 PcrLoader::over(&opened.store, &*opened.source, cfg.clone()).run_epoch(0, 0.0);
             let memory = PcrLoader::new(&mem_store, &ds.db, cfg).run_epoch(0, 0.0);
-            assert_eq!(sharded.bytes, memory.bytes, "group {g}");
-            assert_eq!(sharded.images, memory.images);
-            let labels = |r: &crate::loader::EpochResult| {
-                let mut l: Vec<u32> =
-                    r.records.iter().flat_map(|rec| rec.labels.clone()).collect();
+            assert_eq!(sharded.0.bytes, memory.0.bytes, "group {g}");
+            assert_eq!(sharded.0.images, memory.0.images);
+            let labels = |records: &[crate::loader::LoadedRecord]| {
+                let mut l: Vec<u32> = records.iter().flat_map(|rec| rec.labels.clone()).collect();
                 l.sort_unstable();
                 l
             };
-            assert_eq!(labels(&sharded), labels(&memory));
+            assert_eq!(labels(&sharded.1), labels(&memory.1));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -298,7 +298,6 @@ mod tests {
         let stats = Arc::clone(&stream.stats);
         stream.join();
         assert_eq!(images, 10);
-        assert_eq!(stats.images_decoded.load(Ordering::Relaxed), 10);
         // Group-2 prefix reads: well under the full container size.
         let read = stats.bytes_read.load(Ordering::Relaxed);
         assert_eq!(read, opened.source.bytes_at_group(2));
@@ -361,30 +360,31 @@ mod tests {
         all
     }
 
-    /// One wall-clock epoch with real decode: delivered labels, report.
-    fn wall_epoch(opened: &OpenedContainer) -> (Labels, crate::retry::FaultReport) {
-        let loader = ParallelLoader::new(
-            Arc::clone(&opened.store),
-            Arc::clone(&opened.source),
-            ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) },
-        );
-        let stream = loader.spawn_epoch(0);
-        let mut delivered = Labels::new();
-        for b in stream.batches.iter() {
-            count(&mut delivered, &b.labels);
-        }
-        let stats = Arc::clone(&stream.stats);
-        stream.join();
-        (delivered, stats.fault_report())
+    /// One wall-clock epoch with real decode, one decode worker and one
+    /// read in flight, so its records meet their faults in epoch order as
+    /// on the virtual clock: delivered labels, fault report.
+    fn wall_epoch(opened: &OpenedContainer) -> (Labels, FaultReport) {
+        let cfg =
+            ParallelConfig { batch_size: 4, prefetch_records: 1, ..ParallelConfig::real(1, 10) };
+        let loader =
+            ParallelLoader::new(Arc::clone(&opened.store), Arc::clone(&opened.source), cfg);
+        let (delivered, report) = loader.spawn_epoch(0).fold(|batches| {
+            let mut delivered = Labels::new();
+            batches.for_each(|b| count(&mut delivered, &b.labels));
+            delivered
+        });
+        (delivered, report.faults)
     }
 
-    /// One virtual-time epoch with real decode: delivered labels, report.
-    fn virtual_epoch(opened: &OpenedContainer) -> (Labels, crate::retry::FaultReport) {
+    /// One virtual-time epoch with real decode: delivered labels, fault
+    /// report.
+    fn virtual_epoch(opened: &OpenedContainer) -> (Labels, FaultReport) {
         let cfg = LoaderConfig { decode: DecodeMode::Real, ..LoaderConfig::at_group(10) };
-        let epoch = PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
+        let (report, records) =
+            PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
         let mut delivered = Labels::new();
-        epoch.records.iter().for_each(|r| count(&mut delivered, &r.labels));
-        (delivered, epoch.faults)
+        records.iter().for_each(|r| count(&mut delivered, &r.labels));
+        (delivered, report.faults)
     }
 
     #[test]
@@ -404,21 +404,21 @@ mod tests {
             .unwrap()
             .set_len(cut)
             .unwrap();
-        for (what, (mut labels, faults)) in
-            [("wall", wall_epoch(&opened)), ("virtual", virtual_epoch(&opened))]
-        {
-            let quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
-            assert_eq!(quarantined, vec![2], "{what}: exactly the record beyond the cut");
-            assert_eq!(faults.quarantined_records, 1, "{what}");
-            assert_eq!(faults.degraded_records, 1, "{what}: record 1 steps down to group 3");
-            assert!(faults.retries > 0, "{what}: short reads are retried before degrading");
-            assert!(faults.quarantine[0].reason.contains("short read"), "{what}: {faults:?}");
-            let mut cut_labels = Labels::new();
-            count(&mut cut_labels, &ds.db.records[2].labels);
-            assert_eq!(faults.quarantined_labels, cut_labels, "{what}");
-            count(&mut labels, &ds.db.records[2].labels);
-            assert_eq!(labels, dataset_labels(&ds), "{what}: delivered + quarantined");
-        }
+        let (wall_labels, wall) = wall_epoch(&opened);
+        let (mut labels, faults) = virtual_epoch(&opened);
+        assert_eq!(wall, faults, "both clocks account the same faults, to the bit");
+        assert_eq!(wall_labels, labels);
+        let quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
+        assert_eq!(quarantined, vec![2], "exactly the record beyond the cut");
+        assert_eq!(faults.quarantined_records, 1);
+        assert_eq!(faults.degraded_records, 1, "record 1 steps down to group 3");
+        assert!(faults.retries > 0, "short reads are retried before degrading");
+        assert!(faults.quarantine[0].reason.contains("short read"), "{faults:?}");
+        let mut cut_labels = Labels::new();
+        count(&mut cut_labels, &ds.db.records[2].labels);
+        assert_eq!(faults.quarantined_labels, cut_labels);
+        count(&mut labels, &ds.db.records[2].labels);
+        assert_eq!(labels, dataset_labels(&ds), "delivered + quarantined");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -429,18 +429,18 @@ mod tests {
         write_container(&ds, &dir, 2).unwrap();
         let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
         std::fs::remove_file(opened.container.shard_path(1)).unwrap();
-        for (what, (mut labels, faults)) in
-            [("wall", wall_epoch(&opened)), ("virtual", virtual_epoch(&opened))]
-        {
-            for (&label, &n) in &faults.quarantined_labels {
-                *labels.entry(label).or_insert(0) += n;
-            }
-            assert_eq!(labels, dataset_labels(&ds), "{what}: delivered + quarantined");
-            // The store's descriptor keeps an unlinked file's bytes
-            // readable on Unix, so nothing is lost there at all.
-            #[cfg(unix)]
-            assert!(faults.is_clean(), "{what}: {faults:?}");
+        let (wall_labels, wall) = wall_epoch(&opened);
+        let (mut labels, faults) = virtual_epoch(&opened);
+        assert_eq!(wall, faults, "both clocks account the same faults");
+        assert_eq!(wall_labels, labels);
+        for (&label, &n) in &faults.quarantined_labels {
+            *labels.entry(label).or_insert(0) += n;
         }
+        assert_eq!(labels, dataset_labels(&ds), "delivered + quarantined");
+        // The store's descriptor keeps an unlinked file's bytes readable
+        // on Unix, so nothing is lost there at all.
+        #[cfg(unix)]
+        assert!(faults.is_clean(), "{faults:?}");
         // A later open has no file to register.
         assert!(open_container_store(&dir, &ShardStoreConfig::default()).is_err());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -2,7 +2,7 @@
 //! stalls (paper Figure 11 / Appendix A.1) and achieved training rates
 //! (Figure 9).
 
-use pcr_loader::EpochResult;
+use pcr_loader::LoadedRecord;
 
 /// The compute unit: an open system consuming minibatches at a fixed
 /// maximum rate (model images/second, possibly aggregated over cluster
@@ -68,19 +68,16 @@ impl PipelineTrace {
     }
 }
 
-/// Runs the compute unit over a loader epoch: images become available in
+/// Runs the compute unit over a loader epoch's records (as
+/// `PcrLoader::run_epoch` returns them): images become available in
 /// record-ready order; each iteration consumes `batch_size` images and
 /// takes `batch_time`; an iteration whose data is not yet ready stalls
 /// (paper: "parameter updates start in lockstep with the data fetches").
-pub fn run_pipeline(epoch: &EpochResult, compute: &ComputeUnit, start: f64) -> PipelineTrace {
+pub fn run_pipeline(records: &[LoadedRecord], compute: &ComputeUnit, start: f64) -> PipelineTrace {
     // Expand record ready times into per-image availability (images within
     // a record become available when the record is ready).
-    let mut avail: Vec<f64> = Vec::with_capacity(epoch.images);
-    for rec in &epoch.records {
-        for _ in 0..rec.labels.len() {
-            avail.push(rec.ready);
-        }
-    }
+    let avail: Vec<f64> =
+        records.iter().flat_map(|rec| std::iter::repeat_n(rec.ready, rec.labels.len())).collect();
     let bt = compute.batch_time();
     let mut iterations = Vec::new();
     let mut compute_free = start;
@@ -107,10 +104,9 @@ pub fn run_pipeline(epoch: &EpochResult, compute: &ComputeUnit, start: f64) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr_loader::LoadedRecord;
 
-    fn synthetic_epoch(record_ready: &[f64], images_per_record: usize) -> EpochResult {
-        let records: Vec<LoadedRecord> = record_ready
+    fn synthetic_epoch(record_ready: &[f64], images_per_record: usize) -> Vec<LoadedRecord> {
+        record_ready
             .iter()
             .enumerate()
             .map(|(i, &t)| LoadedRecord {
@@ -126,16 +122,7 @@ mod tests {
                 delivered_group: 10,
                 degraded: false,
             })
-            .collect();
-        let images = records.iter().map(|r| r.labels.len()).sum();
-        let duration = record_ready.last().copied().unwrap_or(0.0);
-        EpochResult {
-            records,
-            images,
-            bytes: 1000 * record_ready.len() as u64,
-            duration,
-            faults: pcr_loader::FaultReport::default(),
-        }
+            .collect()
     }
 
     #[test]

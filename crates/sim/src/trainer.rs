@@ -196,12 +196,12 @@ impl<'a> Trainer<'a> {
             retry: pcr_loader::RetryPolicy::default(),
         };
         let loader = PcrLoader::new(&self.store, &self.db, loader_cfg);
-        let epoch = loader.run_epoch(self.epoch as u64, 0.0);
+        let (_, records) = loader.run_epoch(self.epoch as u64, 0.0);
         let compute = ComputeUnit {
             images_per_sec: self.compute_rate(),
             batch_size: self.cfg.batch_size * self.cfg.workers,
         };
-        run_pipeline(&epoch, &compute, 0.0)
+        run_pipeline(&records, &compute, 0.0)
     }
 
     /// Trains one epoch at a fixed scan group; advances the virtual clock

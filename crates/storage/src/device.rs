@@ -1,6 +1,6 @@
-//! Simulated devices: virtual-clock single-owner devices and a thread-safe
-//! shared device that serializes concurrent requests the way a saturated
-//! drive queue does.
+//! The simulated device: a thread-safe shared device that serializes
+//! concurrent requests the way a saturated drive queue does, with
+//! sequential-access detection and cumulative statistics.
 
 use crate::profile::DeviceProfile;
 use parking_lot::Mutex;
@@ -31,69 +31,11 @@ impl DeviceStats {
     }
 }
 
-/// A single-owner simulated device with a virtual clock.
-///
-/// `read` advances the clock by the modeled service time and returns the
-/// completion timestamp. Sequential detection: a read of object `o` at the
-/// exact offset where the previous read of `o` ended is sequential.
-#[derive(Debug, Clone)]
-pub struct SimDevice {
-    profile: DeviceProfile,
-    clock: f64,
-    last: Option<(u64, u64)>,
-    stats: DeviceStats,
-}
-
-impl SimDevice {
-    /// Creates a device at virtual time zero.
-    pub fn new(profile: DeviceProfile) -> Self {
-        Self { profile, clock: 0.0, last: None, stats: DeviceStats::default() }
-    }
-
-    /// The device profile.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    /// Current virtual time in seconds.
-    pub fn now(&self) -> f64 {
-        self.clock
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
-    }
-
-    /// Performs a read of `len` bytes from `object` at `offset`, returning
-    /// the service time in seconds.
-    pub fn read(&mut self, object: u64, offset: u64, len: u64) -> f64 {
-        let sequential = self.last == Some((object, offset));
-        let t = self.profile.read_time(len, sequential);
-        self.clock += t;
-        self.last = Some((object, offset + len));
-        self.stats.reads += 1;
-        if sequential {
-            self.stats.sequential_reads += 1;
-        } else {
-            self.stats.random_reads += 1;
-        }
-        self.stats.bytes += len;
-        self.stats.busy_time += t;
-        t
-    }
-
-    /// Resets clock and statistics (profile retained).
-    pub fn reset(&mut self) {
-        self.clock = 0.0;
-        self.last = None;
-        self.stats = DeviceStats::default();
-    }
-}
-
 /// A thread-safe device shared by loader threads. Requests are serviced
 /// FIFO: a request arriving at `now` starts at `max(now, busy_until)`; the
 /// returned completion time models queueing at a saturated drive.
+/// Sequential detection: a read of object `o` at the exact offset where
+/// the previous read of `o` ended is sequential and pays no seek.
 #[derive(Debug)]
 pub struct SharedDevice {
     inner: Mutex<SharedInner>,
@@ -134,20 +76,10 @@ impl SharedDevice {
     /// virtual timestamps.
     pub fn read_at(&self, now: f64, object: u64, offset: u64, len: u64) -> (f64, f64) {
         let mut g = self.inner.lock();
-        let sequential = g.last == Some((object, offset));
-        let service = self.profile.read_time(len, sequential) / g.bandwidth_scale.max(1e-6);
+        let service = g.account(&self.profile, object, offset, len);
         let start = now.max(g.busy_until);
         let finish = start + service;
         g.busy_until = finish;
-        g.last = Some((object, offset + len));
-        g.stats.reads += 1;
-        if sequential {
-            g.stats.sequential_reads += 1;
-        } else {
-            g.stats.random_reads += 1;
-        }
-        g.stats.bytes += len;
-        g.stats.busy_time += service;
         (start, finish)
     }
 
@@ -158,19 +90,7 @@ impl SharedDevice {
     /// workers contend in real time — queueing them against the virtual
     /// timeline would corrupt any virtual-time loader sharing the store.
     pub fn service_wall(&self, object: u64, offset: u64, len: u64) -> f64 {
-        let mut g = self.inner.lock();
-        let sequential = g.last == Some((object, offset));
-        let service = self.profile.read_time(len, sequential) / g.bandwidth_scale.max(1e-6);
-        g.last = Some((object, offset + len));
-        g.stats.reads += 1;
-        if sequential {
-            g.stats.sequential_reads += 1;
-        } else {
-            g.stats.random_reads += 1;
-        }
-        g.stats.bytes += len;
-        g.stats.busy_time += service;
-        service
+        self.inner.lock().account(&self.profile, object, offset, len)
     }
 
     /// Statistics snapshot.
@@ -204,30 +124,41 @@ impl SharedDevice {
     }
 }
 
+impl SharedInner {
+    /// Counts one read in the statistics and the sequential-access
+    /// history, returning its modeled service time.
+    fn account(&mut self, profile: &DeviceProfile, object: u64, offset: u64, len: u64) -> f64 {
+        let sequential = self.last == Some((object, offset));
+        let service = profile.read_time(len, sequential) / self.bandwidth_scale.max(1e-6);
+        self.last = Some((object, offset + len));
+        self.stats.reads += 1;
+        if sequential {
+            self.stats.sequential_reads += 1;
+        } else {
+            self.stats.random_reads += 1;
+        }
+        self.stats.bytes += len;
+        self.stats.busy_time += service;
+        service
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sequential_detection() {
-        let mut d = SimDevice::new(DeviceProfile::hdd_7200rpm());
-        d.read(1, 0, 4096); // random (first)
-        d.read(1, 4096, 4096); // sequential
-        d.read(1, 100_000, 4096); // random (gap)
-        d.read(2, 104_096, 4096); // random (different object)
+        let d = SharedDevice::new(DeviceProfile::hdd_7200rpm());
+        let (s1, f1) = d.read_at(0.0, 1, 0, 4096); // random (first)
+        let (s2, f2) = d.read_at(0.0, 1, 4096, 4096); // sequential
+        assert!(f2 - s2 < f1 - s1, "a sequential read pays no seek");
+        assert_eq!(d.service_wall(1, 100_000, 4096), f1 - s1, "random (gap)");
+        d.read_at(0.0, 2, 104_096, 4096); // random (different object)
         let s = d.stats();
         assert_eq!(s.reads, 4);
         assert_eq!(s.sequential_reads, 1);
         assert_eq!(s.random_reads, 3);
-    }
-
-    #[test]
-    fn clock_advances_by_service_time() {
-        let mut d = SimDevice::new(DeviceProfile::ssd_sata());
-        let t1 = d.read(0, 0, 1 << 20);
-        let t2 = d.read(0, 1 << 20, 1 << 20);
-        assert!((d.now() - (t1 + t2)).abs() < 1e-12);
-        assert!(t2 < t1, "second read is sequential, no seek");
     }
 
     #[test]
@@ -251,10 +182,10 @@ mod tests {
 
     #[test]
     fn achieved_bandwidth_close_to_profile_for_large_sequential() {
-        let mut d = SimDevice::new(DeviceProfile::ssd_sata());
+        let d = SharedDevice::new(DeviceProfile::ssd_sata());
         let mut off = 0u64;
         for _ in 0..100 {
-            d.read(0, off, 8 << 20);
+            d.read_at(0.0, 0, off, 8 << 20);
             off += 8 << 20;
         }
         let bw = d.stats().achieved_bw_mib_s();
@@ -278,10 +209,12 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut d = SimDevice::new(DeviceProfile::ram());
-        d.read(0, 0, 100);
+        let d = SharedDevice::new(DeviceProfile::ram());
+        let (_, first) = d.read_at(0.0, 0, 0, 100);
+        d.read_at(0.0, 0, 100, 100);
         d.reset();
-        assert_eq!(d.now(), 0.0);
-        assert_eq!(d.stats().reads, 0);
+        assert_eq!(d.busy_until(), 0.0);
+        assert_eq!(d.stats(), DeviceStats::default());
+        assert_eq!(d.read_at(0.0, 0, 100, 100).1, first, "the access history is gone too");
     }
 }

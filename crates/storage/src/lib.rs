@@ -2,9 +2,9 @@
 //!
 //! Simulated storage substrate for the PCR reproduction: parametric device
 //! models (7200RPM HDD, SATA SSD, Ceph-like aggregate cluster), a
-//! virtual-clock device with sequential-access detection, a thread-safe
-//! shared device that queues concurrent requests, a page-cache model, and
-//! an object store combining them.
+//! thread-safe shared device with sequential-access detection that queues
+//! concurrent requests, a page-cache model, and an object store combining
+//! them.
 //!
 //! The paper's systems results depend only on the ratio between compute
 //! throughput and storage bandwidth (its Appendix A.2 queueing analysis);
@@ -58,7 +58,7 @@ pub mod store;
 
 pub use bytes::ByteView;
 pub use cache::{PageCache, PAGE_SIZE};
-pub use device::{DeviceStats, SharedDevice, SimDevice};
+pub use device::{DeviceStats, SharedDevice};
 pub use fault::{FaultDecision, FaultPlan, FaultStats, FaultStatsSnapshot, ReadError};
 pub use profile::DeviceProfile;
 pub use store::{Clock, ObjectStore, ReadResult};

@@ -53,8 +53,8 @@ fn main() {
             decode: DecodeMode::modeled_progressive(),
             ..LoaderConfig::default()
         };
-        let epoch = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
-        let trace = run_pipeline(&epoch, &compute, 0.0);
+        let (_, records) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        let trace = run_pipeline(&records, &compute, 0.0);
         println!(
             " {g:>5} | {:>14.3} | {:>14.0} | {:>13.3}",
             trace.stall_fraction(),

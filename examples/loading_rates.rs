@@ -36,23 +36,24 @@ fn main() {
             decode: DecodeMode::Skip,
             ..LoaderConfig::default()
         };
-        PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0)
+        PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0).0
     };
 
     let full = run(10);
     let full_rate = full.images_per_sec();
     let full_bytes = pcr.db.mean_image_bytes_at_group(10);
 
-    println!(" scan | KiB/img | measured img/s | predicted img/s (Lemma A.3)");
+    println!(" scan | KiB/img | measured img/s | predicted img/s (Lemma A.3) | bound");
     for g in 1..=10usize {
         let r = run(g);
         let mean_bytes = pcr.db.mean_image_bytes_at_group(g);
         let predicted = full_rate * full_bytes / mean_bytes;
         println!(
-            " {g:>4} | {:>7.1} | {:>14.0} | {:>14.0}",
+            " {g:>4} | {:>7.1} | {:>14.0} | {:>27.0} | {}",
             mean_bytes / 1024.0,
             r.images_per_sec(),
-            predicted
+            predicted,
+            r.bottleneck.as_str()
         );
     }
     println!("\nAs in the paper: bandwidth is the bottleneck, so the images/second");

@@ -54,7 +54,7 @@ fn main() {
                 workers,
                 rate,
                 epoch.mean_image_bytes() / 1024.0,
-                epoch.wall_seconds,
+                epoch.seconds,
                 rate / base.max(1e-9),
             );
         }

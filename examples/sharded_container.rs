@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for g in [1usize, 2, 5, 10] {
         opened.store.device().reset();
         let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
-        let epoch = PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
+        let (epoch, _) = PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
         println!("{:>6} {:>12} {:>12.0}", g, epoch.bytes, epoch.images_per_sec());
     }
 

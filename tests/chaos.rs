@@ -181,10 +181,10 @@ proptest! {
             decode: DecodeMode::Real,
             retry: retry_policy(),
         };
-        let r = PcrLoader::new(&store, &ds.db, cfg).run_epoch(epoch, 0.0);
+        let (r, records) = PcrLoader::new(&store, &ds.db, cfg).run_epoch(epoch, 0.0);
 
         let mut delivered = BTreeMap::new();
-        for rec in &r.records {
+        for rec in &records {
             prop_assert!(rec.delivered_group >= 1 && rec.delivered_group <= group);
             prop_assert_eq!(rec.degraded, rec.delivered_group < group);
             // Real mode: a delivered record actually decoded.
@@ -192,7 +192,7 @@ proptest! {
             add_labels(&mut delivered, &rec.labels);
         }
         prop_assert_eq!(
-            r.records.len() + r.faults.quarantined_records as usize,
+            records.len() + r.faults.quarantined_records as usize,
             ds.db.num_records()
         );
         for (&label, &count) in &r.faults.quarantined_labels {
@@ -200,7 +200,7 @@ proptest! {
         }
         prop_assert_eq!(delivered, expected_labels(&ds.db));
         // The fault report's totals agree with the per-record flags.
-        let degraded = r.records.iter().filter(|x| x.degraded).count() as u64;
+        let degraded = records.iter().filter(|x| x.degraded).count() as u64;
         prop_assert_eq!(r.faults.degraded_records, degraded);
     }
 
@@ -224,17 +224,17 @@ proptest! {
             decode: DecodeMode::Real,
             retry: retry_policy(),
         };
-        let r = PcrLoader::new(&store, &ds.db, cfg).run_epoch(0, 0.0);
+        let (r, records) = PcrLoader::new(&store, &ds.db, cfg).run_epoch(0, 0.0);
         // Deterministic per-site faults (e.g. a timeout keyed to the
         // group-1 plan) can still exhaust the whole ladder, so records
         // may quarantine — but the accounting must reconcile exactly.
         prop_assert_eq!(
-            r.records.len() + r.faults.quarantined_records as usize,
+            records.len() + r.faults.quarantined_records as usize,
             ds.db.num_records()
         );
 
         let mut scratch = RecordScratch::new();
-        for rec in &r.records {
+        for rec in &records {
             let plan = ds.db.plan(rec.record, rec.delivered_group);
             let clean_read = clean
                 .read(pcr::storage::Clock::Virtual(0.0), plan.name, plan.offset, plan.len)
@@ -316,16 +316,16 @@ proptest! {
             retry: retry_policy(),
         };
         let oracle_store = faulted_store(plan.clone());
-        let oracle = PcrLoader::new(&oracle_store, &ds.db, cfg.clone()).run_epoch(0, 0.0);
+        let (oracle, records) =
+            PcrLoader::new(&oracle_store, &ds.db, cfg.clone()).run_epoch(0, 0.0);
         let mut by_record: BTreeMap<usize, &pcr::loader::LoadedRecord> =
-            oracle.records.iter().map(|r| (r.record, r)).collect();
+            records.iter().map(|r| (r.record, r)).collect();
 
         let (delivered, stats) =
             wall_epoch_in_order(Arc::new(faulted_store(plan)), cfg.clone(), prefetch_depth(deep));
-        let faults = stats.fault_report();
-        prop_assert_eq!(faults.quarantined_records, oracle.faults.quarantined_records);
-        prop_assert_eq!(faults.degraded_records, oracle.faults.degraded_records);
-        prop_assert_eq!(faults.retries, oracle.faults.retries);
+        // One decode worker merges each record's faults in epoch order, so
+        // the two clocks' reports agree to the last bit of backoff.
+        prop_assert_eq!(stats.fault_report(), oracle.faults);
 
         let mut delivered = delivered.into_iter();
         for idx in ReadPlanner::from_config(&cfg).epoch_iter(ds.db.num_records(), 0) {
@@ -371,9 +371,9 @@ fn wall_clock_quiet_plan_epoch_is_identical_to_no_plan() {
     }
 }
 
-/// A quiet plan must be a no-op: the epoch result matches a run with no
-/// plan installed, field for field — the zero-fault fast path really is
-/// untouched.
+/// A quiet plan must be a no-op: the epoch report and timeline match a
+/// run with no plan installed, field for field — the zero-fault fast path
+/// really is untouched.
 #[test]
 fn quiet_plan_epoch_is_identical_to_no_plan() {
     let ds = dataset();
@@ -390,18 +390,17 @@ fn quiet_plan_epoch_is_identical_to_no_plan() {
     };
     let bare = ObjectStore::new(DeviceProfile::ram());
     populate_store(&bare, ds);
-    let a = PcrLoader::new(&bare, &ds.db, cfg.clone()).run_epoch(1, 0.0);
+    let (a, a_records) = PcrLoader::new(&bare, &ds.db, cfg.clone()).run_epoch(1, 0.0);
 
     let quiet = ObjectStore::new(DeviceProfile::ram());
     populate_store(&quiet, ds);
     quiet.set_fault_plan(Some(FaultPlan::quiet(99)));
-    let b = PcrLoader::new(&quiet, &ds.db, cfg).run_epoch(1, 0.0);
+    let (b, b_records) = PcrLoader::new(&quiet, &ds.db, cfg).run_epoch(1, 0.0);
 
-    assert_eq!(a.images, b.images);
-    assert_eq!(a.bytes, b.bytes);
+    assert_eq!(a, b, "the whole report, bottleneck verdict and shares included");
     assert!(b.faults.is_clean());
     assert_eq!(
-        a.records.iter().map(|r| (r.seq, r.record, r.ready.to_bits())).collect::<Vec<_>>(),
-        b.records.iter().map(|r| (r.seq, r.record, r.ready.to_bits())).collect::<Vec<_>>(),
+        a_records.iter().map(|r| (r.seq, r.record, r.ready.to_bits())).collect::<Vec<_>>(),
+        b_records.iter().map(|r| (r.seq, r.record, r.ready.to_bits())).collect::<Vec<_>>(),
     );
 }

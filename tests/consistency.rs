@@ -30,7 +30,7 @@ fn db_byte_plan_matches_loader_reads_exactly() {
             decode: DecodeMode::Skip,
             ..LoaderConfig::default()
         };
-        let epoch = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(0, 0.0);
+        let (epoch, _) = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(0, 0.0);
         // The DB's plan and the loader's accounting and the device's
         // transfer counters must be identical.
         assert_eq!(epoch.bytes, pcr_ds.db.bytes_at_group(g), "group {g} loader vs db");
@@ -72,8 +72,9 @@ fn storage_bound_pipeline_tracks_lemma_a2() {
             decode: DecodeMode::Skip,
             ..LoaderConfig::default()
         };
-        let epoch = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(0, 0.0);
-        let pipe = run_pipeline(&epoch, &ComputeUnit { images_per_sec: 1e12, batch_size: 8 }, 0.0);
+        let (_, records) = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(0, 0.0);
+        let compute = ComputeUnit { images_per_sec: 1e12, batch_size: 8 };
+        let pipe = run_pipeline(&records, &compute, 0.0);
         let lemma = loader_throughput(&profile, pcr_ds.db.mean_image_bytes_at_group(g), 8);
         let rel = (pipe.images_per_sec() - lemma).abs() / lemma;
         assert!(rel < 0.4, "group {g}: sim {:.0} vs lemma {lemma:.0}", pipe.images_per_sec());

@@ -49,11 +49,11 @@ fn epoch_records(
     epoch: u64,
 ) -> (Vec<(String, Vec<u32>)>, u64) {
     let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
-    let result = PcrLoader::over(store, source, cfg).run_epoch(epoch, 0.0);
+    let (report, records) = PcrLoader::over(store, source, cfg).run_epoch(epoch, 0.0);
     let mut pairs: Vec<(String, Vec<u32>)> =
-        result.records.iter().map(|r| (names(r.record), r.labels.clone())).collect();
+        records.iter().map(|r| (names(r.record), r.labels.clone())).collect();
     pairs.sort();
-    (pairs, result.bytes)
+    (pairs, report.bytes)
 }
 
 #[test]

@@ -28,10 +28,10 @@ fn pipeline_delivers_decodable_images_at_every_group() {
             decode: DecodeMode::Real,
             ..LoaderConfig::default()
         };
-        let epoch = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
-        let images: usize = epoch.records.iter().map(|r| r.images.len()).sum();
+        let (_, records) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        let images: usize = records.iter().map(|r| r.images.len()).sum();
         assert_eq!(images, ds.train.len(), "group {g} delivered all images");
-        for rec in &epoch.records {
+        for rec in &records {
             for img in &rec.images {
                 assert_eq!(img.width(), 64);
                 assert_eq!(img.channels(), 3);
@@ -148,8 +148,8 @@ fn cache_pressure_drops_with_scan_group() {
         let loader = PcrLoader::new(&store, &pcr.db, cfg);
         let mut t = 0.0;
         for e in 0..3u64 {
-            let r = loader.run_epoch(e, t);
-            t = r.records.last().map_or(t, |rec| rec.ready);
+            let (_, records) = loader.run_epoch(e, t);
+            t = records.last().map_or(t, |rec| rec.ready);
         }
         store.cache_hit_rate()
     };

@@ -87,7 +87,7 @@ fn wall_clock_and_virtual_time_loaders_agree_on_traffic() {
     let (store, db) = dermatology_fixture();
     for group in [1usize, 5, 10] {
         let loader_cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(group) };
-        let modeled = PcrLoader::new(&store, &db, loader_cfg.clone()).run_epoch(0, 0.0);
+        let (modeled, _) = PcrLoader::new(&store, &db, loader_cfg.clone()).run_epoch(0, 0.0);
         let wall = ParallelLoader::new(
             Arc::clone(&store),
             Arc::clone(&db),

@@ -216,9 +216,9 @@ fn loader_conserves_images_across_epochs_and_seeds() {
                 decode: DecodeMode::Skip,
                 ..LoaderConfig::default()
             };
-            let r = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(epoch, 0.0);
+            let (r, loaded) = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(epoch, 0.0);
             assert_eq!(r.images, ds.train.len());
-            let mut records: Vec<usize> = r.records.iter().map(|x| x.record).collect();
+            let mut records: Vec<usize> = loaded.iter().map(|x| x.record).collect();
             records.sort_unstable();
             let expected: Vec<usize> = (0..pcr_ds.num_records()).collect();
             assert_eq!(records, expected, "each record exactly once");
