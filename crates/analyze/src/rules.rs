@@ -60,15 +60,14 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Files subject to `no-panic-in-hot-path`: the innermost decode
-/// layers (including the entropy scan loops and the SIMD kernels they
-/// dispatch to) and the wire-parse modules — the code that runs
-/// per coefficient or consumes untrusted bytes.
+/// layers (including the entropy scan loops and the IDCT) and the
+/// wire-parse modules — the code that runs per coefficient or consumes
+/// untrusted bytes.
 const HOT_PANIC_FILES: &[&str] = &[
     "crates/jpeg/src/bitio.rs",
     "crates/jpeg/src/huffman.rs",
     "crates/jpeg/src/dct.rs",
     "crates/jpeg/src/dentropy.rs",
-    "crates/jpeg/src/simd.rs",
     "crates/core/src/wire.rs",
     "crates/core/src/record.rs",
     "crates/core/src/container.rs",

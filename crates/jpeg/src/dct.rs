@@ -15,10 +15,12 @@
 //!
 //! Raw butterfly output is *AAN-scaled*: [`forward_dct_raw`] produces
 //! `S(u,v) · 8 · aan(u) · aan(v)` where `S` is the T.81 / orthonormal DCT
-//! and `aan(k) = √2·cos(kπ/16)` (`aan(0) = 1`); [`inverse_dct_raw`]
-//! expects its input pre-scaled by `aan(u)·aan(v) / 8`. The orthonormal
-//! [`forward_dct`] / [`inverse_dct`] wrappers apply those factors
-//! explicitly and are what tests and non-pipeline callers use.
+//! and `aan(k) = √2·cos(kπ/16)` (`aan(0) = 1`); the decode kernel
+//! [`inverse_dct_pixels`] expects its input pre-scaled by
+//! `aan(u)·aan(v) / 8`, which [`inverse_quant_scales`] folds into
+//! dequantization. The orthonormal [`forward_dct`] wrapper applies the
+//! forward factors explicitly and is what tests and non-pipeline callers
+//! use.
 //!
 //! # Determinism contract
 //!
@@ -205,52 +207,6 @@ pub fn forward_dct_raw(input: &[f64; 64], output: &mut [f64; 64]) {
     }
 }
 
-/// Inverse 8x8 DCT, raw AAN scaling: `input[v*8+u]` must hold
-/// `S(u,v) · aan(u) · aan(v) / 8` (the dequantization step applies this
-/// via [`inverse_quant_scales`]); `output` receives level-shifted spatial
-/// samples. Columns whose seven AC inputs are all zero take a constant
-/// shortcut — the common case for low-scan-group (DC-heavy) truncated
-/// progressive decodes.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
-pub fn inverse_dct_raw(input: &[f64; 64], output: &mut [f64; 64]) {
-    // Columns.
-    let mut ws = [0f64; 64];
-    for u in 0..8 {
-        let col = [
-            input[u],
-            input[8 + u],
-            input[16 + u],
-            input[24 + u],
-            input[32 + u],
-            input[40 + u],
-            input[48 + u],
-            input[56 + u],
-        ];
-        if col[1] == 0.0
-            && col[2] == 0.0
-            && col[3] == 0.0
-            && col[4] == 0.0
-            && col[5] == 0.0
-            && col[6] == 0.0
-            && col[7] == 0.0
-        {
-            for y in 0..8 {
-                ws[y * 8 + u] = col[0];
-            }
-            continue;
-        }
-        let out = idct_1d(col);
-        for (y, o) in out.into_iter().enumerate() {
-            ws[y * 8 + u] = o;
-        }
-    }
-    // Rows.
-    for y in 0..8 {
-        let row: [f64; 8] = ws[y * 8..y * 8 + 8].try_into().expect("8 wide");
-        output[y * 8..y * 8 + 8].copy_from_slice(&idct_1d(row));
-    }
-}
-
 /// Forward 8x8 DCT with orthonormal output (DC of a constant block `c` is
 /// `8c`). `input` holds level-shifted samples in row-major order.
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
@@ -261,19 +217,6 @@ pub fn forward_dct(input: &[f64; 64], output: &mut [f64; 64]) {
             output[v * 8 + u] /= 8.0 * AAN_SCALE[u] * AAN_SCALE[v];
         }
     }
-}
-
-/// Inverse 8x8 DCT from orthonormal coefficients; `output` receives
-/// level-shifted samples.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
-pub fn inverse_dct(input: &[f64; 64], output: &mut [f64; 64]) {
-    let mut scaled = [0f64; 64];
-    for v in 0..8 {
-        for u in 0..8 {
-            scaled[v * 8 + u] = input[v * 8 + u] * (AAN_SCALE[u] * AAN_SCALE[v] / 8.0);
-        }
-    }
-    inverse_dct_raw(&scaled, output);
 }
 
 /// Folds a quantization table (natural order) into per-coefficient
@@ -294,8 +237,8 @@ pub fn forward_quant_scales(q: &[u16; 64]) -> [f64; 64] {
 
 /// Folds a quantization table (natural order) into per-coefficient
 /// dequantization multipliers for the decode side:
-/// `raw_idct_input[i] = coeff[i] * dq[i]` feeds [`inverse_dct_raw`]
-/// directly — dequantization and AAN prescale in one multiply.
+/// `coeff[i] * dq[i]` is the AAN-prescaled input [`inverse_dct_pixels`]
+/// transforms — dequantization and AAN prescale in one multiply.
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
 pub fn inverse_quant_scales(q: &[u16; 64]) -> [f64; 64] {
     let mut dq = [0f64; 64];
@@ -308,25 +251,33 @@ pub fn inverse_quant_scales(q: &[u16; 64]) -> [f64; 64] {
     dq
 }
 
+// Lane-wise ops on the 8-wide row vectors of the column pass: plain
+// loops the compiler vectorises, each lane the same IEEE-754 operation as
+// the scalar butterfly.
 #[inline(always)]
-fn vadd(a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
-    crate::simd::add8(&a, &b)
+fn vadd(mut a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+    a
 }
 #[inline(always)]
-fn vsub(a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
-    crate::simd::sub8(&a, &b)
+fn vsub(mut a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x -= y;
+    }
+    a
 }
 #[inline(always)]
 fn vscale(a: [f64; 8], s: f64) -> [f64; 8] {
-    crate::simd::scale8(&a, s)
+    a.map(|x| x * s)
 }
 
 /// The decode pixel kernel: dequantizes one block through folded scales
 /// ([`inverse_quant_scales`]), inverse transforms it, and stores clamped
 /// pixels. The column pass runs the AAN butterfly on whole 8-wide row
-/// vectors through the [`crate::simd`] kernels (SSE2 on x86_64, scalar
-/// elsewhere — bit-identical either way); the row pass is a scalar
-/// butterfly feeding the shared [`descale`] rounding contract.
+/// vectors; the row pass is a scalar butterfly feeding the shared
+/// [`descale`] rounding contract.
 ///
 /// Arithmetic is deliberately `f64`: the bit-exactness suite demands
 /// byte-identical pixels against the f64 basis-matrix oracle, and only
@@ -395,7 +346,7 @@ mod tests {
         let mut freq = [0f64; 64];
         let mut back = [0f64; 64];
         forward_dct(block, &mut freq);
-        inverse_dct(&freq, &mut back);
+        reference::reference_inverse_dct(&freq, &mut back);
         block
             .iter()
             .zip(back.iter())
@@ -460,8 +411,10 @@ mod tests {
         assert!((e_spatial - e_freq).abs() / e_spatial < 1e-12);
     }
 
-    /// The butterfly agrees with the retained basis-matrix oracle to
-    /// near-f64 precision in both directions (pseudo-random blocks).
+    /// The forward butterfly agrees with the retained basis-matrix oracle
+    /// to near-f64 precision (pseudo-random blocks). The inverse butterfly
+    /// is checked against the oracle in the pixel domain, below and in the
+    /// exactness suite.
     #[test]
     fn butterfly_matches_reference_oracle() {
         let mut seed = 0x1357_9BDFu64;
@@ -477,13 +430,6 @@ mod tests {
             reference::reference_forward_dct(&block, &mut ref_f);
             for i in 0..64 {
                 assert!((fast_f[i] - ref_f[i]).abs() < 1e-8, "fdct[{i}]");
-            }
-            let mut fast_i = [0f64; 64];
-            let mut ref_i = [0f64; 64];
-            inverse_dct(&ref_f, &mut fast_i);
-            reference::reference_inverse_dct(&ref_f, &mut ref_i);
-            for i in 0..64 {
-                assert!((fast_i[i] - ref_i[i]).abs() < 1e-8, "idct[{i}]");
             }
         }
     }
@@ -510,8 +456,8 @@ mod tests {
 
     #[test]
     fn pixel_kernel_matches_orthonormal_path() {
-        // inverse_dct_pixels (q-folded kernel) == inverse_dct(coeff * q)
-        // + descale, exactly at the rounding contract.
+        // inverse_dct_pixels (q-folded kernel) == the oracle's inverse of
+        // coeff * q + descale, exactly at the rounding contract.
         let mut q = [0u16; 64];
         for (i, v) in q.iter_mut().enumerate() {
             *v = (3 + (i * 7) % 91) as u16;
@@ -528,7 +474,7 @@ mod tests {
             ortho_in[i] = f64::from(coeffs[i]) * f64::from(q[i]);
         }
         let mut ortho = [0f64; 64];
-        inverse_dct(&ortho_in, &mut ortho);
+        reference::reference_inverse_dct(&ortho_in, &mut ortho);
         for i in 0..64 {
             let expected = (descale(ortho[i]) + 128).clamp(0, 255) as u8;
             assert_eq!(fast[i], expected, "pixel {i}");

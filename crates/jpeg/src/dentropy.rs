@@ -356,6 +356,32 @@ fn low_mask(n: usize) -> u64 {
     }
 }
 
+/// Nonzero bitmap of a coefficient block: bit `i` is set iff
+/// `block[i] != 0` (natural order in the decoder, zigzag order on the
+/// encoder's zigzag-ordered blocks).
+///
+/// The compare is a plain loop the compiler vectorises: coefficient
+/// `8r + c` becomes byte `8r + c`, holding `1 << r` when nonzero. ORing
+/// the eight 8-byte rows gives one word whose byte `c`, bit `r` marks
+/// coefficient `8r + c` — the bitmap with its 8x8 bit matrix transposed —
+/// and three rounds of bit swaps transpose it back (Hacker's Delight
+/// 7-3).
+#[inline]
+pub(crate) fn nonzero_mask64(block: &[i16; 64]) -> u64 {
+    let mut rows = [0u8; 64];
+    for (i, (b, &v)) in rows.iter_mut().zip(block).enumerate() {
+        *b = u8::from(v != 0) << (i / 8);
+    }
+    let (rows, _) = rows.as_chunks::<8>();
+    let x = rows.iter().fold(0u64, |x, &row| x | u64::from_le_bytes(row));
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    let x = x ^ t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    let x = x ^ t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — pos =
 // trailing_zeros of a nonzero u64 is < 64, and ZIGZAG is a 64-entry
 // permutation, so every index is in bounds.
@@ -413,12 +439,12 @@ fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
         let block: &mut [i16; 64] =
             coeffs.block_mut(frame, sc.comp_index, row, col).try_into().expect("8x8 block");
         // Bitmap of already-nonzero band positions (bit k = zigzag index
-        // k), built once per block from the natural-order SIMD nonzero
-        // mask (8 wide compares) permuted through ZIGZAG — cheaper than
-        // 64 scattered 16-bit loads. Insertions only ever happen behind
-        // the advancing cursor, so the snapshot stays valid for every
-        // lookahead this block performs.
-        let natural = crate::simd::nonzero_mask64(block);
+        // k), built once per block from the natural-order nonzero mask
+        // permuted through ZIGZAG — cheaper than 64 scattered 16-bit
+        // loads. Insertions only ever happen behind the advancing cursor,
+        // so the snapshot stays valid for every lookahead this block
+        // performs.
+        let natural = nonzero_mask64(block);
         let mut nz = 0u64;
         for (k, &z) in ZIGZAG.iter().enumerate().take(se + 1).skip(ss) {
             nz |= ((natural >> z) & 1) << k;
@@ -638,5 +664,31 @@ mod tests {
         let mut out = CoeffPlanes::new(&frame);
         roundtrip_scan(&frame, &coeffs, &scan, &mut out);
         assert_eq!(out, coeffs);
+    }
+
+    /// Every 8-bit pattern in every byte lane, with zero or nonzero
+    /// neighbours and each extreme coefficient value: the transpose in
+    /// [`nonzero_mask64`] puts every coefficient on its own bit.
+    #[test]
+    fn nonzero_mask_is_exact_in_every_lane() {
+        for v in [1i16, -1, i16::MIN, i16::MAX] {
+            for lane in 0..8 {
+                let lane_bits = 0xFFu64 << (8 * lane);
+                for pattern in 0..=255u64 {
+                    for background in [0, v] {
+                        let mut block = [background; 64];
+                        for j in 0..8 {
+                            block[8 * lane + j] = if pattern >> j & 1 == 1 { v } else { 0 };
+                        }
+                        let rest = if background == 0 { 0 } else { !lane_bits };
+                        assert_eq!(
+                            nonzero_mask64(&block),
+                            pattern << (8 * lane) | rest,
+                            "value {v}, lane {lane}, pattern {pattern:#010b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

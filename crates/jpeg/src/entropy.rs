@@ -17,7 +17,7 @@
 //!
 //! The walk reads blocks from a zigzag-ordered copy of the coefficient
 //! planes ([`ZigzagPlanes`], built once per image), so a spectral band is
-//! a contiguous slice and [`crate::simd::nonzero_mask64`] of a block is
+//! a contiguous slice and [`nonzero_mask64`] of a block is
 //! already in scan order: the AC loops visit only the set bits and take
 //! zero runs from bit distances.
 //!
@@ -28,11 +28,10 @@
 
 use crate::bitio::{bit_size, BitWriter};
 use crate::consts::ZIGZAG;
-use crate::dentropy::mcu_units;
+use crate::dentropy::{mcu_units, nonzero_mask64};
 use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{gen_optimal_table, HuffEncoder, HuffTable};
-use crate::simd::nonzero_mask64;
 
 /// Huffman table slots of a scan: DC tables 0..4, then AC tables 0..4.
 pub(crate) const TABLE_SLOTS: usize = 8;

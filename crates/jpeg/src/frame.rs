@@ -85,14 +85,24 @@ impl FrameInfo {
         progressive: bool,
         comps: Vec<(u8, u8, u8, u8)>,
     ) -> Result<Self> {
-        if comps.is_empty() || comps.len() > 4 {
+        // Pixel assembly handles grayscale (1) or YCbCr (3, plus an ignored
+        // fourth); a 2-component frame has no colour model to convert.
+        if !matches!(comps.len(), 1 | 3 | 4) {
             return Err(Error::UnsupportedFrame(format!("{} components", comps.len())));
+        }
+        // T.81 allows height 0 (defined later by a DNL marker); this
+        // decoder does not, and an empty frame has no pixels to assemble.
+        if width == 0 || height == 0 {
+            return Err(Error::UnsupportedFrame(format!("{width}x{height} frame")));
+        }
+        // T.81 B.2.2: sampling factors are 1..=4. A zero factor gives its
+        // component an empty block grid.
+        let factor_ok = |f: u8| (1..=4).contains(&f);
+        if !comps.iter().all(|c| factor_ok(c.1) && factor_ok(c.2)) {
+            return Err(Error::UnsupportedFrame("bad sampling factors".into()));
         }
         let hmax = comps.iter().map(|c| c.1).max().unwrap();
         let vmax = comps.iter().map(|c| c.2).max().unwrap();
-        if hmax == 0 || vmax == 0 || hmax > 4 || vmax > 4 {
-            return Err(Error::UnsupportedFrame("bad sampling factors".into()));
-        }
         // T.81 B.2.2: Tq selects one of four quantization tables. Pixel
         // reconstruction indexes the table array with it unchecked.
         if let Some(c) = comps.iter().find(|c| c.3 > 3) {

@@ -23,13 +23,7 @@
 //! assert_eq!(approx.width(), 32);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module carries the one
-// sanctioned exception — `#[target_feature(enable = "sse2")]` kernel
-// entry points whose only precondition (SSE2 present) is a baseline
-// guarantee of the x86_64 target. Each site has a `// SAFETY:` comment
-// and the static-analysis pass enforces that.
-#![deny(unsafe_code)]
-
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitio;
@@ -53,7 +47,6 @@ pub(crate) mod reference;
 pub(crate) mod reference_encoder;
 pub mod sample;
 pub mod scansplit;
-pub mod simd;
 pub mod transcode;
 
 pub use decoder::{

@@ -319,26 +319,11 @@ pub fn planes_to_image(planes: &[SamplePlane], frame: &FrameInfo) -> Result<Imag
                 Some(map) => rows[ci][map[x] as usize],
             }
         };
-        // Four pixels per step through the SIMD quad kernel (bit-identical
-        // to the scalar LUT conversion), scalar loop for the tail.
-        let mut quads = out.chunks_exact_mut(12);
-        let mut x = 0usize;
-        for px4 in quads.by_ref() {
-            let yv: [u8; 4] = core::array::from_fn(|i| sample(0, x + i));
-            let cbv: [u8; 4] = core::array::from_fn(|i| sample(1, x + i));
-            let crv: [u8; 4] = core::array::from_fn(|i| sample(2, x + i));
-            let rgb = crate::simd::ycbcr_to_rgb_quad(yv, cbv, crv);
-            for (px, c) in px4.chunks_exact_mut(3).zip(rgb) {
-                px.copy_from_slice(&c);
-            }
-            x += 4;
-        }
-        for px in quads.into_remainder().chunks_exact_mut(3) {
+        for (x, px) in out.chunks_exact_mut(3).enumerate() {
             let (r, g, b) = ycbcr_to_rgb(sample(0, x), sample(1, x), sample(2, x));
             px[0] = r;
             px[1] = g;
             px[2] = b;
-            x += 1;
         }
     }
     ImageBuf::from_raw(frame.width, frame.height, 3, data)

@@ -2,7 +2,9 @@
 //! never loop) on corrupted, truncated, or bit-flipped streams. The PCR
 //! read path depends on graceful handling of arbitrary prefixes.
 
-use pcr_jpeg::{decode, encode, EncodeConfig, ImageBuf};
+use pcr_jpeg::{decode, encode, EncodeConfig, Error, ImageBuf, Subsampling};
+use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn test_image() -> ImageBuf {
     let mut data = Vec::new();
@@ -114,4 +116,109 @@ fn repeated_markers_and_garbage_between_segments() {
     doubled.extend_from_slice(&base[dqt + len..]);
     let out = decode(&doubled).expect("duplicate DQT is harmless");
     assert_eq!(out, decode(&base).unwrap());
+}
+
+/// A frame component's sampling factors and quantization table: `(h, v, tq)`.
+type Comp = (u8, u8, u8);
+
+/// `stream` with its SOF segment replaced by one declaring `width` x
+/// `height` and `comps` (ids 1, 2, ...), and the offset just past the new
+/// segment.
+fn with_sof(stream: &[u8], width: u16, height: u16, comps: &[Comp]) -> (Vec<u8>, usize) {
+    let at = stream
+        .windows(2)
+        .position(|w| w == [0xFF, 0xC0] || w == [0xFF, 0xC2])
+        .expect("SOF present");
+    let old_len = usize::from(u16::from_be_bytes([stream[at + 2], stream[at + 3]]));
+    let mut out = stream[..at + 2].to_vec();
+    out.extend_from_slice(&(8 + 3 * comps.len() as u16).to_be_bytes());
+    out.push(8);
+    out.extend_from_slice(&height.to_be_bytes());
+    out.extend_from_slice(&width.to_be_bytes());
+    out.push(comps.len() as u8);
+    for (id, &(h, v, tq)) in (1u8..).zip(comps) {
+        out.extend_from_slice(&[id, h << 4 | v, tq]);
+    }
+    let sof_end = out.len();
+    out.extend_from_slice(&stream[at + 2 + old_len..]);
+    (out, sof_end)
+}
+
+#[test]
+fn crafted_frame_geometries_are_rejected() {
+    // Frames the pixel assembly cannot build: two components (no colour
+    // model), zero width or height, and a zero sampling factor (an empty
+    // block grid). The decoder must refuse them at the frame header, both
+    // for the whole stream and for a stream cut right after the SOF (no
+    // scans, so nothing else fails first).
+    let color = encode(&test_image(), &EncodeConfig::baseline(85)).unwrap();
+    let ycc: &[Comp] = &[(1, 1, 0), (1, 1, 1), (1, 1, 1)];
+    let cases: [(u16, u16, &[Comp]); 7] = [
+        (48, 48, &[(1, 1, 0), (1, 1, 1)]),
+        (17, 9, &[(2, 2, 0), (1, 1, 1)]),
+        (0, 48, ycc),
+        (48, 0, ycc),
+        (0, 8, &[(1, 1, 0)]),
+        (48, 48, &[(1, 1, 0), (0, 1, 1), (1, 1, 1)]),
+        (48, 48, &[(2, 2, 0), (1, 1, 1), (1, 0, 1)]),
+    ];
+    for (width, height, comps) in cases {
+        let (stream, sof_end) = with_sof(&color, width, height, comps);
+        for s in [&stream[..sof_end], &stream[..]] {
+            let got = decode(s);
+            assert!(
+                matches!(got, Err(Error::UnsupportedFrame(_))),
+                "{width}x{height}, {} components: {got:?}",
+                comps.len()
+            );
+        }
+    }
+}
+
+/// Valid encodings whose frame headers the property below rewrites:
+/// baseline and progressive, grayscale, 4:4:4 and 4:2:0.
+fn bases() -> &'static [Vec<u8>] {
+    static BASES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    BASES.get_or_init(|| {
+        let color = test_image();
+        let gray =
+            ImageBuf::from_raw(24, 16, 1, (0..24 * 16).map(|i| (i * 7) as u8).collect()).unwrap();
+        let s444 = EncodeConfig {
+            subsampling: Subsampling::S444,
+            ..EncodeConfig::progressive(60)
+        };
+        vec![
+            encode(&color, &EncodeConfig::baseline(85)).unwrap(),
+            encode(&color, &EncodeConfig::progressive(85)).unwrap(),
+            encode(&color, &s444).unwrap(),
+            encode(&gray, &EncodeConfig::progressive(85)).unwrap(),
+            encode(&gray, &EncodeConfig::baseline(50)).unwrap(),
+        ]
+    })
+}
+
+/// A sampling factor: 1..=4, and one draw in 17 the invalid 0.
+fn factor() -> impl Strategy<Value = u8> {
+    (0u8..17).prop_map(|x| x.div_ceil(4))
+}
+
+/// Frame dimensions around the block and MCU edges.
+const DIMS: [u16; 10] = [0, 1, 7, 8, 9, 16, 17, 33, 48, 64];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any frame header over real scan data, cut anywhere after it:
+    /// `decode` returns (an image or an error) and never panics.
+    #[test]
+    fn decode_survives_rewritten_frame_headers(
+        base in 0usize..5,
+        dims in (0usize..DIMS.len(), 0usize..DIMS.len()),
+        comps in prop::collection::vec((factor(), factor(), 0u8..=1), 1..=4),
+        cut in any::<u32>(),
+    ) {
+        let (stream, sof_end) = with_sof(&bases()[base], DIMS[dims.0], DIMS[dims.1], &comps);
+        let len = sof_end + cut as usize % (stream.len() - sof_end + 1);
+        let _ = decode(&stream[..len]);
+    }
 }

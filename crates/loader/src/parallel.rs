@@ -212,14 +212,23 @@ impl EpochStream {
     /// first, so calling this mid-epoch cancels cleanly (workers notice
     /// the closed channel) instead of deadlocking; drain `batches` before
     /// calling if you want the full epoch.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of any pipeline thread, after every
+    /// thread has been joined: a stage that died cut the epoch short, and
+    /// the caller must not take the partial epoch for a whole one.
     pub fn join(self) {
         let EpochStream { batches, workers, assembler, .. } = self;
         drop(batches);
-        for w in workers {
-            let _ = w.join();
+        let mut panic = None;
+        for thread in workers.into_iter().chain(assembler) {
+            if let Err(payload) = thread.join() {
+                panic.get_or_insert(payload);
+            }
         }
-        if let Some(a) = assembler {
-            let _ = a.join();
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -670,6 +679,44 @@ mod tests {
         assert_eq!(images, 0);
         assert_eq!(report.images, 10, "labels count the deliveries");
         assert_eq!(report.decode_seconds, 0.0);
+    }
+
+    /// A catalog whose decode panics on one record.
+    struct PanicsOn(MetaDb, usize);
+
+    impl RecordSource for PanicsOn {
+        fn num_records(&self) -> usize {
+            self.0.num_records()
+        }
+        fn plan(&self, idx: usize, scan_group: usize) -> crate::source::ReadPlan<'_> {
+            self.0.plan(idx, scan_group)
+        }
+        fn labels(&self, idx: usize) -> &[u32] {
+            self.0.labels(idx)
+        }
+        fn decode_real(
+            &self,
+            idx: usize,
+            bytes: &[u8],
+            scan_group: usize,
+            scratch: &mut RecordScratch,
+        ) -> Option<Vec<ImageBuf>> {
+            if idx == self.1 {
+                panic!("decode panicked on record {idx}");
+            }
+            self.0.decode_real(idx, bytes, scan_group, scratch)
+        }
+    }
+
+    /// A stage thread that dies cuts the epoch short; the fold must say
+    /// so by panicking instead of reporting the partial epoch.
+    #[test]
+    #[should_panic(expected = "decode panicked on record 1")]
+    fn stage_thread_panic_reaches_the_fold() {
+        let (store, db) = make(9, DeviceProfile::ram());
+        let source = Arc::new(PanicsOn((*db).clone(), 1));
+        let loader = ParallelLoader::new(store, source, ParallelConfig::real(2, 10));
+        loader.spawn_epoch(0).fold(|batches| batches.count());
     }
 
     #[test]
