@@ -33,6 +33,8 @@
 //! them — the property that lets the test suite demand *byte-identical*
 //! pixels between this butterfly and the reference basis-matrix oracle.
 
+use crate::consts::UNZIGZAG;
+
 /// `√2·cos(kπ/16)` for k=1..7 with `aan(0)=1`: the per-index scale factor
 /// of the AAN factorization. The 2-D factor for coefficient `(u, v)` is
 /// `AAN_SCALE[u] * AAN_SCALE[v]`.
@@ -237,8 +239,9 @@ pub fn forward_quant_scales(q: &[u16; 64]) -> [f64; 64] {
 
 /// Folds a quantization table (natural order) into per-coefficient
 /// dequantization multipliers for the decode side:
-/// `coeff[i] * dq[i]` is the AAN-prescaled input [`inverse_dct_pixels`]
-/// transforms — dequantization and AAN prescale in one multiply.
+/// for natural index `i`, `coeff[i] * dq[i]` is the AAN-prescaled input
+/// [`inverse_dct_pixels`] transforms — dequantization and AAN prescale in
+/// one multiply.
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
 pub fn inverse_quant_scales(q: &[u16; 64]) -> [f64; 64] {
     let mut dq = [0f64; 64];
@@ -273,11 +276,12 @@ fn vscale(a: [f64; 8], s: f64) -> [f64; 8] {
     a.map(|x| x * s)
 }
 
-/// The decode pixel kernel: dequantizes one block through folded scales
-/// ([`inverse_quant_scales`]), inverse transforms it, and stores clamped
-/// pixels. The column pass runs the AAN butterfly on whole 8-wide row
-/// vectors; the row pass is a scalar butterfly feeding the shared
-/// [`descale`] rounding contract.
+/// The decode pixel kernel: dequantizes one zigzag-order block through
+/// folded scales ([`inverse_quant_scales`], natural order) — the load
+/// gathers each natural-order coefficient through `UNZIGZAG` — inverse
+/// transforms it, and stores clamped pixels. The column pass runs the
+/// AAN butterfly on whole 8-wide row vectors; the row pass is a scalar
+/// butterfly feeding the shared [`descale`] rounding contract.
 ///
 /// Arithmetic is deliberately `f64`: the bit-exactness suite demands
 /// byte-identical pixels against the f64 basis-matrix oracle, and only
@@ -286,13 +290,12 @@ fn vscale(a: [f64; 8], s: f64) -> [f64; 8] {
 /// that a straddle can never occur in practice (an f32 kernel was
 /// measurably faster but produced rare ±1 pixels against the oracle).
 #[inline]
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — rows/columns loop over literal 0..8 into [_; 64] blocks; coeffs is length-checked at entry
-pub fn inverse_dct_pixels(coeffs: &[i16], dq: &[f64; 64], out: &mut [u8; 64]) {
-    debug_assert_eq!(coeffs.len(), 64);
+// pcr-lint: allow(no-panic-in-hot-path) for-next-item — rows/columns loop over literal 0..8 into [_; 64] blocks; UNZIGZAG entries are < 64
+pub fn inverse_dct_pixels(coeffs: &[i16; 64], dq: &[f64; 64], out: &mut [u8; 64]) {
     let mut rows = [[0f64; 8]; 8];
     for v in 0..8 {
         for u in 0..8 {
-            rows[v][u] = f64::from(coeffs[v * 8 + u]) * dq[v * 8 + u];
+            rows[v][u] = f64::from(coeffs[UNZIGZAG[v * 8 + u]]) * dq[v * 8 + u];
         }
     }
     let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
@@ -340,6 +343,7 @@ pub fn inverse_dct_pixels(coeffs: &[i16], dq: &[f64; 64], out: &mut [u8; 64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::ZIGZAG;
     use crate::reference;
 
     fn roundtrip_error(block: &[f64; 64]) -> f64 {
@@ -467,8 +471,9 @@ mod tests {
             *v = ((i as i32 * 29 + 5) % 41 - 20) as i16;
         }
         let dq = inverse_quant_scales(&q);
+        let zigzag = core::array::from_fn(|k| coeffs[ZIGZAG[k]]);
         let mut fast = [0u8; 64];
-        inverse_dct_pixels(&coeffs, &dq, &mut fast);
+        inverse_dct_pixels(&zigzag, &dq, &mut fast);
         let mut ortho_in = [0f64; 64];
         for i in 0..64 {
             ortho_in[i] = f64::from(coeffs[i]) * f64::from(q[i]);

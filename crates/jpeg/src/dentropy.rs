@@ -2,7 +2,6 @@
 //! `entropy.rs` (encode side) and libjpeg's `jdhuff.c`/`jdphuff.c`.
 
 use crate::bitio::{extend, BitSource};
-use crate::consts::ZIGZAG;
 use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{HuffDecoder, SymbolDecoder};
@@ -50,27 +49,15 @@ pub fn mcu_units(frame: &FrameInfo, scan: &ScanInfo) -> u32 {
     }
 }
 
-/// Decodes one scan's entropy data from `r` into `coeffs`.
-///
-/// Returns normally at the end of the scan's MCUs; a truncated stream decodes
-/// zero bits for the remainder (graceful degradation, which the PCR partial
-/// read path relies on between scan-group boundaries).
-pub fn decode_scan<D: SymbolDecoder, R: BitSource>(
-    frame: &FrameInfo,
-    coeffs: &mut CoeffPlanes,
-    scan: &ScanInfo,
-    tables: &DecodeTables<'_, D>,
-    r: &mut R,
-) -> Result<()> {
-    decode_scan_range(frame, coeffs, scan, tables, r, 0..mcu_units(frame, scan))
-}
-
 /// Decodes the MCU-unit range `units` of a scan from `r` into `coeffs` —
-/// one restart segment's worth when the stream carries restart markers.
+/// the whole scan (`0..mcu_units(frame, scan)`), or one restart segment's
+/// worth when the stream carries restart markers.
 ///
-/// Decoder state (DC predictors, EOB run) starts fresh, exactly the
-/// reset a restart marker demands, so decoding a whole scan equals
-/// decoding its segments in sequence.
+/// A truncated stream decodes zero bits for the remainder (graceful
+/// degradation, which the PCR partial read path relies on between
+/// scan-group boundaries). Decoder state (DC predictors, EOB run) starts
+/// fresh, exactly the reset a restart marker demands, so decoding a whole
+/// scan equals decoding its segments in sequence.
 pub fn decode_scan_range<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -99,7 +86,12 @@ pub fn decode_scan_range<D: SymbolDecoder, R: BitSource>(
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — scan.validate
 // checks every comp_index; block coordinates stay inside the component's
 // blocks_w x blocks_h grid by construction of the loops.
-fn for_each_block(
+/// Walks the blocks of the scan units `units` — interleaved scans in MCU
+/// order, single-component scans in raster order — calling
+/// `f(comp_slot, block_row, block_col)` where `comp_slot` indexes
+/// `scan.components`. The one block walk of the decoder and the
+/// tokenizer.
+pub(crate) fn for_each_block(
     frame: &FrameInfo,
     scan: &ScanInfo,
     units: Range<u32>,
@@ -137,7 +129,7 @@ fn for_each_block(
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot indexes the
 // per-scan vectors sized from scan.components; k is guarded <= 63 before
-// ZIGZAG[k]; block_mut returns an 8x8 block so the try_into cannot fail.
+// block[k].
 fn decode_sequential<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -168,8 +160,7 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
             0
         };
         preds[slot] += diff;
-        let block: &mut [i16; 64] =
-            coeffs.block_mut(frame, sc.comp_index, row, col).try_into().expect("8x8 block");
+        let block = coeffs.block_mut(frame, sc.comp_index, row, col);
         block[0] = preds[slot] as i16;
         let mut k = 1usize;
         // Two coefficients per probe where possible: `decode_pair` pulls a
@@ -208,7 +199,7 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
             if k > 63 {
                 return Err(Error::CorruptData("AC run past block end".into()));
             }
-            block[ZIGZAG[k]] = extend(bits, size) as i16;
+            block[k] = extend(bits, size) as i16;
             k += 1;
         }
         debug_assert!(pending.is_none(), "speculative step without a consumer");
@@ -274,7 +265,7 @@ fn decode_dc_refine<R: BitSource>(
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have
 // exactly one component (scan.validate); k is guarded <= se <= 63 before
-// ZIGZAG[k]; block_mut returns an 8x8 block so the try_into cannot fail.
+// block[k].
 fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -300,8 +291,7 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
             eobrun -= 1;
             return Ok(());
         }
-        let block: &mut [i16; 64] =
-            coeffs.block_mut(frame, sc.comp_index, row, col).try_into().expect("8x8 block");
+        let block = coeffs.block_mut(frame, sc.comp_index, row, col);
         let mut k = scan.ss as usize;
         // As in `decode_sequential`: two symbol+bits steps per 32-bit
         // window when `more` proves the second will be needed.
@@ -331,7 +321,7 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
                 if k > se {
                     return Err(Error::CorruptData("AC run past band end".into()));
                 }
-                block[ZIGZAG[k]] = (extend(bits, size) << al) as i16;
+                block[k] = (extend(bits, size) << al) as i16;
                 k += 1;
             } else if run == 15 {
                 k += 16;
@@ -356,9 +346,9 @@ fn low_mask(n: usize) -> u64 {
     }
 }
 
-/// Nonzero bitmap of a coefficient block: bit `i` is set iff
-/// `block[i] != 0` (natural order in the decoder, zigzag order on the
-/// encoder's zigzag-ordered blocks).
+/// Nonzero bitmap of a coefficient block: bit `k` is set iff
+/// `block[k] != 0`. Blocks are stored in zigzag order, so this is the
+/// scan-order mask both the decoder and the tokenizer walk.
 ///
 /// The compare is a plain loop the compiler vectorises: coefficient
 /// `8r + c` becomes byte `8r + c`, holding `1 << r` when nonzero. ORing
@@ -383,8 +373,7 @@ pub(crate) fn nonzero_mask64(block: &[i16; 64]) -> u64 {
 }
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — pos =
-// trailing_zeros of a nonzero u64 is < 64, and ZIGZAG is a 64-entry
-// permutation, so every index is in bounds.
+// trailing_zeros of a nonzero u64 is < 64, so every index is in bounds.
 /// Emits one correction bit (T.81 G.1.2.3) for every position set in
 /// `corr` (ascending zigzag order), batching the bit reads through 16-bit
 /// peeks: one refill check and one consume per batch instead of one per
@@ -404,13 +393,12 @@ fn apply_corrections<R: BitSource>(
             let pos = corr.trailing_zeros() as usize;
             corr &= corr - 1;
             let bit = ((win >> (15 - i)) & 1) as i32;
-            let idx = ZIGZAG[pos];
-            let cur = i32::from(block[idx]);
+            let cur = i32::from(block[pos]);
             // Branch-free update: the correction bit is random data, and
             // a conditional store here would mispredict half the time.
             let apply = bit & i32::from(cur & p1 == 0);
             let delta = if cur >= 0 { p1 } else { m1 }; // cmov
-            block[idx] = (cur + apply * delta) as i16;
+            block[pos] = (cur + apply * delta) as i16;
         }
         r.consume(batch)?;
     }
@@ -418,8 +406,8 @@ fn apply_corrections<R: BitSource>(
 }
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have one
-// component; ZIGZAG indices come from band positions k/target <= se <= 63
-// (target > se errors first); block_mut's 8x8 block makes try_into total.
+// component; block indices are band positions target <= se <= 63
+// (target > se errors first).
 fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -436,19 +424,12 @@ fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
     let se = scan.se as usize;
     let mut eobrun = 0u32;
     for_each_block(frame, scan, units, |_slot, row, col| {
-        let block: &mut [i16; 64] =
-            coeffs.block_mut(frame, sc.comp_index, row, col).try_into().expect("8x8 block");
-        // Bitmap of already-nonzero band positions (bit k = zigzag index
-        // k), built once per block from the natural-order nonzero mask
-        // permuted through ZIGZAG — cheaper than 64 scattered 16-bit
-        // loads. Insertions only ever happen behind the advancing cursor,
-        // so the snapshot stays valid for every lookahead this block
-        // performs.
-        let natural = nonzero_mask64(block);
-        let mut nz = 0u64;
-        for (k, &z) in ZIGZAG.iter().enumerate().take(se + 1).skip(ss) {
-            nz |= ((natural >> z) & 1) << k;
-        }
+        let block = coeffs.block_mut(frame, sc.comp_index, row, col);
+        // Bitmap of already-nonzero positions (bit k = zigzag index k),
+        // read against band masks below. Insertions only ever happen
+        // behind the advancing cursor, so the snapshot stays valid for
+        // every lookahead this block performs.
+        let nz = nonzero_mask64(block);
         let mut k = ss;
         if eobrun == 0 {
             while k <= se {
@@ -492,7 +473,7 @@ fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
                     if target > se {
                         return Err(Error::CorruptData("refine run past band end".into()));
                     }
-                    block[ZIGZAG[target]] = newval as i16;
+                    block[target] = newval as i16;
                 }
                 k = target + 1;
             }
@@ -533,7 +514,8 @@ mod tests {
         let mut reader = BitReader::new(&bytes);
         let (dc, ac) = decoders.split_at(4);
         let tables = DecodeTables { dc: dc.try_into().unwrap(), ac: ac.try_into().unwrap() };
-        decode_scan(frame, into, scan, &tables, &mut reader).unwrap();
+        let units = 0..mcu_units(frame, scan);
+        decode_scan_range(frame, into, scan, &tables, &mut reader, units).unwrap();
     }
 
     fn filled_frame(progressive: bool, w: u32, h: u32) -> (FrameInfo, CoeffPlanes) {

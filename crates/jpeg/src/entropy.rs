@@ -15,11 +15,10 @@
 //! those of walking the scan twice, once for statistics and once for
 //! bits (the retained reference encoder the tests compare against).
 //!
-//! The walk reads blocks from a zigzag-ordered copy of the coefficient
-//! planes ([`ZigzagPlanes`], built once per image), so a spectral band is
-//! a contiguous slice and [`nonzero_mask64`] of a block is
-//! already in scan order: the AC loops visit only the set bits and take
-//! zero runs from bit distances.
+//! [`CoeffPlanes`] stores every block in zigzag (scan) order, so a
+//! spectral band is a contiguous slice and [`nonzero_mask64`] of a block
+//! is already in scan order: the AC loops visit only the set bits and
+//! take zero runs from bit distances.
 //!
 //! The progressive successive-approximation logic mirrors libjpeg's
 //! `jcphuff.c` (`encode_mcu_AC_first` / `encode_mcu_AC_refine`), which is
@@ -27,8 +26,7 @@
 //! implicit.
 
 use crate::bitio::{bit_size, BitWriter};
-use crate::consts::ZIGZAG;
-use crate::dentropy::{mcu_units, nonzero_mask64};
+use crate::dentropy::{for_each_block, mcu_units, nonzero_mask64};
 use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{gen_optimal_table, HuffEncoder, HuffTable};
@@ -44,27 +42,6 @@ const TOKEN_BITS: u32 = 15;
 /// Token code index (`slot * 256 + symbol` for symbols) of raw bits with
 /// no symbol; [`CodeBook`] gives it a zero-length code.
 const RAW: u32 = (TABLE_SLOTS * 256) as u32;
-
-/// The coefficient planes with every block permuted into zigzag (scan)
-/// order, blocks in the same row-major MCU-padded layout as
-/// [`CoeffPlanes`].
-#[derive(Debug)]
-struct ZigzagPlanes {
-    planes: Vec<Vec<[i16; 64]>>,
-}
-
-impl ZigzagPlanes {
-    /// Copies `coeffs` into zigzag order.
-    fn new(coeffs: &CoeffPlanes) -> Self {
-        let planes = (0..coeffs.num_components())
-            .map(|comp| {
-                let blocks = coeffs.plane(comp).chunks_exact(64);
-                blocks.map(|b| core::array::from_fn(|k| b[ZIGZAG[k]])).collect()
-            })
-            .collect();
-        Self { planes }
-    }
-}
 
 /// What one scan's walk produced: per-table symbol counts and the token
 /// stream emission replays. One value serves every scan of an image
@@ -175,18 +152,18 @@ impl CodeBook {
     }
 }
 
-/// The entropy encoder of one image: its coefficients in scan order and
-/// the token buffer every scan reuses.
+/// The entropy encoder of one image: its coefficients and the token
+/// buffer every scan reuses.
 #[derive(Debug)]
-pub(crate) struct ScanEncoder {
-    coeffs: ZigzagPlanes,
+pub(crate) struct ScanEncoder<'a> {
+    coeffs: &'a CoeffPlanes,
     tokens: ScanTokens,
 }
 
-impl ScanEncoder {
+impl<'a> ScanEncoder<'a> {
     /// Prepares `coeffs` for encoding.
-    pub(crate) fn new(coeffs: &CoeffPlanes) -> Self {
-        Self { coeffs: ZigzagPlanes::new(coeffs), tokens: ScanTokens::default() }
+    pub(crate) fn new(coeffs: &'a CoeffPlanes) -> Self {
+        Self { coeffs, tokens: ScanTokens::default() }
     }
 
     /// Encodes one scan and returns its entropy-coded bytes. With
@@ -201,7 +178,7 @@ impl ScanEncoder {
         tables: &mut ScanTables,
     ) -> Result<Vec<u8>> {
         self.tokens.clear();
-        tokenize_scan(frame, &self.coeffs, scan, &mut self.tokens)?;
+        tokenize_scan(frame, self.coeffs, scan, &mut self.tokens)?;
         if optimize {
             for (slot, table) in tables.iter_mut().enumerate() {
                 *table = self.tokens.counts(slot).map(|c| gen_optimal_table(c)).transpose()?;
@@ -222,7 +199,7 @@ fn magnitude(v: i32) -> (u32, u32) {
     (pattern & ((1u32 << n) - 1), n)
 }
 
-/// Point-transformed magnitudes `|c| >> al` of a zigzag-ordered block.
+/// Point-transformed magnitudes `|c| >> al` of a block.
 /// The lanes keep the `u16` bit patterns (`|i16::MIN|` included), so
 /// [`nonzero_mask64`] of the result marks the coefficients a scan at
 /// point transform `al` sees as nonzero.
@@ -231,7 +208,7 @@ fn magnitudes(zz: &[i16; 64], al: u32) -> [i16; 64] {
     core::array::from_fn(|k| (u32::from(zz[k].unsigned_abs()) >> al) as i16)
 }
 
-/// Bits `ss..=se` of a zigzag-order block mask.
+/// Bits `ss..=se` of a block mask.
 #[inline]
 fn band_mask(scan: &ScanInfo) -> u64 {
     (u64::MAX >> (63 - u32::from(scan.se))) & (u64::MAX << scan.ss)
@@ -240,7 +217,7 @@ fn band_mask(scan: &ScanInfo) -> u64 {
 /// Walks one scan into `tokens`.
 fn tokenize_scan(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
@@ -260,46 +237,17 @@ fn tokenize_scan(
     }
 }
 
-/// Iterates the blocks of a scan — interleaved scans in MCU order,
-/// single-component scans in row-major block order — calling
-/// `f(comp_slot, block)` where `comp_slot` indexes `scan.components`.
-fn for_each_block(
+/// Calls `f(comp_slot, block)` for every block of a whole scan, in the
+/// decoder's block order ([`for_each_block`]).
+fn scan_blocks(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     mut f: impl FnMut(usize, &[i16; 64]) -> Result<()>,
 ) -> Result<()> {
-    let block = |comp: usize, row: u32, col: u32| {
-        let alloc_w = frame.components[comp].alloc_w as usize;
-        &coeffs.planes[comp][row as usize * alloc_w + col as usize]
-    };
-    let units = 0..mcu_units(frame, scan);
-    if let [sc] = scan.components[..] {
-        let bw = frame.components[sc.comp_index].blocks_w;
-        let (mut row, mut col) = (0, 0);
-        for _ in units {
-            f(0, block(sc.comp_index, row, col))?;
-            col += 1;
-            if col == bw {
-                (row, col) = (row + 1, 0);
-            }
-        }
-        return Ok(());
-    }
-    for m in units {
-        let my = m / frame.mcus_x;
-        let mx = m % frame.mcus_x;
-        for (slot, sc) in scan.components.iter().enumerate() {
-            let c = &frame.components[sc.comp_index];
-            for by in 0..u32::from(c.v) {
-                for bx in 0..u32::from(c.h) {
-                    let (row, col) = (my * u32::from(c.v) + by, mx * u32::from(c.h) + bx);
-                    f(slot, block(sc.comp_index, row, col))?;
-                }
-            }
-        }
-    }
-    Ok(())
+    for_each_block(frame, scan, 0..mcu_units(frame, scan), |slot, row, col| {
+        f(slot, coeffs.block(frame, scan.components[slot].comp_index, row, col))
+    })
 }
 
 /// One DC difference: the size-category symbol plus its magnitude bits.
@@ -312,12 +260,12 @@ fn tokenize_dc_diff(tokens: &mut ScanTokens, table: u8, dc: i32, pred: &mut i32)
 
 fn tokenize_sequential(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
     let mut preds = [0i32; 4];
-    for_each_block(frame, coeffs, scan, |slot, zz| {
+    scan_blocks(frame, coeffs, scan, |slot, zz| {
         let sc = scan.components[slot];
         tokenize_dc_diff(tokens, sc.dc_table, i32::from(zz[0]), &mut preds[slot]);
         let ac = AC_SLOT + usize::from(sc.ac_table);
@@ -347,13 +295,13 @@ fn tokenize_sequential(
 
 fn tokenize_dc_first(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     let mut preds = [0i32; 4];
-    for_each_block(frame, coeffs, scan, |slot, zz| {
+    scan_blocks(frame, coeffs, scan, |slot, zz| {
         let table = scan.components[slot].dc_table;
         tokenize_dc_diff(tokens, table, i32::from(zz[0]) >> al, &mut preds[slot]);
         Ok(())
@@ -362,14 +310,14 @@ fn tokenize_dc_first(
 
 fn tokenize_dc_refine(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     // One bit per block, packed into full tokens.
     let (mut bits, mut n) = (0u64, 0u32);
-    for_each_block(frame, coeffs, scan, |_slot, zz| {
+    scan_blocks(frame, coeffs, scan, |_slot, zz| {
         bits = bits << 1 | u64::from((i32::from(zz[0]) >> al) & 1 != 0);
         n += 1;
         if n == TOKEN_BITS {
@@ -467,14 +415,14 @@ impl AcState {
 
 fn tokenize_ac_first(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     let band = band_mask(scan);
     let mut st = AcState::new(scan);
-    for_each_block(frame, coeffs, scan, |_slot, zz| {
+    scan_blocks(frame, coeffs, scan, |_slot, zz| {
         let mag = magnitudes(zz, al);
         let mut mask = nonzero_mask64(&mag) & band;
         let mut next = u32::from(scan.ss);
@@ -509,14 +457,14 @@ fn tokenize_ac_first(
 
 fn tokenize_ac_refine(
     frame: &FrameInfo,
-    coeffs: &ZigzagPlanes,
+    coeffs: &CoeffPlanes,
     scan: &ScanInfo,
     tokens: &mut ScanTokens,
 ) -> Result<()> {
     let al = u32::from(scan.al);
     let band = band_mask(scan);
     let mut st = AcState::new(scan);
-    for_each_block(frame, coeffs, scan, |_slot, zz| {
+    scan_blocks(frame, coeffs, scan, |_slot, zz| {
         let mag = magnitudes(zz, al);
         // Coefficients earlier scans already made nonzero (`|c| >> al`
         // above 1) send one correction bit; those becoming nonzero now
@@ -597,7 +545,7 @@ mod tests {
 
     fn tokenize(frame: &FrameInfo, coeffs: &CoeffPlanes, scan: &ScanInfo) -> ScanTokens {
         let mut tokens = ScanTokens::default();
-        tokenize_scan(frame, &ZigzagPlanes::new(coeffs), scan, &mut tokens).unwrap();
+        tokenize_scan(frame, coeffs, scan, &mut tokens).unwrap();
         tokens
     }
 
@@ -671,7 +619,7 @@ mod tests {
         let mut scan = gray_scan(0, 63, 0, 0);
         scan.components[0].dc_table = 4; // would alias AC table 0's slot
         let mut tokens = ScanTokens::default();
-        assert!(tokenize_scan(&frame, &ZigzagPlanes::new(&coeffs), &scan, &mut tokens).is_err());
+        assert!(tokenize_scan(&frame, &coeffs, &scan, &mut tokens).is_err());
     }
 
     #[test]
@@ -687,8 +635,8 @@ mod tests {
             al: 0,
         };
         let mut count = [0usize; 3];
-        let coeffs = ZigzagPlanes::new(&CoeffPlanes::new(&frame));
-        for_each_block(&frame, &coeffs, &scan, |slot, _block| {
+        let coeffs = CoeffPlanes::new(&frame);
+        scan_blocks(&frame, &coeffs, &scan, |slot, _block| {
             count[slot] += 1;
             Ok(())
         })

@@ -26,6 +26,7 @@
 //!   both stacks.
 
 use crate::bitio::{BitReader, BitSource, BitWriter};
+use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
 use crate::decoder::decode;
 use crate::dentropy::mcu_units;
@@ -400,7 +401,7 @@ fn gray_planes(
 /// scans, with and without correction bits riding along.
 #[test]
 fn eob_runs_across_0x7fff_match_two_pass_encoder() {
-    // 182 x 182 = 33124 blocks; zigzag position 1 is natural index 1.
+    // 182 x 182 = 33124 blocks.
     let (frame, coeffs) = gray_planes(1456, 1456, |i| {
         let mut b = [0i16; 64];
         b[0] = (i % 200) as i16;
@@ -436,7 +437,6 @@ fn correction_bit_buffer_flush_matches_two_pass_encoder() {
 /// through every scan type.
 #[test]
 fn zero_run_and_dense_block_corner_cases_match_two_pass_encoder() {
-    use crate::consts::ZIGZAG;
     let (frame, coeffs) = gray_planes(64, 64, |i| {
         let mut zz = [0i16; 64];
         zz[0] = 3 * i as i16 - 90;
@@ -461,9 +461,7 @@ fn zero_run_and_dense_block_corner_cases_match_two_pass_encoder() {
             4 => (1..64).for_each(|k| zz[k] = if k % 2 == 0 { 2 } else { -3 }),
             _ => (1..64).for_each(|k| zz[k] = 40 - 3 * k as i16 - i16::from(k > 12)),
         }
-        let mut natural = [0i16; 64];
-        (0..64).for_each(|k| natural[ZIGZAG[k]] = zz[k]);
-        natural
+        zz
     });
     let scans = [
         single_scan(0, 0, 0, 0, 1),
@@ -548,7 +546,7 @@ proptest! {
         let mut fast = FastBlockIdct::default();
         fast.begin_table(&q);
         let mut fast_px = [0u8; 64];
-        fast.transform(&block, &mut fast_px);
+        fast.transform(&core::array::from_fn(|k| block[ZIGZAG[k]]), &mut fast_px);
 
         // Reference: f64 dequant, basis-matrix IDCT, same descale contract.
         let mut freq = [0f64; 64];

@@ -136,7 +136,10 @@ impl FrameInfo {
 /// Quantized DCT coefficients for every component, MCU-padded.
 ///
 /// Each component stores `alloc_w * alloc_h` blocks of 64 `i16` values in
-/// natural (row-major) order.
+/// zigzag (scan) order: `block[k]` is the `k`-th coefficient a scan
+/// visits (the [`crate::consts`] zigzag table maps it to its natural,
+/// row-major index), so a scan's spectral band `ss..=se` is the slice
+/// `block[ss..=se]`. Only the forward and inverse DCT know natural order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoeffPlanes {
     planes: Vec<Vec<i16>>,
@@ -174,30 +177,24 @@ impl CoeffPlanes {
     }
 
     /// Immutable block at (component, block row, block col) — 64 coefficients
-    /// in natural order.
+    /// in zigzag order.
     #[inline]
-    pub fn block(&self, frame: &FrameInfo, comp: usize, row: u32, col: u32) -> &[i16] {
-        let c = &frame.components[comp];
-        let idx = (row as usize * c.alloc_w as usize + col as usize) * 64;
-        &self.planes[comp][idx..idx + 64]
+    pub fn block(&self, frame: &FrameInfo, comp: usize, row: u32, col: u32) -> &[i16; 64] {
+        let idx = row as usize * frame.components[comp].alloc_w as usize + col as usize;
+        &self.planes[comp].as_chunks().0[idx]
     }
 
     /// Mutable block accessor.
     #[inline]
-    pub fn block_mut(&mut self, frame: &FrameInfo, comp: usize, row: u32, col: u32) -> &mut [i16] {
-        let c = &frame.components[comp];
-        let idx = (row as usize * c.alloc_w as usize + col as usize) * 64;
-        &mut self.planes[comp][idx..idx + 64]
-    }
-
-    /// Raw plane for a component.
-    pub fn plane(&self, comp: usize) -> &[i16] {
-        &self.planes[comp]
-    }
-
-    /// Number of component planes.
-    pub fn num_components(&self) -> usize {
-        self.planes.len()
+    pub fn block_mut(
+        &mut self,
+        frame: &FrameInfo,
+        comp: usize,
+        row: u32,
+        col: u32,
+    ) -> &mut [i16; 64] {
+        let idx = row as usize * frame.components[comp].alloc_w as usize + col as usize;
+        &mut self.planes[comp].as_chunks_mut().0[idx]
     }
 }
 
@@ -307,7 +304,6 @@ mod tests {
         cp.block_mut(&f, 0, 1, 2)[5] = 42;
         assert_eq!(cp.block(&f, 0, 1, 2)[5], 42);
         assert_eq!(cp.block(&f, 0, 1, 1)[5], 0);
-        assert_eq!(cp.num_components(), 3);
     }
 
     #[test]

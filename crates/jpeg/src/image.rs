@@ -59,11 +59,6 @@ impl ImageBuf {
         &self.data
     }
 
-    /// Mutable raw samples.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Sample at (x, y, c).
     #[inline]
     pub fn get(&self, x: u32, y: u32, c: u8) -> u8 {
@@ -118,21 +113,6 @@ impl ImageBuf {
             }
         }
         ImageBuf { width: nw, height: nh, channels: self.channels, data }
-    }
-
-    /// Horizontal flip (a standard training augmentation).
-    pub fn hflip(&self) -> ImageBuf {
-        let c = self.channels as usize;
-        let w = self.width as usize;
-        let mut data = vec![0u8; self.data.len()];
-        for y in 0..self.height as usize {
-            for x in 0..w {
-                let src = (y * w + x) * c;
-                let dst = (y * w + (w - 1 - x)) * c;
-                data[dst..dst + c].copy_from_slice(&self.data[src..src + c]);
-            }
-        }
-        ImageBuf { width: self.width, height: self.height, channels: self.channels, data }
     }
 }
 
@@ -256,14 +236,6 @@ mod tests {
         assert_eq!(c.width(), 4);
         assert_eq!(c.height(), 4);
         assert_eq!(c.get(1, 1, 0), 77); // (3,3) - offset (2,2)
-    }
-
-    #[test]
-    fn hflip_involution() {
-        let data: Vec<u8> = (0..48).collect();
-        let img = ImageBuf::from_raw(4, 4, 3, data).unwrap();
-        assert_eq!(img.hflip().hflip(), img);
-        assert_eq!(img.hflip().get(0, 0, 0), img.get(3, 0, 0));
     }
 
     #[test]

@@ -303,9 +303,9 @@ pub(crate) fn reference_inverse_dct(input: &[f64; 64], output: &mut [f64; 64]) {
     }
 }
 
-/// Basis-matrix pixel kernel: plain f64 dequantization then the oracle
-/// IDCT, rounded to pixels through the same `descale` contract as the
-/// fast kernel.
+/// Basis-matrix pixel kernel: un-zigzag, plain f64 dequantization, then
+/// the oracle IDCT, rounded to pixels through the same `descale` contract
+/// as the fast kernel.
 #[derive(Debug)]
 struct ReferenceBlockIdct {
     q: [u16; 64],
@@ -321,10 +321,10 @@ impl BlockIdct for ReferenceBlockIdct {
     fn begin_table(&mut self, q: &[u16; 64]) {
         self.q = *q;
     }
-    fn transform(&mut self, coeffs: &[i16], out: &mut [u8; 64]) {
+    fn transform(&mut self, coeffs: &[i16; 64], out: &mut [u8; 64]) {
         let mut freq = [0f64; 64];
-        for i in 0..64 {
-            freq[i] = f64::from(coeffs[i]) * f64::from(self.q[i]);
+        for (k, &c) in coeffs.iter().enumerate() {
+            freq[ZIGZAG[k]] = f64::from(c) * f64::from(self.q[ZIGZAG[k]]);
         }
         let mut spatial = [0f64; 64];
         reference_inverse_dct(&freq, &mut spatial);

@@ -12,7 +12,7 @@
 //! the restart streams the decode tests feed it.
 
 use crate::bitio::bit_size;
-use crate::consts::{EOI, SOI, ZIGZAG};
+use crate::consts::{EOI, SOI};
 use crate::dentropy::mcu_units;
 use crate::encoder::{default_progressive_script, qtables_for, sequential_scan, EncodeConfig};
 use crate::entropy::ScanTables;
@@ -260,8 +260,8 @@ fn encode_sequential(
         sink.bits(pat, n);
         // AC
         let mut r = 0u32;
-        for k in 1..64 {
-            let v = i32::from(block[ZIGZAG[k]]);
+        for &v in &block[1..] {
+            let v = i32::from(v);
             if v == 0 {
                 r += 1;
                 continue;
@@ -364,8 +364,8 @@ fn encode_ac_first(
     for_each_block(frame, scan, units, |_slot, row, col| {
         let block = coeffs.block(frame, sc.comp_index, row, col);
         let mut r = 0u32;
-        for k in scan.ss as usize..=scan.se as usize {
-            let raw = i32::from(block[ZIGZAG[k]]);
+        for &raw in &block[scan.ss as usize..=scan.se as usize] {
+            let raw = i32::from(raw);
             if raw == 0 {
                 r += 1;
                 continue;
@@ -420,7 +420,7 @@ fn encode_ac_refine(
         let mut eob = scan.ss as usize; // any value < first 1 is fine
         let mut has_new = false;
         for k in scan.ss as usize..=scan.se as usize {
-            let raw = i32::from(block[ZIGZAG[k]]);
+            let raw = i32::from(block[k]);
             let t = raw.unsigned_abs() >> al;
             absval[k] = t;
             if t == 1 {
@@ -457,7 +457,7 @@ fn encode_ac_refine(
             // Newly nonzero coefficient.
             st.flush_eobrun(sink);
             sink.ac_symbol(sc.ac_table, ((r as u8) << 4) | 1);
-            let sign = if i32::from(block[ZIGZAG[k]]) < 0 { 0 } else { 1 };
+            let sign = if i32::from(block[k]) < 0 { 0 } else { 1 };
             sink.bits(sign, 1);
             for &b in &br {
                 sink.bits(u32::from(b), 1);

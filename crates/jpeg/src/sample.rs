@@ -1,6 +1,7 @@
 //! Pixel <-> coefficient conversion: color planes, chroma subsampling,
 //! block splitting, forward/inverse DCT and quantization.
 
+use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales, inverse_dct_pixels, inverse_quant_scales};
 use crate::error::Result;
 use crate::frame::{CoeffPlanes, FrameInfo};
@@ -138,7 +139,8 @@ pub fn image_to_planes(img: &ImageBuf, frame: &FrameInfo) -> Result<Vec<SamplePl
     Ok(planes)
 }
 
-/// Forward transforms sample planes into quantized coefficients.
+/// Forward transforms sample planes into quantized coefficients, each
+/// block stored in zigzag order (see [`CoeffPlanes`]).
 ///
 /// `qtables[tq]` must be present (natural order) for every component. The
 /// AAN descale factors are folded into per-table quantization multipliers
@@ -168,8 +170,8 @@ pub fn planes_to_coeffs(
                 }
                 forward_dct_raw(&spatial, &mut freq);
                 let block = coeffs.block_mut(frame, ci, brow, bcol);
-                for i in 0..64 {
-                    block[i] = descale(freq[i] * qm[i]) as i16;
+                for (v, &i) in block.iter_mut().zip(&ZIGZAG) {
+                    *v = descale(freq[i] * qm[i]) as i16;
                 }
             }
         }
@@ -186,9 +188,9 @@ pub(crate) trait BlockIdct {
     /// Called once per component with its (natural-order) quantization
     /// table before any [`BlockIdct::transform`] call for that component.
     fn begin_table(&mut self, q: &[u16; 64]);
-    /// Dequantizes and inverse transforms one 64-coefficient block into
+    /// Dequantizes and inverse transforms one zigzag-order block into
     /// final clamped pixels (row-major 8x8).
-    fn transform(&mut self, coeffs: &[i16], out: &mut [u8; 64]);
+    fn transform(&mut self, coeffs: &[i16; 64], out: &mut [u8; 64]);
 }
 
 /// Production kernel: folded dequantization + AAN butterfly with a
@@ -209,7 +211,7 @@ impl BlockIdct for FastBlockIdct {
         self.dq = inverse_quant_scales(q);
     }
     #[inline]
-    fn transform(&mut self, coeffs: &[i16], out: &mut [u8; 64]) {
+    fn transform(&mut self, coeffs: &[i16; 64], out: &mut [u8; 64]) {
         inverse_dct_pixels(coeffs, &self.dq, out);
     }
 }
@@ -418,5 +420,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Blocks are stored in zigzag order: `block[2]` is natural index 8,
+    /// vertical frequency 1, so alone it gives a block whose rows are
+    /// flat and differ from one another.
+    #[test]
+    fn zigzag_position_two_is_vertical_frequency_one() {
+        let frame = FrameInfo::for_encode(8, 8, 1, Subsampling::S444, false).unwrap();
+        let mut coeffs = CoeffPlanes::new(&frame);
+        coeffs.block_mut(&frame, 0, 0, 0)[2] = 20;
+        let planes = coeffs_to_planes(&coeffs, &frame, &qtables(75)).unwrap();
+        let rows: Vec<&[u8]> = planes[0].data.chunks_exact(8).collect();
+        for row in &rows {
+            assert!(row.iter().all(|&p| p == row[0]), "row not flat: {row:?}");
+        }
+        for pair in rows.windows(2) {
+            assert_ne!(pair[0][0], pair[1][0], "rows {:?} and {:?}", pair[0], pair[1]);
+        }
+    }
+
+    /// The forward direction of the same contract: a vertical-only
+    /// gradient has no horizontal frequency 1 (`block[1]`) and a nonzero
+    /// vertical frequency 1 (`block[2]`).
+    #[test]
+    fn vertical_gradient_quantizes_into_zigzag_position_two() {
+        let mut img = ImageBuf::new(8, 8, 1).unwrap();
+        for y in 0..8 {
+            for x in 0..8 {
+                img.set(x, y, 0, 40 + 20 * y as u8);
+            }
+        }
+        let frame = FrameInfo::for_encode(8, 8, 1, Subsampling::S444, false).unwrap();
+        let planes = image_to_planes(&img, &frame).unwrap();
+        let coeffs = planes_to_coeffs(&planes, &frame, &qtables(75)).unwrap();
+        let block = coeffs.block(&frame, 0, 0, 0);
+        assert_eq!(block[1], 0);
+        assert_ne!(block[2], 0);
     }
 }

@@ -6,7 +6,7 @@
 //! streams that any JPEG decoder renders from the available subset of
 //! scans.
 
-use crate::consts::{EOI, SOS};
+use crate::consts::EOI;
 use crate::error::{Error, Result};
 use crate::marker::{Segment, SegmentReader};
 
@@ -129,11 +129,6 @@ pub fn assemble_prefix(data: &[u8], layout: &ScanLayout, n_scans: usize) -> Resu
 /// regrouping scans across images).
 pub fn scan_chunks<'a>(data: &'a [u8], layout: &ScanLayout) -> Vec<&'a [u8]> {
     layout.scans.iter().map(|&(s, e)| &data[s..e]).collect()
-}
-
-/// Quick check that a stream contains an SOS marker at all.
-pub fn has_scan(data: &[u8]) -> bool {
-    data.windows(2).any(|w| w[0] == 0xFF && w[1] == SOS)
 }
 
 #[cfg(test)]
