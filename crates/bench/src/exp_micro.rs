@@ -102,8 +102,15 @@ pub fn fig18(ctx: &Ctx) {
     }
 }
 
+/// Alternating baseline/progressive timing pairs in `a5`: the box's
+/// speed drifts within a run, so each pair times both formats back to
+/// back (alternating which goes first) and the report is over pairs.
+const A5_PAIRS: usize = 7;
+
 /// Appendix A.5: real decode throughput, baseline vs progressive (and the
-/// overhead ratio the paper pegs at 40-50%).
+/// overhead ratio the paper pegs at 40-50%), as the median and quartiles
+/// over seven alternating pairs; then the progressive decode's
+/// entropy time split by scan kind and component (`a5-scan-split`).
 pub fn a5_decode_overhead(ctx: &Ctx) {
     let ds = ctx.dataset("imagenet");
     let images: Vec<_> = ds.train.iter().take(24).map(|s| &s.image).collect();
@@ -128,15 +135,102 @@ pub fn a5_decode_overhead(ctx: &Ctx) {
     };
     // Warm up, then measure.
     let _ = time_decode(&baseline_jpegs[..4.min(baseline_jpegs.len())]);
-    let tb = time_decode(&baseline_jpegs);
-    let tp = time_decode(&progressive_jpegs);
-    let rb = images.len() as f64 / tb;
-    let rp = images.len() as f64 / tp;
-    banner("a5", &[("columns", "format,images_per_sec_per_core".into())]);
-    println!("baseline,{rb:.1}");
-    println!("progressive,{rp:.1}");
-    println!("progressive_overhead,{:.2}", tb.max(1e-12).recip() / tp.max(1e-12).recip());
+    let _ = time_decode(&progressive_jpegs[..4.min(progressive_jpegs.len())]);
+    let n = images.len() as f64;
+    let (mut rb, mut rp, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..A5_PAIRS {
+        let (tb, tp) = if pair % 2 == 0 {
+            let tb = time_decode(&baseline_jpegs);
+            (tb, time_decode(&progressive_jpegs))
+        } else {
+            let tp = time_decode(&progressive_jpegs);
+            (time_decode(&baseline_jpegs), tp)
+        };
+        let (tb, tp) = (tb.max(1e-12), tp.max(1e-12));
+        rb.push(n / tb);
+        rp.push(n / tp);
+        overhead.push(tp / tb);
+    }
+    banner(
+        "a5",
+        &[
+            ("pairs", A5_PAIRS.to_string()),
+            ("columns", "format,images_per_sec_per_core,q1,q3".into()),
+        ],
+    );
+    for (name, xs) in [("baseline", &rb), ("progressive", &rp)] {
+        let (q1, med, q3) = pcr_metrics::quartiles(xs);
+        println!("{name},{med:.1},{q1:.1},{q3:.1}");
+    }
+    let (q1, med, q3) = pcr_metrics::quartiles(&overhead);
+    println!("progressive_overhead,{med:.2},{q1:.2},{q3:.2}");
     println!("# paper: 230 vs 150 img/s (PIL), 40-50% overhead");
+    a5_scan_split(&progressive_jpegs);
+}
+
+/// Scan kinds of a progressive stream, in `a5-scan-split` row order.
+const SCAN_KINDS: [&str; 4] = ["dc_first", "dc_refine", "ac_first", "ac_refine"];
+
+/// Times every restart segment (one per scan in these streams) through
+/// [`pcr_jpeg::DecodeObserver`], keyed by scan index.
+#[derive(Default)]
+struct ScanTimer {
+    started: Option<std::time::Instant>,
+    secs: Vec<f64>,
+}
+
+impl pcr_jpeg::DecodeObserver for ScanTimer {
+    fn segment_begin(&mut self, _scan_idx: usize, _seg: usize, _units: u32) {
+        self.started = Some(std::time::Instant::now());
+    }
+    fn segment_end(&mut self, scan_idx: usize, _seg: usize) {
+        let dt = self.started.take().map_or(0.0, |t0| t0.elapsed().as_secs_f64());
+        if self.secs.len() <= scan_idx {
+            self.secs.resize(scan_idx + 1, 0.0);
+        }
+        self.secs[scan_idx] += dt;
+    }
+}
+
+/// The `a5-scan-split` table: entropy-decode µs per image for each scan
+/// kind (DC/AC × first/refine) and component class (luma = component 0,
+/// chroma = the rest), best of [`A5_PAIRS`] passes over `jpegs`. An
+/// interleaved scan (only DC scans interleave) is shared out by block
+/// count, since it codes one symbol per block whatever the component.
+fn a5_scan_split(jpegs: &[Vec<u8>]) {
+    let mut best = [[f64::INFINITY; 2]; 4];
+    let mut pool = Vec::new();
+    for _ in 0..A5_PAIRS {
+        let mut pass = [[0f64; 2]; 4];
+        for j in jpegs {
+            let mut timer = ScanTimer::default();
+            let d = pcr_jpeg::decode_coeffs_observed(j, &mut pool, &mut timer).expect("decode");
+            for (scan, &secs) in d.scans.iter().zip(&timer.secs) {
+                let kind = 2 * usize::from(!scan.is_dc()) + usize::from(scan.is_refinement());
+                let blocks = |ci: usize| {
+                    let c = &d.frame.components[ci];
+                    f64::from(c.blocks_w * c.blocks_h)
+                };
+                let total: f64 = scan.components.iter().map(|sc| blocks(sc.comp_index)).sum();
+                for sc in &scan.components {
+                    let class = usize::from(sc.comp_index != 0);
+                    pass[kind][class] += secs * blocks(sc.comp_index) / total.max(1.0);
+                }
+            }
+            d.coeffs.recycle_into(&mut pool);
+        }
+        for (b, p) in best.iter_mut().flatten().zip(pass.iter().flatten()) {
+            *b = b.min(*p);
+        }
+    }
+    let per_image_us = 1e6 / jpegs.len().max(1) as f64;
+    banner(
+        "a5-scan-split",
+        &[("columns", "scan_kind,luma_entropy_us_per_image,chroma_entropy_us_per_image".into())],
+    );
+    for (kind, row) in SCAN_KINDS.iter().zip(&best) {
+        println!("{kind},{:.1},{:.1}", row[0] * per_image_us, row[1] * per_image_us);
+    }
 }
 
 /// Ablation: PCR scan-group layout vs an interleaved progressive record

@@ -272,7 +272,9 @@ impl<'a> BitReader<'a> {
     /// slice. Zero bits flow once a marker/EOF is hit.
     #[cold]
     fn refill_slow(&mut self) {
-        while self.nbits <= 56 {
+        // Stops in 56..=63: a 64-bit fill would leave the next `refill`
+        // shifting a word by the full width.
+        while self.nbits < 56 {
             if self.marker_hit.is_some() {
                 // Zero-padding: the bits below the top are already zero.
                 self.nbits += 8;
@@ -624,6 +626,56 @@ mod tests {
                 assert_eq!(w, (hi << 16) | lo, "cut={cut} step={step}");
                 // Advance both readers 16 bits; the windows stay phased.
                 fast.consume(16).unwrap();
+            }
+        }
+    }
+
+    /// Repeated `prefetch` / `peek_wide` with nothing consumed in between
+    /// must leave the window unchanged, at every fill level and with a
+    /// stuffed byte at every distance ahead — the peek-then-fall-back
+    /// shape of the refinement decoder. A slow refill that buffered a
+    /// full 64 bits made the next fast refill shift a word by 64.
+    #[test]
+    fn repeated_wide_peeks_without_consume_match_reference() {
+        // The minimal case: three bytes, a stuffed 0xFF, then a long run.
+        let mut data = vec![0x12; 3];
+        data.extend_from_slice(&[0xFF, 0x00]);
+        data.extend((0..40u8).map(|i| i.wrapping_mul(37) | 1));
+        let mut r = BitReader::new(&data);
+        r.prefetch();
+        r.prefetch();
+        assert_eq!(r.peek_wide(), Some(0x1212_12FF));
+
+        for ff_at in 0..12usize {
+            let mut data: Vec<u8> = (0..48u8).map(|i| i.wrapping_mul(73) ^ 0x5A).collect();
+            data.retain(|&b| b != 0xFF);
+            data.insert(ff_at, 0xFF);
+            data.insert(ff_at + 1, 0x00);
+            for skip in 0..96u32 {
+                let mut fast = BitReader::new(&data);
+                let mut reference = ReferenceBitReader::new(&data);
+                let mut left = skip;
+                while left > 0 {
+                    let n = left.min(13);
+                    assert_eq!(fast.get_bits(n).unwrap(), reference.get_bits(n).unwrap());
+                    left -= n;
+                }
+                let hi = reference.get_bits(16).unwrap();
+                let lo = reference.get_bits(16).unwrap();
+                for round in 0..4 {
+                    fast.prefetch();
+                    let w = fast.peek_wide().expect("batched reader serves wide peeks");
+                    assert_eq!(w, (hi << 16) | lo, "ff_at={ff_at} skip={skip} round={round}");
+                }
+                // The reader keeps delivering the reference's bits after.
+                fast.consume(32).unwrap();
+                for step in 0..24 {
+                    assert_eq!(
+                        fast.get_bits(11).unwrap(),
+                        reference.get_bits(11).unwrap(),
+                        "ff_at={ff_at} skip={skip} step={step}"
+                    );
+                }
             }
         }
     }

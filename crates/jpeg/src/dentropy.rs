@@ -372,42 +372,118 @@ pub(crate) fn nonzero_mask64(block: &[i16; 64]) -> u64 {
     x ^ t ^ (t << 28)
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — pos =
-// trailing_zeros of a nonzero u64 is < 64, so every index is in bounds.
-/// Emits one correction bit (T.81 G.1.2.3) for every position set in
-/// `corr` (ascending zigzag order), batching the bit reads through 16-bit
-/// peeks: one refill check and one consume per batch instead of one per
-/// bit.
-#[inline]
-fn apply_corrections<R: BitSource>(
-    r: &mut R,
-    block: &mut [i16; 64],
-    mut corr: u64,
-    p1: i32,
-    m1: i32,
-) -> Result<()> {
-    while corr != 0 {
-        let batch = corr.count_ones().min(16);
-        let win = r.peek_bits(16)?;
-        for i in 0..batch {
-            let pos = corr.trailing_zeros() as usize;
-            corr &= corr - 1;
-            let bit = ((win >> (15 - i)) & 1) as i32;
-            let cur = i32::from(block[pos]);
-            // Branch-free update: the correction bit is random data, and
-            // a conditional store here would mispredict half the time.
-            let apply = bit & i32::from(cur & p1 == 0);
-            let delta = if cur >= 0 { p1 } else { m1 }; // cmov
-            block[pos] = (cur + apply * delta) as i16;
+/// `BIT_POSITIONS[b]`: the indices of the set bits of byte `b`, ascending,
+/// one per byte from the low byte up (unused bytes zero).
+const BIT_POSITIONS: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut pos, mut count, mut bit) = (0u64, 0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                pos |= (bit as u64) << (8 * count);
+                count += 1;
+            }
+            bit += 1;
         }
-        r.consume(batch)?;
+        table[b] = pos; // pcr-lint: allow(no-panic-in-hot-path) — b < 256, at compile time
+        b += 1;
     }
-    Ok(())
+    table
+};
+
+/// Number of set bits in `nib < 16`, from a 16-entry table of nibbles.
+#[inline]
+fn pop4(nib: u64) -> u64 {
+    (0x4332_3221_3221_2110u64 >> (4 * nib)) & 15
+}
+
+/// `DEPOSIT4[nib << 4 | top]`: the set bits of nibble `nib`, ascending,
+/// take the bits of nibble `top` from its most significant end — a
+/// four-bit `pdep`, which the default x86-64 target lacks.
+const DEPOSIT4: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let (nib, top) = (i >> 4, i & 15);
+        let (mut out, mut taken, mut bit) = (0u8, 0, 0);
+        while bit < 4 {
+            if nib >> bit & 1 == 1 {
+                out |= ((top >> (3 - taken) & 1) as u8) << bit;
+                taken += 1;
+            }
+            bit += 1;
+        }
+        table[i] = out; // pcr-lint: allow(no-panic-in-hot-path) — i < 256, at compile time
+        i += 1;
+    }
+    table
+};
+
+/// Reads `n <= 64` bits, MSB first, right-aligned in the result.
+#[inline]
+fn take_bits<R: BitSource>(r: &mut R, mut n: u32) -> Result<u64> {
+    let mut v = 0u64;
+    while n > 0 {
+        let m = n.min(16);
+        v = (v << m) | u64::from(r.get_bits(m)?);
+        n -= m;
+    }
+    Ok(v)
+}
+
+/// Applies a block's correction bits (T.81 G.1.2.3): the `i`-th set
+/// position of `nz`, in ascending zigzag order, takes bit `i` of the
+/// `count`-bit value `corr`, counted from its most significant end.
+/// `count` equals the number of positions set in `nz`.
+///
+/// The bits are first deposited onto their positions a nibble at a time
+/// (`hits`), so the update itself is one branch-free pass over the 64
+/// coefficients, which the compiler vectorises.
+#[inline]
+fn apply_corrections(block: &mut [i16; 64], nz: u64, corr: u64, count: u32, p1: i32, m1: i32) {
+    debug_assert_eq!(nz.count_ones(), count);
+    let Some(mut corr) = corr.checked_shl(64 - count) else { return };
+    let mut hits = 0u64;
+    for i in 0..16 {
+        let nib = (nz >> (4 * i)) & 15;
+        let top = corr >> 60;
+        let deposit = DEPOSIT4.get((nib << 4 | top) as usize).copied().unwrap_or(0);
+        hits |= u64::from(deposit) << (4 * i);
+        corr <<= pop4(nib);
+    }
+    let (p1, m1) = (p1 as i16, m1 as i16);
+    for (row, byte) in block.chunks_exact_mut(8).zip(hits.to_le_bytes()) {
+        for (j, c) in row.iter_mut().enumerate() {
+            let v = *c;
+            let apply = (byte >> j) & 1 != 0 && v & p1 == 0;
+            let delta = if v >= 0 { p1 } else { m1 };
+            *c = if apply { v.wrapping_add(delta) } else { v };
+        }
+    }
 }
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have one
-// component; block indices are band positions target <= se <= 63
-// (target > se errors first).
+// component (scan.validate).
+/// Successive approximation of an AC band (T.81 G.1.2.3).
+///
+/// Correction bits never steer the walk: every already-nonzero position
+/// the cursor passes takes the next one, in order. So the walk only
+/// counts them, gathers them in one `u64` per block, and applies them
+/// when the block ends. Zero runs are skipped by table: `zpos[j]` is the
+/// band position of the block's `j`-th zero (band end past the last),
+/// and the `zpos[j] - ss - j` nonzero positions before it are the
+/// correction bits a cursor stopping there has passed.
+///
+/// Each step resolves its code from one [`BitSource::peek_wide`] window
+/// ([`SymbolDecoder::peek_code`]). A coefficient or ZRL step whose code,
+/// sign bit and correction bits fit the window is taken with one
+/// `consume`, and so is an EOB with its run-length bits and the band's
+/// remaining correction bits; a step that spills consumes its code from
+/// the window and reads the correction bits 16 at a time. Without a
+/// window or a code (the reference stack, a corrupt stream) and for an
+/// illegal size, the step goes through the fused 16-bit
+/// [`SymbolDecoder::decode_then_bits`] path instead.
 fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -422,70 +498,129 @@ fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
     let m1 = -(1i32 << scan.al);
     let ss = scan.ss as usize;
     let se = scan.se as usize;
+    let band = low_mask(se + 1) & !low_mask(ss);
     let mut eobrun = 0u32;
     for_each_block(frame, scan, units, |_slot, row, col| {
         let block = coeffs.block_mut(frame, sc.comp_index, row, col);
-        // Bitmap of already-nonzero positions (bit k = zigzag index k),
-        // read against band masks below. Insertions only ever happen
+        // Already-nonzero band positions. Insertions only ever happen
         // behind the advancing cursor, so the snapshot stays valid for
-        // every lookahead this block performs.
-        let nz = nonzero_mask64(block);
+        // the whole block.
+        let nz = nonzero_mask64(block) & band;
+        if eobrun > 0 {
+            eobrun -= 1;
+            let count = nz.count_ones();
+            let corr = take_bits(r, count)?;
+            apply_corrections(block, nz, corr, count, p1, m1);
+            return Ok(());
+        }
+        // Eight bytes of the zero mask, eight positions per table entry;
+        // each store's slots past the byte's last zero are overwritten by
+        // the next byte's.
+        let mut zpos = [0u8; 72];
+        let mut nzeros = 0usize;
+        let zeros = (!nz & band).to_le_bytes();
+        for (i, &byte) in (0u64..).zip(&zeros) {
+            let pos = BIT_POSITIONS.get(usize::from(byte)).copied().unwrap_or(0);
+            if let Some(dst) = zpos.get_mut(nzeros..nzeros + 8) {
+                dst.copy_from_slice(&(pos + 0x0808_0808_0808_0808 * i).to_le_bytes());
+            }
+            nzeros += (pop4(u64::from(byte & 15)) + pop4(u64::from(byte >> 4))) as usize;
+        }
+        // The band holds at most 63 positions, so a slot is left.
+        if let Some(end) = zpos.get_mut(nzeros) {
+            *end = (se + 1) as u8;
+        }
+        let at = |j: usize| zpos.get(j).map_or(se + 1, |&p| usize::from(p));
+        let rank = |j: usize| at(j) - ss - j;
+        let mut j = 0usize; // next zero the cursor has not passed
+        let mut passed = 0usize; // correction bits gathered in `corr`
+        let mut corr = 0u64;
         let mut k = ss;
-        if eobrun == 0 {
-            while k <= se {
-                // Fused: the sign bit (size == 1) or EOB run-length bits
-                // (size == 0, run < 15) ride the symbol's peek.
-                let (rs, bits) = actbl.decode_then_bits(r, |rs| {
-                    // Branch-free: 1 for a coefficient's sign bit, the
-                    // run length for an EOB symbol, 0 otherwise.
+        while k <= se {
+            let peeked = r
+                .peek_wide()
+                .and_then(|w| actbl.peek_code(w >> 16).map(|(rs, len)| (w, rs, len)));
+            // (symbol, sign bit, zero-table index of the stop, correction bits)
+            let (rs, sign, jt, cbits) = match peeked {
+                Some((w, rs, len)) if rs & 0x0F <= 1 => {
+                    let run = usize::from(rs >> 4);
                     let size = u32::from(rs & 0x0F);
-                    let run = u32::from(rs >> 4);
-                    u32::from(size == 1)
-                        + (u32::from(size == 0) & u32::from(run != 15)) * run
-                })?;
-                let run = usize::from(rs >> 4);
-                let size = rs & 0x0F;
-                let mut newval = 0i32;
-                if size != 0 {
-                    if size != 1 {
+                    if size == 0 && run != 15 {
+                        // EOB: its run-length bits, and the band's
+                        // remaining correction bits when they fit too.
+                        let tail = rank(nzeros) - passed;
+                        let used = len + run as u32 + tail as u32;
+                        let take = if used <= 32 { used } else { len + run as u32 };
+                        r.consume(take)?;
+                        let w = u64::from(w);
+                        eobrun = (1 << run) + ((w >> (32 - len - run as u32)) & low_mask(run)) as u32;
+                        if used <= 32 {
+                            corr = (corr << tail) | ((w >> (32 - used)) & low_mask(tail));
+                            passed += tail;
+                        }
+                        break;
+                    }
+                    let jt = (j + run).min(nzeros);
+                    let ncorr = rank(jt) - passed;
+                    let used = len + size + ncorr as u32;
+                    let sign = (w >> (31 - len)) & 1;
+                    if used <= 32 {
+                        r.consume(used)?;
+                        (rs, sign, jt, (u64::from(w) >> (32 - used)) & low_mask(ncorr))
+                    } else {
+                        r.consume(len + size)?;
+                        (rs, sign, jt, take_bits(r, ncorr as u32)?)
+                    }
+                }
+                _ => {
+                    // Fused: the sign bit (size == 1) or EOB run-length
+                    // bits (size == 0, run < 15) ride the symbol's peek.
+                    let (rs, bits) = actbl.decode_then_bits(r, |rs| {
+                        // Branch-free: 1 for a coefficient's sign bit, the
+                        // run length for an EOB symbol, 0 otherwise.
+                        let size = u32::from(rs & 0x0F);
+                        let run = u32::from(rs >> 4);
+                        u32::from(size == 1)
+                            + (u32::from(size == 0) & u32::from(run != 15)) * run
+                    })?;
+                    let run = usize::from(rs >> 4);
+                    let size = rs & 0x0F;
+                    if size > 1 {
                         return Err(Error::CorruptData(
                             "refinement coefficient size must be 1".into(),
                         ));
                     }
-                    newval = if bits != 0 { p1 } else { m1 };
-                } else if run != 15 {
-                    eobrun = (1 << run) + bits;
-                    break; // remaining handled by EOB logic below
-                }
-                // The cursor stops at the (run+1)-th still-zero position
-                // (or the band end): find it with bit math instead of a
-                // per-position walk.
-                let band = low_mask(se + 1) & !low_mask(k);
-                let mut z = !nz & band;
-                for _ in 0..run {
-                    z &= z.wrapping_sub(1);
-                }
-                let target = if z == 0 { se + 1 } else { z.trailing_zeros() as usize };
-                // Existing nonzero coefficients passed on the way receive
-                // one correction bit each, in zigzag order.
-                apply_corrections(r, block, nz & band & low_mask(target), p1, m1)?;
-                if newval != 0 {
-                    if target > se {
-                        return Err(Error::CorruptData("refine run past band end".into()));
+                    if size == 0 && run != 15 {
+                        eobrun = (1 << run) + bits;
+                        break;
                     }
-                    block[target] = newval as i16;
+                    let jt = (j + run).min(nzeros);
+                    (rs, bits, jt, take_bits(r, (rank(jt) - passed) as u32)?)
                 }
-                k = target + 1;
+            };
+            let ncorr = rank(jt) - passed;
+            corr = (corr << ncorr) | cbits;
+            passed += ncorr;
+            let target = at(jt);
+            if rs & 0x0F != 0 {
+                if target > se {
+                    return Err(Error::CorruptData("refine run past band end".into()));
+                }
+                if let Some(c) = block.get_mut(target) {
+                    *c = (if sign != 0 { p1 } else { m1 }) as i16;
+                }
             }
+            j = jt + 1;
+            k = target + 1;
         }
         if eobrun > 0 {
-            // Append correction bits to every remaining nonzero
-            // coefficient of the block.
-            if k <= se {
-                apply_corrections(r, block, nz & low_mask(se + 1) & !low_mask(k), p1, m1)?;
-            }
+            // The end-of-band: every nonzero position left takes its bit.
+            let ncorr = rank(nzeros) - passed;
+            corr = (corr << ncorr) | take_bits(r, ncorr as u32)?;
+            passed += ncorr;
             eobrun -= 1;
         }
+        apply_corrections(block, nz, corr, passed as u32, p1, m1);
         Ok(())
     })
 }

@@ -29,12 +29,12 @@ use crate::bitio::{BitReader, BitSource, BitWriter};
 use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
 use crate::decoder::decode;
-use crate::dentropy::mcu_units;
+use crate::dentropy::{decode_scan_range, mcu_units, DecodeTables};
 use crate::encoder::{encode, EncodeConfig};
 use crate::entropy::{ScanEncoder, ScanTables};
 use crate::error::Result;
 use crate::frame::{CoeffPlanes, FrameInfo, ScanComponent, ScanInfo, Subsampling};
-use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder, SymbolDecoder};
+use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder, HuffTable, SymbolDecoder};
 use crate::image::ImageBuf;
 use crate::reference;
 use crate::reference::{ReferenceBitReader, ReferenceBitWriter, ReferenceHuffDecoder};
@@ -512,6 +512,279 @@ fn heap_optimal_tables_match_libjpeg_sweep_on_pinned_shapes() {
     // would exceed 16 bits, the table's do not.
     let t = gen_optimal_table(&fib).unwrap();
     assert!(t.bits[15] > 0, "expected 16-bit codes, got {:?}", t.bits);
+}
+
+/// Every AC coefficient `k` of `coeffs` at the precision of point
+/// transform `al(k)` (magnitude bits below it dropped, sign kept), as
+/// the scans up to that precision leave it.
+fn at_precision(frame: &FrameInfo, coeffs: &CoeffPlanes, al: impl Fn(usize) -> u8) -> CoeffPlanes {
+    let mut out = coeffs.clone();
+    let c = frame.components[0].clone();
+    for row in 0..c.alloc_h {
+        for col in 0..c.alloc_w {
+            for (k, v) in out.block_mut(frame, 0, row, col).iter_mut().enumerate().skip(1) {
+                *v = v.signum() * ((v.abs() >> al(k)) << al(k));
+            }
+        }
+    }
+    out
+}
+
+/// Decodes one AC-refinement scan's entropy bytes over `prior` through
+/// the production walk (two-level LUT, batched reader) and through the
+/// literal T.81 oracle (canonical decoder, per-byte reader), asserting
+/// the same `Result` — equal coefficients, or the same error. Returns
+/// the production outcome.
+fn assert_refine_matches_oracle(
+    frame: &FrameInfo,
+    prior: &CoeffPlanes,
+    scan: &ScanInfo,
+    table: &HuffTable,
+    bytes: &[u8],
+    what: &str,
+) -> Result<CoeffPlanes> {
+    let units = 0..mcu_units(frame, scan);
+    let none = [None, None, None, None];
+    let fast_ac = [Some(HuffDecoder::from_table(table).unwrap()), None, None, None];
+    let fast = {
+        let mut planes = prior.clone();
+        let tables = DecodeTables { dc: &none, ac: &fast_ac };
+        let mut r = BitReader::new(bytes);
+        decode_scan_range(frame, &mut planes, scan, &tables, &mut r, units.clone()).map(|()| planes)
+    };
+    let none = [None, None, None, None];
+    let oracle_ac = [Some(ReferenceHuffDecoder::from_table(table).unwrap()), None, None, None];
+    let oracle = {
+        let mut planes = prior.clone();
+        let tables = DecodeTables { dc: &none, ac: &oracle_ac };
+        let mut r = ReferenceBitReader::new(bytes);
+        reference::reference_decode_ac_refine(frame, &mut planes, scan, &tables, &mut r, units)
+            .map(|()| planes)
+    };
+    assert_eq!(fast, oracle, "{what}");
+    fast
+}
+
+/// Encodes `scan` of `coeffs` with optimal tables, then decodes it over
+/// the precision the scan refines through both decoders; the result must
+/// be `coeffs` at the scan's own precision. Returns the scan's bytes and
+/// AC table for further cuts.
+fn assert_encoded_refine_round_trips(
+    frame: &FrameInfo,
+    coeffs: &CoeffPlanes,
+    scan: &ScanInfo,
+    what: &str,
+) -> (Vec<u8>, HuffTable) {
+    let mut tables = ScanTables::default();
+    let bytes = ScanEncoder::new(coeffs).encode_scan(frame, scan, true, &mut tables).unwrap();
+    let table = tables.iter().flatten().next().expect("an AC table").clone();
+    let prior = at_precision(frame, coeffs, |_| scan.ah);
+    let decoded = assert_refine_matches_oracle(frame, &prior, scan, &table, &bytes, what);
+    let band = usize::from(scan.ss)..=usize::from(scan.se);
+    let refined = at_precision(frame, coeffs, |k| if band.contains(&k) { scan.al } else { scan.ah });
+    assert_eq!(decoded.unwrap(), refined, "{what}");
+    (bytes, table)
+}
+
+/// Every refinement symbol — EOB0..EOB14, ZRL, a size-1 coefficient
+/// after each run — plus the illegal size 2, with near-equal code
+/// lengths, for hand-assembled refinement streams.
+fn refine_table() -> HuffTable {
+    let mut freq = vec![0u32; 256];
+    for run in 0..16usize {
+        freq[run << 4] = 1; // EOBn, and ZRL at run 15
+        freq[(run << 4) | 1] = 1;
+    }
+    freq[0x02] = 1;
+    gen_optimal_table(&freq).unwrap()
+}
+
+/// One hand-assembled step: a symbol, then the low `n` bits of `bits`.
+type Step = (u8, u64, u32);
+
+/// Assembles a hand-written entropy segment: each step is a symbol of
+/// `table` followed by the low `n` bits of `bits` (any `n <= 64`).
+fn assemble(table: &HuffTable, steps: &[Step]) -> Vec<u8> {
+    let enc = HuffEncoder::from_table(table).unwrap();
+    let mut w = BitWriter::new();
+    for &(sym, bits, n) in steps {
+        enc.encode(&mut w, sym);
+        for shift in (0..n).rev() {
+            w.put_bits((bits >> shift) as u32 & 1, 1);
+        }
+    }
+    w.finish()
+}
+
+/// A step that passes 17 to 62 already-nonzero positions before its new
+/// coefficient: with its code and sign bit, the correction bits spill
+/// past the 32-bit window from about 26 on, so both the one-window step
+/// and the spilled step run.
+#[test]
+fn refinement_steps_spilling_the_wide_window_match_oracle() {
+    for passed in [17usize, 20, 25, 26, 27, 28, 30, 31, 40, 62] {
+        let (frame, coeffs) = gray_planes(24, 16, |i| {
+            let mut b = [0i16; 64];
+            b[0] = 40;
+            for (k, v) in b.iter_mut().enumerate().skip(1).take(passed) {
+                // Known magnitudes, a mix of set and clear low bits.
+                *v = [2, -3, 5, -4, 7, 6][(k + i as usize) % 6];
+            }
+            if passed < 63 {
+                b[passed + 1] = if i % 2 == 0 { 1 } else { -1 };
+            }
+            b
+        });
+        let scan = single_scan(0, 1, 63, 1, 0);
+        assert_encoded_refine_round_trips(&frame, &coeffs, &scan, &format!("passed {passed}"));
+    }
+}
+
+/// Correction bits after an end-of-band: more than 16 of them in the
+/// tail of the block that sends the EOB, and in every block of the EOB
+/// run that follows — 16-bit reads chained across one block.
+#[test]
+fn eob_run_tails_with_many_correction_bits_match_oracle() {
+    let (frame, coeffs) = gray_planes(64, 32, |i| {
+        let mut b = [0i16; 64];
+        b[0] = 8;
+        let dense = 17 + (i as usize * 7) % 40;
+        for (k, v) in b.iter_mut().enumerate().skip(3).take(dense) {
+            *v = if (k + i as usize).is_multiple_of(3) { -6 } else { 3 };
+        }
+        // Every fifth block sends a new coefficient ahead of the dense
+        // run, so its EOB carries the tail; the rest ride EOB runs.
+        if i % 5 == 0 {
+            b[1] = 1;
+        }
+        b
+    });
+    for scan in [single_scan(0, 1, 63, 1, 0), single_scan(0, 2, 50, 1, 0)] {
+        assert_encoded_refine_round_trips(&frame, &coeffs, &scan, "EOB-run tails");
+    }
+}
+
+/// A stream cut anywhere inside a refinement scan reads zero bits from
+/// the cut on: both decoders give the same outcome at every cut.
+#[test]
+fn truncated_refinement_scans_match_oracle() {
+    let (frame, coeffs) = filled_frame_q100(48, 40);
+    for scan in [single_scan(0, 1, 63, 2, 1), single_scan(0, 1, 63, 1, 0)] {
+        let (bytes, table) = assert_encoded_refine_round_trips(&frame, &coeffs, &scan, "whole");
+        let prior = at_precision(&frame, &coeffs, |_| scan.ah);
+        for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
+            // Zero padding may spell an illegal run: then both must fail alike.
+            let _ = assert_refine_matches_oracle(
+                &frame,
+                &prior,
+                &scan,
+                &table,
+                &bytes[..cut],
+                &format!("cut at byte {cut} of {}", bytes.len()),
+            );
+        }
+    }
+}
+
+/// Gray frame of dense, q100-like coefficients: many known nonzero
+/// positions and many new ones in both refinement steps.
+fn filled_frame_q100(w: u32, h: u32) -> (FrameInfo, CoeffPlanes) {
+    let mut seed = 0x2545_F491u32;
+    gray_planes(w, h, |_| {
+        core::array::from_fn(|k| {
+            seed = seed.wrapping_mul(1_103_515_245).wrapping_add(12345);
+            let r = (seed >> 16) as i32;
+            let spread = 40 / (1 + k as i32 / 4);
+            if r % 5 == 0 { 0 } else { (r % (2 * spread + 1) - spread) as i16 }
+        })
+    })
+}
+
+/// Hand-assembled streams the encoder never writes: a ZRL with fewer
+/// than 16 zeros left in the band (it ends the block's walk), a run that
+/// stops exactly on the band's last zero, a size-2 coefficient and a
+/// coefficient run past the band end (both errors).
+#[test]
+fn hand_assembled_refinement_corner_cases_match_oracle() {
+    let table = refine_table();
+    // Block 0: band positions 1..=50 known nonzero, 51..=63 zero (13
+    // zeros). Block 1: 1..=20 nonzero, 21..=63 zero.
+    let (frame, prior) = gray_planes(16, 8, |i| {
+        let known = if i == 0 { 50 } else { 20 };
+        core::array::from_fn(|k| match k {
+            0 => 16,
+            _ if k <= known => if k % 3 == 0 { -2 } else { 4 },
+            _ => 0,
+        })
+    });
+    let scan = single_scan(0, 1, 63, 1, 0);
+    let corr50 = 0x2_5A5A_F00F_3C3Cu64 & ((1 << 50) - 1);
+    let corr20 = 0xA_5F0Fu64;
+    let zrl = 0xF0u8;
+    let cases: [(&str, Vec<Step>, bool); 5] = [
+        // ZRL with 13 zeros left: passes all 50 known coefficients and
+        // the band end; block 1 then ends on EOB0 with its tail.
+        ("short ZRL", vec![(zrl, corr50, 50), (0x00, corr20, 20)], true),
+        // Two ZRLs in block 1 (43 zeros): the second has 27 zeros left,
+        // then a run of 10 lands on the last zero, position 63.
+        (
+            "run onto the band's last zero",
+            vec![
+                (0x00, corr50, 50),
+                (zrl, corr20, 20),
+                (zrl, 0, 0),
+                (0xA1, 1, 1),
+            ],
+            true,
+        ),
+        // A run of 11 with 11 zeros left: the coefficient falls past the end.
+        (
+            "run past the band end",
+            vec![(0x00, corr50, 50), (zrl, corr20, 20), (zrl, 0, 0), (0xB1, 1, 1)],
+            false,
+        ),
+        ("size-2 coefficient", vec![(0x02, 0b10, 2)], false),
+        // Sign bit and 50 correction bits, then the bad symbol.
+        ("size-2 after a step", vec![(0x31, 1 << 50 | corr50, 51), (0x02, 0b01, 2)], false),
+    ];
+    for (what, steps, ok) in cases {
+        let bytes = assemble(&table, &steps);
+        let out = assert_refine_matches_oracle(&frame, &prior, &scan, &table, &bytes, what);
+        assert_eq!(out.is_ok(), ok, "{what}: {out:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bits as a refinement scan over random prior blocks and a
+    /// random band: the production walk and the literal oracle reach the
+    /// same `Result` — errors included — on streams that are mostly not
+    /// what an encoder writes.
+    #[test]
+    fn random_refinement_streams_match_oracle(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        seed in any::<u32>(),
+        ss in 1u8..64,
+        width in 0u8..63,
+        al in 0u8..4,
+    ) {
+        let se = ss.saturating_add(width).min(63);
+        let mut s = seed | 1;
+        let (frame, prior) = gray_planes(24, 16, |_| {
+            core::array::from_fn(|k| {
+                s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let r = (s >> 20) as i16;
+                if k == 0 || r % 3 == 0 { 0 } else { (r % 9 - 4) << (al + 1) }
+            })
+        });
+        let scan = single_scan(0, ss, se, al + 1, al);
+        let stuffed: Vec<u8> =
+            bytes.iter().flat_map(|&b| if b == 0xFF { vec![b, 0] } else { vec![b] }).collect();
+        let _ = assert_refine_matches_oracle(
+            &frame, &prior, &scan, &refine_table(), &stuffed, "random",
+        );
+    }
 }
 
 proptest! {

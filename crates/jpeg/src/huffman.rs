@@ -194,6 +194,25 @@ pub trait SymbolDecoder {
         let second = self.decode_then_bits(r, &size_of)?;
         Ok((first, Some(second)))
     }
+
+    /// Resolves the Huffman code at the top of `w16` — the high half of a
+    /// [`BitSource::peek_wide`] window, so bits 15..0 are the next 16
+    /// stream bits — to `(symbol, code length)` without touching the
+    /// stream. Lets a caller size a whole decode step (code, raw bits,
+    /// and whatever else rides after them) against the 32-bit window
+    /// before taking it with one `consume`.
+    ///
+    /// `None` means "take the stepwise path": the decoder cannot resolve
+    /// codes from a window (the default, which keeps the reference
+    /// decoder on the fallback the exactness suite pins), or `w16` starts
+    /// with no valid code — [`SymbolDecoder::decode_then_bits`] then
+    /// reports the error. A `Some` must name exactly the symbol and length
+    /// `decode_symbol` would read from the same bits.
+    #[inline]
+    fn peek_code(&self, w16: u32) -> Option<(u8, u32)> {
+        let _ = w16;
+        None
+    }
 }
 
 /// Fast two-level table-driven Huffman decoder.
@@ -270,6 +289,13 @@ impl HuffDecoder {
     /// table levels, returning `(symbol, code_len)`.
     #[inline]
     fn resolve16(&self, w: u32) -> Result<(u8, u32)> {
+        self.lookup16(w).ok_or_else(|| Error::CorruptData("invalid Huffman code".into()))
+    }
+
+    /// [`HuffDecoder::resolve16`] without the error: `None` for a window
+    /// that starts with no code.
+    #[inline]
+    fn lookup16(&self, w: u32) -> Option<(u8, u32)> {
         debug_assert!(w < 1 << MAX_CODE_BITS);
         // pcr-lint: allow(no-panic-in-hot-path) — a 16-bit window shifted right by 6 is < 1024
         let entry = self.lut1[(w >> (MAX_CODE_BITS - LOOKUP_BITS)) as usize];
@@ -280,10 +306,7 @@ impl HuffDecoder {
             self.lut2[(entry & !ESCAPE) as usize
                 + (w & ((1 << (MAX_CODE_BITS - LOOKUP_BITS)) - 1)) as usize]
         };
-        if entry == 0 {
-            return Err(Error::CorruptData("invalid Huffman code".into()));
-        }
-        Ok((entry as u8, u32::from(entry >> 8)))
+        (entry != 0).then_some((entry as u8, u32::from(entry >> 8)))
     }
 
     /// Decodes one symbol from the bit source: at most two table probes.
@@ -315,6 +338,11 @@ impl SymbolDecoder for HuffDecoder {
     #[inline]
     fn decode_symbol<R: BitSource>(&self, r: &mut R) -> Result<u8> {
         self.decode(r)
+    }
+
+    #[inline]
+    fn peek_code(&self, w16: u32) -> Option<(u8, u32)> {
+        self.lookup16(w16)
     }
 
     /// Fused fast path: one 16-bit peek resolves the code through both

@@ -32,6 +32,7 @@ use crate::huffman::{HuffTable, SymbolDecoder};
 use crate::image::ImageBuf;
 use crate::marker::{self, Segment, SegmentReader};
 use crate::sample::{reconstruct_planes_with, planes_to_image, BlockIdct};
+use std::ops::Range;
 
 /// The original byte-at-a-time bit reader: pulls one byte per `fill`,
 /// resolving 0xFF stuffing as it goes. Semantically identical to the
@@ -367,9 +368,116 @@ pub(crate) fn reference_split_segments(data: &[u8]) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// The literal T.81 G.1.2.3 AC-refinement decoder, in the shape of
+/// libjpeg's `decode_mcu_AC_refine`: a per-position walk that reads one
+/// bit per correction, with no bitmap, table or batching — the
+/// independent oracle for `dentropy`'s refinement walk. It differs from
+/// libjpeg only where this crate's decoder is stricter, and in the same
+/// way: a coefficient size other than 1 and a coefficient run past the
+/// band end are errors (libjpeg warns and carries on).
+pub(crate) fn reference_decode_ac_refine<D: SymbolDecoder, R: BitSource>(
+    frame: &FrameInfo,
+    coeffs: &mut CoeffPlanes,
+    scan: &ScanInfo,
+    tables: &DecodeTables<'_, D>,
+    r: &mut R,
+    units: Range<u32>,
+) -> Result<()> {
+    scan.validate(frame)?;
+    let sc = scan.components[0];
+    let actbl = tables
+        .ac
+        .get(sc.ac_table as usize)
+        .and_then(Option::as_ref)
+        .ok_or_else(|| Error::BadHuffman(format!("missing AC table {}", sc.ac_table)))?;
+    let p1 = 1i32 << scan.al;
+    let m1 = -(1i32 << scan.al);
+    let (ss, se) = (scan.ss as usize, scan.se as usize);
+    let blocks_w = frame.components[sc.comp_index].blocks_w;
+    // Appends a correction bit to an already-nonzero coefficient.
+    let correct = |r: &mut R, coef: &mut i16| -> Result<()> {
+        if r.get_bit()? != 0 && i32::from(*coef) & p1 == 0 {
+            *coef = (i32::from(*coef) + if *coef >= 0 { p1 } else { m1 }) as i16;
+        }
+        Ok(())
+    };
+    let mut eobrun = 0u32;
+    for unit in units {
+        let block = coeffs.block_mut(frame, sc.comp_index, unit / blocks_w, unit % blocks_w);
+        let mut k = ss;
+        if eobrun == 0 {
+            while k <= se {
+                let rs = actbl.decode_symbol(r)?;
+                let mut run = i32::from(rs >> 4);
+                let mut s = 0i32;
+                if rs & 0x0F != 0 {
+                    if rs & 0x0F != 1 {
+                        return Err(Error::CorruptData(
+                            "refinement coefficient size must be 1".into(),
+                        ));
+                    }
+                    s = if r.get_bit()? != 0 { p1 } else { m1 };
+                } else if run != 15 {
+                    eobrun = (1 << run) + r.get_bits(run as u32)?;
+                    break;
+                }
+                // Advance over already-nonzero coefficients (one
+                // correction bit each) and `run` still-zero ones.
+                while k <= se {
+                    if block[k] != 0 {
+                        correct(r, &mut block[k])?;
+                    } else {
+                        run -= 1;
+                        if run < 0 {
+                            break;
+                        }
+                    }
+                    k += 1;
+                }
+                if s != 0 {
+                    if k > se {
+                        return Err(Error::CorruptData("refine run past band end".into()));
+                    }
+                    block[k] = s as i16;
+                }
+                k += 1;
+            }
+        }
+        if eobrun > 0 {
+            while k <= se {
+                if block[k] != 0 {
+                    correct(r, &mut block[k])?;
+                }
+                k += 1;
+            }
+            eobrun -= 1;
+        }
+    }
+    Ok(())
+}
+
+/// One scan through the reference stack: AC-refinement scans take the
+/// literal [`reference_decode_ac_refine`], every other kind the shared
+/// scan logic in `dentropy`.
+fn reference_decode_scan<D: SymbolDecoder, R: BitSource>(
+    frame: &FrameInfo,
+    coeffs: &mut CoeffPlanes,
+    scan: &ScanInfo,
+    tables: &DecodeTables<'_, D>,
+    r: &mut R,
+    units: Range<u32>,
+) -> Result<()> {
+    if frame.progressive && !scan.is_dc() && scan.is_refinement() {
+        reference_decode_ac_refine(frame, coeffs, scan, tables, r, units)
+    } else {
+        decode_scan_range(frame, coeffs, scan, tables, r, units)
+    }
+}
+
 /// Decodes a stream to coefficients through the reference entropy stack:
-/// per-byte reader + canonical Huffman decoder, driving the *shared* scan
-/// logic in `dentropy`. Mirrors `decoder::decode_coeffs` segment by
+/// per-byte reader + canonical Huffman decoder, driving the literal
+/// refinement oracle for AC-refinement scans and the *shared* scan logic
+/// in `dentropy` for the rest. Mirrors `decoder::decode_coeffs` segment by
 /// segment, including per-restart-segment state resets.
 pub(crate) fn reference_decode_coeffs(data: &[u8]) -> Result<DecodedCoeffs> {
     let mut reader = SegmentReader::new(data);
@@ -443,7 +551,7 @@ pub(crate) fn reference_decode_coeffs(data: &[u8]) -> Result<DecodedCoeffs> {
                 let interval = u32::from(restart_interval);
                 if interval == 0 || interval >= total {
                     let mut bits = ReferenceBitReader::new(entropy);
-                    decode_scan_range(f, planes, &scan, &tables, &mut bits, 0..total)?;
+                    reference_decode_scan(f, planes, &scan, &tables, &mut bits, 0..total)?;
                 } else {
                     let ranges = reference_split_segments(entropy);
                     let expected = total.div_ceil(interval) as usize;
@@ -452,7 +560,7 @@ pub(crate) fn reference_decode_coeffs(data: &[u8]) -> Result<DecodedCoeffs> {
                         let start = seg as u32 * interval;
                         let units = start..(start + interval).min(total);
                         let mut bits = ReferenceBitReader::new(&entropy[s..e]);
-                        decode_scan_range(f, planes, &scan, &tables, &mut bits, units)?;
+                        reference_decode_scan(f, planes, &scan, &tables, &mut bits, units)?;
                     }
                 }
                 scans.push(scan);
