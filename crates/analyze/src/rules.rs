@@ -89,8 +89,8 @@ const PARSE_FILES: &[&str] = &[
 ];
 
 /// Path prefixes allowed to read the wall clock. `parallel.rs` *is* the
-/// wall-clock loader; `timing.rs` is the virtual-time loader's one
-/// sanctioned measurement helper; CLI/bench/datasets-encode and the
+/// wall-clock loader; `timing.rs` is the delivery step's one sanctioned
+/// measurement helper; CLI/bench/datasets-encode and the
 /// stand-alone end-to-end benchmark (`benchmark/`) are offline tooling;
 /// vendored shims mirror upstream crates' behaviour.
 const CLOCK_ALLOW: &[&str] = &[

@@ -131,15 +131,6 @@ pub fn banner(id: &str, kv: &[(&str, String)]) {
     println!("# {id} | {}", kvs.join(" "));
 }
 
-/// Formats seconds compactly.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 100.0 {
-        format!("{s:.0}")
-    } else {
-        format!("{s:.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

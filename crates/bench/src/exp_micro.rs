@@ -5,10 +5,18 @@
 
 use crate::context::{banner, Ctx, STANDARD_GROUPS};
 use pcr_datasets::{to_pcr_dataset, IMAGES_PER_RECORD};
-use pcr_loader::{populate_store, DecodeMode, LoaderConfig, PcrLoader};
+use pcr_core::MetaDb;
+use pcr_loader::{populate_store, ReadPlanner};
 use pcr_nn::ModelSpec;
-use pcr_sim::{run_pipeline, ComputeUnit, Trainer};
+use pcr_sim::{model_epoch, run_pipeline, ComputeUnit, ModeledEpoch, Trainer};
 use pcr_storage::{DeviceProfile, ObjectStore};
+
+/// One modeled epoch 0 from virtual time 0 over `db`'s records on
+/// `store`: eight lanes, no decode — the reader benchmarks' setting.
+fn reader_epoch(store: &ObjectStore, db: &MetaDb, group: usize, shuffle: bool) -> ModeledEpoch {
+    let planner = ReadPlanner { scan_group: group, shuffle, seed: 0 };
+    model_epoch(store, db, &planner, 8, 0.0, 0, 0.0).expect("every record is in the store")
+}
 
 /// Figure 9: achieved training rates per dataset, model, and scan group,
 /// plus the from-RAM (compute-bound) reference rates.
@@ -76,21 +84,13 @@ pub fn fig18(ctx: &Ctx) {
     let full_bytes = pcr.db.mean_image_bytes_at_group(10);
     let run = |g: usize| {
         store.device().reset();
-        let cfg = LoaderConfig {
-            threads: 8,
-            scan_group: g,
-            shuffle: false,
-            seed: 0,
-            decode: DecodeMode::Skip,
-            ..LoaderConfig::default()
-        };
-        PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0)
+        reader_epoch(&store, &pcr.db, g, false)
     };
-    let full_rate = run(10).0.images_per_sec();
+    let full_rate = run(10).images_per_sec();
     for g in 1..=10usize {
-        let (r, records) = run(g);
+        let r = run(g);
         let predicted = full_rate * full_bytes / pcr.db.mean_image_bytes_at_group(g).max(1.0);
-        let batch_times: Vec<f64> = records.iter().map(|rec| rec.ready - rec.issued).collect();
+        let batch_times: Vec<f64> = r.records.iter().map(|rec| rec.ready - rec.issued).collect();
         let mean_batch = pcr_metrics::mean(&batch_times);
         println!(
             "{},{:.0},{:.0},{:.2}",
@@ -246,8 +246,7 @@ pub fn ablate_layout(ctx: &Ctx) {
     for &g in &STANDARD_GROUPS {
         // PCR: one sequential prefix read per record.
         store.device().reset();
-        let cfg = LoaderConfig { threads: 8, scan_group: g, shuffle: false, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-        let (pcr_epoch, _) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        let pcr_epoch = reader_epoch(&store, &pcr.db, g, false);
         println!("pcr,{},{:.4},{}", g, pcr_epoch.seconds, store.device_stats().reads);
 
         // Interleaved: per image, read its header+scan byte ranges
@@ -283,9 +282,7 @@ pub fn ablate_record_size(ctx: &Ctx) {
         let (pcr, _) = to_pcr_dataset(&ds, ipr);
         let store = ObjectStore::new(DeviceProfile::hdd_7200rpm());
         populate_store(&store, &pcr);
-        let cfg = LoaderConfig { threads: 8, scan_group: 10, shuffle: true, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-        let (epoch, _) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
-        println!("{},{:.0}", ipr, epoch.images_per_sec());
+        println!("{},{:.0}", ipr, reader_epoch(&store, &pcr.db, 10, true).images_per_sec());
     }
 }
 
@@ -300,10 +297,9 @@ pub fn lemma_check(ctx: &Ctx) {
     banner("lemma-check", &[("columns", "group,simulated_img_s,lemma_img_s,rel_err".into())]);
     for &g in &STANDARD_GROUPS {
         store.device().reset();
-        let cfg = LoaderConfig { threads: 8, scan_group: g, shuffle: false, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-        let (_, records) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
+        let epoch = reader_epoch(&store, &pcr.db, g, false);
         let compute = ComputeUnit { images_per_sec: 1e12, batch_size: 16 };
-        let t = run_pipeline(&records, &compute, 0.0);
+        let t = run_pipeline(&epoch.records, &compute, 0.0);
         let mean = pcr.db.mean_image_bytes_at_group(g);
         let lemma = pcr_sim::loader_throughput(&profile, mean, IMAGES_PER_RECORD);
         let rel = (t.images_per_sec() - lemma).abs() / lemma;
@@ -327,8 +323,7 @@ mod tests {
         populate_store(&store, &pcr);
         let run = |g: usize| {
             store.device().reset();
-            let cfg = LoaderConfig { threads: 8, scan_group: g, shuffle: false, decode: DecodeMode::Skip, ..LoaderConfig::default() };
-            PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0).0
+            reader_epoch(&store, &pcr.db, g, false)
         };
         let full = run(10);
         let r2 = run(2);

@@ -5,7 +5,7 @@
 use crate::args::{parse, ArgSpec};
 use crate::{human_bytes, smoke};
 use pcr_loader::{
-    open_container_store, probe_source_scores, DecodeMode, FidelityConfig, FidelityController,
+    open_container_store, probe_source_scores, FidelityConfig, FidelityController,
     IoModel, LoaderConfig, ParallelConfig, ParallelLoader, RecordSource, ShardStoreConfig,
 };
 use pcr_core::{DecisionLogWriter, DecisionRecord, DECISION_LOG_FILE};
@@ -187,7 +187,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         ParallelConfig {
             loader: LoaderConfig {
                 threads,
-                decode: DecodeMode::Real,
                 seed,
                 retry: pcr_loader::RetryPolicy {
                     max_retries,

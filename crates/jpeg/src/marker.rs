@@ -42,8 +42,10 @@ pub fn write_dht(out: &mut Vec<u8>, class: u8, table_id: u8, table: &HuffTable) 
 }
 
 /// Writes a DRI (define restart interval) segment. `interval` is in MCU
-/// units; 0 disables restarts for subsequent scans.
-pub fn write_dri(out: &mut Vec<u8>, interval: u16) {
+/// units; 0 disables restarts for subsequent scans. Only the test
+/// reference encoder writes restart markers.
+#[cfg(test)]
+pub(crate) fn write_dri(out: &mut Vec<u8>, interval: u16) {
     write_segment(out, DRI, &interval.to_be_bytes());
 }
 

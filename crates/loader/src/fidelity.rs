@@ -343,14 +343,14 @@ impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {
 mod tests {
     use super::*;
     use crate::config::{DecodeMode, LoaderConfig};
-    use crate::loader::populate_store;
+    use crate::source::populate_store;
     use crate::parallel::ParallelConfig;
     use pcr_core::MetaDb;
     use pcr_storage::DeviceProfile;
     use std::sync::Arc;
 
     fn fixture(n: usize) -> (Arc<ObjectStore>, Arc<MetaDb>) {
-        let ds = crate::loader::test_dataset(n, 4, |i| (i % 3) as u32);
+        let ds = crate::source::test_dataset(n, 4, |i| (i % 3) as u32);
         let store = ObjectStore::with_cache(DeviceProfile::ram(), 256 << 20);
         populate_store(&store, &ds);
         (Arc::new(store), Arc::new(ds.db.clone()))

@@ -1,33 +1,26 @@
 //! # pcr-loader
 //!
-//! The data-loading pipelines of the paper's Appendix A.1, in two
-//! interchangeable flavors sharing one [`LoaderConfig`]:
+//! The data-loading pipeline of the paper's Appendix A.1:
+//! [`parallel::ParallelLoader`], a real OS-thread worker pool over bounded
+//! crossbeam channels that reads record prefixes, decodes truncated
+//! progressive JPEGs, and yields [`Minibatch`]es with double-buffered
+//! prefetch. Every delivered record comes out of it; the paper's
+//! closed-system *model* of a loader (a timeline on a virtual clock, for
+//! experiments that must be deterministic and device-independent) is a
+//! function in `pcr-sim`, not a second loader.
 //!
-//! * [`loader::PcrLoader`] — the *virtual-time* loader: a closed system of
-//!   prefetch workers whose reads and decodes are charged to a simulated
-//!   clock, so experiments are deterministic and device-independent.
-//! * [`parallel::ParallelLoader`] — the *wall-clock* loader: a real
-//!   OS-thread worker pool over bounded crossbeam channels that reads
-//!   record prefixes, decodes truncated progressive JPEGs, and yields
-//!   [`Minibatch`]es with double-buffered prefetch.
-//!
-//! The baseline formats (fixed-quality record files and file-per-image)
-//! are not separate loaders but another [`source::RecordSource`]: a
-//! `[ObjectMeta]` slice plans whole-object reads, and
-//! `PcrLoader::over(&store, &objects[..], config)` runs it on the same
-//! worker/timing model, so end-to-end comparisons are apples-to-apples.
-//!
-//! Both loaders plan reads through one abstraction — [`source::RecordSource`]
-//! (what to read) + [`source::ReadPlanner`] (how much, in which order) —
-//! and read through the store's single clocked path
-//! ([`pcr_storage::ObjectStore::read`]), so wall-clock workers share the
-//! page cache, readahead, and device statistics with the virtual-time
-//! loader. They deliver each record through one step (decode check,
-//! fidelity ladder, retries, fault accounting; see [`retry`]) and report
-//! each epoch in one [`EpochReport`], whose fields mean the same on
-//! either clock. On top sits the policy layer: [`fidelity::FidelityController`]
-//! adjusts the scan-group prefix online from loss plateaus and MSSIM
-//! scores — the paper's *dynamic* compression knob — and
+//! The loader plans reads through one abstraction —
+//! [`source::RecordSource`] (what to read: a [`MetaDb`](pcr_core::MetaDb)
+//! of per-record objects or a packed container's [`ShardedSource`]) +
+//! [`source::ReadPlanner`] (how much, in which order) — and reads through
+//! the store's single clocked path ([`pcr_storage::ObjectStore::read`]),
+//! so its workers share the page cache, readahead, and device statistics
+//! with every other reader. It delivers each record through one step
+//! (decode check, fidelity ladder, retries, fault accounting; see
+//! [`retry`]) and reports each epoch in one [`EpochReport`]. On top sits
+//! the policy layer: [`fidelity::FidelityController`] adjusts the
+//! scan-group prefix online from loss plateaus and MSSIM scores — the
+//! paper's *dynamic* compression knob — and
 //! [`ParallelLoader::run_dynamic`] is the one epoch loop around both: it
 //! hands each epoch's minibatches to the caller's training step, folds
 //! the epoch into a trace entry ([`EpochStream::fold`]) and emits the
@@ -38,7 +31,7 @@
 //! use std::sync::Arc;
 //! use pcr_core::{PcrDatasetBuilder, SampleMeta};
 //! use pcr_jpeg::ImageBuf;
-//! use pcr_loader::{populate_store, ParallelConfig, ParallelLoader, PcrLoader, LoaderConfig};
+//! use pcr_loader::{populate_store, ParallelConfig, ParallelLoader};
 //! use pcr_storage::{DeviceProfile, ObjectStore};
 //!
 //! // A 6-image dataset in 2 records.
@@ -52,18 +45,14 @@
 //! populate_store(&store, &ds);
 //! let db = Arc::new(ds.db.clone());
 //!
-//! // Virtual time: a modeled epoch at scan group 2 — its report and the
-//! // per-record timeline.
-//! let (modeled, records) =
-//!     PcrLoader::new(&store, &db, LoaderConfig::at_group(2)).run_epoch(0, 0.0);
-//! assert_eq!((modeled.images, records.len()), (6, 2));
-//!
-//! // Wall clock: the same records through real worker threads, in the
-//! // same report.
-//! let measured = ParallelLoader::new(store, db, ParallelConfig::real(2, 2)).run_epoch(0);
-//! assert_eq!(measured.images, 6);
-//! assert_eq!(measured.bytes, modeled.bytes);
-//! assert_eq!(measured.faults, modeled.faults);
+//! // Two decode workers at scan group 2: every image, decoded, and the
+//! // group-2 prefix of every record read once.
+//! let loader = ParallelLoader::new(store, db, ParallelConfig::real(2, 2));
+//! let (images, report) =
+//!     loader.spawn_epoch(0).fold(|batches| batches.map(|b| b.images.len()).sum::<usize>());
+//! assert_eq!((images, report.images), (6, 6));
+//! assert_eq!(report.bytes, ds.db.bytes_at_group(2));
+//! assert!(report.faults.is_clean());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,7 +62,6 @@
 pub mod config;
 pub mod fidelity;
 mod handoff;
-pub mod loader;
 pub mod order;
 pub mod parallel;
 mod report;
@@ -84,10 +72,9 @@ pub mod timing;
 
 pub use config::{DecodeMode, LoaderConfig};
 pub use fidelity::{probe_source_scores, FidelityConfig, FidelityController, FidelityDecision};
-pub use loader::{populate_store, LoadedRecord, PcrLoader};
 pub use order::EpochOrder;
 pub use parallel::{EpochStream, IoModel, Minibatch, ParallelConfig, ParallelLoader, ParallelStats};
 pub use report::{Bottleneck, EpochReport};
 pub use retry::{FaultReport, QuarantineEntry, RetryPolicy, QUARANTINE_DETAIL_CAP};
 pub use sharded::{open_container_store, OpenedContainer, ShardStoreConfig, ShardedSource};
-pub use source::{ObjectMeta, ReadPlan, ReadPlanner, RecordSource};
+pub use source::{populate_store, ReadPlan, ReadPlanner, RecordSource};

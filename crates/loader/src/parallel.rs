@@ -3,16 +3,13 @@
 //! progressive JPEGs with `pcr-jpeg`, and yields [`Minibatch`]es to the
 //! consumer through double-buffered prefetch channels.
 //!
-//! This is the measured counterpart of the *modeled*
-//! [`crate::loader::PcrLoader`]: both share [`LoaderConfig`] (thread
-//! count, scan group, shuffle seed, [`DecodeMode`]) and visit records in
-//! the identical per-epoch order, so an experiment can swap a queueing
-//! model for real threads contending over real buffers without changing
-//! anything else. Where the virtual-time loader *charges* decode cost to a
-//! simulated clock, the workers here *spend* it — per-worker
-//! [`pcr_core::RecordScratch`] buffers and the store's zero-copy
-//! [`pcr_storage::ByteView`] reads keep the hot loop allocation-free so
-//! the pipeline runs as fast as the hardware allows.
+//! This is the crate's one loader: every delivered record — in the CLI,
+//! the examples and the benchmark — comes out of it. It visits records in
+//! the [`ReadPlanner`]'s per-epoch order, the same order the modeled
+//! loader timeline in `pcr-sim` (the paper's closed-system model, App.
+//! A.1–A.2) plans with. Per-worker [`pcr_core::RecordScratch`] buffers and
+//! the store's zero-copy [`pcr_storage::ByteView`] reads keep the hot loop
+//! allocation-free so the pipeline runs as fast as the hardware allows.
 //!
 //! Structure (paper Appendix A.1's loader, realized with OS threads). I/O
 //! depth and decode parallelism are separate knobs: `prefetch_records`
@@ -57,7 +54,7 @@ use crate::config::{DecodeMode, LoaderConfig};
 use crate::handoff::Handoff;
 use crate::order::EpochOrder;
 use crate::report::{share, Bottleneck, EpochReport};
-use crate::retry::{FaultReport, Ladder, RetryBudget, RetryPolicy, Rung, Timeline};
+use crate::retry::{FaultReport, Ladder, RetryBudget, RetryPolicy, Rung};
 use crate::source::{ReadPlanner, RecordSource};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use pcr_core::{MetaDb, RecordScratch};
@@ -97,8 +94,7 @@ pub struct ParallelConfig {
     /// Shared loader parameters: `threads` is the decode worker count,
     /// `scan_group` the prefix quality, `shuffle`/`seed` the epoch order,
     /// `decode` what workers do with the bytes ([`DecodeMode::Real`]
-    /// decodes pixels; [`DecodeMode::Skip`] delivers labels only;
-    /// [`DecodeMode::Modeled`] sleeps the modeled per-byte cost).
+    /// decodes pixels; [`DecodeMode::Skip`] delivers labels only).
     pub loader: LoaderConfig,
     /// Images per delivered [`Minibatch`].
     pub batch_size: usize,
@@ -118,7 +114,7 @@ pub struct ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> Self {
         Self {
-            loader: LoaderConfig { threads: 4, decode: DecodeMode::Real, ..LoaderConfig::default() },
+            loader: LoaderConfig { threads: 4, ..LoaderConfig::default() },
             batch_size: 32,
             prefetch_records: 8,
             prefetch_batches: 2,
@@ -131,15 +127,8 @@ impl ParallelConfig {
     /// Real decode of scan group `g` with `threads` workers; everything
     /// else defaulted.
     pub fn real(threads: usize, scan_group: usize) -> Self {
-        Self {
-            loader: LoaderConfig {
-                threads,
-                scan_group,
-                decode: DecodeMode::Real,
-                ..LoaderConfig::default()
-            },
-            ..Self::default()
-        }
+        let loader = LoaderConfig { threads, scan_group, ..LoaderConfig::default() };
+        Self { loader, ..Self::default() }
     }
 }
 
@@ -160,8 +149,7 @@ pub struct ParallelStats {
     pub bytes_read: AtomicU64,
     /// Records fully processed.
     pub records_loaded: AtomicU64,
-    /// Total decode nanoseconds summed across decode workers (under
-    /// [`DecodeMode::Modeled`], the modeled cost they slept).
+    /// Total decode nanoseconds summed across decode workers.
     pub decode_nanos: AtomicU64,
     /// Total nanoseconds requests spent in realized (emulated) device
     /// service, summed across every read in flight — so it exceeds wall
@@ -272,7 +260,7 @@ impl EpochStream {
 }
 
 /// The wall-clock parallel loader over an object store populated with
-/// `.pcr` records (use [`crate::loader::populate_store`]) or packed
+/// `.pcr` records (use [`crate::source::populate_store`]) or packed
 /// shards (see [`crate::sharded`]).
 ///
 /// Generic over its [`RecordSource`], defaulting to `MetaDb`; every
@@ -497,20 +485,13 @@ fn add_elapsed(counter: &AtomicU64, since: Instant) {
 }
 
 impl<S: RecordSource + ?Sized> EpochShared<S> {
-    /// One rung of a record's ladder on the wall clock: the same clocked,
-    /// cached, counted read path the virtual-time loader uses, wrapped in
-    /// retry/backoff and read-failure degradation, then — for
+    /// One rung of a record's ladder on the wall clock: the store's
+    /// clocked, cached, counted read path, wrapped in retry/backoff and
+    /// read-failure degradation, then — for
     /// [`IoModel::EmulatedLatency`] — the successful read's service time,
     /// slept before the bytes go anywhere.
     fn fetch_rung(&self, ladder: &mut Ladder) -> Option<Rung> {
-        let rung = ladder.fetch(
-            &self.store,
-            &*self.source,
-            Timeline::Wall,
-            &self.retry,
-            &self.budget,
-            &mut |s| std::thread::sleep(Duration::from_secs_f64(s)),
-        )?;
+        let rung = ladder.fetch(&self.store, &*self.source, &self.retry, &self.budget)?;
         if self.io == IoModel::EmulatedLatency {
             let service = rung.read.finish - rung.read.start;
             let t0 = Instant::now();
@@ -556,11 +537,6 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                 self.decode,
                 &mut scratch,
             );
-            if let DecodeMode::Modeled { .. } = self.decode {
-                // Wall-clock realization of the modeled cost, so modeled
-                // and real runs remain comparable end to end.
-                std::thread::sleep(Duration::from_secs_f64(step.decode_s));
-            }
             stats.decode_nanos.fetch_add((step.decode_s * 1e9) as u64, Ordering::Relaxed);
             if !step.faults.is_clean() {
                 stats.faults.lock().expect("no worker panics while merging").merge(step.faults);
@@ -588,9 +564,9 @@ mod tests {
     fn make(n: usize, profile: DeviceProfile) -> (Arc<ObjectStore>, Arc<MetaDb>) {
         // One label per image, so a label sequence names a delivery
         // order, not just a multiset.
-        let ds = crate::loader::test_dataset(n, 4, |i| i as u32);
+        let ds = crate::source::test_dataset(n, 4, |i| i as u32);
         let store = ObjectStore::new(profile);
-        crate::loader::populate_store(&store, &ds);
+        crate::source::populate_store(&store, &ds);
         (Arc::new(store), Arc::new(ds.db.clone()))
     }
 

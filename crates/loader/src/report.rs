@@ -1,17 +1,16 @@
-//! The one per-epoch report both loaders fold an epoch into.
+//! The one per-epoch report the loader folds an epoch into.
 
 use crate::retry::FaultReport;
 
-/// One epoch, on either clock: what it delivered, how long it took,
-/// where its workers' time went, and what faults cost it.
+/// One wall-clock epoch: what it delivered, how long it took, where its
+/// workers' time went, and what faults cost it.
 ///
-/// The virtual-time loader reports simulated seconds and the wall-clock
-/// loader real ones; every field means the same thing on both. A worker
-/// waits for bytes until its read completes, then decodes, then — on
-/// the wall clock only — may block handing the record to a consumer
-/// that is not keeping up. Under `DecodeMode::Skip` or `Modeled` a
-/// virtual-time report is a pure function of the store, the source and
-/// the configuration, so two runs compare equal with `==`.
+/// A decode worker waits for bytes until a read completes, then decodes,
+/// then may block handing the record to a consumer that is not keeping
+/// up. The counts and the [`FaultReport`] do not depend on timing: with
+/// one decode worker and one read in flight, the same store, source,
+/// configuration and fault plan give the same `images`, `bytes` and
+/// `faults` run after run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// Images delivered (labels delivered under non-decoding modes).
@@ -20,14 +19,12 @@ pub struct EpochReport {
     pub bytes: u64,
     /// Seconds from the epoch's start to its last delivery.
     pub seconds: f64,
-    /// Decode seconds summed across workers — the epoch's CPU cost under
-    /// a real decode, the modeled cost under a modeled one.
+    /// Decode seconds summed across workers — the epoch's decode CPU
+    /// cost.
     pub decode_seconds: f64,
     /// Share of the I/O lanes' time (lanes × `seconds`) spent waiting on
-    /// storage. On the wall clock the lanes are the prefetch window and
-    /// only realized device service counts, so it is 0 under
-    /// `IoModel::Instant`; on the virtual clock every worker is a lane
-    /// and everything before a record's bytes arrive counts.
+    /// storage. The lanes are the prefetch window and only realized
+    /// device service counts, so it is 0 under `IoModel::Instant`.
     pub io_wait_share: f64,
     /// Share of the decode workers' time (threads × `seconds`) spent
     /// decoding.
@@ -40,7 +37,7 @@ pub struct EpochReport {
 }
 
 impl EpochReport {
-    /// Delivered throughput in images per second of the report's clock.
+    /// Delivered throughput in images per second.
     pub fn images_per_sec(&self) -> f64 {
         if self.seconds > 0.0 {
             self.images as f64 / self.seconds

@@ -1,5 +1,5 @@
 //! Retry, backoff, and fidelity degradation around the storage read path,
-//! and the one per-record delivery step both loaders run.
+//! and the one per-record delivery step the loader's workers run.
 //!
 //! Every loader read is retried under a [`RetryPolicy`]: transient
 //! [`ReadError`]s back off with capped decorrelated jitter, a per-read
@@ -17,16 +17,14 @@
 //! per-label accounting in a [`FaultReport`], so the delivered label
 //! multiset always equals the expected multiset minus the quarantined one.
 //!
-//! Both loaders deliver a record through the same step: decode check,
-//! ladder, retries and backoff, fault accounting and modeled decode cost.
-//! They differ only in what they do with the decode seconds it reports —
-//! the virtual-time loader charges them to its timeline, the wall-clock
-//! workers have spent them (or, under a modeled decode, sleep them).
+//! The fetch stage and the decode workers deliver a record through one
+//! step, the record's `Ladder`: decode check, ladder, retries and
+//! backoff, fault accounting.
 //!
 //! Backoff is deterministic: the jitter is a pure hash of
 //! `(policy seed, record, group, attempt)`, never a clock or RNG, so a
-//! seeded fault plan replays the identical recovery sequence on both the
-//! virtual and wall timelines.
+//! seeded fault plan replays the identical recovery sequence run after
+//! run.
 
 use crate::config::DecodeMode;
 use crate::source::{ReadPlan, RecordSource};
@@ -36,6 +34,7 @@ use pcr_metrics::EpochFaultCounters;
 use pcr_storage::{Clock, ObjectStore, ReadError, ReadResult};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// How many quarantined records keep full detail (index + error text);
 /// past the cap only the exact counters and label counts grow.
@@ -145,47 +144,24 @@ impl RetryBudget {
     }
 }
 
-/// Which timeline a retried read runs on. Backoff on the wall timeline is
-/// slept by the caller-provided closure; on the virtual timeline it is
-/// charged by issuing each attempt later.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Timeline {
-    /// Real worker threads ([`Clock::Wall`]).
-    Wall,
-    /// The virtual-time engine: attempts issue at `start` plus the
-    /// backoff accumulated so far.
-    Virtual {
-        /// Virtual time of the first attempt.
-        start: f64,
-    },
-}
-
-/// Reads `plan` with retry/backoff under `policy`, spending from the
-/// epoch's shared `budget`. `key` seeds the jitter (callers pass a hash
-/// of record/group). `sleep` realizes backoff on the wall timeline (pass
-/// a no-op for [`Timeline::Virtual`] — the delay is charged by issuing
-/// later instead). Retries and backoff accumulate into `out`, so every
+/// Reads `plan` on the wall clock with retry/backoff under `policy`,
+/// spending from the epoch's shared `budget` and sleeping each backoff
+/// on the calling thread. `key` seeds the jitter (callers pass a hash of
+/// record/group). Retries and backoff accumulate into `out`, so every
 /// rung of a record's ladder adds to one report.
-#[allow(clippy::too_many_arguments)] // the retry loop's full context; bundling would obscure call sites
 fn read_with_retry(
     store: &ObjectStore,
     plan: &ReadPlan<'_>,
-    timeline: Timeline,
     policy: &RetryPolicy,
     budget: &RetryBudget,
     key: u64,
-    sleep: &mut dyn FnMut(f64),
     out: &mut FaultReport,
 ) -> Result<ReadResult, ReadError> {
     let mut prev_delay = policy.base_backoff_s;
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let clock = match timeline {
-            Timeline::Wall => Clock::Wall,
-            Timeline::Virtual { start } => Clock::Virtual(start + out.backoff_s),
-        };
-        let failure = match store.read(clock, plan.name, plan.offset, plan.len) {
+        let failure = match store.read(Clock::Wall, plan.name, plan.offset, plan.len) {
             Ok(read) => {
                 let service = read.finish - read.start;
                 if policy.read_deadline_s > 0.0 && service > policy.read_deadline_s {
@@ -210,7 +186,7 @@ fn read_with_retry(
         prev_delay = delay;
         out.retries += 1;
         out.backoff_s += delay;
-        sleep(delay);
+        std::thread::sleep(Duration::from_secs_f64(delay));
     }
 }
 
@@ -220,9 +196,8 @@ pub(crate) struct Delivery {
     pub(crate) rung: Option<Rung>,
     /// Its decoded images (empty unless [`DecodeMode::Real`]).
     pub(crate) images: Vec<ImageBuf>,
-    /// Decode seconds the record cost: measured under
-    /// [`DecodeMode::Real`] (failed attempts included), modeled under
-    /// [`DecodeMode::Modeled`].
+    /// Decode seconds the record cost under [`DecodeMode::Real`], failed
+    /// attempts included.
     pub(crate) decode_s: f64,
     /// The record's retries and backoff, and its degradation or
     /// quarantine.
@@ -248,8 +223,7 @@ pub(crate) struct Rung {
 /// [`Rung`] it produced; the decode worker then calls [`Ladder::deliver`]
 /// with that already-fetched rung, and only a rejected decode makes it
 /// fetch again — from the next lower group, with the same skip rule,
-/// budget and counters as the virtual-time loader's ladder, which is
-/// fetched and delivered in one place.
+/// budget and counters.
 #[derive(Debug)]
 pub(crate) struct Ladder {
     idx: usize,
@@ -286,10 +260,8 @@ impl Ladder {
         &mut self,
         store: &ObjectStore,
         source: &S,
-        timeline: Timeline,
         policy: &RetryPolicy,
         budget: &RetryBudget,
-        sleep: &mut dyn FnMut(f64),
     ) -> Option<Rung> {
         while self.next_group >= 1 {
             let group = self.next_group;
@@ -303,7 +275,7 @@ impl Ladder {
             }
             let key = mix((self.idx as u64) << 8 | group as u64);
             let faults = &mut self.faults;
-            match read_with_retry(store, &plan, timeline, policy, budget, key, sleep, faults) {
+            match read_with_retry(store, &plan, policy, budget, key, faults) {
                 Ok(read) => return Some(Rung { read, group }),
                 Err(e) => {
                     self.last_failure = e.to_string();
@@ -323,8 +295,8 @@ impl Ladder {
     /// below the requested group, quarantined when no rung was accepted.
     /// Under [`DecodeMode::Real`] the decode *is* the check, timed through
     /// [`crate::timing::measure`], so silent bit flips degrade instead of
-    /// propagating corrupt pixels; the other modes accept any bytes read,
-    /// and [`DecodeMode::Modeled`] prices the delivered ones.
+    /// propagating corrupt pixels; [`DecodeMode::Skip`] accepts any bytes
+    /// read.
     pub(crate) fn deliver<S: RecordSource + ?Sized>(
         mut self,
         first: Option<Rung>,
@@ -339,10 +311,6 @@ impl Ladder {
             let bytes = &candidate.read.data;
             let images = match decode {
                 DecodeMode::Skip => Vec::new(),
-                DecodeMode::Modeled { seconds_per_byte } => {
-                    decode_s = bytes.len() as f64 * seconds_per_byte;
-                    Vec::new()
-                }
                 DecodeMode::Real => {
                     let (decoded, seconds) = crate::timing::measure(|| {
                         source.decode_real(self.idx, bytes, self.requested, scratch)
@@ -386,7 +354,7 @@ pub struct QuarantineEntry {
 pub struct FaultReport {
     /// Read attempts that were retried.
     pub retries: u64,
-    /// Backoff seconds spent (wall: slept; virtual: charged).
+    /// Backoff seconds the workers slept.
     pub backoff_s: f64,
     /// Records delivered below their requested scan group.
     pub degraded_records: u64,
@@ -488,21 +456,11 @@ mod tests {
         let policy = RetryPolicy { base_backoff_s: 1e-6, max_backoff_s: 1e-5, ..RetryPolicy::default() };
         let budget = RetryBudget::new(1.0);
         let mut out = FaultReport::default();
-        let mut slept = 0.0;
-        let read = read_with_retry(
-            &store,
-            &plan_of("rec"),
-            Timeline::Wall,
-            &policy,
-            &budget,
-            42,
-            &mut |s| slept += s,
-            &mut out,
-        )
-        .expect("third attempt succeeds");
+        let read = read_with_retry(&store, &plan_of("rec"), &policy, &budget, 42, &mut out)
+            .expect("third attempt succeeds");
         assert_eq!(read.data.len(), 1024);
         assert_eq!(out.retries, 2);
-        assert!((slept - out.backoff_s).abs() < 1e-12);
+        assert!(out.backoff_s >= 2.0 * policy.base_backoff_s, "{out:?}");
     }
 
     #[test]
@@ -512,17 +470,9 @@ mod tests {
         store.set_fault_plan(Some(FaultPlan { seed: 1, corrupt: 1.0, ..FaultPlan::default() }));
         let budget = RetryBudget::new(1.0);
         let mut out = FaultReport::default();
-        let err = read_with_retry(
-            &store,
-            &plan_of("rec"),
-            Timeline::Wall,
-            &RetryPolicy::default(),
-            &budget,
-            0,
-            &mut |_| {},
-            &mut out,
-        )
-        .expect_err("corrupt is persistent");
+        let policy = RetryPolicy::default();
+        let err = read_with_retry(&store, &plan_of("rec"), &policy, &budget, 0, &mut out)
+            .expect_err("corrupt is persistent");
         assert!(matches!(err, pcr_storage::ReadError::CorruptRange { .. }));
         assert_eq!(out.retries, 0, "non-retryable errors spend nothing");
     }
@@ -541,51 +491,9 @@ mod tests {
             RetryPolicy { max_retries: 50, base_backoff_s: 1e-3, ..RetryPolicy::default() };
         let budget = RetryBudget::new(0.0);
         let mut out = FaultReport::default();
-        let r = read_with_retry(
-            &store,
-            &plan_of("rec"),
-            Timeline::Wall,
-            &policy,
-            &budget,
-            0,
-            &mut |_| {},
-            &mut out,
-        );
+        let r = read_with_retry(&store, &plan_of("rec"), &policy, &budget, 0, &mut out);
         assert!(r.is_err());
         assert_eq!(out.retries, 0);
-    }
-
-    #[test]
-    fn virtual_timeline_charges_backoff_by_issuing_later() {
-        let store = ObjectStore::new(DeviceProfile::ram());
-        store.put("rec", vec![9; 4096]);
-        store.set_fault_plan(Some(FaultPlan {
-            seed: 4,
-            transient: 1.0,
-            transient_repeats: 1,
-            ..FaultPlan::default()
-        }));
-        let policy =
-            RetryPolicy { base_backoff_s: 0.25, max_backoff_s: 0.25, ..RetryPolicy::default() };
-        let budget = RetryBudget::new(10.0);
-        let mut out = FaultReport::default();
-        let read = read_with_retry(
-            &store,
-            &plan_of("rec"),
-            Timeline::Virtual { start: 1.0 },
-            &policy,
-            &budget,
-            0,
-            &mut |_| {},
-            &mut out,
-        )
-        .expect("retry succeeds");
-        assert_eq!(out.retries, 1);
-        assert!(
-            read.start >= 1.0 + 0.25 - 1e-9,
-            "second attempt issues after the backoff: start {}",
-            read.start
-        );
     }
 
     #[test]
@@ -593,7 +501,7 @@ mod tests {
         use crate::parallel::{IoModel, ParallelConfig, ParallelLoader};
         use std::sync::Arc;
 
-        let ds = crate::loader::test_dataset(4, 4, |i| i as u32);
+        let ds = crate::source::test_dataset(4, 4, |i| i as u32);
         let db = Arc::new(ds.db.clone());
         // Every seed flips one bit somewhere in the record. Take the
         // first whose flip lands where the full prefix reads fine but
@@ -602,7 +510,7 @@ mod tests {
         let (delivered, io_wait_s, device) = (0..256u64)
             .find_map(|seed| {
                 let store = Arc::new(ObjectStore::new(DeviceProfile::ssd_sata()));
-                crate::loader::populate_store(&store, &ds);
+                crate::source::populate_store(&store, &ds);
                 store.set_fault_plan(Some(FaultPlan { seed, bit_flip: 1.0, ..FaultPlan::default() }));
                 let cfg = ParallelConfig { io: IoModel::EmulatedLatency, ..ParallelConfig::real(1, 10) };
                 let stream = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).spawn_epoch(0);

@@ -1,10 +1,9 @@
 //! Streaming packed shard containers: [`ShardedSource`] plans *ranged*
-//! reads into shard objects so every loader — the virtual-time
-//! [`crate::loader::PcrLoader`], the wall-clock
-//! [`crate::parallel::ParallelLoader`], and the fidelity-controlled
-//! [`ParallelLoader::run_dynamic`](crate::parallel::ParallelLoader::run_dynamic)
-//! — streams a `pcr-core` container ([`PcrContainer`]) exactly as it
-//! streams per-record objects.
+//! reads into shard objects so the loader —
+//! [`crate::parallel::ParallelLoader`] and its fidelity-controlled
+//! [`ParallelLoader::run_dynamic`](crate::parallel::ParallelLoader::run_dynamic),
+//! and the modeled timeline in `pcr-sim` — streams a `pcr-core` container
+//! ([`PcrContainer`]) exactly as it streams per-record objects.
 //!
 //! The container's shard footers give every record an `(offset, length)`
 //! inside its shard file plus per-scan-group offsets; [`ShardedSource`]
@@ -181,11 +180,16 @@ pub struct OpenedContainer {
 ///
 /// ```no_run
 /// use pcr_loader::sharded::{open_container_store, ShardStoreConfig};
-/// use pcr_loader::{LoaderConfig, PcrLoader};
+/// use pcr_loader::{ParallelConfig, ParallelLoader};
+/// use std::sync::Arc;
 ///
 /// let opened = open_container_store(std::path::Path::new("data/derm"), &ShardStoreConfig::default())?;
-/// let (epoch, _) = PcrLoader::over(&opened.store, &*opened.source, LoaderConfig::at_group(2))
-///     .run_epoch(0, 0.0);
+/// let loader = ParallelLoader::new(
+///     Arc::clone(&opened.store),
+///     Arc::clone(&opened.source),
+///     ParallelConfig::real(4, 2),
+/// );
+/// let epoch = loader.run_epoch(0);
 /// println!("{} images from {} shards", epoch.images, opened.container.shards.len());
 /// # Ok::<(), pcr_core::Error>(())
 /// ```
@@ -209,14 +213,14 @@ pub fn open_container_store(dir: &Path, config: &ShardStoreConfig) -> Result<Ope
 mod tests {
     use super::*;
     use crate::config::{DecodeMode, LoaderConfig};
-    use crate::loader::{populate_store, PcrLoader};
     use crate::parallel::{ParallelConfig, ParallelLoader};
+    use crate::source::populate_store;
     use crate::retry::FaultReport;
     use pcr_core::container::write_container;
     use std::sync::atomic::Ordering;
 
     fn dataset(n: usize) -> pcr_core::PcrDataset {
-        crate::loader::test_dataset(n, 3, |i| (i % 4) as u32)
+        crate::source::test_dataset(n, 3, |i| (i % 4) as u32)
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -248,29 +252,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The delivered label sequence and report of one `Skip` epoch at
+    /// group `g`, one read at a time and one decode worker, so labels
+    /// arrive in epoch order.
+    fn skip_epoch<S: RecordSource + ?Sized + 'static>(
+        store: &Arc<ObjectStore>,
+        source: &Arc<S>,
+        g: usize,
+    ) -> (Vec<u32>, crate::EpochReport) {
+        let loader =
+            LoaderConfig { threads: 1, decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
+        let cfg = ParallelConfig { loader, prefetch_records: 1, ..ParallelConfig::default() };
+        let loader = ParallelLoader::new(Arc::clone(store), Arc::clone(source), cfg);
+        loader.spawn_epoch(0).fold(|batches| batches.flat_map(|b| b.labels).collect())
+    }
+
     #[test]
-    fn virtual_epoch_over_shards_matches_metadb_bytes_and_labels() {
-        let dir = tmpdir("virtual");
+    fn epoch_over_shards_matches_metadb_bytes_and_labels() {
+        let dir = tmpdir("memory");
         let ds = dataset(12);
         write_container(&ds, &dir, 2).unwrap();
         let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
 
-        let mem_store = ObjectStore::new(DeviceProfile::nvme_local());
+        let mem_store = Arc::new(ObjectStore::new(DeviceProfile::nvme_local()));
         populate_store(&mem_store, &ds);
+        let db = Arc::new(ds.db.clone());
 
         for g in [1usize, 5, 10] {
-            let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
-            let sharded =
-                PcrLoader::over(&opened.store, &*opened.source, cfg.clone()).run_epoch(0, 0.0);
-            let memory = PcrLoader::new(&mem_store, &ds.db, cfg).run_epoch(0, 0.0);
-            assert_eq!(sharded.0.bytes, memory.0.bytes, "group {g}");
-            assert_eq!(sharded.0.images, memory.0.images);
-            let labels = |records: &[crate::loader::LoadedRecord]| {
-                let mut l: Vec<u32> = records.iter().flat_map(|rec| rec.labels.clone()).collect();
-                l.sort_unstable();
-                l
-            };
-            assert_eq!(labels(&sharded.1), labels(&memory.1));
+            let (sharded_labels, sharded) = skip_epoch(&opened.store, &opened.source, g);
+            let (memory_labels, memory) = skip_epoch(&mem_store, &db, g);
+            assert_eq!(sharded.bytes, memory.bytes, "group {g}");
+            assert_eq!(sharded.bytes, ds.db.bytes_at_group(g), "group {g}");
+            assert_eq!(sharded.images, memory.images);
+            assert_eq!(sharded_labels, memory_labels, "same records in the same order");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -335,8 +349,8 @@ mod tests {
         assert_eq!(opened.store.readahead(), 1 << 20);
         // A low-group epoch touches every record; with 1 MiB readahead the
         // first read per shard pulls the whole (small) shard into cache.
-        let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(1) };
-        let _ = PcrLoader::over(&opened.store, &*opened.source, cfg.clone()).run_epoch(0, 0.0);
+        let (labels, _) = skip_epoch(&opened.store, &opened.source, 1);
+        assert_eq!(labels.len(), 12);
         let stats = opened.store.device_stats();
         assert!(
             stats.reads < opened.source.num_records() as u64,
@@ -361,8 +375,8 @@ mod tests {
     }
 
     /// One wall-clock epoch with real decode, one decode worker and one
-    /// read in flight, so its records meet their faults in epoch order as
-    /// on the virtual clock: delivered labels, fault report.
+    /// read in flight, so its records meet their faults in epoch order:
+    /// delivered labels, fault report.
     fn wall_epoch(opened: &OpenedContainer) -> (Labels, FaultReport) {
         let cfg =
             ParallelConfig { batch_size: 4, prefetch_records: 1, ..ParallelConfig::real(1, 10) };
@@ -373,17 +387,6 @@ mod tests {
             batches.for_each(|b| count(&mut delivered, &b.labels));
             delivered
         });
-        (delivered, report.faults)
-    }
-
-    /// One virtual-time epoch with real decode: delivered labels, fault
-    /// report.
-    fn virtual_epoch(opened: &OpenedContainer) -> (Labels, FaultReport) {
-        let cfg = LoaderConfig { decode: DecodeMode::Real, ..LoaderConfig::at_group(10) };
-        let (report, records) =
-            PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
-        let mut delivered = Labels::new();
-        records.iter().for_each(|r| count(&mut delivered, &r.labels));
         (delivered, report.faults)
     }
 
@@ -404,10 +407,9 @@ mod tests {
             .unwrap()
             .set_len(cut)
             .unwrap();
-        let (wall_labels, wall) = wall_epoch(&opened);
-        let (mut labels, faults) = virtual_epoch(&opened);
-        assert_eq!(wall, faults, "both clocks account the same faults, to the bit");
-        assert_eq!(wall_labels, labels);
+        let (mut labels, faults) = wall_epoch(&opened);
+        let rerun = wall_epoch(&opened);
+        assert_eq!(rerun, (labels.clone(), faults.clone()), "a rerun repeats to the bit");
         let quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
         assert_eq!(quarantined, vec![2], "exactly the record beyond the cut");
         assert_eq!(faults.quarantined_records, 1);
@@ -429,10 +431,7 @@ mod tests {
         write_container(&ds, &dir, 2).unwrap();
         let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
         std::fs::remove_file(opened.container.shard_path(1)).unwrap();
-        let (wall_labels, wall) = wall_epoch(&opened);
-        let (mut labels, faults) = virtual_epoch(&opened);
-        assert_eq!(wall, faults, "both clocks account the same faults");
-        assert_eq!(wall_labels, labels);
+        let (mut labels, faults) = wall_epoch(&opened);
         for (&label, &n) in &faults.quarantined_labels {
             *labels.entry(label).or_insert(0) += n;
         }
@@ -451,7 +450,7 @@ mod tests {
         let resident_after_epoch = |images: usize, tag: &str| {
             let dir = tmpdir(tag);
             // One label for every image: records differ only by index.
-            let ds = crate::loader::test_dataset(images, 3, |_| 0);
+            let ds = crate::source::test_dataset(images, 3, |_| 0);
             write_container(&ds, &dir, 4).unwrap();
             let opened = open_container_store(&dir, &ShardStoreConfig::default()).unwrap();
             assert_eq!(opened.store.resident_bytes(), 0, "open loads nothing");

@@ -3,12 +3,10 @@
 //! ([`ReadPlanner`]).
 //!
 //! The prefix-length math and epoch-order plumbing live here and nowhere
-//! else: the virtual-time [`crate::loader::PcrLoader`] and the wall-clock
-//! [`crate::parallel`] workers both implement against these two types —
-//! over PCR records and baseline-format objects alike — so a policy layer
-//! (the [`crate::fidelity::FidelityController`]) can change the
-//! scan-group prefix online and every loader obeys without further
-//! plumbing.
+//! else: the [`crate::parallel`] workers and the modeled loader timeline
+//! in `pcr-sim` both plan against these two types, so a policy layer (the
+//! [`crate::fidelity::FidelityController`]) can change the scan-group
+//! prefix online and every reader obeys without further plumbing.
 
 use crate::config::LoaderConfig;
 use crate::order::EpochOrder;
@@ -30,7 +28,8 @@ pub struct ReadPlan<'a> {
 }
 
 /// A collection of records a loader can plan reads over: the PCR metadata
-/// DB ([`MetaDb`]) or a list of baseline-format objects ([`[ObjectMeta]`]).
+/// DB ([`MetaDb`], records stored one object each) or a packed container
+/// ([`crate::sharded::ShardedSource`]).
 ///
 /// The trait answers three questions per record index: what bytes to read
 /// for a given scan group ([`RecordSource::plan`]), what labels it carries
@@ -102,48 +101,37 @@ impl RecordSource for MetaDb {
     }
 }
 
-/// Metadata of one baseline-format object — a fixed-quality record file
-/// (TFRecord-style, read whole and sequentially) or a single image file
-/// (the small random accesses of PyTorch's `ImageFolder`, paper Figure 1):
-/// name and image labels. A `[ObjectMeta]` slice is a [`RecordSource`]
-/// with no scan-group knob — every plan is the full object, which is
-/// exactly the cost Figure 1 charges these formats with — so
-/// `PcrLoader::over(&store, &objects[..], config)` loads them through the
-/// same engine, page cache and device statistics as PCR traffic.
-#[derive(Debug, Clone)]
-pub struct ObjectMeta {
-    /// Object name in the store.
-    pub name: String,
-    /// Labels of images in the object (one for File-per-Image).
-    pub labels: Vec<u32>,
+/// Loads every record of a PCR dataset into an object store under its DB
+/// name, so the dataset's [`MetaDb`] plans reads against it.
+pub fn populate_store(store: &pcr_storage::ObjectStore, dataset: &pcr_core::PcrDataset) {
+    for (meta, bytes) in dataset.db.records.iter().zip(&dataset.records) {
+        store.put(&meta.name, bytes.clone());
+    }
 }
 
-impl RecordSource for [ObjectMeta] {
-    fn num_records(&self) -> usize {
-        self.len()
+/// The dataset this crate's unit tests load: `n` patterned 32x32 images,
+/// `images_per_record` to a record, 10 scan groups, labeled by `label`.
+#[cfg(test)]
+pub(crate) fn test_dataset(
+    n: usize,
+    images_per_record: usize,
+    label: impl Fn(usize) -> u32,
+) -> pcr_core::PcrDataset {
+    let mut b = pcr_core::PcrDatasetBuilder::new(images_per_record, 10).with_name_prefix("t");
+    for i in 0..n {
+        let mut data = Vec::new();
+        for y in 0..32u32 {
+            for x in 0..32u32 {
+                data.push(((x * 3 + y * 7 + i as u32 * 5) % 256) as u8);
+                data.push(((x + y) % 256) as u8);
+                data.push((y % 256) as u8);
+            }
+        }
+        let img = ImageBuf::from_raw(32, 32, 3, data).unwrap();
+        let meta = pcr_core::SampleMeta { label: label(i), id: format!("s{i}") };
+        b.add_image(meta, &img, 85).unwrap();
     }
-
-    fn plan(&self, idx: usize, _scan_group: usize) -> ReadPlan<'_> {
-        // Baseline formats have no scan groups: always the whole object.
-        ReadPlan { name: &self[idx].name, offset: 0, len: u64::MAX }
-    }
-
-    fn labels(&self, idx: usize) -> &[u32] {
-        &self[idx].labels
-    }
-
-    fn decode_real(
-        &self,
-        _idx: usize,
-        bytes: &[u8],
-        _scan_group: usize,
-        _scratch: &mut RecordScratch,
-    ) -> Option<Vec<ImageBuf>> {
-        // File-per-Image objects are single JPEGs; record-file blobs are
-        // not decodable here and yield no images (byte/timing accounting
-        // still applies).
-        Some(pcr_jpeg::decode(bytes).map(|img| vec![img]).unwrap_or_default())
-    }
+    b.finish().unwrap()
 }
 
 /// The read-planning policy: which scan group to read and the per-epoch
@@ -224,14 +212,6 @@ mod tests {
         // Clamped to the record's group count.
         assert_eq!(db.plan(0, 99).len, 400);
         assert_eq!(db.labels(0), &[3, 4]);
-    }
-
-    #[test]
-    fn object_lists_plan_whole_object_reads() {
-        let objects = [ObjectMeta { name: "img-0".into(), labels: vec![1] }];
-        let plan = objects[..].plan(0, 3);
-        assert_eq!(plan.name, "img-0");
-        assert_eq!(plan.len, u64::MAX, "scan group is ignored: whole object");
     }
 
     #[test]

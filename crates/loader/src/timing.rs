@@ -1,13 +1,10 @@
 //! Wall-clock measurement helpers.
 //!
-//! This is the one place in the loader crate allowed to touch
-//! `std::time::Instant` (see the `clock-discipline` rule in
-//! `pcr-analyze`). Everything else in the crate runs on virtual time —
-//! the clocked read path hands out `Clock::Virtual` timestamps — so a
-//! stray `Instant::now()` in loader code is almost always a bug where
-//! host wall-clock leaks into a simulated timeline. Real measurements
-//! (e.g. timing an actual JPEG decode in `DecodeMode::Real`) must go
-//! through [`measure`], which keeps the sites auditable.
+//! Outside `parallel.rs` this is the one place in the loader crate
+//! allowed to touch `std::time::Instant` (see the `clock-discipline` rule
+//! in `pcr-analyze`). The delivery step in [`crate::retry`] times its
+//! decode (`DecodeMode::Real`) through [`measure`], which keeps the sites
+//! auditable.
 
 /// Runs `f` and returns its result together with the elapsed wall-clock
 /// seconds.

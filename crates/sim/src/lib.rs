@@ -1,9 +1,10 @@
 //! # pcr-sim
 //!
 //! The experiment engine for the PCR reproduction: the paper's Appendix
-//! A.2 queueing lemmas as executable code, the loader->compute pipeline
-//! coupling with per-iteration data-stall accounting (Appendix A.1 /
-//! Figure 11), scan-group featurization of synthetic datasets, and the
+//! A.2 queueing lemmas as executable code, the closed-system loader model
+//! ([`model_epoch`]: a greedy N-lane timeline of virtual-clock reads) and
+//! its coupling to the compute unit with per-iteration data-stall
+//! accounting (Appendix A.1 / Figure 11), scan-group featurization of synthetic datasets, and the
 //! end-to-end time-to-accuracy trainer with static and dynamic
 //! (loss-probe, gradient-cosine, mixture) scan-group control.
 //!
@@ -39,7 +40,10 @@ pub mod trainer;
 
 pub use dynamic::{train_dynamic_cosine, train_dynamic_loss, DynamicConfig};
 pub use features::{featurize, FeaturizedDataset};
-pub use pipeline::{run_pipeline, ComputeUnit, IterationTiming, PipelineTrace};
+pub use pipeline::{
+    model_epoch, run_pipeline, ComputeUnit, IterationTiming, ModeledEpoch, ModeledRecord,
+    PipelineTrace, BASELINE_DECODE_S_PER_BYTE, PROGRESSIVE_DECODE_S_PER_BYTE,
+};
 pub use queueing::{
     expected_item_read_time, loader_throughput, max_system_speedup, pipeline_speedup,
     roofline_sweep, system_throughput, RooflinePoint,

@@ -9,11 +9,13 @@
 //! compute rate).
 
 use crate::features::FeaturizedDataset;
-use crate::pipeline::{run_pipeline, ComputeUnit, PipelineTrace};
+use crate::pipeline::{
+    model_epoch, run_pipeline, ComputeUnit, PipelineTrace, PROGRESSIVE_DECODE_S_PER_BYTE,
+};
 use pcr_autotune::MixturePolicy;
 use pcr_core::PcrDataset;
 use pcr_datasets::LabelMap;
-use pcr_loader::{populate_store, LoaderConfig, PcrLoader};
+use pcr_loader::{populate_store, ReadPlanner};
 use pcr_nn::{LrSchedule, Matrix, Mlp, ModelSpec, SgdMomentum};
 use pcr_storage::{DeviceProfile, ObjectStore};
 use rand::rngs::StdRng;
@@ -168,11 +170,6 @@ impl<'a> Trainer<'a> {
         self.clock
     }
 
-    /// Epochs completed.
-    pub fn epochs_done(&self) -> usize {
-        self.epoch
-    }
-
     /// Aggregate compute rate for this configuration.
     pub fn compute_rate(&self) -> f64 {
         let per = if self.cfg.mixed_precision {
@@ -187,21 +184,23 @@ impl<'a> Trainer<'a> {
     /// group, returning its trace without training.
     pub fn simulate_epoch_timing(&self, group: usize) -> PipelineTrace {
         self.store.device().reset();
-        let loader_cfg = LoaderConfig {
-            threads: self.cfg.loader_threads,
-            scan_group: group,
-            shuffle: true,
-            seed: self.cfg.seed ^ self.epoch as u64,
-            decode: pcr_loader::DecodeMode::modeled_progressive(),
-            retry: pcr_loader::RetryPolicy::default(),
-        };
-        let loader = PcrLoader::new(&self.store, &self.db, loader_cfg);
-        let (_, records) = loader.run_epoch(self.epoch as u64, 0.0);
+        let seed = self.cfg.seed ^ self.epoch as u64;
+        let planner = ReadPlanner { scan_group: group, shuffle: true, seed };
+        let modeled = model_epoch(
+            &self.store,
+            &self.db,
+            &planner,
+            self.cfg.loader_threads,
+            PROGRESSIVE_DECODE_S_PER_BYTE,
+            self.epoch as u64,
+            0.0,
+        )
+        .expect("the trainer's store holds every record of its DB");
         let compute = ComputeUnit {
             images_per_sec: self.compute_rate(),
             batch_size: self.cfg.batch_size * self.cfg.workers,
         };
-        run_pipeline(&records, &compute, 0.0)
+        run_pipeline(&modeled.records, &compute, 0.0)
     }
 
     /// Trains one epoch at a fixed scan group; advances the virtual clock
@@ -421,8 +420,9 @@ impl<'a> Trainer<'a> {
     }
 }
 
+/// The most frequent value; the largest of those on a tie.
 fn mode(xs: &[usize]) -> Option<usize> {
-    let mut counts = std::collections::HashMap::new();
+    let mut counts = std::collections::BTreeMap::new();
     for &x in xs {
         *counts.entry(x).or_insert(0usize) += 1;
     }

@@ -88,7 +88,7 @@ impl SharedDevice {
     /// [`SharedDevice::read_at`] and returns the modeled service time, but
     /// does **not** advance the virtual request queue (`busy_until`). Wall
     /// workers contend in real time — queueing them against the virtual
-    /// timeline would corrupt any virtual-time loader sharing the store.
+    /// timeline would corrupt any virtual-clock reader sharing the store.
     pub fn service_wall(&self, object: u64, offset: u64, len: u64) -> f64 {
         self.inner.lock().account(&self.profile, object, offset, len)
     }

@@ -12,7 +12,7 @@
 //! of requiring the authors' 16-node cluster.
 //!
 //! There is one read path, [`ObjectStore::read`], parameterized by a
-//! [`Clock`]: virtual-time loaders queue against the simulated device
+//! [`Clock`]: virtual-clock readers queue against the simulated device
 //! ([`Clock::Virtual`]), wall-clock workers get the modeled service time
 //! back as a duration ([`Clock::Wall`]) — and *both* share the page cache,
 //! readahead, and device/cache statistics. Reads return

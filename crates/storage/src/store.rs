@@ -17,11 +17,12 @@
 //! files the real caching is the operating system's.
 //!
 //! There is exactly **one** read path, [`ObjectStore::read`], parameterized
-//! by a [`Clock`]: virtual-time loaders pass [`Clock::Virtual`] and get
-//! queueing against the simulated device; wall-clock workers pass
-//! [`Clock::Wall`] and get the same page cache, readahead, and device/cache
-//! statistics, with the modeled service time returned (not queued) so they
-//! can realize it as real latency if they choose.
+//! by a [`Clock`]: virtual-clock readers (the loader model in `pcr-sim`)
+//! pass [`Clock::Virtual`] and get queueing against the simulated device;
+//! wall-clock workers pass [`Clock::Wall`] and get the same page cache,
+//! readahead, and device/cache statistics, with the modeled service time
+//! returned (not queued) so they can realize it as real latency if they
+//! choose.
 
 use crate::bytes::{Buffer, BufferPool, ByteView};
 use crate::cache::PageCache;
@@ -37,9 +38,10 @@ use std::sync::Arc;
 
 /// Which timeline a read is issued on.
 ///
-/// Every read — from the virtual-time `PcrLoader` or from a wall-clock
-/// worker thread — flows through [`ObjectStore::read`] with one of these,
-/// so the block cache, readahead, and statistics see *all* traffic.
+/// Every read — from the modeled loader timeline in `pcr-sim` or from a
+/// wall-clock loader thread — flows through [`ObjectStore::read`] with
+/// one of these, so the block cache, readahead, and statistics see *all*
+/// traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Clock {
     /// A read issued at the given virtual timestamp. The simulated device

@@ -8,9 +8,11 @@
 //! ```
 
 use pcr::datasets::{DatasetSpec, Scale, SyntheticDataset};
-use pcr::loader::{populate_store, DecodeMode, LoaderConfig, PcrLoader};
+use pcr::loader::{populate_store, ReadPlanner};
 use pcr::nn::ModelSpec;
-use pcr::sim::{roofline_sweep, run_pipeline, ComputeUnit};
+use pcr::sim::{
+    model_epoch, roofline_sweep, run_pipeline, ComputeUnit, PROGRESSIVE_DECODE_S_PER_BYTE,
+};
 use pcr::storage::{DeviceProfile, ObjectStore};
 
 fn main() {
@@ -45,16 +47,10 @@ fn main() {
     println!(" group | stall fraction | achieved img/s | epoch time (s)");
     for g in [1usize, 2, 5, 10] {
         store.device().reset();
-        let cfg = LoaderConfig {
-            threads: 8,
-            scan_group: g,
-            shuffle: true,
-            seed: 7,
-            decode: DecodeMode::modeled_progressive(),
-            ..LoaderConfig::default()
-        };
-        let (_, records) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
-        let trace = run_pipeline(&records, &compute, 0.0);
+        let planner = ReadPlanner { scan_group: g, shuffle: true, seed: 7 };
+        let epoch = model_epoch(&store, &pcr.db, &planner, 8, PROGRESSIVE_DECODE_S_PER_BYTE, 0, 0.0)
+            .expect("every record is stored");
+        let trace = run_pipeline(&epoch.records, &compute, 0.0);
         println!(
             " {g:>5} | {:>14.3} | {:>14.0} | {:>13.3}",
             trace.stall_fraction(),

@@ -1,14 +1,15 @@
 //! Reader microbenchmark (paper Appendix A.5 / Figure 18): PCR records on
-//! a simulated SATA SSD, an 8-thread loader, and throughput measured per
-//! scan group — including the Lemma A.3 prediction that throughput scales
-//! with the inverse of mean bytes per image.
+//! a simulated SATA SSD, the paper's loader model with 8 lanes, and
+//! throughput per scan group — including the Lemma A.3 prediction that
+//! throughput scales with the inverse of mean bytes per image.
 //!
 //! ```text
 //! cargo run --release --example loading_rates
 //! ```
 
 use pcr::datasets::{DatasetSpec, Scale, SyntheticDataset};
-use pcr::loader::{populate_store, DecodeMode, LoaderConfig, PcrLoader};
+use pcr::loader::{populate_store, ReadPlanner};
+use pcr::sim::model_epoch;
 use pcr::storage::{DeviceProfile, ObjectStore};
 
 fn main() {
@@ -28,32 +29,24 @@ fn main() {
 
     let run = |g: usize| {
         store.device().reset();
-        let cfg = LoaderConfig {
-            threads: 8,
-            scan_group: g,
-            shuffle: false,
-            seed: 0,
-            decode: DecodeMode::Skip,
-            ..LoaderConfig::default()
-        };
-        PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0).0
+        let planner = ReadPlanner { scan_group: g, shuffle: false, seed: 0 };
+        model_epoch(&store, &pcr.db, &planner, 8, 0.0, 0, 0.0).expect("every record is stored")
     };
 
     let full = run(10);
     let full_rate = full.images_per_sec();
     let full_bytes = pcr.db.mean_image_bytes_at_group(10);
 
-    println!(" scan | KiB/img | measured img/s | predicted img/s (Lemma A.3) | bound");
+    println!(" scan | KiB/img | modeled img/s | predicted img/s (Lemma A.3)");
     for g in 1..=10usize {
         let r = run(g);
         let mean_bytes = pcr.db.mean_image_bytes_at_group(g);
         let predicted = full_rate * full_bytes / mean_bytes;
         println!(
-            " {g:>4} | {:>7.1} | {:>14.0} | {:>27.0} | {}",
+            " {g:>4} | {:>7.1} | {:>13.0} | {:>27.0}",
             mean_bytes / 1024.0,
             r.images_per_sec(),
-            predicted,
-            r.bottleneck.as_str()
+            predicted
         );
     }
     println!("\nAs in the paper: bandwidth is the bottleneck, so the images/second");

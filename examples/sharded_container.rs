@@ -1,6 +1,6 @@
 //! The sharded container round trip in one file: pack a synthetic
-//! dataset to on-disk shards, reopen it, and stream it through both the
-//! virtual-time and wall-clock loaders — the library face of
+//! dataset to on-disk shards, reopen it, lay its epochs on the paper's
+//! loader model, and stream it through the loader — the library face of
 //! `pcr pack` / `pcr bench` (see `docs/GUIDE.md` for the CLI tour and
 //! `docs/FORMAT.md` for the byte-level format).
 //!
@@ -8,9 +8,10 @@
 
 use pcr::datasets::{pack_to_container, DatasetSpec, Scale, SyntheticDataset};
 use pcr::loader::{
-    open_container_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
-    RecordSource, ShardStoreConfig,
+    open_container_store, ParallelConfig, ParallelLoader, ReadPlanner, RecordSource,
+    ShardStoreConfig,
 };
+use pcr::sim::model_epoch;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,14 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         opened.source.num_groups()
     );
 
-    // 3. Virtual time: a modeled epoch per scan group — the fidelity
-    //    byte/time tradeoff from on-disk shards.
+    // 3. Virtual time: a modeled epoch per scan group (8 lanes, reads
+    //    only) — the fidelity byte/time tradeoff from on-disk shards.
     println!("\nmodeled epochs (virtual time):");
     println!("{:>6} {:>12} {:>12}", "group", "bytes", "img/s");
     for g in [1usize, 2, 5, 10] {
         opened.store.device().reset();
-        let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
-        let (epoch, _) = PcrLoader::over(&opened.store, &*opened.source, cfg).run_epoch(0, 0.0);
+        let planner = ReadPlanner { scan_group: g, shuffle: true, seed: 0 };
+        let epoch = model_epoch(&opened.store, &*opened.source, &planner, 8, 0.0, 0, 0.0)?;
         println!("{:>6} {:>12} {:>12.0}", g, epoch.bytes, epoch.images_per_sec());
     }
 

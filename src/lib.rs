@@ -15,11 +15,11 @@
 //! | [`jpeg`] | `pcr-jpeg` | baseline + progressive JPEG, transcode, scan splitting |
 //! | [`core`] | `pcr-core` | the PCR record/dataset format and baseline layouts |
 //! | [`storage`] | `pcr-storage` | device models, page cache, object store |
-//! | [`loader`] | `pcr-loader` | prefetching loaders with stall accounting |
+//! | [`loader`] | `pcr-loader` | the prefetching loader, fault recovery, fidelity control |
 //! | [`datasets`] | `pcr-datasets` | synthetic ImageNet/HAM/Cars/CelebA stand-ins |
 //! | [`nn`] | `pcr-nn` | MLP models, SGD, LR schedules, gradient probes |
 //! | [`metrics`] | `pcr-metrics` | MSSIM, statistics, regression, histograms |
-//! | [`sim`] | `pcr-sim` | queueing lemmas, pipeline sim, time-to-accuracy |
+//! | [`sim`] | `pcr-sim` | queueing lemmas, loader model, pipeline sim, time-to-accuracy |
 //! | [`autotune`] | `pcr-autotune` | plateau detection, selection rules, mixtures |
 //!
 //! ## Quickstart

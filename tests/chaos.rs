@@ -6,13 +6,17 @@
 //! - sample accounting is exact: the delivered label multiset plus the
 //!   quarantined label multiset equals the dataset's label multiset
 //!   (nothing lost, nothing duplicated, nothing silently invented);
-//! - degraded records are delivered at an intact shorter prefix: the
-//!   delivered group never exceeds the requested group, and the
-//!   `degraded` flag is set exactly when the ladder stepped down;
+//! - with one decode worker, records arrive in epoch order, each one
+//!   whole, and skip exactly the quarantined ones;
 //! - under fault kinds that never corrupt delivered bytes, every
 //!   delivered record's images decode **byte-identically** to a clean
-//!   truncated-prefix decode of the same record at the same group —
-//!   degradation is truncation, not approximation.
+//!   truncated-prefix decode of the same record at a group no higher
+//!   than the requested one — degradation is truncation, not
+//!   approximation — and every record delivered below its requested
+//!   group is counted degraded;
+//! - faults are a function of (plan, site, attempt), so the same plan
+//!   run twice — at either I/O depth — delivers the same pixels and the
+//!   same fault report, to the bit.
 //!
 //! Replay a failure by pinning `PROPTEST_SEED`; CI's chaos job raises
 //! `PROPTEST_CASES` and pins the seed for reproducibility.
@@ -20,10 +24,11 @@
 use pcr::core::{MetaDb, PcrDatasetBuilder, RecordScratch, SampleMeta};
 use pcr::jpeg::ImageBuf;
 use pcr::loader::{
-    populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
+    populate_store, DecodeMode, FaultReport, LoaderConfig, ParallelConfig, ParallelLoader,
     ReadPlanner, RecordSource, RetryPolicy,
 };
-use pcr::storage::{DeviceProfile, FaultPlan, ObjectStore};
+use pcr::sim::model_epoch;
+use pcr::storage::{Clock, DeviceProfile, FaultPlan, ObjectStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -160,90 +165,167 @@ fn wall_epoch_in_order(
     (delivered, stats)
 }
 
+/// The one-worker stream split into records: epoch order, minus the
+/// records `faults` quarantined, each taking as many images as it has
+/// labels — and carrying exactly those labels, in order.
+fn records_in_order(
+    delivered: Vec<(u32, ImageBuf)>,
+    cfg: &LoaderConfig,
+    epoch: u64,
+    faults: &FaultReport,
+) -> Vec<(usize, Vec<ImageBuf>)> {
+    let db = &dataset().db;
+    let quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
+    let mut stream = delivered.into_iter();
+    let mut records = Vec::new();
+    for idx in ReadPlanner::from_config(cfg).epoch_iter(db.num_records(), epoch) {
+        if quarantined.contains(&idx) {
+            continue;
+        }
+        let images = db
+            .labels(idx)
+            .iter()
+            .map(|&label| {
+                let (got, image) = stream.next().expect("record delivered");
+                assert_eq!(got, label, "record {idx}");
+                image
+            })
+            .collect();
+        records.push((idx, images));
+    }
+    assert!(stream.next().is_none(), "nothing beyond the non-quarantined records");
+    records
+}
+
+/// Record `idx` decoded from a clean store's prefix at `group`.
+fn clean_decode(clean: &ObjectStore, idx: usize, group: usize) -> Vec<ImageBuf> {
+    let db = &dataset().db;
+    let plan = db.plan(idx, group);
+    let read =
+        clean.read(Clock::Virtual(0.0), plan.name, plan.offset, plan.len).expect("clean read");
+    db.decode_real(idx, &read.data, group, &mut RecordScratch::new())
+        .expect("clean prefix decodes")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Virtual-time loader under the full fault surface: terminates,
-    /// conserves the label multiset, and degrades monotonically.
+    /// One decode worker under the full fault surface: terminates,
+    /// delivers whole records in epoch order, and conserves the label
+    /// multiset.
     #[test]
-    fn virtual_epoch_conserves_labels_under_faults(
+    fn one_worker_epoch_conserves_labels_under_faults(
         plan in arb_plan(),
         epoch in 0u64..4,
         group in 1usize..=NUM_GROUPS,
+        deep in any::<bool>(),
     ) {
         let ds = dataset();
-        let store = faulted_store(plan);
         let cfg = LoaderConfig {
-            threads: 3,
+            threads: 1,
             scan_group: group,
             shuffle: true,
             seed: 1,
             decode: DecodeMode::Real,
             retry: retry_policy(),
         };
-        let (r, records) = PcrLoader::new(&store, &ds.db, cfg).run_epoch(epoch, 0.0);
-
-        let mut delivered = BTreeMap::new();
-        for rec in &records {
-            prop_assert!(rec.delivered_group >= 1 && rec.delivered_group <= group);
-            prop_assert_eq!(rec.degraded, rec.delivered_group < group);
-            // Real mode: a delivered record actually decoded.
-            prop_assert_eq!(rec.images.len(), rec.labels.len());
-            add_labels(&mut delivered, &rec.labels);
+        let par = ParallelConfig {
+            loader: cfg.clone(),
+            batch_size: 3,
+            prefetch_records: prefetch_depth(deep),
+            ..ParallelConfig::default()
+        };
+        let loader =
+            ParallelLoader::new(Arc::new(faulted_store(plan)), Arc::new(ds.db.clone()), par);
+        let (delivered, report) = loader.spawn_epoch(epoch).fold(|batches| {
+            batches.flat_map(|b| b.labels.into_iter().zip(b.images)).collect::<Vec<_>>()
+        });
+        prop_assert_eq!(report.images, delivered.len());
+        let faults = report.faults;
+        let records = records_in_order(delivered, &cfg, epoch, &faults);
+        prop_assert_eq!(records.len() + faults.quarantined_records as usize, ds.db.num_records());
+        prop_assert!(faults.degraded_records as usize <= records.len());
+        let mut labels = faults.quarantined_labels.clone();
+        for (idx, _) in &records {
+            add_labels(&mut labels, ds.db.labels(*idx));
         }
-        prop_assert_eq!(
-            records.len() + r.faults.quarantined_records as usize,
-            ds.db.num_records()
-        );
-        for (&label, &count) in &r.faults.quarantined_labels {
-            *delivered.entry(label).or_insert(0) += count;
-        }
-        prop_assert_eq!(delivered, expected_labels(&ds.db));
-        // The fault report's totals agree with the per-record flags.
-        let degraded = records.iter().filter(|x| x.degraded).count() as u64;
-        prop_assert_eq!(r.faults.degraded_records, degraded);
+        prop_assert_eq!(labels, expected_labels(&ds.db));
     }
 
-    /// Byte-exactness of degradation: with no byte-corrupting faults,
-    /// every delivered record — degraded or not — decodes identically to
-    /// a clean truncated-prefix decode at the delivered group.
+    /// Byte-exactness of degradation, on one decode worker: with no
+    /// byte-corrupting faults, every delivered record — degraded or not —
+    /// decodes identically to a clean truncated-prefix decode at a group
+    /// no higher than the requested one, and one that does not match the
+    /// requested group's decode was counted degraded.
     #[test]
     fn degraded_records_decode_byte_identically(
         plan in arb_clean_bytes_plan(),
         group in 2usize..=NUM_GROUPS,
+        deep in any::<bool>(),
     ) {
         let ds = dataset();
-        let store = faulted_store(plan);
         let clean = ObjectStore::new(DeviceProfile::ram());
         populate_store(&clean, ds);
         let cfg = LoaderConfig {
-            threads: 2,
+            threads: 1,
             scan_group: group,
-            shuffle: false,
-            seed: 0,
+            shuffle: true,
+            seed: 4,
             decode: DecodeMode::Real,
             retry: retry_policy(),
         };
-        let (r, records) = PcrLoader::new(&store, &ds.db, cfg).run_epoch(0, 0.0);
+        let (delivered, stats) =
+            wall_epoch_in_order(Arc::new(faulted_store(plan)), cfg.clone(), prefetch_depth(deep));
+        let faults = stats.fault_report();
         // Deterministic per-site faults (e.g. a timeout keyed to the
         // group-1 plan) can still exhaust the whole ladder, so records
         // may quarantine — but the accounting must reconcile exactly.
-        prop_assert_eq!(
-            records.len() + r.faults.quarantined_records as usize,
-            ds.db.num_records()
-        );
+        let records = records_in_order(delivered, &cfg, 0, &faults);
+        prop_assert_eq!(records.len() + faults.quarantined_records as usize, ds.db.num_records());
+        let mut below_requested = 0u64;
+        for (idx, images) in &records {
+            let matched = (1..=group).rev().find(|&g| clean_decode(&clean, *idx, g) == *images);
+            prop_assert!(matched.is_some(), "record {} matches no clean prefix", idx);
+            below_requested += u64::from(matched != Some(group));
+        }
+        prop_assert!(below_requested <= faults.degraded_records, "{:?}", faults);
+    }
 
-        let mut scratch = RecordScratch::new();
-        for rec in &records {
-            let plan = ds.db.plan(rec.record, rec.delivered_group);
-            let clean_read = clean
-                .read(pcr::storage::Clock::Virtual(0.0), plan.name, plan.offset, plan.len)
-                .expect("clean store read");
-            let clean_images = ds
-                .db
-                .decode_real(rec.record, &clean_read.data, rec.delivered_group, &mut scratch)
-                .expect("clean prefix decodes");
-            prop_assert_eq!(&rec.images, &clean_images, "record {}", rec.record);
+    /// Replay determinism of degradation on the wall-clock loader: the
+    /// same clean-bytes plan run once with reads strictly one at a time
+    /// and once at the drawn I/O depth delivers the same labels and
+    /// pixels, record by record, and the same fault report to the last
+    /// bit of backoff — one decode worker merges each record's faults in
+    /// epoch order.
+    #[test]
+    fn wall_clock_degraded_records_decode_byte_identically(
+        plan in arb_clean_bytes_plan(),
+        group in 2usize..=NUM_GROUPS,
+        deep in any::<bool>(),
+    ) {
+        let cfg = LoaderConfig {
+            threads: 1,
+            scan_group: group,
+            shuffle: true,
+            seed: 4,
+            decode: DecodeMode::Real,
+            retry: retry_policy(),
+        };
+        let run = |depth: usize| {
+            let (delivered, stats) =
+                wall_epoch_in_order(Arc::new(faulted_store(plan.clone())), cfg.clone(), depth);
+            (delivered, stats.fault_report())
+        };
+        let (oracle, oracle_faults) = run(1);
+        let (delivered, faults) = run(prefetch_depth(deep));
+        prop_assert_eq!(&faults, &oracle_faults);
+
+        let expected = records_in_order(oracle, &cfg, 0, &oracle_faults);
+        let got = records_in_order(delivered, &cfg, 0, &faults);
+        prop_assert_eq!(got.len(), expected.len());
+        for ((idx, images), (want_idx, want)) in got.iter().zip(&expected) {
+            prop_assert_eq!(idx, want_idx);
+            prop_assert!(images == want, "record {} delivered other pixels on the rerun", idx);
         }
     }
 
@@ -290,58 +372,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The wall-clock face of byte-exact degradation, and of cross-loader
-    /// equivalence: faults are a function of (plan, site, attempt), so
-    /// the wall loader — fetching ahead, resuming ladders across its two
-    /// stages — must quarantine the records the virtual loader does and
-    /// deliver every other record with the pixels the virtual loader
-    /// decoded (which the case above pins to a clean prefix decode at
-    /// the delivered group), in epoch order, at either I/O depth.
-    #[test]
-    fn wall_clock_degraded_records_decode_byte_identically(
-        plan in arb_clean_bytes_plan(),
-        group in 2usize..=NUM_GROUPS,
-        deep in any::<bool>(),
-    ) {
-        let ds = dataset();
-        let cfg = LoaderConfig {
-            threads: 1,
-            scan_group: group,
-            shuffle: true,
-            seed: 4,
-            decode: DecodeMode::Real,
-            retry: retry_policy(),
-        };
-        let oracle_store = faulted_store(plan.clone());
-        let (oracle, records) =
-            PcrLoader::new(&oracle_store, &ds.db, cfg.clone()).run_epoch(0, 0.0);
-        let mut by_record: BTreeMap<usize, &pcr::loader::LoadedRecord> =
-            records.iter().map(|r| (r.record, r)).collect();
-
-        let (delivered, stats) =
-            wall_epoch_in_order(Arc::new(faulted_store(plan)), cfg.clone(), prefetch_depth(deep));
-        // One decode worker merges each record's faults in epoch order, so
-        // the two clocks' reports agree to the last bit of backoff.
-        prop_assert_eq!(stats.fault_report(), oracle.faults);
-
-        let mut delivered = delivered.into_iter();
-        for idx in ReadPlanner::from_config(&cfg).epoch_iter(ds.db.num_records(), 0) {
-            let Some(expected) = by_record.remove(&idx) else {
-                continue; // quarantined by both loaders
-            };
-            for (label, image) in expected.labels.iter().zip(&expected.images) {
-                let (got_label, got_image) = delivered.next().expect("record delivered");
-                prop_assert_eq!(got_label, *label, "record {}", idx);
-                prop_assert_eq!(&got_image, image, "record {}", idx);
-            }
-        }
-        prop_assert!(delivered.next().is_none(), "nothing beyond the oracle's records");
-    }
-}
-
 /// A quiet plan must be a no-op for the wall-clock loader too: the same
 /// images in the same order, the same bytes, a clean fault report — at
 /// either I/O depth.
@@ -371,36 +401,19 @@ fn wall_clock_quiet_plan_epoch_is_identical_to_no_plan() {
     }
 }
 
-/// A quiet plan must be a no-op: the epoch report and timeline match a
-/// run with no plan installed, field for field — the zero-fault fast path
-/// really is untouched.
+/// A quiet plan must be a no-op for the loader model too: its timeline
+/// matches a run with no plan installed, to the bit — the zero-fault fast
+/// path of the store really is untouched.
 #[test]
 fn quiet_plan_epoch_is_identical_to_no_plan() {
     let ds = dataset();
-    // Skip decode: Real mode charges *measured* decode time into the
-    // virtual timeline, which legitimately differs run to run. Skip is
-    // fully modeled, so the timelines must match bit for bit.
-    let cfg = LoaderConfig {
-        threads: 2,
-        scan_group: 5,
-        shuffle: true,
-        seed: 3,
-        decode: DecodeMode::Skip,
-        retry: RetryPolicy::default(),
-    };
+    let planner = ReadPlanner { scan_group: 5, shuffle: true, seed: 3 };
     let bare = ObjectStore::new(DeviceProfile::ram());
     populate_store(&bare, ds);
-    let (a, a_records) = PcrLoader::new(&bare, &ds.db, cfg.clone()).run_epoch(1, 0.0);
+    let a = model_epoch(&bare, &ds.db, &planner, 2, 0.0, 1, 0.0).expect("clean store");
 
-    let quiet = ObjectStore::new(DeviceProfile::ram());
-    populate_store(&quiet, ds);
-    quiet.set_fault_plan(Some(FaultPlan::quiet(99)));
-    let (b, b_records) = PcrLoader::new(&quiet, &ds.db, cfg).run_epoch(1, 0.0);
-
-    assert_eq!(a, b, "the whole report, bottleneck verdict and shares included");
-    assert!(b.faults.is_clean());
-    assert_eq!(
-        a_records.iter().map(|r| (r.seq, r.record, r.ready.to_bits())).collect::<Vec<_>>(),
-        b_records.iter().map(|r| (r.seq, r.record, r.ready.to_bits())).collect::<Vec<_>>(),
-    );
+    let quiet = faulted_store(FaultPlan::quiet(99));
+    let b = model_epoch(&quiet, &ds.db, &planner, 2, 0.0, 1, 0.0).expect("quiet plan");
+    assert_eq!(a, b, "every record's issue and ready time, the bytes and the seconds");
+    assert_eq!(a.images(), ds.db.num_images());
 }

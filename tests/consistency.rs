@@ -1,13 +1,15 @@
 //! Cross-layer consistency: the byte counts and throughput figures
-//! reported by the metadata DB, the loader, the pipeline simulation, and
-//! the analytical queueing model must all agree with each other.
+//! reported by the metadata DB, the loader, the loader model and pipeline
+//! simulation, and the analytical queueing model must all agree with each
+//! other.
 
 use pcr::datasets::{DatasetSpec, Scale, SyntheticDataset};
 use pcr::loader::{
-    populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
+    populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, ReadPlanner,
 };
-use pcr::sim::{loader_throughput, run_pipeline, ComputeUnit};
+use pcr::sim::{loader_throughput, model_epoch, run_pipeline, ComputeUnit};
 use pcr::storage::{DeviceProfile, ObjectStore};
+use std::sync::Arc;
 
 fn setup() -> (pcr::core::PcrDataset, SyntheticDataset) {
     let ds = SyntheticDataset::generate(&DatasetSpec::imagenet_like(Scale::Tiny));
@@ -18,19 +20,23 @@ fn setup() -> (pcr::core::PcrDataset, SyntheticDataset) {
 #[test]
 fn db_byte_plan_matches_loader_reads_exactly() {
     let (pcr_ds, _) = setup();
-    let store = ObjectStore::new(DeviceProfile::ssd_sata());
+    let store = Arc::new(ObjectStore::new(DeviceProfile::ssd_sata()));
     populate_store(&store, &pcr_ds);
+    let db = Arc::new(pcr_ds.db.clone());
     for g in [1usize, 2, 5, 10] {
         store.device().reset();
-        let cfg = LoaderConfig {
-            threads: 4,
-            scan_group: g,
-            shuffle: true,
-            seed: 11,
-            decode: DecodeMode::Skip,
-            ..LoaderConfig::default()
+        let cfg = ParallelConfig {
+            loader: LoaderConfig {
+                threads: 4,
+                scan_group: g,
+                shuffle: true,
+                seed: 11,
+                decode: DecodeMode::Skip,
+                ..LoaderConfig::default()
+            },
+            ..ParallelConfig::default()
         };
-        let (epoch, _) = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(0, 0.0);
+        let epoch = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).run_epoch(0);
         // The DB's plan and the loader's accounting and the device's
         // transfer counters must be identical.
         assert_eq!(epoch.bytes, pcr_ds.db.bytes_at_group(g), "group {g} loader vs db");
@@ -64,17 +70,10 @@ fn storage_bound_pipeline_tracks_lemma_a2() {
     populate_store(&store, &pcr_ds);
     for g in [2usize, 10] {
         store.device().reset();
-        let cfg = LoaderConfig {
-            threads: 1,
-            scan_group: g,
-            shuffle: false,
-            seed: 0,
-            decode: DecodeMode::Skip,
-            ..LoaderConfig::default()
-        };
-        let (_, records) = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(0, 0.0);
+        let planner = ReadPlanner { scan_group: g, shuffle: false, seed: 0 };
+        let epoch = model_epoch(&store, &pcr_ds.db, &planner, 1, 0.0, 0, 0.0).unwrap();
         let compute = ComputeUnit { images_per_sec: 1e12, batch_size: 8 };
-        let pipe = run_pipeline(&records, &compute, 0.0);
+        let pipe = run_pipeline(&epoch.records, &compute, 0.0);
         let lemma = loader_throughput(&profile, pcr_ds.db.mean_image_bytes_at_group(g), 8);
         let rel = (pipe.images_per_sec() - lemma).abs() / lemma;
         assert!(rel < 0.4, "group {g}: sim {:.0} vs lemma {lemma:.0}", pipe.images_per_sec());
@@ -83,15 +82,19 @@ fn storage_bound_pipeline_tracks_lemma_a2() {
 
 #[test]
 fn threaded_pipeline_agrees_with_virtual_loader_bytes() {
-    use std::sync::Arc;
+    // The loader's real-decode epoch and the loader model's virtual-time
+    // epoch read the same bytes: the group-2 prefix of every record.
     let (pcr_ds, _) = setup();
     let store = Arc::new(ObjectStore::new(DeviceProfile::ram()));
     populate_store(&store, &pcr_ds);
     let db = Arc::new(pcr_ds.db.clone());
     let cfg = ParallelConfig { batch_size: 16, prefetch_records: 4, ..ParallelConfig::real(2, 2) };
-    let epoch = ParallelLoader::new(Arc::clone(&store), db, cfg).run_epoch(0);
+    let planner = ReadPlanner::from_config(&cfg.loader);
+    let epoch = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).run_epoch(0);
     assert_eq!(epoch.images, pcr_ds.db.num_images());
     assert_eq!(epoch.bytes, pcr_ds.db.bytes_at_group(2));
+    let modeled = model_epoch(&store, &*db, &planner, 2, 0.0, 0, 0.0).unwrap();
+    assert_eq!((modeled.images(), modeled.bytes), (epoch.images, epoch.bytes));
 }
 
 #[test]

@@ -8,7 +8,7 @@ use pcr::core::{PcrContainer, PcrDataset, RecordMeta};
 use pcr::datasets::{to_pcr_dataset, DatasetSpec, Scale, SyntheticDataset};
 use pcr::loader::{
     open_container_store, populate_store, DecodeMode, FidelityConfig, FidelityController,
-    LoaderConfig, OpenedContainer, ParallelConfig, ParallelLoader, PcrLoader, RecordSource,
+    LoaderConfig, OpenedContainer, ParallelConfig, ParallelLoader, ReadPlanner, RecordSource,
     ShardStoreConfig,
 };
 use pcr::storage::{DeviceProfile, ObjectStore};
@@ -39,19 +39,34 @@ fn pack(pcr: &PcrDataset, tag: &str, records_per_shard: usize) -> (PathBuf, Open
     (dir, opened)
 }
 
-/// Sorted (record name, labels) pairs delivered by a virtual epoch — the
-/// record multiset, not just the label multiset.
-fn epoch_records(
-    store: &ObjectStore,
-    source: &(impl RecordSource + ?Sized),
+/// Sorted (record name, labels) pairs delivered by an epoch — the record
+/// multiset, not just the label multiset. One decode worker delivers
+/// whole records in epoch order, so the label stream splits back into
+/// records.
+fn epoch_records<S: RecordSource + ?Sized + 'static>(
+    store: &Arc<ObjectStore>,
+    source: &Arc<S>,
     names: &dyn Fn(usize) -> String,
     g: usize,
     epoch: u64,
 ) -> (Vec<(String, Vec<u32>)>, u64) {
-    let cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
-    let (report, records) = PcrLoader::over(store, source, cfg).run_epoch(epoch, 0.0);
-    let mut pairs: Vec<(String, Vec<u32>)> =
-        records.iter().map(|r| (names(r.record), r.labels.clone())).collect();
+    let loader =
+        LoaderConfig { threads: 1, decode: DecodeMode::Skip, ..LoaderConfig::at_group(g) };
+    let order = ReadPlanner::from_config(&loader).epoch_order(source.num_records(), epoch);
+    let cfg = ParallelConfig { loader, ..ParallelConfig::default() };
+    let (labels, report) = ParallelLoader::new(Arc::clone(store), Arc::clone(source), cfg)
+        .spawn_epoch(epoch)
+        .fold(|batches| batches.flat_map(|b| b.labels).collect::<Vec<u32>>());
+    let mut labels = labels.into_iter();
+    let mut pairs: Vec<(String, Vec<u32>)> = order
+        .into_iter()
+        .map(|idx| {
+            let record: Vec<u32> = labels.by_ref().take(source.labels(idx).len()).collect();
+            assert_eq!(record, source.labels(idx), "record {idx} delivered whole, in order");
+            (names(idx), record)
+        })
+        .collect();
+    assert!(labels.next().is_none(), "nothing beyond the epoch's records");
     pairs.sort();
     (pairs, report.bytes)
 }
@@ -61,8 +76,9 @@ fn sharded_epoch_matches_in_memory_loader_exactly() {
     let (_, pcr) = dermatology();
     let (dir, opened) = pack(&pcr, "exact", 3);
 
-    let mem_store = ObjectStore::new(DeviceProfile::nvme_local());
+    let mem_store = Arc::new(ObjectStore::new(DeviceProfile::nvme_local()));
     populate_store(&mem_store, &pcr);
+    let mem_db = Arc::new(pcr.db.clone());
 
     let shard_names = {
         let source = Arc::clone(&opened.source);
@@ -74,9 +90,8 @@ fn sharded_epoch_matches_in_memory_loader_exactly() {
     for g in [1usize, 2, 5, 10] {
         for epoch in [0u64, 3] {
             let (sharded, sharded_bytes) =
-                epoch_records(&opened.store, &*opened.source, &shard_names, g, epoch);
-            let (memory, memory_bytes) =
-                epoch_records(&mem_store, &pcr.db, &mem_names, g, epoch);
+                epoch_records(&opened.store, &opened.source, &shard_names, g, epoch);
+            let (memory, memory_bytes) = epoch_records(&mem_store, &mem_db, &mem_names, g, epoch);
             assert_eq!(sharded, memory, "record multiset at group {g} epoch {epoch}");
             assert_eq!(sharded_bytes, memory_bytes, "bytes at group {g} epoch {epoch}");
             assert_eq!(
@@ -318,7 +333,7 @@ fn container_format_matrix_v1_v2_v3() {
             let source = Arc::clone(&opened.source);
             move |idx: usize| source.record_name(idx).to_string()
         };
-        let (pairs, seq_bytes) = epoch_records(&opened.store, &*opened.source, &names, 10, 0);
+        let (pairs, seq_bytes) = epoch_records(&opened.store, &opened.source, &names, 10, 0);
         let mut labels: Vec<u32> = pairs.iter().flat_map(|(_, l)| l.iter().copied()).collect();
         labels.sort_unstable();
         assert_eq!(&labels, native, "{tag} label multiset");
@@ -351,8 +366,8 @@ fn container_format_matrix_v1_v2_v3() {
         move |idx: usize| source.record_name(idx).to_string()
     };
     for g in 1..=pcr.db.num_groups() {
-        let old = epoch_records(&v1.store, &*v1.source, &names(&v1), g, 0);
-        let new = epoch_records(&v3.store, &*v3.source, &names(&v3), g, 0);
+        let old = epoch_records(&v1.store, &v1.source, &names(&v1), g, 0);
+        let new = epoch_records(&v3.store, &v3.source, &names(&v3), g, 0);
         assert_eq!(new, old, "repacked v1 records at group {g}");
     }
     std::fs::remove_dir_all(&dir).unwrap();

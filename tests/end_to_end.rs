@@ -4,10 +4,11 @@
 
 use pcr::core::{PcrRecord, RecordFile};
 use pcr::datasets::{DatasetSpec, Scale, SyntheticDataset};
-use pcr::loader::{populate_store, DecodeMode, LoaderConfig, PcrLoader};
+use pcr::loader::{populate_store, LoaderConfig, ParallelConfig, ParallelLoader, ReadPlanner};
 use pcr::nn::{LrSchedule, ModelSpec};
-use pcr::sim::{featurize, train_fixed_group, TrainConfig};
+use pcr::sim::{featurize, model_epoch, train_fixed_group, TrainConfig};
 use pcr::storage::{DeviceProfile, ObjectStore};
+use std::sync::Arc;
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetSpec::celebahq_smile_like(Scale::Tiny))
@@ -17,26 +18,22 @@ fn dataset() -> SyntheticDataset {
 fn pipeline_delivers_decodable_images_at_every_group() {
     let ds = dataset();
     let (pcr, _) = pcr::datasets::to_pcr_dataset(&ds, 8);
-    let store = ObjectStore::new(DeviceProfile::ssd_sata());
+    let store = Arc::new(ObjectStore::new(DeviceProfile::ssd_sata()));
     populate_store(&store, &pcr);
+    let db = Arc::new(pcr.db.clone());
     for g in [1usize, 2, 5, 10] {
-        let cfg = LoaderConfig {
-            threads: 4,
-            scan_group: g,
-            shuffle: true,
-            seed: 3,
-            decode: DecodeMode::Real,
-            ..LoaderConfig::default()
+        let cfg = ParallelConfig {
+            loader: LoaderConfig { threads: 4, scan_group: g, seed: 3, ..LoaderConfig::default() },
+            ..ParallelConfig::default()
         };
-        let (_, records) = PcrLoader::new(&store, &pcr.db, cfg).run_epoch(0, 0.0);
-        let images: usize = records.iter().map(|r| r.images.len()).sum();
+        let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg);
+        let (images, _) = loader.spawn_epoch(0).fold(|batches| {
+            batches
+                .flat_map(|b| b.images)
+                .inspect(|img| assert_eq!((img.width(), img.channels()), (64, 3)))
+                .count()
+        });
         assert_eq!(images, ds.train.len(), "group {g} delivered all images");
-        for rec in &records {
-            for img in &rec.images {
-                assert_eq!(img.width(), 64);
-                assert_eq!(img.channels(), 3);
-            }
-        }
     }
 }
 
@@ -137,19 +134,10 @@ fn cache_pressure_drops_with_scan_group() {
     let run = |g: usize| {
         let store = ObjectStore::with_cache(DeviceProfile::hdd_7200rpm(), cache_bytes);
         populate_store(&store, &pcr);
-        let cfg = LoaderConfig {
-            threads: 2,
-            scan_group: g,
-            shuffle: false,
-            seed: 0,
-            decode: DecodeMode::Skip,
-            ..LoaderConfig::default()
-        };
-        let loader = PcrLoader::new(&store, &pcr.db, cfg);
+        let planner = ReadPlanner { scan_group: g, shuffle: false, seed: 0 };
         let mut t = 0.0;
         for e in 0..3u64 {
-            let (_, records) = loader.run_epoch(e, t);
-            t = records.last().map_or(t, |rec| rec.ready);
+            t += model_epoch(&store, &pcr.db, &planner, 2, 0.0, e, t).unwrap().seconds;
         }
         store.cache_hit_rate()
     };

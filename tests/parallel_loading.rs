@@ -1,6 +1,6 @@
 //! Integration coverage for the wall-clock parallel read path: worker-count
 //! invariance of the delivered data, agreement with the virtual-time
-//! loader's byte accounting, visibility of wall-clock traffic in the
+//! loader model's byte accounting, visibility of wall-clock traffic in the
 //! store's cache/device statistics (the clocked unified read path), epoch
 //! invariance under fidelity-controller decisions, and a property test
 //! that prefix truncation at every scan-group boundary still decodes
@@ -9,9 +9,9 @@
 use pcr::core::{MetaDb, PcrRecord, PcrRecordBuilder, RecordScratch, SampleMeta};
 use pcr::jpeg::ImageBuf;
 use pcr::loader::{
-    populate_store, DecodeMode, IoModel, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
-    ReadPlanner,
+    populate_store, DecodeMode, IoModel, LoaderConfig, ParallelConfig, ParallelLoader, ReadPlanner,
 };
+use pcr::sim::model_epoch;
 use pcr::storage::{DeviceProfile, ObjectStore};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -79,22 +79,23 @@ fn two_and_eight_workers_deliver_identical_label_multisets() {
     assert_eq!(two, expected);
 }
 
-/// The wall-clock and virtual-time loaders share LoaderConfig and must
-/// agree on what an epoch *reads* (bytes, images) even though one measures
-/// and the other models.
+/// The wall-clock loader and the virtual-time loader model plan with the
+/// same ReadPlanner and must agree on what an epoch *reads* (bytes,
+/// images) even though one measures and the other models.
 #[test]
 fn wall_clock_and_virtual_time_loaders_agree_on_traffic() {
     let (store, db) = dermatology_fixture();
     for group in [1usize, 5, 10] {
         let loader_cfg = LoaderConfig { decode: DecodeMode::Skip, ..LoaderConfig::at_group(group) };
-        let (modeled, _) = PcrLoader::new(&store, &db, loader_cfg.clone()).run_epoch(0, 0.0);
+        let planner = ReadPlanner::from_config(&loader_cfg);
+        let modeled = model_epoch(&store, &*db, &planner, loader_cfg.threads, 0.0, 0, 0.0).unwrap();
         let wall = ParallelLoader::new(
             Arc::clone(&store),
             Arc::clone(&db),
             ParallelConfig { loader: loader_cfg, ..ParallelConfig::default() },
         )
         .run_epoch(0);
-        assert_eq!(wall.images, modeled.images, "group {group}");
+        assert_eq!(wall.images, modeled.images(), "group {group}");
         assert_eq!(wall.bytes, modeled.bytes, "group {group}");
     }
 }

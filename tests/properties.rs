@@ -198,30 +198,38 @@ proptest! {
 
 #[test]
 fn loader_conserves_images_across_epochs_and_seeds() {
-    use pcr::loader::{populate_store, DecodeMode, LoaderConfig, PcrLoader};
+    use pcr::loader::{populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader};
     use pcr::storage::{DeviceProfile, ObjectStore};
+    use std::sync::Arc;
     let ds = pcr::datasets::SyntheticDataset::generate(
         &pcr::datasets::DatasetSpec::celebahq_smile_like(pcr::datasets::Scale::Tiny),
     );
     let (pcr_ds, _) = pcr::datasets::to_pcr_dataset(&ds, 5);
-    let store = ObjectStore::new(DeviceProfile::ram());
+    let store = Arc::new(ObjectStore::new(DeviceProfile::ram()));
     populate_store(&store, &pcr_ds);
+    let db = Arc::new(pcr_ds.db.clone());
+    let mut expected: Vec<u32> = db.records.iter().flat_map(|r| r.labels.clone()).collect();
+    expected.sort_unstable();
     for seed in 0..4u64 {
         for epoch in 0..3u64 {
-            let cfg = LoaderConfig {
-                threads: 3,
-                scan_group: 5,
-                shuffle: true,
-                seed,
-                decode: DecodeMode::Skip,
-                ..LoaderConfig::default()
+            let cfg = ParallelConfig {
+                loader: LoaderConfig {
+                    threads: 3,
+                    scan_group: 5,
+                    shuffle: true,
+                    seed,
+                    decode: DecodeMode::Skip,
+                    ..LoaderConfig::default()
+                },
+                ..ParallelConfig::default()
             };
-            let (r, loaded) = PcrLoader::new(&store, &pcr_ds.db, cfg).run_epoch(epoch, 0.0);
+            let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg);
+            let (mut labels, r) =
+                loader.spawn_epoch(epoch).fold(|b| b.flat_map(|b| b.labels).collect::<Vec<_>>());
             assert_eq!(r.images, ds.train.len());
-            let mut records: Vec<usize> = loaded.iter().map(|x| x.record).collect();
-            records.sort_unstable();
-            let expected: Vec<usize> = (0..pcr_ds.num_records()).collect();
-            assert_eq!(records, expected, "each record exactly once");
+            assert_eq!(r.bytes, db.bytes_at_group(5), "each record read exactly once");
+            labels.sort_unstable();
+            assert_eq!(labels, expected, "each image exactly once");
         }
     }
 }
