@@ -219,6 +219,17 @@ pub trait BitSource {
     fn peek_wide(&mut self) -> Option<u32> {
         None
     }
+    /// Tops the buffer up and returns all of it without consuming
+    /// anything: `Some((word, n))` holds the next `n >= 32` stream bits
+    /// MSB-first at the top of `word` (zero-padded past the end of the
+    /// entropy data, like every peek), and a following `consume(m)` with
+    /// `m <= n` cannot fail. The fast-AC scan loop takes as many short
+    /// coefficient steps as the buffer holds before one consume. Default:
+    /// `None`, as for [`BitSource::peek_wide`].
+    #[inline]
+    fn peek_buffered(&mut self) -> Option<(u64, u32)> {
+        None
+    }
 }
 
 /// Reads bits MSB-first from an entropy-coded segment, transparently
@@ -418,6 +429,14 @@ impl BitSource for BitReader<'_> {
         // markers/EOF), and the `nbits >= 32` case needs no refill at all,
         // so the top 32 bits of `acc` are always a valid window here.
         Some((self.acc >> 32) as u32)
+    }
+    #[inline]
+    fn peek_buffered(&mut self) -> Option<(u64, u32)> {
+        if self.nbits < 32 {
+            self.refill();
+        }
+        // As in `peek_wide`: at least 32 valid bits from here on.
+        Some((self.acc, self.nbits))
     }
 }
 

@@ -197,6 +197,15 @@ pub fn decode_coeffs_observed(
                     .as_ref()
                     .ok_or_else(|| Error::BadScan("SOS before SOF".into()))?;
                 let scan = marker::parse_sos(payload, f)?;
+                // Fast-AC tables only for the tables that read them: AC
+                // first and sequential scans.
+                if !f.progressive || (!scan.is_dc() && !scan.is_refinement()) {
+                    for sc in &scan.components {
+                        if let Some(Some(t)) = ac_tables.get_mut(usize::from(sc.ac_table)) {
+                            t.enable_fast_ac();
+                        }
+                    }
+                }
                 let (_, entropy_end) = reader.skip_entropy();
                 let entropy = &data[entropy_start..entropy_end];
                 let tables = DecodeTables { dc: &dc_tables, ac: &ac_tables };
@@ -410,6 +419,61 @@ mod tests {
         // After a color decode the pools hold the recycled buffers.
         assert_eq!(scratch.coeff_pool.len(), 3);
         assert_eq!(scratch.plane_pool.len(), 3);
+    }
+
+    /// A 2064x2048 grayscale stream (66,048 blocks) whose every block
+    /// sends the DC difference +32767 through a one-bit code for size 15
+    /// — baseline (each block then ends on a one-bit EOB) and as a
+    /// progressive DC-first scan. The predictor passes `i32::MAX` near
+    /// block 65,538; it wraps, and each block keeps the low 16 bits of
+    /// the running sum.
+    #[test]
+    fn dc_predictor_wraps_on_a_crafted_stream() {
+        const BLOCKS: i64 = 258 * 256;
+        let segment = |out: &mut Vec<u8>, marker: u8, payload: &[u8]| {
+            out.extend_from_slice(&[0xFF, marker]);
+            out.extend_from_slice(&(payload.len() as u16 + 2).to_be_bytes());
+            out.extend_from_slice(payload);
+        };
+        // DHT payload: one table whose only code is the 1-bit `0`.
+        let one_code = |class_id: u8, symbol: u8| {
+            let mut p = vec![class_id, 1];
+            p.extend_from_slice(&[0; 15]);
+            p.push(symbol);
+            p
+        };
+        for progressive in [false, true] {
+            let mut data = vec![0xFF, SOI];
+            segment(&mut data, DQT, &[[0u8].as_slice(), &[1; 64]].concat());
+            let sof = if progressive { SOF2 } else { SOF0 };
+            segment(&mut data, sof, &[8, 0x08, 0x00, 0x08, 0x10, 1, 1, 0x11, 0]);
+            segment(&mut data, DHT, &one_code(0x00, 15));
+            segment(&mut data, DHT, &one_code(0x10, 0x00));
+            let se = if progressive { 0 } else { 63 };
+            segment(&mut data, SOS, &[1, 1, 0x00, 0, se, 0]);
+            let mut w = crate::bitio::BitWriter::new();
+            for _ in 0..BLOCKS {
+                w.put_bits(0x7FFF, 16); // code `0`, then 15 magnitude bits
+                if !progressive {
+                    w.put_bits(0, 1); // EOB
+                }
+            }
+            data.extend_from_slice(&w.finish());
+            data.extend_from_slice(&[0xFF, EOI]);
+
+            let d = decode_coeffs(&data).unwrap();
+            let c = &d.frame.components[0];
+            assert_eq!((c.blocks_w, c.blocks_h), (258, 256));
+            for n in 0..BLOCKS {
+                let (row, col) = ((n / 258) as u32, (n % 258) as u32);
+                let dc = d.coeffs.block(&d.frame, 0, row, col)[0];
+                assert_eq!(
+                    dc,
+                    ((n + 1) * 32767) as i16,
+                    "block {n}, progressive {progressive}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::bitio::{extend, BitSource};
 use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
-use crate::huffman::{HuffDecoder, SymbolDecoder};
+use crate::huffman::{FastAc, HuffDecoder, SymbolDecoder};
 use std::ops::Range;
 
 /// Huffman decoder tables available to a scan.
@@ -148,6 +148,7 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
     for_each_block(frame, scan, units, |slot, row, col| {
         let sc = scan.components[slot];
         let (dctbl, actbl) = comp_tables[slot];
+        let fast = actbl.fast_ac();
         // Fused symbol + magnitude reads: one peek serves both.
         let (s_sym, dc_bits) = dctbl.decode_then_bits(r, |s| u32::from(s.min(15)))?;
         let s = u32::from(s_sym);
@@ -159,7 +160,9 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
         } else {
             0
         };
-        preds[slot] += diff;
+        // A crafted stream can push the predictor past `i32`: it wraps,
+        // and only its low 16 bits reach the block.
+        preds[slot] = preds[slot].wrapping_add(diff);
         let block = coeffs.block_mut(frame, sc.comp_index, row, col);
         block[0] = preds[slot] as i16;
         let mut k = 1usize;
@@ -171,6 +174,12 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
             let (rs, bits) = match pending.take() {
                 Some(step) => step,
                 None => {
+                    if let Some(fast) = fast {
+                        k = fast_ac_steps(fast, r, block, k, 63, 0)?;
+                        if k > 63 {
+                            break;
+                        }
+                    }
                     let more = |rs: u8| {
                         let run = usize::from(rs >> 4);
                         let size = rs & 0x0F;
@@ -237,7 +246,9 @@ fn decode_dc_first<D: SymbolDecoder, R: BitSource>(
         } else {
             0
         };
-        preds[slot] += diff;
+        // A crafted stream can push the predictor past `i32`: it wraps,
+        // and only its low 16 bits reach the block.
+        preds[slot] = preds[slot].wrapping_add(diff);
         coeffs.block_mut(frame, sc.comp_index, row, col)[0] = (preds[slot] << al) as i16;
         Ok(())
     })
@@ -276,6 +287,7 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
 ) -> Result<()> {
     let sc = scan.components[0];
     let actbl = tables.ac_table(sc.ac_table)?;
+    let fast = actbl.fast_ac();
     let al = u32::from(scan.al);
     let se = scan.se as usize;
     // Fused read sizing: magnitude bits for a coefficient symbol, EOB
@@ -300,6 +312,12 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
             let (rs, bits) = match pending.take() {
                 Some(step) => step,
                 None => {
+                    if let Some(fast) = fast {
+                        k = fast_ac_steps(fast, r, block, k, se, al)?;
+                        if k > se {
+                            break;
+                        }
+                    }
                     let more = |rs: u8| {
                         let run = usize::from(rs >> 4);
                         let size = rs & 0x0F;
@@ -334,6 +352,49 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
         debug_assert!(pending.is_none(), "speculative step without a consumer");
         Ok(())
     })
+}
+
+// pcr-lint: allow(no-panic-in-hot-path) for-next-item — the fast table
+// has 1 << 10 entries and `(word << used) >> 54` is a 10-bit index; a
+// step is taken only while `k + run <= se <= 63`.
+/// Takes the coefficient steps at the head of the stream that `fast`
+/// resolves, as many as the bit buffer holds before each consume: step
+/// by step, `block[k + run]` gets the value shifted left by `al` and `k`
+/// moves past it. Stops at the first miss (EOB, ZRL, a long code, a large
+/// magnitude), once `k` passes the band end `se`, or before a run that
+/// would pass it — the stepwise path then decodes that step, error
+/// included. Returns the new `k`; the bits taken are the ones the
+/// stepwise path would have read for the same steps.
+#[inline]
+fn fast_ac_steps<R: BitSource>(
+    fast: &FastAc,
+    r: &mut R,
+    block: &mut [i16; 64],
+    mut k: usize,
+    se: usize,
+    al: u32,
+) -> Result<usize> {
+    loop {
+        let Some((word, buffered)) = r.peek_buffered() else {
+            return Ok(k);
+        };
+        // A step is at most 10 bits, so every whole 10-bit window inside
+        // the buffer is safe to resolve.
+        let mut used = 0;
+        while used + 10 <= buffered {
+            let entry = fast[((word << used) >> 54) as usize];
+            let run = usize::from((entry >> 4) as u8 & 0x0F);
+            if entry == 0 || k + run > se {
+                r.consume(used)?;
+                return Ok(k);
+            }
+            k += run;
+            block[k] = (i32::from(entry >> 8) << al) as i16;
+            k += 1;
+            used += (entry & 0x0F) as u32;
+        }
+        r.consume(used)?;
+    }
 }
 
 /// Bit mask of positions `0..n` (saturating: `n >= 64` selects all).

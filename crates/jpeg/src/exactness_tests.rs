@@ -23,25 +23,35 @@
 //!   correction-bit buffer flush, ZRLs folding into a trailing EOB);
 //! * restart-marker streams, which the production encoder no longer
 //!   writes, built by [`reference_encode_restart`] and decoded through
-//!   both stacks.
+//!   both stacks;
+//! * the merged upsample + colour pass against the per-pixel reference
+//!   pass on every sampling geometry, and on all 65,536 chroma pairs;
+//! * first AC scans through the fast-AC table against the stepwise
+//!   canonical decoder, on hand-assembled steps at the table's edges and
+//!   on cut streams.
 
-use crate::bitio::{BitReader, BitSource, BitWriter};
+use crate::bitio::{extend, BitReader, BitSource, BitWriter};
 use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
 use crate::decoder::decode;
 use crate::dentropy::{decode_scan_range, mcu_units, DecodeTables};
-use crate::encoder::{encode, EncodeConfig};
+use crate::encoder::{encode, encode_from_coeffs, qtables_for, EncodeConfig};
 use crate::entropy::{ScanEncoder, ScanTables};
 use crate::error::Result;
 use crate::frame::{CoeffPlanes, FrameInfo, ScanComponent, ScanInfo, Subsampling};
 use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder, HuffTable, SymbolDecoder};
 use crate::image::ImageBuf;
 use crate::reference;
-use crate::reference::{ReferenceBitReader, ReferenceBitWriter, ReferenceHuffDecoder};
+use crate::reference::{
+    reference_planes_to_image, reference_ycbcr_to_rgb, ReferenceBitReader, ReferenceBitWriter,
+    ReferenceHuffDecoder,
+};
 use crate::reference_encoder::{
     reference_encode_restart, reference_encode_scan, reference_gen_optimal_table,
 };
-use crate::sample::{BlockIdct, FastBlockIdct};
+use crate::sample::{
+    image_to_planes, planes_to_coeffs, planes_to_image, BlockIdct, FastBlockIdct, SamplePlane,
+};
 use crate::scansplit::{assemble_prefix, split_scans};
 use proptest::prelude::*;
 
@@ -481,6 +491,349 @@ fn zero_run_and_dense_block_corner_cases_match_two_pass_encoder() {
     assert_scan_encoders_agree(&sequential, &coeffs, &scan, "corner blocks");
 }
 
+/// Image sizes the colour tests cover: one pixel, one column, one row,
+/// MCU-unaligned, and the `decode_bound` image size.
+const COLOUR_SIZES: [(u32, u32); 5] = [(1, 1), (1, 37), (37, 1), (17, 11), (167, 167)];
+
+/// Channel count and subsampling of the colour tests' standard frames.
+const COLOUR_MODES: [(u8, Subsampling); 3] =
+    [(3, Subsampling::S420), (3, Subsampling::S444), (1, Subsampling::S444)];
+
+/// Hand-built SOF sampling factors `(id, h, v, tq)` beyond 4:2:0 and
+/// 4:4:4: 4:2:2, a 3:1 span, a 4:2 span, luma coarser than chroma, Cb
+/// and Cr on different grids with a factor that does not divide `hmax`,
+/// and a fourth component the colour pass ignores.
+fn uneven_factor_sets() -> Vec<Vec<(u8, u8, u8, u8)>> {
+    vec![
+        vec![(1, 2, 1, 0), (2, 1, 1, 1), (3, 1, 1, 1)],
+        vec![(1, 3, 3, 0), (2, 1, 1, 1), (3, 1, 1, 1)],
+        vec![(1, 4, 1, 0), (2, 2, 1, 1), (3, 2, 1, 1)],
+        vec![(1, 1, 1, 0), (2, 2, 2, 1), (3, 2, 2, 1)],
+        vec![(1, 3, 2, 0), (2, 2, 1, 1), (3, 1, 2, 1)],
+        vec![(1, 2, 2, 0), (2, 1, 1, 1), (3, 1, 1, 1), (4, 1, 1, 1)],
+    ]
+}
+
+/// Sample planes of `frame`'s geometry filled with seeded bytes.
+fn random_planes(frame: &FrameInfo, mut seed: u32) -> Vec<SamplePlane> {
+    frame
+        .components
+        .iter()
+        .map(|c| {
+            let (width, height) = (c.alloc_w as usize * 8, c.alloc_h as usize * 8);
+            let data = (0..width * height)
+                .map(|_| {
+                    seed = seed.wrapping_mul(1_103_515_245).wrapping_add(12345);
+                    (seed >> 16) as u8
+                })
+                .collect();
+            SamplePlane { width, height, data }
+        })
+        .collect()
+}
+
+/// The merged upsample + colour pass equals the per-pixel reference pass
+/// (nearest-neighbour map, 16.16 multiplies) on 4:2:0, 4:4:4, grayscale
+/// and hand-built sampling factors, at every size in [`COLOUR_SIZES`].
+#[test]
+fn colour_pass_matches_per_pixel_reference_on_every_geometry() {
+    let mut frames = Vec::new();
+    for (w, h) in COLOUR_SIZES {
+        for (channels, sub) in COLOUR_MODES {
+            frames.push(FrameInfo::for_encode(w, h, channels, sub, false).unwrap());
+        }
+        for comps in uneven_factor_sets() {
+            frames.push(FrameInfo::from_components(w, h, false, comps).unwrap());
+        }
+    }
+    for (i, frame) in frames.iter().enumerate() {
+        let planes = random_planes(frame, i as u32);
+        let fast = planes_to_image(&planes, frame).unwrap();
+        let oracle = reference_planes_to_image(&planes, frame).unwrap();
+        assert_eq!(fast, oracle, "{}x{} {:?}", frame.width, frame.height, frame.components);
+    }
+}
+
+/// Encoded images at every size in [`COLOUR_SIZES`], 4:2:0, 4:4:4 and
+/// grayscale, baseline and progressive: the production decode and the
+/// reference decode give the same pixels.
+#[test]
+fn colour_pass_matches_reference_through_decode() {
+    for (i, (w, h)) in COLOUR_SIZES.into_iter().enumerate() {
+        for (channels, subsampling) in COLOUR_MODES {
+            let img = test_image(w, h, channels, i as u32);
+            for cfg in [EncodeConfig::baseline(90), EncodeConfig::progressive(90)] {
+                let stream = encode(&img, &EncodeConfig { subsampling, ..cfg }).unwrap();
+                let fast = decode(&stream).unwrap();
+                let oracle = reference::reference_decode(&stream).unwrap();
+                assert_eq!(fast, oracle, "{w}x{h} ch{channels} {subsampling:?} {cfg:?}");
+            }
+        }
+    }
+}
+
+/// A stream whose SOF gives Cb and Cr different sampling grids, with a
+/// horizontal factor that does not divide `hmax` (Y 3x2, Cb 2x1, Cr
+/// 1x2): both decoders give the same pixels, baseline and progressive.
+#[test]
+fn uneven_sampling_stream_matches_reference() {
+    let img = test_image(41, 23, 3, 5);
+    let qtables = qtables_for(&EncodeConfig::baseline(90), 3);
+    for progressive in [false, true] {
+        let comps = vec![(1, 3, 2, 0), (2, 2, 1, 1), (3, 1, 2, 1)];
+        let frame = FrameInfo::from_components(41, 23, progressive, comps).unwrap();
+        let planes = image_to_planes(&img, &frame).unwrap();
+        let coeffs = planes_to_coeffs(&planes, &frame, &qtables).unwrap();
+        let stream = encode_from_coeffs(&frame, &coeffs, &qtables, true, None).unwrap();
+        let fast = decode(&stream).unwrap();
+        assert_eq!((fast.width(), fast.height(), fast.channels()), (41, 23, 3));
+        let oracle = reference::reference_decode(&stream).unwrap();
+        assert_eq!(fast, oracle, "progressive {progressive}");
+    }
+}
+
+/// Every `(cb, cr)` pair at luma 0, 128 and 255 through the production
+/// pass, once at full chroma resolution and once at 4:2:0, against the
+/// 16.16 formula.
+#[test]
+fn colour_pass_is_exact_on_every_chroma_pair() {
+    for (side, sub) in [(256u32, Subsampling::S444), (512, Subsampling::S420)] {
+        let frame = FrameInfo::for_encode(side, side, 3, sub, false).unwrap();
+        let span = usize::from(frame.hmax);
+        for luma in [0u8, 128, 255] {
+            let planes: Vec<SamplePlane> = frame
+                .components
+                .iter()
+                .enumerate()
+                .map(|(ci, c)| {
+                    let (width, height) = (c.alloc_w as usize * 8, c.alloc_h as usize * 8);
+                    let data = (0..width * height)
+                        .map(|i| match ci {
+                            0 => luma,
+                            1 => (i % width) as u8,
+                            _ => (i / width) as u8,
+                        })
+                        .collect();
+                    SamplePlane { width, height, data }
+                })
+                .collect();
+            let img = planes_to_image(&planes, &frame).unwrap();
+            let mut pairs = vec![false; 1 << 16];
+            for (i, px) in img.data().chunks_exact(3).enumerate() {
+                let (x, y) = (i % side as usize, i / side as usize);
+                let (cb, cr) = ((x / span) as u8, (y / span) as u8);
+                pairs[usize::from(cb) << 8 | usize::from(cr)] = true;
+                let want = reference_ycbcr_to_rgb(luma, cb, cr);
+                assert_eq!(px, want, "y {luma} cb {cb} cr {cr} {sub:?}");
+            }
+            assert!(pairs.iter().all(|&seen| seen), "{sub:?}: not every pair was reached");
+        }
+    }
+}
+
+/// Decodes one first AC scan's entropy bytes into zeroed planes through
+/// the production walk with its fast-AC table (batched reader) and
+/// through the stepwise canonical decoder (per-byte reader), asserting
+/// the same `Result` — equal coefficients, or the same error. Returns the
+/// production outcome.
+fn assert_first_scan_matches_oracle(
+    frame: &FrameInfo,
+    scan: &ScanInfo,
+    table: &HuffTable,
+    bytes: &[u8],
+    what: &str,
+) -> Result<CoeffPlanes> {
+    let units = 0..mcu_units(frame, scan);
+    let none = [None, None, None, None];
+    let mut fast_table = HuffDecoder::from_table(table).unwrap();
+    fast_table.enable_fast_ac();
+    let fast_ac = [Some(fast_table), None, None, None];
+    let fast = {
+        let mut planes = CoeffPlanes::new(frame);
+        let tables = DecodeTables { dc: &none, ac: &fast_ac };
+        let mut r = BitReader::new(bytes);
+        decode_scan_range(frame, &mut planes, scan, &tables, &mut r, units.clone()).map(|()| planes)
+    };
+    let none = [None, None, None, None];
+    let oracle_ac = [Some(ReferenceHuffDecoder::from_table(table).unwrap()), None, None, None];
+    let oracle = {
+        let mut planes = CoeffPlanes::new(frame);
+        let tables = DecodeTables { dc: &none, ac: &oracle_ac };
+        let mut r = ReferenceBitReader::new(bytes);
+        decode_scan_range(frame, &mut planes, scan, &tables, &mut r, units).map(|()| planes)
+    };
+    assert_eq!(fast, oracle, "{what}");
+    fast
+}
+
+/// A first-scan table with codes placed on the fast-AC edges: `0x08` in
+/// 2 bits (2 + 8 = 10), `0x07` in 3 (10), `0x05`/`0x06` in 4 (9 and 10),
+/// `0x16` in 5 (11), plus EOB, EOB1, ZRL, short steps and a run of 11.
+fn first_scan_table() -> HuffTable {
+    let mut bits = [0u8; 16];
+    bits[1..6].copy_from_slice(&[1, 3, 3, 3, 2]);
+    let vals = vec![0x08, 0x07, 0x00, 0x01, 0x05, 0x06, 0x11, 0x16, 0xF0, 0xB1, 0x02, 0x10];
+    HuffTable::new(bits, vals).unwrap()
+}
+
+/// The magnitude bits of `value` in `size` bits (T.81 F.1.2.1).
+fn magnitude(value: i32, size: u32) -> u64 {
+    (if value < 0 { value + (1 << size) - 1 } else { value }) as u64
+}
+
+/// A coefficient step of `first_scan_table`: `run << 4 | size`, then the
+/// magnitude bits of `value`.
+fn coef(run: u8, size: u32, value: i32) -> Step {
+    (run << 4 | size as u8, magnitude(value, size), size)
+}
+
+/// Hand-assembled first scans over two blocks: steps whose code and
+/// magnitude take 9, 10 and 11 bits; values at the `i8` edges (−129,
+/// −128, 127, 128) in 7 and 8 bits; a run of short steps that fills
+/// whole windows; and runs past the band end, which both decoders
+/// reject with the same error. The table's entries are checked too: the
+/// 10-bit steps and the `i8` values hit, the rest miss.
+#[test]
+fn fast_ac_first_scans_match_oracle_on_hand_assembled_steps() {
+    let table = first_scan_table();
+    let mut probe = HuffDecoder::from_table(&table).unwrap();
+    probe.enable_fast_ac();
+    let fast = *probe.fast_ac().unwrap();
+    let enc = HuffEncoder::from_table(&table).unwrap();
+    // The fast-AC entry of the 10-bit window a step starts.
+    let entry = |(sym, bits, n): Step| {
+        let len = u32::from(enc.code_len(sym));
+        (len + n <= 10).then(|| {
+            let window = (u32::from(enc.code(sym)) << n | bits as u32) << (10 - len - n);
+            fast[window as usize]
+        })
+    };
+    assert_ne!(entry(coef(0, 5, 17)), Some(0), "9 bits");
+    assert_ne!(entry(coef(0, 6, -40)), Some(0), "10 bits");
+    assert_eq!(entry(coef(1, 6, 33)), None, "11 bits");
+    assert_eq!(entry(coef(0, 8, -128)).map(|e| e >> 8), Some(-128));
+    assert_eq!(entry(coef(0, 7, 127)).map(|e| e >> 8), Some(127));
+    assert_eq!(entry(coef(0, 8, -129)), Some(0));
+    assert_eq!(entry(coef(0, 8, 128)), Some(0));
+
+    let (frame, _) = gray_planes(16, 8, |_| [0; 64]);
+    let eob = (0x00, 0, 0);
+    let zrl = (0xF0, 0, 0);
+    let cases: [(&str, ScanInfo, Vec<Step>, bool); 7] = [
+        (
+            "9, 10 and 11 bits",
+            single_scan(0, 1, 63, 0, 0),
+            vec![
+                coef(0, 5, 17),
+                coef(0, 6, -40),
+                coef(1, 6, 33),
+                coef(0, 5, -31),
+                eob,
+                coef(0, 6, 63),
+                eob,
+            ],
+            true,
+        ),
+        (
+            "i8 edges",
+            single_scan(0, 1, 63, 0, 1),
+            vec![
+                coef(0, 8, -129),
+                coef(0, 8, -128),
+                coef(0, 7, 127),
+                coef(0, 8, 128),
+                eob,
+                coef(0, 8, -128),
+                eob,
+            ],
+            true,
+        ),
+        (
+            "short steps fill whole windows",
+            single_scan(0, 1, 63, 0, 0),
+            [
+                [coef(0, 1, 1), coef(0, 1, -1), coef(1, 1, 1)].repeat(12),
+                vec![eob],
+                vec![coef(0, 1, -1); 63],
+            ]
+            .concat(),
+            true,
+        ),
+        (
+            "EOB run over the second block",
+            single_scan(0, 1, 5, 0, 2),
+            vec![coef(0, 1, 1), coef(0, 7, -100), (0x10, 1, 1)],
+            true,
+        ),
+        (
+            "ZRLs then a run onto the band end",
+            single_scan(0, 1, 63, 0, 0),
+            vec![zrl, zrl, zrl, coef(11, 1, 1), coef(1, 1, -1), coef(0, 1, 1), eob],
+            true,
+        ),
+        (
+            "run past the band end",
+            single_scan(0, 1, 63, 0, 0),
+            vec![zrl, zrl, zrl, coef(11, 1, 1), coef(11, 1, 1), eob],
+            false,
+        ),
+        (
+            "run past a short band's end",
+            single_scan(0, 1, 5, 0, 0),
+            vec![coef(0, 5, 20), coef(11, 1, -1), eob],
+            false,
+        ),
+    ];
+    for (what, scan, steps, ok) in cases {
+        let bytes = assemble(&table, &steps);
+        let out = assert_first_scan_matches_oracle(&frame, &scan, &table, &bytes, what);
+        assert_eq!(out.is_ok(), ok, "{what}: {out:?}");
+    }
+}
+
+/// A first AC scan cut anywhere reads zero bits from the cut on: the
+/// fast-AC walk and the stepwise oracle give the same outcome at every
+/// cut, for a low band, a high band and a full band at two precisions.
+#[test]
+fn truncated_first_scans_match_oracle() {
+    let (frame, coeffs) = filled_frame_q100(48, 40);
+    let scans = [
+        single_scan(0, 1, 5, 0, 2),
+        single_scan(0, 6, 63, 0, 2),
+        single_scan(0, 1, 63, 0, 1),
+        single_scan(0, 1, 63, 0, 0),
+    ];
+    for scan in scans {
+        let mut tables = ScanTables::default();
+        let bytes =
+            ScanEncoder::new(&coeffs).encode_scan(&frame, &scan, true, &mut tables).unwrap();
+        let table = tables.iter().flatten().next().expect("an AC table").clone();
+        let whole = assert_first_scan_matches_oracle(&frame, &scan, &table, &bytes, "whole");
+        // The band at the scan's precision, zero elsewhere.
+        let mut expected = CoeffPlanes::new(&frame);
+        let c = frame.components[0].clone();
+        for (row, col) in (0..c.alloc_h).flat_map(|row| (0..c.alloc_w).map(move |col| (row, col))) {
+            let source = coeffs.block(&frame, 0, row, col);
+            let block = expected.block_mut(&frame, 0, row, col);
+            for k in usize::from(scan.ss)..=usize::from(scan.se) {
+                let v = source[k];
+                block[k] = v.signum() * ((v.abs() >> scan.al) << scan.al);
+            }
+        }
+        assert_eq!(whole.unwrap(), expected, "{scan:?}");
+        for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
+            // Zero padding may spell an illegal run: then both must fail alike.
+            let _ = assert_first_scan_matches_oracle(
+                &frame,
+                &scan,
+                &table,
+                &bytes[..cut],
+                &format!("{scan:?} cut at byte {cut} of {}", bytes.len()),
+            );
+        }
+    }
+}
+
 /// `gen_optimal_table` returns libjpeg's exact `(bits, vals)`: ties
 /// broken toward the higher symbol, a lone symbol, a full alphabet, and
 /// Fibonacci-like skew that needs the 16-bit length limiting.
@@ -893,6 +1246,45 @@ proptest! {
         for &sym in &msg {
             prop_assert_eq!(fast.decode(&mut rf).unwrap(), sym);
             prop_assert_eq!(oracle.decode_symbol(&mut rr).unwrap(), sym);
+        }
+    }
+
+    /// The fast-AC table, window by window, against the canonical
+    /// decoder: a window hits iff it starts with a coefficient code
+    /// (`size >= 1`) whose code and magnitude take at most 10 bits and
+    /// whose value fits an `i8`, and the entry then holds that step.
+    #[test]
+    fn fast_ac_table_matches_canonical_steps_on_random_tables(
+        fseed in any::<u32>(),
+        nsyms in 2usize..257,
+    ) {
+        let mut freq = vec![0u32; 256];
+        let mut s = fseed | 1;
+        for f in freq.iter_mut().take(nsyms) {
+            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+            *f = 1 + ((s >> 8) % 65_536) * u32::from(s.is_multiple_of(7)) + (s >> 28);
+        }
+        let table = gen_optimal_table(&freq).unwrap();
+        let enc = HuffEncoder::from_table(&table).unwrap();
+        let oracle = ReferenceHuffDecoder::from_table(&table).unwrap();
+        let mut fast = HuffDecoder::from_table(&table).unwrap();
+        fast.enable_fast_ac();
+        let fast = fast.fast_ac().unwrap();
+        for window in 0..1u32 << 10 {
+            let mut w = BitWriter::new();
+            w.put_bits(window, 10);
+            w.put_bits(0, 22);
+            let bytes = w.finish();
+            let mut r = ReferenceBitReader::new(&bytes);
+            let expected = oracle.decode_symbol(&mut r).ok().and_then(|rs| {
+                let (len, size) = (u32::from(enc.code_len(rs)), u32::from(rs & 0x0F));
+                if size == 0 || len + size > 10 {
+                    return None;
+                }
+                let value = i8::try_from(extend(r.get_bits(size).unwrap(), size)).ok()?;
+                Some(i16::from(value) << 8 | i16::from(rs >> 4) << 4 | (len + size) as i16)
+            });
+            prop_assert_eq!(fast[window as usize], expected.unwrap_or(0), "window {:010b}", window);
         }
     }
 

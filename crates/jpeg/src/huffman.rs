@@ -10,7 +10,7 @@
 //! indexed by the remaining bits, so any legal JPEG code (<= 16 bits)
 //! decodes in at most two probes with no bit-at-a-time loop.
 
-use crate::bitio::{BitSource, BitWriter};
+use crate::bitio::{extend, BitSource, BitWriter};
 use crate::error::{Error, Result};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -141,6 +141,14 @@ const MAX_CODE_BITS: u32 = 16;
 /// Marks a first-level entry as an escape into the second-level table.
 const ESCAPE: u16 = 0x8000;
 
+/// A fast-AC table (stb_image's `fast_ac`): one entry per 10-bit window,
+/// `value << 8 | run << 4 | (len + size)`, for windows that start with a
+/// coefficient step — a code of `len` bits for `run << 4 | size` with
+/// `size >= 1`, then `size` magnitude bits, `len + size <= 10` in all —
+/// whose sign-extended value fits an `i8`. Every other window (EOB, ZRL,
+/// a long code, a large magnitude) is `0`, a miss.
+pub type FastAc = [i16; 1 << LOOKUP_BITS];
+
 /// One decoded symbol+magnitude step (`(symbol, raw bits)`) plus the
 /// speculative second step of [`SymbolDecoder::decode_pair`] when taken.
 pub type DecodedPair = ((u8, u32), Option<(u8, u32)>);
@@ -213,6 +221,16 @@ pub trait SymbolDecoder {
         let _ = w16;
         None
     }
+
+    /// The table's [`FastAc`] lookup, when one was built for it: the AC
+    /// first and sequential scan loops take coefficient steps from it
+    /// before falling back to [`SymbolDecoder::decode_pair`]. `None` (the
+    /// default, which keeps the reference decoder on the stepwise path)
+    /// means every step goes through `decode_pair`.
+    #[inline]
+    fn fast_ac(&self) -> Option<&FastAc> {
+        None
+    }
 }
 
 /// Fast two-level table-driven Huffman decoder.
@@ -224,10 +242,15 @@ pub trait SymbolDecoder {
 /// `MAX_CODE_BITS - LOOKUP_BITS` bits (entries again `(len << 8) |
 /// symbol` with the *full* code length). Decoding is one peek + one probe
 /// for short codes, two for long ones — never a per-bit loop.
+///
+/// A table that AC first or sequential scans read also carries a
+/// [`FastAc`] table, built on demand by [`HuffDecoder::enable_fast_ac`];
+/// DC and refinement tables never build one.
 #[derive(Debug, Clone)]
 pub struct HuffDecoder {
     lut1: [u16; 1 << LOOKUP_BITS],
     lut2: Vec<u16>,
+    fast_ac: Option<Box<FastAc>>,
 }
 
 impl HuffDecoder {
@@ -282,7 +305,43 @@ impl HuffDecoder {
             }
             c <<= 1;
         }
-        Ok(Self { lut1, lut2 })
+        Ok(Self {
+            lut1,
+            lut2,
+            fast_ac: None,
+        })
+    }
+
+    /// Builds this table's [`FastAc`] lookup (once; later calls keep it).
+    /// Only codes the first level resolves can hit. Each code's windows
+    /// form one aligned span of `lut1`; a coefficient code's span splits
+    /// into one run of windows per magnitude pattern.
+    pub fn enable_fast_ac(&mut self) {
+        if self.fast_ac.is_some() {
+            return;
+        }
+        let mut fast = Box::new([0i16; 1 << LOOKUP_BITS]);
+        let mut w = 0;
+        while let Some(&entry) = self.lut1.get(w) {
+            if entry == 0 || entry & ESCAPE != 0 {
+                w += 1;
+                continue;
+            }
+            let (rs, len) = (entry as u8, u32::from(entry >> 8));
+            let size = u32::from(rs & 0x0F);
+            let span = 1 << (LOOKUP_BITS - len);
+            if size != 0 && len + size <= LOOKUP_BITS {
+                let windows = fast.get_mut(w..w + span).unwrap_or_default();
+                let step = i16::from(rs >> 4) << 4 | (len + size) as i16;
+                for (bits, run) in (0..).zip(windows.chunks_exact_mut(span >> size)) {
+                    if let Ok(value) = i8::try_from(extend(bits, size)) {
+                        run.fill(i16::from(value) << 8 | step);
+                    }
+                }
+            }
+            w += span;
+        }
+        self.fast_ac = Some(fast);
     }
 
     /// Resolves the code at the top of a 16-bit window through both
@@ -343,6 +402,11 @@ impl SymbolDecoder for HuffDecoder {
     #[inline]
     fn peek_code(&self, w16: u32) -> Option<(u8, u32)> {
         self.lookup16(w16)
+    }
+
+    #[inline]
+    fn fast_ac(&self) -> Option<&FastAc> {
+        self.fast_ac.as_deref()
     }
 
     /// Fused fast path: one 16-bit peek resolves the code through both

@@ -173,22 +173,35 @@ const fn build_raw_lut(mul: i32) -> [i32; 256] {
     t
 }
 
+/// The three chroma contributions of one `(cb, cr)` sample to R, G and
+/// B: `ycbcr_to_rgb(y, cb, cr)` is `y` plus each, clamped to `0..=255`
+/// ([`add_term`]). The green term sums the raw contributions and rounds
+/// once, like the 16.16 formula it stands for. Every term lies within
+/// ±227, so `i16` holds it and its sum with a luma sample.
+#[inline]
+pub(crate) fn chroma_terms(cb: u8, cr: u8) -> [i16; 3] {
+    let (cb, cr) = (usize::from(cb), usize::from(cr));
+    let g = (G_CB[cb] + G_CR[cr] + (1 << 15)) >> 16;
+    [R_CR[cr] as i16, g as i16, B_CB[cb] as i16]
+}
+
+/// One output sample: luma plus a [`chroma_terms`] term, clamped.
+#[inline]
+pub(crate) fn add_term(y: u8, term: i16) -> u8 {
+    (i16::from(y) + term).clamp(0, 255) as u8
+}
+
 /// YCbCr -> RGB (JFIF / BT.601 full range), rounded to u8.
 ///
-/// The decode pixel hot path's final step: precomputed 16.16 fixed-point
-/// offset tables reduce each channel to table loads, adds, and a clamp —
-/// bit-identical to evaluating the fixed-point multiplies per pixel.
+/// Precomputed 16.16 fixed-point offset tables reduce each channel to
+/// table loads, adds, and a clamp — bit-identical to evaluating the
+/// fixed-point multiplies per pixel. The decoder's colour pass
+/// ([`crate::sample::planes_to_image`]) computes the same three chroma
+/// terms once per chroma sample instead of once per pixel.
 #[inline]
 pub fn ycbcr_to_rgb(y: u8, cb: u8, cr: u8) -> (u8, u8, u8) {
-    let y = i32::from(y);
-    let r = y + R_CR[cr as usize];
-    let g = y + ((G_CB[cb as usize] + G_CR[cr as usize] + (1 << 15)) >> 16);
-    let b = y + B_CB[cb as usize];
-    (
-        r.clamp(0, 255) as u8,
-        g.clamp(0, 255) as u8,
-        b.clamp(0, 255) as u8,
-    )
+    let [r, g, b] = chroma_terms(cb, cr);
+    (add_term(y, r), add_term(y, g), add_term(y, b))
 }
 
 #[cfg(test)]

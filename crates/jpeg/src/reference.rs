@@ -8,19 +8,19 @@
 //! guarantee that the fast path is an optimization, not a behaviour
 //! change.
 //!
-//! These are the pre-optimization algorithms for the three *replaced*
-//! layers, with one deliberate alignment: the DCT oracle computes in
-//! `f64` (the old code truncated its basis to `f32`) and pixels round
-//! through the shared [`crate::dct::descale`] contract, because
-//! cross-implementation byte identity is only well-defined when both
-//! sides target the same arithmetic contract. Stages this PR changed
-//! *for both stacks* — the fixed-point YCbCr conversion, the
-//! `planes_to_image` upsampling, and the snap-rounding contract itself —
-//! are intentionally shared rather than duplicated: the suite proves the
-//! fast entropy/DCT primitives are exact substitutes, not that decoded
-//! pixels match the pre-PR release bit for bit (rare ±1 rounding shifts
-//! vs. the old f32 color math are expected and covered by the
-//! tolerance-based quality tests).
+//! These are the pre-optimization algorithms for the *replaced* layers,
+//! with one deliberate alignment: the DCT oracle computes in `f64` (the
+//! old code truncated its basis to `f32`) and pixels round through the
+//! shared [`crate::dct::descale`] contract, because cross-implementation
+//! byte identity is only well-defined when both sides target the same
+//! arithmetic contract. Colour has its own oracle too:
+//! [`reference_planes_to_image`] maps every output pixel to its
+//! component samples with the nearest-neighbour divisions `x·h/hmax` and
+//! `y·v/vmax` and converts it with the 16.16 fixed-point multiplies
+//! ([`reference_ycbcr_to_rgb`], no tables), so the production merged
+//! upsample + colour pass is checked against the formula, not against
+//! itself. What stays shared is the snap-rounding contract and the scan
+//! logic of `dentropy` for every scan kind but AC refinement.
 
 use crate::bitio::BitSource;
 use crate::consts::*;
@@ -31,7 +31,7 @@ use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::{HuffTable, SymbolDecoder};
 use crate::image::ImageBuf;
 use crate::marker::{self, Segment, SegmentReader};
-use crate::sample::{reconstruct_planes_with, planes_to_image, BlockIdct};
+use crate::sample::{reconstruct_planes_with, BlockIdct, SamplePlane};
 use std::ops::Range;
 
 /// The original byte-at-a-time bit reader: pulls one byte per `fill`,
@@ -585,5 +585,51 @@ pub(crate) fn reference_decode(data: &[u8]) -> Result<ImageBuf> {
         &mut Vec::new(),
         &mut ReferenceBlockIdct::default(),
     )?;
-    planes_to_image(&planes, &d.frame)
+    reference_planes_to_image(&planes, &d.frame)
+}
+
+/// YCbCr -> RGB by the 16.16 fixed-point formula (JFIF / BT.601 full
+/// range), one multiply per term and no tables; rounds half up and
+/// clamps.
+pub(crate) fn reference_ycbcr_to_rgb(y: u8, cb: u8, cr: u8) -> [u8; 3] {
+    let (y, cb, cr) = (i32::from(y) << 16, i32::from(cb) - 128, i32::from(cr) - 128);
+    let round = |v: i32| ((v + (1 << 15)) >> 16).clamp(0, 255) as u8;
+    [
+        round(y + 91_881 * cr),               // 1.402
+        round(y - 22_554 * cb - 46_802 * cr), // 0.344136, 0.714136
+        round(y + 116_130 * cb),              // 1.772
+    ]
+}
+
+/// The per-pixel colour pass: each output pixel reads component `c` at
+/// `(x·h_c/hmax, y·v_c/vmax)` and converts through
+/// [`reference_ycbcr_to_rgb`]. Grayscale copies the one plane; a fourth
+/// component is ignored.
+pub(crate) fn reference_planes_to_image(
+    planes: &[SamplePlane],
+    frame: &FrameInfo,
+) -> Result<ImageBuf> {
+    let (w, h) = (frame.width as usize, frame.height as usize);
+    let (hmax, vmax) = (usize::from(frame.hmax), usize::from(frame.vmax));
+    let channels = if frame.components.len() == 1 { 1 } else { 3 };
+    let sample = |ci: usize, x: usize, y: usize| {
+        let c = &frame.components[ci];
+        let p = &planes[ci];
+        p.data[y * usize::from(c.v) / vmax * p.width + x * usize::from(c.h) / hmax]
+    };
+    let mut data = Vec::with_capacity(w * h * channels);
+    for y in 0..h {
+        for x in 0..w {
+            if channels == 1 {
+                data.push(sample(0, x, y));
+            } else {
+                data.extend(reference_ycbcr_to_rgb(
+                    sample(0, x, y),
+                    sample(1, x, y),
+                    sample(2, x, y),
+                ));
+            }
+        }
+    }
+    ImageBuf::from_raw(frame.width, frame.height, channels as u8, data)
 }

@@ -5,7 +5,7 @@ use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales, inverse_dct_pixels, inverse_quant_scales};
 use crate::error::Result;
 use crate::frame::{CoeffPlanes, FrameInfo};
-use crate::image::{rgb_to_ycbcr, ycbcr_to_rgb, ImageBuf};
+use crate::image::{add_term, chroma_terms, rgb_to_ycbcr, ImageBuf};
 
 /// A single component's sample plane at component resolution, padded to the
 /// allocated block grid (edge replication).
@@ -274,13 +274,18 @@ pub(crate) fn reconstruct_planes_with<K: BlockIdct>(
 }
 
 /// Reassembles an [`ImageBuf`] from component planes (nearest-neighbour
-/// chroma upsampling).
+/// chroma upsampling: output pixel `(x, y)` reads each component at
+/// `(x·h/hmax, y·v/vmax)`). A fourth component is ignored.
 ///
-/// Hot-path note: the per-pixel subsample index `(x·h)/hmax` of the naive
-/// formulation costs two integer divisions per component per pixel —
-/// more than the color math itself. Horizontal maps are precomputed once
-/// per image and vertical indices once per row, so the pixel loop is
-/// loads, multiplies, and adds only.
+/// One merged upsample + colour pass, libjpeg's `jdmerge.c` in shape:
+/// when the chroma row changes, the three chroma terms (red from Cr, the
+/// rounded green sum, blue from Cb) are computed once per chroma sample
+/// and spread over the `hmax/h` pixels that map to it; every output row
+/// that shares the chroma row then adds them to its luma in one flat
+/// loop. The terms come from the same tables as
+/// [`crate::image::ycbcr_to_rgb`], so the pixels are the ones it gives.
+/// When Cb and Cr sample differently, or their factor does not divide
+/// `hmax`, each pixel looks its samples up through the map instead.
 pub fn planes_to_image(planes: &[SamplePlane], frame: &FrameInfo) -> Result<ImageBuf> {
     let w = frame.width as usize;
     let h = frame.height as usize;
@@ -292,43 +297,95 @@ pub fn planes_to_image(planes: &[SamplePlane], frame: &FrameInfo) -> Result<Imag
         }
         return ImageBuf::from_raw(frame.width, frame.height, 1, data);
     }
-    // Horizontal subsample maps: None = full resolution (identity).
-    let cx_map: Vec<Option<Vec<u32>>> = frame
-        .components
-        .iter()
-        .take(3)
-        .map(|comp| {
-            if comp.h == frame.hmax {
-                None
-            } else {
-                let (ch, hmax) = (usize::from(comp.h), usize::from(frame.hmax));
-                Some((0..w).map(|x| (x * ch / hmax) as u32).collect())
-            }
-        })
-        .collect();
+    let (hmax, vmax) = (usize::from(frame.hmax), usize::from(frame.vmax));
+    let [hy, hcb, hcr] = [0, 1, 2].map(|ci| usize::from(frame.components[ci].h));
+    let row_of = |ci: usize, y: usize| {
+        let p = &planes[ci];
+        let cy = y * usize::from(frame.components[ci].v) / vmax;
+        (cy, &p.data[cy * p.width..(cy + 1) * p.width])
+    };
+    // The R, G and B terms of each output pixel's chroma sample.
+    let mut terms = [vec![0i16; w], vec![0i16; w], vec![0i16; w]];
+    let mut chroma_rows = None;
+    let mut luma = Vec::new();
     let mut data = vec![0u8; w * h * 3];
     for (y, out) in data.chunks_exact_mut(w * 3).enumerate() {
-        // Per-row vertical indices and row slices per component.
-        let mut rows: [&[u8]; 3] = [&[], &[], &[]];
-        for (ci, comp) in frame.components.iter().enumerate().take(3) {
-            let cy = y * usize::from(comp.v) / usize::from(frame.vmax);
-            let p = &planes[ci];
-            rows[ci] = &p.data[cy * p.width..(cy + 1) * p.width];
-        }
-        let sample = |ci: usize, x: usize| -> u8 {
-            match &cx_map[ci] {
-                None => rows[ci][x],
-                Some(map) => rows[ci][map[x] as usize],
+        let (cby, cb) = row_of(1, y);
+        let (cry, cr) = row_of(2, y);
+        if chroma_rows != Some((cby, cry)) {
+            chroma_rows = Some((cby, cry));
+            if hcb == hcr && hmax % hcb == 0 {
+                match hmax / hcb {
+                    1 => spread_terms::<1>(&mut terms, cb, cr),
+                    2 => spread_terms::<2>(&mut terms, cb, cr),
+                    3 => spread_terms::<3>(&mut terms, cb, cr),
+                    _ => spread_terms::<4>(&mut terms, cb, cr),
+                }
+            } else {
+                let [tr, tg, tb] = &mut terms;
+                let samples = nearest(w, hcb, hmax).zip(nearest(w, hcr, hmax));
+                for (((r, g), b), (cbx, crx)) in tr.iter_mut().zip(tg).zip(tb).zip(samples) {
+                    [*r, *g, *b] = chroma_terms(cb[cbx], cr[crx]);
+                }
             }
+        }
+        let (_, y_row) = row_of(0, y);
+        let y_row = if hy == hmax {
+            &y_row[..w]
+        } else {
+            luma.clear();
+            luma.extend(nearest(w, hy, hmax).map(|x| y_row[x]));
+            &luma[..]
         };
-        for (x, px) in out.chunks_exact_mut(3).enumerate() {
-            let (r, g, b) = ycbcr_to_rgb(sample(0, x), sample(1, x), sample(2, x));
-            px[0] = r;
-            px[1] = g;
-            px[2] = b;
+        let [tr, tg, tb] = &terms;
+        for ((((px, &l), &r), &g), &b) in out.chunks_exact_mut(3).zip(y_row).zip(tr).zip(tg).zip(tb)
+        {
+            px[0] = add_term(l, r);
+            px[1] = add_term(l, g);
+            px[2] = add_term(l, b);
         }
     }
     ImageBuf::from_raw(frame.width, frame.height, 3, data)
+}
+
+/// Computes the chroma terms once per sample of the `cb`/`cr` rows and
+/// writes them to the `N` pixels each sample covers (fewer at the right
+/// edge).
+#[inline]
+fn spread_terms<const N: usize>(terms: &mut [Vec<i16>; 3], cb: &[u8], cr: &[u8]) {
+    let [tr, tg, tb] = terms;
+    let mut pixels = tr
+        .chunks_exact_mut(N)
+        .zip(tg.chunks_exact_mut(N))
+        .zip(tb.chunks_exact_mut(N));
+    let mut samples = cb.iter().zip(cr);
+    for (((r, g), b), (&cb, &cr)) in (&mut pixels).zip(&mut samples) {
+        let [tr, tg, tb] = chroma_terms(cb, cr);
+        r.fill(tr);
+        g.fill(tg);
+        b.fill(tb);
+    }
+    let edge = tr.len() / N * N;
+    if let Some((&cb, &cr)) = samples.next() {
+        let [r, g, b] = chroma_terms(cb, cr);
+        tr[edge..].fill(r);
+        tg[edge..].fill(g);
+        tb[edge..].fill(b);
+    }
+}
+
+/// `i·num/den` for `i` in `0..n`, stepped without a division.
+fn nearest(n: usize, num: usize, den: usize) -> impl Iterator<Item = usize> {
+    let (mut q, mut r) = (0, 0);
+    (0..n).map(move |_| {
+        let out = q;
+        r += num;
+        while r >= den {
+            r -= den;
+            q += 1;
+        }
+        out
+    })
 }
 
 #[cfg(test)]

@@ -76,10 +76,12 @@ impl ModelSpec {
     pub fn featurize(&self, img: &ImageBuf) -> Vec<f32> {
         let pool = self.pool.max(1) as u32;
         let side = self.input_size as u32 * pool;
+        let upscaled;
         let img = if img.width() < side || img.height() < side {
-            img.resize(side.max(img.width()), side.max(img.height()))
+            upscaled = img.resize(side.max(img.width()), side.max(img.height()));
+            &upscaled
         } else {
-            img.clone()
+            img
         };
         let cropped = img.center_crop(side, side).to_luma();
         let n = self.input_size;
