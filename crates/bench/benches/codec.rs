@@ -3,7 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pcr_datasets::{DatasetSpec, Scale, SyntheticDataset};
-use pcr_jpeg::{decode, encode, to_progressive, EncodeConfig, ImageBuf};
+use pcr_jpeg::encoder::encode_from_coeffs;
+use pcr_jpeg::{
+    decode, decode_coeffs, encode, to_progressive, DecodedCoeffs, EncodeConfig, ImageBuf,
+};
 
 fn test_image(side: u32) -> ImageBuf {
     let mut data = Vec::with_capacity((side * side * 3) as usize);
@@ -74,6 +77,13 @@ fn bench_transcode(c: &mut Criterion) {
     let baseline = encode(dense, &EncodeConfig::baseline(spec.jpeg_quality)).unwrap();
     g.throughput(Throughput::Bytes(baseline.len() as u64));
     g.bench_function("to_progressive_167_q100", |b| b.iter(|| to_progressive(&baseline).unwrap()));
+    // The encode half of that transcode alone: the coefficients are
+    // decoded once, outside the timed loop.
+    let DecodedCoeffs { mut frame, coeffs, qtables, .. } = decode_coeffs(&baseline).unwrap();
+    frame.progressive = true;
+    g.bench_function("encode_from_coeffs_167_q100", |b| {
+        b.iter(|| encode_from_coeffs(&frame, &coeffs, &qtables, true, None).unwrap())
+    });
     g.finish();
 }
 

@@ -13,7 +13,7 @@
 //!
 //! The writer is the same shape turned round: [`BitWriter`] gathers up
 //! to 32 bits per call (a Huffman code with its magnitude bits fused) in
-//! a 64-bit accumulator and moves four bytes at a time to the output,
+//! a 64-bit word and moves it to the output eight bytes at a time,
 //! taking the per-byte stuffing loop only for a word that the same
 //! has-zero-byte test finds an 0xFF in.
 
@@ -90,18 +90,22 @@ pub fn split_restart_segments(data: &[u8]) -> Vec<(usize, usize)> {
 /// Writes bits MSB-first into a byte buffer, inserting a 0x00 stuff byte
 /// after every literal 0xFF as required by T.81 section B.1.1.5.
 ///
-/// Batched like the reader: bits gather at the low end of a 64-bit
-/// accumulator (always fewer than 32 between calls) and leave four bytes
-/// at a time. A word that holds no `0xFF` — the same has-zero-byte test
-/// as [`find_ff`], applied to one `u32` — is appended with a single
-/// slice copy; only a word that does takes the per-byte stuffing loop.
-/// Output is byte-identical to emitting one byte at a time (the retained
-/// reference writer the tests compare against).
+/// Batched like the reader, in the shape of libjpeg-turbo's `put_buffer`
+/// (`jchuff.c`): bits gather at the low end of a 64-bit word. A code that
+/// fits is shifted in; one that does not completes the word, which
+/// leaves as eight bytes, and its spilled low bits start the next word.
+/// A word that holds no `0xFF` — the same has-zero-byte test as
+/// [`find_ff`] — is appended with a single 8-byte copy; only a word that
+/// does takes the per-byte stuffing loop. Output is byte-identical to
+/// emitting one byte at a time (the retained reference writer the tests
+/// compare against).
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
-    /// Low `nbits` bits are pending output; everything above is stale.
+    /// Low `nbits` bits are pending output; everything above is stale
+    /// and shifts out before the word completes.
     acc: u64,
+    /// Pending bits, always below 64.
     nbits: u32,
 }
 
@@ -111,29 +115,46 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer whose output has room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Self { out: Vec::with_capacity(bytes), ..Self::default() }
+    }
+
     /// Appends the low `n` bits of `value` (MSB first). `n` must be <= 32.
     #[inline]
     pub fn put_bits(&mut self, value: u32, n: u32) {
         debug_assert!(n <= 32);
-        // `nbits < 32` on entry, so the shift keeps every pending bit.
-        self.acc = (self.acc << n) | (u64::from(value) & ((1u64 << n) - 1));
-        self.nbits += n;
-        if self.nbits >= 32 {
-            self.nbits -= 32;
-            let word = (self.acc >> self.nbits) as u32;
-            // A byte equals 0xFF iff its complement is zero.
-            if (!word).wrapping_sub(0x0101_0101) & word & 0x8080_8080 == 0 {
-                self.out.extend_from_slice(&word.to_be_bytes());
-            } else {
-                self.put_bytes_stuffed(word, 4);
-            }
+        let value = u64::from(value) & ((1u64 << n) - 1);
+        if self.nbits + n < 64 {
+            self.acc = self.acc << n | value;
+            self.nbits += n;
+        } else {
+            // `32 <= nbits`: the word takes the top `64 - nbits` bits of
+            // the code, the other `spill` bits start the next word.
+            let spill = self.nbits + n - 64;
+            self.put_word(self.acc << (64 - self.nbits) | value >> spill);
+            self.acc = value;
+            self.nbits = spill;
+        }
+    }
+
+    /// Appends a complete 64-bit word, most significant byte first.
+    #[inline]
+    fn put_word(&mut self, word: u64) {
+        const LO: u64 = 0x0101_0101_0101_0101;
+        const HI: u64 = 0x8080_8080_8080_8080;
+        // A byte equals 0xFF iff its complement is zero.
+        if (!word).wrapping_sub(LO) & word & HI == 0 {
+            self.out.extend_from_slice(&word.to_be_bytes());
+        } else {
+            self.put_bytes_stuffed(word, 8);
         }
     }
 
     /// Appends the low `count` bytes of `word`, most significant first,
     /// stuffing a 0x00 after each 0xFF.
     #[cold]
-    fn put_bytes_stuffed(&mut self, word: u32, count: u32) {
+    fn put_bytes_stuffed(&mut self, word: u64, count: u32) {
         for i in (0..count).rev() {
             let byte = (word >> (8 * i)) as u8;
             self.out.push(byte);
@@ -147,18 +168,17 @@ impl BitWriter {
     /// completed entropy-coded segment.
     pub fn finish(mut self) -> Vec<u8> {
         let pad = (8 - self.nbits % 8) % 8;
-        self.acc = (self.acc << pad) | ((1u64 << pad) - 1);
-        self.nbits += pad;
-        self.put_bytes_stuffed(self.acc as u32, self.nbits / 8);
+        let word = self.acc << pad | ((1u64 << pad) - 1);
+        self.put_bytes_stuffed(word, (self.nbits + pad) / 8);
         self.out
     }
 
     /// Number of full bytes emitted so far (excluding the bits of a
-    /// partial byte): whole bytes still in the accumulator count, with
-    /// the stuffing they will get.
+    /// partial byte): whole bytes still in the word count, with the
+    /// stuffing they will get.
     pub fn len(&self) -> usize {
         let pending = self.nbits / 8;
-        let word = (self.acc >> (self.nbits % 8)) as u32;
+        let word = self.acc >> (self.nbits % 8);
         let stuffed = (0..pending).filter(|i| (word >> (8 * i)) as u8 == 0xFF).count();
         self.out.len() + pending as usize + stuffed
     }

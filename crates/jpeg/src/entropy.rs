@@ -184,7 +184,8 @@ impl<'a> ScanEncoder<'a> {
                 *table = self.tokens.counts(slot).map(|c| gen_optimal_table(c)).transpose()?;
             }
         }
-        let mut writer = BitWriter::new();
+        // A token codes 1 to 31 bits; two bytes each covers most scans.
+        let mut writer = BitWriter::with_capacity(2 * self.tokens.tokens.len());
         self.tokens.replay(&CodeBook::new(tables, &self.tokens)?, &mut writer);
         Ok(writer.finish())
     }
@@ -251,11 +252,18 @@ fn scan_blocks(
 }
 
 /// One DC difference: the size-category symbol plus its magnitude bits.
+/// A difference above size category 11 is refused: 8-bit data never
+/// needs one, and the decoder rejects it (libjpeg's `nbits >
+/// MAX_COEF_BITS + 1`).
 #[inline]
-fn tokenize_dc_diff(tokens: &mut ScanTokens, table: u8, dc: i32, pred: &mut i32) {
+fn tokenize_dc_diff(tokens: &mut ScanTokens, table: u8, dc: i32, pred: &mut i32) -> Result<()> {
     let (pattern, n) = magnitude(dc - *pred);
+    if n > 11 {
+        return Err(Error::BadInput("DC difference out of range".into()));
+    }
     *pred = dc;
     tokens.symbol(usize::from(table), n as u8, u64::from(pattern), n);
+    Ok(())
 }
 
 fn tokenize_sequential(
@@ -267,7 +275,7 @@ fn tokenize_sequential(
     let mut preds = [0i32; 4];
     scan_blocks(frame, coeffs, scan, |slot, zz| {
         let sc = scan.components[slot];
-        tokenize_dc_diff(tokens, sc.dc_table, i32::from(zz[0]), &mut preds[slot]);
+        tokenize_dc_diff(tokens, sc.dc_table, i32::from(zz[0]), &mut preds[slot])?;
         let ac = AC_SLOT + usize::from(sc.ac_table);
         let mut mask = nonzero_mask64(zz) & !1;
         let mut next = 1u32;
@@ -303,8 +311,7 @@ fn tokenize_dc_first(
     let mut preds = [0i32; 4];
     scan_blocks(frame, coeffs, scan, |slot, zz| {
         let table = scan.components[slot].dc_table;
-        tokenize_dc_diff(tokens, table, i32::from(zz[0]) >> al, &mut preds[slot]);
-        Ok(())
+        tokenize_dc_diff(tokens, table, i32::from(zz[0]) >> al, &mut preds[slot])
     })
 }
 
@@ -455,6 +462,20 @@ fn tokenize_ac_first(
     Ok(())
 }
 
+/// Low `n` bits set (`n < 64`).
+#[inline]
+fn low_bits(n: u32) -> u64 {
+    (1u64 << n) - 1
+}
+
+/// AC refinement. Each block is walked by its newly nonzero
+/// coefficients, not by every nonzero one: the segment before a new
+/// coefficient holds only zeros and known coefficients, and as long as it
+/// has at most 15 zeros no ZRL can fire in it (the run only grows within
+/// a segment), so the segment is one symbol `(zeros << 4) | 1` followed
+/// by the sign and the segment's correction bits, taken from the block's
+/// gathered correction word. Only a segment with 16 zeros or more walks
+/// its known coefficients one by one, as libjpeg does.
 fn tokenize_ac_refine(
     frame: &FrameInfo,
     coeffs: &CoeffPlanes,
@@ -465,45 +486,68 @@ fn tokenize_ac_refine(
     let band = band_mask(scan);
     let mut st = AcState::new(scan);
     scan_blocks(frame, coeffs, scan, |_slot, zz| {
-        let mag = magnitudes(zz, al);
         // Coefficients earlier scans already made nonzero (`|c| >> al`
-        // above 1) send one correction bit; those becoming nonzero now
-        // (exactly 1) send a symbol and a sign.
-        let known = nonzero_mask64(&magnitudes(zz, al + 1)) & band;
-        let mut mask = nonzero_mask64(&mag) & band;
-        let new = mask & !known;
-        // Position of the last newly nonzero coefficient; a run of 16
-        // zeros at or before it needs a ZRL, one after it folds into the
-        // end-of-band.
-        let eob = 63u32.saturating_sub(new.leading_zeros());
-        let mut next = u32::from(scan.ss);
-        let mut r = 0u32;
-        // This block's correction bits since the last symbol.
-        let (mut bits, mut n) = (0u64, 0u32);
-        while mask != 0 {
-            let k = mask.trailing_zeros();
-            mask &= mask - 1;
-            r += k - next;
-            next = k + 1;
-            while r > 15 && k <= eob {
-                st.flush_eobrun(tokens);
-                tokens.symbol(st.slot, 0xF0, bits, n);
-                (bits, n) = (0, 0);
-                r -= 16;
-            }
-            if known >> k & 1 != 0 {
-                bits = bits << 1 | u64::from(mag[k as usize] as u16 & 1);
-                n += 1;
-                continue;
-            }
-            st.flush_eobrun(tokens);
-            let sign = u64::from(zz[k as usize] >= 0);
-            tokens.symbol(st.slot, ((r as u8) << 4) | 1, sign << n | bits, n + 1);
-            (bits, n) = (0, 0);
-            r = 0;
+        // above 1) send one correction bit, the low bit of `|c| >> al`;
+        // those becoming nonzero now (exactly 1) send a symbol and a sign.
+        let mag = magnitudes(zz, al);
+        let mask = nonzero_mask64(&mag) & band;
+        let known = nonzero_mask64(&mag.map(|m| m >> 1)) & band;
+        let corr = nonzero_mask64(&mag.map(|m| m & 1));
+        let mut new = mask & !known;
+        // Every correction bit of the block, the first coefficient's most
+        // significant; the low `left` bits are not yet emitted.
+        let (mut gathered, mut rest) = (0u64, known);
+        while rest != 0 {
+            gathered = gathered << 1 | corr >> rest.trailing_zeros() & 1;
+            rest &= rest - 1;
         }
-        if r + (u32::from(scan.se) + 1 - next) > 0 || n > 0 {
-            st.end_of_band(tokens, bits, n);
+        let mut left = known.count_ones();
+        if new != 0 {
+            st.flush_eobrun(tokens);
+        }
+        // First band position not yet coded.
+        let mut next = u32::from(scan.ss);
+        while new != 0 {
+            let k = new.trailing_zeros();
+            new &= new - 1;
+            let sign = u64::from(zz[k as usize] >= 0);
+            // Positions `next..k` hold `c` known coefficients and `z` zeros.
+            let seg = low_bits(k) & !low_bits(next);
+            let c = (known & seg).count_ones();
+            let z = k - next - c;
+            left -= c;
+            if z <= 15 {
+                let bits = gathered >> left & low_bits(c);
+                tokens.symbol(st.slot, (z << 4 | 1) as u8, sign << c | bits, c + 1);
+            } else {
+                // libjpeg's walk over the segment's known coefficients and
+                // then the new one: a ZRL goes out at the first of them
+                // that follows 16 zeros, carrying the bits before it.
+                let (mut r, mut bits, mut n) = (0u32, 0u64, 0u32);
+                let mut at = known & seg | 1 << k;
+                while at != 0 {
+                    let p = at.trailing_zeros();
+                    at &= at - 1;
+                    r += p - next;
+                    next = p + 1;
+                    while r > 15 {
+                        tokens.symbol(st.slot, 0xF0, bits, n);
+                        (bits, n) = (0, 0);
+                        r -= 16;
+                    }
+                    if p < k {
+                        bits = bits << 1 | corr >> p & 1;
+                        n += 1;
+                    }
+                }
+                tokens.symbol(st.slot, ((r as u8) << 4) | 1, sign << n | bits, n + 1);
+            }
+            next = k + 1;
+        }
+        // After the last new coefficient no ZRL can fire: the rest of the
+        // band folds into the end-of-band with its correction bits.
+        if next <= u32::from(scan.se) {
+            st.end_of_band(tokens, gathered & low_bits(left), left);
         }
         Ok(())
     })?;

@@ -33,11 +33,11 @@
 use crate::bitio::{extend, BitReader, BitSource, BitWriter};
 use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
-use crate::decoder::decode;
+use crate::decoder::{decode, decode_coeffs};
 use crate::dentropy::{decode_scan_range, mcu_units, DecodeTables};
 use crate::encoder::{encode, encode_from_coeffs, qtables_for, EncodeConfig};
 use crate::entropy::{ScanEncoder, ScanTables};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo, ScanComponent, ScanInfo, Subsampling};
 use crate::huffman::{gen_optimal_table, HuffDecoder, HuffEncoder, HuffTable, SymbolDecoder};
 use crate::image::ImageBuf;
@@ -489,6 +489,135 @@ fn zero_run_and_dense_block_corner_cases_match_two_pass_encoder() {
     sequential.progressive = false;
     let scan = single_scan(0, 0, 63, 0, 0);
     assert_scan_encoders_agree(&sequential, &coeffs, &scan, "corner blocks");
+}
+
+/// A refinement-scan block at point transform `al` from a pattern over
+/// positions `1..`: `.` zero, `k` / `K` a known coefficient whose
+/// correction bit is 0 / 1, `+` / `-` a newly nonzero one of that sign;
+/// positions past the pattern are zero. Every coefficient carries junk
+/// below bit `al` that the scan must shift out.
+fn refine_block(pattern: &str, al: u32) -> [i16; 64] {
+    let low = (1i16 << al) - 1;
+    let mut zz = [0i16; 64];
+    zz[0] = 37;
+    for (z, ch) in zz[1..].iter_mut().zip(pattern.bytes()) {
+        *z = match ch {
+            b'k' => 2 << al | low,
+            b'K' => -(7 << al | low),
+            b'+' => 1 << al | low,
+            b'-' => -(1 << al | low),
+            _ => low,
+        };
+    }
+    zz
+}
+
+/// The refinement walk's segment cases, each pinned against the
+/// two-pass encoder at Al 0, 1 and 2 over bands that cut them in
+/// different places: ZRLs whose 16th zero lands after known
+/// coefficients or on the new one, exactly 15 and exactly 16 zeros
+/// around known coefficients before a new one (the one-symbol path and
+/// the per-position path), an all-known block (63 bits into the EOB
+/// run), a new coefficient at `se` (no EOB), and `ss == se`.
+#[test]
+fn refinement_segment_edges_match_two_pass_encoder() {
+    let run = |n: usize| ".".repeat(n);
+    let patterns = [
+        format!("{}kK{}K+", run(10), run(6)),
+        format!("{}kK{}+", run(10), run(6)),
+        format!("k{}K{}-", run(7), run(8)),
+        format!("k{}K{}-", run(8), run(8)),
+        format!("{}-", run(15)),
+        format!("{}+", run(16)),
+        format!("{}K{}k+", run(5), run(27)),
+        format!("K{}k{}-K", run(14), run(16)),
+        "kK".repeat(32),
+        format!("k{}+{}-", run(20), "K".repeat(40)),
+        "+-".repeat(32),
+        format!("+{}KKK{}", run(30), run(29)),
+        format!("-{}kK+", run(49)),
+        String::new(),
+    ];
+    let bands = [(1, 63), (2, 51), (5, 5), (20, 40), (63, 63), (1, 1), (12, 30)];
+    for al in 0..3u32 {
+        let scans: Vec<ScanInfo> =
+            bands.iter().map(|&(ss, se)| single_scan(0, ss, se, al as u8 + 1, al as u8)).collect();
+        for pattern in &patterns {
+            let (frame, coeffs) = gray_planes(16, 16, |_| refine_block(pattern, al));
+            for scan in &scans {
+                assert_scan_encoders_agree(&frame, &coeffs, scan, pattern);
+            }
+        }
+        // Every pattern after every other: EOB runs and their buffered
+        // correction bits cross into the next block's symbols.
+        let (frame, coeffs) =
+            gray_planes(96, 48, |i| refine_block(&patterns[i as usize % patterns.len()], al));
+        for scan in &scans {
+            assert_scan_encoders_agree(&frame, &coeffs, scan, "mixed patterns");
+        }
+    }
+}
+
+/// Writes the low `n` bits of `value` to both writers, most significant
+/// first, in pieces the per-byte writer takes (at most 24 bits).
+fn put_both(fast: &mut BitWriter, oracle: &mut ReferenceBitWriter, value: u64, mut n: u32) {
+    while n > 0 {
+        let take = n.min(24);
+        n -= take;
+        let piece = (value >> n) as u32 & ((1 << take) - 1);
+        fast.put_bits(piece, take);
+        oracle.put_bits(piece, take);
+    }
+}
+
+/// An 0xFF in every byte position of a word the batched writer flushes,
+/// with the word boundary at every bit offset of the data: each such
+/// word must leave through the stuffing loop, not the 8-byte copy.
+#[test]
+fn writer_stuffs_ff_in_every_byte_of_a_flushed_word() {
+    for lead in 0..64u32 {
+        for pos in 0..8u32 {
+            let word = 0x5A5A_5A5A_5A5A_5A5Au64 | 0xFFu64 << (8 * pos);
+            let mut fast = BitWriter::new();
+            let mut oracle = ReferenceBitWriter::default();
+            put_both(&mut fast, &mut oracle, 0x2AAA_AAAA_AAAA_AAAA, lead);
+            put_both(&mut fast, &mut oracle, word, 64);
+            put_both(&mut fast, &mut oracle, word.rotate_left(8), 64);
+            assert_eq!(fast.len(), oracle.len(), "lead {lead}, byte {pos}");
+            assert_eq!(fast.finish(), oracle.finish(), "lead {lead}, byte {pos}");
+        }
+    }
+}
+
+/// Two neighbouring DCs 60000 apart make a 16-bit difference, which the
+/// decoder refuses (`DC size > 15`): the encoder must refuse it too, in
+/// sequential and first DC scans alike, rather than write a stream it
+/// cannot read. An 11-bit difference, the most 8-bit data needs, still
+/// round-trips.
+#[test]
+fn dc_difference_above_size_11_is_refused() {
+    let frame = FrameInfo::for_encode(16, 8, 1, Subsampling::S444, false).unwrap();
+    let qtables = qtables_for(&EncodeConfig::baseline(90), 1);
+    let planes = |left: i16, right: i16| {
+        let mut coeffs = CoeffPlanes::new(&frame);
+        coeffs.block_mut(&frame, 0, 0, 0)[0] = left;
+        coeffs.block_mut(&frame, 0, 0, 1)[0] = right;
+        coeffs
+    };
+    let mut progressive = frame.clone();
+    progressive.progressive = true;
+    let too_far = planes(30000, -30000);
+    for frame in [&frame, &progressive] {
+        let out = encode_from_coeffs(frame, &too_far, &qtables, true, None);
+        assert!(matches!(out, Err(Error::BadInput(_))), "{}: {out:?}", frame.progressive);
+        let dc = single_scan(0, 0, 0, 0, u8::from(frame.progressive));
+        assert_scan_encoders_agree(frame, &too_far, &dc, "16-bit DC difference");
+    }
+    let widest = planes(1023, -1024);
+    for frame in [&frame, &progressive] {
+        let bytes = encode_from_coeffs(frame, &widest, &qtables, true, None).unwrap();
+        assert_eq!(decode_coeffs(&bytes).unwrap().coeffs, widest, "{}", frame.progressive);
+    }
 }
 
 /// Image sizes the colour tests cover: one pixel, one column, one row,
@@ -1141,6 +1270,41 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Dense q100-like refinement blocks — about a third each of zero,
+    /// known and newly nonzero coefficients, the regime where nearly
+    /// every segment takes the one-symbol path — through the production
+    /// walk and the two-pass encoder over a random band.
+    #[test]
+    fn dense_refinement_blocks_match_two_pass_encoder(
+        seed in any::<u32>(),
+        al in 0u32..3,
+        a in 1u8..64,
+        b in 1u8..64,
+    ) {
+        let mut s = seed | 1;
+        let mut next = |m: u32| {
+            s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (s >> 8) % m
+        };
+        let (frame, coeffs) = gray_planes(64, 64, |_| {
+            core::array::from_fn(|_| {
+                let m = match next(3) {
+                    0 => 0,
+                    1 => 1,
+                    _ => 2 + next(40) as i16,
+                };
+                let v = m << al | next(1 << al) as i16;
+                if next(2) == 0 { v } else { -v }
+            })
+        });
+        let scan = single_scan(0, a.min(b), a.max(b), al as u8 + 1, al as u8);
+        assert_scan_encoders_agree(&frame, &coeffs, &scan, "dense refinement");
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Decode kernel: random (realistically bounded) coefficient blocks
@@ -1292,9 +1456,13 @@ proptest! {
     /// writer produce identical bytes — and report identical lengths
     /// after every step — over random `(value, n <= 24)` sequences
     /// biased toward 0xFF-dense output.
+    ///
+    /// With `align`, the sequence is padded to end exactly on a 64-bit
+    /// word boundary, so `finish` has no pending bits.
     #[test]
     fn batched_writer_matches_reference_on_random_sequences(
         ops in proptest::collection::vec((any::<u32>(), 0u32..25, 0u32..40), 0..300),
+        align in any::<bool>(),
     ) {
         let mut fast = BitWriter::new();
         let mut oracle = ReferenceBitWriter::default();
@@ -1316,6 +1484,16 @@ proptest! {
             }
             prop_assert_eq!(fast.len(), oracle.len());
             prop_assert_eq!(fast.is_empty(), oracle.is_empty());
+        }
+        if align {
+            let total: u32 = ops.iter().map(|&(_, n, _)| n).sum();
+            let mut pad = (64 - total % 64) % 64;
+            while pad > 0 {
+                let n = pad.min(24);
+                fast.put_bits(0xFF_FF00, n);
+                oracle.put_bits(0xFF_FF00, n);
+                pad -= n;
+            }
         }
         prop_assert_eq!(fast.finish(), oracle.finish());
     }

@@ -256,6 +256,9 @@ fn encode_sequential(
         let diff = dc - preds[slot];
         preds[slot] = dc;
         let (pat, n) = magnitude(diff);
+        if n > 11 {
+            return Err(Error::BadInput("DC difference out of range".into()));
+        }
         sink.dc_symbol(sc.dc_table, n as u8);
         sink.bits(pat, n);
         // AC
@@ -300,6 +303,9 @@ fn encode_dc_first(
         let diff = dc - preds[slot];
         preds[slot] = dc;
         let (pat, n) = magnitude(diff);
+        if n > 11 {
+            return Err(Error::BadInput("DC difference out of range".into()));
+        }
         sink.dc_symbol(sc.dc_table, n as u8);
         sink.bits(pat, n);
         Ok(())
