@@ -67,8 +67,10 @@ pub fn fig11(ctx: &Ctx) {
 }
 
 /// Figure 18: reader microbenchmark on the CelebAHQ-like dataset and an
-/// SSD profile — measured mean throughput per scan, the Lemma-A.3
-/// prediction extrapolated from scan 10, and per-record batch times.
+/// SSD profile — the modeled mean throughput per scan
+/// ([`pcr_sim::model_epoch`] over the device model, no decode), the
+/// Lemma-A.3 prediction extrapolated from scan 10, and per-record batch
+/// times.
 pub fn fig18(ctx: &Ctx) {
     let ds = ctx.dataset("celebahq");
     // The paper's reader benchmark uses 1024-image records; large records
@@ -78,7 +80,7 @@ pub fn fig18(ctx: &Ctx) {
     populate_store(&store, &pcr);
     banner(
         "fig18",
-        &[("columns", "scan,measured_img_s,predicted_img_s,mean_batch_time_ms".into())],
+        &[("columns", "scan,modeled_img_s,predicted_img_s,mean_batch_time_ms".into())],
     );
     // Scan-10 reference rate for the prediction.
     let full_bytes = pcr.db.mean_image_bytes_at_group(10);
@@ -109,8 +111,8 @@ const A5_PAIRS: usize = 7;
 
 /// Appendix A.5: real decode throughput, baseline vs progressive (and the
 /// overhead ratio the paper pegs at 40-50%), as the median and quartiles
-/// over seven alternating pairs; then the progressive decode's
-/// entropy time split by scan kind and component (`a5-scan-split`).
+/// over seven alternating pairs; then the entropy time of both decodes
+/// split by scan kind and component (`a5-scan-split`).
 pub fn a5_decode_overhead(ctx: &Ctx) {
     let ds = ctx.dataset("imagenet");
     let images: Vec<_> = ds.train.iter().take(24).map(|s| &s.image).collect();
@@ -165,11 +167,12 @@ pub fn a5_decode_overhead(ctx: &Ctx) {
     let (q1, med, q3) = pcr_metrics::quartiles(&overhead);
     println!("progressive_overhead,{med:.2},{q1:.2},{q3:.2}");
     println!("# paper: 230 vs 150 img/s (PIL), 40-50% overhead");
-    a5_scan_split(&progressive_jpegs);
+    a5_scan_split(&progressive_jpegs, &baseline_jpegs);
 }
 
-/// Scan kinds of a progressive stream, in `a5-scan-split` row order.
-const SCAN_KINDS: [&str; 4] = ["dc_first", "dc_refine", "ac_first", "ac_refine"];
+/// Scan kinds of a progressive stream, then the baseline stream's one
+/// sequential scan, in `a5-scan-split` row order.
+const SCAN_KINDS: [&str; 5] = ["dc_first", "dc_refine", "ac_first", "ac_refine", "sequential"];
 
 /// Times every restart segment (one per scan in these streams) through
 /// [`pcr_jpeg::DecodeObserver`], keyed by scan index.
@@ -193,43 +196,52 @@ impl pcr_jpeg::DecodeObserver for ScanTimer {
 }
 
 /// The `a5-scan-split` table: entropy-decode µs per image for each scan
-/// kind (DC/AC × first/refine) and component class (luma = component 0,
-/// chroma = the rest), best of [`A5_PAIRS`] passes over `jpegs`. An
-/// interleaved scan (only DC scans interleave) is shared out by block
-/// count, since it codes one symbol per block whatever the component.
-fn a5_scan_split(jpegs: &[Vec<u8>]) {
-    let mut best = [[f64::INFINITY; 2]; 4];
+/// kind (DC/AC × first/refine over `progressive`, sequential over
+/// `baseline`) and component class (luma = component 0, chroma = the
+/// rest), best of [`A5_PAIRS`] passes over both sets. An interleaved
+/// scan (the DC scans and the sequential scan) is shared out by block
+/// count: exact for DC scans, which code one symbol per block whatever
+/// the component, an estimate for the sequential scan.
+fn a5_scan_split(progressive: &[Vec<u8>], baseline: &[Vec<u8>]) {
+    let mut best = [[f64::INFINITY; 2]; SCAN_KINDS.len()];
     let mut pool = Vec::new();
     for _ in 0..A5_PAIRS {
-        let mut pass = [[0f64; 2]; 4];
-        for j in jpegs {
-            let mut timer = ScanTimer::default();
-            let d = pcr_jpeg::decode_coeffs_observed(j, &mut pool, &mut timer).expect("decode");
-            for (scan, &secs) in d.scans.iter().zip(&timer.secs) {
-                let kind = 2 * usize::from(!scan.is_dc()) + usize::from(scan.is_refinement());
-                let blocks = |ci: usize| {
-                    let c = &d.frame.components[ci];
-                    f64::from(c.blocks_w * c.blocks_h)
-                };
-                let total: f64 = scan.components.iter().map(|sc| blocks(sc.comp_index)).sum();
-                for sc in &scan.components {
-                    let class = usize::from(sc.comp_index != 0);
-                    pass[kind][class] += secs * blocks(sc.comp_index) / total.max(1.0);
+        let mut pass = [[0f64; 2]; SCAN_KINDS.len()];
+        for jpegs in [progressive, baseline] {
+            let per_image = 1.0 / jpegs.len().max(1) as f64;
+            for j in jpegs {
+                let mut timer = ScanTimer::default();
+                let d = pcr_jpeg::decode_coeffs_observed(j, &mut pool, &mut timer).expect("decode");
+                for (scan, &secs) in d.scans.iter().zip(&timer.secs) {
+                    let kind = if d.frame.progressive {
+                        2 * usize::from(!scan.is_dc()) + usize::from(scan.is_refinement())
+                    } else {
+                        4
+                    };
+                    let blocks = |ci: usize| {
+                        let c = &d.frame.components[ci];
+                        f64::from(c.blocks_w * c.blocks_h)
+                    };
+                    let total: f64 = scan.components.iter().map(|sc| blocks(sc.comp_index)).sum();
+                    for sc in &scan.components {
+                        let class = usize::from(sc.comp_index != 0);
+                        pass[kind][class] +=
+                            per_image * secs * blocks(sc.comp_index) / total.max(1.0);
+                    }
                 }
+                d.coeffs.recycle_into(&mut pool);
             }
-            d.coeffs.recycle_into(&mut pool);
         }
         for (b, p) in best.iter_mut().flatten().zip(pass.iter().flatten()) {
             *b = b.min(*p);
         }
     }
-    let per_image_us = 1e6 / jpegs.len().max(1) as f64;
     banner(
         "a5-scan-split",
         &[("columns", "scan_kind,luma_entropy_us_per_image,chroma_entropy_us_per_image".into())],
     );
     for (kind, row) in SCAN_KINDS.iter().zip(&best) {
-        println!("{kind},{:.1},{:.1}", row[0] * per_image_us, row[1] * per_image_us);
+        println!("{kind},{:.1},{:.1}", row[0] * 1e6, row[1] * 1e6);
     }
 }
 

@@ -228,10 +228,10 @@ pub trait BitSource {
     fn prefetch(&mut self) {}
     /// Peeks a 32-bit window (MSB-first, zero-padded past the end of the
     /// entropy data) without consuming anything, or `None` when the
-    /// implementation cannot serve one. The multi-symbol Huffman fast
-    /// path resolves two short code+magnitude steps from a single window
-    /// and then issues one `consume`; callers must fall back to the
-    /// 16-bit peek path on `None`. After `Some(w)` the source guarantees
+    /// implementation cannot serve one. The AC-refinement walk resolves a
+    /// step's code, sign bit and correction bits from a single window and
+    /// then issues one `consume`; callers must fall back to the 16-bit
+    /// peek path on `None`. After `Some(w)` the source guarantees
     /// at least 32 buffered bits, so a following `consume(n)` with
     /// `n <= 32` cannot fail. Default: `None` (the per-byte reference
     /// reader's 32-bit accumulator cannot hold a 32-bit lookahead).

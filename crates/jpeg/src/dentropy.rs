@@ -149,52 +149,19 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
         let sc = scan.components[slot];
         let (dctbl, actbl) = comp_tables[slot];
         let fast = actbl.fast_ac();
-        // Fused symbol + magnitude reads: one peek serves both.
-        let (s_sym, dc_bits) = dctbl.decode_then_bits(r, |s| u32::from(s.min(15)))?;
-        let s = u32::from(s_sym);
-        let diff = if s > 0 {
-            if s > 15 {
-                return Err(Error::CorruptData("DC size > 15".into()));
-            }
-            extend(dc_bits, s)
-        } else {
-            0
-        };
-        // A crafted stream can push the predictor past `i32`: it wraps,
-        // and only its low 16 bits reach the block.
-        preds[slot] = preds[slot].wrapping_add(diff);
+        preds[slot] = dc_step(dctbl, r, preds[slot])?;
         let block = coeffs.block_mut(frame, sc.comp_index, row, col);
         block[0] = preds[slot] as i16;
         let mut k = 1usize;
-        // Two coefficients per probe where possible: `decode_pair` pulls a
-        // second symbol+magnitude step from the same 32-bit window iff
-        // `more` proves the loop will immediately need it.
-        let mut pending: Option<(u8, u32)> = None;
         while k < 64 {
-            let (rs, bits) = match pending.take() {
-                Some(step) => step,
-                None => {
-                    if let Some(fast) = fast {
-                        k = fast_ac_steps(fast, r, block, k, 63, 0)?;
-                        if k > 63 {
-                            break;
-                        }
-                    }
-                    let more = |rs: u8| {
-                        let run = usize::from(rs >> 4);
-                        let size = rs & 0x0F;
-                        if size != 0 {
-                            k + run + 1 < 64
-                        } else {
-                            run == 15 && k + 16 < 64
-                        }
-                    };
-                    let (first, second) =
-                        actbl.decode_pair(r, |rs| u32::from(rs & 0x0F), more)?;
-                    pending = second;
-                    first
+            if let Some(fast) = fast {
+                k = fast_ac_steps(fast, r, block, k, 63, 0)?;
+                if k > 63 {
+                    break;
                 }
-            };
+            }
+            // Fused symbol + magnitude read: one peek serves both.
+            let (rs, bits) = actbl.decode_then_bits(r, |rs| u32::from(rs & 0x0F))?;
             let run = usize::from(rs >> 4);
             let size = u32::from(rs & 0x0F);
             if size == 0 {
@@ -211,9 +178,24 @@ fn decode_sequential<D: SymbolDecoder, R: BitSource>(
             block[k] = extend(bits, size) as i16;
             k += 1;
         }
-        debug_assert!(pending.is_none(), "speculative step without a consumer");
         Ok(())
     })
+}
+
+/// One DC-difference step of a sequential or first DC scan, the decoder
+/// twin of the encoder's `tokenize_dc_diff`: the size category and its
+/// magnitude bits in one fused read, then the predictor `pred` moved by
+/// the difference. A crafted stream can push the predictor past `i32`:
+/// it wraps, and only its low 16 bits reach the block.
+#[inline]
+fn dc_step<D: SymbolDecoder, R: BitSource>(table: &D, r: &mut R, pred: i32) -> Result<i32> {
+    let (s, bits) = table.decode_then_bits(r, |s| u32::from(s.min(15)))?;
+    let s = u32::from(s);
+    if s > 15 {
+        return Err(Error::CorruptData("DC size > 15".into()));
+    }
+    let diff = if s > 0 { extend(bits, s) } else { 0 };
+    Ok(pred.wrapping_add(diff))
 }
 
 // pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot indexes the
@@ -235,20 +217,7 @@ fn decode_dc_first<D: SymbolDecoder, R: BitSource>(
         .collect::<Result<_>>()?;
     for_each_block(frame, scan, units, |slot, row, col| {
         let sc = scan.components[slot];
-        let (s_sym, dc_bits) =
-            comp_tables[slot].decode_then_bits(r, |s| u32::from(s.min(15)))?;
-        let s = u32::from(s_sym);
-        let diff = if s > 0 {
-            if s > 15 {
-                return Err(Error::CorruptData("DC size > 15".into()));
-            }
-            extend(dc_bits, s)
-        } else {
-            0
-        };
-        // A crafted stream can push the predictor past `i32`: it wraps,
-        // and only its low 16 bits reach the block.
-        preds[slot] = preds[slot].wrapping_add(diff);
+        preds[slot] = dc_step(comp_tables[slot], r, preds[slot])?;
         coeffs.block_mut(frame, sc.comp_index, row, col)[0] = (preds[slot] << al) as i16;
         Ok(())
     })
@@ -305,33 +274,14 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
         }
         let block = coeffs.block_mut(frame, sc.comp_index, row, col);
         let mut k = scan.ss as usize;
-        // As in `decode_sequential`: two symbol+bits steps per 32-bit
-        // window when `more` proves the second will be needed.
-        let mut pending: Option<(u8, u32)> = None;
         while k <= se {
-            let (rs, bits) = match pending.take() {
-                Some(step) => step,
-                None => {
-                    if let Some(fast) = fast {
-                        k = fast_ac_steps(fast, r, block, k, se, al)?;
-                        if k > se {
-                            break;
-                        }
-                    }
-                    let more = |rs: u8| {
-                        let run = usize::from(rs >> 4);
-                        let size = rs & 0x0F;
-                        if size != 0 {
-                            k + run < se
-                        } else {
-                            run == 15 && k + 16 <= se
-                        }
-                    };
-                    let (first, second) = actbl.decode_pair(r, size_of, more)?;
-                    pending = second;
-                    first
+            if let Some(fast) = fast {
+                k = fast_ac_steps(fast, r, block, k, se, al)?;
+                if k > se {
+                    break;
                 }
-            };
+            }
+            let (rs, bits) = actbl.decode_then_bits(r, size_of)?;
             let run = usize::from(rs >> 4);
             let size = u32::from(rs & 0x0F);
             if size != 0 {
@@ -349,7 +299,6 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
                 break;
             }
         }
-        debug_assert!(pending.is_none(), "speculative step without a consumer");
         Ok(())
     })
 }

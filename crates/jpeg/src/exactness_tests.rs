@@ -26,9 +26,9 @@
 //!   both stacks;
 //! * the merged upsample + colour pass against the per-pixel reference
 //!   pass on every sampling geometry, and on all 65,536 chroma pairs;
-//! * first AC scans through the fast-AC table against the stepwise
-//!   canonical decoder, on hand-assembled steps at the table's edges and
-//!   on cut streams.
+//! * first AC and sequential scans through the fast-AC table against the
+//!   stepwise canonical decoder, on hand-assembled steps at the table's
+//!   edges, and first AC scans on cut streams.
 
 use crate::bitio::{extend, BitReader, BitSource, BitWriter};
 use crate::consts::ZIGZAG;
@@ -760,34 +760,36 @@ fn colour_pass_is_exact_on_every_chroma_pair() {
     }
 }
 
-/// Decodes one first AC scan's entropy bytes into zeroed planes through
-/// the production walk with its fast-AC table (batched reader) and
-/// through the stepwise canonical decoder (per-byte reader), asserting
-/// the same `Result` — equal coefficients, or the same error. Returns the
-/// production outcome.
-fn assert_first_scan_matches_oracle(
+/// Decodes one scan's entropy bytes into zeroed planes through the
+/// production walk with its fast-AC table (batched reader) and through
+/// the stepwise canonical decoder (per-byte reader), asserting the same
+/// `Result` — equal coefficients, or the same error. Returns the
+/// production outcome. A sequential scan reads its DC differences with
+/// the Annex K luma table.
+fn assert_scan_matches_oracle(
     frame: &FrameInfo,
     scan: &ScanInfo,
-    table: &HuffTable,
+    ac: &HuffTable,
     bytes: &[u8],
     what: &str,
 ) -> Result<CoeffPlanes> {
     let units = 0..mcu_units(frame, scan);
-    let none = [None, None, None, None];
-    let mut fast_table = HuffDecoder::from_table(table).unwrap();
+    let dc = &HuffTable::std_dc_luma();
+    let mut fast_table = HuffDecoder::from_table(ac).unwrap();
     fast_table.enable_fast_ac();
+    let fast_dc = [Some(HuffDecoder::from_table(dc).unwrap()), None, None, None];
     let fast_ac = [Some(fast_table), None, None, None];
     let fast = {
         let mut planes = CoeffPlanes::new(frame);
-        let tables = DecodeTables { dc: &none, ac: &fast_ac };
+        let tables = DecodeTables { dc: &fast_dc, ac: &fast_ac };
         let mut r = BitReader::new(bytes);
         decode_scan_range(frame, &mut planes, scan, &tables, &mut r, units.clone()).map(|()| planes)
     };
-    let none = [None, None, None, None];
-    let oracle_ac = [Some(ReferenceHuffDecoder::from_table(table).unwrap()), None, None, None];
+    let oracle_dc = [Some(ReferenceHuffDecoder::from_table(dc).unwrap()), None, None, None];
+    let oracle_ac = [Some(ReferenceHuffDecoder::from_table(ac).unwrap()), None, None, None];
     let oracle = {
         let mut planes = CoeffPlanes::new(frame);
-        let tables = DecodeTables { dc: &none, ac: &oracle_ac };
+        let tables = DecodeTables { dc: &oracle_dc, ac: &oracle_ac };
         let mut r = ReferenceBitReader::new(bytes);
         decode_scan_range(frame, &mut planes, scan, &tables, &mut r, units).map(|()| planes)
     };
@@ -816,12 +818,104 @@ fn coef(run: u8, size: u32, value: i32) -> Step {
     (run << 4 | size as u8, magnitude(value, size), size)
 }
 
-/// Hand-assembled first scans over two blocks: steps whose code and
-/// magnitude take 9, 10 and 11 bits; values at the `i8` edges (−129,
-/// −128, 127, 128) in 7 and 8 bits; a run of short steps that fills
-/// whole windows; and runs past the band end, which both decoders
-/// reject with the same error. The table's entries are checked too: the
-/// 10-bit steps and the `i8` values hit, the rest miss.
+/// One hand-assembled case over the two blocks of a 16x8 gray frame:
+/// its name, the first scan's band end and point transform (band start
+/// 1), each block's AC steps in `first_scan_table`, and whether a first
+/// scan and a sequential scan over those steps decode.
+type StepCase = (&'static str, u8, u8, [Vec<Step>; 2], bool, bool);
+
+/// The hand-assembled cases the fast-AC walks are checked on: steps
+/// whose code and magnitude take 9, 10 and 11 bits; values at the `i8`
+/// edges (−129, −128, 127, 128) in 7 and 8 bits; misses back to back; a
+/// run of short steps that fills whole windows; ZRL runs; EOB1, which a
+/// first scan reads as an EOB run with one run bit and a sequential scan
+/// as a plain EOB; and runs past the band or block end, which both
+/// decoders reject with the same error.
+fn fast_ac_step_cases() -> Vec<StepCase> {
+    let eob = (0x00, 0, 0);
+    let zrl = (0xF0, 0, 0);
+    vec![
+        (
+            "9, 10 and 11 bits",
+            63,
+            0,
+            [
+                vec![coef(0, 5, 17), coef(0, 6, -40), coef(1, 6, 33), coef(0, 5, -31), eob],
+                vec![coef(0, 6, 63), eob],
+            ],
+            true,
+            true,
+        ),
+        (
+            "i8 edges",
+            63,
+            1,
+            [
+                vec![coef(0, 8, -129), coef(0, 8, -128), coef(0, 7, 127), coef(0, 8, 128), eob],
+                vec![coef(0, 8, -128), eob],
+            ],
+            true,
+            true,
+        ),
+        (
+            "misses back to back",
+            63,
+            0,
+            [
+                vec![coef(1, 6, 33), coef(0, 8, 128), coef(0, 8, -129), zrl, coef(1, 6, -33), eob],
+                vec![coef(0, 8, 200), coef(1, 6, 40), coef(0, 1, 1), eob],
+            ],
+            true,
+            true,
+        ),
+        (
+            "short steps fill whole windows",
+            63,
+            0,
+            [
+                [[coef(0, 1, 1), coef(0, 1, -1), coef(1, 1, 1)].repeat(12), vec![eob]].concat(),
+                vec![coef(0, 1, -1); 63],
+            ],
+            true,
+            true,
+        ),
+        (
+            "EOB1: a run over the second block, or a plain EOB",
+            5,
+            2,
+            [vec![coef(0, 1, 1), coef(0, 7, -100), (0x10, 1, 1)], vec![coef(0, 2, 3), eob]],
+            true,
+            true,
+        ),
+        (
+            "ZRLs then a run onto the band end",
+            63,
+            0,
+            [vec![zrl, zrl, zrl, coef(11, 1, 1), coef(1, 1, -1), coef(0, 1, 1)], vec![eob]],
+            true,
+            true,
+        ),
+        (
+            "run past the band end",
+            63,
+            0,
+            [vec![zrl, zrl, zrl, coef(11, 1, 1), coef(11, 1, 1), eob], vec![eob]],
+            false,
+            false,
+        ),
+        (
+            "run past a short band's end",
+            5,
+            0,
+            [vec![coef(0, 5, 20), coef(11, 1, -1), eob], vec![eob]],
+            false,
+            true,
+        ),
+    ]
+}
+
+/// The hand-assembled cases as first AC scans. The table's entries are
+/// checked too: the 10-bit steps and the `i8` values hit, the rest miss.
 #[test]
 fn fast_ac_first_scans_match_oracle_on_hand_assembled_steps() {
     let table = first_scan_table();
@@ -846,77 +940,43 @@ fn fast_ac_first_scans_match_oracle_on_hand_assembled_steps() {
     assert_eq!(entry(coef(0, 8, 128)), Some(0));
 
     let (frame, _) = gray_planes(16, 8, |_| [0; 64]);
-    let eob = (0x00, 0, 0);
-    let zrl = (0xF0, 0, 0);
-    let cases: [(&str, ScanInfo, Vec<Step>, bool); 7] = [
-        (
-            "9, 10 and 11 bits",
-            single_scan(0, 1, 63, 0, 0),
-            vec![
-                coef(0, 5, 17),
-                coef(0, 6, -40),
-                coef(1, 6, 33),
-                coef(0, 5, -31),
-                eob,
-                coef(0, 6, 63),
-                eob,
-            ],
-            true,
-        ),
-        (
-            "i8 edges",
-            single_scan(0, 1, 63, 0, 1),
-            vec![
-                coef(0, 8, -129),
-                coef(0, 8, -128),
-                coef(0, 7, 127),
-                coef(0, 8, 128),
-                eob,
-                coef(0, 8, -128),
-                eob,
-            ],
-            true,
-        ),
-        (
-            "short steps fill whole windows",
-            single_scan(0, 1, 63, 0, 0),
-            [
-                [coef(0, 1, 1), coef(0, 1, -1), coef(1, 1, 1)].repeat(12),
-                vec![eob],
-                vec![coef(0, 1, -1); 63],
-            ]
-            .concat(),
-            true,
-        ),
-        (
-            "EOB run over the second block",
-            single_scan(0, 1, 5, 0, 2),
-            vec![coef(0, 1, 1), coef(0, 7, -100), (0x10, 1, 1)],
-            true,
-        ),
-        (
-            "ZRLs then a run onto the band end",
-            single_scan(0, 1, 63, 0, 0),
-            vec![zrl, zrl, zrl, coef(11, 1, 1), coef(1, 1, -1), coef(0, 1, 1), eob],
-            true,
-        ),
-        (
-            "run past the band end",
-            single_scan(0, 1, 63, 0, 0),
-            vec![zrl, zrl, zrl, coef(11, 1, 1), coef(11, 1, 1), eob],
-            false,
-        ),
-        (
-            "run past a short band's end",
-            single_scan(0, 1, 5, 0, 0),
-            vec![coef(0, 5, 20), coef(11, 1, -1), eob],
-            false,
-        ),
-    ];
-    for (what, scan, steps, ok) in cases {
-        let bytes = assemble(&table, &steps);
-        let out = assert_first_scan_matches_oracle(&frame, &scan, &table, &bytes, what);
+    for (what, se, al, blocks, ok, _) in fast_ac_step_cases() {
+        let scan = single_scan(0, 1, se, 0, al);
+        let bytes = assemble(&table, &blocks.concat());
+        let out = assert_scan_matches_oracle(&frame, &scan, &table, &bytes, what);
         assert_eq!(out.is_ok(), ok, "{what}: {out:?}");
+    }
+}
+
+/// The hand-assembled cases as a sequential scan: each block starts with
+/// a DC difference (+5, then −3) and reads its AC steps over 1..=63 at
+/// full precision. A sequential EOB1 carries no run bits, so the stream
+/// leaves them out.
+#[test]
+fn fast_ac_sequential_scans_match_oracle_on_hand_assembled_steps() {
+    let table = first_scan_table();
+    let dc_enc = HuffEncoder::from_table(&HuffTable::std_dc_luma()).unwrap();
+    let ac_enc = HuffEncoder::from_table(&table).unwrap();
+    let frame = FrameInfo::for_encode(16, 8, 1, Subsampling::S444, false).unwrap();
+    let scan = single_scan(0, 0, 63, 0, 0);
+    let dc_steps = [(3, magnitude(5, 3), 3), (2, magnitude(-3, 2), 2)];
+    let plain_eob = |&(sym, bits, n): &Step| match sym {
+        0x10..=0xE0 if sym & 0x0F == 0 => (sym, 0, 0),
+        _ => (sym, bits, n),
+    };
+    for (what, _, _, blocks, _, ok) in fast_ac_step_cases() {
+        let mut w = BitWriter::new();
+        for (&dc_step, steps) in dc_steps.iter().zip(&blocks) {
+            put_steps(&mut w, &dc_enc, &[dc_step]);
+            put_steps(&mut w, &ac_enc, &steps.iter().map(plain_eob).collect::<Vec<_>>());
+        }
+        let bytes = w.finish();
+        let out = assert_scan_matches_oracle(&frame, &scan, &table, &bytes, what);
+        assert_eq!(out.is_ok(), ok, "{what}: {out:?}");
+        if let Ok(planes) = out {
+            assert_eq!(planes.block(&frame, 0, 0, 0)[0], 5, "{what}");
+            assert_eq!(planes.block(&frame, 0, 0, 1)[0], 2, "{what}");
+        }
     }
 }
 
@@ -937,7 +997,7 @@ fn truncated_first_scans_match_oracle() {
         let bytes =
             ScanEncoder::new(&coeffs).encode_scan(&frame, &scan, true, &mut tables).unwrap();
         let table = tables.iter().flatten().next().expect("an AC table").clone();
-        let whole = assert_first_scan_matches_oracle(&frame, &scan, &table, &bytes, "whole");
+        let whole = assert_scan_matches_oracle(&frame, &scan, &table, &bytes, "whole");
         // The band at the scan's precision, zero elsewhere.
         let mut expected = CoeffPlanes::new(&frame);
         let c = frame.components[0].clone();
@@ -952,7 +1012,7 @@ fn truncated_first_scans_match_oracle() {
         assert_eq!(whole.unwrap(), expected, "{scan:?}");
         for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
             // Zero padding may spell an illegal run: then both must fail alike.
-            let _ = assert_first_scan_matches_oracle(
+            let _ = assert_scan_matches_oracle(
                 &frame,
                 &scan,
                 &table,
@@ -1084,17 +1144,21 @@ fn refine_table() -> HuffTable {
 /// One hand-assembled step: a symbol, then the low `n` bits of `bits`.
 type Step = (u8, u64, u32);
 
-/// Assembles a hand-written entropy segment: each step is a symbol of
-/// `table` followed by the low `n` bits of `bits` (any `n <= 64`).
-fn assemble(table: &HuffTable, steps: &[Step]) -> Vec<u8> {
-    let enc = HuffEncoder::from_table(table).unwrap();
-    let mut w = BitWriter::new();
+/// Writes hand-written steps: each is a symbol of `enc` followed by the
+/// low `n` bits of `bits` (any `n <= 64`).
+fn put_steps(w: &mut BitWriter, enc: &HuffEncoder, steps: &[Step]) {
     for &(sym, bits, n) in steps {
-        enc.encode(&mut w, sym);
+        enc.encode(w, sym);
         for shift in (0..n).rev() {
             w.put_bits((bits >> shift) as u32 & 1, 1);
         }
     }
+}
+
+/// Assembles a hand-written entropy segment of `table`'s steps.
+fn assemble(table: &HuffTable, steps: &[Step]) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    put_steps(&mut w, &HuffEncoder::from_table(table).unwrap(), steps);
     w.finish()
 }
 
@@ -1408,7 +1472,7 @@ proptest! {
         let mut rf = BitReader::new(&bytes);
         let mut rr = ReferenceBitReader::new(&bytes);
         for &sym in &msg {
-            prop_assert_eq!(fast.decode(&mut rf).unwrap(), sym);
+            prop_assert_eq!(fast.decode_symbol(&mut rf).unwrap(), sym);
             prop_assert_eq!(oracle.decode_symbol(&mut rr).unwrap(), sym);
         }
     }

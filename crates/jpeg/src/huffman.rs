@@ -146,12 +146,9 @@ const ESCAPE: u16 = 0x8000;
 /// coefficient step — a code of `len` bits for `run << 4 | size` with
 /// `size >= 1`, then `size` magnitude bits, `len + size <= 10` in all —
 /// whose sign-extended value fits an `i8`. Every other window (EOB, ZRL,
-/// a long code, a large magnitude) is `0`, a miss.
+/// a long code, a large magnitude) is `0`, a miss, which the scan loop
+/// decodes with one fused [`SymbolDecoder::decode_then_bits`] step.
 pub type FastAc = [i16; 1 << LOOKUP_BITS];
-
-/// One decoded symbol+magnitude step (`(symbol, raw bits)`) plus the
-/// speculative second step of [`SymbolDecoder::decode_pair`] when taken.
-pub type DecodedPair = ((u8, u32), Option<(u8, u32)>);
 
 /// A symbol resolver the scan decoder pulls coefficients through:
 /// implemented by the table-driven [`HuffDecoder`] (production) and the
@@ -179,30 +176,6 @@ pub trait SymbolDecoder {
         Ok((sym, v))
     }
 
-    /// Decodes one symbol+bits step and — when `more(symbol)` says the
-    /// scan loop would immediately decode another step from the same
-    /// table — speculatively decodes that second step too. Semantically
-    /// identical to one or two [`SymbolDecoder::decode_then_bits`] calls
-    /// (which is exactly what this default does); the production decoder
-    /// overrides it to resolve both code+magnitude steps from a single
-    /// 32-bit peek with one consume. `more` must be exact: a `true` for a
-    /// symbol after which the scan would *not* read another symbol would
-    /// over-consume the bit stream.
-    #[inline]
-    fn decode_pair<R: BitSource>(
-        &self,
-        r: &mut R,
-        size_of: impl Fn(u8) -> u32,
-        more: impl Fn(u8) -> bool,
-    ) -> Result<DecodedPair> {
-        let first = self.decode_then_bits(r, &size_of)?;
-        if !more(first.0) {
-            return Ok((first, None));
-        }
-        let second = self.decode_then_bits(r, &size_of)?;
-        Ok((first, Some(second)))
-    }
-
     /// Resolves the Huffman code at the top of `w16` — the high half of a
     /// [`BitSource::peek_wide`] window, so bits 15..0 are the next 16
     /// stream bits — to `(symbol, code length)` without touching the
@@ -223,10 +196,10 @@ pub trait SymbolDecoder {
     }
 
     /// The table's [`FastAc`] lookup, when one was built for it: the AC
-    /// first and sequential scan loops take coefficient steps from it
-    /// before falling back to [`SymbolDecoder::decode_pair`]. `None` (the
-    /// default, which keeps the reference decoder on the stepwise path)
-    /// means every step goes through `decode_pair`.
+    /// first and sequential scan loops take coefficient steps from it, and
+    /// decode each miss with one [`SymbolDecoder::decode_then_bits`] step.
+    /// `None` (the default, which keeps the reference decoder on the
+    /// stepwise path) means every step goes through `decode_then_bits`.
     #[inline]
     fn fast_ac(&self) -> Option<&FastAc> {
         None
@@ -367,36 +340,13 @@ impl HuffDecoder {
         };
         (entry != 0).then_some((entry as u8, u32::from(entry >> 8)))
     }
-
-    /// Decodes one symbol from the bit source: at most two table probes.
-    #[inline]
-    pub fn decode<R: BitSource>(&self, r: &mut R) -> Result<u8> {
-        r.prefetch();
-        let window = r.peek_bits(LOOKUP_BITS)?;
-        // pcr-lint: allow(no-panic-in-hot-path) — peek_bits(10) < 1024 == lut1.len()
-        let entry = self.lut1[window as usize];
-        if entry & ESCAPE == 0 {
-            if entry == 0 {
-                return Err(Error::CorruptData("invalid Huffman code".into()));
-            }
-            r.consume(u32::from(entry >> 8))?;
-            return Ok(entry as u8);
-        }
-        let tail = r.peek_bits(MAX_CODE_BITS)? & ((1 << (MAX_CODE_BITS - LOOKUP_BITS)) - 1);
-        // pcr-lint: allow(no-panic-in-hot-path) — base points at a 64-entry block, tail < 64
-        let entry = self.lut2[(entry & !ESCAPE) as usize + tail as usize];
-        if entry == 0 {
-            return Err(Error::CorruptData("invalid Huffman code".into()));
-        }
-        r.consume(u32::from(entry >> 8))?;
-        Ok(entry as u8)
-    }
 }
 
 impl SymbolDecoder for HuffDecoder {
+    /// A [`SymbolDecoder::decode_then_bits`] step with no raw bits.
     #[inline]
     fn decode_symbol<R: BitSource>(&self, r: &mut R) -> Result<u8> {
-        self.decode(r)
+        self.decode_then_bits(r, |_| 0).map(|(sym, _)| sym)
     }
 
     #[inline]
@@ -432,64 +382,6 @@ impl SymbolDecoder for HuffDecoder {
             let v = r.get_bits(size)?;
             Ok((sym, v))
         }
-    }
-
-    /// Multi-symbol fast path: a single 32-bit peek resolves *two*
-    /// code+magnitude steps — symbol 1, its raw bits, symbol 2, its raw
-    /// bits — followed by one consume, when everything fits the window.
-    /// Any overflow (long codes, big magnitudes, a source without wide
-    /// peeks) falls back to the fused 16-bit path, which is bit-for-bit
-    /// the sequence this method must be equivalent to.
-    #[inline]
-    fn decode_pair<R: BitSource>(
-        &self,
-        r: &mut R,
-        size_of: impl Fn(u8) -> u32,
-        more: impl Fn(u8) -> bool,
-    ) -> Result<DecodedPair> {
-        let Some(w) = r.peek_wide() else {
-            // Sources without a 32-bit lookahead: sequential fused steps.
-            let first = self.decode_then_bits(r, &size_of)?;
-            if !more(first.0) {
-                return Ok((first, None));
-            }
-            let second = self.decode_then_bits(r, &size_of)?;
-            return Ok((first, Some(second)));
-        };
-        let (sym1, len1) = self.resolve16(w >> MAX_CODE_BITS)?;
-        let size1 = size_of(sym1);
-        let used1 = len1 + size1;
-        if used1 > MAX_CODE_BITS {
-            // First step spills the 16-bit window: take the two-consume
-            // shape the fused path would use, then go sequential.
-            r.consume(len1)?;
-            let v1 = r.get_bits(size1)?;
-            if !more(sym1) {
-                return Ok(((sym1, v1), None));
-            }
-            let second = self.decode_then_bits(r, &size_of)?;
-            return Ok(((sym1, v1), Some(second)));
-        }
-        let v1 = (w >> (32 - used1)) & ((1u32 << size1) - 1);
-        if !more(sym1) {
-            r.consume(used1)?;
-            return Ok(((sym1, v1), None));
-        }
-        // Second step decoded from the shifted window: after consuming
-        // `used1 <= 16` bits, the next 16 bits are still inside `w`.
-        let (sym2, len2) = self.resolve16((w << used1) >> MAX_CODE_BITS)?;
-        let size2 = size_of(sym2);
-        let used2 = len2 + size2;
-        if used1 + used2 <= 32 {
-            r.consume(used1 + used2)?;
-            let v2 = (w >> (32 - used1 - used2)) & ((1u32 << size2) - 1);
-            return Ok(((sym1, v1), Some((sym2, v2))));
-        }
-        // Second step's raw bits spill past the window: consume step one,
-        // re-decode step two through the 16-bit path.
-        r.consume(used1)?;
-        let second = self.decode_then_bits(r, &size_of)?;
-        Ok(((sym1, v1), Some(second)))
     }
 }
 
@@ -626,7 +518,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         for &s in &symbols {
-            assert_eq!(dec.decode(&mut r).unwrap(), s);
+            assert_eq!(dec.decode_symbol(&mut r).unwrap(), s);
         }
     }
 
@@ -648,7 +540,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         for &s in &msg {
-            assert_eq!(dec.decode(&mut r).unwrap(), s);
+            assert_eq!(dec.decode_symbol(&mut r).unwrap(), s);
         }
     }
 
@@ -676,7 +568,7 @@ mod tests {
         enc.encode(&mut w, 42);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(dec.decode(&mut r).unwrap(), 42);
+        assert_eq!(dec.decode_symbol(&mut r).unwrap(), 42);
     }
 
     #[test]
@@ -719,71 +611,8 @@ mod tests {
         enc.encode(&mut w, 0);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(dec.decode(&mut r).unwrap(), longest);
-        assert_eq!(dec.decode(&mut r).unwrap(), 0);
-    }
-
-    /// `decode_pair`'s wide-window fast path, its sequential fallback on
-    /// the reference reader, and plain `decode_then_bits` steps must all
-    /// produce the identical (symbol, bits) sequence — over standard and
-    /// randomized tables, with AC-style magnitude bits attached.
-    #[test]
-    fn pair_decode_matches_sequential_steps() {
-        let size_of = |s: u8| u32::from(s & 0x0F);
-        let more = |s: u8| s & 0x0F != 0;
-        let mut tables = vec![HuffTable::std_ac_luma(), HuffTable::std_ac_chroma()];
-        let mut seed = 0x1357_9BDFu32;
-        for nsyms in [3usize, 40, 256] {
-            let mut freq = vec![0u32; 256];
-            freq[0] = 50; // guarantee a size-0 terminator symbol
-            for f in freq.iter_mut().take(nsyms).skip(1) {
-                seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
-                *f = 1 + (seed >> 20);
-            }
-            tables.push(gen_optimal_table(&freq).unwrap());
-        }
-        for t in &tables {
-            let enc = HuffEncoder::from_table(t).unwrap();
-            let dec = HuffDecoder::from_table(t).unwrap();
-            // Message: every symbol a few times, magnitude bits attached,
-            // ending on a size-0 symbol so `more` is false at the end.
-            let mut msg: Vec<(u8, u32)> = Vec::new();
-            for &s in t.vals.iter().cycle().take(t.vals.len() * 4) {
-                seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
-                msg.push((s, seed >> (32 - size_of(s).max(1)) & ((1 << size_of(s)) - 1)));
-            }
-            let term = *t.vals.iter().find(|&&s| s & 0x0F == 0).expect("size-0 symbol");
-            msg.push((term, 0));
-            let mut w = BitWriter::new();
-            for &(s, v) in &msg {
-                enc.encode(&mut w, s);
-                w.put_bits(v, size_of(s));
-            }
-            let bytes = w.finish();
-
-            // Sequential ground truth through the fused 16-bit path.
-            let mut r = BitReader::new(&bytes);
-            let expect: Vec<(u8, u32)> =
-                msg.iter().map(|_| dec.decode_then_bits(&mut r, size_of).unwrap()).collect();
-            assert_eq!(expect, msg);
-
-            // Pair decode on the batched reader (wide-peek fast path) and
-            // on the reference reader (sequential fallback).
-            let mut fast = BitReader::new(&bytes);
-            let mut reference = crate::reference::ReferenceBitReader::new(&bytes);
-            let mut got_fast = Vec::new();
-            let mut got_ref = Vec::new();
-            while got_fast.len() < msg.len() {
-                let (first, second) = dec.decode_pair(&mut fast, size_of, more).unwrap();
-                got_fast.push(first);
-                got_fast.extend(second);
-                let (first, second) = dec.decode_pair(&mut reference, size_of, more).unwrap();
-                got_ref.push(first);
-                got_ref.extend(second);
-            }
-            assert_eq!(got_fast, msg);
-            assert_eq!(got_ref, msg);
-        }
+        assert_eq!(dec.decode_symbol(&mut r).unwrap(), longest);
+        assert_eq!(dec.decode_symbol(&mut r).unwrap(), 0);
     }
 
     /// The two-level LUT decoder and the retained canonical
@@ -822,7 +651,7 @@ mod tests {
             let mut rf = BitReader::new(&bytes);
             let mut rr = BitReader::new(&bytes);
             for &s in &msg {
-                assert_eq!(fast.decode(&mut rf).unwrap(), s);
+                assert_eq!(fast.decode_symbol(&mut rf).unwrap(), s);
                 assert_eq!(reference.decode_symbol(&mut rr).unwrap(), s);
             }
         }
