@@ -67,6 +67,7 @@ const HOT_PANIC_FILES: &[&str] = &[
     "crates/jpeg/src/bitio.rs",
     "crates/jpeg/src/huffman.rs",
     "crates/jpeg/src/dct.rs",
+    "crates/jpeg/src/decoder.rs",
     "crates/jpeg/src/dentropy.rs",
     "crates/core/src/wire.rs",
     "crates/core/src/record.rs",

@@ -66,9 +66,10 @@ impl SampleMetaRef<'_> {
 }
 
 /// Reusable buffers for [`PcrRecord::decode_image_with`]: the assembled
-/// JPEG byte stream plus the decoder's coefficient/sample planes. One
+/// JPEG byte stream plus the decoder's [`pcr_jpeg::DecodeScratch`]. One
 /// `RecordScratch` per worker thread removes every per-image intermediate
-/// allocation from a data-loading hot loop.
+/// allocation from a data-loading hot loop; [`PcrRecord::decode_image`]
+/// makes a fresh one per call.
 #[derive(Debug, Default)]
 pub struct RecordScratch {
     jpeg: Vec<u8>,
@@ -440,16 +441,16 @@ impl<'a> PcrRecord<'a> {
         Ok(out)
     }
 
-    /// Decodes image `i` at scan group `g`.
+    /// Decodes image `i` at scan group `g`: [`PcrRecord::decode_image_with`]
+    /// on a fresh scratch.
     pub fn decode_image(&self, i: usize, g: usize) -> Result<ImageBuf> {
-        let jpeg = self.jpeg_at_group(i, g)?;
-        Ok(pcr_jpeg::decode(&jpeg)?)
+        self.decode_image_with(i, g, &mut RecordScratch::new())
     }
 
     /// Decodes image `i` at scan group `g`, reusing `scratch` for the
-    /// assembled JPEG stream and the decoder's working planes. Equivalent
-    /// to [`PcrRecord::decode_image`] but the only allocation that escapes
-    /// is the returned image's pixel buffer.
+    /// assembled JPEG stream and the decoder's working planes — the one
+    /// record decode path. The only allocation that escapes is the
+    /// returned image's pixel buffer.
     pub fn decode_image_with(&self, i: usize, g: usize, scratch: &mut RecordScratch) -> Result<ImageBuf> {
         let mut jpeg = std::mem::take(&mut scratch.jpeg);
         let assembled = self.jpeg_at_group_into(i, g, &mut jpeg);
@@ -563,15 +564,39 @@ mod tests {
         assert!(last.is_infinite());
     }
 
+    /// `decode_image` is `decode_image_with` on a fresh scratch, so a
+    /// reused scratch is also held to the stream each image was built
+    /// from: the JPEG the record assembles at group `g` is that stream's
+    /// `g`-scan prefix, byte for byte, and `pcr-jpeg` checks `decode_with`
+    /// on every such prefix against its reference decoder.
     #[test]
     fn scratch_decode_matches_plain_decode_across_records() {
-        let bytes_a = build_record(3);
-        let bytes_b = build_record(2);
         let mut scratch = RecordScratch::new();
-        for bytes in [&bytes_a, &bytes_b] {
-            let rec = PcrRecord::parse(bytes).unwrap();
+        for n in [3u32, 2] {
+            let mut b = PcrRecordBuilder::with_default_groups();
+            let sources: Vec<Vec<u8>> = (0..n)
+                .map(|i| {
+                    let img = test_image(i + 1, 48, 32);
+                    let jpeg = pcr_jpeg::encode(&img, &EncodeConfig::progressive(85)).unwrap();
+                    let meta = SampleMeta {
+                        label: i,
+                        id: format!("img{i}"),
+                    };
+                    b.add_progressive_jpeg(meta, jpeg.clone()).unwrap();
+                    jpeg
+                })
+                .collect();
+            let bytes = b.build().unwrap();
+            let rec = PcrRecord::parse(&bytes).unwrap();
             for g in [1usize, 4, 10] {
-                for i in 0..rec.num_images() {
+                for (i, source) in sources.iter().enumerate() {
+                    let layout = split_scans(source).unwrap();
+                    let prefix = pcr_jpeg::assemble_prefix(source, &layout, g).unwrap();
+                    assert_eq!(
+                        rec.jpeg_at_group(i, g).unwrap(),
+                        prefix,
+                        "image {i} group {g}"
+                    );
                     let plain = rec.decode_image(i, g).unwrap();
                     let pooled = rec.decode_image_with(i, g, &mut scratch).unwrap();
                     assert_eq!(plain, pooled, "image {i} group {g}");
@@ -724,7 +749,7 @@ mod tests {
             al: 0,
         }));
         let four_scans = pcr_jpeg::transcode(&base, true, Some(script)).unwrap();
-        assert_eq!(pcr_jpeg::count_scans(&four_scans).unwrap(), 4);
+        assert_eq!(pcr_jpeg::split_scans(&four_scans).unwrap().num_scans(), 4);
         let packed = |jpeg: &[u8]| {
             let mut b = PcrRecordBuilder::with_default_groups();
             b.add_baseline_jpeg(SampleMeta { label: 1, id: "p".into() }, jpeg).unwrap();
@@ -732,7 +757,7 @@ mod tests {
         };
         let bytes = packed(&four_scans);
         let full = PcrRecord::parse(&bytes).unwrap().jpeg_at_group(0, 10).unwrap();
-        assert_eq!(pcr_jpeg::count_scans(&full).unwrap(), 10);
+        assert_eq!(pcr_jpeg::split_scans(&full).unwrap().num_scans(), 10);
         assert_eq!(bytes, packed(&base));
     }
 

@@ -196,6 +196,6 @@ mod tests {
         let ds = tiny();
         let jpegs = test_progressive_jpegs(&ds);
         assert_eq!(jpegs.len(), ds.test.len());
-        assert_eq!(pcr_jpeg::count_scans(&jpegs[0]).unwrap(), 10);
+        assert_eq!(pcr_jpeg::split_scans(&jpegs[0]).unwrap().num_scans(), 10);
     }
 }

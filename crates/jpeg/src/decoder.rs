@@ -14,17 +14,13 @@ use crate::frame::{CoeffPlanes, FrameInfo, ScanInfo};
 use crate::huffman::HuffDecoder;
 use crate::image::ImageBuf;
 use crate::marker::{self, Segment, SegmentReader};
-use crate::sample::{coeffs_to_planes, coeffs_to_planes_pooled, planes_to_image};
+use crate::sample::{coeffs_to_planes_pooled, planes_to_image};
 
 /// Callbacks around entropy-decode work units, letting callers outside
 /// this crate attribute wall-clock time to scans and restart segments
 /// (the decoder itself takes no timestamps). All methods default to
 /// no-ops.
 pub trait DecodeObserver {
-    /// A scan is about to decode as `nsegs` restart segments.
-    fn scan_begin(&mut self, scan_idx: usize, nsegs: usize) {
-        let _ = (scan_idx, nsegs);
-    }
     /// Restart segment `seg` covering `units` MCU units is about to decode.
     fn segment_begin(&mut self, scan_idx: usize, seg: usize, units: u32) {
         let _ = (scan_idx, seg, units);
@@ -44,7 +40,8 @@ impl DecodeObserver for NoopObserver {}
 /// Reusable decode buffers: coefficient planes and sample planes survive
 /// across calls to [`decode_with`], so a data-loading hot loop performs no
 /// per-image plane allocations (the pixel buffer of the returned
-/// [`ImageBuf`] is the only allocation that escapes).
+/// [`ImageBuf`] is the only allocation that escapes). [`decode`] runs the
+/// same path on a fresh scratch.
 ///
 /// Buffers are keyed by nothing — any image geometry can reuse them, since
 /// pooled vectors are resized (retaining capacity) to each frame's needs.
@@ -77,31 +74,27 @@ pub struct DecodedCoeffs {
 }
 
 impl DecodedCoeffs {
-    /// Reconstructs pixels from whatever coefficients were decoded.
-    pub fn to_image(&self) -> Result<ImageBuf> {
-        let planes = coeffs_to_planes(&self.coeffs, &self.frame, &self.qtables)?;
-        planes_to_image(&planes, &self.frame)
-    }
-
     /// Estimated source quality factor from the luma quantization table.
     pub fn estimated_quality(&self) -> Option<u8> {
-        self.qtables[self.frame.components.first()?.tq as usize]
+        let tq = self.frame.components.first()?.tq;
+        self.qtables
+            .get(usize::from(tq))?
             .as_ref()
             .map(estimate_quality)
     }
 }
 
-/// Decodes a stream fully to an image.
+/// Decodes a stream fully to an image: [`decode_with`] on a fresh
+/// scratch.
 pub fn decode(data: &[u8]) -> Result<ImageBuf> {
-    decode_coeffs(data)?.to_image()
+    decode_with(data, &mut DecodeScratch::new())
 }
 
 /// Decodes a stream fully to an image, reusing `scratch` buffers for the
-/// coefficient and sample planes. Equivalent to [`decode`] but without the
-/// per-image intermediate allocations — the variant wall-clock data
-/// loaders call in their worker hot loop.
+/// coefficient and sample planes — the one pixel decode path; wall-clock
+/// data loaders keep one scratch per worker.
 pub fn decode_with(data: &[u8], scratch: &mut DecodeScratch) -> Result<ImageBuf> {
-    let decoded = decode_coeffs_pooled(data, &mut scratch.coeff_pool)?;
+    let decoded = decode_coeffs_observed(data, &mut scratch.coeff_pool, &mut NoopObserver)?;
     let planes =
         coeffs_to_planes_pooled(&decoded.coeffs, &decoded.frame, &decoded.qtables, &mut scratch.plane_pool)?;
     let img = planes_to_image(&planes, &decoded.frame);
@@ -114,18 +107,14 @@ pub fn decode_with(data: &[u8], scratch: &mut DecodeScratch) -> Result<ImageBuf>
 
 /// Decodes a stream to quantized coefficients plus tables and scan list.
 pub fn decode_coeffs(data: &[u8]) -> Result<DecodedCoeffs> {
-    decode_coeffs_pooled(data, &mut Vec::new())
+    decode_coeffs_observed(data, &mut Vec::new(), &mut NoopObserver)
 }
 
-/// [`decode_coeffs`] with coefficient-plane storage drawn from `pool`
-/// (recycle with [`CoeffPlanes::recycle_into`]).
-pub fn decode_coeffs_pooled(data: &[u8], pool: &mut Vec<Vec<i16>>) -> Result<DecodedCoeffs> {
-    decode_coeffs_observed(data, pool, &mut NoopObserver)
-}
-
-/// [`decode_coeffs_pooled`] reporting every scan and restart
-/// segment to `obs` — the hook benchmarks use to time segments without
-/// this crate owning a clock.
+/// Decodes a stream to coefficients — the one coefficient decode path.
+/// Coefficient-plane storage is drawn from `pool` (recycle with
+/// [`CoeffPlanes::recycle_into`]), and every restart segment is reported
+/// to `obs`, the hook benchmarks use to time segments without this crate
+/// owning a clock.
 pub fn decode_coeffs_observed(
     data: &[u8],
     pool: &mut Vec<Vec<i16>>,
@@ -140,8 +129,7 @@ pub fn decode_coeffs_observed(
     let mut qtables: [Option<[u16; 64]>; 4] = [None, None, None, None];
     let mut dc_tables: [Option<HuffDecoder>; 4] = [None, None, None, None];
     let mut ac_tables: [Option<HuffDecoder>; 4] = [None, None, None, None];
-    let mut frame: Option<FrameInfo> = None;
-    let mut coeffs: Option<CoeffPlanes> = None;
+    let mut image: Option<(FrameInfo, CoeffPlanes)> = None;
     let mut scans: Vec<ScanInfo> = Vec::new();
     let mut saw_eoi = false;
     let mut restart_interval: u16 = 0;
@@ -150,7 +138,7 @@ pub fn decode_coeffs_observed(
         let seg = match reader.next_segment() {
             Ok(seg) => seg,
             // A truncated stream (no EOI) still yields what was decoded.
-            Err(Error::UnexpectedEof) if frame.is_some() => break,
+            Err(Error::UnexpectedEof) if image.is_some() => break,
             Err(e) => return Err(e),
         };
         match seg {
@@ -162,40 +150,43 @@ pub fn decode_coeffs_observed(
             Segment::Marker { marker: m, payload } => match m {
                 DQT => {
                     for (id, table) in marker::parse_dqt(payload)? {
-                        qtables[id as usize] = Some(table);
+                        // pcr-lint: allow(no-panic-in-hot-path) — parse_dqt rejects table id > 3
+                        qtables[usize::from(id)] = Some(table);
                     }
                 }
                 DHT => {
                     for (class, id, table) in marker::parse_dht(payload)? {
                         let dec = HuffDecoder::from_table(&table)?;
-                        if class == 0 {
-                            dc_tables[id as usize] = Some(dec);
+                        let tables = if class == 0 {
+                            &mut dc_tables
                         } else {
-                            ac_tables[id as usize] = Some(dec);
-                        }
+                            &mut ac_tables
+                        };
+                        // pcr-lint: allow(no-panic-in-hot-path) — parse_dht rejects table id > 3
+                        tables[usize::from(id)] = Some(dec);
                     }
                 }
                 SOF0 | SOF1 | SOF2 => {
-                    if frame.is_some() {
+                    if image.is_some() {
                         return Err(Error::CorruptData("multiple SOF".into()));
                     }
                     let f = marker::parse_sof(payload, m == SOF2)?;
-                    coeffs = Some(CoeffPlanes::with_pool(&f, pool));
-                    frame = Some(f);
+                    let planes = CoeffPlanes::with_pool(&f, pool);
+                    image = Some((f, planes));
                 }
                 DRI => {
-                    if payload.len() != 2 {
+                    let &[hi, lo] = payload else {
                         return Err(Error::BadSegmentLength { marker: DRI });
-                    }
-                    restart_interval = u16::from_be_bytes([payload[0], payload[1]]);
+                    };
+                    restart_interval = u16::from_be_bytes([hi, lo]);
                 }
                 // APPn / COM and other informational segments: skipped.
                 _ => {}
             },
             Segment::Sos { payload, entropy_start } => {
-                let f = frame
-                    .as_ref()
-                    .ok_or_else(|| Error::BadScan("SOS before SOF".into()))?;
+                let Some((f, planes)) = image.as_mut() else {
+                    return Err(Error::BadScan("SOS before SOF".into()));
+                };
                 let scan = marker::parse_sos(payload, f)?;
                 // Fast-AC tables only for the tables that read them: AC
                 // first and sequential scans.
@@ -207,11 +198,12 @@ pub fn decode_coeffs_observed(
                     }
                 }
                 let (_, entropy_end) = reader.skip_entropy();
-                let entropy = &data[entropy_start..entropy_end];
+                // An empty range decodes as a truncated scan.
+                let entropy = data.get(entropy_start..entropy_end).unwrap_or_default();
                 let tables = DecodeTables { dc: &dc_tables, ac: &ac_tables };
                 decode_scan_entropy(
                     f,
-                    coeffs.as_mut().expect("coeffs with frame"),
+                    planes,
                     &scan,
                     &tables,
                     entropy,
@@ -224,8 +216,7 @@ pub fn decode_coeffs_observed(
         }
     }
 
-    let frame = frame.ok_or(Error::UnsupportedFrame("no SOF in stream".into()))?;
-    let coeffs = coeffs.expect("coeffs allocated with frame");
+    let (frame, coeffs) = image.ok_or(Error::UnsupportedFrame("no SOF in stream".into()))?;
     Ok(DecodedCoeffs { frame, coeffs, qtables, scans, saw_eoi })
 }
 
@@ -250,7 +241,6 @@ fn decode_scan_entropy(
     let total = mcu_units(frame, scan);
     let interval = u32::from(interval);
     if interval == 0 || interval >= total {
-        obs.scan_begin(scan_idx, 1);
         obs.segment_begin(scan_idx, 0, total);
         let mut bits = BitReader::new(entropy);
         decode_scan_range(frame, coeffs, scan, tables, &mut bits, 0..total)?;
@@ -259,39 +249,15 @@ fn decode_scan_entropy(
     }
     let ranges = split_restart_segments(entropy);
     let expected = total.div_ceil(interval) as usize;
-    let nseg = ranges.len().min(expected);
-    obs.scan_begin(scan_idx, nseg);
-    for (seg, &(s, e)) in ranges[..nseg].iter().enumerate() {
+    for (seg, &(s, e)) in ranges.iter().take(expected).enumerate() {
         let start = seg as u32 * interval;
         let units = start..(start + interval).min(total);
         obs.segment_begin(scan_idx, seg, units.end - units.start);
-        let mut bits = BitReader::new(&entropy[s..e]);
+        let mut bits = BitReader::new(entropy.get(s..e).unwrap_or_default());
         decode_scan_range(frame, coeffs, scan, tables, &mut bits, units)?;
         obs.segment_end(scan_idx, seg);
     }
     Ok(())
-}
-
-/// Counts the scans present in a stream without entropy-decoding them.
-pub fn count_scans(data: &[u8]) -> Result<usize> {
-    let mut reader = SegmentReader::new(data);
-    match reader.next_segment()? {
-        Segment::Soi => {}
-        _ => return Err(Error::NotJpeg),
-    }
-    let mut n = 0usize;
-    loop {
-        match reader.next_segment() {
-            Ok(Segment::Sos { .. }) => {
-                n += 1;
-                reader.skip_entropy();
-            }
-            Ok(Segment::Eoi) | Err(Error::UnexpectedEof) => break,
-            Ok(_) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(n)
 }
 
 #[cfg(test)]
@@ -381,15 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn count_scans_progressive() {
-        let img = test_image(32, 32);
-        let prog = encode(&img, &EncodeConfig::progressive(80)).unwrap();
-        assert_eq!(count_scans(&prog).unwrap(), 10);
-        let base = encode(&img, &EncodeConfig::baseline(80)).unwrap();
-        assert_eq!(count_scans(&base).unwrap(), 1);
-    }
-
-    #[test]
     fn quality_estimate_from_stream() {
         let img = test_image(32, 32);
         for q in [60u8, 75, 91] {
@@ -400,6 +357,9 @@ mod tests {
         }
     }
 
+    /// `decode` is `decode_with` on a fresh scratch, so the independent
+    /// check is the reference decoder: one reused scratch must match it
+    /// on every scan prefix of every geometry.
     #[test]
     fn scratch_decode_matches_fresh_decode() {
         let mut scratch = DecodeScratch::new();
@@ -412,9 +372,14 @@ mod tests {
                 EncodeConfig::baseline(87)
             };
             let data = encode(&img, &cfg).unwrap();
-            let fresh = decode(&data).unwrap();
-            let pooled = decode_with(&data, &mut scratch).unwrap();
-            assert_eq!(fresh, pooled);
+            let layout = crate::scansplit::split_scans(&data).unwrap();
+            for n in 1..=layout.num_scans() {
+                let prefix = crate::scansplit::assemble_prefix(&data, &layout, n).unwrap();
+                let pooled = decode_with(&prefix, &mut scratch).unwrap();
+                assert_eq!(decode(&prefix).unwrap(), pooled, "{w}x{h}, {n} scans");
+                let oracle = crate::reference::reference_decode(&prefix).unwrap();
+                assert_eq!(oracle, pooled, "{w}x{h}, {n} scans");
+            }
         }
         // After a color decode the pools hold the recycled buffers.
         assert_eq!(scratch.coeff_pool.len(), 3);

@@ -50,8 +50,8 @@ pub mod scansplit;
 pub mod transcode;
 
 pub use decoder::{
-    count_scans, decode, decode_coeffs, decode_coeffs_observed, decode_coeffs_pooled,
-    decode_with, DecodeObserver, DecodeScratch, DecodedCoeffs, NoopObserver,
+    decode, decode_coeffs, decode_coeffs_observed, decode_with, DecodeObserver, DecodeScratch,
+    DecodedCoeffs, NoopObserver,
 };
 pub use encoder::{default_progressive_script, encode, EncodeConfig};
 pub use error::{Error, Result};

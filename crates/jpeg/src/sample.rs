@@ -216,17 +216,9 @@ impl BlockIdct for FastBlockIdct {
     }
 }
 
-/// Dequantizes and inverse transforms coefficients back into sample planes.
-pub fn coeffs_to_planes(
-    coeffs: &CoeffPlanes,
-    frame: &FrameInfo,
-    qtables: &[Option<[u16; 64]>; 4],
-) -> Result<Vec<SamplePlane>> {
-    coeffs_to_planes_pooled(coeffs, frame, qtables, &mut Vec::new())
-}
-
-/// [`coeffs_to_planes`] with plane buffers drawn from (and returnable to,
-/// via [`SamplePlane::recycle_into`]) `pool`, so a decode loop reconstructs
+/// Dequantizes and inverse transforms coefficients back into sample
+/// planes, with plane buffers drawn from (and returnable to, via
+/// [`SamplePlane::recycle_into`]) `pool`, so a decode loop reconstructs
 /// pixels without per-image plane allocations.
 pub fn coeffs_to_planes_pooled(
     coeffs: &CoeffPlanes,
@@ -422,7 +414,7 @@ mod tests {
         let q = qtables(95);
         let planes = image_to_planes(&img, &frame).unwrap();
         let coeffs = planes_to_coeffs(&planes, &frame, &q).unwrap();
-        let back = coeffs_to_planes(&coeffs, &frame, &q).unwrap();
+        let back = coeffs_to_planes_pooled(&coeffs, &frame, &q, &mut Vec::new()).unwrap();
         let out = planes_to_image(&back, &frame).unwrap();
         // Smooth gradient at q95 should reconstruct closely.
         let mut max_err = 0i32;
@@ -444,7 +436,7 @@ mod tests {
         let q = qtables(90);
         let planes = image_to_planes(&img, &frame).unwrap();
         let coeffs = planes_to_coeffs(&planes, &frame, &q).unwrap();
-        let back = coeffs_to_planes(&coeffs, &frame, &q).unwrap();
+        let back = coeffs_to_planes_pooled(&coeffs, &frame, &q, &mut Vec::new()).unwrap();
         let out = planes_to_image(&back, &frame).unwrap();
         assert_eq!(out.width(), 17);
         assert_eq!(out.height(), 11);
@@ -487,7 +479,8 @@ mod tests {
         let frame = FrameInfo::for_encode(8, 8, 1, Subsampling::S444, false).unwrap();
         let mut coeffs = CoeffPlanes::new(&frame);
         coeffs.block_mut(&frame, 0, 0, 0)[2] = 20;
-        let planes = coeffs_to_planes(&coeffs, &frame, &qtables(75)).unwrap();
+        let planes =
+            coeffs_to_planes_pooled(&coeffs, &frame, &qtables(75), &mut Vec::new()).unwrap();
         let rows: Vec<&[u8]> = planes[0].data.chunks_exact(8).collect();
         for row in &rows {
             assert!(row.iter().all(|&p| p == row[0]), "row not flat: {row:?}");

@@ -41,9 +41,10 @@ pub fn transcode(data: &[u8], progressive: bool, script: Option<Vec<ScanInfo>>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::{count_scans, decode, decode_coeffs};
+    use crate::decoder::{decode, decode_coeffs};
     use crate::encoder::{encode, EncodeConfig};
     use crate::image::ImageBuf;
+    use crate::scansplit::split_scans;
 
     fn test_image(w: u32, h: u32) -> ImageBuf {
         let mut data = Vec::with_capacity((w * h * 3) as usize);
@@ -66,7 +67,7 @@ mod tests {
         let b = decode_coeffs(&prog).unwrap();
         assert_eq!(a.coeffs, b.coeffs);
         assert_eq!(a.qtables, b.qtables);
-        assert_eq!(count_scans(&prog).unwrap(), 10);
+        assert_eq!(split_scans(&prog).unwrap().num_scans(), 10);
     }
 
     #[test]
@@ -76,7 +77,7 @@ mod tests {
         let prog = to_progressive(&base).unwrap();
         let back = to_sequential(&prog).unwrap();
         assert_eq!(decode(&base).unwrap(), decode(&back).unwrap());
-        assert_eq!(count_scans(&back).unwrap(), 1);
+        assert_eq!(split_scans(&back).unwrap().num_scans(), 1);
     }
 
     #[test]

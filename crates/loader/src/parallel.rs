@@ -657,7 +657,9 @@ mod tests {
         assert_eq!(report.decode_seconds, 0.0);
     }
 
-    /// A catalog whose decode panics on one record.
+    /// A catalog that panics when asked to plan one record below group
+    /// 10 — the lower-group re-plan a failed decode check makes on the
+    /// decode worker.
     struct PanicsOn(MetaDb, usize);
 
     impl RecordSource for PanicsOn {
@@ -665,31 +667,25 @@ mod tests {
             self.0.num_records()
         }
         fn plan(&self, idx: usize, scan_group: usize) -> crate::source::ReadPlan<'_> {
+            if idx == self.1 && scan_group < 10 {
+                panic!("decode worker panicked re-planning record {idx}");
+            }
             self.0.plan(idx, scan_group)
         }
         fn labels(&self, idx: usize) -> &[u32] {
             self.0.labels(idx)
         }
-        fn decode_real(
-            &self,
-            idx: usize,
-            bytes: &[u8],
-            scan_group: usize,
-            scratch: &mut RecordScratch,
-        ) -> Option<Vec<ImageBuf>> {
-            if idx == self.1 {
-                panic!("decode panicked on record {idx}");
-            }
-            self.0.decode_real(idx, bytes, scan_group, scratch)
-        }
     }
 
     /// A stage thread that dies cuts the epoch short; the fold must say
-    /// so by panicking instead of reporting the partial epoch.
+    /// so by panicking instead of reporting the partial epoch. Record 1
+    /// is stored as bytes that fail the decode check, so its decode
+    /// worker descends the ladder and panics in the re-plan.
     #[test]
-    #[should_panic(expected = "decode panicked on record 1")]
+    #[should_panic(expected = "decode worker panicked re-planning record 1")]
     fn stage_thread_panic_reaches_the_fold() {
         let (store, db) = make(9, DeviceProfile::ram());
+        store.put(&db.records[1].name, b"not a record".to_vec());
         let source = Arc::new(PanicsOn((*db).clone(), 1));
         let loader = ParallelLoader::new(store, source, ParallelConfig::real(2, 10));
         loader.spawn_epoch(0).fold(|batches| batches.count());

@@ -27,7 +27,7 @@
 //! run.
 
 use crate::config::DecodeMode;
-use crate::source::{ReadPlan, RecordSource};
+use crate::source::{decode_pcr_prefix, ReadPlan, RecordSource};
 use pcr_core::RecordScratch;
 use pcr_jpeg::ImageBuf;
 use pcr_metrics::EpochFaultCounters;
@@ -293,10 +293,10 @@ impl Ladder {
     /// further rung `fetch` produces until one is accepted or the ladder
     /// is exhausted, then accounts the record — degraded when the rung is
     /// below the requested group, quarantined when no rung was accepted.
-    /// Under [`DecodeMode::Real`] the decode *is* the check, timed through
-    /// [`crate::timing::measure`], so silent bit flips degrade instead of
-    /// propagating corrupt pixels; [`DecodeMode::Skip`] accepts any bytes
-    /// read.
+    /// Under [`DecodeMode::Real`] the decode ([`decode_pcr_prefix`]) *is*
+    /// the check, timed through [`crate::timing::measure`], so silent bit
+    /// flips degrade instead of propagating corrupt pixels;
+    /// [`DecodeMode::Skip`] accepts any bytes read.
     pub(crate) fn deliver<S: RecordSource + ?Sized>(
         mut self,
         first: Option<Rung>,
@@ -313,7 +313,7 @@ impl Ladder {
                 DecodeMode::Skip => Vec::new(),
                 DecodeMode::Real => {
                     let (decoded, seconds) = crate::timing::measure(|| {
-                        source.decode_real(self.idx, bytes, self.requested, scratch)
+                        decode_pcr_prefix(bytes, self.requested, scratch)
                     });
                     decode_s += seconds;
                     let Some(images) = decoded else {

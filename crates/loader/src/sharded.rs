@@ -26,8 +26,7 @@
 
 use crate::source::{ReadPlan, RecordSource};
 use pcr_core::container::{PcrContainer, ShardRecord};
-use pcr_core::{Error, RecordScratch, Result};
-use pcr_jpeg::ImageBuf;
+use pcr_core::{Error, Result};
 use pcr_storage::{DeviceProfile, ObjectStore};
 use std::path::Path;
 use std::sync::Arc;
@@ -102,18 +101,6 @@ impl RecordSource for ShardedSource {
 
     fn labels(&self, idx: usize) -> &[u32] {
         &self.records[idx].1.labels
-    }
-
-    fn decode_real(
-        &self,
-        _idx: usize,
-        bytes: &[u8],
-        scan_group: usize,
-        scratch: &mut RecordScratch,
-    ) -> Option<Vec<ImageBuf>> {
-        // Identical to the MetaDb path by construction: the planned range
-        // *is* a `.pcr` record prefix, wherever in the shard it came from.
-        crate::source::decode_pcr_prefix(bytes, scan_group, scratch)
     }
 }
 

@@ -31,10 +31,11 @@ pub struct ReadPlan<'a> {
 /// DB ([`MetaDb`], records stored one object each) or a packed container
 /// ([`crate::sharded::ShardedSource`]).
 ///
-/// The trait answers three questions per record index: what bytes to read
-/// for a given scan group ([`RecordSource::plan`]), what labels it carries
-/// ([`RecordSource::labels`]), and how to turn read bytes into pixels
-/// ([`RecordSource::decode_real`]).
+/// The trait answers two questions per record index: what bytes to read
+/// for a given scan group ([`RecordSource::plan`]) and what labels it
+/// carries ([`RecordSource::labels`]). The loader decodes every read as
+/// a `.pcr` record prefix (`decode_pcr_prefix`), so a source has no
+/// decode of its own.
 pub trait RecordSource: Send + Sync {
     /// Number of records.
     fn num_records(&self) -> usize;
@@ -44,24 +45,14 @@ pub trait RecordSource: Send + Sync {
 
     /// Labels of the record's images, in order.
     fn labels(&self, idx: usize) -> &[u32];
-
-    /// Decodes the bytes of record `idx` (as planned by
-    /// [`RecordSource::plan`]) into images at `scan_group`. Returns `None`
-    /// when the bytes cannot be decoded; loaders skip such records.
-    fn decode_real(
-        &self,
-        idx: usize,
-        bytes: &[u8],
-        scan_group: usize,
-        scratch: &mut RecordScratch,
-    ) -> Option<Vec<ImageBuf>>;
 }
 
 /// Decodes a planned `.pcr` record prefix into images at `scan_group`,
 /// clamped to the groups the bytes actually contain — the one decode
-/// implementation every PCR-format source (`MetaDb`,
-/// [`crate::sharded::ShardedSource`]) shares, so clamping semantics can
-/// never diverge between the per-record and sharded layouts.
+/// every source's reads go through, so clamping semantics can never
+/// diverge between the per-record and sharded layouts. Returns `None`
+/// when the bytes cannot be decoded; the loader's decode check then
+/// tries a lower group.
 pub(crate) fn decode_pcr_prefix(
     bytes: &[u8],
     scan_group: usize,
@@ -88,16 +79,6 @@ impl RecordSource for MetaDb {
 
     fn labels(&self, idx: usize) -> &[u32] {
         &self.records[idx].labels
-    }
-
-    fn decode_real(
-        &self,
-        _idx: usize,
-        bytes: &[u8],
-        scan_group: usize,
-        scratch: &mut RecordScratch,
-    ) -> Option<Vec<ImageBuf>> {
-        decode_pcr_prefix(bytes, scan_group, scratch)
     }
 }
 

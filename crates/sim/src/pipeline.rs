@@ -200,7 +200,7 @@ pub fn run_pipeline(records: &[ModeledRecord], compute: &ComputeUnit, start: f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr_core::{MetaDb, PcrDatasetBuilder, RecordFileBuilder, RecordScratch, SampleMeta};
+    use pcr_core::{MetaDb, PcrDatasetBuilder, RecordFileBuilder, SampleMeta};
     use pcr_jpeg::ImageBuf;
     use pcr_loader::{populate_store, ReadPlan};
     use pcr_storage::DeviceProfile;
@@ -317,15 +317,6 @@ mod tests {
         }
         fn labels(&self, idx: usize) -> &[u32] {
             &self.0[idx].1
-        }
-        fn decode_real(
-            &self,
-            _idx: usize,
-            _bytes: &[u8],
-            _scan_group: usize,
-            _scratch: &mut RecordScratch,
-        ) -> Option<Vec<ImageBuf>> {
-            None
         }
     }
 

@@ -21,7 +21,7 @@
 //! Replay a failure by pinning `PROPTEST_SEED`; CI's chaos job raises
 //! `PROPTEST_CASES` and pins the seed for reproducibility.
 
-use pcr::core::{MetaDb, PcrDatasetBuilder, RecordScratch, SampleMeta};
+use pcr::core::{MetaDb, PcrDatasetBuilder, PcrRecord, SampleMeta};
 use pcr::jpeg::ImageBuf;
 use pcr::loader::{
     populate_store, DecodeMode, FaultReport, LoaderConfig, ParallelConfig, ParallelLoader,
@@ -197,14 +197,17 @@ fn records_in_order(
     records
 }
 
-/// Record `idx` decoded from a clean store's prefix at `group`.
+/// Record `idx` decoded from a clean store's prefix at `group`, clamped
+/// to the groups the prefix holds.
 fn clean_decode(clean: &ObjectStore, idx: usize, group: usize) -> Vec<ImageBuf> {
-    let db = &dataset().db;
-    let plan = db.plan(idx, group);
+    let plan = dataset().db.plan(idx, group);
     let read =
         clean.read(Clock::Virtual(0.0), plan.name, plan.offset, plan.len).expect("clean read");
-    db.decode_real(idx, &read.data, group, &mut RecordScratch::new())
-        .expect("clean prefix decodes")
+    let rec = PcrRecord::parse(&read.data).expect("clean prefix parses");
+    let g = rec.available_groups().min(group).max(1);
+    (0..rec.num_images())
+        .map(|i| rec.decode_image(i, g).expect("clean prefix decodes"))
+        .collect()
 }
 
 proptest! {

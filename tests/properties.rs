@@ -72,7 +72,7 @@ proptest! {
             }
         }
         // And the reconstructed pixels are bit-identical.
-        prop_assert_eq!(a.to_image().unwrap(), b.to_image().unwrap());
+        prop_assert_eq!(decode(&base).unwrap(), decode(&prog).unwrap());
     }
 
     #[test]
