@@ -262,50 +262,37 @@ fn pack_image_dir(
         ));
     }
 
-    let total = loose.len() + classes.iter().map(|(_, f)| f.len()).sum::<usize>();
-    let mut progress = Progress::new(total, !json);
-    let mut add_file = |path: &Path, label: u32, builder: &mut PcrDatasetBuilder| {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                eprintln!("skipping {}: {e}", path.display());
-                skipped += 1;
-                return;
-            }
-        };
-        let id = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        let meta = SampleMeta { label, id };
-        // Every JPEG the codec can decode to coefficients — baseline or
-        // progressive, whatever its scan script — is losslessly re-scripted
-        // to the default progressive script, so scan group k means the same
-        // fidelity for every image of the dataset. A progressive stream the
-        // transcode refuses is regrouped as-is; anything else that still
-        // decodes to pixels is re-encoded from them.
-        let added = builder
-            .add_baseline_jpeg(meta.clone(), &bytes)
-            .or_else(|_| builder.add_progressive_jpeg(meta.clone(), bytes.clone()))
-            .or_else(|_| match pcr_jpeg::decode(&bytes) {
-                Ok(img) => builder.add_image(meta, &img, quality),
-                Err(e) => Err(pcr_core::Error::Jpeg(e)),
-            });
-        match added {
-            Ok(()) => packed += 1,
-            Err(e) => {
-                eprintln!("skipping {}: {e}", path.display());
-                skipped += 1;
-            }
-        }
-    };
-
+    let files: Vec<(&Path, u32)> = loose
+        .iter()
+        .map(|path| (path.as_path(), 0))
+        .chain(classes.iter().enumerate().flat_map(|(label, (_, files))| {
+            files.iter().map(move |path| (path.as_path(), label as u32))
+        }))
+        .collect();
+    let mut progress = Progress::new(files.len(), !json);
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut seen = 0usize;
-    for path in &loose {
-        add_file(path, 0, &mut builder);
-        seen += 1;
-        progress.tick(seen, &builder);
-    }
-    for (label, (_, files)) in classes.iter().enumerate() {
-        for path in files {
-            add_file(path, label as u32, &mut builder);
+    // One record's worth of files at a time: read and convert them across
+    // the cores, then add or skip each in file order.
+    for batch in files.chunks(images_per_record) {
+        let converted = pcr_core::dataset::map_in_order(batch.to_vec(), workers, |(path, _)| {
+            packable_jpeg(path, quality)
+        });
+        for (&(path, label), jpeg) in batch.iter().zip(converted) {
+            let id =
+                path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
+            let added = jpeg.and_then(|jpeg| {
+                builder
+                    .add_progressive_jpeg(SampleMeta { label, id }, jpeg)
+                    .map_err(|e| e.to_string())
+            });
+            match added {
+                Ok(()) => packed += 1,
+                Err(e) => {
+                    eprintln!("skipping {}: {e}", path.display());
+                    skipped += 1;
+                }
+            }
             seen += 1;
             progress.tick(seen, &builder);
         }
@@ -319,6 +306,26 @@ fn pack_image_dir(
     }
     let dataset = builder.finish().map_err(|e| e.to_string())?;
     write_container(&dataset, out, records_per_shard).map_err(|e| e.to_string())
+}
+
+/// Reads one source file and returns the progressive JPEG it is packed
+/// as, or the error that skips it. Every JPEG the codec can decode to
+/// coefficients — baseline or progressive, whatever its scan script — is
+/// losslessly re-scripted to the default progressive script, so scan
+/// group k means the same fidelity for every image of the dataset. A
+/// progressive stream the transcode refuses is regrouped as-is; anything
+/// else that still decodes to pixels is re-encoded from them.
+fn packable_jpeg(path: &Path, quality: u8) -> Result<Vec<u8>, String> {
+    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+    if let Ok(jpeg) = pcr_jpeg::to_progressive(&bytes) {
+        return Ok(jpeg);
+    }
+    if pcr_jpeg::split_scans(&bytes).is_ok_and(|l| l.num_scans() <= DEFAULT_NUM_GROUPS) {
+        return Ok(bytes);
+    }
+    pcr_jpeg::decode(&bytes)
+        .and_then(|img| pcr_jpeg::encode(&img, &pcr_jpeg::EncodeConfig::progressive(quality)))
+        .map_err(|e| pcr_core::Error::Jpeg(e).to_string())
 }
 
 fn is_jpeg_name(path: &Path) -> bool {

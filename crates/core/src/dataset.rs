@@ -4,8 +4,9 @@
 //! reads without touching the records themselves.
 
 use crate::error::{Error, Result};
-use crate::record::{PcrRecord, PcrRecordBuilder, SampleMeta};
-use pcr_jpeg::ImageBuf;
+use crate::record::{fit_scans, PcrRecord, PcrRecordBuilder, SampleMeta};
+use pcr_jpeg::{EncodeConfig, ImageBuf, ScanLayout};
+use std::sync::{Mutex, PoisonError};
 
 /// Metadata for one record, sufficient to plan reads at any scan group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,13 +105,85 @@ impl PcrDataset {
     }
 }
 
+/// Maps `f` over `items` on up to `workers` threads — the caller's among
+/// them, scoped to this call — and returns the results in item order.
+/// Each thread claims the next unclaimed item, one at a time, so uneven
+/// items share out; with one worker or one item nothing is spawned. A
+/// panic in `f` resumes on the caller.
+pub fn map_in_order<T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let helpers = workers.min(items.len()).saturating_sub(1);
+    if helpers == 0 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // Nothing panics while the lock is held, so a poisoned lock
+            // still guards an intact iterator.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else { break done };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in spawned {
+            done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// An image queued for the record being filled, in add order.
+enum Pending {
+    /// A JPEG to re-script losslessly ([`PcrDatasetBuilder::add_baseline_jpeg`]).
+    Transcode(Vec<u8>),
+    /// Pixels to encode as progressive JPEG at a quality
+    /// ([`PcrDatasetBuilder::add_image`]).
+    Encode(ImageBuf, u8),
+    /// A progressive JPEG already split and checked
+    /// ([`PcrDatasetBuilder::add_progressive_jpeg`]).
+    Ready(Vec<u8>, ScanLayout),
+}
+
+impl Pending {
+    /// The progressive JPEG this image enters its record as, with its scans.
+    fn convert(self, num_groups: usize) -> Result<(Vec<u8>, ScanLayout)> {
+        let jpeg = match self {
+            Pending::Ready(jpeg, layout) => return Ok((jpeg, layout)),
+            Pending::Transcode(jpeg) => pcr_jpeg::to_progressive(&jpeg)?,
+            Pending::Encode(img, quality) => {
+                pcr_jpeg::encode(&img, &EncodeConfig::progressive(quality))?
+            }
+        };
+        let layout = fit_scans(&jpeg, num_groups)?;
+        Ok((jpeg, layout))
+    }
+}
+
 /// Streams images into fixed-size records, building the dataset and its
 /// metadata database in one pass (the paper's encoder component).
+///
+/// Conversions are deferred: `add_image` and `add_baseline_jpeg` queue an
+/// owned copy of their input, and when a record fills (or at `finish`) its
+/// queued conversions run across the machine's cores with
+/// [`map_in_order`]. Results enter the record in add order, so the bytes
+/// are those of serial packing whatever the core count. A conversion
+/// error surfaces from the add that fills the record, or from `finish`.
 pub struct PcrDatasetBuilder {
     images_per_record: usize,
     num_groups: usize,
     name_prefix: String,
-    current: PcrRecordBuilder,
+    workers: usize,
+    pending: Vec<(SampleMeta, Pending)>,
     dataset: PcrDataset,
     bytes_flushed: u64,
 }
@@ -119,11 +192,17 @@ impl PcrDatasetBuilder {
     /// Creates a builder emitting records of `images_per_record` images with
     /// `num_groups` scan groups.
     pub fn new(images_per_record: usize, num_groups: usize) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        Self::new_with_workers(images_per_record, num_groups, workers)
+    }
+
+    fn new_with_workers(images_per_record: usize, num_groups: usize, workers: usize) -> Self {
         Self {
             images_per_record: images_per_record.max(1),
-            num_groups,
+            num_groups: num_groups.max(1),
             name_prefix: "record".to_string(),
-            current: PcrRecordBuilder::new(num_groups),
+            workers,
+            pending: Vec::new(),
             dataset: PcrDataset::default(),
             bytes_flushed: 0,
         }
@@ -135,38 +214,71 @@ impl PcrDatasetBuilder {
         self
     }
 
-    /// Adds a raw image (progressive-encoded at `quality`).
+    /// Queues a raw image, to be progressive-encoded at `quality` when its
+    /// record fills.
+    ///
+    /// # Errors
+    /// The encode runs later, so its error does not come back from this
+    /// call: the add that fills the record (or [`finish`](Self::finish))
+    /// returns the error of the record's first failing image, in add
+    /// order, and that record is not added.
     pub fn add_image(&mut self, meta: SampleMeta, img: &ImageBuf, quality: u8) -> Result<()> {
-        self.current.add_image(meta, img, quality)?;
-        self.maybe_flush()
+        self.push(meta, Pending::Encode(img.clone(), quality))
     }
 
     /// Adds an existing progressive JPEG.
+    ///
+    /// # Errors
+    /// A stream that does not split into scans, or has more scans than the
+    /// builder has groups, is refused at once and not queued. Like every
+    /// add, the call that fills a record also returns the error of that
+    /// record's first failing queued conversion, and the record is not
+    /// added.
     pub fn add_progressive_jpeg(&mut self, meta: SampleMeta, jpeg: Vec<u8>) -> Result<()> {
-        self.current.add_progressive_jpeg(meta, jpeg)?;
-        self.maybe_flush()
+        let layout = fit_scans(&jpeg, self.num_groups)?;
+        self.push(meta, Pending::Ready(jpeg, layout))
     }
 
-    /// Adds a baseline or progressive JPEG, losslessly re-scripted to the
-    /// default progressive script (the `jpegtran` step).
+    /// Queues a baseline or progressive JPEG, to be losslessly re-scripted
+    /// to the default progressive script (the `jpegtran` step) when its
+    /// record fills.
+    ///
+    /// # Errors
+    /// The transcode runs later, so its error does not come back from this
+    /// call: the add that fills the record (or [`finish`](Self::finish))
+    /// returns the error of the record's first failing image, in add
+    /// order, and that record is not added.
     pub fn add_baseline_jpeg(&mut self, meta: SampleMeta, jpeg: &[u8]) -> Result<()> {
-        self.current.add_baseline_jpeg(meta, jpeg)?;
-        self.maybe_flush()
+        self.push(meta, Pending::Transcode(jpeg.to_vec()))
     }
 
-    fn maybe_flush(&mut self) -> Result<()> {
-        if self.current.len() >= self.images_per_record {
+    fn push(&mut self, meta: SampleMeta, image: Pending) -> Result<()> {
+        self.pending.push((meta, image));
+        if self.pending.len() >= self.images_per_record {
             self.flush()?;
         }
         Ok(())
     }
 
+    /// Converts the queued images across the workers and appends their
+    /// record. The queue is emptied whether or not a conversion fails.
     fn flush(&mut self) -> Result<()> {
-        if self.current.is_empty() {
+        if self.pending.is_empty() {
             return Ok(());
         }
-        let builder =
-            std::mem::replace(&mut self.current, PcrRecordBuilder::new(self.num_groups));
+        let pending = std::mem::take(&mut self.pending);
+        // A record of progressive JPEGs alone has nothing to convert.
+        let busy = pending.iter().any(|(_, image)| !matches!(image, Pending::Ready(..)));
+        let workers = if busy { self.workers } else { 1 };
+        let num_groups = self.num_groups;
+        let converted = map_in_order(pending, workers, |(meta, image)| {
+            image.convert(num_groups).map(|(jpeg, layout)| (meta, jpeg, layout))
+        });
+        let mut builder = PcrRecordBuilder::new(num_groups);
+        for image in converted {
+            let (meta, jpeg, layout) = image?;
+            builder.push_split(meta, jpeg, layout);
+        }
         let bytes = builder.build()?;
         let rec = PcrRecord::parse(&bytes)?;
         let name = format!("{}-{:05}.pcr", self.name_prefix, self.dataset.records.len());
@@ -199,7 +311,11 @@ impl PcrDatasetBuilder {
         self.bytes_flushed
     }
 
-    /// Flushes any partial record and returns the dataset.
+    /// Converts and flushes any partial record and returns the dataset.
+    ///
+    /// # Errors
+    /// The error of the partial record's first failing conversion, in add
+    /// order; or, when no record was ever added, a `BadInput` error.
     pub fn finish(mut self) -> Result<PcrDataset> {
         self.flush()?;
         if self.dataset.records.is_empty() {
@@ -314,5 +430,154 @@ mod tests {
     fn empty_dataset_rejected() {
         let b = PcrDatasetBuilder::new(4, 10);
         assert!(b.finish().is_err());
+    }
+
+    #[test]
+    fn map_in_order_keeps_item_order_for_every_worker_count() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let items: Vec<usize> = (0..37).collect();
+        let want: Vec<usize> = items.iter().map(|x| x * x).collect();
+        for workers in [0, 1] {
+            assert_eq!(map_in_order(items.clone(), workers, |x| x * x), want, "{workers} workers");
+        }
+        // With helpers, item 0 finishes only after every other item, so
+        // results complete in a different order from the items.
+        for workers in [2, 5, 64] {
+            let finished = AtomicUsize::new(0);
+            let got = map_in_order(items.clone(), workers, |x| {
+                while x == 0 && finished.load(SeqCst) < items.len() - 1 {
+                    std::thread::yield_now();
+                }
+                finished.fetch_add(1, SeqCst);
+                x * x
+            });
+            assert_eq!(got, want, "{workers} workers");
+        }
+        assert!(map_in_order(Vec::<usize>::new(), 4, |x| x).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 refused")]
+    fn map_in_order_resumes_a_worker_panic_on_the_caller() {
+        map_in_order((0..8).collect(), 3, |x: u32| assert!(x != 3, "item {x} refused"));
+    }
+
+    /// One input of each kind the builder accepts, `k` picking among a
+    /// few geometries (grayscale included, whose script has fewer scans).
+    enum Add {
+        Pixels(ImageBuf, u8),
+        Baseline(Vec<u8>),
+        Progressive(Vec<u8>),
+    }
+
+    fn input(kind: u8, k: usize) -> Add {
+        let (w, h, channels) = [(16, 16, 3), (17, 9, 3), (8, 24, 1), (24, 8, 3)][k % 4];
+        let data = (0..w * h * channels).map(|i| ((i * 7 + k * 31) % 251) as u8).collect();
+        let pixels = ImageBuf::from_raw(w as u32, h as u32, channels as u8, data).unwrap();
+        let quality = 60 + 10 * k as u8;
+        let config = match kind {
+            0 => return Add::Pixels(pixels, quality),
+            1 => pcr_jpeg::EncodeConfig::baseline(quality),
+            _ => pcr_jpeg::EncodeConfig::progressive(quality),
+        };
+        let jpeg = pcr_jpeg::encode(&pixels, &config).unwrap();
+        if kind == 1 { Add::Baseline(jpeg) } else { Add::Progressive(jpeg) }
+    }
+
+    /// Feeds one input to either builder: both take the same three adds.
+    macro_rules! add {
+        ($builder:expr, $meta:expr, $add:expr) => {
+            match $add {
+                Add::Pixels(img, q) => $builder.add_image($meta, img, *q),
+                Add::Baseline(jpeg) => $builder.add_baseline_jpeg($meta, jpeg),
+                Add::Progressive(jpeg) => $builder.add_progressive_jpeg($meta, jpeg.clone()),
+            }
+        };
+    }
+
+    fn pack(adds: &[(SampleMeta, Add)], per_record: usize, workers: usize) -> PcrDataset {
+        let mut b = PcrDatasetBuilder::new_with_workers(per_record, 10, workers);
+        for (meta, input) in adds {
+            add!(b, meta.clone(), input).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Serial packing with `PcrRecordBuilder`: each image converted as it
+    /// is added, records cut every `per_record` images.
+    fn serial_reference(adds: &[(SampleMeta, Add)], per_record: usize) -> PcrDataset {
+        let mut ds = PcrDataset::default();
+        for chunk in adds.chunks(per_record) {
+            let mut b = PcrRecordBuilder::new(10);
+            for (meta, input) in chunk {
+                add!(b, meta.clone(), input).unwrap();
+            }
+            let bytes = b.build().unwrap();
+            let rec = PcrRecord::parse(&bytes).unwrap();
+            ds.db.records.push(RecordMeta {
+                name: format!("record-{:05}.pcr", ds.records.len()),
+                num_images: rec.num_images() as u32,
+                group_offsets: rec.cumulative_group_offsets().iter().map(|&o| o as u64).collect(),
+                labels: rec.labels().to_vec(),
+            });
+            drop(rec);
+            ds.records.push(bytes);
+        }
+        ds
+    }
+
+    proptest::proptest! {
+        /// Any sequence of the three adds packs to the same records and
+        /// `MetaDb` on one worker, on several, and serially.
+        #[test]
+        fn fan_out_packs_the_bytes_of_serial_packing(
+            per_record in 1usize..=9,
+            ops in proptest::prelude::prop::collection::vec((0u8..3, 0usize..4, 0u32..5), 1..=20),
+        ) {
+            let adds: Vec<(SampleMeta, Add)> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, k, label))| {
+                    (SampleMeta { label, id: format!("s{i}") }, input(kind, k))
+                })
+                .collect();
+            let reference = serial_reference(&adds, per_record);
+            for workers in [1, 3] {
+                let ds = pack(&adds, per_record, workers);
+                proptest::prop_assert!(ds.records == reference.records, "{workers} workers");
+                proptest::prop_assert_eq!(&ds.db, &reference.db);
+            }
+        }
+    }
+
+    /// A corrupt baseline JPEG fails at the add that fills its record, or
+    /// at `finish` for a partial record; either way that record is
+    /// dropped, the builder's counters do not move, and the next record
+    /// packs as usual.
+    #[test]
+    fn conversion_errors_surface_when_their_record_fills() {
+        let good =
+            |i: u32| pcr_jpeg::encode(&img(i), &pcr_jpeg::EncodeConfig::baseline(90)).unwrap();
+        let mut corrupt = good(99);
+        corrupt.truncate(corrupt.len() / 2);
+        let meta = |i: u32| SampleMeta { label: i, id: format!("i{i}") };
+        for workers in [1, 3] {
+            let mut b = PcrDatasetBuilder::new_with_workers(8, 10, workers);
+            for i in 0..7u32 {
+                let jpeg = if i == 2 { corrupt.clone() } else { good(i) };
+                assert!(b.add_baseline_jpeg(meta(i), &jpeg).is_ok(), "add {i} failed early");
+            }
+            assert!(b.add_baseline_jpeg(meta(7), &good(7)).is_err());
+            assert_eq!((b.records_flushed(), b.bytes_flushed()), (0, 0));
+            for i in 8..16u32 {
+                b.add_baseline_jpeg(meta(i), &good(i)).unwrap();
+            }
+            assert_eq!(b.records_flushed(), 1);
+            let flushed = b.bytes_flushed();
+            b.add_baseline_jpeg(meta(16), &corrupt).unwrap();
+            b.add_baseline_jpeg(meta(17), &good(17)).unwrap();
+            assert_eq!((b.records_flushed(), b.bytes_flushed()), (1, flushed));
+            assert!(b.finish().is_err());
+        }
     }
 }

@@ -25,7 +25,7 @@
 use crate::error::{Error, Result};
 use crate::wire::{put_bytes, put_u16, put_u32, put_u64, Reader};
 use pcr_jpeg::scansplit::{scan_chunks, split_scans};
-use pcr_jpeg::{EncodeConfig, ImageBuf};
+use pcr_jpeg::{EncodeConfig, ImageBuf, ScanLayout};
 
 /// Magic prefix of every `.pcr` stream.
 pub const MAGIC: &[u8; 4] = b"PCR1";
@@ -83,11 +83,25 @@ impl RecordScratch {
     }
 }
 
+/// Splits a progressive JPEG into scans and checks that they fit in
+/// `num_groups` scan groups — what [`PcrRecordBuilder::add_progressive_jpeg`]
+/// validates before it accepts an image.
+pub(crate) fn fit_scans(jpeg: &[u8], num_groups: usize) -> Result<ScanLayout> {
+    let layout = split_scans(jpeg)?;
+    if layout.num_scans() > num_groups {
+        return Err(Error::BadInput(format!(
+            "image has {} scans but record has {num_groups} groups",
+            layout.num_scans(),
+        )));
+    }
+    Ok(layout)
+}
+
 /// Builds a `.pcr` record from progressive JPEG images.
 #[derive(Debug)]
 pub struct PcrRecordBuilder {
     num_groups: usize,
-    entries: Vec<(SampleMeta, Vec<u8>, pcr_jpeg::ScanLayout)>,
+    entries: Vec<(SampleMeta, Vec<u8>, ScanLayout)>,
 }
 
 impl PcrRecordBuilder {
@@ -104,16 +118,15 @@ impl PcrRecordBuilder {
 
     /// Adds an already-progressive JPEG byte stream.
     pub fn add_progressive_jpeg(&mut self, meta: SampleMeta, jpeg: Vec<u8>) -> Result<()> {
-        let layout = split_scans(&jpeg)?;
-        if layout.num_scans() > self.num_groups {
-            return Err(Error::BadInput(format!(
-                "image has {} scans but record has {} groups",
-                layout.num_scans(),
-                self.num_groups
-            )));
-        }
-        self.entries.push((meta, jpeg, layout));
+        let layout = fit_scans(&jpeg, self.num_groups)?;
+        self.push_split(meta, jpeg, layout);
         Ok(())
+    }
+
+    /// Appends an image whose `layout` came from [`fit_scans`] over `jpeg`
+    /// with this builder's group count.
+    pub(crate) fn push_split(&mut self, meta: SampleMeta, jpeg: Vec<u8>, layout: ScanLayout) {
+        self.entries.push((meta, jpeg, layout));
     }
 
     /// Encodes raw pixels as progressive JPEG at `quality` and adds them.
