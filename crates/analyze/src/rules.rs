@@ -69,6 +69,7 @@ const HOT_PANIC_FILES: &[&str] = &[
     "crates/jpeg/src/dct.rs",
     "crates/jpeg/src/decoder.rs",
     "crates/jpeg/src/dentropy.rs",
+    "crates/jpeg/src/sample.rs",
     "crates/core/src/wire.rs",
     "crates/core/src/record.rs",
     "crates/core/src/container.rs",

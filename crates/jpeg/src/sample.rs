@@ -3,7 +3,7 @@
 
 use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales, inverse_dct_pixels, inverse_quant_scales};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::frame::{CoeffPlanes, FrameInfo};
 use crate::image::{add_term, chroma_terms, rgb_to_ycbcr, ImageBuf};
 
@@ -37,15 +37,25 @@ impl SamplePlane {
         pool.push(self.data);
     }
 
-    #[inline]
-    pub(crate) fn get(&self, x: usize, y: usize) -> u8 {
-        self.data[y * self.width + x]
+    /// The plane's rows, top to bottom.
+    fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, u8> {
+        self.data.chunks_exact_mut(self.width.max(1))
     }
+}
 
-    #[inline]
-    pub(crate) fn set(&mut self, x: usize, y: usize, v: u8) {
-        self.data[y * self.width + x] = v;
-    }
+/// The error of a sample plane too small for the geometry it is read or
+/// written with.
+fn short_plane() -> Error {
+    Error::CorruptData("sample plane smaller than its frame geometry".into())
+}
+
+/// Component `tq`'s quantization table.
+fn qtable(qtables: &[Option<[u16; 64]>; 4], tq: u8) -> Result<[u16; 64]> {
+    qtables
+        .get(usize::from(tq))
+        .copied()
+        .flatten()
+        .ok_or_else(|| Error::BadQuant(format!("missing table {tq}")))
 }
 
 /// Converts an image into per-component sample planes matching `frame`
@@ -60,10 +70,11 @@ pub fn image_to_planes(img: &ImageBuf, frame: &FrameInfo) -> Result<Vec<SamplePl
         .collect();
 
     if img.channels() == 1 {
-        let p = &mut planes[0];
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, img.get(x as u32, y as u32, 0));
+        if let Some(p) = planes.first_mut() {
+            for (dst, src) in p.rows_mut().zip(img.data().chunks_exact(w.max(1))).take(h) {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = s;
+                }
             }
         }
     } else {
@@ -71,20 +82,13 @@ pub fn image_to_planes(img: &ImageBuf, frame: &FrameInfo) -> Result<Vec<SamplePl
         let mut yf = vec![0u8; w * h];
         let mut cbf = vec![0u8; w * h];
         let mut crf = vec![0u8; w * h];
-        for yy in 0..h {
-            for xx in 0..w {
-                let (r, g, b) = (
-                    img.get(xx as u32, yy as u32, 0),
-                    img.get(xx as u32, yy as u32, 1),
-                    img.get(xx as u32, yy as u32, 2),
-                );
-                let (y, cb, cr) = rgb_to_ycbcr(r, g, b);
-                yf[yy * w + xx] = y;
-                cbf[yy * w + xx] = cb;
-                crf[yy * w + xx] = cr;
+        let pixels = img.data().chunks_exact(usize::from(img.channels()));
+        for (((px, y), cb), cr) in pixels.zip(&mut yf).zip(&mut cbf).zip(&mut crf) {
+            if let [r, g, b, ..] = *px {
+                (*y, *cb, *cr) = rgb_to_ycbcr(r, g, b);
             }
         }
-        for (ci, comp) in frame.components.iter().enumerate() {
+        for (ci, (comp, p)) in frame.components.iter().zip(&mut planes).enumerate() {
             let src = match ci {
                 0 => &yf,
                 1 => &cbf,
@@ -94,11 +98,11 @@ pub fn image_to_planes(img: &ImageBuf, frame: &FrameInfo) -> Result<Vec<SamplePl
             let ch = comp.height_px as usize;
             let sx = u32::from(frame.hmax / comp.h) as usize; // subsample factor
             let sy = u32::from(frame.vmax / comp.v) as usize;
-            let p = &mut planes[ci];
-            for oy in 0..ch {
-                for ox in 0..cw {
-                    if sx == 1 && sy == 1 {
-                        p.set(ox, oy, src[oy * w + ox]);
+            let at = |x: usize, y: usize| src.get(y * w + x).copied().ok_or_else(short_plane);
+            for (oy, dst) in p.rows_mut().enumerate().take(ch) {
+                for (ox, d) in dst.iter_mut().enumerate().take(cw) {
+                    *d = if sx == 1 && sy == 1 {
+                        at(ox, oy)?
                     } else {
                         // Box filter over the sx x sy source window (clamped).
                         let mut sum = 0u32;
@@ -107,33 +111,32 @@ pub fn image_to_planes(img: &ImageBuf, frame: &FrameInfo) -> Result<Vec<SamplePl
                             for dx in 0..sx {
                                 let x = (ox * sx + dx).min(w - 1);
                                 let y = (oy * sy + dy).min(h - 1);
-                                sum += u32::from(src[y * w + x]);
+                                sum += u32::from(at(x, y)?);
                                 cnt += 1;
                             }
                         }
-                        p.set(ox, oy, ((sum + cnt / 2) / cnt) as u8);
-                    }
+                        ((sum + cnt / 2) / cnt) as u8
+                    };
                 }
             }
         }
     }
 
     // Edge-replicate into padding (right and bottom) for clean DCTs.
-    for (ci, comp) in frame.components.iter().enumerate() {
+    for (comp, p) in frame.components.iter().zip(&mut planes) {
         let cw = comp.width_px as usize;
         let ch = comp.height_px as usize;
-        let p = &mut planes[ci];
-        for y in 0..ch {
-            let edge = p.get(cw - 1, y);
-            for x in cw..p.width {
-                p.set(x, y, edge);
+        for row in p.rows_mut().take(ch) {
+            let edge = cw.checked_sub(1).and_then(|x| row.get(x)).copied().ok_or_else(short_plane)?;
+            for v in row.iter_mut().skip(cw) {
+                *v = edge;
             }
         }
-        for y in ch..p.height {
-            for x in 0..p.width {
-                let v = p.get(x, ch - 1);
-                p.set(x, y, v);
-            }
+        let width = p.width.max(1);
+        let (top, bottom) = p.data.split_at_mut_checked(ch * width).ok_or_else(short_plane)?;
+        let last = top.rchunks_exact(width).next().ok_or_else(short_plane)?;
+        for row in bottom.chunks_exact_mut(width) {
+            row.copy_from_slice(last);
         }
     }
     Ok(planes)
@@ -154,23 +157,22 @@ pub fn planes_to_coeffs(
     let mut coeffs = CoeffPlanes::new(frame);
     let mut spatial = [0f64; 64];
     let mut freq = [0f64; 64];
-    for (ci, comp) in frame.components.iter().enumerate() {
-        let q = qtables[comp.tq as usize]
-            .ok_or_else(|| crate::error::Error::BadQuant(format!("missing table {}", comp.tq)))?;
-        let qm = forward_quant_scales(&q);
-        let plane = &planes[ci];
+    for (ci, (comp, plane)) in frame.components.iter().zip(planes).enumerate() {
+        let qm = forward_quant_scales(&qtable(qtables, comp.tq)?);
         for brow in 0..comp.alloc_h {
             for bcol in 0..comp.alloc_w {
-                for y in 0..8 {
-                    let sy = brow as usize * 8 + y;
-                    let row = &plane.data[sy * plane.width + bcol as usize * 8..];
-                    for x in 0..8 {
-                        spatial[y * 8 + x] = f64::from(row[x]) - 128.0;
+                for (y, out) in spatial.chunks_exact_mut(8).enumerate() {
+                    let at = (brow as usize * 8 + y) * plane.width + bcol as usize * 8;
+                    let row = plane.data.get(at..at + 8).ok_or_else(short_plane)?;
+                    for (s, &v) in out.iter_mut().zip(row) {
+                        *s = f64::from(v) - 128.0;
                     }
                 }
                 forward_dct_raw(&spatial, &mut freq);
                 let block = coeffs.block_mut(frame, ci, brow, bcol);
                 for (v, &i) in block.iter_mut().zip(&ZIGZAG) {
+                    // pcr-lint: allow(no-panic-in-hot-path) — ZIGZAG entries
+                    // are < 64, into [f64; 64] arrays
                     *v = descale(freq[i] * qm[i]) as i16;
                 }
             }
@@ -246,18 +248,15 @@ pub(crate) fn reconstruct_planes_with<K: BlockIdct>(
         .map(|c| SamplePlane::with_pool(c.alloc_w as usize * 8, c.alloc_h as usize * 8, pool))
         .collect();
     let mut pixels = [0u8; 64];
-    for (ci, comp) in frame.components.iter().enumerate() {
-        let q = qtables[comp.tq as usize]
-            .ok_or_else(|| crate::error::Error::BadQuant(format!("missing table {}", comp.tq)))?;
-        kernel.begin_table(&q);
-        let p = &mut planes[ci];
+    for (ci, (comp, p)) in frame.components.iter().zip(&mut planes).enumerate() {
+        kernel.begin_table(&qtable(qtables, comp.tq)?);
         for brow in 0..comp.alloc_h {
             for bcol in 0..comp.alloc_w {
                 let block = coeffs.block(frame, ci, brow, bcol);
                 kernel.transform(block, &mut pixels);
-                for y in 0..8 {
+                for (y, src) in pixels.chunks_exact(8).enumerate() {
                     let dst = (brow as usize * 8 + y) * p.width + bcol as usize * 8;
-                    p.data[dst..dst + 8].copy_from_slice(&pixels[y * 8..y * 8 + 8]);
+                    p.data.get_mut(dst..dst + 8).ok_or_else(short_plane)?.copy_from_slice(src);
                 }
             }
         }
@@ -282,28 +281,28 @@ pub fn planes_to_image(planes: &[SamplePlane], frame: &FrameInfo) -> Result<Imag
     let w = frame.width as usize;
     let h = frame.height as usize;
     if frame.components.len() == 1 {
-        let p = &planes[0];
+        let p = planes.first().ok_or_else(short_plane)?;
         let mut data = vec![0u8; w * h];
         for (y, out) in data.chunks_exact_mut(w).enumerate() {
-            out.copy_from_slice(&p.data[y * p.width..y * p.width + w]);
+            out.copy_from_slice(p.data.get(y * p.width..y * p.width + w).ok_or_else(short_plane)?);
         }
         return ImageBuf::from_raw(frame.width, frame.height, 1, data);
     }
     let (hmax, vmax) = (usize::from(frame.hmax), usize::from(frame.vmax));
-    let [hy, hcb, hcr] = [0, 1, 2].map(|ci| usize::from(frame.components[ci].h));
-    let row_of = |ci: usize, y: usize| {
-        let p = &planes[ci];
-        let cy = y * usize::from(frame.components[ci].v) / vmax;
-        (cy, &p.data[cy * p.width..(cy + 1) * p.width])
+    let (Some([cy, ccb, ccr]), Some([py, pcb, pcr])) =
+        (frame.components.first_chunk(), planes.first_chunk())
+    else {
+        return Err(short_plane());
     };
+    let [hy, hcb, hcr] = [cy, ccb, ccr].map(|c| usize::from(c.h));
     // The R, G and B terms of each output pixel's chroma sample.
     let mut terms = [vec![0i16; w], vec![0i16; w], vec![0i16; w]];
     let mut chroma_rows = None;
     let mut luma = Vec::new();
     let mut data = vec![0u8; w * h * 3];
     for (y, out) in data.chunks_exact_mut(w * 3).enumerate() {
-        let (cby, cb) = row_of(1, y);
-        let (cry, cr) = row_of(2, y);
+        let (cby, cb) = plane_row(pcb, ccb.v, vmax, y)?;
+        let (cry, cr) = plane_row(pcr, ccr.v, vmax, y)?;
         if chroma_rows != Some((cby, cry)) {
             chroma_rows = Some((cby, cry));
             if hcb == hcr && hmax % hcb == 0 {
@@ -317,27 +316,39 @@ pub fn planes_to_image(planes: &[SamplePlane], frame: &FrameInfo) -> Result<Imag
                 let [tr, tg, tb] = &mut terms;
                 let samples = nearest(w, hcb, hmax).zip(nearest(w, hcr, hmax));
                 for (((r, g), b), (cbx, crx)) in tr.iter_mut().zip(tg).zip(tb).zip(samples) {
-                    [*r, *g, *b] = chroma_terms(cb[cbx], cr[crx]);
+                    let (Some(&cb), Some(&cr)) = (cb.get(cbx), cr.get(crx)) else {
+                        return Err(short_plane());
+                    };
+                    [*r, *g, *b] = chroma_terms(cb, cr);
                 }
             }
         }
-        let (_, y_row) = row_of(0, y);
+        let (_, y_row) = plane_row(py, cy.v, vmax, y)?;
         let y_row = if hy == hmax {
-            &y_row[..w]
+            y_row.get(..w).ok_or_else(short_plane)?
         } else {
             luma.clear();
-            luma.extend(nearest(w, hy, hmax).map(|x| y_row[x]));
-            &luma[..]
+            for x in nearest(w, hy, hmax) {
+                luma.push(y_row.get(x).copied().ok_or_else(short_plane)?);
+            }
+            &luma
         };
         let [tr, tg, tb] = &terms;
-        for ((((px, &l), &r), &g), &b) in out.chunks_exact_mut(3).zip(y_row).zip(tr).zip(tg).zip(tb)
-        {
-            px[0] = add_term(l, r);
-            px[1] = add_term(l, g);
-            px[2] = add_term(l, b);
+        let (pixels, _) = out.as_chunks_mut::<3>();
+        for ((((px, &l), &r), &g), &b) in pixels.iter_mut().zip(y_row).zip(tr).zip(tg).zip(tb) {
+            *px = [add_term(l, r), add_term(l, g), add_term(l, b)];
         }
     }
     ImageBuf::from_raw(frame.width, frame.height, 3, data)
+}
+
+/// The row output row `y` reads from plane `p` of a component sampled
+/// `v` times per `vmax` rows, with its index.
+#[inline]
+fn plane_row(p: &SamplePlane, v: u8, vmax: usize, y: usize) -> Result<(usize, &[u8])> {
+    let cy = y * usize::from(v) / vmax;
+    let row = p.data.get(cy * p.width..(cy + 1) * p.width).ok_or_else(short_plane)?;
+    Ok((cy, row))
 }
 
 /// Computes the chroma terms once per sample of the `cb`/`cr` rows and
@@ -346,23 +357,20 @@ pub fn planes_to_image(planes: &[SamplePlane], frame: &FrameInfo) -> Result<Imag
 #[inline]
 fn spread_terms<const N: usize>(terms: &mut [Vec<i16>; 3], cb: &[u8], cr: &[u8]) {
     let [tr, tg, tb] = terms;
-    let mut pixels = tr
-        .chunks_exact_mut(N)
-        .zip(tg.chunks_exact_mut(N))
-        .zip(tb.chunks_exact_mut(N));
+    let (mut tr, mut tg, mut tb) =
+        (tr.chunks_exact_mut(N), tg.chunks_exact_mut(N), tb.chunks_exact_mut(N));
     let mut samples = cb.iter().zip(cr);
-    for (((r, g), b), (&cb, &cr)) in (&mut pixels).zip(&mut samples) {
+    for (((r, g), b), (&cb, &cr)) in (&mut tr).zip(&mut tg).zip(&mut tb).zip(&mut samples) {
         let [tr, tg, tb] = chroma_terms(cb, cr);
         r.fill(tr);
         g.fill(tg);
         b.fill(tb);
     }
-    let edge = tr.len() / N * N;
     if let Some((&cb, &cr)) = samples.next() {
         let [r, g, b] = chroma_terms(cb, cr);
-        tr[edge..].fill(r);
-        tg[edge..].fill(g);
-        tb[edge..].fill(b);
+        tr.into_remainder().fill(r);
+        tg.into_remainder().fill(g);
+        tb.into_remainder().fill(b);
     }
 }
 

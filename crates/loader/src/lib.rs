@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod crew;
 pub mod fidelity;
 mod handoff;
 pub mod order;

@@ -7,14 +7,16 @@
 //! the examples and the benchmark — comes out of it. It visits records in
 //! the [`ReadPlanner`]'s per-epoch order, the same order the modeled
 //! loader timeline in `pcr-sim` (the paper's closed-system model, App.
-//! A.1–A.2) plans with. Per-worker [`pcr_core::RecordScratch`] buffers and
+//! A.1–A.2) plans with. Per-thread [`pcr_core::RecordScratch`] buffers and
 //! the store's zero-copy [`pcr_storage::ByteView`] reads keep the hot loop
 //! allocation-free so the pipeline runs as fast as the hardware allows.
 //!
 //! Structure (paper Appendix A.1's loader, realized with OS threads). I/O
 //! depth and decode parallelism are separate knobs: `prefetch_records`
 //! sets how many reads are outstanding (Lemma A.2's `W`), `loader.threads`
-//! how many records decode at once.
+//! how many records decode at once, and `fan` — the cores per decode
+//! worker, `max(1, available_parallelism / loader.threads)`, read once —
+//! how many threads decode one record's images.
 //!
 //! ```text
 //! shared EpochOrder bijection (no materialized order)
@@ -28,7 +30,9 @@
 //!                       staged as zero-copy ByteViews
 //!                                                      │
 //!   ├── decode worker 0 ─ decode check ─ [ladder ↓] ───┤  decode stage:
-//!   └── decode worker T ─ ...                          ├─ loader.threads
+//!   │     └ helpers 1..fan−1: claim the record's       │  loader.threads
+//!   │       images one at a time, same ByteView        │  records at once,
+//!   └── decode worker T ─ ...                          │  fan threads each
 //!                                                      ▼  bounded record channel
 //!                                          assembler: records → batches
 //!                                                      │  bounded batch channel
@@ -36,13 +40,24 @@
 //!                                            consumer (train loop)
 //! ```
 //!
+//! Every thread above but the consumer belongs to the loader's *crew*
+//! (the `crew` module): built on the loader's first epoch, handed each
+//! later epoch as one job per thread, and joined when the last loader
+//! and stream handle drops. No epoch and no record spawns a thread, and
+//! each decode thread keeps its [`pcr_core::RecordScratch`] for the
+//! crew's life. An epoch started while another still runs gets a crew of
+//! its own; a crew whose job panicked is closed, and the panic reaches
+//! [`EpochStream::join`].
+//!
 //! Fetchers hold no decode state — they plan, read through the record's
 //! fidelity ladder (retry, backoff and read-failure degradation included;
 //! see [`crate::retry`]) and realize [`IoModel::EmulatedLatency`] service
 //! time *before* the bytes move on, so nothing is decoded before it has
 //! "arrived". Decode workers take records strictly in epoch-order
 //! position (the `handoff` module), so one decode worker delivers the
-//! [`EpochOrder`] sequence exactly, however the reads raced; a record
+//! [`EpochOrder`] sequence exactly, however the reads raced; its helpers
+//! decode into image-index slots, so the images, their order and the
+//! decode check are those of a serial decode at any `fan`. A record
 //! whose bytes fail the decode check resumes its ladder from the next
 //! lower group on the decode worker itself (the rare path).
 //!
@@ -51,13 +66,14 @@
 //! (one batch being consumed, one staged).
 
 use crate::config::{DecodeMode, LoaderConfig};
+use crate::crew::{CrewLease, CrewShape, CrewSlot, Hand, Stage};
 use crate::handoff::Handoff;
 use crate::order::EpochOrder;
 use crate::report::{share, Bottleneck, EpochReport};
 use crate::retry::{FaultReport, Ladder, RetryBudget, RetryPolicy, Rung};
 use crate::source::{ReadPlanner, RecordSource};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use pcr_core::{MetaDb, RecordScratch};
+use pcr_core::MetaDb;
 use pcr_jpeg::ImageBuf;
 use pcr_storage::ObjectStore;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,15 +193,16 @@ impl ParallelStats {
 /// then call [`EpochStream::join`] — or let [`EpochStream::fold`] do both
 /// and report; dropping the receiver early tears the pipeline down cleanly
 /// (decode workers notice the closed channel and close the hand-off, which
-/// releases the fetchers).
+/// releases the fetchers). Dropping the stream itself does the same and
+/// waits for the epoch's jobs, so the loader's crew is idle again after.
 pub struct EpochStream {
     /// Minibatch stream; iterate until disconnect for a full epoch.
     pub batches: Receiver<Minibatch>,
     /// Shared statistics, live while the epoch runs.
     pub stats: Arc<ParallelStats>,
-    /// Fetch-stage and decode-stage threads.
-    pub(crate) workers: Vec<std::thread::JoinHandle<()>>,
-    pub(crate) assembler: Option<std::thread::JoinHandle<()>>,
+    /// The crew running this epoch's jobs. Declared after `batches`, so
+    /// a dropped stream closes the batch channel before it waits.
+    crew: CrewLease,
     /// What [`EpochStream::fold`] reports against: when the spawn began,
     /// the decode worker count, the I/O depth, and whether images (rather
     /// than labels) count deliveries.
@@ -196,26 +213,22 @@ pub struct EpochStream {
 }
 
 impl EpochStream {
-    /// Waits for all pipeline threads to finish. Drops the batch receiver
-    /// first, so calling this mid-epoch cancels cleanly (workers notice
-    /// the closed channel) instead of deadlocking; drain `batches` before
-    /// calling if you want the full epoch.
+    /// Waits for the epoch's stage jobs to finish. Drops the batch
+    /// receiver first, so calling this mid-epoch cancels cleanly (workers
+    /// notice the closed channel) instead of deadlocking; drain `batches`
+    /// before calling if you want the full epoch.
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic of any pipeline thread, after every
-    /// thread has been joined: a stage that died cut the epoch short, and
-    /// the caller must not take the partial epoch for a whole one.
+    /// Re-raises the first panic of any stage job, after every job of the
+    /// epoch has ended: a stage that died cut the epoch short, and the
+    /// caller must not take the partial epoch for a whole one. The crew
+    /// that saw the panic is closed; the loader's next epoch builds a new
+    /// one.
     pub fn join(self) {
-        let EpochStream { batches, workers, assembler, .. } = self;
+        let EpochStream { batches, mut crew, .. } = self;
         drop(batches);
-        let mut panic = None;
-        for thread in workers.into_iter().chain(assembler) {
-            if let Err(payload) = thread.join() {
-                panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = panic {
+        if let Some(payload) = crew.finish() {
             std::panic::resume_unwind(payload);
         }
     }
@@ -267,11 +280,20 @@ impl EpochStream {
 /// source streams through the identical worker pool, channels, and
 /// clocked read path, so sharded and per-record layouts are compared on
 /// mechanism-identical footing.
+///
+/// The stage threads are built on the first epoch and kept, with each
+/// decode thread's buffers, for every later epoch of the loader and its
+/// clones (see the [module documentation](self)); dropping the last
+/// loader and stream handle joins them.
 #[derive(Debug)]
 pub struct ParallelLoader<S: RecordSource + ?Sized = MetaDb> {
     store: Arc<ObjectStore>,
     source: Arc<S>,
     config: ParallelConfig,
+    /// Threads decoding one record; `None` reads the core count when the
+    /// crew is built.
+    fan: Option<usize>,
+    crew: Arc<CrewSlot>,
 }
 
 impl<S: RecordSource + ?Sized> Clone for ParallelLoader<S> {
@@ -280,6 +302,8 @@ impl<S: RecordSource + ?Sized> Clone for ParallelLoader<S> {
             store: Arc::clone(&self.store),
             source: Arc::clone(&self.source),
             config: self.config.clone(),
+            fan: self.fan,
+            crew: Arc::clone(&self.crew),
         }
     }
 }
@@ -288,7 +312,19 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     /// Creates a loader. The source's planned object names must exist in
     /// `store`.
     pub fn new(store: Arc<ObjectStore>, source: Arc<S>, config: ParallelConfig) -> Self {
-        Self { store, source, config }
+        Self { store, source, config, fan: None, crew: Arc::new(CrewSlot::new()) }
+    }
+
+    /// [`ParallelLoader::new`] with `fan` threads decoding each record
+    /// instead of the cores left per decode worker.
+    #[cfg(test)]
+    fn new_with_fan(
+        store: Arc<ObjectStore>,
+        source: Arc<S>,
+        config: ParallelConfig,
+        fan: usize,
+    ) -> Self {
+        Self { fan: Some(fan), ..Self::new(store, source, config) }
     }
 
     /// The configuration.
@@ -306,14 +342,14 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         &self.source
     }
 
-    /// Spawns the worker pool and assembler for one epoch and returns the
-    /// live stream. Reads at the configured scan group; see
+    /// Starts one epoch on the loader's crew and returns the live stream.
+    /// Reads at the configured scan group; see
     /// [`ParallelLoader::spawn_epoch_at`] for a per-epoch override.
     pub fn spawn_epoch(&self, epoch: u64) -> EpochStream {
         self.spawn_epoch_at(epoch, self.config.loader.scan_group)
     }
 
-    /// Spawns one epoch reading at `scan_group` instead of the configured
+    /// Starts one epoch reading at `scan_group` instead of the configured
     /// group — the hook a [`crate::fidelity::FidelityController`] uses to
     /// adjust fidelity online. The epoch record order is a function of
     /// `(seed, epoch)` only, so changing the group never changes which
@@ -331,7 +367,17 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         let order =
             ReadPlanner::from_config(&cfg.loader).epoch_iter(self.source.num_records(), epoch);
         let depth = cfg.prefetch_records.max(1);
-        let fetchers = depth.min(order.num_records());
+        let threads = cfg.loader.threads.max(1);
+        // The crew is built once, on the loader's first epoch: its shape
+        // — and the core count `fan` is read from — is fixed from then on.
+        let mut crew = self.crew.lease(|| {
+            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+            CrewShape {
+                fetchers: depth.min(order.num_records()),
+                decoders: threads,
+                fan: self.fan.unwrap_or(cores / threads).max(1),
+            }
+        });
         let shared = Arc::new(EpochShared {
             store: Arc::clone(&self.store),
             stats: Arc::clone(&stats),
@@ -351,86 +397,29 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         // labels straight from the shared source, so no per-record label
         // Vec is ever allocated or copied.
         let (rec_tx, rec_rx) = bounded::<(Vec<ImageBuf>, usize)>(depth);
-        let threads = cfg.loader.threads.max(1);
-        let mut workers = Vec::with_capacity(fetchers + threads);
-        for f in 0..fetchers {
+        crew.assign(Stage::Fetch, || {
             let shared = Arc::clone(&shared);
-            // Fetchers only plan, read and sleep: a small stack, and no
-            // decode buffers, keep a deep window cheap in memory.
-            let handle = std::thread::Builder::new()
-                .name(format!("pcr-fetch-{f}"))
-                .stack_size(FETCH_STACK_BYTES)
-                .spawn(move || shared.fetch_loop())
-                .expect("spawn fetcher");
-            workers.push(handle);
-        }
-        for w in 0..threads {
+            move |_: &mut Hand| shared.fetch_loop()
+        });
+        crew.assign(Stage::Decode, || {
             let shared = Arc::clone(&shared);
             let rec_tx = rec_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("pcr-parallel-{w}"))
-                .spawn(move || shared.decode_loop(&rec_tx))
-                .expect("spawn worker");
-            workers.push(handle);
-        }
+            move |hand: &mut Hand| shared.decode_loop(&rec_tx, hand)
+        });
         drop(rec_tx);
 
         // Assembler: records → fixed-size minibatches, double-buffered.
         let (batch_tx, batch_rx) = bounded::<Minibatch>(cfg.prefetch_batches.max(1));
         let batch_size = cfg.batch_size.max(1);
         let pairs_images = matches!(cfg.loader.decode, DecodeMode::Real);
-        let asm_source = Arc::clone(&self.source);
-        let assembler = std::thread::Builder::new()
-            .name("pcr-assembler".into())
-            .spawn(move || {
-                let mut images: Vec<ImageBuf> = Vec::new();
-                let mut labels: Vec<u32> = Vec::new();
-                // Determinism invariant, checked under pcr-debug-sync:
-                // within one epoch every record index reaches the
-                // assembler at most once, whatever the worker interleaving.
-                #[cfg(feature = "pcr-debug-sync")]
-                let mut delivered_once = std::collections::HashSet::new();
-                while let Ok((imgs, idx)) = rec_rx.recv() {
-                    #[cfg(feature = "pcr-debug-sync")]
-                    assert!(
-                        delivered_once.insert(idx),
-                        "pcr-debug-sync: record {idx} delivered to the assembler twice in one epoch"
-                    );
-                    images.extend(imgs);
-                    labels.extend_from_slice(asm_source.labels(idx));
-                    // Under Real decode images and labels stay parallel;
-                    // otherwise images is empty and labels set the pace.
-                    let filled = |i: &Vec<ImageBuf>, l: &Vec<u32>| {
-                        if pairs_images { i.len() } else { l.len() }
-                    };
-                    while filled(&images, &labels) >= batch_size {
-                        let rest_i = images.split_off(batch_size.min(images.len()));
-                        let rest_l = labels.split_off(batch_size.min(labels.len()));
-                        let batch = Minibatch {
-                            images: std::mem::replace(&mut images, rest_i),
-                            labels: std::mem::replace(&mut labels, rest_l),
-                        };
-                        if batch_tx.send(batch).is_err() {
-                            return;
-                        }
-                    }
-                }
-                if !images.is_empty() || !labels.is_empty() {
-                    let _ = batch_tx.send(Minibatch { images, labels });
-                }
-            })
-            .expect("spawn assembler");
+        crew.assign(Stage::Assemble, || {
+            let (rec_rx, batch_tx) = (rec_rx.clone(), batch_tx.clone());
+            let source = Arc::clone(&self.source);
+            move |_: &mut Hand| assemble(&rec_rx, &batch_tx, &*source, batch_size, pairs_images)
+        });
+        drop((rec_rx, batch_tx));
 
-        EpochStream {
-            batches: batch_rx,
-            stats,
-            workers,
-            assembler: Some(assembler),
-            started,
-            threads,
-            depth,
-            pairs_images,
-        }
+        EpochStream { batches: batch_rx, stats, crew, started, threads, depth, pairs_images }
     }
 
     /// Runs one epoch at the configured scan group to completion,
@@ -440,10 +429,50 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     }
 }
 
-/// Stack of a fetch thread. A fetcher's deepest call chain is the store
-/// read path plus an error `format!`; 256 KiB leaves that an order of
-/// magnitude of headroom in debug builds.
-const FETCH_STACK_BYTES: usize = 256 << 10;
+/// The assembler's epoch: records → fixed-size minibatches, in the order
+/// the decode workers deliver them. Returns when the record channel
+/// drains or the consumer disappears.
+fn assemble<S: RecordSource + ?Sized>(
+    rec_rx: &Receiver<(Vec<ImageBuf>, usize)>,
+    batch_tx: &Sender<Minibatch>,
+    source: &S,
+    batch_size: usize,
+    pairs_images: bool,
+) {
+    let mut images: Vec<ImageBuf> = Vec::new();
+    let mut labels: Vec<u32> = Vec::new();
+    // Determinism invariant, checked under pcr-debug-sync: within one
+    // epoch every record index reaches the assembler at most once,
+    // whatever the worker interleaving.
+    #[cfg(feature = "pcr-debug-sync")]
+    let mut delivered_once = std::collections::HashSet::new();
+    while let Ok((imgs, idx)) = rec_rx.recv() {
+        #[cfg(feature = "pcr-debug-sync")]
+        assert!(
+            delivered_once.insert(idx),
+            "pcr-debug-sync: record {idx} delivered to the assembler twice in one epoch"
+        );
+        images.extend(imgs);
+        labels.extend_from_slice(source.labels(idx));
+        // Under Real decode images and labels stay parallel; otherwise
+        // images is empty and labels set the pace.
+        let filled = |i: &Vec<ImageBuf>, l: &Vec<u32>| if pairs_images { i.len() } else { l.len() };
+        while filled(&images, &labels) >= batch_size {
+            let rest_i = images.split_off(batch_size.min(images.len()));
+            let rest_l = labels.split_off(batch_size.min(labels.len()));
+            let batch = Minibatch {
+                images: std::mem::replace(&mut images, rest_i),
+                labels: std::mem::replace(&mut labels, rest_l),
+            };
+            if batch_tx.send(batch).is_err() {
+                return;
+            }
+        }
+    }
+    if !images.is_empty() || !labels.is_empty() {
+        let _ = batch_tx.send(Minibatch { images, labels });
+    }
+}
 
 /// What the fetch stage hands a decode worker for one epoch-order
 /// position: the record, its ladder so far, and the rung the ladder
@@ -516,14 +545,14 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
         }
     }
 
-    /// One decode worker: take fetched records in epoch-order position,
-    /// run the decode check — resuming the record's ladder from the next
-    /// lower group when it fails — account, push downstream. Returns when
-    /// the epoch is drained or the consumer disappears.
-    fn decode_loop(&self, rec_tx: &Sender<(Vec<ImageBuf>, usize)>) {
+    /// One decode worker's epoch: take fetched records in epoch-order
+    /// position, run the decode check on `hand` and its helpers —
+    /// resuming the record's ladder from the next lower group when it
+    /// fails — account, push downstream. Returns when the epoch is
+    /// drained or the consumer disappears.
+    fn decode_loop(&self, rec_tx: &Sender<(Vec<ImageBuf>, usize)>, hand: &mut Hand) {
         let _guard = CloseOnPanic(&self.handoff);
         let stats = &*self.stats;
-        let mut scratch = RecordScratch::new();
         loop {
             let t0 = Instant::now();
             let Some((_, Fetched { idx, ladder, rung })) = self.handoff.take() else {
@@ -535,7 +564,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                 &mut |l| self.fetch_rung(l),
                 &*self.source,
                 self.decode,
-                &mut scratch,
+                hand,
             );
             stats.decode_nanos.fetch_add((step.decode_s * 1e9) as u64, Ordering::Relaxed);
             if !step.faults.is_clean() {
@@ -837,19 +866,6 @@ mod tests {
         assert_eq!(order_of(0), e0, "same epoch is deterministic");
     }
 
-    /// Joins every pipeline thread, failing if one panicked.
-    fn join_all(
-        workers: Vec<std::thread::JoinHandle<()>>,
-        assembler: Option<std::thread::JoinHandle<()>>,
-    ) {
-        for w in workers {
-            w.join().expect("stage thread exits cleanly");
-        }
-        if let Some(a) = assembler {
-            a.join().expect("assembler exits cleanly");
-        }
-    }
-
     #[test]
     fn consumer_can_drop_early() {
         let (store, db) = make(40, DeviceProfile::ram());
@@ -858,8 +874,9 @@ mod tests {
         let stream = loader.spawn_epoch(0);
         let first = stream.batches.iter().next().expect("one batch");
         assert_eq!(first.images.len(), 2);
-        drop(stream.batches);
-        join_all(stream.workers, stream.assembler);
+        // `join` drops the receiver, waits for every stage job and
+        // re-raises a panic if one died: it must return cleanly.
+        stream.join();
     }
 
     #[test]
@@ -894,5 +911,200 @@ mod tests {
         stream.join();
         assert_eq!(store.device_stats().reads, 28, "backpressure reached the reads");
         assert!(stats.records_loaded.load(Ordering::Relaxed) <= 13, "the epoch was cancelled");
+    }
+
+    /// The labels an epoch delivers, in delivery order.
+    fn epoch_labels<S: RecordSource + 'static>(loader: &ParallelLoader<S>, epoch: u64) -> Vec<u32> {
+        loader.spawn_epoch(epoch).fold(|b| b.flat_map(|b| b.labels).collect::<Vec<u32>>()).0
+    }
+
+    /// The epoch's delivery order, as labels (one label per image).
+    fn expected_labels(cfg: &ParallelConfig, db: &MetaDb, epoch: u64) -> Vec<u32> {
+        ReadPlanner::from_config(&cfg.loader)
+            .epoch_order(db.records.len(), epoch)
+            .into_iter()
+            .flat_map(|idx| db.records[idx].labels.clone())
+            .collect()
+    }
+
+    #[test]
+    fn eight_epochs_on_one_loader_build_one_crew() {
+        let (store, db) = make(13, DeviceProfile::ram());
+        let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) };
+        let loader = ParallelLoader::new_with_fan(store, db, cfg, 2);
+        for epoch in 0..8 {
+            assert_eq!(loader.run_epoch(epoch).images, 13, "epoch {epoch}");
+        }
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 1);
+    }
+
+    /// A catalog whose plan of one record panics the first time it is
+    /// asked — a fetcher dies once, then the store behaves.
+    struct PanicsOnce(MetaDb, usize, std::sync::atomic::AtomicBool);
+
+    impl RecordSource for PanicsOnce {
+        fn num_records(&self) -> usize {
+            self.0.num_records()
+        }
+        fn plan(&self, idx: usize, scan_group: usize) -> crate::source::ReadPlan<'_> {
+            if idx == self.1 && self.2.swap(false, Ordering::Relaxed) {
+                panic!("fetcher panicked planning record {idx}");
+            }
+            self.0.plan(idx, scan_group)
+        }
+        fn labels(&self, idx: usize) -> &[u32] {
+            self.0.labels(idx)
+        }
+    }
+
+    #[test]
+    fn the_epoch_after_a_stage_panic_is_whole() {
+        let (store, db) = make(24, DeviceProfile::ram());
+        let source = Arc::new(PanicsOnce((*db).clone(), 3, true.into()));
+        let cfg = ParallelConfig { batch_size: 5, ..ParallelConfig::real(1, 10) };
+        let expected = expected_labels(&cfg, &db, 1);
+        let loader = ParallelLoader::new_with_fan(store, source, cfg, 2);
+        let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            loader.spawn_epoch(0).fold(|batches| batches.count())
+        }));
+        let payload = cut.expect_err("the fetcher's panic reaches the fold");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("fetcher panicked planning record 3"));
+        assert_eq!(epoch_labels(&loader, 1), expected, "the next epoch delivers EpochOrder in full");
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 2, "the panicked crew was closed");
+    }
+
+    #[test]
+    fn a_cancelled_epoch_leaves_nothing_for_the_next() {
+        let (store, db) = make(80, DeviceProfile::ram());
+        let cfg =
+            ParallelConfig { batch_size: 2, prefetch_records: 4, ..ParallelConfig::real(1, 10) };
+        let loader = ParallelLoader::new_with_fan(store, Arc::clone(&db), cfg.clone(), 3);
+        for (epoch, taken) in [(0u64, 1usize), (1, 0), (2, 7)] {
+            let stream = loader.spawn_epoch(epoch);
+            let head: Vec<u32> = stream.batches.iter().take(taken).flat_map(|b| b.labels).collect();
+            assert_eq!(head.len(), 2 * taken);
+            drop(stream);
+            let next = epoch + 10;
+            let expected = expected_labels(&cfg, &db, next);
+            assert_eq!(epoch_labels(&loader, next), expected, "after {epoch}");
+        }
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn two_live_streams_on_one_loader_both_deliver() {
+        let (store, db) = make(21, DeviceProfile::ram());
+        let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(1, 10) };
+        let loader = ParallelLoader::new_with_fan(store, Arc::clone(&db), cfg.clone(), 2);
+        let first = loader.spawn_epoch(0);
+        let second = loader.spawn_epoch(1);
+        // The second stream drains while the first holds its crew, parked
+        // on a full batch channel: it has a crew of its own.
+        let labels = |s: EpochStream| s.fold(|b| b.flat_map(|b| b.labels).collect::<Vec<u32>>()).0;
+        assert_eq!(labels(second), expected_labels(&cfg, &db, 1));
+        assert_eq!(labels(first), expected_labels(&cfg, &db, 0));
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 2);
+        // One crew went back idle, the other was closed.
+        assert_eq!(epoch_labels(&loader, 2), expected_labels(&cfg, &db, 2));
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn crew_threads_end_with_the_last_loader_and_stream() {
+        let (store, db) = make(20, DeviceProfile::ram());
+        let cfg =
+            ParallelConfig { batch_size: 4, prefetch_records: 2, ..ParallelConfig::real(2, 10) };
+        let loader = ParallelLoader::new_with_fan(store, db, cfg, 3);
+        let live = Arc::clone(&loader.crew.live);
+        assert_eq!(live.load(Ordering::Relaxed), 0, "no crew before the first epoch");
+        loader.run_epoch(0);
+        // Two fetchers, two decode workers with two helpers each, and the
+        // assembler.
+        assert_eq!(live.load(Ordering::Relaxed), 2 + 2 * 3 + 1);
+        let clone = loader.clone();
+        let stream = clone.spawn_epoch(1);
+        drop((loader, clone));
+        assert_eq!(live.load(Ordering::Relaxed), 9, "the live stream keeps its crew");
+        assert_eq!(stream.fold(|b| b.count()).1.images, 20);
+        assert_eq!(live.load(Ordering::Relaxed), 0, "every crew thread joined");
+    }
+
+    /// Each delivered image's label with a hash of its pixels, in order.
+    fn delivered_images(loader: &ParallelLoader, epoch: u64) -> (Vec<(u32, u64)>, EpochReport) {
+        use std::hash::{Hash, Hasher};
+        loader.spawn_epoch(epoch).fold(|batches| {
+            batches
+                .flat_map(|b| {
+                    assert_eq!(b.images.len(), b.labels.len());
+                    b.labels.into_iter().zip(b.images)
+                })
+                .map(|(label, image)| {
+                    let mut h = std::collections::hash_map::DefaultHasher::new();
+                    (image.width(), image.height(), image.channels(), image.data()).hash(&mut h);
+                    (label, h.finish())
+                })
+                .collect()
+        })
+    }
+
+    /// A 5-image-per-record catalog: 37 images, so the last record holds
+    /// two and the fan is wider than some records.
+    fn fan_catalog() -> pcr_core::PcrDataset {
+        crate::source::test_dataset(37, 5, |i| i as u32)
+    }
+
+    fn stored(ds: &pcr_core::PcrDataset) -> (Arc<ObjectStore>, Arc<MetaDb>) {
+        let store = ObjectStore::new(DeviceProfile::ram());
+        crate::source::populate_store(&store, ds);
+        (Arc::new(store), Arc::new(ds.db.clone()))
+    }
+
+    #[test]
+    fn fan_out_delivers_the_pixels_of_serial_decode() {
+        let (store, db) = stored(&fan_catalog());
+        for group in [3, 10] {
+            let cfg = ParallelConfig { batch_size: 6, ..ParallelConfig::real(1, group) };
+            let at = |fan: usize| {
+                let (store, db) = (Arc::clone(&store), Arc::clone(&db));
+                delivered_images(&ParallelLoader::new_with_fan(store, db, cfg.clone(), fan), 4).0
+            };
+            let serial = at(1);
+            let labels: Vec<u32> = serial.iter().map(|&(label, _)| label).collect();
+            assert_eq!(labels, expected_labels(&cfg, &db, 4));
+            for fan in [2, 3, 8] {
+                assert_eq!(at(fan), serial, "group {group}, fan {fan}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_keeps_the_decode_check_of_serial_decode() {
+        // Image 2 of record 3 loses its SOI: the record parses, that one
+        // image fails at every group, and the ladder walks down to
+        // quarantine — whichever thread decodes the image.
+        let mut ds = fan_catalog();
+        let rec = pcr_core::PcrRecord::parse(&ds.records[3]).expect("parses");
+        let headers_end = rec.offset_for_group(0);
+        let sois: Vec<usize> = (0..headers_end - 1)
+            .filter(|&at| ds.records[3][at..at + 2] == [0xFF, 0xD8])
+            .collect();
+        assert_eq!(sois.len(), 5, "one SOI per image header");
+        ds.records[3][sois[2]..sois[2] + 2].copy_from_slice(&[0, 0]);
+        let (store, db) = stored(&ds);
+        let cfg = ParallelConfig { batch_size: 6, ..ParallelConfig::real(1, 10) };
+        let at = |fan: usize| {
+            let (store, db) = (Arc::clone(&store), Arc::clone(&db));
+            let (images, report) =
+                delivered_images(&ParallelLoader::new_with_fan(store, db, cfg.clone(), fan), 0);
+            (images, report.faults)
+        };
+        let (serial, faults) = at(1);
+        assert_eq!(faults.quarantined_records, 1);
+        assert_eq!(faults.quarantined_images(), 5);
+        assert_eq!(serial.len(), 32);
+        for fan in [2, 3, 8] {
+            assert_eq!(at(fan), (serial.clone(), faults.clone()), "fan {fan}");
+        }
     }
 }

@@ -27,8 +27,8 @@
 //! run.
 
 use crate::config::DecodeMode;
-use crate::source::{decode_pcr_prefix, ReadPlan, RecordSource};
-use pcr_core::RecordScratch;
+use crate::crew::Hand;
+use crate::source::{ReadPlan, RecordSource};
 use pcr_jpeg::ImageBuf;
 use pcr_metrics::EpochFaultCounters;
 use pcr_storage::{Clock, ObjectStore, ReadError, ReadResult};
@@ -293,9 +293,10 @@ impl Ladder {
     /// further rung `fetch` produces until one is accepted or the ladder
     /// is exhausted, then accounts the record — degraded when the rung is
     /// below the requested group, quarantined when no rung was accepted.
-    /// Under [`DecodeMode::Real`] the decode ([`decode_pcr_prefix`]) *is*
-    /// the check, timed through [`crate::timing::measure`], so silent bit
-    /// flips degrade instead of propagating corrupt pixels;
+    /// Under [`DecodeMode::Real`] the decode ([`Hand::decode_record`],
+    /// on the calling decode worker and its helpers) *is* the check,
+    /// timed through [`crate::timing::measure`], so silent bit flips
+    /// degrade instead of propagating corrupt pixels;
     /// [`DecodeMode::Skip`] accepts any bytes read.
     pub(crate) fn deliver<S: RecordSource + ?Sized>(
         mut self,
@@ -303,7 +304,7 @@ impl Ladder {
         fetch: &mut dyn FnMut(&mut Ladder) -> Option<Rung>,
         source: &S,
         decode: DecodeMode,
-        scratch: &mut RecordScratch,
+        hand: &mut Hand,
     ) -> Delivery {
         let mut decode_s = 0.0;
         let mut rung = first;
@@ -312,9 +313,8 @@ impl Ladder {
             let images = match decode {
                 DecodeMode::Skip => Vec::new(),
                 DecodeMode::Real => {
-                    let (decoded, seconds) = crate::timing::measure(|| {
-                        decode_pcr_prefix(bytes, self.requested, scratch)
-                    });
+                    let (decoded, seconds) =
+                        crate::timing::measure(|| hand.decode_record(bytes, self.requested));
                     decode_s += seconds;
                     let Some(images) = decoded else {
                         let group = candidate.group;

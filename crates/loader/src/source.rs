@@ -34,7 +34,7 @@ pub struct ReadPlan<'a> {
 /// The trait answers two questions per record index: what bytes to read
 /// for a given scan group ([`RecordSource::plan`]) and what labels it
 /// carries ([`RecordSource::labels`]). The loader decodes every read as
-/// a `.pcr` record prefix (`decode_pcr_prefix`), so a source has no
+/// a `.pcr` record prefix (`decode_images`), so a source has no
 /// decode of its own.
 pub trait RecordSource: Send + Sync {
     /// Number of records.
@@ -47,24 +47,29 @@ pub trait RecordSource: Send + Sync {
     fn labels(&self, idx: usize) -> &[u32];
 }
 
-/// Decodes a planned `.pcr` record prefix into images at `scan_group`,
-/// clamped to the groups the bytes actually contain — the one decode
-/// every source's reads go through, so clamping semantics can never
-/// diverge between the per-record and sharded layouts. Returns `None`
-/// when the bytes cannot be decoded; the loader's decode check then
-/// tries a lower group.
-pub(crate) fn decode_pcr_prefix(
-    bytes: &[u8],
+/// Decodes a parsed `.pcr` record prefix into images at `scan_group`,
+/// clamped to the groups the bytes actually contain ([`prefix_group`]) —
+/// the decode every source's reads go through, so clamping semantics can
+/// never diverge between the per-record and sharded layouts. Returns
+/// `None` at the first image that cannot be decoded; the loader's decode
+/// check then tries a lower group.
+pub(crate) fn decode_images(
+    rec: &PcrRecord<'_>,
     scan_group: usize,
     scratch: &mut RecordScratch,
 ) -> Option<Vec<ImageBuf>> {
-    let rec = PcrRecord::parse(bytes).ok()?;
-    let g = rec.available_groups().min(scan_group).max(1);
+    let g = prefix_group(rec, scan_group);
     let mut images = Vec::with_capacity(rec.num_images());
     for i in 0..rec.num_images() {
         images.push(rec.decode_image_with(i, g, scratch).ok()?);
     }
     Some(images)
+}
+
+/// The group a prefix decode of `rec` runs at: `scan_group`, clamped to
+/// the groups the bytes contain (at least 1).
+pub(crate) fn prefix_group(rec: &PcrRecord<'_>, scan_group: usize) -> usize {
+    rec.available_groups().min(scan_group).max(1)
 }
 
 impl RecordSource for MetaDb {
