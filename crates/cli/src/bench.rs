@@ -21,7 +21,8 @@ USAGE:
     pcr bench <dir> [options]
 
 OPTIONS:
-    --workers <list>   Comma-separated decode worker counts (default 1,2,4)
+    --workers <list>   Comma-separated loader thread counts (default 1,2,4);
+                       each row's decode pool has max(workers, cores)
     --groups <list>    Comma-separated scan groups (default 1,5,10), clamped
                        to the container's group count
     --batch <n>        Minibatch size (default 32)
@@ -41,8 +42,8 @@ the verify pass every open makes), which is what `meas/pred` is measured
 against: modeled device time on top of warm real reads.
 
 Per row: `io` is the share of the I/O window's slot-time spent in device
-service, `dec` the share of the decode workers' time spent decoding,
-`bound` where most of the decode workers' time went — waiting for bytes
+service, `dec` the share of the decode pool's time spent decoding,
+`bound` where most of the decode pool's time went — waiting for bytes
 (storage), decoding (decode), or waiting for the consumer (consumer) —
 and, with --io emulated, `meas/pred` is measured img/s over
 min(decode rate, Lemma A.2 at the I/O depth) for a cold modeled cache.
@@ -165,12 +166,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let loader = ParallelLoader::new(store.clone(), source, cfg);
             let epoch = loader.run_epoch(0);
             // Lemma A.4 over Lemma A.2 at the loader's I/O depth: the
-            // decode roof is what the workers measured, the storage roof
-            // what the device profile predicts for uncached reads.
+            // decode roof is what the decode pool measured — the images
+            // over its decode time per thread — the storage roof what the
+            // device profile predicts for uncached reads.
             let predicted_images_per_sec = (io == IoModel::EmulatedLatency).then(|| {
                 let decode_rate = match decode {
                     DecodeMode::Real => {
-                        w as f64 * epoch.images as f64 / epoch.decode_seconds.max(1e-9)
+                        let per_thread = epoch.decode_busy_share * epoch.seconds;
+                        epoch.images as f64 / per_thread.max(1e-9)
                     }
                     _ => f64::INFINITY,
                 };

@@ -27,7 +27,9 @@ OPTIONS:
                       when the training loss plateaus
     --group <g>       Fixed scan group (default: full); not with --dynamic
     --model <name>    resnet | shufflenet (default resnet)
-    --threads <n>     Loader worker threads (default 4)
+    --threads <n>     Least loader decode threads (default 4); the pool
+                      has max(n, cores), and batches come in the same
+                      order at any n
     --batch <n>       Minibatch size (default 32)
     --lr <x>          SGD learning rate (default 0.05)
     --io <mode>       instant | emulated (default instant)

@@ -17,7 +17,10 @@ pub enum DecodeMode {
 /// Data loader configuration (the paper uses 4-8 prefetch threads).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoaderConfig {
-    /// Decode worker threads.
+    /// The least size of the wall-clock loader's decode pool: it runs
+    /// `max(threads, available_parallelism())` identical decode threads,
+    /// counted once when its stage threads are built. Delivery order does
+    /// not depend on it — every pool size delivers the epoch order.
     pub threads: usize,
     /// Scan group to read (1..=10); `num_groups` means full quality.
     pub scan_group: usize,

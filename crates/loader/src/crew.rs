@@ -1,12 +1,12 @@
 //! The wall-clock loader's standing stage threads: one *crew* of
-//! fetchers, decode workers with their helpers, and an assembler, built
+//! fetchers, a pool of identical decode threads, and an assembler, built
 //! on a loader's first epoch and handed every later epoch as jobs.
 //!
 //! Spawning the stage threads anew each epoch costs more than the spawn:
 //! each fresh thread that allocates draws on a fresh malloc arena, and the
 //! process's resident set spreads with them. A crew keeps its threads —
-//! and each decode thread its [`RecordScratch`] — for as long as the
-//! loader lives:
+//! and each thread its [`RecordScratch`] — for as long as the loader
+//! lives:
 //!
 //! - [`CrewSlot`] is the loader's one idle crew. [`CrewSlot::lease`] takes
 //!   it (or builds one when it is out — a second live epoch never waits
@@ -20,169 +20,27 @@
 //!   caller to re-raise.
 //! - Dropping the last handle on the slot or on a crew closes its job
 //!   queues and joins its threads.
-//!
-//! **Fan-out inside one record.** Each decode worker owns `fan − 1`
-//! helper threads. [`Hand::decode_record`] lets the worker and its helpers
-//! claim a record's images one at a time (an atomic index) and decode
-//! them into image-index slots, all reading the same [`ByteView`]. The
-//! images, their order and the decode check — every image must decode —
-//! are those of decoding the record serially; only the wall time changes.
 
-use crate::source::{decode_images, prefix_group};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use pcr_core::{PcrRecord, RecordScratch};
-use pcr_jpeg::ImageBuf;
-use pcr_storage::ByteView;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use pcr_core::RecordScratch;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// How a job ended: `Err` carries its panic payload.
 type Outcome = std::thread::Result<()>;
 
-/// One unit of work for a crew thread.
-type Job = Box<dyn FnOnce(&mut Hand) + Send>;
-
-/// What a crew thread keeps from one job to the next.
-#[derive(Default)]
-pub(crate) struct Hand {
-    /// Decode buffers, grown on first use (decode workers and helpers).
-    scratch: RecordScratch,
-    /// A decode worker's helpers; `None` on every other thread, and on
-    /// decode workers when `fan` is 1.
-    helpers: Option<Helpers>,
-}
-
-/// A decode worker's `fan − 1` helper threads: their job queues, and the
-/// channel each reports its share of a record on.
-struct Helpers {
-    queues: Vec<Sender<Job>>,
-    done_tx: Sender<Outcome>,
-    done: Receiver<Outcome>,
-}
-
-impl Hand {
-    /// Decodes the `.pcr` record prefix `bytes` at `scan_group` (clamped
-    /// to the groups the bytes contain), splitting its images with this
-    /// thread's helpers. `None` when the record does not parse or any of
-    /// its images does not decode — the loader's decode check.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a helper's panic.
-    pub(crate) fn decode_record(
-        &mut self,
-        bytes: &ByteView,
-        scan_group: usize,
-    ) -> Option<Vec<ImageBuf>> {
-        let rec = PcrRecord::parse(bytes).ok()?;
-        // One helper per image past the first is the most that can help.
-        let wanted = rec.num_images().saturating_sub(1);
-        let helpers = match &self.helpers {
-            Some(helpers) if wanted > 0 => helpers,
-            _ => return decode_images(&rec, scan_group, &mut self.scratch),
-        };
-        let record = Arc::new(FanRecord {
-            bytes: bytes.clone(),
-            scan_group,
-            next: AtomicUsize::new(0),
-            failed: AtomicBool::new(false),
-            slots: Mutex::new(std::iter::repeat_with(|| None).take(rec.num_images()).collect()),
-        });
-        let mut dispatched = 0;
-        for queue in helpers.queues.iter().take(wanted) {
-            let record = Arc::clone(&record);
-            let done_tx = helpers.done_tx.clone();
-            let share: Job = Box::new(move |hand| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| record.share(&mut hand.scratch)));
-                drop(record);
-                let _ = done_tx.send(outcome);
-            });
-            // A helper's queue closes only when its decode worker exits.
-            if queue.send(share).is_ok() {
-                dispatched += 1;
-            }
-        }
-        record.share_parsed(&rec, &mut self.scratch);
-        for _ in 0..dispatched {
-            match helpers.done.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(payload)) => resume_unwind(payload),
-                // `done_tx` lives as long as `done`; unreachable.
-                Err(_) => return None,
-            }
-        }
-        record.images()
-    }
-}
-
-/// One record being decoded by a decode worker and its helpers.
-///
-/// The atomics are `Relaxed`: the claim index publishes nothing, images
-/// travel under `slots`' lock, and the worker reads `failed` only after
-/// every share has reported over its helper's `done` channel, which
-/// orders the shares' writes before the read. A poisoned `slots` lock
-/// still guards whole slots — each update is one assignment — so it is
-/// recovered, not propagated.
-struct FanRecord {
-    bytes: ByteView,
-    scan_group: usize,
-    /// Next image index to claim.
-    next: AtomicUsize,
-    /// Set by the first image that fails to decode.
-    failed: AtomicBool,
-    /// Decoded images, by image index.
-    slots: Mutex<Vec<Option<ImageBuf>>>,
-}
-
-impl FanRecord {
-    /// A helper's share: parse the shared bytes, then claim images.
-    fn share(&self, scratch: &mut RecordScratch) {
-        match PcrRecord::parse(&self.bytes) {
-            Ok(rec) => self.share_parsed(&rec, scratch),
-            Err(_) => self.failed.store(true, Ordering::Relaxed),
-        }
-    }
-
-    /// Claims and decodes images of `rec` until none is left or one has
-    /// failed.
-    fn share_parsed(&self, rec: &PcrRecord<'_>, scratch: &mut RecordScratch) {
-        let group = prefix_group(rec, self.scan_group);
-        while !self.failed.load(Ordering::Relaxed) {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= rec.num_images() {
-                return;
-            }
-            match rec.decode_image_with(i, group, scratch) {
-                Ok(image) => {
-                    let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Some(slot) = slots.get_mut(i) {
-                        *slot = Some(image);
-                    }
-                }
-                Err(_) => self.failed.store(true, Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// The record's images in index order, once every share is done;
-    /// `None` if any failed.
-    fn images(&self) -> Option<Vec<ImageBuf>> {
-        if self.failed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let slots = std::mem::take(&mut *self.slots.lock().unwrap_or_else(PoisonError::into_inner));
-        slots.into_iter().collect()
-    }
-}
+/// One unit of work for a crew thread, given the thread's decode
+/// buffers (grown on first use, so only decode threads grow them).
+type Job = Box<dyn FnOnce(&mut RecordScratch) + Send>;
 
 /// The crew's threads by role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stage {
     /// The fetch stage: plan, read, stage in the hand-off.
     Fetch,
-    /// The decode workers (each with its helpers behind it).
+    /// The decode pool.
     Decode,
     /// The one assembler.
     Assemble,
@@ -193,17 +51,15 @@ pub(crate) enum Stage {
 pub(crate) struct CrewShape {
     /// Fetch threads.
     pub(crate) fetchers: usize,
-    /// Decode workers — records decoding at once.
+    /// Decode pool threads.
     pub(crate) decoders: usize,
-    /// Threads decoding one record: its worker plus `fan − 1` helpers.
-    pub(crate) fan: usize,
 }
 
 /// A built crew: its job queues and its threads.
 struct Crew {
     shape: CrewShape,
-    /// One queue per thread that takes epoch jobs: fetchers, then decode
-    /// workers, then the assembler. Helpers are queued by their worker.
+    /// One queue per thread: fetchers, then the decode pool, then the
+    /// assembler.
     queues: Vec<Sender<Job>>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -225,7 +81,7 @@ impl Drop for Alive {
 impl Crew {
     fn build(shape: CrewShape, live: &Arc<AtomicUsize>) -> Self {
         let mut threads = Vec::new();
-        let mut spawn = |name: String, stack: Option<usize>, hand: Hand| {
+        let mut spawn = |name: String, stack: Option<usize>| {
             let (tx, rx) = unbounded::<Job>();
             live.fetch_add(1, Ordering::Relaxed);
             let alive = Alive(Arc::clone(live));
@@ -236,9 +92,9 @@ impl Crew {
             let handle = builder
                 .spawn(move || {
                     let _alive = alive;
-                    let mut hand = hand;
+                    let mut scratch = RecordScratch::default();
                     for job in rx {
-                        job(&mut hand);
+                        job(&mut scratch);
                     }
                 })
                 .expect("spawn crew thread");
@@ -247,27 +103,19 @@ impl Crew {
         };
         let mut queues = Vec::with_capacity(shape.fetchers + shape.decoders + 1);
         for f in 0..shape.fetchers {
-            // Fetchers only plan, read and sleep: a small stack, and no
-            // decode buffers, keep a deep window cheap in memory.
-            queues.push(spawn(format!("pcr-fetch-{f}"), Some(FETCH_STACK_BYTES), Hand::default()));
+            // Fetchers only plan, read and sleep: a small stack keeps a
+            // deep window cheap in memory.
+            queues.push(spawn(format!("pcr-fetch-{f}"), Some(FETCH_STACK_BYTES)));
         }
         for w in 0..shape.decoders {
-            let helpers = (shape.fan > 1).then(|| {
-                let (done_tx, done) = unbounded();
-                let queues = (1..shape.fan)
-                    .map(|h| spawn(format!("pcr-help-{w}.{h}"), None, Hand::default()))
-                    .collect();
-                Helpers { queues, done_tx, done }
-            });
-            let hand = Hand { helpers, ..Hand::default() };
-            queues.push(spawn(format!("pcr-parallel-{w}"), None, hand));
+            queues.push(spawn(format!("pcr-decode-{w}"), None));
         }
-        queues.push(spawn("pcr-assembler".into(), None, Hand::default()));
+        queues.push(spawn("pcr-assembler".into(), None));
         Self { shape, queues, threads }
     }
 
     fn queues(&self, stage: Stage) -> &[Sender<Job>] {
-        let CrewShape { fetchers, decoders, .. } = self.shape;
+        let CrewShape { fetchers, decoders } = self.shape;
         let range = match stage {
             Stage::Fetch => 0..fetchers,
             Stage::Decode => fetchers..fetchers + decoders,
@@ -279,8 +127,7 @@ impl Crew {
 
 impl Drop for Crew {
     fn drop(&mut self) {
-        // Closing the queues ends each thread's job loop; a decode
-        // worker's exit closes its helpers' queues in turn.
+        // Closing the queues ends each thread's job loop.
         self.queues.clear();
         for thread in self.threads.drain(..) {
             // Jobs run under catch_unwind, so a thread cannot die of one.
@@ -358,19 +205,24 @@ pub(crate) struct CrewLease {
 }
 
 impl CrewLease {
+    /// The size of the leased crew's decode pool.
+    pub(crate) fn decoders(&self) -> usize {
+        self.crew.as_ref().map_or(0, |crew| crew.shape.decoders)
+    }
+
     /// Queues one job on every thread of `stage`, made by `job` per
     /// thread. The job's captures drop when it returns, before its
     /// outcome is reported.
     pub(crate) fn assign<J>(&mut self, stage: Stage, mut job: impl FnMut() -> J)
     where
-        J: FnOnce(&mut Hand) + Send + 'static,
+        J: FnOnce(&mut RecordScratch) + Send + 'static,
     {
         let (Some(crew), Some(outcome_tx)) = (&self.crew, &self.outcome_tx) else { return };
         for queue in crew.queues(stage) {
             let job = job();
             let outcome_tx = outcome_tx.clone();
-            let wrapped: Job = Box::new(move |hand| {
-                let outcome = catch_unwind(AssertUnwindSafe(move || job(hand)));
+            let wrapped: Job = Box::new(move |scratch| {
+                let outcome = catch_unwind(AssertUnwindSafe(move || job(scratch)));
                 let _ = outcome_tx.send(outcome);
             });
             // A crew thread's queue closes only when the crew drops.

@@ -1,21 +1,27 @@
-//! The sequenced hand-off between the wall-clock loader's fetch stage and
-//! its decode workers: a reorder window over epoch-order *positions*.
+//! The sequenced hand-off between the wall-clock loader's stages: a
+//! reorder window over epoch-order *positions*. The loader has two: one
+//! from the fetch stage to the decode pool, one from the pool to the
+//! assembler.
 //!
-//! Fetchers [`claim`](Handoff::claim) the next position, read it, and
-//! [`stage`](Handoff::stage) the result whenever the read finishes — in
-//! any order. Decode workers [`take`](Handoff::take) positions strictly in
-//! sequence: position `k + 1` is never handed on before position `k`,
-//! however the reads raced. That ordering is what keeps a one-worker
-//! epoch bit-reproducible with many reads in flight; a plain MPMC channel
-//! would deliver in completion order instead.
+//! Producers [`stage`](Handoff::stage) each position's value whenever it
+//! is ready — in any order; fetchers first [`claim`](Handoff::claim) the
+//! next position to read. The consumer side [`take`](Handoff::take)s
+//! positions strictly in sequence: position `k + 1` is never handed on
+//! before position `k`, however the producers raced. That ordering is
+//! what makes an epoch deliver the [`crate::order::EpochOrder`] sequence
+//! exactly at any thread count; a plain MPMC channel would deliver in
+//! completion order instead.
 //!
 //! The window holds the `depth` positions from the next one to be taken;
-//! a fetcher whose position lies beyond it parks in `stage`, holding its
-//! one completed read, until the head moves. With one fetcher per window
-//! slot that bounds the pipeline at `depth` reads in flight and fewer
-//! than `2 × depth` fetched-but-undecoded records, even while the head of
-//! the window sits behind a latency spike — and the fetchers behind the
-//! spike keep reading for a full window before they stall.
+//! a producer whose position lies beyond it parks in `stage`, holding its
+//! one value, until the head moves. On the fetch side, with one fetcher
+//! per window slot, that bounds the pipeline at `depth` reads in flight
+//! and fewer than `2 × depth` fetched records waiting for the pool, even
+//! while the head of the window sits behind a latency spike — and the
+//! fetchers behind the spike keep reading for a full window before they
+//! stall. The decode pool instead [waits for room](Handoff::wait_for_room)
+//! before it starts on a position, so it never holds decoded images
+//! outside the window.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -25,8 +31,8 @@ struct Window<T> {
     total: usize,
     /// Next position a fetcher will claim.
     next_claim: usize,
-    /// Next position a decode worker will take; `slots[i]` stages position
-    /// `head + i`, `None` until its read is staged.
+    /// Next position to be taken; `slots[i]` stages position `head + i`,
+    /// `None` until its value is staged.
     head: usize,
     slots: VecDeque<Option<T>>,
     closed: bool,
@@ -35,11 +41,11 @@ struct Window<T> {
 /// See the [module documentation](self).
 pub(crate) struct Handoff<T> {
     window: Mutex<Window<T>>,
-    /// Signalled when the head moves (or the hand-off closes): fetchers
+    /// Signalled when the head moves (or the hand-off closes): producers
     /// parked beyond the window wait here.
     room: Condvar,
     /// Signalled when the head position is staged (or the hand-off closes
-    /// or drains): decode workers wait here.
+    /// or drains): takers wait here.
     ready: Condvar,
 }
 
@@ -80,14 +86,14 @@ impl<T> Handoff<T> {
         Some(pos)
     }
 
-    /// Stages the value fetched for a claimed position, blocking while
-    /// the position lies beyond the window. Dropped silently when the
-    /// hand-off closed meanwhile.
-    pub(crate) fn stage(&self, pos: usize, value: T) {
+    /// Stages the value of a position, blocking while the position lies
+    /// beyond the window. `false` when the hand-off is closed: the value
+    /// is dropped.
+    pub(crate) fn stage(&self, pos: usize, value: T) -> bool {
         let mut w = self.lock();
         loop {
             if w.closed {
-                return;
+                return false;
             }
             let head = w.head;
             if let Some(slot) = pos.checked_sub(head).and_then(|i| w.slots.get_mut(i)) {
@@ -96,10 +102,20 @@ impl<T> Handoff<T> {
                     drop(w);
                     self.ready.notify_all();
                 }
-                return;
+                return true;
             }
             w = self.room.wait(w).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Blocks until position `pos` lies inside the window, so that
+    /// staging it will not park. `false` when the hand-off is closed.
+    pub(crate) fn wait_for_room(&self, pos: usize) -> bool {
+        let mut w = self.lock();
+        while !w.closed && pos >= w.head + w.slots.len() {
+            w = self.room.wait(w).unwrap_or_else(PoisonError::into_inner);
+        }
+        !w.closed
     }
 
     /// Takes the next position in sequence with its staged value,
@@ -154,7 +170,7 @@ mod tests {
         let claimed: Vec<usize> = std::iter::from_fn(|| h.claim()).collect();
         assert_eq!(claimed, [0, 1, 2, 3], "then every position is claimed");
         for pos in [2, 3, 1, 0] {
-            h.stage(pos, pos * 10);
+            assert!(h.stage(pos, pos * 10));
         }
         let taken: Vec<(usize, usize)> = std::iter::from_fn(|| h.take()).collect();
         assert_eq!(taken, [(0, 0), (1, 10), (2, 20), (3, 30)]);
@@ -168,20 +184,39 @@ mod tests {
         let fetcher = {
             let h = Arc::clone(&h);
             std::thread::spawn(move || {
-                h.stage(2, "c");
+                assert!(h.stage(2, "c"));
                 staged_tx.send(()).expect("test alive");
             })
         };
         // Position 1 staging does not move the window: the head is still out.
-        h.stage(1, "b");
+        assert!(h.stage(1, "b"));
         assert!(staged_rx.try_recv().is_err(), "position 2 lies beyond a window of 2");
-        h.stage(0, "a");
+        assert!(h.stage(0, "a"));
         assert_eq!(h.take(), Some((0, "a")));
         staged_rx.recv().expect("the head moved, so position 2 fits");
         fetcher.join().expect("fetcher exits");
         assert_eq!(h.take(), Some((1, "b")));
         assert_eq!(h.take(), Some((2, "c")));
         assert_eq!(h.take(), None, "drained");
+    }
+
+    #[test]
+    fn waiting_for_room_returns_once_the_head_moves() {
+        let h = Arc::new(Handoff::new(3, 1));
+        assert!(h.wait_for_room(0), "the head always fits");
+        assert_eq!([h.claim(), h.claim()], [Some(0), Some(1)]);
+        let (room_tx, room_rx) = mpsc::channel();
+        let waiter = {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || room_tx.send(h.wait_for_room(1)).expect("test alive"))
+        };
+        assert!(h.stage(0, 'a'));
+        assert!(room_rx.try_recv().is_err(), "position 1 lies beyond a window of 1");
+        assert_eq!(h.take(), Some((0, 'a')));
+        assert_eq!(room_rx.recv(), Ok(true), "the head moved, so position 1 fits");
+        waiter.join().expect("waiter exits");
+        h.close();
+        assert!(!h.wait_for_room(2), "closed");
     }
 
     #[test]
@@ -197,9 +232,9 @@ mod tests {
             std::thread::spawn(move || h.take())
         };
         h.close();
-        parked_fetcher.join().expect("fetcher released");
+        assert!(!parked_fetcher.join().expect("fetcher released"), "its value was dropped");
         assert_eq!(parked_taker.join().expect("taker released"), None);
-        h.stage(0, 7); // late completion is dropped, not staged
+        assert!(!h.stage(0, 7), "a late completion is dropped, not staged");
         assert_eq!(h.take(), None);
         assert_eq!(h.claim(), None);
     }

@@ -45,8 +45,9 @@
 //! populate_store(&store, &ds);
 //! let db = Arc::new(ds.db.clone());
 //!
-//! // Two decode workers at scan group 2: every image, decoded, and the
-//! // group-2 prefix of every record read once.
+//! // A pool of at least two decode threads at scan group 2: every image,
+//! // decoded, in epoch order, and the group-2 prefix of every record
+//! // read once.
 //! let loader = ParallelLoader::new(store, db, ParallelConfig::real(2, 2));
 //! let (images, report) =
 //!     loader.spawn_epoch(0).fold(|batches| batches.map(|b| b.images.len()).sum::<usize>());

@@ -1,7 +1,8 @@
-//! The real wall-clock PCR read path: an OS-thread worker pool that reads
+//! The real wall-clock PCR read path: an OS-thread pipeline that reads
 //! record byte-prefixes from an [`ObjectStore`], decodes truncated
-//! progressive JPEGs with `pcr-jpeg`, and yields [`Minibatch`]es to the
-//! consumer through double-buffered prefetch channels.
+//! progressive JPEGs with `pcr-jpeg` on a pool of decode threads, and
+//! yields [`Minibatch`]es to the consumer through double-buffered
+//! prefetch channels.
 //!
 //! This is the crate's one loader: every delivered record — in the CLI,
 //! the examples and the benchmark — comes out of it. It visits records in
@@ -13,10 +14,9 @@
 //!
 //! Structure (paper Appendix A.1's loader, realized with OS threads). I/O
 //! depth and decode parallelism are separate knobs: `prefetch_records`
-//! sets how many reads are outstanding (Lemma A.2's `W`), `loader.threads`
-//! how many records decode at once, and `fan` — the cores per decode
-//! worker, `max(1, available_parallelism / loader.threads)`, read once —
-//! how many threads decode one record's images.
+//! sets how many reads are outstanding (Lemma A.2's `W`), and the decode
+//! pool — `max(loader.threads, available_parallelism)` identical threads,
+//! sized once when the crew is built — how many images decode at once.
 //!
 //! ```text
 //! shared EpochOrder bijection (no materialized order)
@@ -29,11 +29,13 @@
 //!                       window of prefetch_records completed reads,
 //!                       staged as zero-copy ByteViews
 //!                                                      │
-//!   ├── decode worker 0 ─ decode check ─ [ladder ↓] ───┤  decode stage:
-//!   │     └ helpers 1..fan−1: claim the record's       │  loader.threads
-//!   │       images one at a time, same ByteView        │  records at once,
-//!   └── decode worker T ─ ...                          │  fan threads each
-//!                                                      ▼  bounded record channel
+//!   ├── pool thread 0 ─ next image of the oldest open ─┤  decode pool:
+//!   │     record ─ decode ─ [its last image: decode    │  one image per
+//!   │     check, ladder ↓]                             │  thread at a time
+//!   └── pool thread N ─ ...                            ▼
+//!                       in-order hand-off: a window of min(prefetch_records,
+//!                       pool size) decoded records, position k before k+1
+//!                                                      │
 //!                                          assembler: records → batches
 //!                                                      │  bounded batch channel
 //!                                                      ▼  (prefetch_batches)
@@ -53,31 +55,38 @@
 //! fidelity ladder (retry, backoff and read-failure degradation included;
 //! see [`crate::retry`]) and realize [`IoModel::EmulatedLatency`] service
 //! time *before* the bytes move on, so nothing is decoded before it has
-//! "arrived". Decode workers take records strictly in epoch-order
-//! position (the `handoff` module), so one decode worker delivers the
-//! [`EpochOrder`] sequence exactly, however the reads raced; its helpers
-//! decode into image-index slots, so the images, their order and the
-//! decode check are those of a serial decode at any `fan`. A record
-//! whose bytes fail the decode check resumes its ladder from the next
-//! lower group on the decode worker itself (the rare path).
+//! "arrived". The pool takes records from the hand-off strictly in
+//! epoch-order position and opens each as one unit per image: a free
+//! pool thread claims the next image of the oldest open record, and
+//! takes a new record only when no open record has an image left to
+//! claim. The thread that decodes a rung's last image runs the record's
+//! decode check — every image must decode — and, when it fails, fetches
+//! the next lower rung itself (the rare path) and reopens the record at
+//! that rung. Settled records reach the assembler through a second
+//! in-order window, and the pool opens a record only once its position
+//! fits there, so decoded records never wait outside it. The assembler
+//! merges their fault accounting and batches their images strictly in
+//! [`EpochOrder`]: an epoch delivers the same images in the same order,
+//! with the same [`FaultReport`], at every pool size, however the reads
+//! and the decodes raced.
 //!
 //! Every queue is bounded, so a slow consumer exerts backpressure all the
 //! way to the reads; `prefetch_batches = 2` is classic double buffering
 //! (one batch being consumed, one staged).
 
 use crate::config::{DecodeMode, LoaderConfig};
-use crate::crew::{CrewLease, CrewShape, CrewSlot, Hand, Stage};
+use crate::crew::{CrewLease, CrewShape, CrewSlot, Stage};
 use crate::handoff::Handoff;
 use crate::order::EpochOrder;
 use crate::report::{share, Bottleneck, EpochReport};
 use crate::retry::{FaultReport, Ladder, RetryBudget, RetryPolicy, Rung};
-use crate::source::{ReadPlanner, RecordSource};
+use crate::source::{prefix_group, ReadPlanner, RecordSource};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use pcr_core::MetaDb;
+use pcr_core::{MetaDb, PcrRecord, RecordScratch};
 use pcr_jpeg::ImageBuf;
-use pcr_storage::ObjectStore;
+use pcr_storage::{ByteView, ObjectStore};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the wall-clock pipeline realizes storage time.
@@ -90,8 +99,8 @@ pub enum IoModel {
     /// Sleep each successful read's modeled service time — the duration
     /// the clocked store path returns for a
     /// [`Clock::Wall`](pcr_storage::Clock::Wall) read — on the fetch
-    /// thread that issued it, before the bytes are handed to a decode
-    /// worker; a read that succeeds but then fails the decode check has
+    /// thread that issued it, before the bytes are handed to the decode
+    /// pool; a read that succeeds but then fails the decode check has
     /// cost its service time all the same. Cached bytes cost only request
     /// overhead, so a warm page cache speeds emulated I/O exactly as it
     /// would a real device. Requests to different records are assumed to
@@ -107,18 +116,19 @@ pub enum IoModel {
 /// batches are involved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelConfig {
-    /// Shared loader parameters: `threads` is the decode worker count,
+    /// Shared loader parameters: `threads` is the decode pool's least
+    /// size (it has `max(threads, available_parallelism)` threads),
     /// `scan_group` the prefix quality, `shuffle`/`seed` the epoch order,
-    /// `decode` what workers do with the bytes ([`DecodeMode::Real`]
+    /// `decode` what the pool does with the bytes ([`DecodeMode::Real`]
     /// decodes pixels; [`DecodeMode::Skip`] delivers labels only).
     pub loader: LoaderConfig,
     /// Images per delivered [`Minibatch`].
     pub batch_size: usize,
     /// The prefetch queue, in records: how many reads the fetch stage
     /// keeps in flight — the I/O depth `W` of Lemma A.2, independent of
-    /// `loader.threads` — and the bounded depth of each queue behind it
-    /// (completed reads staged in epoch order for the decode workers;
-    /// the decode worker → assembler record channel).
+    /// the decode pool — and the depth of the in-order window of completed
+    /// reads behind it. Decoded records wait for the assembler in a
+    /// window of at most this many, and of no more than the pool's size.
     pub prefetch_records: usize,
     /// Bounded depth of the assembler → consumer batch channel; 2 is
     /// double buffering.
@@ -140,8 +150,8 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Real decode of scan group `g` with `threads` workers; everything
-    /// else defaulted.
+    /// Real decode of scan group `g` with a pool of at least `threads`;
+    /// everything else defaulted.
     pub fn real(threads: usize, scan_group: usize) -> Self {
         let loader = LoaderConfig { threads, scan_group, ..LoaderConfig::default() };
         Self { loader, ..Self::default() }
@@ -158,32 +168,34 @@ pub struct Minibatch {
     pub labels: Vec<u32>,
 }
 
-/// Aggregate pipeline statistics, updated live by the workers.
+/// Aggregate pipeline statistics, updated live by the stage threads.
 #[derive(Debug, Default)]
 pub struct ParallelStats {
     /// Compressed bytes read.
     pub bytes_read: AtomicU64,
     /// Records fully processed.
     pub records_loaded: AtomicU64,
-    /// Total decode nanoseconds summed across decode workers.
+    /// Decode nanoseconds summed over every image the pool decoded — the
+    /// epoch's decode CPU cost.
     pub decode_nanos: AtomicU64,
     /// Total nanoseconds requests spent in realized (emulated) device
     /// service, summed across every read in flight — so it exceeds wall
     /// time when reads overlap.
     pub io_wait_nanos: AtomicU64,
-    /// Total nanoseconds decode workers waited on the in-order hand-off
-    /// for the next record to arrive: the pipeline starving on storage.
+    /// Total nanoseconds pool threads waited for the next record to
+    /// arrive on the in-order hand-off, or for another pool thread to
+    /// take it: the pipeline starving on storage.
     pub decode_starved_nanos: AtomicU64,
-    /// Retries, degradations and quarantines, merged in by the decode
-    /// workers for every record that had any (a clean record takes no
-    /// lock).
+    /// Retries, degradations and quarantines, merged in by the assembler
+    /// in epoch order for every record that had any (a clean record takes
+    /// no lock).
     faults: Mutex<FaultReport>,
 }
 
 impl ParallelStats {
     /// The epoch's fault accounting so far.
     pub fn fault_report(&self) -> FaultReport {
-        self.faults.lock().expect("no worker panics while merging").clone()
+        self.faults.lock().expect("no assembler panics while merging").clone()
     }
 }
 
@@ -192,9 +204,10 @@ impl ParallelStats {
 /// Iterate [`EpochStream::batches`] until disconnect for the full epoch,
 /// then call [`EpochStream::join`] — or let [`EpochStream::fold`] do both
 /// and report; dropping the receiver early tears the pipeline down cleanly
-/// (decode workers notice the closed channel and close the hand-off, which
-/// releases the fetchers). Dropping the stream itself does the same and
-/// waits for the epoch's jobs, so the loader's crew is idle again after.
+/// (the assembler notices the closed channel and closes both hand-offs,
+/// which releases the decode pool and the fetchers). Dropping the stream
+/// itself does the same and waits for the epoch's jobs, so the loader's
+/// crew is idle again after.
 pub struct EpochStream {
     /// Minibatch stream; iterate until disconnect for a full epoch.
     pub batches: Receiver<Minibatch>,
@@ -204,19 +217,19 @@ pub struct EpochStream {
     /// a dropped stream closes the batch channel before it waits.
     crew: CrewLease,
     /// What [`EpochStream::fold`] reports against: when the spawn began,
-    /// the decode worker count, the I/O depth, and whether images (rather
+    /// the decode pool's size, the I/O depth, and whether images (rather
     /// than labels) count deliveries.
     started: Instant,
-    threads: usize,
+    pool: usize,
     depth: usize,
     pairs_images: bool,
 }
 
 impl EpochStream {
     /// Waits for the epoch's stage jobs to finish. Drops the batch
-    /// receiver first, so calling this mid-epoch cancels cleanly (workers
-    /// notice the closed channel) instead of deadlocking; drain `batches`
-    /// before calling if you want the full epoch.
+    /// receiver first, so calling this mid-epoch cancels cleanly (the
+    /// assembler notices the closed channel) instead of deadlocking; drain
+    /// `batches` before calling if you want the full epoch.
     ///
     /// # Panics
     ///
@@ -244,7 +257,7 @@ impl EpochStream {
         self,
         consumer: impl FnOnce(&mut dyn Iterator<Item = Minibatch>) -> R,
     ) -> (R, EpochReport) {
-        let (threads, depth, pairs_images) = (self.threads, self.depth, self.pairs_images);
+        let (pool, depth, pairs_images) = (self.pool, self.depth, self.pairs_images);
         let mut images = 0usize;
         let out = consumer(&mut self.batches.iter().inspect(|b| {
             images += if pairs_images { b.images.len() } else { b.labels.len() };
@@ -255,16 +268,16 @@ impl EpochStream {
         let secs = |nanos: &AtomicU64| nanos.load(Ordering::Relaxed) as f64 / 1e9;
         let decode_seconds = secs(&stats.decode_nanos);
         let starved = secs(&stats.decode_starved_nanos);
-        // What is left of the decode workers' time was spent blocked
-        // sending downstream to a consumer that is not keeping up.
-        let blocked = (seconds * threads as f64 - starved - decode_seconds).max(0.0);
+        // What is left of the pool threads' time went mostly to waiting
+        // for room in the reorder window: a consumer not keeping up.
+        let blocked = (seconds * pool as f64 - starved - decode_seconds).max(0.0);
         let report = EpochReport {
             images,
             bytes: stats.bytes_read.load(Ordering::Relaxed),
             seconds,
             decode_seconds,
             io_wait_share: share(secs(&stats.io_wait_nanos), depth, seconds),
-            decode_busy_share: share(decode_seconds, threads, seconds),
+            decode_busy_share: share(decode_seconds, pool, seconds),
             bottleneck: Bottleneck::of(starved, decode_seconds, blocked),
             faults: stats.fault_report(),
         };
@@ -277,7 +290,7 @@ impl EpochStream {
 /// shards (see [`crate::sharded`]).
 ///
 /// Generic over its [`RecordSource`], defaulting to `MetaDb`; every
-/// source streams through the identical worker pool, channels, and
+/// source streams through the identical decode pool, hand-offs, and
 /// clocked read path, so sharded and per-record layouts are compared on
 /// mechanism-identical footing.
 ///
@@ -290,10 +303,9 @@ pub struct ParallelLoader<S: RecordSource + ?Sized = MetaDb> {
     store: Arc<ObjectStore>,
     source: Arc<S>,
     config: ParallelConfig,
-    /// Threads decoding one record; `None` reads the core count when the
-    /// crew is built.
-    fan: Option<usize>,
     crew: Arc<CrewSlot>,
+    #[cfg(test)]
+    hooks: tests::Hooks,
 }
 
 impl<S: RecordSource + ?Sized> Clone for ParallelLoader<S> {
@@ -302,8 +314,9 @@ impl<S: RecordSource + ?Sized> Clone for ParallelLoader<S> {
             store: Arc::clone(&self.store),
             source: Arc::clone(&self.source),
             config: self.config.clone(),
-            fan: self.fan,
             crew: Arc::clone(&self.crew),
+            #[cfg(test)]
+            hooks: self.hooks.clone(),
         }
     }
 }
@@ -312,19 +325,14 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     /// Creates a loader. The source's planned object names must exist in
     /// `store`.
     pub fn new(store: Arc<ObjectStore>, source: Arc<S>, config: ParallelConfig) -> Self {
-        Self { store, source, config, fan: None, crew: Arc::new(CrewSlot::new()) }
-    }
-
-    /// [`ParallelLoader::new`] with `fan` threads decoding each record
-    /// instead of the cores left per decode worker.
-    #[cfg(test)]
-    fn new_with_fan(
-        store: Arc<ObjectStore>,
-        source: Arc<S>,
-        config: ParallelConfig,
-        fan: usize,
-    ) -> Self {
-        Self { fan: Some(fan), ..Self::new(store, source, config) }
+        Self {
+            store,
+            source,
+            config,
+            crew: Arc::new(CrewSlot::new()),
+            #[cfg(test)]
+            hooks: tests::Hooks::default(),
+        }
     }
 
     /// The configuration.
@@ -340,6 +348,16 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     /// The record source this loader plans reads over.
     pub fn source(&self) -> &Arc<S> {
         &self.source
+    }
+
+    /// The decode pool's size: `loader.threads`, or the core count when
+    /// that is larger.
+    fn pool_size(&self) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let pool = self.config.loader.threads.max(cores);
+        #[cfg(test)]
+        let pool = self.hooks.pool.unwrap_or(pool);
+        pool
     }
 
     /// Starts one epoch on the loader's crew and returns the live stream.
@@ -360,28 +378,29 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         let stats = Arc::new(ParallelStats::default());
 
         // Work queue: the shared streaming epoch order plus the hand-off
-        // window. Fetchers claim the next *position* and resolve it to a
+        // windows. Fetchers claim the next *position* and resolve it to a
         // record index through the Feistel bijection — no per-epoch Vec,
         // no O(n) channel backlog, just a few words of state however many
         // records the catalog holds.
         let order =
             ReadPlanner::from_config(&cfg.loader).epoch_iter(self.source.num_records(), epoch);
+        let total = order.num_records();
         let depth = cfg.prefetch_records.max(1);
-        let threads = cfg.loader.threads.max(1);
         // The crew is built once, on the loader's first epoch: its shape
-        // — and the core count `fan` is read from — is fixed from then on.
-        let mut crew = self.crew.lease(|| {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-            CrewShape {
-                fetchers: depth.min(order.num_records()),
-                decoders: threads,
-                fan: self.fan.unwrap_or(cores / threads).max(1),
-            }
-        });
+        // — and the core count the pool is sized from — is fixed from then
+        // on.
+        let mut crew = self
+            .crew
+            .lease(|| CrewShape { fetchers: depth.min(total), decoders: self.pool_size() });
+        let pool = crew.decoders();
         let shared = Arc::new(EpochShared {
             store: Arc::clone(&self.store),
             stats: Arc::clone(&stats),
-            handoff: Handoff::new(order.num_records(), depth),
+            fetched: Handoff::new(total, depth),
+            // One decoded record per pool thread is all the order can hold
+            // back: the threads claim the oldest images first.
+            records: Handoff::new(total, depth.min(pool)),
+            pool: Mutex::default(),
             order,
             scan_group,
             decode: cfg.loader.decode,
@@ -390,36 +409,29 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
             // One retry budget per epoch, shared by every stage thread.
             budget: RetryBudget::new(cfg.loader.retry.epoch_retry_budget_s),
             source: Arc::clone(&self.source),
+            #[cfg(test)]
+            hooks: self.hooks.clone(),
         });
-
-        // Decode worker → assembler channel (bounded). Workers send the
-        // record *index* with the decoded images; the assembler resolves
-        // labels straight from the shared source, so no per-record label
-        // Vec is ever allocated or copied.
-        let (rec_tx, rec_rx) = bounded::<(Vec<ImageBuf>, usize)>(depth);
         crew.assign(Stage::Fetch, || {
             let shared = Arc::clone(&shared);
-            move |_: &mut Hand| shared.fetch_loop()
+            move |_: &mut RecordScratch| shared.fetch_loop()
         });
         crew.assign(Stage::Decode, || {
             let shared = Arc::clone(&shared);
-            let rec_tx = rec_tx.clone();
-            move |hand: &mut Hand| shared.decode_loop(&rec_tx, hand)
+            move |scratch: &mut RecordScratch| shared.decode_loop(scratch)
         });
-        drop(rec_tx);
 
         // Assembler: records → fixed-size minibatches, double-buffered.
         let (batch_tx, batch_rx) = bounded::<Minibatch>(cfg.prefetch_batches.max(1));
         let batch_size = cfg.batch_size.max(1);
         let pairs_images = matches!(cfg.loader.decode, DecodeMode::Real);
         crew.assign(Stage::Assemble, || {
-            let (rec_rx, batch_tx) = (rec_rx.clone(), batch_tx.clone());
-            let source = Arc::clone(&self.source);
-            move |_: &mut Hand| assemble(&rec_rx, &batch_tx, &*source, batch_size, pairs_images)
+            let (shared, batch_tx) = (Arc::clone(&shared), batch_tx.clone());
+            move |_: &mut RecordScratch| shared.assemble(&batch_tx, batch_size, pairs_images)
         });
-        drop((rec_rx, batch_tx));
+        drop(batch_tx);
 
-        EpochStream { batches: batch_rx, stats, crew, started, threads, depth, pairs_images }
+        EpochStream { batches: batch_rx, stats, crew, started, pool, depth, pairs_images }
     }
 
     /// Runs one epoch at the configured scan group to completion,
@@ -429,65 +441,82 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
     }
 }
 
-/// The assembler's epoch: records → fixed-size minibatches, in the order
-/// the decode workers deliver them. Returns when the record channel
-/// drains or the consumer disappears.
-fn assemble<S: RecordSource + ?Sized>(
-    rec_rx: &Receiver<(Vec<ImageBuf>, usize)>,
-    batch_tx: &Sender<Minibatch>,
-    source: &S,
-    batch_size: usize,
-    pairs_images: bool,
-) {
-    let mut images: Vec<ImageBuf> = Vec::new();
-    let mut labels: Vec<u32> = Vec::new();
-    // Determinism invariant, checked under pcr-debug-sync: within one
-    // epoch every record index reaches the assembler at most once,
-    // whatever the worker interleaving.
-    #[cfg(feature = "pcr-debug-sync")]
-    let mut delivered_once = std::collections::HashSet::new();
-    while let Ok((imgs, idx)) = rec_rx.recv() {
-        #[cfg(feature = "pcr-debug-sync")]
-        assert!(
-            delivered_once.insert(idx),
-            "pcr-debug-sync: record {idx} delivered to the assembler twice in one epoch"
-        );
-        images.extend(imgs);
-        labels.extend_from_slice(source.labels(idx));
-        // Under Real decode images and labels stay parallel; otherwise
-        // images is empty and labels set the pace.
-        let filled = |i: &Vec<ImageBuf>, l: &Vec<u32>| if pairs_images { i.len() } else { l.len() };
-        while filled(&images, &labels) >= batch_size {
-            let rest_i = images.split_off(batch_size.min(images.len()));
-            let rest_l = labels.split_off(batch_size.min(labels.len()));
-            let batch = Minibatch {
-                images: std::mem::replace(&mut images, rest_i),
-                labels: std::mem::replace(&mut labels, rest_l),
-            };
-            if batch_tx.send(batch).is_err() {
-                return;
-            }
-        }
-    }
-    if !images.is_empty() || !labels.is_empty() {
-        let _ = batch_tx.send(Minibatch { images, labels });
-    }
-}
-
-/// What the fetch stage hands a decode worker for one epoch-order
-/// position: the record, its ladder so far, and the rung the ladder
-/// produced (`None`: no prefix was readable).
+/// What the fetch stage hands the decode pool for one epoch-order
+/// position: the record's ladder so far, and the rung it produced
+/// (`None`: no prefix was readable).
 struct Fetched {
-    idx: usize,
     ladder: Ladder,
     rung: Option<Rung>,
+}
+
+/// What the decode pool hands the assembler for one epoch-order
+/// position.
+struct Settled {
+    /// The record's images (none under [`DecodeMode::Skip`]); `None` when
+    /// it was quarantined.
+    images: Option<Vec<ImageBuf>>,
+    /// Its retries and backoff, and its degradation or quarantine.
+    faults: FaultReport,
+}
+
+/// A record open in the decode pool at one rung of its ladder.
+struct OpenRecord {
+    pos: usize,
+    ladder: Ladder,
+    rung: Rung,
+    /// Next image to claim; `images.len()` once every image is claimed or
+    /// one failed to decode.
+    next: usize,
+    /// Claimed images still decoding.
+    running: usize,
+    /// Decoded images by index; a `None` left once the rung is in failed
+    /// the decode check.
+    images: Vec<Option<ImageBuf>>,
+}
+
+/// The decode pool's shared state.
+#[derive(Default)]
+struct Pool {
+    /// Records being decoded, one rung each.
+    open: Vec<OpenRecord>,
+    /// The epoch was cancelled: nothing is opened again.
+    closed: bool,
+}
+
+/// A pool thread's next piece of work.
+enum Work {
+    /// Decode image `image` of the record at epoch position `pos` from
+    /// `bytes`.
+    Image { pos: usize, image: usize, bytes: ByteView },
+    /// Settle the record at `pos`, just taken from the fetch hand-off.
+    Record(usize, Fetched),
+}
+
+impl Pool {
+    /// Claims the next image of the oldest open record that has one left.
+    fn claim(&mut self) -> Option<Work> {
+        let rec = self.open.iter_mut().filter(|r| r.next < r.images.len()).min_by_key(|r| r.pos)?;
+        let image = rec.next;
+        rec.next += 1;
+        rec.running += 1;
+        Some(Work::Image { pos: rec.pos, image, bytes: rec.rung.read.data.clone() })
+    }
 }
 
 /// Everything one epoch's stage threads share.
 struct EpochShared<S: ?Sized> {
     store: Arc<ObjectStore>,
     stats: Arc<ParallelStats>,
-    handoff: Handoff<Fetched>,
+    /// Fetched records, from the fetch stage to the decode pool.
+    fetched: Handoff<Fetched>,
+    /// Settled records, from the decode pool to the assembler. The pool
+    /// opens a record only once its position fits in this window, so the
+    /// decoded records it holds stay within the window's depth, and no
+    /// pool thread ever parks in `stage`. It cannot deadlock: the head
+    /// record always fits, and the thread that opens it claims its images
+    /// itself when no other thread does.
+    records: Handoff<Settled>,
+    pool: Mutex<Pool>,
     order: EpochOrder,
     scan_group: usize,
     decode: DecodeMode,
@@ -495,13 +524,15 @@ struct EpochShared<S: ?Sized> {
     retry: RetryPolicy,
     budget: RetryBudget,
     source: Arc<S>,
+    #[cfg(test)]
+    hooks: tests::Hooks,
 }
 
-/// Closes the hand-off if its stage thread unwinds, so a panic in one
-/// stage cannot leave the other parked on a window that will never move.
-struct CloseOnPanic<'a>(&'a Handoff<Fetched>);
+/// Closes the epoch if its stage thread unwinds, so a panic in one stage
+/// cannot leave the others parked on a window that will never move.
+struct CloseOnPanic<'a, S: ?Sized>(&'a EpochShared<S>);
 
-impl Drop for CloseOnPanic<'_> {
+impl<S: ?Sized> Drop for CloseOnPanic<'_, S> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.close();
@@ -511,6 +542,25 @@ impl Drop for CloseOnPanic<'_> {
 
 fn add_elapsed(counter: &AtomicU64, since: Instant) {
     counter.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
+impl<S: ?Sized> EpochShared<S> {
+    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
+        // Every critical section leaves the pool consistent at each step,
+        // so a panic on a holder's thread cannot expose a half-updated one.
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Cancels the epoch: open records are dropped, nothing more is
+    /// claimed, staged or taken, and every parked stage thread returns.
+    fn close(&self) {
+        let mut pool = self.lock_pool();
+        pool.closed = true;
+        pool.open.clear();
+        drop(pool);
+        self.fetched.close();
+        self.records.close();
+    }
 }
 
 impl<S: RecordSource + ?Sized> EpochShared<S> {
@@ -536,51 +586,174 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// the position lies beyond the window. Returns when every position
     /// is claimed or the hand-off closes.
     fn fetch_loop(&self) {
-        let _guard = CloseOnPanic(&self.handoff);
-        while let Some(pos) = self.handoff.claim() {
-            let idx = self.order.get(pos);
-            let mut ladder = Ladder::new(idx, self.scan_group);
+        let _guard = CloseOnPanic(self);
+        while let Some(pos) = self.fetched.claim() {
+            let mut ladder = Ladder::new(self.order.get(pos), self.scan_group);
             let rung = self.fetch_rung(&mut ladder);
-            self.handoff.stage(pos, Fetched { idx, ladder, rung });
+            self.fetched.stage(pos, Fetched { ladder, rung });
         }
     }
 
-    /// One decode worker's epoch: take fetched records in epoch-order
-    /// position, run the decode check on `hand` and its helpers —
-    /// resuming the record's ladder from the next lower group when it
-    /// fails — account, push downstream. Returns when the epoch is
-    /// drained or the consumer disappears.
-    fn decode_loop(&self, rec_tx: &Sender<(Vec<ImageBuf>, usize)>, hand: &mut Hand) {
-        let _guard = CloseOnPanic(&self.handoff);
-        let stats = &*self.stats;
+    /// One pool thread's epoch: claim work, decode one image at a time
+    /// into `scratch`, and settle every record whose last image it
+    /// decoded. Returns when the epoch is drained or closed.
+    fn decode_loop(&self, scratch: &mut RecordScratch) {
+        let _guard = CloseOnPanic(self);
+        while let Some(work) = self.next_work() {
+            match work {
+                Work::Record(pos, Fetched { ladder, rung }) => self.settle(pos, ladder, rung),
+                Work::Image { pos, image, bytes } => {
+                    #[cfg(test)]
+                    self.hooks.before_decode(self.order.get(pos));
+                    let (decoded, seconds) = crate::timing::measure(|| {
+                        let rec = PcrRecord::parse(&bytes).ok()?;
+                        let group = prefix_group(&rec, self.scan_group);
+                        rec.decode_image_with(image, group, scratch).ok()
+                    });
+                    self.stats.decode_nanos.fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
+                    self.finish(pos, image, decoded);
+                }
+            }
+        }
+    }
+
+    /// A pool thread's next work: the next image of the oldest open
+    /// record or — when no open record has one left — the next record
+    /// from the fetch hand-off, once its position fits in the reorder
+    /// window. `None` once the epoch is drained or closed.
+    fn next_work(&self) -> Option<Work> {
+        if let Some(work) = self.lock_pool().claim() {
+            return Some(work);
+        }
+        let t0 = Instant::now();
+        let taken = self.fetched.take();
+        add_elapsed(&self.stats.decode_starved_nanos, t0);
+        let (pos, fetched) = taken?;
+        // Waiting for room is waiting on the consumer, not on storage.
+        self.records.wait_for_room(pos).then_some(Work::Record(pos, fetched))
+    }
+
+    /// Files image `image` of the record at `pos` — `None`: it failed to
+    /// decode, and the rung's unclaimed images are dropped. The thread
+    /// that files a rung's last claimed image runs the record's decode
+    /// check: delivered when every image decoded, else its ladder steps
+    /// down a rung from this thread.
+    fn finish(&self, pos: usize, image: usize, decoded: Option<ImageBuf>) {
+        let mut pool = self.lock_pool();
+        // Gone when the epoch closed meanwhile.
+        let Some(at) = pool.open.iter().position(|r| r.pos == pos) else { return };
+        let rec = &mut pool.open[at];
+        rec.running -= 1;
+        match (decoded, rec.images.get_mut(image)) {
+            (Some(decoded), Some(slot)) => *slot = Some(decoded),
+            _ => rec.next = rec.images.len(),
+        }
+        if rec.running > 0 || rec.next < rec.images.len() {
+            return;
+        }
+        let OpenRecord { mut ladder, rung, images, .. } = pool.open.swap_remove(at);
+        drop(pool);
+        match images.into_iter().collect() {
+            Some(images) => self.deliver(pos, ladder, &rung, images),
+            None => {
+                ladder.reject(&rung);
+                let next = self.fetch_rung(&mut ladder);
+                self.settle(pos, ladder, next);
+            }
+        }
+    }
+
+    /// Settles the record at `pos` on `rung`: quarantined when no rung is
+    /// left, delivered at once when there is nothing to decode, otherwise
+    /// opened in the pool as one unit per image. A rung whose bytes do not
+    /// parse fails the decode check here.
+    fn settle(&self, pos: usize, mut ladder: Ladder, mut rung: Option<Rung>) {
         loop {
-            let t0 = Instant::now();
-            let Some((_, Fetched { idx, ladder, rung })) = self.handoff.take() else {
-                return;
+            let Some(candidate) = rung else {
+                let faults = ladder.quarantine(&*self.source);
+                return self.stage(pos, Settled { images: None, faults });
             };
-            add_elapsed(&stats.decode_starved_nanos, t0);
-            let step = ladder.deliver(
-                rung,
-                &mut |l| self.fetch_rung(l),
-                &*self.source,
-                self.decode,
-                hand,
-            );
-            stats.decode_nanos.fetch_add((step.decode_s * 1e9) as u64, Ordering::Relaxed);
-            if !step.faults.is_clean() {
-                stats.faults.lock().expect("no worker panics while merging").merge(step.faults);
+            let images = match self.decode {
+                // Nothing to decode: the bytes read are the delivery.
+                DecodeMode::Skip => Some(0),
+                DecodeMode::Real => PcrRecord::parse(&candidate.read.data).ok().map(|r| r.num_images()),
+            };
+            match images {
+                Some(0) => return self.deliver(pos, ladder, &candidate, Vec::new()),
+                Some(n) => {
+                    let images = std::iter::repeat_with(|| None).take(n).collect();
+                    let record = OpenRecord { pos, ladder, rung: candidate, next: 0, running: 0, images };
+                    let mut pool = self.lock_pool();
+                    if !pool.closed {
+                        pool.open.push(record);
+                    }
+                    return;
+                }
+                None => {
+                    ladder.reject(&candidate);
+                    rung = self.fetch_rung(&mut ladder);
+                }
             }
-            let Some(rung) = step.rung else { continue };
-            stats.bytes_read.fetch_add(rung.read.data.len() as u64, Ordering::Relaxed);
-            // Labels travel as the record index — the assembler reads the
-            // slices out of the shared source, so the per-record
-            // `labels().to_vec()` allocation is gone from the hot loop.
-            stats.records_loaded.fetch_add(1, Ordering::Relaxed);
-            if rec_tx.send((step.images, idx)).is_err() {
-                // Consumer gone: release the fetchers and fellow workers.
-                self.handoff.close();
-                return;
+        }
+    }
+
+    /// Delivers the record at `pos` on `rung`, with its decoded `images`.
+    fn deliver(&self, pos: usize, ladder: Ladder, rung: &Rung, images: Vec<ImageBuf>) {
+        self.stats.bytes_read.fetch_add(rung.read.data.len() as u64, Ordering::Relaxed);
+        self.stats.records_loaded.fetch_add(1, Ordering::Relaxed);
+        self.stage(pos, Settled { images: Some(images), faults: ladder.accept(rung) });
+    }
+
+    /// Stages a settled record for the assembler; a closed window cancels
+    /// the epoch.
+    fn stage(&self, pos: usize, settled: Settled) {
+        if !self.records.stage(pos, settled) {
+            self.close();
+        }
+    }
+
+    /// The assembler's epoch: takes settled records strictly in
+    /// epoch-order position, merges their fault accounting and packs their
+    /// images into fixed-size minibatches. Returns when the epoch drains
+    /// or closes; a consumer gone closes it.
+    fn assemble(&self, batch_tx: &Sender<Minibatch>, batch_size: usize, pairs_images: bool) {
+        let _guard = CloseOnPanic(self);
+        let mut images: Vec<ImageBuf> = Vec::new();
+        let mut labels: Vec<u32> = Vec::new();
+        // Determinism invariant, checked under pcr-debug-sync: records
+        // reach the assembler at positions 0, 1, 2, … — the epoch order,
+        // whatever the pool's interleaving.
+        #[cfg(feature = "pcr-debug-sync")]
+        let mut positions = 0..;
+        while let Some((pos, settled)) = self.records.take() {
+            #[cfg(feature = "pcr-debug-sync")]
+            assert_eq!(Some(pos), positions.next(), "pcr-debug-sync: assembled out of epoch order");
+            if !settled.faults.is_clean() {
+                let mut faults = self.stats.faults.lock().expect("no assembler panics while merging");
+                faults.merge(settled.faults);
             }
+            // A quarantined record delivers nothing.
+            let Some(imgs) = settled.images else { continue };
+            images.extend(imgs);
+            labels.extend_from_slice(self.source.labels(self.order.get(pos)));
+            // Under Real decode images and labels stay parallel; otherwise
+            // images is empty and labels set the pace.
+            let filled = |i: &Vec<ImageBuf>, l: &Vec<u32>| if pairs_images { i.len() } else { l.len() };
+            while filled(&images, &labels) >= batch_size {
+                let rest_i = images.split_off(batch_size.min(images.len()));
+                let rest_l = labels.split_off(batch_size.min(labels.len()));
+                let batch = Minibatch {
+                    images: std::mem::replace(&mut images, rest_i),
+                    labels: std::mem::replace(&mut labels, rest_l),
+                };
+                if batch_tx.send(batch).is_err() {
+                    self.close();
+                    return;
+                }
+            }
+        }
+        if !images.is_empty() || !labels.is_empty() {
+            let _ = batch_tx.send(Minibatch { images, labels });
         }
     }
 }
@@ -589,6 +762,36 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
 mod tests {
     use super::*;
     use pcr_storage::DeviceProfile;
+
+    /// Test-only knobs a loader hands its crew and its epochs.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Hooks {
+        /// Pins the decode pool's size instead of the core-count rule.
+        pub(super) pool: Option<usize>,
+        /// A record whose next image decode panics, once.
+        panic_decoding: Arc<Mutex<Option<usize>>>,
+    }
+
+    impl Hooks {
+        /// Panics, once, as a pool thread holding a claimed image of the
+        /// armed record is about to decode it.
+        pub(super) fn before_decode(&self, idx: usize) {
+            let mut armed = self.panic_decoding.lock().unwrap_or_else(PoisonError::into_inner);
+            if *armed == Some(idx) {
+                *armed = None;
+                drop(armed);
+                panic!("pool thread panicked decoding record {idx}");
+            }
+        }
+    }
+
+    impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
+        /// The loader with its decode pool pinned at `pool` threads.
+        fn with_pool(mut self, pool: usize) -> Self {
+            self.hooks.pool = Some(pool);
+            self
+        }
+    }
 
     fn make(n: usize, profile: DeviceProfile) -> (Arc<ObjectStore>, Arc<MetaDb>) {
         // One label per image, so a label sequence names a delivery
@@ -599,27 +802,21 @@ mod tests {
         (Arc::new(store), Arc::new(ds.db.clone()))
     }
 
-    fn sorted_labels(loader: &ParallelLoader, epoch: u64) -> Vec<u32> {
-        let (mut labels, _) =
-            loader.spawn_epoch(epoch).fold(|b| b.flat_map(|b| b.labels).collect::<Vec<u32>>());
-        labels.sort_unstable();
-        labels
-    }
-
     /// Under pcr-debug-sync every mutex acquisition in the storage layer
-    /// feeds the lock-order graph and every channel pop checks its
-    /// happens-before stamp; a contended real-decode epoch completing
-    /// without tripping an assertion — twice, with identical delivered
-    /// multisets — is the pass.
+    /// feeds the lock-order graph, every channel pop checks its
+    /// happens-before stamp, and the assembler checks that records arrive
+    /// in epoch order; a contended real-decode epoch completing without
+    /// tripping an assertion — twice, delivering EpochOrder — is the pass.
     #[cfg(feature = "pcr-debug-sync")]
     #[test]
     fn debug_sync_epoch_is_deterministic_and_clean() {
         let (store, db) = make(11, DeviceProfile::ram());
         let cfg = ParallelConfig { batch_size: 3, ..ParallelConfig::real(4, 10) };
-        let loader = ParallelLoader::new(store, db, cfg);
-        let a = sorted_labels(&loader, 1);
-        assert_eq!(a.len(), 11);
-        assert_eq!(a, sorted_labels(&loader, 1));
+        let loader = ParallelLoader::new(store, Arc::clone(&db), cfg.clone());
+        let expected = expected_labels(&cfg, &db, 1);
+        assert_eq!(expected.len(), 11);
+        assert_eq!(epoch_labels(&loader, 1), expected);
+        assert_eq!(epoch_labels(&loader, 1), expected);
     }
 
     #[test]
@@ -657,7 +854,11 @@ mod tests {
                 batch_size: 5,
                 ..ParallelConfig::real(threads, 2)
             };
-            sorted_labels(&ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg), 3)
+            let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg.clone());
+            let mut labels = epoch_labels(&loader, 3);
+            assert_eq!(labels, expected_labels(&cfg, &db, 3), "{threads} threads: EpochOrder");
+            labels.sort_unstable();
+            labels
         };
         let two = labels_at(2);
         assert_eq!(two.len(), 17);
@@ -688,7 +889,7 @@ mod tests {
 
     /// A catalog that panics when asked to plan one record below group
     /// 10 — the lower-group re-plan a failed decode check makes on the
-    /// decode worker.
+    /// pool thread that ran the check.
     struct PanicsOn(MetaDb, usize);
 
     impl RecordSource for PanicsOn {
@@ -697,7 +898,7 @@ mod tests {
         }
         fn plan(&self, idx: usize, scan_group: usize) -> crate::source::ReadPlan<'_> {
             if idx == self.1 && scan_group < 10 {
-                panic!("decode worker panicked re-planning record {idx}");
+                panic!("pool thread panicked re-planning record {idx}");
             }
             self.0.plan(idx, scan_group)
         }
@@ -708,10 +909,10 @@ mod tests {
 
     /// A stage thread that dies cuts the epoch short; the fold must say
     /// so by panicking instead of reporting the partial epoch. Record 1
-    /// is stored as bytes that fail the decode check, so its decode
-    /// worker descends the ladder and panics in the re-plan.
+    /// is stored as bytes that fail the decode check, so the pool thread
+    /// that settles it descends the ladder and panics in the re-plan.
     #[test]
-    #[should_panic(expected = "decode worker panicked re-planning record 1")]
+    #[should_panic(expected = "pool thread panicked re-planning record 1")]
     fn stage_thread_panic_reaches_the_fold() {
         let (store, db) = make(9, DeviceProfile::ram());
         store.put(&db.records[1].name, b"not a record".to_vec());
@@ -813,10 +1014,10 @@ mod tests {
     }
 
     #[test]
-    fn one_decode_worker_delivers_the_epoch_order_exactly() {
+    fn racing_reads_deliver_the_epoch_order_exactly() {
         // Eight reads race — spiked, retried after backoff, torn — and
-        // complete in any order; one decode worker must still see them in
-        // EpochOrder position, run after run.
+        // complete in any order, and the pool decodes in any order; the
+        // consumer must still see EpochOrder, run after run.
         let (store, db) = make(80, DeviceProfile::ssd_sata());
         let cfg = ParallelConfig {
             batch_size: 7,
@@ -830,15 +1031,15 @@ mod tests {
             .flat_map(|idx| db.records[idx].labels.clone())
             .collect();
         assert_eq!(expected.len(), 80);
-        let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
-        for run in 0..2 {
+        for (pool, run) in [(1, 0), (3, 1), (3, 2)] {
+            let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg.clone());
             // Re-arming the plan resets its per-site attempt counters.
             store.set_fault_plan(Some(noisy_plan()));
-            let stream = loader.spawn_epoch(3);
+            let stream = loader.with_pool(pool).spawn_epoch(3);
             let labels: Vec<u32> = stream.batches.iter().flat_map(|b| b.labels).collect();
             let stats = Arc::clone(&stream.stats);
             stream.join();
-            assert_eq!(labels, expected, "run {run}");
+            assert_eq!(labels, expected, "pool {pool}, run {run}");
             let faults = stats.fault_report();
             assert!(faults.retries > 0, "the plan injected faults");
             assert!(faults.quarantined_records == 0);
@@ -849,7 +1050,7 @@ mod tests {
     fn shuffling_is_epoch_dependent() {
         // 8 records: enough that two epochs drawing the same permutation
         // by chance (legitimate for any shuffle at tiny n) cannot happen
-        // in practice. One decode worker delivers the epoch order itself.
+        // in practice. The loader delivers the epoch order itself.
         let (store, db) = make(32, DeviceProfile::ram());
         let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(1, 10) };
         let loader = ParallelLoader::new(store, db, cfg);
@@ -882,10 +1083,12 @@ mod tests {
     #[test]
     fn consumer_can_drop_early_with_fetchers_parked_on_a_full_window() {
         // The consumer takes one batch and stops. Every queue then fills:
-        // batch channel (1 record), assembler (1), record channel (8),
-        // the decode worker blocked sending (1), the hand-off window (8)
-        // and 8 fetchers each holding a read beyond it — 28 records read,
-        // and nothing moves again until the receiver goes away.
+        // batch channel (1 record), assembler (1), the reorder window
+        // before it (1: no deeper than the pool), the one pool thread
+        // holding the next record until that window has room (1), the
+        // fetch hand-off window (8) and 8 fetchers each holding a read
+        // beyond it — 21 records read, and nothing moves again until the
+        // receiver goes away.
         let (store, db) = make(160, DeviceProfile::ssd_sata());
         let cfg = ParallelConfig {
             batch_size: 4,
@@ -894,7 +1097,7 @@ mod tests {
             io: IoModel::EmulatedLatency,
             ..ParallelConfig::real(1, 10)
         };
-        let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
+        let loader = ParallelLoader::new(Arc::clone(&store), db, cfg).with_pool(1);
         let stream = loader.spawn_epoch(0);
         let first = stream.batches.recv().expect("one batch");
         assert_eq!(first.images.len(), 4);
@@ -902,15 +1105,15 @@ mod tests {
         // has its final read in hand and parks as soon as it has slept
         // that read's ~0.1 ms of service.
         let deadline = Instant::now() + Duration::from_secs(60);
-        while store.device_stats().reads < 28 {
+        while store.device_stats().reads < 21 {
             assert!(Instant::now() < deadline, "the pipeline never filled its queues");
             std::thread::yield_now();
         }
         let stats = Arc::clone(&stream.stats);
         // `join` drops the receiver itself and must return.
         stream.join();
-        assert_eq!(store.device_stats().reads, 28, "backpressure reached the reads");
-        assert!(stats.records_loaded.load(Ordering::Relaxed) <= 13, "the epoch was cancelled");
+        assert_eq!(store.device_stats().reads, 21, "backpressure reached the reads");
+        assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 4, "the epoch was cancelled");
     }
 
     /// The labels an epoch delivers, in delivery order.
@@ -931,7 +1134,7 @@ mod tests {
     fn eight_epochs_on_one_loader_build_one_crew() {
         let (store, db) = make(13, DeviceProfile::ram());
         let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(2, 10) };
-        let loader = ParallelLoader::new_with_fan(store, db, cfg, 2);
+        let loader = ParallelLoader::new(store, db, cfg).with_pool(2);
         for epoch in 0..8 {
             assert_eq!(loader.run_epoch(epoch).images, 13, "epoch {epoch}");
         }
@@ -963,7 +1166,7 @@ mod tests {
         let source = Arc::new(PanicsOnce((*db).clone(), 3, true.into()));
         let cfg = ParallelConfig { batch_size: 5, ..ParallelConfig::real(1, 10) };
         let expected = expected_labels(&cfg, &db, 1);
-        let loader = ParallelLoader::new_with_fan(store, source, cfg, 2);
+        let loader = ParallelLoader::new(store, source, cfg).with_pool(2);
         let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             loader.spawn_epoch(0).fold(|batches| batches.count())
         }));
@@ -979,7 +1182,7 @@ mod tests {
         let (store, db) = make(80, DeviceProfile::ram());
         let cfg =
             ParallelConfig { batch_size: 2, prefetch_records: 4, ..ParallelConfig::real(1, 10) };
-        let loader = ParallelLoader::new_with_fan(store, Arc::clone(&db), cfg.clone(), 3);
+        let loader = ParallelLoader::new(store, Arc::clone(&db), cfg.clone()).with_pool(3);
         for (epoch, taken) in [(0u64, 1usize), (1, 0), (2, 7)] {
             let stream = loader.spawn_epoch(epoch);
             let head: Vec<u32> = stream.batches.iter().take(taken).flat_map(|b| b.labels).collect();
@@ -996,7 +1199,7 @@ mod tests {
     fn two_live_streams_on_one_loader_both_deliver() {
         let (store, db) = make(21, DeviceProfile::ram());
         let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(1, 10) };
-        let loader = ParallelLoader::new_with_fan(store, Arc::clone(&db), cfg.clone(), 2);
+        let loader = ParallelLoader::new(store, Arc::clone(&db), cfg.clone()).with_pool(2);
         let first = loader.spawn_epoch(0);
         let second = loader.spawn_epoch(1);
         // The second stream drains while the first holds its crew, parked
@@ -1015,19 +1218,68 @@ mod tests {
         let (store, db) = make(20, DeviceProfile::ram());
         let cfg =
             ParallelConfig { batch_size: 4, prefetch_records: 2, ..ParallelConfig::real(2, 10) };
-        let loader = ParallelLoader::new_with_fan(store, db, cfg, 3);
+        let loader = ParallelLoader::new(store, db, cfg).with_pool(3);
         let live = Arc::clone(&loader.crew.live);
         assert_eq!(live.load(Ordering::Relaxed), 0, "no crew before the first epoch");
         loader.run_epoch(0);
-        // Two fetchers, two decode workers with two helpers each, and the
-        // assembler.
-        assert_eq!(live.load(Ordering::Relaxed), 2 + 2 * 3 + 1);
+        // Two fetchers, three pool threads and the assembler.
+        assert_eq!(live.load(Ordering::Relaxed), 2 + 3 + 1);
         let clone = loader.clone();
         let stream = clone.spawn_epoch(1);
         drop((loader, clone));
-        assert_eq!(live.load(Ordering::Relaxed), 9, "the live stream keeps its crew");
+        assert_eq!(live.load(Ordering::Relaxed), 6, "the live stream keeps its crew");
         assert_eq!(stream.fold(|b| b.count()).1.images, 20);
         assert_eq!(live.load(Ordering::Relaxed), 0, "every crew thread joined");
+    }
+
+    #[test]
+    fn consumer_can_drop_early_with_the_pool_waiting_for_the_reorder_window() {
+        // The consumer takes one batch and stops. With windows of 2 the
+        // pipeline stalls at: batch channel (record 1), the assembler
+        // blocked sending record 2, the reorder window (records 3 and 4),
+        // the two pool threads holding records 5 and 6 until it has room,
+        // the fetch window (7 and 8) and two fetchers holding reads 9 and
+        // 10.
+        let (store, db) = make(160, DeviceProfile::ram());
+        let cfg = ParallelConfig {
+            batch_size: 4,
+            prefetch_records: 2,
+            prefetch_batches: 1,
+            ..ParallelConfig::real(1, 10)
+        };
+        let loader =
+            ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg.clone()).with_pool(2);
+        let stream = loader.spawn_epoch(0);
+        let first = stream.batches.recv().expect("one batch");
+        assert_eq!(first.labels, expected_labels(&cfg, &db, 0)[..4]);
+        let stats = Arc::clone(&stream.stats);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while stats.records_loaded.load(Ordering::Relaxed) < 5 || store.device_stats().reads < 11 {
+            assert!(Instant::now() < deadline, "the pipeline never filled its windows");
+            std::thread::yield_now();
+        }
+        // `join` drops the receiver itself and must return.
+        stream.join();
+        assert_eq!(store.device_stats().reads, 11, "backpressure reached the reads");
+        assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 5, "no record left the window");
+        assert_eq!(epoch_labels(&loader, 1), expected_labels(&cfg, &db, 1), "the next epoch is whole");
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_pool_thread_panic_on_a_claimed_image_reaches_the_fold() {
+        let (store, db) = make(24, DeviceProfile::ram());
+        let cfg = ParallelConfig { batch_size: 5, ..ParallelConfig::real(1, 10) };
+        let loader = ParallelLoader::new(store, Arc::clone(&db), cfg.clone()).with_pool(3);
+        *loader.hooks.panic_decoding.lock().expect("not poisoned") = Some(2);
+        let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            loader.spawn_epoch(0).fold(|batches| batches.count())
+        }));
+        let payload = cut.expect_err("the pool thread's panic reaches the fold");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("pool thread panicked decoding record 2"));
+        assert_eq!(epoch_labels(&loader, 1), expected_labels(&cfg, &db, 1), "the next epoch is whole");
+        assert_eq!(loader.crew.built.load(Ordering::Relaxed), 2, "the panicked crew was closed");
     }
 
     /// Each delivered image's label with a hash of its pixels, in order.
@@ -1049,8 +1301,8 @@ mod tests {
     }
 
     /// A 5-image-per-record catalog: 37 images, so the last record holds
-    /// two and the fan is wider than some records.
-    fn fan_catalog() -> pcr_core::PcrDataset {
+    /// two and the larger pools are wider than some records.
+    fn pool_catalog() -> pcr_core::PcrDataset {
         crate::source::test_dataset(37, 5, |i| i as u32)
     }
 
@@ -1060,30 +1312,45 @@ mod tests {
         (Arc::new(store), Arc::new(ds.db.clone()))
     }
 
+    /// One epoch of `ds` at each pool size: the delivered (label, pixel
+    /// hash) sequence and the fault report of each must be those of a
+    /// pool of one, whose labels are returned with its report.
+    fn same_at_every_pool_size(
+        ds: &pcr_core::PcrDataset,
+        cfg: &ParallelConfig,
+        epoch: u64,
+    ) -> (Vec<u32>, FaultReport) {
+        let (store, db) = stored(ds);
+        let at = |pool: usize| {
+            let (store, db) = (Arc::clone(&store), Arc::clone(&db));
+            let loader = ParallelLoader::new(store, db, cfg.clone()).with_pool(pool);
+            let (images, report) = delivered_images(&loader, epoch);
+            (images, report.faults)
+        };
+        let (serial, faults) = at(1);
+        for pool in [2, 3, 8] {
+            assert_eq!(at(pool), (serial.clone(), faults.clone()), "pool {pool}");
+        }
+        (serial.into_iter().map(|(label, _)| label).collect(), faults)
+    }
+
     #[test]
-    fn fan_out_delivers_the_pixels_of_serial_decode() {
-        let (store, db) = stored(&fan_catalog());
+    fn every_pool_size_delivers_the_same_pixels_in_epoch_order() {
+        let ds = pool_catalog();
         for group in [3, 10] {
             let cfg = ParallelConfig { batch_size: 6, ..ParallelConfig::real(1, group) };
-            let at = |fan: usize| {
-                let (store, db) = (Arc::clone(&store), Arc::clone(&db));
-                delivered_images(&ParallelLoader::new_with_fan(store, db, cfg.clone(), fan), 4).0
-            };
-            let serial = at(1);
-            let labels: Vec<u32> = serial.iter().map(|&(label, _)| label).collect();
-            assert_eq!(labels, expected_labels(&cfg, &db, 4));
-            for fan in [2, 3, 8] {
-                assert_eq!(at(fan), serial, "group {group}, fan {fan}");
-            }
+            let (labels, faults) = same_at_every_pool_size(&ds, &cfg, 4);
+            assert_eq!(labels, expected_labels(&cfg, &ds.db, 4), "group {group}");
+            assert!(faults.is_clean());
         }
     }
 
     #[test]
-    fn fan_out_keeps_the_decode_check_of_serial_decode() {
+    fn every_pool_size_keeps_the_decode_check() {
         // Image 2 of record 3 loses its SOI: the record parses, that one
         // image fails at every group, and the ladder walks down to
         // quarantine — whichever thread decodes the image.
-        let mut ds = fan_catalog();
+        let mut ds = pool_catalog();
         let rec = pcr_core::PcrRecord::parse(&ds.records[3]).expect("parses");
         let headers_end = rec.offset_for_group(0);
         let sois: Vec<usize> = (0..headers_end - 1)
@@ -1091,20 +1358,40 @@ mod tests {
             .collect();
         assert_eq!(sois.len(), 5, "one SOI per image header");
         ds.records[3][sois[2]..sois[2] + 2].copy_from_slice(&[0, 0]);
-        let (store, db) = stored(&ds);
         let cfg = ParallelConfig { batch_size: 6, ..ParallelConfig::real(1, 10) };
-        let at = |fan: usize| {
-            let (store, db) = (Arc::clone(&store), Arc::clone(&db));
-            let (images, report) =
-                delivered_images(&ParallelLoader::new_with_fan(store, db, cfg.clone(), fan), 0);
-            (images, report.faults)
-        };
-        let (serial, faults) = at(1);
+        let (labels, faults) = same_at_every_pool_size(&ds, &cfg, 0);
         assert_eq!(faults.quarantined_records, 1);
         assert_eq!(faults.quarantined_images(), 5);
-        assert_eq!(serial.len(), 32);
-        for fan in [2, 3, 8] {
-            assert_eq!(at(fan), (serial.clone(), faults.clone()), "fan {fan}");
-        }
+        let mut expected = expected_labels(&cfg, &ds.db, 0);
+        expected.retain(|label| !ds.db.records[3].labels.contains(label));
+        assert_eq!(labels, expected, "EpochOrder minus the quarantined record");
+    }
+
+    #[test]
+    fn a_record_degraded_mid_epoch_keeps_epoch_order_at_every_pool_size() {
+        // One byte of the middle record's group-10 scans is flipped where
+        // it breaks a decode at group 10; group 9's prefix is intact, so
+        // the record's ladder resumes one rung down on the pool thread
+        // that ran the check, and the record is delivered degraded.
+        let mut ds = pool_catalog();
+        let cfg = ParallelConfig { batch_size: 6, ..ParallelConfig::real(1, 10) };
+        let order = ReadPlanner::from_config(&cfg.loader).epoch_order(ds.db.records.len(), 2);
+        let victim = order[order.len() / 2];
+        let bytes = &ds.records[victim];
+        let rec = pcr_core::PcrRecord::parse(bytes).expect("parses");
+        let group_10 = rec.offset_for_group(9)..rec.offset_for_group(10);
+        let at = group_10
+            .into_iter()
+            .find(|&at| {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 0xFF;
+                let rec = pcr_core::PcrRecord::parse(&flipped).expect("the index is intact");
+                (0..rec.num_images()).any(|i| rec.decode_image(i, 10).is_err())
+            })
+            .expect("some flip in group 10 breaks a decode");
+        ds.records[victim][at] ^= 0xFF;
+        let (labels, faults) = same_at_every_pool_size(&ds, &cfg, 2);
+        assert_eq!(labels, expected_labels(&cfg, &ds.db, 2), "EpochOrder, degraded record included");
+        assert_eq!((faults.degraded_records, faults.quarantined_records), (1, 0));
     }
 }

@@ -3,14 +3,14 @@
 use crate::retry::FaultReport;
 
 /// One wall-clock epoch: what it delivered, how long it took, where its
-/// workers' time went, and what faults cost it.
+/// decode pool's time went, and what faults cost it.
 ///
-/// A decode worker waits for bytes until a read completes, then decodes,
-/// then may block handing the record to a consumer that is not keeping
-/// up. The counts and the [`FaultReport`] do not depend on timing: with
-/// one decode worker and one read in flight, the same store, source,
-/// configuration and fault plan give the same `images`, `bytes` and
-/// `faults` run after run.
+/// A pool thread waits for bytes until a read completes, then decodes,
+/// then may wait for room in the reorder window behind a consumer that is
+/// not keeping up. The counts and the [`FaultReport`] do not depend on timing: with
+/// one read in flight, the same store, source, configuration and fault
+/// plan give the same `images`, `bytes` and `faults` run after run, at
+/// any pool size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// Images delivered (labels delivered under non-decoding modes).
@@ -19,17 +19,17 @@ pub struct EpochReport {
     pub bytes: u64,
     /// Seconds from the epoch's start to its last delivery.
     pub seconds: f64,
-    /// Decode seconds summed across workers — the epoch's decode CPU
-    /// cost.
+    /// Decode seconds summed over every image the pool decoded — the
+    /// epoch's decode CPU cost.
     pub decode_seconds: f64,
     /// Share of the I/O lanes' time (lanes × `seconds`) spent waiting on
     /// storage. The lanes are the prefetch window and only realized
     /// device service counts, so it is 0 under `IoModel::Instant`.
     pub io_wait_share: f64,
-    /// Share of the decode workers' time (threads × `seconds`) spent
+    /// Share of the decode pool's time (pool size × `seconds`) spent
     /// decoding.
     pub decode_busy_share: f64,
-    /// The stage that took most of the decode workers' time.
+    /// The stage that took most of the decode pool's time.
     pub bottleneck: Bottleneck,
     /// Retry/degradation/quarantine accounting for the epoch. Clean runs
     /// report [`FaultReport::is_clean`].
@@ -70,16 +70,16 @@ pub(crate) fn share(busy: f64, lanes: usize, seconds: f64) -> f64 {
 /// [`EpochReport::bottleneck`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
-    /// Decode workers mostly waited for bytes to arrive.
+    /// The decode pool mostly waited for bytes to arrive.
     Storage,
-    /// Decode workers were mostly busy decoding.
+    /// The decode pool was mostly busy decoding.
     Decode,
-    /// Decode workers mostly waited for the consumer to take batches.
+    /// The decode pool mostly waited for the consumer to take batches.
     Consumer,
 }
 
 impl Bottleneck {
-    /// Where most of the decode workers' time went: `starved` seconds
+    /// Where most of the decode pool's time went: `starved` seconds
     /// waiting for bytes, `busy` decoding, `blocked` handing records to
     /// the consumer. Ties go to storage, then decode.
     pub(crate) fn of(starved: f64, busy: f64, blocked: f64) -> Self {

@@ -1,5 +1,5 @@
 //! Retry, backoff, and fidelity degradation around the storage read path,
-//! and the one per-record delivery step the loader's workers run.
+//! and the per-record accounting the loader's stages share.
 //!
 //! Every loader read is retried under a [`RetryPolicy`]: transient
 //! [`ReadError`]s back off with capped decorrelated jitter, a per-read
@@ -17,19 +17,18 @@
 //! per-label accounting in a [`FaultReport`], so the delivered label
 //! multiset always equals the expected multiset minus the quarantined one.
 //!
-//! The fetch stage and the decode workers deliver a record through one
-//! step, the record's `Ladder`: decode check, ladder, retries and
-//! backoff, fault accounting.
+//! A record walks its ladder as one value, the record's `Ladder`: the
+//! fetch stage reads its first rung, the decode pool runs the decode
+//! check on it and — when the check fails — fetches the next lower rung,
+//! and the ladder accounts the outcome: retries and backoff, degradation
+//! or quarantine.
 //!
 //! Backoff is deterministic: the jitter is a pure hash of
 //! `(policy seed, record, group, attempt)`, never a clock or RNG, so a
 //! seeded fault plan replays the identical recovery sequence run after
 //! run.
 
-use crate::config::DecodeMode;
-use crate::crew::Hand;
 use crate::source::{ReadPlan, RecordSource};
-use pcr_jpeg::ImageBuf;
 use pcr_metrics::EpochFaultCounters;
 use pcr_storage::{Clock, ObjectStore, ReadError, ReadResult};
 use std::collections::BTreeMap;
@@ -190,20 +189,6 @@ fn read_with_retry(
     }
 }
 
-/// One record through [`Ladder::deliver`].
-pub(crate) struct Delivery {
-    /// The rung delivered; `None` when the record was quarantined.
-    pub(crate) rung: Option<Rung>,
-    /// Its decoded images (empty unless [`DecodeMode::Real`]).
-    pub(crate) images: Vec<ImageBuf>,
-    /// Decode seconds the record cost under [`DecodeMode::Real`], failed
-    /// attempts included.
-    pub(crate) decode_s: f64,
-    /// The record's retries and backoff, and its degradation or
-    /// quarantine.
-    pub(crate) faults: FaultReport,
-}
-
 /// One successful rung of the fidelity ladder: the bytes the store
 /// delivered and the scan group they cover.
 #[derive(Debug)]
@@ -220,10 +205,11 @@ pub(crate) struct Rung {
 /// The ladder is a value rather than a loop so that it can be carried
 /// between pipeline stages: the wall-clock loader's fetch stage runs
 /// [`Ladder::fetch`] ahead of time and hands the ladder on with the
-/// [`Rung`] it produced; the decode worker then calls [`Ladder::deliver`]
-/// with that already-fetched rung, and only a rejected decode makes it
-/// fetch again — from the next lower group, with the same skip rule,
-/// budget and counters.
+/// [`Rung`] it produced; the decode pool runs the decode check on that
+/// rung, and only a [`Ladder::reject`]ed rung makes it fetch again — from
+/// the next lower group, with the same skip rule, budget and counters.
+/// [`Ladder::accept`] or [`Ladder::quarantine`] ends the walk with the
+/// record's [`FaultReport`].
 #[derive(Debug)]
 pub(crate) struct Ladder {
     idx: usize,
@@ -289,50 +275,27 @@ impl Ladder {
         None
     }
 
-    /// The per-record step: runs the decode check over `first` and every
-    /// further rung `fetch` produces until one is accepted or the ladder
-    /// is exhausted, then accounts the record — degraded when the rung is
-    /// below the requested group, quarantined when no rung was accepted.
-    /// Under [`DecodeMode::Real`] the decode ([`Hand::decode_record`],
-    /// on the calling decode worker and its helpers) *is* the check,
-    /// timed through [`crate::timing::measure`], so silent bit flips
-    /// degrade instead of propagating corrupt pixels;
-    /// [`DecodeMode::Skip`] accepts any bytes read.
-    pub(crate) fn deliver<S: RecordSource + ?Sized>(
-        mut self,
-        first: Option<Rung>,
-        fetch: &mut dyn FnMut(&mut Ladder) -> Option<Rung>,
-        source: &S,
-        decode: DecodeMode,
-        hand: &mut Hand,
-    ) -> Delivery {
-        let mut decode_s = 0.0;
-        let mut rung = first;
-        while let Some(candidate) = rung {
-            let bytes = &candidate.read.data;
-            let images = match decode {
-                DecodeMode::Skip => Vec::new(),
-                DecodeMode::Real => {
-                    let (decoded, seconds) =
-                        crate::timing::measure(|| hand.decode_record(bytes, self.requested));
-                    decode_s += seconds;
-                    let Some(images) = decoded else {
-                        let group = candidate.group;
-                        self.last_failure =
-                            format!("undecodable at group {group} ({} bytes)", bytes.len());
-                        rung = fetch(&mut self);
-                        continue;
-                    };
-                    images
-                }
-            };
-            if candidate.group < self.requested {
-                self.faults.degraded_records += 1;
-            }
-            return Delivery { rung: Some(candidate), images, decode_s, faults: self.faults };
+    /// Notes that `rung`'s bytes failed the decode check — silent bit
+    /// flips surface here — so the next [`Ladder::fetch`] steps below it.
+    pub(crate) fn reject(&mut self, rung: &Rung) {
+        let (group, len) = (rung.group, rung.read.data.len());
+        self.last_failure = format!("undecodable at group {group} ({len} bytes)");
+    }
+
+    /// Ends the walk with `rung` delivered: degraded when it lies below
+    /// the requested group.
+    pub(crate) fn accept(mut self, rung: &Rung) -> FaultReport {
+        if rung.group < self.requested {
+            self.faults.degraded_records += 1;
         }
+        self.faults
+    }
+
+    /// Ends the walk with no rung delivered: the record goes to
+    /// quarantine, with its `source` labels and its last failure.
+    pub(crate) fn quarantine<S: RecordSource + ?Sized>(mut self, source: &S) -> FaultReport {
         self.faults.note_quarantine(self.idx, source.labels(self.idx), self.last_failure);
-        Delivery { rung: None, images: Vec::new(), decode_s, faults: self.faults }
+        self.faults
     }
 }
 

@@ -240,8 +240,7 @@ mod tests {
     }
 
     /// The delivered label sequence and report of one `Skip` epoch at
-    /// group `g`, one read at a time and one decode worker, so labels
-    /// arrive in epoch order.
+    /// group `g`, one read at a time; labels arrive in epoch order.
     fn skip_epoch<S: RecordSource + ?Sized + 'static>(
         store: &Arc<ObjectStore>,
         source: &Arc<S>,
@@ -361,9 +360,9 @@ mod tests {
         all
     }
 
-    /// One wall-clock epoch with real decode, one decode worker and one
-    /// read in flight, so its records meet their faults in epoch order:
-    /// delivered labels, fault report.
+    /// One wall-clock epoch with real decode and one read in flight, so
+    /// its records meet their faults in epoch order: delivered labels,
+    /// fault report.
     fn wall_epoch(opened: &OpenedContainer) -> (Labels, FaultReport) {
         let cfg =
             ParallelConfig { batch_size: 4, prefetch_records: 1, ..ParallelConfig::real(1, 10) };

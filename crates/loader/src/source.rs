@@ -10,8 +10,7 @@
 
 use crate::config::LoaderConfig;
 use crate::order::EpochOrder;
-use pcr_core::{MetaDb, PcrRecord, RecordScratch};
-use pcr_jpeg::ImageBuf;
+use pcr_core::{MetaDb, PcrRecord};
 
 /// One planned read: which object, and which byte range of it.
 ///
@@ -34,8 +33,8 @@ pub struct ReadPlan<'a> {
 /// The trait answers two questions per record index: what bytes to read
 /// for a given scan group ([`RecordSource::plan`]) and what labels it
 /// carries ([`RecordSource::labels`]). The loader decodes every read as
-/// a `.pcr` record prefix (`decode_images`), so a source has no
-/// decode of its own.
+/// a `.pcr` record prefix (`prefix_group`), so a source has no decode
+/// of its own.
 pub trait RecordSource: Send + Sync {
     /// Number of records.
     fn num_records(&self) -> usize;
@@ -47,27 +46,10 @@ pub trait RecordSource: Send + Sync {
     fn labels(&self, idx: usize) -> &[u32];
 }
 
-/// Decodes a parsed `.pcr` record prefix into images at `scan_group`,
-/// clamped to the groups the bytes actually contain ([`prefix_group`]) —
-/// the decode every source's reads go through, so clamping semantics can
-/// never diverge between the per-record and sharded layouts. Returns
-/// `None` at the first image that cannot be decoded; the loader's decode
-/// check then tries a lower group.
-pub(crate) fn decode_images(
-    rec: &PcrRecord<'_>,
-    scan_group: usize,
-    scratch: &mut RecordScratch,
-) -> Option<Vec<ImageBuf>> {
-    let g = prefix_group(rec, scan_group);
-    let mut images = Vec::with_capacity(rec.num_images());
-    for i in 0..rec.num_images() {
-        images.push(rec.decode_image_with(i, g, scratch).ok()?);
-    }
-    Some(images)
-}
-
 /// The group a prefix decode of `rec` runs at: `scan_group`, clamped to
-/// the groups the bytes contain (at least 1).
+/// the groups the bytes contain (at least 1) — the one clamp every
+/// source's reads decode with, so the per-record and sharded layouts can
+/// never diverge.
 pub(crate) fn prefix_group(rec: &PcrRecord<'_>, scan_group: usize) -> usize {
     rec.available_groups().min(scan_group).max(1)
 }
@@ -113,7 +95,7 @@ pub(crate) fn test_dataset(
                 data.push((y % 256) as u8);
             }
         }
-        let img = ImageBuf::from_raw(32, 32, 3, data).unwrap();
+        let img = pcr_jpeg::ImageBuf::from_raw(32, 32, 3, data).unwrap();
         let meta = pcr_core::SampleMeta { label: label(i), id: format!("s{i}") };
         b.add_image(meta, &img, 85).unwrap();
     }

@@ -2,8 +2,8 @@
 //!
 //! Outside `parallel.rs` this is the one place in the loader crate
 //! allowed to touch `std::time::Instant` (see the `clock-discipline` rule
-//! in `pcr-analyze`). The delivery step in [`crate::retry`] times its
-//! decode (`DecodeMode::Real`) through [`measure`], which keeps the sites
+//! in `pcr-analyze`). The decode pool times each image's decode
+//! (`DecodeMode::Real`) through [`measure`], which keeps the sites
 //! auditable.
 
 /// Runs `f` and returns its result together with the elapsed wall-clock

@@ -6,8 +6,9 @@
 //! - sample accounting is exact: the delivered label multiset plus the
 //!   quarantined label multiset equals the dataset's label multiset
 //!   (nothing lost, nothing duplicated, nothing silently invented);
-//! - with one decode worker, records arrive in epoch order, each one
-//!   whole, and skip exactly the quarantined ones;
+//! - at any loader thread count, records arrive in epoch order, each
+//!   one whole, and skip exactly the quarantined ones — one thread and
+//!   three deliver the same images, bytes and fault report;
 //! - under fault kinds that never corrupt delivered bytes, every
 //!   delivered record's images decode **byte-identically** to a clean
 //!   truncated-prefix decode of the same record at a group no higher
@@ -142,30 +143,43 @@ fn prefetch_depth(deep: bool) -> usize {
     }
 }
 
-/// One wall-clock epoch with a single decode worker — so delivery order
-/// is the epoch order — as `(labels, pixels)` per image, with the
-/// loader's statistics.
+/// One wall-clock epoch as `(label, pixels)` per image, in delivery
+/// order, with the loader's statistics. The epoch runs twice, each on a
+/// fresh store from `store`: with one loader thread and with three, which
+/// must deliver the same images in the same order, the same bytes and the
+/// same fault report.
 fn wall_epoch_in_order(
-    store: Arc<ObjectStore>,
+    store: impl Fn() -> ObjectStore,
     loader_cfg: LoaderConfig,
     prefetch_records: usize,
 ) -> (Vec<(u32, ImageBuf)>, Arc<pcr::loader::ParallelStats>) {
-    assert_eq!(loader_cfg.threads, 1, "one decode worker makes the order deterministic");
-    let cfg = ParallelConfig {
-        loader: loader_cfg,
-        batch_size: 3,
-        prefetch_records,
-        ..ParallelConfig::default()
+    let run = |threads: usize| {
+        let cfg = ParallelConfig {
+            loader: LoaderConfig { threads, ..loader_cfg.clone() },
+            batch_size: 3,
+            prefetch_records,
+            ..ParallelConfig::default()
+        };
+        let loader = ParallelLoader::new(Arc::new(store()), Arc::new(dataset().db.clone()), cfg);
+        let stream = loader.spawn_epoch(0);
+        let delivered: Vec<(u32, ImageBuf)> =
+            stream.batches.iter().flat_map(|b| b.labels.into_iter().zip(b.images)).collect();
+        let stats = Arc::clone(&stream.stats);
+        stream.join();
+        (delivered, stats)
     };
-    let stream = ParallelLoader::new(store, Arc::new(dataset().db.clone()), cfg).spawn_epoch(0);
-    let delivered =
-        stream.batches.iter().flat_map(|b| b.labels.into_iter().zip(b.images)).collect();
-    let stats = Arc::clone(&stream.stats);
-    stream.join();
-    (delivered, stats)
+    let (one, one_stats) = run(1);
+    let (three, three_stats) = run(3);
+    assert!(one == three, "one thread and three deliver the same images in the same order");
+    assert_eq!(one_stats.fault_report(), three_stats.fault_report());
+    let bytes = |s: &pcr::loader::ParallelStats| {
+        s.bytes_read.load(std::sync::atomic::Ordering::Relaxed)
+    };
+    assert_eq!(bytes(&one_stats), bytes(&three_stats));
+    (one, one_stats)
 }
 
-/// The one-worker stream split into records: epoch order, minus the
+/// A delivered stream split into records: epoch order, minus the
 /// records `faults` quarantined, each taking as many images as it has
 /// labels — and carrying exactly those labels, in order.
 fn records_in_order(
@@ -213,7 +227,7 @@ fn clean_decode(clean: &ObjectStore, idx: usize, group: usize) -> Vec<ImageBuf> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// One decode worker under the full fault surface: terminates,
+    /// One loader thread under the full fault surface: terminates,
     /// delivers whole records in epoch order, and conserves the label
     /// multiset.
     #[test]
@@ -255,8 +269,8 @@ proptest! {
         prop_assert_eq!(labels, expected_labels(&ds.db));
     }
 
-    /// Byte-exactness of degradation, on one decode worker: with no
-    /// byte-corrupting faults, every delivered record — degraded or not —
+    /// Byte-exactness of degradation, at one loader thread and at three:
+    /// with no byte-corrupting faults, every delivered record — degraded or not —
     /// decodes identically to a clean truncated-prefix decode at a group
     /// no higher than the requested one, and one that does not match the
     /// requested group's decode was counted degraded.
@@ -278,7 +292,7 @@ proptest! {
             retry: retry_policy(),
         };
         let (delivered, stats) =
-            wall_epoch_in_order(Arc::new(faulted_store(plan)), cfg.clone(), prefetch_depth(deep));
+            wall_epoch_in_order(|| faulted_store(plan.clone()), cfg.clone(), prefetch_depth(deep));
         let faults = stats.fault_report();
         // Deterministic per-site faults (e.g. a timeout keyed to the
         // group-1 plan) can still exhaust the whole ladder, so records
@@ -298,7 +312,7 @@ proptest! {
     /// same clean-bytes plan run once with reads strictly one at a time
     /// and once at the drawn I/O depth delivers the same labels and
     /// pixels, record by record, and the same fault report to the last
-    /// bit of backoff — one decode worker merges each record's faults in
+    /// bit of backoff — the assembler merges each record's faults in
     /// epoch order.
     #[test]
     fn wall_clock_degraded_records_decode_byte_identically(
@@ -316,7 +330,7 @@ proptest! {
         };
         let run = |depth: usize| {
             let (delivered, stats) =
-                wall_epoch_in_order(Arc::new(faulted_store(plan.clone())), cfg.clone(), depth);
+                wall_epoch_in_order(|| faulted_store(plan.clone()), cfg.clone(), depth);
             (delivered, stats.fault_report())
         };
         let (oracle, oracle_faults) = run(1);
@@ -334,7 +348,8 @@ proptest! {
 
     /// Wall-clock parallel loader under the full fault surface: the
     /// batch stream terminates and delivers exactly the non-quarantined
-    /// labels; the fault report reconciles the rest.
+    /// records' labels, in epoch order; the fault report reconciles the
+    /// rest.
     #[test]
     fn wall_clock_epoch_conserves_labels_under_faults(
         plan in arb_plan(),
@@ -358,16 +373,26 @@ proptest! {
             prefetch_records: prefetch_depth(deep),
             ..ParallelConfig::default()
         };
+        let planner = ReadPlanner::from_config(&cfg.loader);
         let loader = ParallelLoader::new(Arc::clone(&store), db, cfg);
         let stream = loader.spawn_epoch_at(epoch, group);
         let mut delivered = BTreeMap::new();
+        let mut sequence = Vec::new();
         for b in stream.batches.iter() {
             prop_assert_eq!(b.images.len(), b.labels.len());
             add_labels(&mut delivered, &b.labels);
+            sequence.extend(b.labels);
         }
         let stats = Arc::clone(&stream.stats);
         stream.join();
         let faults = stats.fault_report();
+        let quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
+        let in_order: Vec<u32> = planner
+            .epoch_iter(ds.db.num_records(), epoch)
+            .filter(|idx| !quarantined.contains(idx))
+            .flat_map(|idx| ds.db.labels(idx).to_vec())
+            .collect();
+        prop_assert_eq!(sequence, in_order);
         for (&label, &count) in &faults.quarantined_labels {
             *delivered.entry(label).or_insert(0) += count;
         }
@@ -389,11 +414,14 @@ fn wall_clock_quiet_plan_epoch_is_identical_to_no_plan() {
         retry: RetryPolicy::default(),
     };
     for depth in [1, 8] {
-        let bare = Arc::new(ObjectStore::new(DeviceProfile::ram()));
-        populate_store(&bare, dataset());
+        let bare = || {
+            let store = ObjectStore::new(DeviceProfile::ram());
+            populate_store(&store, dataset());
+            store
+        };
         let (a, a_stats) = wall_epoch_in_order(bare, cfg.clone(), depth);
         let (b, b_stats) =
-            wall_epoch_in_order(Arc::new(faulted_store(FaultPlan::quiet(99))), cfg.clone(), depth);
+            wall_epoch_in_order(|| faulted_store(FaultPlan::quiet(99)), cfg.clone(), depth);
         assert_eq!(a.len() as u64, expected_labels(&dataset().db).values().sum::<u64>());
         assert_eq!(a, b, "depth {depth}");
         let bytes = |s: &pcr::loader::ParallelStats| {

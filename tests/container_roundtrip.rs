@@ -40,9 +40,8 @@ fn pack(pcr: &PcrDataset, tag: &str, records_per_shard: usize) -> (PathBuf, Open
 }
 
 /// Sorted (record name, labels) pairs delivered by an epoch — the record
-/// multiset, not just the label multiset. One decode worker delivers
-/// whole records in epoch order, so the label stream splits back into
-/// records.
+/// multiset, not just the label multiset. The loader delivers whole
+/// records in epoch order, so the label stream splits back into records.
 fn epoch_records<S: RecordSource + ?Sized + 'static>(
     store: &Arc<ObjectStore>,
     source: &Arc<S>,

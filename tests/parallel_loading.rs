@@ -40,9 +40,9 @@ fn dermatology_fixture() -> (Arc<ObjectStore>, Arc<MetaDb>) {
     (store, Arc::new(pcr_ds.db.clone()))
 }
 
-/// Fixed seed, 2 vs 8 workers: the *delivered multiset* of labels must be
-/// identical — worker count may reorder delivery but never duplicate or
-/// drop a sample.
+/// Fixed seed, 2 vs 8 workers: the delivered label *sequence* must be the
+/// epoch order at both — the thread count never reorders, duplicates or
+/// drops a sample — and so the multisets agree too.
 #[test]
 fn two_and_eight_workers_deliver_identical_label_multisets() {
     let (store, db) = dermatology_fixture();
@@ -57,6 +57,10 @@ fn two_and_eight_workers_deliver_identical_label_multisets() {
             batch_size: 7,
             ..ParallelConfig::default()
         };
+        let in_order: Vec<u32> = ReadPlanner::from_config(&cfg.loader)
+            .epoch_iter(db.records.len(), 5)
+            .flat_map(|idx| db.records[idx].labels.clone())
+            .collect();
         let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg);
         let stream = loader.spawn_epoch(5);
         let mut labels: Vec<u32> = Vec::new();
@@ -65,6 +69,7 @@ fn two_and_eight_workers_deliver_identical_label_multisets() {
             labels.extend(b.labels);
         }
         stream.join();
+        assert_eq!(labels, in_order, "{workers} workers deliver EpochOrder");
         labels.sort_unstable();
         labels
     };
