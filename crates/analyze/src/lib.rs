@@ -11,9 +11,9 @@
 //! engine ([`rules`]) that emits a machine-readable JSON report.
 //!
 //! The companion runtime layer is the `pcr-debug-sync` feature on the
-//! vendored `parking_lot`/`crossbeam` shims: a lock-order graph with
-//! cycle detection and channel happens-before tokens, exercised by
-//! running the test suite with the feature enabled.
+//! vendored `parking_lot` shim, whose `Mutex` every lock in the workspace
+//! uses: a lock-order graph with cycle detection, exercised by running
+//! the test suite with the feature enabled.
 //!
 //! See `ARCHITECTURE.md` ("Static analysis & invariants") for each
 //! rule's rationale and the `// pcr-lint: allow(<rule>)` convention.

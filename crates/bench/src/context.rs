@@ -18,24 +18,15 @@ pub struct Ctx {
 
 impl Ctx {
     /// Parses the scale from a CLI argument (`tiny` / `small` / `full`).
+    /// Anything else, or no argument, is `small`.
     pub fn from_arg(arg: Option<&str>) -> Self {
-        let scale = match arg {
-            Some("tiny") => Scale::Tiny,
-            Some("full") => Scale::Full,
-            _ => Scale::Small,
-        };
-        Self { scale }
+        Self { scale: arg.and_then(Scale::from_name).unwrap_or(Scale::Small) }
     }
 
     /// Generates one of the paper's datasets by short name.
     pub fn dataset(&self, short: &str) -> SyntheticDataset {
-        let spec = match short {
-            "imagenet" => DatasetSpec::imagenet_like(self.scale),
-            "celebahq" => DatasetSpec::celebahq_smile_like(self.scale),
-            "ham10000" => DatasetSpec::ham10000_like(self.scale),
-            "cars" => DatasetSpec::cars_like(self.scale),
-            other => panic!("unknown dataset {other}"),
-        };
+        let spec = DatasetSpec::named(short, self.scale)
+            .unwrap_or_else(|| panic!("unknown dataset {short}"));
         SyntheticDataset::generate(&spec)
     }
 

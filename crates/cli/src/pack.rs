@@ -122,8 +122,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         (Some(_), Some(_)) => return Err("--dataset and --images are mutually exclusive".into()),
         (None, None) => return Err("one of --dataset or --images is required".into()),
         (Some(name), None) => {
-            let scale = parse_scale(args.value_or("scale", "tiny"))?;
-            let spec = dataset_spec(name, scale)?;
+            let scale = args.value_or("scale", "tiny");
+            let scale = Scale::from_name(scale)
+                .ok_or_else(|| format!("unknown scale {scale:?} (tiny | small | full)"))?;
+            let spec = DatasetSpec::named(name, scale).ok_or_else(|| {
+                format!("unknown dataset {name:?} (dermatology | imagenet | cars | celeba)")
+            })?;
             if !json {
                 println!(
                     "generating {} at {:?} scale ({} train images)...",
@@ -189,27 +193,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         println!("next: pcr inspect {}", out.display());
     }
     Ok(())
-}
-
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale {other:?} (tiny | small | full)")),
-    }
-}
-
-fn dataset_spec(name: &str, scale: Scale) -> Result<DatasetSpec, String> {
-    match name {
-        "dermatology" | "ham10000" | "ham" => Ok(DatasetSpec::ham10000_like(scale)),
-        "imagenet" => Ok(DatasetSpec::imagenet_like(scale)),
-        "cars" => Ok(DatasetSpec::cars_like(scale)),
-        "celeba" | "celebahq" => Ok(DatasetSpec::celebahq_smile_like(scale)),
-        other => Err(format!(
-            "unknown dataset {other:?} (dermatology | imagenet | cars | celeba)"
-        )),
-    }
 }
 
 /// Packs a directory of JPEG files: `<srcdir>/*.jpg` at label 0 and

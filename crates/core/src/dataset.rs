@@ -5,8 +5,8 @@
 
 use crate::error::{Error, Result};
 use crate::record::{fit_scans, PcrRecord, PcrRecordBuilder, SampleMeta};
+use parking_lot::Mutex;
 use pcr_jpeg::{EncodeConfig, ImageBuf, ScanLayout};
-use std::sync::{Mutex, PoisonError};
 
 /// Metadata for one record, sufficient to plan reads at any scan group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,9 +123,9 @@ pub fn map_in_order<T: Send, R: Send>(
     let drain = || {
         let mut done = Vec::new();
         loop {
-            // Nothing panics while the lock is held, so a poisoned lock
-            // still guards an intact iterator.
-            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            // The lock recovers from poison: nothing panics while it is
+            // held, so a poisoned lock still guards an intact iterator.
+            let next = queue.lock().next();
             let Some((i, item)) = next else { break done };
             done.push((i, f(item)));
         }

@@ -65,6 +65,17 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale named `tiny`, `small` or `full`; `None` for any other
+    /// name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "full" => Some(Scale::Full),
+            _ => None,
+        }
+    }
+
     fn train_count(self, full: usize) -> usize {
         match self {
             Scale::Tiny => (full / 50).clamp(24, 60),
@@ -79,6 +90,19 @@ impl Scale {
 }
 
 impl DatasetSpec {
+    /// The paper dataset a short name stands for, at `scale`:
+    /// `dermatology` (or `ham10000`, `ham`), `imagenet`, `cars`, or
+    /// `celeba` (or `celebahq`). `None` for any other name.
+    pub fn named(name: &str, scale: Scale) -> Option<Self> {
+        match name {
+            "dermatology" | "ham10000" | "ham" => Some(Self::ham10000_like(scale)),
+            "imagenet" => Some(Self::imagenet_like(scale)),
+            "cars" => Some(Self::cars_like(scale)),
+            "celeba" | "celebahq" => Some(Self::celebahq_smile_like(scale)),
+            _ => None,
+        }
+    }
+
     /// ImageNet-like: many classes, natural-image scale, quality ~92.
     /// Signal split between bands: moderately compression-tolerant, but
     /// scans 1-2 are not always sufficient (paper Fig. 4).
@@ -173,6 +197,22 @@ impl DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_resolve_with_their_aliases() {
+        for scale in ["tiny", "small", "full"] {
+            assert!(Scale::from_name(scale).is_some(), "{scale}");
+        }
+        assert_eq!(Scale::from_name("huge"), None);
+        let at = |name| DatasetSpec::named(name, Scale::Tiny);
+        assert_eq!(at("dermatology"), Some(DatasetSpec::ham10000_like(Scale::Tiny)));
+        assert_eq!(at("ham"), at("ham10000"));
+        assert_eq!(at("celeba"), Some(DatasetSpec::celebahq_smile_like(Scale::Tiny)));
+        assert_eq!(at("celebahq"), at("celeba"));
+        assert_eq!(at("imagenet"), Some(DatasetSpec::imagenet_like(Scale::Tiny)));
+        assert_eq!(at("cars"), Some(DatasetSpec::cars_like(Scale::Tiny)));
+        assert_eq!(at("mnist"), None);
+    }
 
     #[test]
     fn scales_order_counts() {

@@ -21,11 +21,12 @@
 //! - Dropping the last handle on the slot or on a crew closes its job
 //!   queues and joins its threads.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::Mutex;
 use pcr_core::RecordScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// How a job ended: `Err` carries its panic payload.
@@ -82,7 +83,7 @@ impl Crew {
     fn build(shape: CrewShape, live: &Arc<AtomicUsize>) -> Self {
         let mut threads = Vec::new();
         let mut spawn = |name: String, stack: Option<usize>| {
-            let (tx, rx) = unbounded::<Job>();
+            let (tx, rx) = channel::<Job>();
             live.fetch_add(1, Ordering::Relaxed);
             let alive = Alive(Arc::clone(live));
             let mut builder = std::thread::Builder::new().name(name);
@@ -165,12 +166,12 @@ impl CrewSlot {
     /// Takes the idle crew for one epoch, or builds one of `shape()`
     /// when none is idle.
     pub(crate) fn lease(self: &Arc<Self>, shape: impl FnOnce() -> CrewShape) -> CrewLease {
-        let idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let idle = self.idle.lock().take();
         let crew = idle.unwrap_or_else(|| {
             self.built.fetch_add(1, Ordering::Relaxed);
             Crew::build(shape(), &self.live)
         });
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         CrewLease {
             crew: Some(crew),
             slot: Arc::clone(self),
@@ -183,7 +184,7 @@ impl CrewSlot {
     /// Keeps `crew` as the idle crew, or closes it when one is already
     /// idle.
     fn give_back(&self, crew: Crew) {
-        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut idle = self.idle.lock();
         if idle.is_none() {
             *idle = Some(crew);
             return;

@@ -16,6 +16,7 @@
 
 use crate::parallel::{Minibatch, ParallelLoader};
 use pcr_autotune::{select_lowest_qualifying, PlateauDetector, DEFAULT_MSSIM_THRESHOLD};
+use pcr_core::dataset::map_in_order;
 use pcr_core::{DecisionRecord, PcrRecord, RecordScratch};
 use pcr_metrics::{FidelityEpoch, FidelityTrace, MsssimReference, Plane, TriggerKind};
 use pcr_storage::{ByteView, Clock, ObjectStore};
@@ -200,31 +201,21 @@ fn probe_with_workers<S: crate::source::RecordSource + ?Sized>(
         }
     }
 
-    let score_all = |images: &[(ByteView, usize)]| {
+    // One run of consecutive images per worker, each with its own
+    // scratch; concatenated in image order whoever finishes first.
+    let runs: Vec<&[(ByteView, usize)]> =
+        sampled.chunks(sampled.len().div_ceil(workers.max(1)).max(1)).collect();
+    let per_image = map_in_order(runs, workers, |run| {
         let mut scratch = RecordScratch::new();
-        images
-            .iter()
-            .map(|(bytes, i)| score_image(bytes, *i, &candidates, &mut scratch))
-            .collect::<Vec<_>>()
-    };
-    // One run of consecutive images per worker, the first of them scored
-    // on this thread; concatenated in image order whoever finishes first.
-    let per_image = std::thread::scope(|scope| {
-        let mut runs = sampled.chunks(sampled.len().div_ceil(workers.max(1)).max(1));
-        let own = runs.next().unwrap_or_default();
-        let spawned: Vec<_> = runs.map(|run| scope.spawn(|| score_all(run))).collect();
-        let mut per_image = score_all(own);
-        for worker in spawned {
-            per_image.extend(worker.join().expect("probe worker panicked"));
-        }
-        per_image
+        let score = |(bytes, i): &(ByteView, usize)| score_image(bytes, *i, &candidates, &mut scratch);
+        run.iter().map(score).collect::<Vec<_>>()
     });
 
     let mut sums = vec![0.0f64; candidates.len()];
     // Per-candidate sample counts: a group whose decode fails for some
     // image must not have its mean deflated by images it never scored.
     let mut counts = vec![0u64; candidates.len()];
-    for scores in per_image.iter().flatten() {
+    for scores in per_image.iter().flatten().flatten() {
         for (slot, score) in scores.iter().enumerate() {
             if let Some(score) = score {
                 sums[slot] += score;

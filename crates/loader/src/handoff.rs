@@ -23,8 +23,8 @@
 //! before it starts on a position, so it never holds decoded images
 //! outside the window.
 
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 struct Window<T> {
     /// Positions in the epoch.
@@ -40,6 +40,9 @@ struct Window<T> {
 
 /// See the [module documentation](self).
 pub(crate) struct Handoff<T> {
+    /// The lock recovers from poison: every critical section below
+    /// leaves the window consistent at each step, so a panic on a
+    /// holder's thread cannot expose a half-updated window.
     window: Mutex<Window<T>>,
     /// Signalled when the head moves (or the hand-off closes): producers
     /// parked beyond the window wait here.
@@ -67,17 +70,10 @@ impl<T> Handoff<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Window<T>> {
-        // Every critical section below leaves the window consistent at
-        // each step, so a panic on a holder's thread cannot expose a
-        // half-updated window.
-        self.window.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Claims the next epoch-order position. `None` once every position
     /// is claimed or the hand-off is closed. Never blocks.
     pub(crate) fn claim(&self) -> Option<usize> {
-        let mut w = self.lock();
+        let mut w = self.window.lock();
         if w.closed || w.next_claim >= w.total {
             return None;
         }
@@ -90,7 +86,7 @@ impl<T> Handoff<T> {
     /// beyond the window. `false` when the hand-off is closed: the value
     /// is dropped.
     pub(crate) fn stage(&self, pos: usize, value: T) -> bool {
-        let mut w = self.lock();
+        let mut w = self.window.lock();
         loop {
             if w.closed {
                 return false;
@@ -104,16 +100,16 @@ impl<T> Handoff<T> {
                 }
                 return true;
             }
-            w = self.room.wait(w).unwrap_or_else(PoisonError::into_inner);
+            w = self.room.wait(w);
         }
     }
 
     /// Blocks until position `pos` lies inside the window, so that
     /// staging it will not park. `false` when the hand-off is closed.
     pub(crate) fn wait_for_room(&self, pos: usize) -> bool {
-        let mut w = self.lock();
+        let mut w = self.window.lock();
         while !w.closed && pos >= w.head + w.slots.len() {
-            w = self.room.wait(w).unwrap_or_else(PoisonError::into_inner);
+            w = self.room.wait(w);
         }
         !w.closed
     }
@@ -122,7 +118,7 @@ impl<T> Handoff<T> {
     /// blocking until that position is staged. `None` once every position
     /// was taken or the hand-off is closed.
     pub(crate) fn take(&self) -> Option<(usize, T)> {
-        let mut w = self.lock();
+        let mut w = self.window.lock();
         loop {
             if w.closed || w.head >= w.total {
                 return None;
@@ -142,14 +138,14 @@ impl<T> Handoff<T> {
                 }
                 return Some((pos, value));
             }
-            w = self.ready.wait(w).unwrap_or_else(PoisonError::into_inner);
+            w = self.ready.wait(w);
         }
     }
 
     /// Cancels the hand-off: staged values are dropped and every blocked
     /// or future call returns immediately (`None` from `claim`/`take`).
     pub(crate) fn close(&self) {
-        let mut w = self.lock();
+        let mut w = self.window.lock();
         w.closed = true;
         w.slots.clear();
         drop(w);

@@ -1,10 +1,11 @@
 //! # pcr-loader
 //!
 //! The data-loading pipeline of the paper's Appendix A.1:
-//! [`parallel::ParallelLoader`], a real OS-thread worker pool over bounded
-//! crossbeam channels that reads record prefixes, decodes truncated
-//! progressive JPEGs, and yields [`Minibatch`]es with double-buffered
-//! prefetch. Every delivered record comes out of it; the paper's
+//! [`parallel::ParallelLoader`], a real OS-thread pipeline of fetchers, a
+//! decode pool and an assembler, joined by bounded in-order windows, that
+//! reads record prefixes, decodes truncated progressive JPEGs, and yields
+//! [`Minibatch`]es through a bounded `std::sync::mpsc` channel with
+//! double-buffered prefetch. Every delivered record comes out of it; the paper's
 //! closed-system *model* of a loader (a timeline on a virtual clock, for
 //! experiments that must be deterministic and device-independent) is a
 //! function in `pcr-sim`, not a second loader.

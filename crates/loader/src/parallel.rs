@@ -81,12 +81,13 @@ use crate::order::EpochOrder;
 use crate::report::{share, Bottleneck, EpochReport};
 use crate::retry::{FaultReport, Ladder, RetryBudget, RetryPolicy, Rung};
 use crate::source::{prefix_group, ReadPlanner, RecordSource};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use parking_lot::Mutex;
 use pcr_core::{MetaDb, PcrRecord, RecordScratch};
 use pcr_jpeg::ImageBuf;
 use pcr_storage::{ByteView, ObjectStore};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the wall-clock pipeline realizes storage time.
@@ -188,18 +189,25 @@ pub struct ParallelStats {
     pub decode_starved_nanos: AtomicU64,
     /// Retries, degradations and quarantines, merged in by the assembler
     /// in epoch order for every record that had any (a clean record takes
-    /// no lock).
+    /// no lock). The lock recovers from poison: a panic mid-merge kills
+    /// the assembler, and [`EpochStream::join`] re-raises it before the
+    /// epoch reports, so a half-merged report is never taken for a whole
+    /// one.
     faults: Mutex<FaultReport>,
 }
 
 impl ParallelStats {
     /// The epoch's fault accounting so far.
     pub fn fault_report(&self) -> FaultReport {
-        self.faults.lock().expect("no assembler panics while merging").clone()
+        self.faults.lock().clone()
     }
 }
 
 /// A running epoch: a stream of minibatches plus live statistics.
+///
+/// A stream is consumed on one thread: it is `Send` but not `Sync`, as
+/// its batch receiver is a `std::sync::mpsc::Receiver`. Move it to the
+/// thread that trains on it.
 ///
 /// Iterate [`EpochStream::batches`] until disconnect for the full epoch,
 /// then call [`EpochStream::join`] — or let [`EpochStream::fold`] do both
@@ -422,7 +430,7 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         });
 
         // Assembler: records → fixed-size minibatches, double-buffered.
-        let (batch_tx, batch_rx) = bounded::<Minibatch>(cfg.prefetch_batches.max(1));
+        let (batch_tx, batch_rx) = sync_channel::<Minibatch>(cfg.prefetch_batches.max(1));
         let batch_size = cfg.batch_size.max(1);
         let pairs_images = matches!(cfg.loader.decode, DecodeMode::Real);
         crew.assign(Stage::Assemble, || {
@@ -516,6 +524,9 @@ struct EpochShared<S: ?Sized> {
     /// record always fits, and the thread that opens it claims its images
     /// itself when no other thread does.
     records: Handoff<Settled>,
+    /// The lock recovers from poison: every critical section leaves the
+    /// pool consistent at each step, so a panic on a holder's thread
+    /// cannot expose a half-updated one.
     pool: Mutex<Pool>,
     order: EpochOrder,
     scan_group: usize,
@@ -545,16 +556,10 @@ fn add_elapsed(counter: &AtomicU64, since: Instant) {
 }
 
 impl<S: ?Sized> EpochShared<S> {
-    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
-        // Every critical section leaves the pool consistent at each step,
-        // so a panic on a holder's thread cannot expose a half-updated one.
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Cancels the epoch: open records are dropped, nothing more is
     /// claimed, staged or taken, and every parked stage thread returns.
     fn close(&self) {
-        let mut pool = self.lock_pool();
+        let mut pool = self.pool.lock();
         pool.closed = true;
         pool.open.clear();
         drop(pool);
@@ -622,7 +627,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// from the fetch hand-off, once its position fits in the reorder
     /// window. `None` once the epoch is drained or closed.
     fn next_work(&self) -> Option<Work> {
-        if let Some(work) = self.lock_pool().claim() {
+        if let Some(work) = self.pool.lock().claim() {
             return Some(work);
         }
         let t0 = Instant::now();
@@ -639,7 +644,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// check: delivered when every image decoded, else its ladder steps
     /// down a rung from this thread.
     fn finish(&self, pos: usize, image: usize, decoded: Option<ImageBuf>) {
-        let mut pool = self.lock_pool();
+        let mut pool = self.pool.lock();
         // Gone when the epoch closed meanwhile.
         let Some(at) = pool.open.iter().position(|r| r.pos == pos) else { return };
         let rec = &mut pool.open[at];
@@ -683,7 +688,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                 Some(n) => {
                     let images = std::iter::repeat_with(|| None).take(n).collect();
                     let record = OpenRecord { pos, ladder, rung: candidate, next: 0, running: 0, images };
-                    let mut pool = self.lock_pool();
+                    let mut pool = self.pool.lock();
                     if !pool.closed {
                         pool.open.push(record);
                     }
@@ -716,7 +721,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// epoch-order position, merges their fault accounting and packs their
     /// images into fixed-size minibatches. Returns when the epoch drains
     /// or closes; a consumer gone closes it.
-    fn assemble(&self, batch_tx: &Sender<Minibatch>, batch_size: usize, pairs_images: bool) {
+    fn assemble(&self, batch_tx: &SyncSender<Minibatch>, batch_size: usize, pairs_images: bool) {
         let _guard = CloseOnPanic(self);
         let mut images: Vec<ImageBuf> = Vec::new();
         let mut labels: Vec<u32> = Vec::new();
@@ -729,8 +734,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
             #[cfg(feature = "pcr-debug-sync")]
             assert_eq!(Some(pos), positions.next(), "pcr-debug-sync: assembled out of epoch order");
             if !settled.faults.is_clean() {
-                let mut faults = self.stats.faults.lock().expect("no assembler panics while merging");
-                faults.merge(settled.faults);
+                self.stats.faults.lock().merge(settled.faults);
             }
             // A quarantined record delivers nothing.
             let Some(imgs) = settled.images else { continue };
@@ -776,7 +780,7 @@ mod tests {
         /// Panics, once, as a pool thread holding a claimed image of the
         /// armed record is about to decode it.
         pub(super) fn before_decode(&self, idx: usize) {
-            let mut armed = self.panic_decoding.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut armed = self.panic_decoding.lock();
             if *armed == Some(idx) {
                 *armed = None;
                 drop(armed);
@@ -802,11 +806,20 @@ mod tests {
         (Arc::new(store), Arc::new(ds.db.clone()))
     }
 
-    /// Under pcr-debug-sync every mutex acquisition in the storage layer
-    /// feeds the lock-order graph, every channel pop checks its
-    /// happens-before stamp, and the assembler checks that records arrive
-    /// in epoch order; a contended real-decode epoch completing without
-    /// tripping an assertion — twice, delivering EpochOrder — is the pass.
+    // A loader is shared across threads; a stream moves to the one
+    // thread that consumes it.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        const fn send<T: Send>() {}
+        send_sync::<ParallelLoader<crate::sharded::ShardedSource>>();
+        send::<EpochStream>();
+    };
+
+    /// Under pcr-debug-sync every mutex acquisition in the loader and the
+    /// storage layer feeds the lock-order graph, and the assembler checks
+    /// that records arrive in epoch order; a contended real-decode epoch
+    /// completing without tripping an assertion — twice, delivering
+    /// EpochOrder — is the pass.
     #[cfg(feature = "pcr-debug-sync")]
     #[test]
     fn debug_sync_epoch_is_deterministic_and_clean() {
@@ -815,8 +828,16 @@ mod tests {
         let loader = ParallelLoader::new(store, Arc::clone(&db), cfg.clone());
         let expected = expected_labels(&cfg, &db, 1);
         assert_eq!(expected.len(), 11);
-        assert_eq!(epoch_labels(&loader, 1), expected);
-        assert_eq!(epoch_labels(&loader, 1), expected);
+        // Every lock acquired gets an id in the graph: the first epoch
+        // registers the crew slot's lock and its two windows and pool, the
+        // second its own windows and pool. Other tests may add more.
+        let mut registered = parking_lot::debug_sync::lock_count();
+        for new_locks in [1 + 3, 3] {
+            assert_eq!(epoch_labels(&loader, 1), expected);
+            let now = parking_lot::debug_sync::lock_count();
+            assert!(now >= registered + new_locks, "{now} ids, {registered} before the epoch");
+            registered = now;
+        }
     }
 
     #[test]
@@ -1271,7 +1292,7 @@ mod tests {
         let (store, db) = make(24, DeviceProfile::ram());
         let cfg = ParallelConfig { batch_size: 5, ..ParallelConfig::real(1, 10) };
         let loader = ParallelLoader::new(store, Arc::clone(&db), cfg.clone()).with_pool(3);
-        *loader.hooks.panic_decoding.lock().expect("not poisoned") = Some(2);
+        *loader.hooks.panic_decoding.lock() = Some(2);
         let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             loader.spawn_epoch(0).fold(|batches| batches.count())
         }));

@@ -30,6 +30,7 @@
 
 use crate::source::{ReadPlan, RecordSource};
 use pcr_metrics::EpochFaultCounters;
+use pcr_storage::fault::{mix, unit};
 use pcr_storage::{Clock, ObjectStore, ReadError, ReadResult};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,17 +73,6 @@ impl Default for RetryPolicy {
             seed: 0,
         }
     }
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl RetryPolicy {

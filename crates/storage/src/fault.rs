@@ -183,8 +183,11 @@ const SALT_FLIP: u64 = 0x666c_6970;
 const SALT_LATENCY: u64 = 0x6c61_7465;
 const SALT_TIMEOUT: u64 = 0x7469_6d65;
 
-/// splitmix64 finalizer: the standard 64-bit avalanche mix.
-fn mix(mut x: u64) -> u64 {
+/// splitmix64 finalizer: the standard 64-bit avalanche mix. With
+/// [`unit()`] it is the workspace's seeded hash: fault decisions here and
+/// the loader's backoff jitter draw from it, so both replay exactly from
+/// their seeds without a shared RNG.
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -206,8 +209,9 @@ fn hash_name(name: &str) -> u64 {
     h
 }
 
-/// Maps a hash to the unit interval [0, 1).
-fn unit(h: u64) -> f64 {
+/// Maps a hash to the unit interval [0, 1) (the top 53 bits, so every
+/// value is an exact `f64`).
+pub fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
