@@ -1,9 +1,9 @@
 //! # pcr-autotune
 //!
 //! Scan-group tuning policies from the paper's section 4.5 and Appendix
-//! A.6: loss-plateau detection (the dynamic tuning trigger), selection
-//! rules (gradient-cosine threshold, MSSIM-predicted accuracy, score
-//! clustering), and mixture training distributions over scan groups.
+//! A.6: loss-plateau detection (the dynamic tuning trigger), threshold
+//! selection of the cheapest qualifying scan group (gradient cosine or
+//! MSSIM), and mixture training distributions over scan groups.
 //!
 //! These are pure policies over numbers, independently testable. Their
 //! live consumers are `pcr-loader`'s `FidelityController` — which wires
@@ -45,7 +45,4 @@ pub mod select;
 
 pub use mixture::MixturePolicy;
 pub use plateau::PlateauDetector;
-pub use select::{
-    cluster_representatives, select_by_predicted_accuracy, select_lowest_qualifying,
-    DEFAULT_COSINE_THRESHOLD, DEFAULT_MSSIM_THRESHOLD,
-};
+pub use select::{select_lowest_qualifying, DEFAULT_COSINE_THRESHOLD, DEFAULT_MSSIM_THRESHOLD};

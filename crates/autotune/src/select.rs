@@ -1,5 +1,5 @@
-//! Scan-group selection rules: the gradient-cosine criterion of Appendix
-//! A.6 and the MSSIM-based static rule of section 4.4.
+//! Scan-group selection: the cheapest group whose score (gradient cosine,
+//! Appendix A.6, or MSSIM, section 4.4) clears a threshold.
 
 /// Default gradient-similarity acceptance threshold used by the paper
 /// ("the gradient similarity is set to be at least 90%").
@@ -23,46 +23,6 @@ pub fn select_lowest_qualifying(scores: &[(usize, f64)], threshold: f64) -> usiz
     sorted.last().map(|&(g, _)| g).unwrap_or(0)
 }
 
-/// Static MSSIM-based tuning (section 4.4 / A.6.1): predicts final accuracy
-/// for each group from a linear MSSIM->accuracy fit and picks the cheapest
-/// group whose predicted accuracy is within `tolerance` of the best.
-pub fn select_by_predicted_accuracy(
-    group_mssim: &[(usize, f64)],
-    fit: &pcr_metrics::LinearFit,
-    tolerance: f64,
-) -> usize {
-    let best = group_mssim
-        .iter()
-        .map(|&(_, m)| fit.predict(m))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let mut sorted: Vec<(usize, f64)> = group_mssim.to_vec();
-    sorted.sort_by_key(|&(g, _)| g);
-    for &(g, m) in &sorted {
-        if fit.predict(m) >= best - tolerance {
-            return g;
-        }
-    }
-    sorted.last().map(|&(g, _)| g).unwrap_or(0)
-}
-
-/// Groups scan groups into clusters of near-equal score (the paper notes
-/// scans 2-4 cluster together, 5+ cluster together); returns representative
-/// groups, cheapest-first. Useful to shrink the probe set for dynamic
-/// tuning ("this number can be clustered to 3 or 4 scans").
-pub fn cluster_representatives(scores: &[(usize, f64)], epsilon: f64) -> Vec<usize> {
-    let mut sorted: Vec<(usize, f64)> = scores.to_vec();
-    sorted.sort_by_key(|&(g, _)| g);
-    let mut reps = Vec::new();
-    let mut last_score = f64::NEG_INFINITY;
-    for &(g, s) in &sorted {
-        if (s - last_score).abs() > epsilon {
-            reps.push(g);
-            last_score = s;
-        }
-    }
-    reps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,38 +44,5 @@ mod tests {
     fn order_of_input_does_not_matter() {
         let scores = [(10, 1.0), (1, 0.6), (5, 0.95), (2, 0.9)];
         assert_eq!(select_lowest_qualifying(&scores, 0.9), 2);
-    }
-
-    #[test]
-    fn predicted_accuracy_rule() {
-        // acc = 100 * mssim - 20.
-        let fit = pcr_metrics::LinearFit {
-            slope: 100.0,
-            intercept: -20.0,
-            r2: 1.0,
-            p_value: 0.0,
-            n: 10,
-        };
-        let groups = [(1, 0.80), (2, 0.90), (5, 0.97), (10, 1.0)];
-        // Best predicted = 80; tolerance 4 admits group 5 (77); tolerance
-        // 12 admits group 2 (70).
-        assert_eq!(select_by_predicted_accuracy(&groups, &fit, 4.0), 5);
-        assert_eq!(select_by_predicted_accuracy(&groups, &fit, 12.0), 2);
-        assert_eq!(select_by_predicted_accuracy(&groups, &fit, 0.5), 10);
-    }
-
-    #[test]
-    fn clustering_collapses_similar_groups() {
-        let scores = [
-            (1, 0.70),
-            (2, 0.88),
-            (3, 0.885),
-            (4, 0.89),
-            (5, 0.96),
-            (6, 0.965),
-            (10, 0.99),
-        ];
-        let reps = cluster_representatives(&scores, 0.02);
-        assert_eq!(reps, vec![1, 2, 5, 10]);
     }
 }

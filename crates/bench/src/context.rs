@@ -32,10 +32,7 @@ impl Ctx {
 
     /// All four datasets.
     pub fn suite(&self) -> Vec<SyntheticDataset> {
-        ["imagenet", "celebahq", "ham10000", "cars"]
-            .iter()
-            .map(|s| self.dataset(s))
-            .collect()
+        DatasetSpec::paper_suite(self.scale).iter().map(SyntheticDataset::generate).collect()
     }
 
     /// Featurizes a dataset for a model at the standard groups and builds

@@ -2,7 +2,10 @@
 //! the container is the history of the loop that ships, and
 //! `pcr inspect --trace` is how it is read back.
 
-use pcr_core::{DecisionLogWriter, DecisionRecord, PcrContainer, DECISION_LOG_FILE};
+use pcr_core::{
+    write_container, DecisionLogWriter, DecisionRecord, PcrContainer, PcrDatasetBuilder, SampleMeta,
+    DECISION_LOG_FILE,
+};
 use pcr_jpeg::{encode, EncodeConfig, ImageBuf};
 use pcr_metrics::TriggerKind;
 use std::path::{Path, PathBuf};
@@ -24,6 +27,12 @@ fn pack_and_train(tag: &str, options: &[&str]) -> (PathBuf, Output) {
     (container, trained)
 }
 
+/// Image `i` of the test set: 24x24, class `i % 2`.
+fn image(i: u32) -> ImageBuf {
+    let data = (0..24 * 24 * 3).map(|p| ((p * 7 + i * 31 + (i % 2) * 90) % 251) as u8).collect();
+    ImageBuf::from_raw(24, 24, 3, data).unwrap()
+}
+
 /// Packs ten 24x24 JPEGs in two class directories into `<tag>/container`.
 fn pack(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
@@ -31,9 +40,7 @@ fn pack(tag: &str) -> PathBuf {
     for i in 0..IMAGES {
         let class = dir.join("src").join(format!("class{}", i % 2));
         std::fs::create_dir_all(&class).unwrap();
-        let data = (0..24 * 24 * 3).map(|p| ((p * 7 + i * 31 + (i % 2) * 90) % 251) as u8).collect();
-        let img = ImageBuf::from_raw(24, 24, 3, data).unwrap();
-        let jpeg = encode(&img, &EncodeConfig::baseline(90)).unwrap();
+        let jpeg = encode(&image(i), &EncodeConfig::baseline(90)).unwrap();
         std::fs::write(class.join(format!("{i}.jpg")), jpeg).unwrap();
     }
     let container = dir.join("container");
@@ -81,6 +88,33 @@ fn dynamic_run_starts_at_full_quality_with_its_probe_scores() {
     assert_eq!(first.probe_scores.len(), 4, "groups 1, 2, 5 and full");
     assert_eq!(first.bytes_read, first.bytes_full);
     assert!(records[1..].iter().all(|r| r.trigger != TriggerKind::Start));
+}
+
+#[test]
+fn a_record_whose_labels_disagree_with_the_index_is_quarantined() {
+    // Record 0 holds four images, but the index lists three labels for it.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("train-label-mismatch");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut builder = PcrDatasetBuilder::new(4, 10);
+    for i in 0..IMAGES {
+        builder.add_image(SampleMeta { label: i % 2, id: format!("{i}") }, &image(i), 90).unwrap();
+    }
+    let mut dataset = builder.finish().unwrap();
+    dataset.db.records[0].labels.pop();
+    dataset.db.records[0].num_images -= 1;
+    write_container(&dataset, &dir, 8).unwrap();
+    PcrContainer::open(&dir).unwrap().verify().expect("the container itself is intact");
+
+    let out = pcr()
+        .arg("train")
+        .arg(&dir)
+        .args(["--epochs", "1", "--no-declog", "--batch", "4"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
+    let faults = stdout.lines().find(|l| l.contains("!! faults:")).expect("a faults line");
+    assert!(faults.ends_with("1 quarantined (3 image(s))"), "{faults}");
 }
 
 #[test]

@@ -1,10 +1,7 @@
-//! The baseline storage formats the paper compares PCRs against:
-//!
-//! * **File-per-Image** (PyTorch `ImageFolder` style): every image is its
-//!   own blob, producing small random reads.
-//! * **Record layout** (TFRecord / MXNet ImageRecord style): images at a
-//!   *fixed* quality batched into large records, giving sequential reads but
-//!   requiring one full dataset copy per quality level.
+//! The baseline record layout the paper compares PCRs against (TFRecord /
+//! MXNet ImageRecord style): images at a *fixed* quality batched into large
+//! records, giving sequential reads but requiring one full dataset copy per
+//! quality level.
 
 use crate::error::{Error, Result};
 use crate::record::SampleMeta;
@@ -14,72 +11,12 @@ use pcr_jpeg::{EncodeConfig, ImageBuf};
 /// Magic prefix of a record file.
 pub const RECORD_MAGIC: &[u8; 4] = b"TREC";
 
-/// One entry of a File-per-Image dataset: a named blob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImageFile {
-    /// Sample metadata.
-    pub meta: SampleMeta,
-    /// Encoded JPEG bytes.
-    pub jpeg: Vec<u8>,
-}
-
-/// A File-per-Image dataset: a plain collection of independent blobs. Access
-/// is inherently random (one small read per image).
-#[derive(Debug, Default)]
-pub struct FilePerImageDataset {
-    files: Vec<ImageFile>,
-}
-
-impl FilePerImageDataset {
-    /// Empty dataset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an encoded image.
-    pub fn add_jpeg(&mut self, meta: SampleMeta, jpeg: Vec<u8>) {
-        self.files.push(ImageFile { meta, jpeg });
-    }
-
-    /// Encodes and adds raw pixels at a fixed quality.
-    pub fn add_image(&mut self, meta: SampleMeta, img: &ImageBuf, quality: u8) -> Result<()> {
-        let jpeg = pcr_jpeg::encode(img, &EncodeConfig::baseline(quality))?;
-        self.add_jpeg(meta, jpeg);
-        Ok(())
-    }
-
-    /// Number of images.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
-    /// Entry accessor.
-    pub fn get(&self, i: usize) -> &ImageFile {
-        &self.files[i]
-    }
-
-    /// Decodes image `i`.
-    pub fn decode(&self, i: usize) -> Result<ImageBuf> {
-        Ok(pcr_jpeg::decode(&self.files[i].jpeg)?)
-    }
-
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.files.iter().map(|f| f.jpeg.len()).sum()
-    }
-}
-
 /// Builds a TFRecord-like record file: `[magic][count u32]` then per image
 /// `[label u32][id bytes][jpeg bytes]` with u32 length prefixes, plus a
 /// trailing u64 payload checksum (FNV-1a) in the TFRecord spirit.
 #[derive(Debug, Default)]
 pub struct RecordFileBuilder {
-    entries: Vec<ImageFile>,
+    entries: Vec<(SampleMeta, Vec<u8>)>,
 }
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -99,7 +36,7 @@ impl RecordFileBuilder {
 
     /// Adds an encoded image.
     pub fn add_jpeg(&mut self, meta: SampleMeta, jpeg: Vec<u8>) {
-        self.entries.push(ImageFile { meta, jpeg });
+        self.entries.push((meta, jpeg));
     }
 
     /// Encodes raw pixels at a fixed (static) quality and adds them — this
@@ -126,10 +63,10 @@ impl RecordFileBuilder {
             return Err(Error::BadInput("record needs at least one image".into()));
         }
         let mut payload = Vec::new();
-        for e in &self.entries {
-            put_u32(&mut payload, e.meta.label);
-            put_bytes(&mut payload, e.meta.id.as_bytes());
-            put_bytes(&mut payload, &e.jpeg);
+        for (meta, jpeg) in &self.entries {
+            put_u32(&mut payload, meta.label);
+            put_bytes(&mut payload, meta.id.as_bytes());
+            put_bytes(&mut payload, jpeg);
         }
         let mut out = Vec::with_capacity(payload.len() + 16);
         out.extend_from_slice(RECORD_MAGIC);
@@ -232,19 +169,6 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         assert!(RecordFile::parse(&bytes).is_err());
-    }
-
-    #[test]
-    fn file_per_image_basics() {
-        let mut ds = FilePerImageDataset::new();
-        for i in 0..3u8 {
-            ds.add_image(SampleMeta { label: u32::from(i), id: format!("f{i}") }, &img(i), 75)
-                .unwrap();
-        }
-        assert_eq!(ds.len(), 3);
-        assert!(ds.total_bytes() > 0);
-        assert_eq!(ds.decode(1).unwrap().width(), 24);
-        assert_eq!(ds.get(0).meta.id, "f0");
     }
 
     #[test]

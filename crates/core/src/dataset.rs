@@ -92,13 +92,6 @@ impl PcrDataset {
         PcrRecord::parse(&self.records[i])
     }
 
-    /// Returns the byte prefix of record `i` sufficient for scan group `g` —
-    /// what a loader would issue as a single sequential read.
-    pub fn record_prefix(&self, i: usize, g: usize) -> &[u8] {
-        let end = self.db.records[i].prefix_len(g) as usize;
-        &self.records[i][..end.min(self.records[i].len())]
-    }
-
     /// Number of records.
     pub fn num_records(&self) -> usize {
         self.records.len()
@@ -395,7 +388,7 @@ mod tests {
         let ds = build(4, 2);
         for g in [1usize, 2, 5] {
             for r in 0..ds.num_records() {
-                let prefix = ds.record_prefix(r, g);
+                let prefix = &ds.records[r][..ds.db.records[r].prefix_len(g) as usize];
                 assert_eq!(prefix.len() as u64, ds.db.records[r].group_offsets[g]);
                 let rec = PcrRecord::parse(prefix).unwrap();
                 assert_eq!(rec.available_groups(), g);

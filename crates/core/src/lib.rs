@@ -10,9 +10,9 @@
 //! group `g` yields every image at quality level `g` with purely sequential
 //! I/O and zero space overhead versus a conventional record format.
 //!
-//! The crate also implements the two baseline layouts the paper compares
-//! against (File-per-Image and fixed-quality record files) so experiments
-//! can be run head-to-head.
+//! The crate also implements the baseline layout the paper compares
+//! against (fixed-quality record files) so experiments can be run
+//! head-to-head.
 //!
 //! ```
 //! use pcr_core::{PcrRecordBuilder, PcrRecord, SampleMeta};
@@ -45,7 +45,7 @@ pub mod error;
 pub mod record;
 pub mod wire;
 
-pub use baseline::{FilePerImageDataset, RecordFile, RecordFileBuilder};
+pub use baseline::{RecordFile, RecordFileBuilder};
 pub use colfooter::{ColumnarIndex, COLUMNAR_VERSION};
 pub use container::{
     write_container, ContainerManifest, PcrContainer, ShardIndex, ShardRecord, ShardStats,

@@ -58,13 +58,6 @@ pub struct SampleMetaRef<'a> {
     pub id: &'a str,
 }
 
-impl SampleMetaRef<'_> {
-    /// Copies the borrowed metadata into an owned [`SampleMeta`].
-    pub fn to_owned(self) -> SampleMeta {
-        SampleMeta { label: self.label, id: self.id.to_string() }
-    }
-}
-
 /// Reusable buffers for [`PcrRecord::decode_image_with`]: the assembled
 /// JPEG byte stream plus the decoder's [`pcr_jpeg::DecodeScratch`]. One
 /// `RecordScratch` per worker thread removes every per-image intermediate
@@ -628,7 +621,6 @@ mod tests {
         // The id is a view into the buffer, not a copy.
         let range = bytes.as_ptr_range();
         assert!(range.contains(&m.id.as_ptr()));
-        assert_eq!(m.to_owned(), SampleMeta { label: 1, id: "img0001".into() });
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Encoding synthetic datasets into the storage formats under comparison:
-//! PCR datasets, fixed-quality record files, and file-per-image layouts —
-//! plus the on-disk sharded container packer behind `pcr pack`.
+//! PCR datasets and fixed-quality record files — plus the on-disk sharded
+//! container packer behind `pcr pack`.
 
 use crate::generate::SyntheticDataset;
 use pcr_core::container::{write_container, ContainerManifest};
-use pcr_core::{
-    FilePerImageDataset, PcrDataset, PcrDatasetBuilder, RecordFileBuilder, SampleMeta,
-};
+use pcr_core::{PcrDataset, PcrDatasetBuilder, RecordFileBuilder, SampleMeta};
 use pcr_jpeg::EncodeConfig;
 use std::path::Path;
 
@@ -91,21 +89,6 @@ pub fn to_record_files(
     (records, start.elapsed().as_secs_f64())
 }
 
-/// Encodes the training split as a file-per-image dataset at its native
-/// quality.
-pub fn to_file_per_image(ds: &SyntheticDataset) -> FilePerImageDataset {
-    let mut out = FilePerImageDataset::new();
-    for s in &ds.train {
-        out.add_image(
-            SampleMeta { label: s.label, id: s.id.clone() },
-            &s.image,
-            ds.spec.jpeg_quality,
-        )
-        .expect("encode");
-    }
-    out
-}
-
 /// Encodes every *test* image as a full-quality progressive JPEG, returning
 /// the raw streams (used for MSSIM-per-scan measurements).
 pub fn test_progressive_jpegs(ds: &SyntheticDataset) -> Vec<Vec<u8>> {
@@ -148,13 +131,6 @@ mod tests {
         assert_eq!(recs.len(), expected);
         let parsed = pcr_core::RecordFile::parse(&recs[0]).unwrap();
         assert_eq!(parsed.num_images(), 10.min(ds.train.len()));
-    }
-
-    #[test]
-    fn file_per_image_matches_count() {
-        let ds = tiny();
-        let fpi = to_file_per_image(&ds);
-        assert_eq!(fpi.len(), ds.train.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that the coupling between JPEG scan groups and task accuracy — the
 //! phenomenon the paper studies — is preserved without shipping the real
 //! data. Label remapping reproduces the Cars coarsening experiments, and
-//! the encode module materializes any dataset in all three storage formats
+//! the encode module materializes any dataset in both storage formats
 //! under comparison.
 //!
 //! ```
@@ -34,8 +34,8 @@ pub mod labels;
 pub mod spec;
 
 pub use encode::{
-    pack_to_container, test_progressive_jpegs, to_file_per_image, to_pcr_dataset, to_record_files,
-    IMAGES_PER_RECORD, RECORDS_PER_SHARD,
+    pack_to_container, test_progressive_jpegs, to_pcr_dataset, to_record_files, IMAGES_PER_RECORD,
+    RECORDS_PER_SHARD,
 };
 pub use generate::{generate_image, Sample, SyntheticDataset};
 pub use labels::LabelMap;

@@ -1,8 +1,8 @@
 //! The real wall-clock PCR read path: an OS-thread pipeline that reads
 //! record byte-prefixes from an [`ObjectStore`], decodes truncated
 //! progressive JPEGs with `pcr-jpeg` on a pool of decode threads, and
-//! yields [`Minibatch`]es to the consumer through double-buffered
-//! prefetch channels.
+//! yields [`Minibatch`]es to the consumer through a double-buffered
+//! batch channel.
 //!
 //! This is the crate's one loader: every delivered record — in the CLI,
 //! the examples and the benchmark — comes out of it. It visits records in
@@ -37,8 +37,8 @@
 //!                       pool size) decoded records, position k before k+1
 //!                                                      │
 //!                                          assembler: records → batches
-//!                                                      │  bounded batch channel
-//!                                                      ▼  (prefetch_batches)
+//!                                                      │  batch channel,
+//!                                                      ▼  2 batches deep
 //!                                            consumer (train loop)
 //! ```
 //!
@@ -59,10 +59,12 @@
 //! epoch-order position and opens each as one unit per image: a free
 //! pool thread claims the next image of the oldest open record, and
 //! takes a new record only when no open record has an image left to
-//! claim. The thread that decodes a rung's last image runs the record's
-//! decode check — every image must decode — and, when it fails, fetches
-//! the next lower rung itself (the rare path) and reopens the record at
-//! that rung. Settled records reach the assembler through a second
+//! claim. A rung whose bytes do not parse, or whose labels differ from
+//! the source's labels for the record, fails before it opens. The thread
+//! that decodes a rung's last image runs the record's decode check —
+//! every image must decode — and, when it fails, fetches the next lower
+//! rung itself (the rare path) and reopens the record at that rung.
+//! Settled records reach the assembler through a second
 //! in-order window, and the pool opens a record only once its position
 //! fits there, so decoded records never wait outside it. The assembler
 //! merges their fault accounting and batches their images strictly in
@@ -71,8 +73,8 @@
 //! and the decodes raced.
 //!
 //! Every queue is bounded, so a slow consumer exerts backpressure all the
-//! way to the reads; `prefetch_batches = 2` is classic double buffering
-//! (one batch being consumed, one staged).
+//! way to the reads; the batch channel holds two batches — double
+//! buffering: one being consumed, one staged.
 
 use crate::config::{DecodeMode, LoaderConfig};
 use crate::crew::{CrewLease, CrewShape, CrewSlot, Stage};
@@ -131,9 +133,6 @@ pub struct ParallelConfig {
     /// reads behind it. Decoded records wait for the assembler in a
     /// window of at most this many, and of no more than the pool's size.
     pub prefetch_records: usize,
-    /// Bounded depth of the assembler → consumer batch channel; 2 is
-    /// double buffering.
-    pub prefetch_batches: usize,
     /// Storage-time realization.
     pub io: IoModel,
 }
@@ -144,7 +143,6 @@ impl Default for ParallelConfig {
             loader: LoaderConfig { threads: 4, ..LoaderConfig::default() },
             batch_size: 32,
             prefetch_records: 8,
-            prefetch_batches: 2,
             io: IoModel::Instant,
         }
     }
@@ -158,6 +156,10 @@ impl ParallelConfig {
         Self { loader, ..Self::default() }
     }
 }
+
+/// Depth, in batches, of the assembler → consumer channel: double
+/// buffering, one batch being consumed and one staged.
+const BATCH_CHANNEL_DEPTH: usize = 2;
 
 /// One delivered minibatch.
 #[derive(Debug)]
@@ -225,12 +227,10 @@ pub struct EpochStream {
     /// a dropped stream closes the batch channel before it waits.
     crew: CrewLease,
     /// What [`EpochStream::fold`] reports against: when the spawn began,
-    /// the decode pool's size, the I/O depth, and whether images (rather
-    /// than labels) count deliveries.
+    /// the decode pool's size and the I/O depth.
     started: Instant,
     pool: usize,
     depth: usize,
-    pairs_images: bool,
 }
 
 impl EpochStream {
@@ -265,11 +265,10 @@ impl EpochStream {
         self,
         consumer: impl FnOnce(&mut dyn Iterator<Item = Minibatch>) -> R,
     ) -> (R, EpochReport) {
-        let (pool, depth, pairs_images) = (self.pool, self.depth, self.pairs_images);
+        let (pool, depth) = (self.pool, self.depth);
+        // One label per delivered image, decoded or not.
         let mut images = 0usize;
-        let out = consumer(&mut self.batches.iter().inspect(|b| {
-            images += if pairs_images { b.images.len() } else { b.labels.len() };
-        }));
+        let out = consumer(&mut self.batches.iter().inspect(|b| images += b.labels.len()));
         let seconds = self.started.elapsed().as_secs_f64();
         let stats = Arc::clone(&self.stats);
         self.join();
@@ -430,16 +429,15 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         });
 
         // Assembler: records → fixed-size minibatches, double-buffered.
-        let (batch_tx, batch_rx) = sync_channel::<Minibatch>(cfg.prefetch_batches.max(1));
+        let (batch_tx, batch_rx) = sync_channel::<Minibatch>(BATCH_CHANNEL_DEPTH);
         let batch_size = cfg.batch_size.max(1);
-        let pairs_images = matches!(cfg.loader.decode, DecodeMode::Real);
         crew.assign(Stage::Assemble, || {
             let (shared, batch_tx) = (Arc::clone(&shared), batch_tx.clone());
-            move |_: &mut RecordScratch| shared.assemble(&batch_tx, batch_size, pairs_images)
+            move |_: &mut RecordScratch| shared.assemble(&batch_tx, batch_size)
         });
         drop(batch_tx);
 
-        EpochStream { batches: batch_rx, stats, crew, started, pool, depth, pairs_images }
+        EpochStream { batches: batch_rx, stats, crew, started, pool, depth }
     }
 
     /// Runs one epoch at the configured scan group to completion,
@@ -661,7 +659,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
         match images.into_iter().collect() {
             Some(images) => self.deliver(pos, ladder, &rung, images),
             None => {
-                ladder.reject(&rung);
+                ladder.reject(&rung, "undecodable");
                 let next = self.fetch_rung(&mut ladder);
                 self.settle(pos, ladder, next);
             }
@@ -671,7 +669,9 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// Settles the record at `pos` on `rung`: quarantined when no rung is
     /// left, delivered at once when there is nothing to decode, otherwise
     /// opened in the pool as one unit per image. A rung whose bytes do not
-    /// parse fails the decode check here.
+    /// parse, or whose labels are not the source's labels for the record,
+    /// fails the decode check here: the assembler pairs decoded images
+    /// with the source's labels, so the two must agree image for image.
     fn settle(&self, pos: usize, mut ladder: Ladder, mut rung: Option<Rung>) {
         loop {
             let Some(candidate) = rung else {
@@ -680,12 +680,18 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
             };
             let images = match self.decode {
                 // Nothing to decode: the bytes read are the delivery.
-                DecodeMode::Skip => Some(0),
-                DecodeMode::Real => PcrRecord::parse(&candidate.read.data).ok().map(|r| r.num_images()),
+                DecodeMode::Skip => Ok(0),
+                DecodeMode::Real => match PcrRecord::parse(&candidate.read.data) {
+                    Ok(rec) if rec.labels() == self.source.labels(self.order.get(pos)) => {
+                        Ok(rec.num_images())
+                    }
+                    Ok(_) => Err("labels differ from the index's"),
+                    Err(_) => Err("undecodable"),
+                },
             };
             match images {
-                Some(0) => return self.deliver(pos, ladder, &candidate, Vec::new()),
-                Some(n) => {
+                Ok(0) => return self.deliver(pos, ladder, &candidate, Vec::new()),
+                Ok(n) => {
                     let images = std::iter::repeat_with(|| None).take(n).collect();
                     let record = OpenRecord { pos, ladder, rung: candidate, next: 0, running: 0, images };
                     let mut pool = self.pool.lock();
@@ -694,8 +700,8 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                     }
                     return;
                 }
-                None => {
-                    ladder.reject(&candidate);
+                Err(why) => {
+                    ladder.reject(&candidate, why);
                     rung = self.fetch_rung(&mut ladder);
                 }
             }
@@ -721,7 +727,7 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// epoch-order position, merges their fault accounting and packs their
     /// images into fixed-size minibatches. Returns when the epoch drains
     /// or closes; a consumer gone closes it.
-    fn assemble(&self, batch_tx: &SyncSender<Minibatch>, batch_size: usize, pairs_images: bool) {
+    fn assemble(&self, batch_tx: &SyncSender<Minibatch>, batch_size: usize) {
         let _guard = CloseOnPanic(self);
         let mut images: Vec<ImageBuf> = Vec::new();
         let mut labels: Vec<u32> = Vec::new();
@@ -740,12 +746,12 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
             let Some(imgs) = settled.images else { continue };
             images.extend(imgs);
             labels.extend_from_slice(self.source.labels(self.order.get(pos)));
-            // Under Real decode images and labels stay parallel; otherwise
-            // images is empty and labels set the pace.
-            let filled = |i: &Vec<ImageBuf>, l: &Vec<u32>| if pairs_images { i.len() } else { l.len() };
-            while filled(&images, &labels) >= batch_size {
+            // Labels set the pace: under Real decode `settle` has checked
+            // that each record brings one image per label; otherwise
+            // images stays empty.
+            while labels.len() >= batch_size {
                 let rest_i = images.split_off(batch_size.min(images.len()));
-                let rest_l = labels.split_off(batch_size.min(labels.len()));
+                let rest_l = labels.split_off(batch_size);
                 let batch = Minibatch {
                     images: std::mem::replace(&mut images, rest_i),
                     labels: std::mem::replace(&mut labels, rest_l),
@@ -856,6 +862,46 @@ mod tests {
         // strictly-positive check is opt-in (PCR_STRICT_TIMING=1).
         if std::env::var_os("PCR_STRICT_TIMING").is_some() {
             assert!(report.decode_seconds > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_record_whose_labels_disagree_with_its_index_is_quarantined() {
+        // Record 0 holds 4 images, but its index lists only 3 labels.
+        let (store, db) = make(13, DeviceProfile::ram());
+        let mut db = (*db).clone();
+        db.records[0].labels.pop();
+        let index_labels = db.records[0].labels.clone();
+        let db = Arc::new(db);
+        let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(1, 10) };
+        let expected: Vec<u32> = ReadPlanner::from_config(&cfg.loader)
+            .epoch_order(db.records.len(), 2)
+            .into_iter()
+            .filter(|&idx| idx != 0)
+            .flat_map(|idx| db.records[idx].labels.clone())
+            .collect();
+        for pool in 1..=3 {
+            let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg.clone())
+                .with_pool(pool);
+            let (labels, report) = loader.spawn_epoch(2).fold(|batches| {
+                batches
+                    .flat_map(|b| {
+                        assert_eq!(b.images.len(), b.labels.len(), "pool {pool}: one image per label");
+                        b.labels
+                    })
+                    .collect::<Vec<u32>>()
+            });
+            assert_eq!(labels, expected, "pool {pool}: EpochOrder without record 0");
+            let faults = &report.faults;
+            assert_eq!(faults.quarantined_records, 1, "pool {pool}");
+            let quarantined: Vec<u32> = faults
+                .quarantined_labels
+                .iter()
+                .flat_map(|(&label, &n)| std::iter::repeat_n(label, n as usize))
+                .collect();
+            assert_eq!(quarantined, index_labels, "pool {pool}: the index's labels");
+            assert_eq!(faults.quarantine[0].record, 0);
+            assert!(faults.quarantine[0].reason.starts_with("labels differ"), "{faults:?}");
         }
     }
 
@@ -1095,18 +1141,18 @@ mod tests {
 
     #[test]
     fn consumer_can_drop_early_with_fetchers_parked_on_a_full_window() {
-        // The consumer takes one batch and stops. Every queue then fills:
-        // batch channel (1 record), assembler (1), the reorder window
-        // before it (1: no deeper than the pool), the one pool thread
-        // holding the next record until that window has room (1), the
-        // fetch hand-off window (8) and 8 fetchers each holding a read
-        // beyond it — 21 records read, and nothing moves again until the
-        // receiver goes away.
+        // The consumer takes one batch (one record) and stops. Every queue
+        // then fills: batch channel (2 records), assembler (1), the
+        // reorder window before it (1: no deeper than the pool), the one
+        // pool thread holding the next record until that window has room
+        // (1), the fetch hand-off window (8) and 8 fetchers each holding a
+        // read beyond it — 1 + 2 + 1 + 1 + 1 + 8 + 8 = 22 records read, of
+        // which the first 1 + 2 + 1 + 1 = 5 loaded, and nothing moves
+        // again until the receiver goes away.
         let (store, db) = make(160, DeviceProfile::ssd_sata());
         let cfg = ParallelConfig {
             batch_size: 4,
             prefetch_records: 8,
-            prefetch_batches: 1,
             io: IoModel::EmulatedLatency,
             ..ParallelConfig::real(1, 10)
         };
@@ -1118,15 +1164,15 @@ mod tests {
         // has its final read in hand and parks as soon as it has slept
         // that read's ~0.1 ms of service.
         let deadline = Instant::now() + Duration::from_secs(60);
-        while store.device_stats().reads < 21 {
+        while store.device_stats().reads < 22 {
             assert!(Instant::now() < deadline, "the pipeline never filled its queues");
             std::thread::yield_now();
         }
         let stats = Arc::clone(&stream.stats);
         // `join` drops the receiver itself and must return.
         stream.join();
-        assert_eq!(store.device_stats().reads, 21, "backpressure reached the reads");
-        assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 4, "the epoch was cancelled");
+        assert_eq!(store.device_stats().reads, 22, "backpressure reached the reads");
+        assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 5, "the epoch was cancelled");
     }
 
     /// The labels an epoch delivers, in delivery order.
@@ -1247,19 +1293,14 @@ mod tests {
 
     #[test]
     fn consumer_can_drop_early_with_the_pool_waiting_for_the_reorder_window() {
-        // The consumer takes one batch and stops. With windows of 2 the
-        // pipeline stalls at: batch channel (record 1), the assembler
-        // blocked sending record 2, the reorder window (records 3 and 4),
-        // the two pool threads holding records 5 and 6 until it has room,
-        // the fetch window (7 and 8) and two fetchers holding reads 9 and
-        // 10.
+        // The consumer takes one batch (record 0) and stops. With windows
+        // of 2 the pipeline stalls at: batch channel (records 1 and 2),
+        // the assembler blocked sending record 3, the reorder window
+        // (records 4 and 5), the two pool threads holding records 6 and 7
+        // until it has room, the fetch window (8 and 9) and two fetchers
+        // holding reads 10 and 11: 12 records read, records 0 to 5 loaded.
         let (store, db) = make(160, DeviceProfile::ram());
-        let cfg = ParallelConfig {
-            batch_size: 4,
-            prefetch_records: 2,
-            prefetch_batches: 1,
-            ..ParallelConfig::real(1, 10)
-        };
+        let cfg = ParallelConfig { batch_size: 4, prefetch_records: 2, ..ParallelConfig::real(1, 10) };
         let loader =
             ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg.clone()).with_pool(2);
         let stream = loader.spawn_epoch(0);
@@ -1267,14 +1308,14 @@ mod tests {
         assert_eq!(first.labels, expected_labels(&cfg, &db, 0)[..4]);
         let stats = Arc::clone(&stream.stats);
         let deadline = Instant::now() + Duration::from_secs(60);
-        while stats.records_loaded.load(Ordering::Relaxed) < 5 || store.device_stats().reads < 11 {
+        while stats.records_loaded.load(Ordering::Relaxed) < 6 || store.device_stats().reads < 12 {
             assert!(Instant::now() < deadline, "the pipeline never filled its windows");
             std::thread::yield_now();
         }
         // `join` drops the receiver itself and must return.
         stream.join();
-        assert_eq!(store.device_stats().reads, 11, "backpressure reached the reads");
-        assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 5, "no record left the window");
+        assert_eq!(store.device_stats().reads, 12, "backpressure reached the reads");
+        assert_eq!(stats.records_loaded.load(Ordering::Relaxed), 6, "no record left the window");
         assert_eq!(epoch_labels(&loader, 1), expected_labels(&cfg, &db, 1), "the next epoch is whole");
         assert_eq!(loader.crew.built.load(Ordering::Relaxed), 1);
     }

@@ -76,11 +76,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (reads fail fast into degradation).
-    pub fn none() -> Self {
-        Self { max_retries: 0, epoch_retry_budget_s: 0.0, ..Self::default() }
-    }
-
     /// The next backoff delay after a delay of `prev` seconds:
     /// decorrelated jitter (`sleep = min(cap, base + u * (prev*3 - base))`
     /// with `u` a deterministic hash of `(seed, key, attempt)` in [0,1)),
@@ -266,10 +261,11 @@ impl Ladder {
     }
 
     /// Notes that `rung`'s bytes failed the decode check — silent bit
-    /// flips surface here — so the next [`Ladder::fetch`] steps below it.
-    pub(crate) fn reject(&mut self, rung: &Rung) {
+    /// flips surface here — for the reason `why`, so the next
+    /// [`Ladder::fetch`] steps below it.
+    pub(crate) fn reject(&mut self, rung: &Rung, why: &str) {
         let (group, len) = (rung.group, rung.read.data.len());
-        self.last_failure = format!("undecodable at group {group} ({len} bytes)");
+        self.last_failure = format!("{why} at group {group} ({len} bytes)");
     }
 
     /// Ends the walk with `rung` delivered: degraded when it lies below

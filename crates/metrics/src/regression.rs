@@ -17,13 +17,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fits `y = a*x + b` by least squares. Requires at least 3 points for a
 /// p-value (otherwise p = 1).
 pub fn linear_regression(x: &[f64], y: &[f64]) -> LinearFit {
@@ -216,11 +209,5 @@ mod tests {
         assert!((ln_gamma(1.0)).abs() < 1e-10);
         assert!((ln_gamma(5.0) - 24f64.ln()).abs() < 1e-9); // Γ(5)=24
         assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn predict_uses_fit() {
-        let fit = LinearFit { slope: 2.0, intercept: 1.0, r2: 1.0, p_value: 0.0, n: 2 };
-        assert_eq!(fit.predict(3.0), 7.0);
     }
 }

@@ -348,11 +348,6 @@ pub fn msssim(a: &Plane, b: &Plane) -> f64 {
     MsssimReference::new(a).score(b)
 }
 
-/// Convenience: MS-SSIM between two 8-bit luma buffers.
-pub fn msssim_u8(width: usize, height: usize, a: &[u8], b: &[u8]) -> f64 {
-    msssim(&Plane::from_u8(width, height, a), &Plane::from_u8(width, height, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

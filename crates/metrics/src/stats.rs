@@ -1,6 +1,5 @@
-//! Summary statistics used by the experiment harnesses: means, confidence
-//! intervals (the paper plots 95% CIs everywhere), and quartiles (Figures
-//! 16-17 show interquartile ranges).
+//! Summary statistics used by the experiment harnesses: means, quartiles
+//! (Figures 16-17 show interquartile ranges) and cosine similarity.
 
 /// Mean of a slice (0 for empty).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -9,43 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Sample standard deviation (n-1 denominator; 0 for n < 2).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// Two-sided critical value of Student's t at 95% confidence for `df`
-/// degrees of freedom (table lookup with asymptotic tail).
-pub fn t_critical_95(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179,
-        2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
-        2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-    ];
-    match df {
-        0 => f64::INFINITY,
-        1..=30 => TABLE[df - 1],
-        31..=60 => 2.021,
-        61..=120 => 2.000,
-        _ => 1.96,
-    }
-}
-
-/// Mean with a 95% confidence half-width: `(mean, half_width)`.
-pub fn mean_ci95(xs: &[f64]) -> (f64, f64) {
-    let m = mean(xs);
-    if xs.len() < 2 {
-        return (m, 0.0);
-    }
-    let se = std_dev(xs) / (xs.len() as f64).sqrt();
-    (m, t_critical_95(xs.len() - 1) * se)
 }
 
 /// Linear-interpolated quantile (`q` in `[0, 1]`) of an unsorted slice.
@@ -109,25 +71,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_samples() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.138089935).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ci_formula() {
-        let xs = [10.0, 12.0, 14.0];
-        let (m, hw) = mean_ci95(&xs);
-        assert!((m - 12.0).abs() < 1e-12);
-        // sd = 2, se = 2/sqrt(3), t(2) = 4.303
-        assert!((hw - 4.303 * 2.0 / 3f64.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn singleton_ci_is_zero() {
-        let (m, hw) = mean_ci95(&[5.0]);
-        assert_eq!((m, hw), (5.0, 0.0));
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]
@@ -148,12 +95,5 @@ mod tests {
         assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-12);
         assert!((cosine_similarity(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-12);
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn t_critical_monotone() {
-        assert!(t_critical_95(1) > t_critical_95(5));
-        assert!(t_critical_95(5) > t_critical_95(200));
-        assert!((t_critical_95(1000) - 1.96).abs() < 1e-9);
     }
 }

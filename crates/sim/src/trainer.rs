@@ -206,20 +206,14 @@ impl<'a> Trainer<'a> {
     /// Trains one epoch at a fixed scan group; advances the virtual clock
     /// by the simulated epoch duration and returns the trace point.
     pub fn train_epoch(&mut self, group: usize) -> TracePoint {
-        self.train_epoch_with(|_rng| group)
+        self.train_epoch_with(|| group)
     }
 
     /// Trains one epoch drawing each minibatch's scan group from a mixture
     /// policy (Appendix A.6.3).
     pub fn train_epoch_mixture(&mut self, policy: &MixturePolicy) -> TracePoint {
         let mut rng = StdRng::seed_from_u64(0xA11CE ^ self.epoch as u64);
-        let mut chosen: Vec<usize> = Vec::new();
-        
-        self.train_epoch_with(|_| {
-            let g = policy.sample(&mut rng);
-            chosen.push(g);
-            g
-        })
+        self.train_epoch_with(|| policy.sample(&mut rng))
     }
 
     fn nearest_group(&self, group: usize) -> usize {
@@ -231,14 +225,27 @@ impl<'a> Trainer<'a> {
             .expect("nonempty groups")
     }
 
-    fn train_epoch_with(&mut self, mut group_for_batch: impl FnMut(&mut ()) -> usize) -> TracePoint {
+    /// One minibatch: the group-`group` feature rows and the task labels of
+    /// the samples in `chunk`.
+    fn batch(&self, group: usize, chunk: &[usize]) -> (Matrix, Vec<u32>) {
+        let feats = &self.feats.train[&group];
+        let d = self.spec.input_dim();
+        let mut data = Vec::with_capacity(chunk.len() * d);
+        let mut labels = Vec::with_capacity(chunk.len());
+        for &i in chunk {
+            data.extend_from_slice(feats.row(i));
+            labels.push(self.labels[i]);
+        }
+        (Matrix::from_vec(chunk.len(), d, data), labels)
+    }
+
+    fn train_epoch_with(&mut self, mut group_for_batch: impl FnMut() -> usize) -> TracePoint {
         let n = self.labels.len();
         let bs = self.cfg.batch_size.min(n).max(1);
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ (self.epoch as u64) << 16);
         order.shuffle(&mut rng);
 
-        let d = self.spec.input_dim();
         let mut loss_sum = 0.0;
         let mut batches = 0usize;
         let mut groups_used: Vec<usize> = Vec::new();
@@ -247,16 +254,9 @@ impl<'a> Trainer<'a> {
             if chunk.len() < bs {
                 break; // drop ragged tail like standard loaders
             }
-            let g = self.nearest_group(group_for_batch(&mut ()));
+            let g = self.nearest_group(group_for_batch());
             groups_used.push(g);
-            let feats = &self.feats.train[&g];
-            let mut data = Vec::with_capacity(chunk.len() * d);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                data.extend_from_slice(feats.row(i));
-                labels.push(self.labels[i]);
-            }
-            let x = Matrix::from_vec(chunk.len(), d, data);
+            let (x, labels) = self.batch(g, chunk);
             let result = self.model.backward(&x, &labels);
             self.opt.step(&mut self.model, &result.grads, lr);
             loss_sum += result.loss;
@@ -291,22 +291,14 @@ impl<'a> Trainer<'a> {
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xBEEF ^ (self.epoch as u64));
         order.shuffle(&mut rng);
-        let d = self.spec.input_dim();
         let lr = self.cfg.lr.lr_at(self.epoch as f32);
-        let feats = &self.feats.train[&g];
         let mut loss_sum = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(bs).take(n_batches) {
             if chunk.len() < bs {
                 break;
             }
-            let mut data = Vec::with_capacity(chunk.len() * d);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                data.extend_from_slice(feats.row(i));
-                labels.push(self.labels[i]);
-            }
-            let x = Matrix::from_vec(chunk.len(), d, data);
+            let (x, labels) = self.batch(g, chunk);
             let result = self.model.backward(&x, &labels);
             self.opt.step(&mut self.model, &result.grads, lr);
             loss_sum += result.loss;
@@ -335,30 +327,6 @@ impl<'a> Trainer<'a> {
         self.model.accuracy(&self.feats.test, &self.test_labels)
     }
 
-    /// Mean training loss at a group without updating parameters (used by
-    /// loss-probe autotuning).
-    pub fn probe_loss(&self, group: usize, max_batches: usize) -> f64 {
-        let g = self.nearest_group(group);
-        let n = self.labels.len();
-        let bs = self.cfg.batch_size.min(n).max(1);
-        let feats = &self.feats.train[&g];
-        let d = self.spec.input_dim();
-        let mut loss = 0.0;
-        let mut batches = 0usize;
-        for chunk in (0..n).collect::<Vec<_>>().chunks(bs).take(max_batches) {
-            let mut data = Vec::with_capacity(chunk.len() * d);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                data.extend_from_slice(feats.row(i));
-                labels.push(self.labels[i]);
-            }
-            let x = Matrix::from_vec(chunk.len(), d, data);
-            loss += self.model.backward(&x, &labels).loss;
-            batches += 1;
-        }
-        loss / batches.max(1) as f64
-    }
-
     /// Gradient cosine similarity of each scan group against the
     /// full-quality gradient on the current weights (Appendix A.6 figure
     /// 19), measured over up to `max_batches` batches.
@@ -377,18 +345,10 @@ impl<'a> Trainer<'a> {
     fn batch_gradient(&self, group: usize, max_batches: usize) -> Vec<f32> {
         let n = self.labels.len();
         let bs = self.cfg.batch_size.min(n).max(1);
-        let feats = &self.feats.train[&group];
-        let d = self.spec.input_dim();
         let mut acc: Option<Vec<f32>> = None;
         let mut batches = 0usize;
         for chunk in (0..n).collect::<Vec<_>>().chunks(bs).take(max_batches) {
-            let mut data = Vec::with_capacity(chunk.len() * d);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                data.extend_from_slice(feats.row(i));
-                labels.push(self.labels[i]);
-            }
-            let x = Matrix::from_vec(chunk.len(), d, data);
+            let (x, labels) = self.batch(group, chunk);
             let g = self.model.backward(&x, &labels).grads.flatten();
             match &mut acc {
                 None => acc = Some(g),
@@ -549,14 +509,5 @@ mod tests {
         let pt = trainer.train_epoch_mixture(&policy);
         assert!(pt.train_loss.is_finite());
         assert!(pt.time > 0.0);
-    }
-
-    #[test]
-    fn probe_loss_finite_for_all_groups() {
-        let (feats, pcr, _) = setup();
-        let trainer = Trainer::new(&feats, &pcr, ModelSpec::resnet_like(), quick_cfg());
-        for &g in &[1usize, 2, 5, 10] {
-            assert!(trainer.probe_loss(g, 3).is_finite());
-        }
     }
 }

@@ -110,13 +110,6 @@ impl DeviceProfile {
         };
         overhead * 1e-6 + len as f64 / (self.sequential_bw_mib_s * 1024.0 * 1024.0)
     }
-
-    /// Steady-state throughput (items/s) for a stream of reads of mean size
-    /// `mean_len` — Lemma A.2's `X = W / E[s(x)]` with per-request
-    /// overhead included.
-    pub fn throughput_items_per_s(&self, mean_len: f64, sequential: bool) -> f64 {
-        1.0 / self.read_time(mean_len.max(1.0) as u64, sequential)
-    }
 }
 
 #[cfg(test)]
@@ -155,15 +148,6 @@ mod tests {
         assert!(cluster.sequential_bw_mib_s > 2.0 * one.sequential_bw_mib_s);
         // Paper reports "400+ MiB/s of storage bandwidth".
         assert!(cluster.sequential_bw_mib_s >= 400.0);
-    }
-
-    #[test]
-    fn throughput_follows_littles_law_inverse() {
-        let p = DeviceProfile::ssd_sata();
-        let mean = 110.0 * 1024.0; // ~ImageNet image
-        let x = p.throughput_items_per_s(mean, true);
-        let expect = 1.0 / p.read_time(mean as u64, true);
-        assert!((x - expect).abs() < 1e-9);
     }
 
     #[test]
