@@ -1033,16 +1033,23 @@ impl PcrContainer {
         Ok(())
     }
 
-    /// Full integrity pass: streams every shard through
-    /// [`PcrContainer::verify_shard`], then — when a decision log is
-    /// present — checks its CRC chain. `Ok(())` means every byte of
-    /// record data matches the footers the manifest vouches for. For
-    /// columnar containers this is where the footer CRC deferred by the
-    /// O(1) open is actually checked.
+    /// Streams every shard through [`PcrContainer::verify_shard`], the
+    /// shards fanned out over up to `workers` threads (the caller's among
+    /// them). A failure is the lowest-index failing shard's, exactly the
+    /// error a one-shard-at-a-time pass would stop at.
+    pub fn verify_shards(&self, workers: usize) -> Result<()> {
+        let shards = (0..self.shards.len()).collect();
+        crate::dataset::map_in_order(shards, workers, |i| self.verify_shard(i)).into_iter().collect()
+    }
+
+    /// Full integrity pass: [`PcrContainer::verify_shards`] on every core,
+    /// then — when a decision log is present — the log's CRC chain.
+    /// `Ok(())` means every byte of record data matches the footers the
+    /// manifest vouches for. For columnar containers this is where the
+    /// footer CRC deferred by the O(1) open is actually checked.
     pub fn verify(&self) -> Result<()> {
-        for i in 0..self.shards.len() {
-            self.verify_shard(i)?;
-        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        self.verify_shards(cores)?;
         if let Some(log) = self.decision_log()? {
             log.verify()?;
         }
@@ -1350,6 +1357,43 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let err = c.verify().unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Flips one byte in the middle of global record `idx`'s data.
+    fn corrupt_record(c: &PcrContainer, idx: usize) {
+        let (shard, rec) = c.record(idx).unwrap();
+        let path = c.shard_path(shard);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[rec.offset as usize + rec.len() as usize / 2] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+    }
+
+    /// Verification fans out over the shards, yet fails as a pass over
+    /// one shard after another stops: with the lowest-index corrupted
+    /// shard's error, its file and offset, at any worker count.
+    #[test]
+    fn fanned_out_verification_reports_the_lowest_failing_shard() {
+        let dir = tmpdir("verify-fan-out");
+        write_container(&build(16, 2), &dir, 2).unwrap(); // 4 shards of 2 records
+        let c = PcrContainer::open(&dir).unwrap();
+        assert_eq!(c.shards.len(), 4);
+        for workers in [1, 2, 16] {
+            c.verify_shards(workers).unwrap();
+        }
+        c.verify().unwrap();
+        // Shard 3's first record and shard 1's second: different offsets.
+        corrupt_record(&c, 6);
+        corrupt_record(&c, 3);
+        let serial = (0..c.shards.len()).find_map(|i| c.verify_shard(i).err()).unwrap().to_string();
+        let (_, rec) = c.record(3).unwrap();
+        let at = format!("{} @ byte {}", c.manifest.shards[1].file_name, rec.offset);
+        assert!(serial.contains(&at), "{serial}");
+        for workers in [1, 2, 16] {
+            let err = c.verify_shards(workers).unwrap_err().to_string();
+            assert_eq!(err, serial, "{workers} workers");
+        }
+        assert_eq!(c.verify().unwrap_err().to_string(), serial);
         fs::remove_dir_all(&dir).unwrap();
     }
 

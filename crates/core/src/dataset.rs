@@ -108,19 +108,33 @@ pub fn map_in_order<T: Send, R: Send>(
     workers: usize,
     f: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
+    map_in_order_with(items, workers, || (), |(), item| f(item))
+}
+
+/// [`map_in_order`] with per-thread state: each thread that maps items
+/// first makes its own state with `init` and hands it, by `&mut`, to
+/// every `f` call it makes — scratch buffers that outlive one item.
+pub fn map_in_order_with<S, T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, T) -> R + Sync,
+) -> Vec<R> {
     let helpers = workers.min(items.len()).saturating_sub(1);
     if helpers == 0 {
-        return items.into_iter().map(f).collect();
+        let mut state = init();
+        return items.into_iter().map(|item| f(&mut state, item)).collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
     let drain = || {
+        let mut state = init();
         let mut done = Vec::new();
         loop {
             // The lock recovers from poison: nothing panics while it is
             // held, so a poisoned lock still guards an intact iterator.
             let next = queue.lock().next();
             let Some((i, item)) = next else { break done };
-            done.push((i, f(item)));
+            done.push((i, f(&mut state, item)));
         }
     };
     let mut done = std::thread::scope(|scope| {

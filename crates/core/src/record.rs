@@ -467,6 +467,58 @@ impl<'a> PcrRecord<'a> {
         decoded
     }
 
+    /// Decodes image `i` at each scan group of `groups` (ascending):
+    /// `emit(k, image)` is called once for every `groups[k]`, with what
+    /// [`PcrRecord::decode_image_with`] gives at that group, to the byte.
+    /// The image's stream up to the last group is entropy-decoded once, and
+    /// pixels are rebuilt from the coefficients at each group's end
+    /// ([`pcr_jpeg::decode_prefixes_with`]); a group that pass cannot serve
+    /// (its chunk does not end between two segments, or the stream fails
+    /// before it) is decoded on its own.
+    pub fn decode_groups_with(
+        &self,
+        i: usize,
+        groups: &[usize],
+        scratch: &mut RecordScratch,
+        mut emit: impl FnMut(usize, Result<ImageBuf>),
+    ) {
+        // pcr-lint: allow(bounded-alloc) — one flag per group the caller passed
+        let mut served = vec![false; groups.len()];
+        if let Some(&top) = groups.last() {
+            let mut jpeg = std::mem::take(&mut scratch.jpeg);
+            if self.jpeg_at_group_into(i, top, &mut jpeg).is_ok() {
+                // Group g's stream is the first `ends[k]` bytes of this one
+                // and an EOI. An end of 0 is never served.
+                let ends: Vec<usize> =
+                    groups.iter().map(|&g| self.stream_len(i, g).unwrap_or(0)).collect();
+                // A stream error leaves its groups unserved, and they fail
+                // on their own below.
+                let _ = pcr_jpeg::decode_prefixes_with(&jpeg, &ends, &mut scratch.decode, |k, img| {
+                    if let Some(served) = served.get_mut(k) {
+                        *served = true;
+                    }
+                    emit(k, img.map_err(Error::from));
+                });
+            }
+            scratch.jpeg = jpeg;
+        }
+        for (k, (&g, served)) in groups.iter().zip(served).enumerate() {
+            if !served {
+                emit(k, self.decode_image_with(i, g, scratch));
+            }
+        }
+    }
+
+    /// Length of image `i`'s stream at group `g` before its EOI: its
+    /// header and its chunks of groups `1..=g`.
+    fn stream_len(&self, i: usize, g: usize) -> Option<usize> {
+        if g == 0 || g > self.num_groups {
+            return None;
+        }
+        let chunks: Result<usize> = (1..=g).map(|gg| self.chunk(i, gg).map(<[u8]>::len)).sum();
+        Some(self.image_header(i).ok()?.len() + chunks.ok()?)
+    }
+
     /// Per-group cumulative read sizes `[offset_for_group(0..=N)]` — the
     /// series plotted in the paper's Figure 16.
     pub fn cumulative_group_offsets(&self) -> Vec<usize> {
@@ -606,6 +658,28 @@ mod tests {
                     let plain = rec.decode_image(i, g).unwrap();
                     let pooled = rec.decode_image_with(i, g, &mut scratch).unwrap();
                     assert_eq!(plain, pooled, "image {i} group {g}");
+                }
+            }
+        }
+    }
+
+    /// Every group is emitted once, as a decode of that group alone
+    /// gives it — also the ones the one pass cannot serve: out of range,
+    /// repeated, out of order, or past a prefix-truncated buffer.
+    #[test]
+    fn group_decode_emits_each_group_as_its_own_decode_would() {
+        let bytes = build_record(2);
+        let full = PcrRecord::parse(&bytes).unwrap();
+        let cut = PcrRecord::parse(&bytes[..full.offset_for_group(6)]).unwrap();
+        let mut scratch = RecordScratch::new();
+        for rec in [full, cut] {
+            for groups in [vec![1, 2, 5, 10], vec![0, 3, 3, 7, 11], vec![9, 4, 6]] {
+                let mut got = vec![None; groups.len()];
+                rec.decode_groups_with(1, &groups, &mut scratch, |k, img| {
+                    assert!(got[k].replace(img.ok()).is_none(), "group {} twice", groups[k]);
+                });
+                for (k, &g) in groups.iter().enumerate() {
+                    assert_eq!(got[k], Some(rec.decode_image(1, g).ok()), "{groups:?}: group {g}");
                 }
             }
         }

@@ -283,6 +283,12 @@ fn vscale(a: [f64; 8], s: f64) -> [f64; 8] {
 /// AAN butterfly on whole 8-wide row vectors; the row pass is a scalar
 /// butterfly feeding the shared [`descale`] rounding contract.
 ///
+/// A block with no AC terms (every block of a DC-only scan prefix, and
+/// all-zero blocks) takes a shortcut: with seven zero rows and seven zero
+/// lanes every butterfly step adds or subtracts an exact zero, so the
+/// full kernel would put the dequantized DC itself through [`descale`]
+/// at all 64 pixels. The shortcut stores that one value, to the same bits.
+///
 /// Arithmetic is deliberately `f64`: the bit-exactness suite demands
 /// byte-identical pixels against the f64 basis-matrix oracle, and only
 /// double precision keeps the cross-algorithm discrepancy (~1e-12)
@@ -290,8 +296,28 @@ fn vscale(a: [f64; 8], s: f64) -> [f64; 8] {
 /// that a straddle can never occur in practice (an f32 kernel was
 /// measurably faster but produced rare ±1 pixels against the oracle).
 #[inline]
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — rows/columns loop over literal 0..8 into [_; 64] blocks; UNZIGZAG entries are < 64
+// pcr-lint: allow(no-panic-in-hot-path) for-next-item — literal indices 0 and 1.. into fixed [_; 64] blocks
 pub fn inverse_dct_pixels(coeffs: &[i16; 64], dq: &[f64; 64], out: &mut [u8; 64]) {
+    // An OR over the 63 AC terms: branch-free, so it vectorises.
+    if coeffs[1..].iter().fold(0, |any, &c| any | c) == 0 {
+        *out = [dc_pixel(coeffs[0], dq[0]); 64];
+        return;
+    }
+    aan_inverse_dct_pixels(coeffs, dq, out);
+}
+
+/// The pixel every sample of a block without AC terms gets: its
+/// dequantized DC through [`descale`], level-shifted and clamped.
+#[inline]
+fn dc_pixel(dc: i16, dq: f64) -> u8 {
+    (descale(f64::from(dc) * dq) + 128).clamp(0, 255) as u8
+}
+
+/// [`inverse_dct_pixels`] without the DC-only shortcut: the full AAN
+/// kernel for every block.
+#[inline]
+// pcr-lint: allow(no-panic-in-hot-path) for-next-item — rows/columns loop over literal 0..8 into [_; 64] blocks; UNZIGZAG entries are < 64
+fn aan_inverse_dct_pixels(coeffs: &[i16; 64], dq: &[f64; 64], out: &mut [u8; 64]) {
     let mut rows = [[0f64; 8]; 8];
     for v in 0..8 {
         for u in 0..8 {
@@ -356,6 +382,29 @@ mod tests {
             .zip(back.iter())
             .map(|(a, b)| (a - b).abs())
             .fold(0f64, f64::max)
+    }
+
+    /// The DC-only shortcut against the full kernel it stands in for:
+    /// every i16 DC value under the DC quantiser of every quality 1–100
+    /// table, luma and chroma (each distinct quantiser once).
+    #[test]
+    fn dc_only_shortcut_matches_the_full_kernel_for_every_dc() {
+        use crate::consts::{scale_qtable, STD_CHROMA_QTABLE, STD_LUMA_QTABLE};
+        let mut tables: Vec<[u16; 64]> = (1..=100u8)
+            .flat_map(|q| [STD_LUMA_QTABLE, STD_CHROMA_QTABLE].map(|t| scale_qtable(&t, q)))
+            .collect();
+        tables.sort_unstable_by_key(|t| t[0]);
+        tables.dedup_by_key(|t| t[0]);
+        let (mut block, mut fast, mut full) = ([0i16; 64], [0u8; 64], [0u8; 64]);
+        for table in &tables {
+            let dq = inverse_quant_scales(table);
+            for dc in i16::MIN..=i16::MAX {
+                block[0] = dc;
+                inverse_dct_pixels(&block, &dq, &mut fast);
+                aan_inverse_dct_pixels(&block, &dq, &mut full);
+                assert_eq!(fast, full, "DC {dc}, quantiser {}", table[0]);
+            }
+        }
     }
 
     #[test]

@@ -95,13 +95,62 @@ pub fn decode(data: &[u8]) -> Result<ImageBuf> {
 /// data loaders keep one scratch per worker.
 pub fn decode_with(data: &[u8], scratch: &mut DecodeScratch) -> Result<ImageBuf> {
     let decoded = decode_coeffs_observed(data, &mut scratch.coeff_pool, &mut NoopObserver)?;
-    let planes =
-        coeffs_to_planes_pooled(&decoded.coeffs, &decoded.frame, &decoded.qtables, &mut scratch.plane_pool)?;
-    let img = planes_to_image(&planes, &decoded.frame);
-    for p in planes {
-        p.recycle_into(&mut scratch.plane_pool);
-    }
+    let img = pixels(&decoded.frame, &decoded.coeffs, &decoded.qtables, &mut scratch.plane_pool);
     decoded.coeffs.recycle_into(&mut scratch.coeff_pool);
+    img
+}
+
+/// Decodes a stream once and reconstructs pixels at each of several of
+/// its byte prefixes — the multi-quality decode of a progressive image,
+/// whose scans are entropy-decoded once instead of once per prefix.
+///
+/// `ends` are offsets into `data`, ascending. When the segment walk,
+/// past the frame header, stands at `ends[k]` between two segments,
+/// `emit(k, image)` receives the image [`decode_with`] gives for
+/// `data[..ends[k]]` followed by an EOI marker, to the byte: the walk has
+/// read exactly that prefix's segments, so the coefficients and tables
+/// are that decode's. An end the walk does not stand at — inside a
+/// segment, out of order, before the frame header or past where the
+/// stream stops — gets no call; decode that prefix on its own. An error
+/// in the stream ends the walk and is returned; the images already
+/// emitted stand.
+pub fn decode_prefixes_with(
+    data: &[u8],
+    ends: &[usize],
+    scratch: &mut DecodeScratch,
+    mut emit: impl FnMut(usize, Result<ImageBuf>),
+) -> Result<()> {
+    let DecodeScratch { coeff_pool, plane_pool } = scratch;
+    let mut next = 0;
+    let mut at_boundary = |pos: usize, frame: &FrameInfo, coeffs: &CoeffPlanes, qtables: &QTables| {
+        while let Some(&end) = ends.get(next).filter(|&&end| end <= pos) {
+            if end == pos {
+                emit(next, pixels(frame, coeffs, qtables, plane_pool));
+            }
+            next += 1;
+        }
+    };
+    let decoded = walk_segments(data, coeff_pool, &mut NoopObserver, &mut at_boundary)?;
+    decoded.coeffs.recycle_into(coeff_pool);
+    Ok(())
+}
+
+/// Quantization tables by id, as a stream defines them.
+type QTables = [Option<[u16; 64]>; 4];
+
+/// Pixel reconstruction from coefficients — the one place the decoder
+/// turns coefficients into an image, with sample planes from `plane_pool`.
+fn pixels(
+    frame: &FrameInfo,
+    coeffs: &CoeffPlanes,
+    qtables: &QTables,
+    plane_pool: &mut Vec<Vec<u8>>,
+) -> Result<ImageBuf> {
+    let planes = coeffs_to_planes_pooled(coeffs, frame, qtables, plane_pool)?;
+    let img = planes_to_image(&planes, frame);
+    for p in planes {
+        p.recycle_into(plane_pool);
+    }
     img
 }
 
@@ -120,13 +169,26 @@ pub fn decode_coeffs_observed(
     pool: &mut Vec<Vec<i16>>,
     obs: &mut dyn DecodeObserver,
 ) -> Result<DecodedCoeffs> {
+    walk_segments(data, pool, obs, &mut |_, _, _, _| {})
+}
+
+/// The segment walk behind every decode: parses `data` segment by
+/// segment, entropy-decoding each scan into coefficient planes drawn from
+/// `pool`. Once the frame header has been read, `at_boundary` sees the
+/// reader's offset and the decode state before each segment.
+fn walk_segments(
+    data: &[u8],
+    pool: &mut Vec<Vec<i16>>,
+    obs: &mut dyn DecodeObserver,
+    at_boundary: &mut dyn FnMut(usize, &FrameInfo, &CoeffPlanes, &QTables),
+) -> Result<DecodedCoeffs> {
     let mut reader = SegmentReader::new(data);
     match reader.next_segment()? {
         Segment::Soi => {}
         _ => return Err(Error::NotJpeg),
     }
 
-    let mut qtables: [Option<[u16; 64]>; 4] = [None, None, None, None];
+    let mut qtables: QTables = [None, None, None, None];
     let mut dc_tables: [Option<HuffDecoder>; 4] = [None, None, None, None];
     let mut ac_tables: [Option<HuffDecoder>; 4] = [None, None, None, None];
     let mut image: Option<(FrameInfo, CoeffPlanes)> = None;
@@ -135,6 +197,9 @@ pub fn decode_coeffs_observed(
     let mut restart_interval: u16 = 0;
 
     loop {
+        if let Some((f, planes)) = &image {
+            at_boundary(reader.pos(), f, planes, &qtables);
+        }
         let seg = match reader.next_segment() {
             Ok(seg) => seg,
             // A truncated stream (no EOI) still yields what was decoded.
@@ -384,6 +449,55 @@ mod tests {
         // After a color decode the pools hold the recycled buffers.
         assert_eq!(scratch.coeff_pool.len(), 3);
         assert_eq!(scratch.plane_pool.len(), 3);
+    }
+
+    /// The one-pass prefix decode against a decode of each prefix on its
+    /// own and against the reference oracle: every scan boundary of
+    /// progressive colour (4:2:0 and 4:4:4), grayscale and baseline
+    /// streams, through one scratch. Ends inside a segment, before the
+    /// frame header or out of order get no call.
+    #[test]
+    fn one_pass_prefix_decode_matches_each_prefix_decode() {
+        let mut scratch = DecodeScratch::new();
+        let s444 = EncodeConfig { subsampling: Subsampling::S444, ..EncodeConfig::progressive(90) };
+        let streams = [
+            encode(&test_image(64, 48), &EncodeConfig::progressive(87)).unwrap(),
+            encode(&test_image(33, 17), &s444).unwrap(),
+            encode(&test_image(40, 24).to_luma(), &EncodeConfig::progressive(75)).unwrap(),
+            encode(&test_image(17, 9), &EncodeConfig::baseline(95)).unwrap(),
+        ];
+        for data in &streams {
+            let layout = crate::scansplit::split_scans(data).unwrap();
+            let mut ends = vec![2, layout.header_len];
+            ends.extend(layout.scans.iter().map(|&(_, end)| end));
+            // Mid-entropy, then a boundary already passed: neither is a
+            // boundary the walk stands at.
+            ends.extend([data.len() - 3, layout.header_len]);
+            let mut emitted = Vec::new();
+            decode_prefixes_with(data, &ends, &mut scratch, |k, img| emitted.push((k, img.unwrap())))
+                .unwrap();
+            let hit: Vec<usize> = emitted.iter().map(|&(k, _)| k).collect();
+            assert_eq!(hit, (1..ends.len() - 2).collect::<Vec<_>>());
+            for (k, img) in emitted {
+                let prefix = [&data[..ends[k]], &[0xFF, EOI][..]].concat();
+                assert_eq!(img, decode(&prefix).unwrap(), "end {}", ends[k]);
+                assert_eq!(img, crate::reference::reference_decode(&prefix).unwrap(), "end {}", ends[k]);
+            }
+        }
+        // A stream that fails after a boundary returns the error, with
+        // the images before it emitted.
+        let data = &streams[0];
+        let layout = crate::scansplit::split_scans(data).unwrap();
+        let (start, _) = layout.scans[3];
+        let mut broken = data[..start].to_vec();
+        broken.extend_from_slice(&[0xFF, SOS, 0x00, 0x02]);
+        let mut calls = 0;
+        let err = decode_prefixes_with(&broken, &[layout.scans[2].1, start + 4], &mut scratch, |_, img| {
+            img.unwrap();
+            calls += 1;
+        });
+        assert!(err.is_err());
+        assert_eq!(calls, 1);
     }
 
     /// A 2064x2048 grayscale stream (66,048 blocks) whose every block

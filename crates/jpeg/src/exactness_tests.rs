@@ -33,7 +33,7 @@
 use crate::bitio::{extend, BitReader, BitSource, BitWriter};
 use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales};
-use crate::decoder::{decode, decode_coeffs};
+use crate::decoder::{decode, decode_coeffs, decode_prefixes_with, DecodeScratch};
 use crate::dentropy::{decode_scan_range, mcu_units, DecodeTables};
 use crate::encoder::{encode, encode_from_coeffs, qtables_for, EncodeConfig};
 use crate::entropy::{ScanEncoder, ScanTables};
@@ -121,11 +121,18 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
 
 /// The acceptance property: for every corpus stream and every scan-group
 /// truncation level, the fast decoder's pixels equal the reference
-/// decoder's pixels byte for byte.
+/// decoder's pixels byte for byte — decoded prefix by prefix, and rebuilt
+/// at every scan end by one pass over the whole stream.
 #[test]
 fn fast_decoder_matches_reference_at_every_truncation_level() {
+    let mut scratch = DecodeScratch::new();
     for (name, stream) in corpus() {
         let layout = split_scans(&stream).unwrap();
+        let ends: Vec<usize> = layout.scans.iter().map(|&(_, end)| end).collect();
+        let mut one_pass = Vec::new();
+        decode_prefixes_with(&stream, &ends, &mut scratch, |_, img| one_pass.push(img.unwrap()))
+            .unwrap();
+        assert_eq!(one_pass.len(), layout.num_scans(), "{name}: one image per scan end");
         for n in 1..=layout.num_scans() {
             let prefix = assemble_prefix(&stream, &layout, n).unwrap();
             let fast = decode(&prefix).unwrap();
@@ -135,6 +142,7 @@ fn fast_decoder_matches_reference_at_every_truncation_level() {
                 oracle.data(),
                 "pixel mismatch: {name}, scans 1..={n}"
             );
+            assert_eq!(one_pass[n - 1], oracle, "one-pass mismatch: {name}, scans 1..={n}");
         }
     }
 }

@@ -75,14 +75,25 @@ impl ImageBuf {
 
     /// Converts to a single-channel luma image (identity for grayscale).
     pub fn to_luma(&self) -> ImageBuf {
+        let mut data = Vec::new();
+        self.luma_into(&mut data);
+        ImageBuf { width: self.width, height: self.height, channels: 1, data }
+    }
+
+    /// Writes the image's luma into `out`, which is cleared first: per
+    /// pixel the `Y` of [`rgb_to_ycbcr`], or a grayscale image's samples.
+    pub fn luma_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         if self.channels == 1 {
-            return self.clone();
+            out.extend_from_slice(&self.data);
+            return;
         }
-        let mut out = Vec::with_capacity(self.width as usize * self.height as usize);
-        for px in self.data.chunks_exact(3) {
-            out.push(rgb_to_ycbcr(px[0], px[1], px[2]).0);
+        out.resize(self.data.len() / 3, 0);
+        for (y, px) in out.iter_mut().zip(self.data.chunks_exact(3)) {
+            if let &[r, g, b] = px {
+                *y = luma(r, g, b);
+            }
         }
-        ImageBuf { width: self.width, height: self.height, channels: 1, data: out }
     }
 
     /// Center-crops to `(cw, ch)`; clamps to the image size.
@@ -120,6 +131,14 @@ impl ImageBuf {
 #[inline]
 fn fix_to_u8(v: i32) -> u8 {
     ((v + (1 << 15)) >> 16).clamp(0, 255) as u8
+}
+
+/// The `Y` of [`rgb_to_ycbcr`] alone. Its weights sum to `1 << 16`, so
+/// the rounded value is at most 255 and needs no clamp.
+#[inline]
+fn luma(r: u8, g: u8, b: u8) -> u8 {
+    let y = 19_595 * u32::from(r) + 38_470 * u32::from(g) + 7_471 * u32::from(b);
+    ((y + (1 << 15)) >> 16) as u8
 }
 
 /// RGB -> YCbCr (JFIF / BT.601 full range), rounded to u8.
@@ -207,6 +226,21 @@ pub fn ycbcr_to_rgb(y: u8, cb: u8, cr: u8) -> (u8, u8, u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The luma path against `rgb_to_ycbcr`, for all 2^24 RGB triples:
+    /// one 256×256 image per red value, every (green, blue) pair in it.
+    #[test]
+    fn luma_matches_rgb_to_ycbcr_on_every_triple() {
+        let mut luma = Vec::new();
+        for r in 0..=255u8 {
+            let data = (0..=255u8).flat_map(|g| (0..=255u8).flat_map(move |b| [r, g, b])).collect();
+            ImageBuf::from_raw(256, 256, 3, data).unwrap().luma_into(&mut luma);
+            for (i, &y) in luma.iter().enumerate() {
+                let (g, b) = ((i >> 8) as u8, i as u8);
+                assert_eq!(y, rgb_to_ycbcr(r, g, b).0, "rgb ({r}, {g}, {b})");
+            }
+        }
+    }
 
     #[test]
     fn color_roundtrip_is_close() {

@@ -50,8 +50,8 @@ pub mod scansplit;
 pub mod transcode;
 
 pub use decoder::{
-    decode, decode_coeffs, decode_coeffs_observed, decode_with, DecodeObserver, DecodeScratch,
-    DecodedCoeffs, NoopObserver,
+    decode, decode_coeffs, decode_coeffs_observed, decode_prefixes_with, decode_with,
+    DecodeObserver, DecodeScratch, DecodedCoeffs, NoopObserver,
 };
 pub use encoder::{default_progressive_script, encode, EncodeConfig};
 pub use error::{Error, Result};

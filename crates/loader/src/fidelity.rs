@@ -16,7 +16,7 @@
 
 use crate::parallel::{Minibatch, ParallelLoader};
 use pcr_autotune::{select_lowest_qualifying, PlateauDetector, DEFAULT_MSSIM_THRESHOLD};
-use pcr_core::dataset::map_in_order;
+use pcr_core::dataset::map_in_order_with;
 use pcr_core::{DecisionRecord, PcrRecord, RecordScratch};
 use pcr_metrics::{FidelityEpoch, FidelityTrace, MsssimReference, Plane, TriggerKind};
 use pcr_storage::{ByteView, Clock, ObjectStore};
@@ -156,14 +156,18 @@ impl FidelityController {
 /// statistics like any other read and is the same whatever machine
 /// probes; probe before training (or reset the device) if that matters to
 /// an experiment. Decoding and scoring then fan out over the machine's
-/// cores, a run of consecutive images each, and the per-image scores are
-/// summed in image order: the result does not depend on the core count, to
-/// the bit.
+/// cores one image at a time, each thread with its own decode scratch,
+/// and the per-image scores are summed in image order: the result does
+/// not depend on the core count, to the bit.
 ///
-/// Each image is decoded once per *distinct* group after clamping to the
-/// record's group count and scored against one prepared
-/// [`MsssimReference`]. A candidate that clamps to the full group is the
-/// reference itself and scores 1.0 by definition, undecoded.
+/// Each image's full stream is entropy-decoded once
+/// ([`PcrRecord::decode_groups_with`]): its pixels at every *distinct*
+/// group after clamping to the record's group count are rebuilt from that
+/// one pass, each the bytes a decode of that group's prefix gives. The
+/// candidates wait as 8-bit luma until the full group's luma has become
+/// the one prepared [`MsssimReference`] they are scored against. A
+/// candidate that clamps to the full group is the reference itself and
+/// scores 1.0 by definition, without being scored.
 pub fn probe_source_scores<S: crate::source::RecordSource + ?Sized>(
     store: &ObjectStore,
     source: &S,
@@ -201,21 +205,17 @@ fn probe_with_workers<S: crate::source::RecordSource + ?Sized>(
         }
     }
 
-    // One run of consecutive images per worker, each with its own
-    // scratch; concatenated in image order whoever finishes first.
-    let runs: Vec<&[(ByteView, usize)]> =
-        sampled.chunks(sampled.len().div_ceil(workers.max(1)).max(1)).collect();
-    let per_image = map_in_order(runs, workers, |run| {
-        let mut scratch = RecordScratch::new();
-        let score = |(bytes, i): &(ByteView, usize)| score_image(bytes, *i, &candidates, &mut scratch);
-        run.iter().map(score).collect::<Vec<_>>()
+    // One image at a time to whichever thread is free, each thread with
+    // its own scratch; the scores come back in image order.
+    let per_image = map_in_order_with(sampled, workers, ProbeScratch::default, |scratch, (bytes, i)| {
+        score_image(&bytes, i, &candidates, scratch)
     });
 
     let mut sums = vec![0.0f64; candidates.len()];
     // Per-candidate sample counts: a group whose decode fails for some
     // image must not have its mean deflated by images it never scored.
     let mut counts = vec![0u64; candidates.len()];
-    for scores in per_image.iter().flatten().flatten() {
+    for scores in per_image.iter().flatten() {
         for (slot, score) in scores.iter().enumerate() {
             if let Some(score) = score {
                 sums[slot] += score;
@@ -230,6 +230,18 @@ fn probe_with_workers<S: crate::source::RecordSource + ?Sized>(
         .collect()
 }
 
+/// What one probe thread reuses from one image to the next.
+#[derive(Default)]
+struct ProbeScratch {
+    decode: RecordScratch,
+    /// 8-bit luma per decoded group.
+    luma: Vec<Vec<u8>>,
+    /// The f64 plane a luma is scored as.
+    plane: Plane,
+    /// The image's full-quality luma, prepared anew for each image.
+    reference: MsssimReference,
+}
+
 /// One sampled image's MSSIM per candidate (sorted ascending): `None`
 /// for the image when its full-quality decode fails, `None` for a
 /// candidate whose own decode fails.
@@ -237,29 +249,44 @@ fn score_image(
     record: &[u8],
     image: usize,
     candidates: &[usize],
-    scratch: &mut RecordScratch,
+    scratch: &mut ProbeScratch,
 ) -> Option<Vec<Option<f64>>> {
     let rec = PcrRecord::parse(record).ok()?;
     let full_group = rec.num_groups();
-    let mut luma_at = |group: usize| {
-        let luma = rec.decode_image_with(image, group, scratch).ok()?.to_luma();
-        Some(Plane::from_u8(luma.width() as usize, luma.height() as usize, luma.data()))
-    };
-    let mut reference = MsssimReference::new(&luma_at(full_group)?);
-    // Sorted candidates stay sorted when clamped, so the ones that share
-    // a group are neighbours and the previous answer serves them.
-    let mut previous: Option<(usize, Option<f64>)> = None;
-    let scores = candidates.iter().map(|&g| {
-        let g = g.clamp(1, full_group);
-        let score = match previous {
-            Some((scored, score)) if scored == g => score,
-            _ if g == full_group => Some(1.0),
-            _ => luma_at(g).map(|plane| reference.score(&plane)),
-        };
-        previous = Some((g, score));
-        score
+    // Sorted candidates stay sorted when clamped, so the distinct groups
+    // below full quality come out ascending; the full group goes last.
+    let clamped: Vec<usize> = candidates.iter().map(|&g| g.clamp(1, full_group)).collect();
+    let mut groups: Vec<usize> = clamped.iter().copied().filter(|&g| g < full_group).collect();
+    groups.dedup();
+    groups.push(full_group);
+    let full = groups.len() - 1;
+
+    let ProbeScratch { decode, luma, plane, reference } = scratch;
+    if luma.len() < groups.len() {
+        luma.resize_with(groups.len(), Vec::new);
+    }
+    let mut decoded = vec![false; groups.len()];
+    let (mut width, mut height) = (0, 0);
+    rec.decode_groups_with(image, &groups, decode, |k, img| {
+        if let (Ok(img), Some(out), Some(ok)) = (img, luma.get_mut(k), decoded.get_mut(k)) {
+            (width, height) = (img.width() as usize, img.height() as usize);
+            img.luma_into(out);
+            *ok = true;
+        }
     });
-    Some(scores.collect())
+    if !decoded[full] {
+        return None;
+    }
+    plane.set_u8(width, height, &luma[full]);
+    reference.prepare(plane);
+    let mut score = |k: usize| {
+        plane.set_u8(width, height, &luma[k]);
+        reference.score(plane)
+    };
+    let mut scores: Vec<Option<f64>> = (0..full).map(|k| decoded[k].then(|| score(k))).collect();
+    scores.push(Some(1.0));
+    let score_of = |g: usize| groups.iter().position(|&d| d == g).and_then(|k| scores[k]);
+    Some(clamped.into_iter().map(score_of).collect())
 }
 
 impl<S: crate::source::RecordSource + ?Sized + 'static> ParallelLoader<S> {

@@ -672,6 +672,9 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
     /// parse, or whose labels are not the source's labels for the record,
     /// fails the decode check here: the assembler pairs decoded images
     /// with the source's labels, so the two must agree image for image.
+    /// A label mismatch ends the ladder at once: every rung is a prefix of
+    /// the same record bytes, whose index — and so whose labels — each
+    /// lower rung would repeat.
     fn settle(&self, pos: usize, mut ladder: Ladder, mut rung: Option<Rung>) {
         loop {
             let Some(candidate) = rung else {
@@ -685,8 +688,8 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                     Ok(rec) if rec.labels() == self.source.labels(self.order.get(pos)) => {
                         Ok(rec.num_images())
                     }
-                    Ok(_) => Err("labels differ from the index's"),
-                    Err(_) => Err("undecodable"),
+                    Ok(_) => Err(("labels differ from the index's", false)),
+                    Err(_) => Err(("undecodable", true)),
                 },
             };
             match images {
@@ -700,9 +703,9 @@ impl<S: RecordSource + ?Sized> EpochShared<S> {
                     }
                     return;
                 }
-                Err(why) => {
+                Err((why, step_down)) => {
                     ladder.reject(&candidate, why);
-                    rung = self.fetch_rung(&mut ladder);
+                    rung = if step_down { self.fetch_rung(&mut ladder) } else { None };
                 }
             }
         }
@@ -883,6 +886,7 @@ mod tests {
         for pool in 1..=3 {
             let loader = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg.clone())
                 .with_pool(pool);
+            let reads_before = store.device_stats().reads;
             let (labels, report) = loader.spawn_epoch(2).fold(|batches| {
                 batches
                     .flat_map(|b| {
@@ -902,6 +906,9 @@ mod tests {
             assert_eq!(quarantined, index_labels, "pool {pool}: the index's labels");
             assert_eq!(faults.quarantine[0].record, 0);
             assert!(faults.quarantine[0].reason.starts_with("labels differ"), "{faults:?}");
+            // One read per record: the mismatch reads no lower rung.
+            let reads = store.device_stats().reads - reads_before;
+            assert_eq!(reads, db.records.len() as u64, "pool {pool}");
         }
     }
 

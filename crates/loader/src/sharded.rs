@@ -155,9 +155,11 @@ pub struct OpenedContainer {
 
 /// Opens the container at `dir` and registers its shard files with an
 /// [`ObjectStore`] under their manifest file names
-/// ([`ObjectStore::put_file`]), verifying each one first (unless
-/// disabled) by streaming it through a 64 KiB buffer, and configuring
-/// readahead. Each shard is opened once, by [`PcrContainer::open`]: the
+/// ([`ObjectStore::put_file`]), verifying them first (unless disabled)
+/// by streaming each through a 64 KiB buffer, the shards fanned out over
+/// the machine's cores ([`PcrContainer::verify_shards`]: a failure is the
+/// lowest-index failing shard's), and configuring readahead. Each shard
+/// is opened once, by [`PcrContainer::open`]: the
 /// index, the verification and the store all read that one handle
 /// ([`PcrContainer::shard_file`]), so the bytes verified are the bytes
 /// served. No shard is read into memory, so the open allocates
@@ -181,13 +183,19 @@ pub struct OpenedContainer {
 /// # Ok::<(), pcr_core::Error>(())
 /// ```
 pub fn open_container_store(dir: &Path, config: &ShardStoreConfig) -> Result<OpenedContainer> {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    open_with_workers(dir, config, cores)
+}
+
+/// [`open_container_store`] verifying on up to `workers` threads.
+fn open_with_workers(dir: &Path, config: &ShardStoreConfig, workers: usize) -> Result<OpenedContainer> {
     let container = PcrContainer::open(dir)?;
+    if config.verify {
+        container.verify_shards(workers)?;
+    }
     let store = Arc::new(ObjectStore::with_cache(config.profile.clone(), config.cache_bytes));
     store.set_readahead(config.readahead);
     for (i, shard) in container.manifest.shards.iter().enumerate() {
-        if config.verify {
-            container.verify_shard(i)?;
-        }
         store
             .put_file(&shard.file_name, Arc::clone(container.shard_file(i)))
             .map_err(|e| Error::BadInput(format!("open shard {}: {e}", shard.file_name)))?;
@@ -218,6 +226,36 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The open verifies the shards fanned out, and fails as a pass over
+    /// one shard after another does: with the lowest-index corrupted
+    /// shard's error, at any worker count; a clean container opens.
+    #[test]
+    fn open_reports_the_lowest_failing_shard_at_any_worker_count() {
+        let dir = tmpdir("verify-fan-out");
+        write_container(&dataset(24), &dir, 2).unwrap(); // 4 shards of 2 records
+        let config = ShardStoreConfig::default();
+        for workers in [1, 2, 16] {
+            let opened = open_with_workers(&dir, &config, workers).unwrap();
+            assert_eq!(opened.container.shards.len(), 4);
+        }
+        let container = PcrContainer::open(&dir).unwrap();
+        for idx in [7, 2] {
+            let (shard, rec) = container.record(idx).unwrap();
+            let path = container.shard_path(shard);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[rec.offset as usize + 1] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let serial = (0..4).find_map(|i| container.verify_shard(i).err()).unwrap().to_string();
+        assert!(serial.contains(&container.manifest.shards[1].file_name), "{serial}");
+        for workers in [1, 2, 16] {
+            let err = open_with_workers(&dir, &config, workers).unwrap_err().to_string();
+            assert_eq!(err, serial, "{workers} workers");
+        }
+        assert_eq!(open_container_store(&dir, &config).unwrap_err().to_string(), serial);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -30,8 +30,17 @@ pub struct Plane {
 impl Plane {
     /// Builds a plane from 8-bit luma samples.
     pub fn from_u8(width: usize, height: usize, data: &[u8]) -> Self {
+        let mut plane = Self::default();
+        plane.set_u8(width, height, data);
+        plane
+    }
+
+    /// Overwrites the plane with 8-bit luma samples, reusing its buffer.
+    pub fn set_u8(&mut self, width: usize, height: usize, data: &[u8]) {
         assert_eq!(data.len(), width * height);
-        Self { width, height, data: data.iter().map(|&v| f64::from(v)).collect() }
+        (self.width, self.height) = (width, height);
+        clear_for(&mut self.data, data.len());
+        self.data.extend(data.iter().map(|&v| f64::from(v)));
     }
 
     /// 2x2 box downsample (floors odd dimensions; a side of 1 stays 1 and
@@ -48,7 +57,7 @@ fn downsample_into(src: &Plane, dst: &mut Plane) {
     let (w, h) = (half(src.width), half(src.height));
     dst.width = w;
     dst.height = h;
-    dst.data.clear();
+    clear_for(&mut dst.data, w * h);
     let row = |y: usize| &src.data[y * src.width..(y + 1) * src.width];
     for y in 0..h {
         // Only a side of 1 ever clamps: floored halves stay inside.
@@ -58,6 +67,15 @@ fn downsample_into(src: &Plane, dst: &mut Plane) {
             (0.0 + top[x0] + top[x1] + bottom[x0] + bottom[x1]) / 4.0
         }));
     }
+}
+
+/// Empties `v` with room for exactly `n` values: a buffer reused from
+/// one image to the next grows to the largest of them, not to twice it
+/// (a freed oversized buffer would lift the allocator's mmap threshold
+/// for the rest of the process).
+fn clear_for(v: &mut Vec<f64>, n: usize) {
+    v.clear();
+    v.reserve_exact(n);
 }
 
 const C1: f64 = 6.5025; // (0.01 * 255)^2
@@ -80,18 +98,22 @@ fn gaussian_kernel(radius: usize, sigma: f64) -> Vec<f64> {
 /// Pixels per register block of [`weighted_sum`]: eight SSE2 accumulators.
 const BLOCK: usize = 16;
 
-/// `dst[x] = Σ tap(i)[x] * kernel[i]` — the one inner loop of the filter.
+/// Taps of the widest kernel (radius 5).
+const MAX_TAPS: usize = 11;
+
+/// `dst[x] = Σ taps[i][x] * kernel[i]` — the one inner loop of the filter.
 /// A block of pixels is carried in registers across the taps, so the
 /// compiler vectorises across `x` while every pixel still adds its taps
 /// one at a time, first to last, from zero: the order (and so the bits) of
-/// a per-pixel tap loop.
-fn weighted_sum<'a>(dst: &mut [f64], kernel: &[f64], tap: impl Fn(usize) -> &'a [f64]) {
+/// a per-pixel tap loop. The caller resolves each tap's row once per call,
+/// not once per block.
+fn weighted_sum(dst: &mut [f64], kernel: &[f64], taps: &[&[f64]]) {
     let n = dst.len();
     if n < BLOCK {
         for (x, d) in dst.iter_mut().enumerate() {
             let mut s = 0.0;
-            for (i, &k) in kernel.iter().enumerate() {
-                s += tap(i)[x] * k;
+            for (&k, tap) in kernel.iter().zip(taps) {
+                s += tap[x] * k;
             }
             *d = s;
         }
@@ -102,15 +124,24 @@ fn weighted_sum<'a>(dst: &mut [f64], kernel: &[f64], tap: impl Fn(usize) -> &'a 
     for x in (0..n).step_by(BLOCK) {
         let x = x.min(n - BLOCK);
         let mut acc = [0.0f64; BLOCK];
-        for (i, &k) in kernel.iter().enumerate() {
-            let src: &[f64; BLOCK] =
-                tap(i)[x..x + BLOCK].try_into().expect("block-sized slice");
+        for (&k, tap) in kernel.iter().zip(taps) {
+            let src: &[f64; BLOCK] = tap[x..x + BLOCK].try_into().expect("block-sized slice");
             for (a, &s) in acc.iter_mut().zip(src) {
                 *a += s * k;
             }
         }
         dst[x..x + BLOCK].copy_from_slice(&acc);
     }
+}
+
+/// The rows `row(0..taps)` a [`weighted_sum`] reads, `taps` at most
+/// [`MAX_TAPS`].
+fn tap_rows<'a>(taps: usize, row: impl Fn(usize) -> &'a [f64]) -> [&'a [f64]; MAX_TAPS] {
+    let mut rows = [&[][..]; MAX_TAPS];
+    for (i, r) in rows.iter_mut().enumerate().take(taps) {
+        *r = row(i);
+    }
+    rows
 }
 
 /// What a [`RowFilter`] filters: a plane, or the pixel-wise product of two.
@@ -170,14 +201,15 @@ impl RowFilter {
             left.fill(row[0]);
             right.fill(row[w - 1]);
             let slot = &mut ring[*rows_done % taps * w..][..w];
-            weighted_sum(slot, kernel, |i| &padded[i..i + w]);
+            weighted_sum(slot, kernel, &tap_rows(taps, |i| &padded[i..i + w])[..taps]);
             *rows_done += 1;
         }
         // Vertically a clamped tap only changes which row it reads.
-        weighted_sum(out, kernel, |i| {
+        let rows = tap_rows(taps, |i| {
             let sy = (y + i).saturating_sub(r).min(h - 1);
             &ring[sy % taps * w..][..w]
         });
+        weighted_sum(out, kernel, &rows[..taps]);
     }
 }
 
@@ -189,13 +221,13 @@ struct Scratch {
     mu: RowFilter,
     sq: RowFilter,
     cross: RowFilter,
-    /// One output row of each.
+    /// One output row of each, then one row of the SSIM and CS maps.
     rows: Vec<f64>,
 }
 
 /// One scale of a prepared reference: the plane with its filtered mean
 /// and filtered square.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Scale {
     plane: Plane,
     kernel: Vec<f64>,
@@ -204,34 +236,43 @@ struct Scale {
 }
 
 impl Scale {
-    /// Prepares the non-empty `plane`.
-    fn new(plane: Plane, s: &mut Scratch) -> Self {
+    /// Prepares the non-empty plane now in `self.plane`, overwriting
+    /// whatever an earlier plane left in the other buffers.
+    fn prepare(&mut self, s: &mut Scratch) {
+        let Self { plane, kernel, mu, sq } = self;
         let (w, h, a) = (plane.width, plane.height, &plane.data);
         // Kernel radius shrinks for tiny images.
         let radius = 5.min((w.min(h) - 1) / 2).max(1);
-        let kernel = gaussian_kernel(radius, 1.5);
-        let (mut mu, mut sq) = (vec![0.0; w * h], vec![0.0; w * h]);
+        *kernel = gaussian_kernel(radius, 1.5);
+        clear_for(mu, w * h);
+        mu.resize(w * h, 0.0);
+        clear_for(sq, w * h);
+        sq.resize(w * h, 0.0);
         s.mu.reset(w, kernel.len());
         s.sq.reset(w, kernel.len());
         for (y, (mu, sq)) in mu.chunks_exact_mut(w).zip(sq.chunks_exact_mut(w)).enumerate() {
-            s.mu.row(y, h, &kernel, Source::Plane(a), mu);
-            s.sq.row(y, h, &kernel, Source::Product(a, a), sq);
+            s.mu.row(y, h, kernel, Source::Plane(a), mu);
+            s.sq.row(y, h, kernel, Source::Product(a, a), sq);
         }
-        Self { plane, kernel, mu, sq }
     }
 
     /// Mean SSIM and mean contrast-structure of this scale against a
     /// candidate `b` of the same shape: the three candidate-side filters
-    /// advance together and each finished row is folded into the sums.
+    /// advance together, and each finished row becomes a row of the SSIM
+    /// and CS maps that is then folded into the sums. The map pass has no
+    /// carried sum, so its divisions vectorise; the fold adds pixel after
+    /// pixel, the order (and so the bits) of a one-loop pass.
     fn ssim_cs(&self, b: &[f64], s: &mut Scratch) -> (f64, f64) {
         let (w, h, a) = (self.plane.width, self.plane.height, &self.plane.data);
         let kernel = &self.kernel[..];
         s.mu.reset(w, kernel.len());
         s.sq.reset(w, kernel.len());
         s.cross.reset(w, kernel.len());
-        s.rows.resize(3 * w, 0.0);
+        s.rows.resize(5 * w, 0.0);
         let (mu_b, rest) = s.rows.split_at_mut(w);
-        let (sq_b, cross) = rest.split_at_mut(w);
+        let (sq_b, rest) = rest.split_at_mut(w);
+        let (cross, rest) = rest.split_at_mut(w);
+        let (ssim_map, cs_map) = rest.split_at_mut(w);
         let mut ssim_sum = 0.0;
         let mut cs_sum = 0.0;
         let reference_rows = self.mu.chunks_exact(w).zip(self.sq.chunks_exact(w));
@@ -239,14 +280,19 @@ impl Scale {
             s.mu.row(y, h, kernel, Source::Plane(b), mu_b);
             s.sq.row(y, h, kernel, Source::Product(b, b), sq_b);
             s.cross.row(y, h, kernel, Source::Product(a, b), cross);
-            for x in 0..w {
-                let (ma, mb) = (mu_a[x], mu_b[x]);
-                let va = (sq_a[x] - ma * ma).max(0.0);
-                let vb = (sq_b[x] - mb * mb).max(0.0);
-                let cov = cross[x] - ma * mb;
+            let inputs = mu_a.iter().zip(&*mu_b).zip(sq_a.iter().zip(&*sq_b)).zip(&*cross);
+            let maps = ssim_map.iter_mut().zip(cs_map.iter_mut());
+            for ((((&ma, &mb), (&sa, &sb)), &cross), (ssim, cs_out)) in inputs.zip(maps) {
+                let va = (sa - ma * ma).max(0.0);
+                let vb = (sb - mb * mb).max(0.0);
+                let cov = cross - ma * mb;
                 let l = (2.0 * ma * mb + C1) / (ma * ma + mb * mb + C1);
                 let cs = (2.0 * cov + C2) / (va + vb + C2);
-                ssim_sum += l * cs;
+                *ssim = l * cs;
+                *cs_out = cs;
+            }
+            for (&ssim, &cs) in ssim_map.iter().zip(&*cs_map) {
+                ssim_sum += ssim;
                 cs_sum += cs;
             }
         }
@@ -265,7 +311,9 @@ pub fn ssim_cs(a: &Plane, b: &Plane) -> (f64, f64) {
         return (1.0, 1.0);
     }
     let mut scratch = Scratch::default();
-    Scale::new(a.clone(), &mut scratch).ssim_cs(&b.data, &mut scratch)
+    let mut scale = Scale { plane: a.clone(), ..Scale::default() };
+    scale.prepare(&mut scratch);
+    scale.ssim_cs(&b.data, &mut scratch)
 }
 
 /// Single-scale mean SSIM.
@@ -281,7 +329,8 @@ pub const MSSSIM_WEIGHTS: [f64; 5] = [0.0448, 0.2856, 0.3001, 0.2363, 0.1333];
 /// filtered square are computed once, here, and [`MsssimReference::score`]
 /// filters only the candidate. Scales are dropped (with weight
 /// renormalization) if the image becomes smaller than 8 pixels on a side.
-#[derive(Debug)]
+/// The default is the prepared empty image.
+#[derive(Debug, Default)]
 pub struct MsssimReference {
     width: usize,
     height: usize,
@@ -296,24 +345,40 @@ pub struct MsssimReference {
 impl MsssimReference {
     /// Prepares `reference`.
     pub fn new(reference: &Plane) -> Self {
-        let mut scratch = Scratch::default();
-        let mut scales = Vec::new();
-        let mut next = (!reference.data.is_empty()).then(|| reference.clone());
-        while let Some(plane) = next {
-            let last = scales.len() == MSSSIM_WEIGHTS.len() - 1
-                || plane.width / 2 < 8
-                || plane.height / 2 < 8;
-            next = (!last).then(|| plane.downsample2());
-            scales.push(Scale::new(plane, &mut scratch));
+        let mut prepared = Self::default();
+        prepared.prepare(reference);
+        prepared
+    }
+
+    /// Prepares `reference` in place of the image prepared before, in the
+    /// buffers that image used: scores are then the bits
+    /// [`MsssimReference::new`]`(reference)` gives, and a caller preparing
+    /// one image after another allocates nothing once the buffers fit.
+    pub fn prepare(&mut self, reference: &Plane) {
+        (self.width, self.height) = (reference.width, reference.height);
+        let mut used = 0;
+        while used < MSSSIM_WEIGHTS.len() && !reference.data.is_empty() {
+            if self.scales.len() == used {
+                self.scales.push(Scale::default());
+            }
+            let (finer, rest) = self.scales.split_at_mut(used);
+            let Some(scale) = rest.first_mut() else { break };
+            match finer.last() {
+                Some(finer) => downsample_into(&finer.plane, &mut scale.plane),
+                None => {
+                    (scale.plane.width, scale.plane.height) = (reference.width, reference.height);
+                    clear_for(&mut scale.plane.data, reference.data.len());
+                    scale.plane.data.extend_from_slice(&reference.data);
+                }
+            }
+            scale.prepare(&mut self.scratch);
+            used += 1;
+            let (w, h) = (scale.plane.width, scale.plane.height);
+            if w / 2 < 8 || h / 2 < 8 {
+                break;
+            }
         }
-        Self {
-            width: reference.width,
-            height: reference.height,
-            scales,
-            scratch,
-            level: Plane::default(),
-            coarser: Plane::default(),
-        }
+        self.scales.truncate(used);
     }
 
     /// MS-SSIM of `candidate` against the reference. Scoring leaves no
@@ -510,9 +575,13 @@ mod tests {
             let bs: Vec<Plane> =
                 (1..=candidates as u64).map(|k| content(w, h, seed.wrapping_add(k))).collect();
             let mut prepared = MsssimReference::new(&a);
+            // Re-prepared over a reference of another shape first.
+            let mut reused = MsssimReference::new(&content(h, w + 3, !seed));
+            reused.prepare(&a);
             for b in bs.iter().chain(bs.first()) {
                 let want = crate::reference::msssim(&a, b).to_bits();
                 prop_assert_eq!(prepared.score(b).to_bits(), want, "{}x{} prepared", w, h);
+                prop_assert_eq!(reused.score(b).to_bits(), want, "{}x{} re-prepared", w, h);
                 prop_assert_eq!(msssim(&a, b).to_bits(), want, "{}x{} two-argument", w, h);
             }
             let bits = |(ssim, cs): (f64, f64)| (ssim.to_bits(), cs.to_bits());

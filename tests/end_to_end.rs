@@ -2,7 +2,7 @@
 //! storage -> prefetching loader -> partial decode -> training, plus
 //! head-to-head format equivalence checks.
 
-use pcr::core::{PcrRecord, RecordFile};
+use pcr::core::{PcrRecord, RecordFile, RecordScratch};
 use pcr::datasets::{DatasetSpec, Scale, SyntheticDataset};
 use pcr::loader::{populate_store, LoaderConfig, ParallelConfig, ParallelLoader, ReadPlanner};
 use pcr::nn::{LrSchedule, ModelSpec};
@@ -12,6 +12,28 @@ use std::sync::Arc;
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetSpec::celebahq_smile_like(Scale::Tiny))
+}
+
+/// The one-pass multi-group decode against one decode per group: every
+/// image of every tiny corpus, at every group, byte for byte.
+#[test]
+fn one_pass_group_decode_matches_per_group_decode_on_tiny_corpora() {
+    let mut scratch = RecordScratch::new();
+    for spec in DatasetSpec::paper_suite(Scale::Tiny) {
+        let (pcr, _) = pcr::datasets::to_pcr_dataset(&SyntheticDataset::generate(&spec), 8);
+        for bytes in &pcr.records {
+            let rec = PcrRecord::parse(bytes).unwrap();
+            let groups: Vec<usize> = (1..=rec.num_groups()).collect();
+            for i in 0..rec.num_images() {
+                let mut got = vec![None; groups.len()];
+                rec.decode_groups_with(i, &groups, &mut scratch, |k, img| got[k] = Some(img.unwrap()));
+                for (k, &g) in groups.iter().enumerate() {
+                    let want = rec.decode_image(i, g).unwrap();
+                    assert_eq!(got[k].as_ref(), Some(&want), "{}: image {i}, group {g}", spec.name);
+                }
+            }
+        }
+    }
 }
 
 #[test]
