@@ -125,9 +125,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let scale = args.value_or("scale", "tiny");
             let scale = Scale::from_name(scale)
                 .ok_or_else(|| format!("unknown scale {scale:?} (tiny | small | full)"))?;
-            let spec = DatasetSpec::named(name, scale).ok_or_else(|| {
+            let mut spec = DatasetSpec::named(name, scale).ok_or_else(|| {
                 format!("unknown dataset {name:?} (dermatology | imagenet | cars | celeba)")
             })?;
+            // Only the train split is packed. Its draws come first, so
+            // leaving the test split out cannot change its bytes.
+            spec.test_images = 0;
             if !json {
                 println!(
                     "generating {} at {:?} scale ({} train images)...",

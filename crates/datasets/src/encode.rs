@@ -4,6 +4,7 @@
 
 use crate::generate::SyntheticDataset;
 use pcr_core::container::{write_container, ContainerManifest};
+use pcr_core::dataset::map_in_order;
 use pcr_core::{PcrDataset, PcrDatasetBuilder, RecordFileBuilder, SampleMeta};
 use pcr_jpeg::EncodeConfig;
 use std::path::Path;
@@ -63,6 +64,11 @@ pub fn pack_to_container(
 /// Encodes the training split as fixed-quality record files (the static
 /// baseline): one `Vec<u8>` per record.
 ///
+/// The images are encoded across the machine's cores with [`map_in_order`]
+/// and enter their records in image order, so the bytes are those of
+/// encoding one image at a time and the seconds are wall time on every
+/// core, like [`to_pcr_dataset`]'s.
+///
 /// Returns `(records, encode_seconds)`.
 pub fn to_record_files(
     ds: &SyntheticDataset,
@@ -72,12 +78,14 @@ pub fn to_record_files(
     // pcr-lint: allow(clock-discipline) — pack-time tooling measuring real
     // conversion cost (Figure 15); no virtual timeline exists here.
     let start = std::time::Instant::now();
+    let config = EncodeConfig::baseline(quality);
+    let jpegs = map_in_order(ds.train.iter().collect(), crate::cores(), |s| {
+        pcr_jpeg::encode(&s.image, &config).expect("encode")
+    });
     let mut records = Vec::new();
     let mut builder = RecordFileBuilder::new();
-    for s in &ds.train {
-        builder
-            .add_image(SampleMeta { label: s.label, id: s.id.clone() }, &s.image, quality)
-            .expect("encode");
+    for (s, jpeg) in ds.train.iter().zip(jpegs) {
+        builder.add_jpeg(SampleMeta { label: s.label, id: s.id.clone() }, jpeg);
         if builder.len() >= images_per_record {
             let b = std::mem::replace(&mut builder, RecordFileBuilder::new());
             records.push(b.build().expect("non-empty"));
@@ -90,15 +98,13 @@ pub fn to_record_files(
 }
 
 /// Encodes every *test* image as a full-quality progressive JPEG, returning
-/// the raw streams (used for MSSIM-per-scan measurements).
+/// the raw streams in image order (used for MSSIM-per-scan measurements).
+/// The images are encoded across the machine's cores.
 pub fn test_progressive_jpegs(ds: &SyntheticDataset) -> Vec<Vec<u8>> {
-    ds.test
-        .iter()
-        .map(|s| {
-            pcr_jpeg::encode(&s.image, &EncodeConfig::progressive(ds.spec.jpeg_quality))
-                .expect("encode")
-        })
-        .collect()
+    let config = EncodeConfig::progressive(ds.spec.jpeg_quality);
+    map_in_order(ds.test.iter().collect(), crate::cores(), |s| {
+        pcr_jpeg::encode(&s.image, &config).expect("encode")
+    })
 }
 
 #[cfg(test)]
@@ -131,6 +137,22 @@ mod tests {
         assert_eq!(recs.len(), expected);
         let parsed = pcr_core::RecordFile::parse(&recs[0]).unwrap();
         assert_eq!(parsed.num_images(), 10.min(ds.train.len()));
+    }
+
+    #[test]
+    fn record_files_match_encoding_image_by_image() {
+        let ds = tiny();
+        let (recs, _) = to_record_files(&ds, 10, 75);
+        let mut want = Vec::new();
+        for chunk in ds.train.chunks(10) {
+            let mut builder = RecordFileBuilder::new();
+            for s in chunk {
+                let meta = SampleMeta { label: s.label, id: s.id.clone() };
+                builder.add_image(meta, &s.image, 75).unwrap();
+            }
+            want.push(builder.build().unwrap());
+        }
+        assert!(recs == want, "record files differ from the image-by-image encode");
     }
 
     #[test]
@@ -172,6 +194,10 @@ mod tests {
         let ds = tiny();
         let jpegs = test_progressive_jpegs(&ds);
         assert_eq!(jpegs.len(), ds.test.len());
+        let config = EncodeConfig::progressive(ds.spec.jpeg_quality);
+        for (s, jpeg) in ds.test.iter().zip(&jpegs) {
+            assert!(*jpeg == pcr_jpeg::encode(&s.image, &config).unwrap(), "{}", s.id);
+        }
         assert_eq!(pcr_jpeg::split_scans(&jpegs[0]).unwrap().num_scans(), 10);
     }
 }

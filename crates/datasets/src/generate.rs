@@ -2,6 +2,7 @@
 //! spatial-frequency bands, on top of a shared natural-texture background.
 
 use crate::spec::DatasetSpec;
+use pcr_core::dataset::map_in_order;
 use pcr_jpeg::ImageBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,6 +70,14 @@ fn class_signature(spec_seed: u64, class: u32, high_wl: (f64, f64)) -> ClassSign
 
 /// Generates one image of class `label` with per-sample randomness from
 /// `rng`.
+///
+/// Every draw is taken first, in this order: the side (when the spec
+/// jitters it), the background's two frequencies and phase, one amplitude
+/// jitter per class component, then one noise value per pixel in raster
+/// order. The pixel rows are then computed across the machine's cores with
+/// [`map_in_order`]. A pixel depends only on its coordinates, the image's
+/// parameters and its own noise draw, so the bytes — and the state `rng` is
+/// left in for the next image — are the same at any core count.
 pub fn generate_image(spec: &DatasetSpec, label: u32, rng: &mut StdRng) -> ImageBuf {
     let side = if spec.side_jitter == 0 {
         spec.mean_side
@@ -87,13 +96,20 @@ pub fn generate_image(spec: &DatasetSpec, label: u32, rng: &mut StdRng) -> Image
     let jitter: Vec<f64> = (0..sig.low.len() + sig.high.len())
         .map(|_| rng.gen_range(0.6..1.4))
         .collect();
-    let mut data = Vec::with_capacity((w * h * 3) as usize);
+    let noise: Vec<f64> = (0..w * h)
+        .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * spec.signal.noise)
+        .collect();
     let tau = std::f64::consts::TAU;
-    for y in 0..h {
-        for x in 0..w {
+    // The chroma ripple depends on the column alone.
+    let ripple: Vec<f64> = (0..w).map(|x| 20.0 * (tau * bg_fx * f64::from(x)).sin()).collect();
+    let row_len = w as usize * 3;
+    let mut data = vec![0u8; row_len * h as usize];
+    let rows: Vec<_> = data.chunks_mut(row_len).zip(noise.chunks(w as usize)).zip(0..h).collect();
+    map_in_order(rows, crate::cores(), |((row, noise), y)| {
+        let yf = f64::from(y);
+        for ((x, px), &noise) in (0..w).zip(row.chunks_exact_mut(3)).zip(noise) {
             let xf = f64::from(x);
-            let yf = f64::from(y);
-            let bg = 40.0 * (tau * (bg_fx * f64::from(x) + bg_fy * f64::from(y)) + bg_phase).sin();
+            let bg = 40.0 * (tau * (bg_fx * xf + bg_fy * yf) + bg_phase).sin();
             let mut low = 0.0;
             for (i, &(fx, fy, ph, wgt)) in sig.low.iter().enumerate() {
                 low += jitter[i] * wgt * (tau * (fx * xf + fy * yf) + ph).sin();
@@ -102,7 +118,6 @@ pub fn generate_image(spec: &DatasetSpec, label: u32, rng: &mut StdRng) -> Image
             for (i, &(fx, fy, ph, wgt)) in sig.high.iter().enumerate() {
                 high += jitter[sig.low.len() + i] * wgt * (tau * (fx * xf + fy * yf) + ph).sin();
             }
-            let noise = (rng.gen::<f64>() - 0.5) * 2.0 * spec.signal.noise;
             let v = 128.0
                 + bg
                 + spec.signal.low_freq * low / sig.low.len() as f64 * 2.0
@@ -110,13 +125,10 @@ pub fn generate_image(spec: &DatasetSpec, label: u32, rng: &mut StdRng) -> Image
                 + noise;
             let luma = v.clamp(0.0, 255.0) as u8;
             // Mild, class-independent chroma so the YCbCr path is exercised.
-            let cb = (f64::from(luma) * 0.2 + 100.0 + 20.0 * (tau * bg_fx * f64::from(x)).sin())
-                .clamp(0.0, 255.0) as u8;
-            data.push(luma);
-            data.push(cb);
-            data.push(255 - luma);
+            let cb = (f64::from(luma) * 0.2 + 100.0 + ripple[x as usize]).clamp(0.0, 255.0) as u8;
+            px.copy_from_slice(&[luma, cb, 255 - luma]);
         }
-    }
+    });
     // The generator produced a pseudo-color triple; treat it as RGB.
     ImageBuf::from_raw(w, h, 3, data).expect("valid dimensions")
 }
@@ -156,6 +168,45 @@ mod tests {
         assert_eq!(a.train.len(), b.train.len());
         assert_eq!(a.train[0].image, b.train[0].image);
         assert_eq!(a.test[3].image, b.test[3].image);
+    }
+
+    /// Digests of the corpus: a change that moves pixels fails here even
+    /// when it moves them the same way in every run.
+    #[test]
+    fn golden_corpus_pins() {
+        use pcr_core::wire::crc32;
+        use rand::RngCore;
+        // The benchmark's draw: HAM-like small images from seed 1, labels i % 7.
+        let spec = DatasetSpec::ham10000_like(Scale::Small);
+        let mut rng = StdRng::seed_from_u64(1);
+        let got: Vec<(u32, u32)> = (0..8)
+            .map(|i| {
+                let img = generate_image(&spec, i % 7, &mut rng);
+                (img.width(), crc32(img.data()))
+            })
+            .collect();
+        let want = [
+            (167, 0xbdf2_7c43),
+            (159, 0xbb09_79bd),
+            (171, 0xa442_fa96),
+            (169, 0x6249_e4ea),
+            (165, 0x96cd_14b5),
+            (146, 0x9bce_9f38),
+            (156, 0xfbe2_6cbb),
+            (167, 0xd4ef_9861),
+        ];
+        assert_eq!(got, want, "(side, pixel crc32) of the first 8 images");
+        assert_eq!(rng.next_u64(), 0x8063_2dc6_31a3_99d7, "rng state after 8 images");
+
+        let ds = SyntheticDataset::generate(&DatasetSpec::celebahq_smile_like(Scale::Tiny));
+        assert_eq!((ds.train.len(), ds.test.len()), (48, 16));
+        let mut bytes = Vec::new();
+        for s in ds.train.iter().chain(&ds.test) {
+            bytes.extend_from_slice(&s.label.to_le_bytes());
+            bytes.extend_from_slice(s.id.as_bytes());
+            bytes.extend_from_slice(s.image.data());
+        }
+        assert_eq!(crc32(&bytes), 0xa974_59ce, "celebahq_smile_like(Tiny) labels, ids, pixels");
     }
 
     #[test]

@@ -40,3 +40,8 @@ pub use encode::{
 pub use generate::{generate_image, Sample, SyntheticDataset};
 pub use labels::LabelMap;
 pub use spec::{DatasetSpec, Scale, SignalProfile};
+
+/// The machine's cores: the worker count of every fan-out in this crate.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
