@@ -41,6 +41,8 @@
 //! `PCR_BENCH_SMOKE=1` (CI) shrinks the scales to 1k/5k/20k so the run
 //! finishes in seconds; the flatness gates still apply (the store arm is
 //! the same size either way).
+#![expect(clippy::disallowed_types, reason = "a wall-clock benchmark: open and first-record \
+          latency are real time")]
 
 use pcr_core::container::{write_container, PcrContainer};
 use pcr_core::{MetaDb, PcrDataset, RecordMeta};

@@ -66,6 +66,7 @@ fn main() {
     let ctx = Ctx::from_arg(args.get(2).map(String::as_str));
     let canonical = ALIASES.iter().find(|&&(alias, _)| alias == id).map_or(id, |&(_, to)| to);
 
+    #[expect(clippy::disallowed_types, reason = "the run's wall time, printed once at the end")]
     let start = std::time::Instant::now();
     if id == "all" {
         for (_, run) in EXPERIMENTS {

@@ -2,6 +2,8 @@
 //! (data-stall traces), Figure 18 (reader throughput + prediction + batch
 //! times), Appendix A.5 (decode overhead), and the layout / record-size
 //! ablations.
+#![expect(clippy::disallowed_types, reason = "the measured sections (a5 decode rates, \
+          a5-scan-split) time real work")]
 
 use crate::context::{banner, Ctx, STANDARD_GROUPS};
 use pcr_datasets::{to_pcr_dataset, IMAGES_PER_RECORD};

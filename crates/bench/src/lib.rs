@@ -2,7 +2,7 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! PCR paper (see `DESIGN.md` for the experiment index). The `experiments`
-//! binary dispatches to the modules here; Criterion microbenchmarks live
+//! binary dispatches to the modules here; the catalog-scale gate lives
 //! under `benches/` (the wall-clock worker-scaling sweep is `pcr bench`).
 //!
 //! ```

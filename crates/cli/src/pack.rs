@@ -1,4 +1,6 @@
 //! `pcr pack`: encode images into a sharded PCR container on disk.
+#![expect(clippy::disallowed_types, reason = "offline tooling: pack reports its real conversion \
+          and write time")]
 
 use crate::args::{parse, ArgSpec};
 use crate::human_bytes;

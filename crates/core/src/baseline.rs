@@ -2,6 +2,14 @@
 //! MXNet ImageRecord style): images at a *fixed* quality batched into large
 //! records, giving sequential reads but requiring one full dataset copy per
 //! quality level.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use crate::error::{Error, Result};
 use crate::record::SampleMeta;
@@ -68,9 +76,13 @@ impl RecordFileBuilder {
             put_bytes(&mut payload, meta.id.as_bytes());
             put_bytes(&mut payload, jpeg);
         }
+        let count = u32::try_from(self.entries.len())
+            .map_err(|_| Error::BadInput("record holds more than u32::MAX images".into()))?;
+        #[expect(clippy::disallowed_methods, reason = "writer side: sized by the payload in \
+                  memory")]
         let mut out = Vec::with_capacity(payload.len() + 16);
         out.extend_from_slice(RECORD_MAGIC);
-        put_u32(&mut out, self.entries.len() as u32);
+        put_u32(&mut out, count);
         out.extend_from_slice(&payload);
         put_u64(&mut out, fnv1a(&payload));
         Ok(out)
@@ -92,7 +104,8 @@ impl<'a> RecordFile<'a> {
         }
         let count = r.u32("count")? as usize;
         let payload_start = r.pos();
-        let mut entries = Vec::with_capacity(count);
+        // Each entry is at least a label and two length prefixes.
+        let mut entries = r.vec_for(count, 12, "record file entries")?;
         for _ in 0..count {
             let label = r.u32("label")?;
             let id = String::from_utf8(r.prefixed_bytes("id")?.to_vec())
@@ -102,7 +115,10 @@ impl<'a> RecordFile<'a> {
         }
         let payload_end = r.pos();
         let checksum = r.u64("checksum")?;
-        if fnv1a(&data[payload_start..payload_end]) != checksum {
+        #[expect(clippy::indexing_slicing, reason = "both ends are reader positions, so start <= \
+                  end <= data.len()")]
+        let payload = &data[payload_start..payload_end];
+        if fnv1a(payload) != checksum {
             return Err(Error::Malformed("record checksum mismatch".into()));
         }
         Ok(Self { entries })
@@ -113,17 +129,20 @@ impl<'a> RecordFile<'a> {
         self.entries.len()
     }
 
-    /// Metadata of entry `i`.
+    /// Metadata of entry `i`. Panics if `i >= num_images()`.
+    #[expect(clippy::indexing_slicing, reason = "documented index contract")]
     pub fn meta(&self, i: usize) -> &SampleMeta {
         &self.entries[i].0
     }
 
-    /// Raw JPEG bytes of entry `i`.
+    /// Raw JPEG bytes of entry `i`. Panics if `i >= num_images()`.
+    #[expect(clippy::indexing_slicing, reason = "documented index contract")]
     pub fn jpeg(&self, i: usize) -> &'a [u8] {
         self.entries[i].1
     }
 
-    /// Decodes entry `i`.
+    /// Decodes entry `i`. Panics if `i >= num_images()`.
+    #[expect(clippy::indexing_slicing, reason = "documented index contract")]
     pub fn decode(&self, i: usize) -> Result<ImageBuf> {
         Ok(pcr_jpeg::decode(self.entries[i].1)?)
     }
@@ -131,6 +150,8 @@ impl<'a> RecordFile<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::cast_possible_truncation, clippy::disallowed_methods,
+             reason = "test fixtures: small literal sizes and values")]
     use super::*;
 
     fn img(seed: u8) -> ImageBuf {

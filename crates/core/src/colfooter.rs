@@ -31,13 +31,21 @@
 //!
 //! The normative byte-level specification lives in `docs/FORMAT.md` §6;
 //! this module is its implementation.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use crate::container::{
     read_exact_at, ShardRecord, FOOTER_MAGIC, SHARD_HEADER_LEN, SHARD_TRAILER_LEN,
 };
 use crate::dataset::RecordMeta;
 use crate::error::{Error, Result};
-use crate::wire::{put_u32, put_u64, Reader};
+use crate::wire::{put_u32, put_u64, to_usize, Reader};
 use std::fs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -251,11 +259,10 @@ impl ColumnarIndex {
         if file_len < SHARD_HEADER_LEN + TAIL {
             return Err(Error::Truncated { context: "columnar descriptor" });
         }
-        let mut tail = [0u8; TAIL as usize];
+        let mut tail = [0u8; to_usize(TAIL)];
         read_exact_at(&file, &mut tail, file_len - TAIL)
             .map_err(|e| Error::BadInput(format!("read shard tail: {e}")))?;
-        // pcr-lint: allow(no-panic-in-hot-path) — TAIL-sized array split at DESCRIPTOR_LEN < TAIL
-        let (desc_bytes, trailer) = tail.split_at(DESCRIPTOR_LEN as usize);
+        let (desc_bytes, trailer) = tail.split_at(to_usize(DESCRIPTOR_LEN));
         let mut t = Reader::new(trailer);
         let footer_len = u64::from(t.u32("footer length")?);
         let footer_crc = t.u32("footer crc")?;
@@ -286,8 +293,8 @@ impl ColumnarIndex {
         if flen < DESCRIPTOR_LEN {
             return Err(Error::Truncated { context: "columnar descriptor" });
         }
-        // pcr-lint: allow(no-panic-in-hot-path) — DESCRIPTOR_LEN <= footer.len() checked above
-        let desc = parse_descriptor(&footer[(flen - DESCRIPTOR_LEN) as usize..])?;
+        #[expect(clippy::indexing_slicing, reason = "DESCRIPTOR_LEN <= footer.len() checked above")]
+        let desc = parse_descriptor(&footer[to_usize(flen - DESCRIPTOR_LEN)..])?;
         let layout = Self::build_layout(num_groups, header_records, desc, flen, file_len)?;
         if layout.footer_start != footer_start {
             return Err(Error::Malformed(format!(
@@ -349,7 +356,7 @@ impl ColumnarIndex {
         match &self.src {
             ColSrc::Mem(bytes) => {
                 let src = bytes
-                    .get(rel as usize..end as usize)
+                    .get(to_usize(rel)..to_usize(end))
                     .ok_or(Error::Truncated { context: "columnar footer column" })?;
                 buf.copy_from_slice(src);
             }
@@ -392,26 +399,26 @@ impl ColumnarIndex {
                 "record {k} name span {name_start}..{name_end} outside name blob"
             )));
         }
-        // pcr-lint: allow(bounded-alloc) — span bounded by name_blob_len,
-        // which the validated footer geometry bounds by the footer length.
+        #[expect(clippy::disallowed_methods, reason = "span bounded by name_blob_len, which the \
+                  validated footer geometry bounds by the footer length")]
         let mut name_bytes = vec![0u8; (name_end - name_start) as usize];
         self.read_at(u64::from(name_start), &mut name_bytes)?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| Error::Malformed("record name not UTF-8".into()))?;
         let offset = self.read_u64_at(l.col_offsets() + 8 * k64)?;
         // Group-offset row: one contiguous read of (G+1) u64s.
-        // pcr-lint: allow(bounded-alloc) — num_groups is a u16, so at most 512 KiB
-        let mut row = vec![0u8; l.group_stride() as usize];
+        #[expect(clippy::disallowed_methods, reason = "num_groups is a u16, so at most 512 KiB")]
+        let mut row = vec![0u8; to_usize(l.group_stride())];
         self.read_at(l.col_groups() + k64 * l.group_stride(), &mut row)?;
-        // pcr-lint: allow(bounded-alloc) — num_groups is a u16, so at most 65537 entries
+        #[expect(clippy::disallowed_methods, reason = "num_groups is a u16, so at most 65537 \
+                  entries")]
         let mut group_offsets = Vec::with_capacity(row.len() / 8);
         for chunk in row.chunks_exact(8) {
-            // pcr-lint: allow(no-panic-in-hot-path) — chunks_exact(8) yields 8-byte chunks
             group_offsets.push(u64::from_le_bytes(chunk.try_into().map_err(
                 |_| Error::Truncated { context: "columnar group offsets" },
             )?));
         }
-        // pcr-lint: allow(no-panic-in-hot-path) — windows(2) yields exactly 2 elements
+        #[expect(clippy::indexing_slicing, reason = "windows(2) yields exactly 2 elements")]
         if group_offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(Error::Malformed(
                 "record group offsets are not non-decreasing".into(),
@@ -426,11 +433,11 @@ impl ColumnarIndex {
             )));
         }
         let num_images = ls1 - ls0;
-        // pcr-lint: allow(bounded-alloc) — span bounded by total_labels,
-        // which the validated footer geometry bounds by the footer length.
+        #[expect(clippy::disallowed_methods, reason = "span bounded by total_labels, which the \
+                  validated footer geometry bounds by the footer length")]
         let mut label_bytes = vec![0u8; (num_images as usize) * 4];
         self.read_at(l.col_labels() + 4 * u64::from(ls0), &mut label_bytes)?;
-        // pcr-lint: allow(bounded-alloc) — same bound as label_bytes above
+        #[expect(clippy::disallowed_methods, reason = "same bound as label_bytes above")]
         let mut labels = Vec::with_capacity(num_images as usize);
         for chunk in label_bytes.chunks_exact(4) {
             labels.push(u32::from_le_bytes(chunk.try_into().map_err(|_| {
@@ -462,11 +469,11 @@ impl ColumnarIndex {
         if self.is_empty() {
             return Ok(0);
         }
-        let stride = l.group_stride() as usize;
+        let stride = to_usize(l.group_stride());
         let g = g.min(l.num_groups as usize);
-        // pcr-lint: allow(bounded-alloc) — n * stride equals the group
-        // column's size, bounded by the validated footer length.
-        let mut col = vec![0u8; (l.n() * l.group_stride()) as usize];
+        #[expect(clippy::disallowed_methods, reason = "n * stride equals the group column's \
+                  size, bounded by the validated footer length")]
+        let mut col = vec![0u8; to_usize(l.n() * l.group_stride())];
         self.read_at(l.col_groups(), &mut col)?;
         let mut total = 0u64;
         for row in col.chunks_exact(stride) {
@@ -497,11 +504,12 @@ pub(crate) fn build_footer(
     debug_assert_eq!(metas.len(), crcs.len());
     let mut out = Vec::new();
     // name_blob + cumulative name_ends.
-    let mut name_ends = Vec::with_capacity(metas.len()); // pcr-lint: allow(bounded-alloc) — len of caller's slice
+    #[expect(clippy::disallowed_methods, reason = "len of caller's slice")]
+    let mut name_ends = Vec::with_capacity(metas.len());
     for meta in metas {
         out.extend_from_slice(meta.name.as_bytes());
         debug_assert!(out.len() <= u32::MAX as usize);
-        // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
+        #[expect(clippy::cast_possible_truncation, reason = "writer side; asserted above")]
         name_ends.push(out.len() as u32);
     }
     let name_blob_len = name_ends.last().copied().unwrap_or(0);
@@ -538,7 +546,7 @@ pub(crate) fn build_footer(
     let max_len = metas.iter().map(|m| m.total_len()).max().unwrap_or(0);
     out.extend_from_slice(DESCRIPTOR_MAGIC);
     debug_assert!(metas.len() <= u32::MAX as usize);
-    // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
+    #[expect(clippy::cast_possible_truncation, reason = "writer side; asserted above")]
     put_u32(&mut out, metas.len() as u32);
     put_u32(&mut out, total_labels);
     put_u32(&mut out, name_blob_len);

@@ -57,11 +57,19 @@
 //! container.verify().unwrap();
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use crate::colfooter::{self, ColumnarIndex, COLUMNAR_VERSION};
 use crate::dataset::{PcrDataset, RecordMeta};
 use crate::error::{Error, Result};
-use crate::wire::{crc32, crc32_update, put_bytes, put_u16, put_u32, put_u64, Reader};
+use crate::wire::{crc32, crc32_update, put_bytes, put_u16, put_u32, put_u64, to_usize, Reader};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -185,14 +193,16 @@ fn parse_row_footer(
         )));
     }
     let mut f = Reader::new(footer);
-    // pcr-lint: allow(bounded-alloc) — record_count <= footer.len()/min_entry, checked above
+    #[expect(clippy::disallowed_methods, reason = "record_count <= footer.len()/min_entry, \
+              checked above")]
     let mut records = Vec::with_capacity(record_count);
     for _ in 0..record_count {
         let name = String::from_utf8(f.prefixed_bytes("record name")?.to_vec())
             .map_err(|_| Error::Malformed("record name not UTF-8".into()))?;
         let offset = f.u64("record offset")?;
         let num_images = f.u32("record image count")?;
-        // pcr-lint: allow(bounded-alloc) — num_groups is a u16, so at most 65536 entries
+        #[expect(clippy::disallowed_methods, reason = "num_groups is a u16, so at most 65536 \
+                  entries")]
         let mut group_offsets = Vec::with_capacity(num_groups as usize + 1);
         for _ in 0..=num_groups {
             group_offsets.push(f.u64("record group offset")?);
@@ -200,17 +210,13 @@ fn parse_row_footer(
         // Prefix lengths must be cumulative: a decreasing sequence
         // would plan ranged reads past the record's end (or wrap the
         // per-group deltas every consumer computes).
-        // pcr-lint: allow(no-panic-in-hot-path) — windows(2) yields exactly 2 elements
+        #[expect(clippy::indexing_slicing, reason = "windows(2) yields exactly 2 elements")]
         if group_offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(Error::Malformed(
                 "record group offsets are not non-decreasing".into(),
             ));
         }
-        if num_images as usize > f.remaining() / 4 {
-            return Err(Error::Truncated { context: "record labels" });
-        }
-        // pcr-lint: allow(bounded-alloc) — num_images bounded by remaining/4 just above
-        let mut labels = Vec::with_capacity(num_images as usize);
+        let mut labels = f.vec_for(num_images as usize, 4, "record labels")?;
         for _ in 0..num_images {
             labels.push(f.u32("record label")?);
         }
@@ -270,7 +276,7 @@ impl ShardIndex {
         // Trailer: footer_len (u32), footer_crc (u32), "PCRF".
         let trailer_at = tail
             .len()
-            .checked_sub(SHARD_TRAILER_LEN as usize)
+            .checked_sub(to_usize(SHARD_TRAILER_LEN))
             .ok_or(Error::Truncated { context: "shard trailer" })?;
         let (before_trailer, trailer) = tail.split_at(trailer_at);
         let mut t = Reader::new(trailer);
@@ -289,7 +295,7 @@ impl ShardIndex {
         // above pass; a shorter one is the caller's to size.
         let footer = before_trailer
             .len()
-            .checked_sub(footer_len as usize)
+            .checked_sub(to_usize(footer_len))
             .and_then(|at| before_trailer.get(at..))
             .ok_or(Error::Truncated { context: "shard footer" })?;
         if crc32(footer) != footer_crc {
@@ -434,7 +440,7 @@ pub struct ShardStats {
 impl ShardStats {
     /// Computes the stats for one shard's records at write time.
     fn compute(num_groups: u16, metas: &[&RecordMeta]) -> Self {
-        // pcr-lint: allow(bounded-alloc) — writer side; u16 bounds it at 512KiB
+        #[expect(clippy::disallowed_methods, reason = "writer side; u16 bounds it at 512KiB")]
         let mut bytes_at_group = vec![0u64; num_groups as usize + 1];
         let mut hist = std::collections::BTreeMap::new();
         let (mut data_bytes, mut min_len, mut max_len) = (0u64, u64::MAX, 0u64);
@@ -519,8 +525,8 @@ impl ContainerManifest {
         put_u16(&mut out, self.version);
         put_u16(&mut out, self.num_groups);
         debug_assert!(self.shards.len() <= u32::MAX as usize);
-        // pcr-lint: allow(no-truncating-cast) — writer side; a container
-        // cannot reach 2^32 shard files, asserted above.
+        #[expect(clippy::cast_possible_truncation, reason = "writer side; a container cannot \
+                  reach 2^32 shard files, asserted above")]
         put_u32(&mut out, self.shards.len() as u32);
         for s in &self.shards {
             put_bytes(&mut out, s.file_name.as_bytes());
@@ -537,14 +543,16 @@ impl ContainerManifest {
                         put_u64(&mut out, st.min_record_len);
                         put_u64(&mut out, st.max_record_len);
                         debug_assert!(st.bytes_at_group.len() <= u16::MAX as usize);
-                        // pcr-lint: allow(no-truncating-cast) — writer side; num_groups+1 fits u16, asserted above
+                        #[expect(clippy::cast_possible_truncation,
+                                 reason = "writer side; num_groups+1 fits u16, asserted above")]
                         put_u16(&mut out, st.bytes_at_group.len() as u16);
                         for &b in &st.bytes_at_group {
                             put_u64(&mut out, b);
                         }
                         out.push(u8::from(st.hist_complete));
                         debug_assert!(st.label_hist.len() <= LABEL_HIST_CAP);
-                        // pcr-lint: allow(no-truncating-cast) — writer side; capped at LABEL_HIST_CAP above
+                        #[expect(clippy::cast_possible_truncation,
+                                 reason = "writer side; capped at LABEL_HIST_CAP above")]
                         put_u16(&mut out, st.label_hist.len() as u16);
                         for &(label, count) in &st.label_hist {
                             put_u32(&mut out, label);
@@ -590,7 +598,8 @@ impl ContainerManifest {
                 r.remaining()
             )));
         }
-        let mut shards = Vec::with_capacity(n); // pcr-lint: allow(bounded-alloc) — n bounded by remaining/24 above
+        #[expect(clippy::disallowed_methods, reason = "n bounded by remaining/24 above")]
+        let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
             let file_name = String::from_utf8(r.prefixed_bytes("shard file name")?.to_vec())
                 .map_err(|_| Error::Malformed("shard file name not UTF-8".into()))?;
@@ -614,7 +623,7 @@ impl ContainerManifest {
 
 /// Parses one shard's optional stats block from a version-3 manifest.
 fn parse_shard_stats(r: &mut Reader<'_>) -> Result<Option<ShardStats>> {
-    let present = r.bytes(1, "shard stats flag")?[0];
+    let present = r.u8("shard stats flag")?;
     if present == 0 {
         return Ok(None);
     }
@@ -622,22 +631,18 @@ fn parse_shard_stats(r: &mut Reader<'_>) -> Result<Option<ShardStats>> {
     let min_record_len = r.u64("shard min record length")?;
     let max_record_len = r.u64("shard max record length")?;
     let glen = r.u16("shard group byte count")? as usize;
-    if glen > r.remaining() / 8 {
-        return Err(Error::Truncated { context: "shard group bytes" });
-    }
-    // pcr-lint: allow(bounded-alloc) — glen bounded by remaining/8 just above
-    let mut bytes_at_group = Vec::with_capacity(glen);
+    let mut bytes_at_group = r.vec_for(glen, 8, "shard group bytes")?;
     for _ in 0..glen {
         bytes_at_group.push(r.u64("shard group bytes")?);
     }
-    let hist_complete = r.bytes(1, "shard histogram flag")?[0] != 0;
+    let hist_complete = r.u8("shard histogram flag")? != 0;
     let hist_len = r.u16("shard histogram length")? as usize;
     if hist_len > LABEL_HIST_CAP || hist_len > r.remaining() / 12 {
         return Err(Error::Malformed(format!(
             "shard histogram claims {hist_len} entries"
         )));
     }
-    // pcr-lint: allow(bounded-alloc) — hist_len capped at LABEL_HIST_CAP just above
+    #[expect(clippy::disallowed_methods, reason = "hist_len capped at LABEL_HIST_CAP just above")]
     let mut label_hist = Vec::with_capacity(hist_len);
     for _ in 0..hist_len {
         let label = r.u32("shard histogram label")?;
@@ -660,17 +665,18 @@ fn parse_shard_stats(r: &mut Reader<'_>) -> Result<Option<ShardStats>> {
 fn build_shard(out: &mut Vec<u8>, num_groups: u16, records: &[(&RecordMeta, &[u8])]) {
     let data_len: usize = records.iter().map(|(_, b)| b.len()).sum();
     out.clear();
-    // pcr-lint: allow(bounded-alloc) — writer side: data_len is the sum of
-    // in-memory record buffers already held by the caller.
-    out.reserve(SHARD_HEADER_LEN as usize + data_len);
+    #[expect(clippy::disallowed_methods, reason = "writer side: data_len is the sum of in-memory \
+              record buffers already held by the caller")]
+    out.reserve(to_usize(SHARD_HEADER_LEN) + data_len);
     out.extend_from_slice(SHARD_MAGIC);
     put_u16(out, COLUMNAR_VERSION);
     put_u16(out, num_groups);
     debug_assert!(records.len() <= u32::MAX as usize);
-    // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
+    #[expect(clippy::cast_possible_truncation, reason = "writer side; asserted above")]
     put_u32(out, records.len() as u32);
     debug_assert_eq!(out.len() as u64, SHARD_HEADER_LEN);
-    let mut offsets = Vec::with_capacity(records.len()); // pcr-lint: allow(bounded-alloc) — len of caller's slice
+    #[expect(clippy::disallowed_methods, reason = "len of caller's slice")]
+    let mut offsets = Vec::with_capacity(records.len());
     for (_, bytes) in records {
         offsets.push(out.len() as u64);
         out.extend_from_slice(bytes);
@@ -680,7 +686,7 @@ fn build_shard(out: &mut Vec<u8>, num_groups: u16, records: &[(&RecordMeta, &[u8
     let footer = colfooter::build_footer(num_groups, &metas, &offsets, &crcs, out.len() as u64);
     let footer_crc = crc32(&footer);
     debug_assert!(footer.len() <= u32::MAX as usize);
-    // pcr-lint: allow(no-truncating-cast) — writer side; asserted above
+    #[expect(clippy::cast_possible_truncation, reason = "writer side; asserted above")]
     let footer_len = footer.len() as u32;
     out.extend_from_slice(&footer);
     put_u32(out, footer_len);
@@ -781,9 +787,11 @@ impl PcrContainer {
         let manifest_bytes =
             fs::read(dir.join(MANIFEST_FILE)).map_err(io_err("read manifest"))?;
         let manifest = ContainerManifest::from_bytes(&manifest_bytes)?;
-        // pcr-lint: allow(bounded-alloc) — len of an already-parsed, size-validated Vec
+        #[expect(clippy::disallowed_methods, reason = "len of an already-parsed, size-validated \
+                  Vec")]
         let mut shards = Vec::with_capacity(manifest.shards.len());
-        // pcr-lint: allow(bounded-alloc) — len of an already-parsed, size-validated Vec
+        #[expect(clippy::disallowed_methods, reason = "len of an already-parsed, size-validated \
+                  Vec")]
         let mut files = Vec::with_capacity(manifest.shards.len());
         for summary in &manifest.shards {
             let path = dir.join(&summary.file_name);
@@ -799,7 +807,7 @@ impl PcrContainer {
     /// # Panics
     /// Like slice indexing, panics when `i` is not a valid shard index.
     pub fn shard_file(&self, i: usize) -> &Arc<fs::File> {
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        #[expect(clippy::indexing_slicing, reason = "documented index contract")]
         &self.files[i]
     }
 
@@ -834,7 +842,7 @@ impl PcrContainer {
             total += match &summary.stats {
                 Some(st) if !st.bytes_at_group.is_empty() => {
                     let last = st.bytes_at_group.len() - 1;
-                    // pcr-lint: allow(no-panic-in-hot-path) — index clamped to last just above
+                    #[expect(clippy::indexing_slicing, reason = "index clamped to last just above")]
                     st.bytes_at_group[g.min(last)]
                 }
                 _ => shard.bytes_at_group(g)?,
@@ -854,7 +862,7 @@ impl PcrContainer {
     /// # Panics
     /// Like slice indexing, panics when `i` is not a valid shard index.
     pub fn shard_path(&self, i: usize) -> PathBuf {
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        #[expect(clippy::indexing_slicing, reason = "documented index contract")]
         self.dir.join(&self.manifest.shards[i].file_name)
     }
 
@@ -884,9 +892,9 @@ impl PcrContainer {
     /// Reads one record's bytes with a single ranged read and verifies
     /// them against the entry's CRC-32 — O(record), not O(shard).
     pub fn read_record(&self, shard: usize, rec: &ShardRecord) -> Result<Vec<u8>> {
-        // pcr-lint: allow(bounded-alloc) — record length validated against
-        // the shard's data region when the entry was parsed.
-        let mut bytes = vec![0u8; rec.len() as usize];
+        #[expect(clippy::disallowed_methods, reason = "record length validated against the \
+                  shard's data region when the entry was parsed")]
+        let mut bytes = vec![0u8; to_usize(rec.len())];
         read_exact_at(self.shard_file(shard), &mut bytes, rec.offset)
             .map_err(io_err("read record"))?;
         let actual = crc32(&bytes);
@@ -909,9 +917,9 @@ impl PcrContainer {
     /// Like slice indexing, panics when `i` is not a valid shard index.
     pub fn read_shard(&self, i: usize) -> Result<Vec<u8>> {
         let file_len = self.checked_shard_len(i)?;
-        // pcr-lint: allow(bounded-alloc) — file_len equals the manifest's
-        // file_len, checked just above.
-        let mut bytes = vec![0u8; file_len as usize];
+        #[expect(clippy::disallowed_methods, reason = "file_len equals the manifest's file_len, \
+                  checked just above")]
+        let mut bytes = vec![0u8; to_usize(file_len)];
         read_exact_at(self.shard_file(i), &mut bytes, 0).map_err(io_err("read shard"))?;
         Ok(bytes)
     }
@@ -920,7 +928,7 @@ impl PcrContainer {
     /// entry records.
     fn checked_shard_len(&self, i: usize) -> Result<u64> {
         let file_len = self.shard_file(i).metadata().map_err(io_err("stat shard"))?.len();
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        #[expect(clippy::indexing_slicing, reason = "documented index contract")]
         let expected = self.manifest.shards[i].file_len;
         if file_len != expected {
             return Err(len_mismatch(&self.shard_path(i), file_len, expected));
@@ -940,7 +948,7 @@ impl PcrContainer {
         let bytes = self.read_shard(i)?;
         self.check_shard(i, &bytes, &bytes, bytes.len() as u64, &mut |rec| {
             // `check_shard` has bounded the range by the file length.
-            let range = rec.offset as usize..(rec.offset + rec.len()) as usize;
+            let range = to_usize(rec.offset)..to_usize(rec.offset + rec.len());
             Ok(crc32(bytes.get(range).unwrap_or_default()))
         })?;
         Ok(bytes)
@@ -962,16 +970,17 @@ impl PcrContainer {
             return Err(Error::Truncated { context: "shard trailer" });
         }
         let file = self.shard_file(i);
-        let mut header = [0u8; SHARD_HEADER_LEN as usize];
+        let mut header = [0u8; to_usize(SHARD_HEADER_LEN)];
         read_exact_at(file, &mut header, 0).map_err(io_err("read shard header"))?;
         let tail = read_shard_tail(file, file_len)?;
+        #[expect(clippy::disallowed_methods, reason = "a constant 64 KiB")]
         let mut chunk = vec![0u8; VERIFY_CHUNK];
         self.check_shard(i, &header, &tail, file_len, &mut |rec| {
             let mut crc = 0u32;
             let mut at = rec.offset;
             let end = rec.offset + rec.len();
             while at < end {
-                let n = (end - at).min(VERIFY_CHUNK as u64) as usize;
+                let n = to_usize((end - at).min(VERIFY_CHUNK as u64));
                 let part = chunk.get_mut(..n).unwrap_or_default();
                 read_exact_at(file, part, at).map_err(io_err("read record"))?;
                 crc = crc32_update(crc, part);
@@ -994,10 +1003,10 @@ impl PcrContainer {
         file_len: u64,
         record_crc: &mut dyn FnMut(&ShardRecord) -> Result<u32>,
     ) -> Result<()> {
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        #[expect(clippy::indexing_slicing, reason = "documented index contract")]
         let file_name = &self.manifest.shards[i].file_name;
         let index = ShardIndex::parse_parts(file_name, header, tail, file_len)?;
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract
+        #[expect(clippy::indexing_slicing, reason = "documented index contract")]
         if index.footer_crc != self.shards[i].footer_crc {
             return Err(Error::corrupt_at(
                 file_name,
@@ -1097,7 +1106,7 @@ fn read_shard_index(
     }
     let file_name =
         path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let mut head = [0u8; SHARD_HEADER_LEN as usize];
+    let mut head = [0u8; to_usize(SHARD_HEADER_LEN)];
     read_exact_at(file, &mut head, 0).map_err(io_err("read shard header"))?;
     let mut h = Reader::new(&head);
     if h.bytes(4, "shard magic")? != SHARD_MAGIC {
@@ -1153,14 +1162,15 @@ fn read_shard_index(
 /// header, and [`ShardIndex::parse_parts`] rejects a footer that cannot
 /// fit.
 fn read_shard_tail(file: &fs::File, file_len: u64) -> Result<Vec<u8>> {
-    let mut trailer = [0u8; SHARD_TRAILER_LEN as usize];
+    let mut trailer = [0u8; to_usize(SHARD_TRAILER_LEN)];
     read_exact_at(file, &mut trailer, file_len - SHARD_TRAILER_LEN)
         .map_err(io_err("read shard trailer"))?;
     let footer_len = u64::from(Reader::new(&trailer).u32("footer length")?);
     let tail_len =
         (SHARD_TRAILER_LEN + footer_len).min(file_len.saturating_sub(SHARD_HEADER_LEN));
-    // pcr-lint: allow(bounded-alloc) — tail_len clamped to the on-disk file size just above
-    let mut tail = vec![0u8; tail_len as usize];
+    #[expect(clippy::disallowed_methods, reason = "tail_len clamped to the on-disk file size \
+              just above")]
+    let mut tail = vec![0u8; to_usize(tail_len)];
     read_exact_at(file, &mut tail, file_len - tail_len).map_err(io_err("read shard footer"))?;
     Ok(tail)
 }
@@ -1197,6 +1207,8 @@ fn io_err(context: &'static str) -> impl Fn(std::io::Error) -> Error {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::cast_possible_truncation, clippy::disallowed_methods,
+             reason = "test fixtures: small literal sizes and values")]
     use super::*;
     use crate::dataset::PcrDatasetBuilder;
     use crate::record::{PcrRecord, SampleMeta};

@@ -28,6 +28,14 @@
 //!   regression harness in `tests/golden_trace.rs` relies on this, and
 //!   [`DecisionLog::diff`] renders a readable per-decision report when a
 //!   replay diverges.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use crate::error::{Error, Result};
 use crate::wire::{crc32, crc32_update, put_u16, put_u32, put_u64, Reader};
@@ -59,6 +67,7 @@ const SCORE_LEN: usize = 10;
 
 /// The 8 header bytes every decision log starts with.
 fn header_bytes() -> Vec<u8> {
+    #[expect(clippy::disallowed_methods, reason = "a constant 8 bytes")]
     let mut h = Vec::with_capacity(HEADER_LEN);
     h.extend_from_slice(DECLOG_MAGIC);
     put_u16(&mut h, DECLOG_VERSION);
@@ -207,8 +216,8 @@ impl DecisionRecord {
         if r.remaining() < n.saturating_mul(SCORE_LEN) {
             return Err(Error::Truncated { context: "declog probe scores" });
         }
-        // pcr-lint: allow(bounded-alloc) — n validated against the remaining
-        // body bytes just above, and the body length against the file.
+        #[expect(clippy::disallowed_methods, reason = "n validated against the remaining body \
+                  bytes just above, and the body length against the file")]
         let mut probe_scores = Vec::with_capacity(n);
         for _ in 0..n {
             let group = r.u16("declog score group")?;
@@ -514,8 +523,8 @@ fn chain_crc(prev: u32, body: &[u8]) -> u32 {
 /// new chain value.
 fn append_record(out: &mut Vec<u8>, body: &[u8], prev_chain: u32) -> u32 {
     debug_assert!(body.len() <= MIN_BODY_LEN + SCORE_LEN * usize::from(u16::MAX));
-    // pcr-lint: allow(no-truncating-cast) — body ≤ 53 + 10·65535 bytes by
-    // construction (encode_body bounds the score count), asserted above.
+    #[expect(clippy::cast_possible_truncation, reason = "body ≤ 53 + 10·65535 bytes by \
+              construction (encode_body bounds the score count), asserted above")]
     put_u32(out, body.len() as u32);
     out.extend_from_slice(body);
     let chain = chain_crc(prev_chain, body);
@@ -640,6 +649,8 @@ impl DecisionLogWriter {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::cast_possible_truncation, clippy::disallowed_methods,
+             reason = "test fixtures: small literal sizes and values")]
     use super::*;
 
     fn sample(epoch: u64, trigger: TriggerKind, group: u16) -> DecisionRecord {

@@ -21,9 +21,17 @@
 //!
 //! Reading quality `g` = reading bytes `[0, offset_for_group(g))` — strictly
 //! sequential I/O, no holes, no duplication.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use crate::error::{Error, Result};
-use crate::wire::{put_bytes, put_u16, put_u32, put_u64, Reader};
+use crate::wire::{put_bytes, put_u16, put_u32, put_u64, to_usize, Reader};
 use pcr_jpeg::scansplit::{scan_chunks, split_scans};
 use pcr_jpeg::{EncodeConfig, ImageBuf, ScanLayout};
 
@@ -180,8 +188,8 @@ impl PcrRecordBuilder {
 
         // Headers.
         for (_, jpeg, layout) in &self.entries {
-            // pcr-lint: allow(no-panic-in-hot-path) — header_len came from
-            // split_scans over this same jpeg buffer, so the slice is in bounds.
+            #[expect(clippy::indexing_slicing, reason = "header_len came from split_scans over \
+                      this same jpeg buffer, so the slice is in bounds")]
             out.extend_from_slice(&jpeg[..layout.header_len]);
         }
         // Scan groups.
@@ -189,8 +197,8 @@ impl PcrRecordBuilder {
             for (_, jpeg, layout) in &self.entries {
                 if g < layout.num_scans() {
                     let chunks = scan_chunks(jpeg, layout);
-                    // pcr-lint: allow(no-panic-in-hot-path) — g < num_scans()
-                    // and scan_chunks returns one chunk per scan.
+                    #[expect(clippy::indexing_slicing, reason = "g < num_scans() and scan_chunks \
+                              returns one chunk per scan")]
                     out.extend_from_slice(chunks[g]);
                 }
             }
@@ -240,7 +248,7 @@ impl<'a> PcrRecord<'a> {
         let num_groups = r.u16("num_groups")? as usize;
         let restart_interval =
             if version == VERSION_RESTART { r.u16("restart_interval")? } else { 0 };
-        let index_len = r.u64("index_len")? as usize;
+        let index_len = to_usize(r.u64("index_len")?);
         let index_start = r.pos();
         if num_groups == 0 {
             return Err(Error::Malformed("zero scan groups".into()));
@@ -257,12 +265,16 @@ impl<'a> PcrRecord<'a> {
         // above: num_images is at most remaining/16, and
         // num_groups*(num_images+1) is at most remaining/4 + u16::MAX — both
         // linear in the actual buffer size.
-        let mut labels = Vec::with_capacity(num_images); // pcr-lint: allow(bounded-alloc)
-        let mut ids = Vec::with_capacity(num_images); // pcr-lint: allow(bounded-alloc)
-        let mut header_starts = Vec::with_capacity(num_images + 1); // pcr-lint: allow(bounded-alloc)
+        #[expect(clippy::disallowed_methods, reason = "bounded by the min_entry_bytes check above")]
+        let mut labels = Vec::with_capacity(num_images);
+        #[expect(clippy::disallowed_methods, reason = "bounded by the min_entry_bytes check above")]
+        let mut ids = Vec::with_capacity(num_images);
+        #[expect(clippy::disallowed_methods, reason = "bounded by the min_entry_bytes check above")]
+        let mut header_starts = Vec::with_capacity(num_images + 1);
         // Filled with raw chunk lengths during the scan, then prefix-summed
         // into absolute offsets so every later slice is O(1).
-        let mut chunk_starts = vec![0usize; num_groups * (num_images + 1)]; // pcr-lint: allow(bounded-alloc)
+        #[expect(clippy::disallowed_methods, reason = "bounded by the min_entry_bytes check above")]
+        let mut chunk_starts = vec![0usize; num_groups * (num_images + 1)];
         let mut header_end = 0usize; // running sum; rebased below
         header_starts.push(0);
         for i in 0..num_images {
@@ -273,9 +285,9 @@ impl<'a> PcrRecord<'a> {
             ids.push(id);
             header_end += r.u32("header_len")? as usize;
             header_starts.push(header_end);
+            #[expect(clippy::indexing_slicing, reason = "g < num_groups and i < num_images, so \
+                      the flat index is within the row grid")]
             for g in 0..num_groups {
-                // pcr-lint: allow(no-panic-in-hot-path) — g < num_groups and
-                // i < num_images, so the flat index is within the row grid.
                 chunk_starts[g * (num_images + 1) + i + 1] = r.u32("group_len")? as usize;
             }
         }
@@ -295,12 +307,13 @@ impl<'a> PcrRecord<'a> {
         // `header_starts` always holds num_images + 1 >= 1 entries (0 is
         // pushed before the loop), so `last()` cannot be empty.
         let mut base = header_starts.last().copied().unwrap_or(headers_start);
+        // Each row's first entry is still 0 (lengths land at i + 1), so it
+        // becomes `base`.
         for row in chunk_starts.chunks_exact_mut(num_images + 1) {
-            row[0] = base; // pcr-lint: allow(no-panic-in-hot-path) — row.len() == num_images + 1 >= 1
-            for k in 1..row.len() {
-                row[k] += row[k - 1]; // pcr-lint: allow(no-panic-in-hot-path) — k in 1..row.len()
+            for start in row {
+                *start += base;
+                base = *start;
             }
-            base = row[num_images]; // pcr-lint: allow(no-panic-in-hot-path) — row.len() == num_images + 1
         }
         Ok(Self { data, num_groups, restart_interval, labels, ids, header_starts, chunk_starts })
     }
@@ -333,7 +346,7 @@ impl<'a> PcrRecord<'a> {
             .map(|p| p + 2);
         let Some(sos) = sos else { return Ok(0) };
         let hdr_len = match chunk.get(sos..sos + 2) {
-            // pcr-lint: allow(no-panic-in-hot-path) — l is the 2-byte slice just matched
+            #[expect(clippy::indexing_slicing, reason = "l is the 2-byte slice just matched")]
             Some(l) => usize::from(u16::from_be_bytes([l[0], l[1]])),
             None => return Err(Error::Truncated { context: "scan header" }),
         };
@@ -348,8 +361,8 @@ impl<'a> PcrRecord<'a> {
     /// # Panics
     /// Like slice indexing, panics when `i >= num_images()`.
     pub fn meta(&self, i: usize) -> SampleMetaRef<'a> {
-        // pcr-lint: allow(no-panic-in-hot-path) — documented index contract;
-        // labels and ids both have num_images entries by parse invariant.
+        #[expect(clippy::indexing_slicing, reason = "documented index contract; labels and ids \
+                  both have num_images entries by parse invariant")]
         SampleMetaRef { label: self.labels[i], id: self.ids[i] }
     }
 
@@ -365,25 +378,24 @@ impl<'a> PcrRecord<'a> {
     }
 
     /// Total bytes of scan group `g` (1-based) across all images.
+    #[expect(clippy::indexing_slicing, reason = "the assert keeps both flat indices inside the \
+              num_groups * (num_images + 1) grid")]
     pub fn group_size(&self, g: usize) -> usize {
         assert!(g >= 1 && g <= self.num_groups, "group out of range");
-        // pcr-lint: allow(no-panic-in-hot-path) — the assert above keeps both
-        // flat indices inside the num_groups * (num_images + 1) grid.
         self.chunk_starts[self.chunk_index(self.num_images(), g)]
-            // pcr-lint: allow(no-panic-in-hot-path) — same bound as above
             - self.chunk_starts[self.chunk_index(0, g)]
     }
 
     /// Bytes that must be read (from offset 0) to decode every image at scan
     /// group `g`. `g == 0` covers just metadata + headers.
+    #[expect(clippy::indexing_slicing, reason = "the assert keeps the flat index inside the \
+              chunk_starts grid")]
     pub fn offset_for_group(&self, g: usize) -> usize {
         assert!(g <= self.num_groups, "group out of range");
         if g == 0 {
             // header_starts holds num_images + 1 >= 1 entries by parse invariant.
             self.header_starts.last().copied().unwrap_or(0)
         } else {
-            // pcr-lint: allow(no-panic-in-hot-path) — the assert above keeps
-            // the flat index inside the chunk_starts grid.
             self.chunk_starts[self.chunk_index(self.num_images(), g)]
         }
     }
@@ -482,7 +494,7 @@ impl<'a> PcrRecord<'a> {
         scratch: &mut RecordScratch,
         mut emit: impl FnMut(usize, Result<ImageBuf>),
     ) {
-        // pcr-lint: allow(bounded-alloc) — one flag per group the caller passed
+        #[expect(clippy::disallowed_methods, reason = "one flag per group the caller passed")]
         let mut served = vec![false; groups.len()];
         if let Some(&top) = groups.last() {
             let mut jpeg = std::mem::take(&mut scratch.jpeg);
@@ -528,6 +540,8 @@ impl<'a> PcrRecord<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::cast_possible_truncation, clippy::disallowed_methods,
+             reason = "test fixtures: small literal sizes and values")]
     use super::*;
 
     fn test_image(seed: u32, w: u32, h: u32) -> ImageBuf {

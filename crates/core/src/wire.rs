@@ -1,4 +1,12 @@
 //! Little-endian wire helpers for the hand-rolled binary formats.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use crate::error::{Error, Result};
 
@@ -20,10 +28,23 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends a length-prefixed byte string (u32 length).
 pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     debug_assert!(v.len() <= u32::MAX as usize, "payload exceeds u32 length prefix");
-    // pcr-lint: allow(no-truncating-cast) — writer side; record payloads are
-    // bounded far below 4 GiB by the container format, asserted above.
+    #[expect(clippy::cast_possible_truncation, reason = "writer side; record payloads are \
+              bounded far below 4 GiB by the container format, asserted above")]
     put_u32(out, v.len() as u32);
     out.extend_from_slice(v);
+}
+
+/// A `u64` length or offset from the wire as a `usize`. Saturates where
+/// `usize` is narrower, so an out-of-range value fails the bounds check
+/// that follows it instead of wrapping to a small one.
+#[inline]
+pub(crate) const fn to_usize(v: u64) -> usize {
+    if v > usize::MAX as u64 {
+        return usize::MAX;
+    }
+    #[expect(clippy::cast_possible_truncation, reason = "v <= usize::MAX, checked just above")]
+    let n = v as usize;
+    n
 }
 
 /// CRC-32 lookup tables for the reflected polynomial `0xEDB88320`,
@@ -31,26 +52,28 @@ pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
 /// table; table `k` advances a byte's contribution `k` further bytes
 /// through the register, which is what lets [`crc32_update`] fold 16
 /// input bytes per step (slice-by-16).
+#[expect(clippy::indexing_slicing, clippy::cast_possible_truncation,
+         reason = "evaluated at compile time, where an out-of-bounds index fails the build; i < \
+                   256")]
 const CRC32_TABLES: [[u32; 256]; 16] = {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
-        let mut crc = i as u32; // pcr-lint: allow(no-truncating-cast) — i < 256
+        let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             let mask = 0u32.wrapping_sub(crc & 1);
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        tables[0][i] = crc; // pcr-lint: allow(no-panic-in-hot-path) — i < 256
+        tables[0][i] = crc;
         i += 1;
     }
     let mut k = 1;
     while k < 16 {
         let mut i = 0;
         while i < 256 {
-            let prev = tables[k - 1][i]; // pcr-lint: allow(no-panic-in-hot-path) — 1 <= k < 16, i < 256
-            // pcr-lint: allow(no-panic-in-hot-path) — k < 16, i < 256, index masked to 0..=255
+            let prev = tables[k - 1][i];
             tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
@@ -62,7 +85,8 @@ const CRC32_TABLES: [[u32; 256]; 16] = {
 /// Table `k`'s entry for the low byte of `x`.
 #[inline(always)]
 fn crc_table(k: usize, x: u32) -> u32 {
-    // pcr-lint: allow(no-panic-in-hot-path) — every caller passes a literal k < 16; index masked to 0..=255
+    #[expect(clippy::indexing_slicing, reason = "every caller passes a literal k < 16; index \
+              masked to 0..=255")]
     CRC32_TABLES[k][(x & 0xFF) as usize]
 }
 
@@ -153,11 +177,33 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// An empty `Vec` with room for `count` entries read from the input.
+    /// Refused as truncated unless `count` entries of at least
+    /// `min_entry_bytes` each fit in the bytes left, so a forged count
+    /// cannot size an allocation past what the input could fill.
+    pub(crate) fn vec_for<T>(
+        &self,
+        count: usize,
+        min_entry_bytes: usize,
+        context: &'static str,
+    ) -> Result<Vec<T>> {
+        if count.saturating_mul(min_entry_bytes) > self.remaining() {
+            return Err(Error::Truncated { context });
+        }
+        #[expect(clippy::disallowed_methods, reason = "bounded by the bytes left, checked above")]
+        Ok(Vec::with_capacity(count))
+    }
+
     /// Reads `N` bytes as a fixed array (panic-free: the conversion is
     /// checked, not indexed).
     fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N]> {
         let b = self.bytes(N, context)?;
         <[u8; N]>::try_from(b).map_err(|_| Error::Truncated { context })
+    }
+
+    /// Reads a `u8`.
+    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8> {
+        Ok(u8::from_le_bytes(self.array(context)?))
     }
 
     /// Reads a `u16`.
@@ -184,6 +230,8 @@ impl<'a> Reader<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::cast_possible_truncation, clippy::disallowed_methods,
+             reason = "test fixtures: small literal sizes and values")]
     use super::*;
 
     #[test]

@@ -121,3 +121,13 @@ fn absurd_counts_do_not_allocate_unbounded() {
     evil[9] = 0xFF;
     assert!(PcrRecord::parse(&evil).is_err());
 }
+
+#[test]
+fn record_file_absurd_counts_do_not_allocate_unbounded() {
+    // Claim 4 billion entries in a 24-byte file: the parser must refuse
+    // the count before it sizes an allocation by it.
+    let mut evil = b"TREC".to_vec();
+    evil.extend_from_slice(&[0xFF; 4]);
+    evil.extend_from_slice(&[0; 16]);
+    assert!(RecordFile::parse(&evil).is_err());
+}

@@ -24,8 +24,8 @@ pub const IMAGES_PER_RECORD: usize = 16;
 /// Returns the dataset and the total encode wall-clock time in seconds
 /// (used by the Figure 15 conversion-time experiment).
 pub fn to_pcr_dataset(ds: &SyntheticDataset, images_per_record: usize) -> (PcrDataset, f64) {
-    // pcr-lint: allow(clock-discipline) — pack-time tooling measuring real
-    // conversion cost (Figure 15); no virtual timeline exists here.
+    #[expect(clippy::disallowed_types, reason = "pack-time tooling measuring real conversion \
+              cost (Figure 15); no virtual timeline exists here")]
     let start = std::time::Instant::now();
     let mut b = PcrDatasetBuilder::new(images_per_record, pcr_core::DEFAULT_NUM_GROUPS)
         .with_name_prefix(&ds.spec.name);
@@ -53,8 +53,8 @@ pub fn pack_to_container(
     images_per_record: usize,
     records_per_shard: usize,
 ) -> pcr_core::Result<(ContainerManifest, f64)> {
-    // pcr-lint: allow(clock-discipline) — pack-time tooling measuring real
-    // conversion cost (Figure 15); no virtual timeline exists here.
+    #[expect(clippy::disallowed_types, reason = "pack-time tooling measuring real conversion \
+              cost (Figure 15); no virtual timeline exists here")]
     let start = std::time::Instant::now();
     let (pcr, _) = to_pcr_dataset(ds, images_per_record);
     let manifest = write_container(&pcr, dir, records_per_shard)?;
@@ -75,8 +75,8 @@ pub fn to_record_files(
     images_per_record: usize,
     quality: u8,
 ) -> (Vec<Vec<u8>>, f64) {
-    // pcr-lint: allow(clock-discipline) — pack-time tooling measuring real
-    // conversion cost (Figure 15); no virtual timeline exists here.
+    #[expect(clippy::disallowed_types, reason = "pack-time tooling measuring real conversion \
+              cost (Figure 15); no virtual timeline exists here")]
     let start = std::time::Instant::now();
     let config = EncodeConfig::baseline(quality);
     let jpegs = map_in_order(ds.train.iter().collect(), crate::cores(), |s| {

@@ -16,6 +16,10 @@
 //! a 64-bit word and moves it to the output eight bytes at a time,
 //! taking the per-byte stuffing loop only for a word that the same
 //! has-zero-byte test finds an 0xFF in.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::error::{Error, Result};
 
@@ -31,7 +35,8 @@ pub fn find_ff(data: &[u8], from: usize) -> usize {
     const HI: u64 = 0x8080_8080_8080_8080;
     let mut p = from;
     while p + 8 <= data.len() {
-        // pcr-lint: allow(no-panic-in-hot-path) — p + 8 <= len guards the slice, so the 8-byte conversion cannot fail
+        #[expect(clippy::indexing_slicing, clippy::expect_used,
+                 reason = "p + 8 <= len guards the slice, so the 8-byte conversion cannot fail")]
         let w = u64::from_ne_bytes(data[p..p + 8].try_into().expect("8 bytes"));
         // A byte equals 0xFF iff its complement is zero.
         if (!w).wrapping_sub(LO) & w & HI != 0 {
@@ -39,7 +44,8 @@ pub fn find_ff(data: &[u8], from: usize) -> usize {
         }
         p += 8;
     }
-    while p < data.len() && data[p] != 0xFF { // pcr-lint: allow(no-panic-in-hot-path) — p < len checked first
+    #[expect(clippy::indexing_slicing, reason = "p < len checked first")]
+    while p < data.len() && data[p] != 0xFF {
         p += 1;
     }
     p
@@ -71,7 +77,7 @@ pub fn split_restart_segments(data: &[u8]) -> Vec<(usize, usize)> {
             segments.push((start, data.len()));
             return segments;
         }
-        // pcr-lint: allow(no-panic-in-hot-path) — p + 1 < len checked above
+        #[expect(clippy::indexing_slicing, reason = "p + 1 < len checked above")]
         let m = data[p + 1];
         if m == 0x00 {
             p += 2; // stuffed 0xFF: entropy data, keep scanning
@@ -305,12 +311,13 @@ impl<'a> BitReader<'a> {
     fn refill_slow(&mut self) {
         // Stops in 56..=63: a 64-bit fill would leave the next `refill`
         // shifting a word by the full width.
+        #[expect(clippy::indexing_slicing, reason = "pos < ff_ahead <= data.len() where a byte \
+                  is read; pos < len by the else-if chain where the debug-only check reads one")]
         while self.nbits < 56 {
             if self.marker_hit.is_some() {
                 // Zero-padding: the bits below the top are already zero.
                 self.nbits += 8;
             } else if self.pos < self.ff_ahead {
-                // pcr-lint: allow(no-panic-in-hot-path) — pos < ff_ahead <= data.len()
                 self.acc |= u64::from(self.data[self.pos]) << (56 - self.nbits);
                 self.pos += 1;
                 self.nbits += 8;
@@ -321,7 +328,6 @@ impl<'a> BitReader<'a> {
                 self.marker_hit = Some(0x00);
                 self.nbits += 8;
             } else {
-                // pcr-lint: allow(no-panic-in-hot-path) — debug-only; pos < len by the else-if chain
                 debug_assert_eq!(self.data[self.pos], 0xFF);
                 match self.data.get(self.pos + 1) {
                     Some(0x00) => {
@@ -351,8 +357,9 @@ impl<'a> BitReader<'a> {
     #[inline]
     fn refill(&mut self) {
         if self.pos + 8 <= self.ff_ahead {
+            #[expect(clippy::indexing_slicing, clippy::expect_used,
+                     reason = "pos + 8 <= ff_ahead <= data.len() guards the 8-byte slice")]
             let w = u64::from_be_bytes(
-                // pcr-lint: allow(no-panic-in-hot-path) — pos + 8 <= ff_ahead <= data.len() guards the 8-byte slice
                 self.data[self.pos..self.pos + 8].try_into().expect("8 bytes"),
             );
             self.acc |= w >> self.nbits;

@@ -32,6 +32,10 @@
 //! identically no matter which floating-point evaluation order produced
 //! them — the property that lets the test suite demand *byte-identical*
 //! pixels between this butterfly and the reference basis-matrix oracle.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::consts::UNZIGZAG;
 
@@ -54,18 +58,19 @@ const AAN_SCALE: [f64; 8] = [
 // platform-independent; clippy's approx-constant lints are quieted where
 // a literal coincides with a std constant.
 const F_0_382: f64 = 0.3826834323650898; // √2·(c2−c6)/2 … fdct odd rotation
-#[allow(clippy::excessive_precision)]
+#[expect(clippy::excessive_precision, reason = "the literal is fixed in source to every digit")]
 const F_0_541: f64 = 0.5411961001461970;
-#[allow(clippy::approx_constant, clippy::excessive_precision)]
+#[expect(clippy::approx_constant, reason = "the literal is fixed in source, not a std constant \
+          expression")]
 const F_0_707: f64 = 0.7071067811865476; // 1/√2
-#[allow(clippy::excessive_precision)]
 const F_1_306: f64 = 1.3065629648763766;
-#[allow(clippy::approx_constant)]
+#[expect(clippy::approx_constant, reason = "the literal is fixed in source, not a std constant \
+          expression")]
 const I_1_414: f64 = 1.4142135623730951; // √2
 const I_1_847: f64 = 1.8477590650225735; // 2·cos(π/8)
-#[allow(clippy::excessive_precision)]
+#[expect(clippy::excessive_precision, reason = "the literal is fixed in source to every digit")]
 const I_1_082: f64 = 1.0823922002923940; // √2·(c2−c6)
-#[allow(clippy::excessive_precision)]
+#[expect(clippy::excessive_precision, reason = "the literal is fixed in source to every digit")]
 const I_2_613: f64 = 2.6131259297527530; // √2·(c2+c6)
 
 /// Snap-rounds a DCT-domain value to an integer: the value is first
@@ -102,7 +107,6 @@ fn round_ne64(x: f64) -> i32 {
 
 /// One forward AAN 1-D pass over `x`: 5 multiplies, output AAN-scaled.
 #[inline(always)]
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — all indices are literal 0..8 into [f64; 8] rows
 fn fdct_1d(x: [f64; 8]) -> [f64; 8] {
     let t0 = x[0] + x[7];
     let t7 = x[0] - x[7];
@@ -142,7 +146,6 @@ fn fdct_1d(x: [f64; 8]) -> [f64; 8] {
 
 /// One inverse AAN 1-D pass over `x` (AAN-prescaled input): 5 multiplies.
 #[inline(always)]
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — all indices are literal 0..8 into [f64; 8] rows
 fn idct_1d(x: [f64; 8]) -> [f64; 8] {
     // Even part.
     let t10 = x[0] + x[4];
@@ -182,7 +185,8 @@ fn idct_1d(x: [f64; 8]) -> [f64; 8] {
 /// `S(u,v) · 8 · aan(u) · aan(v)`. The pixel pipeline divides the scale
 /// back out inside quantization (see [`forward_quant_scales`]); use
 /// [`forward_dct`] if you want orthonormal coefficients directly.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
+#[expect(clippy::indexing_slicing, clippy::expect_used, reason = "u/v/i loop in 0..8 indexes \
+          fixed [_; 64] blocks as v*8+u; an 8-wide row slice is a [f64; 8]")]
 pub fn forward_dct_raw(input: &[f64; 64], output: &mut [f64; 64]) {
     // Rows.
     let mut tmp = [0f64; 64];
@@ -211,7 +215,8 @@ pub fn forward_dct_raw(input: &[f64; 64], output: &mut [f64; 64]) {
 
 /// Forward 8x8 DCT with orthonormal output (DC of a constant block `c` is
 /// `8c`). `input` holds level-shifted samples in row-major order.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
+#[expect(clippy::indexing_slicing, reason = "u/v/i loop in 0..8 indexes fixed [_; 64] blocks as \
+          v*8+u")]
 pub fn forward_dct(input: &[f64; 64], output: &mut [f64; 64]) {
     forward_dct_raw(input, output);
     for v in 0..8 {
@@ -225,7 +230,8 @@ pub fn forward_dct(input: &[f64; 64], output: &mut [f64; 64]) {
 /// *multipliers* for the encode side: `coeff = descale(raw_fdct[i] * m[i])`
 /// quantizes raw AAN output in one multiply per coefficient — the
 /// division by the table and the AAN descale are both absorbed.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
+#[expect(clippy::indexing_slicing, reason = "u/v/i loop in 0..8 indexes fixed [_; 64] blocks as \
+          v*8+u")]
 pub fn forward_quant_scales(q: &[u16; 64]) -> [f64; 64] {
     let mut m = [0f64; 64];
     for (v, sv) in AAN_SCALE.iter().enumerate() {
@@ -242,7 +248,8 @@ pub fn forward_quant_scales(q: &[u16; 64]) -> [f64; 64] {
 /// for natural index `i`, `coeff[i] * dq[i]` is the AAN-prescaled input
 /// [`inverse_dct_pixels`] transforms — dequantization and AAN prescale in
 /// one multiply.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — u/v/i loop in 0..8 indexes fixed [_; 64] blocks as v*8+u
+#[expect(clippy::indexing_slicing, reason = "u/v/i loop in 0..8 indexes fixed [_; 64] blocks as \
+          v*8+u")]
 pub fn inverse_quant_scales(q: &[u16; 64]) -> [f64; 64] {
     let mut dq = [0f64; 64];
     for (v, sv) in AAN_SCALE.iter().enumerate() {
@@ -296,7 +303,6 @@ fn vscale(a: [f64; 8], s: f64) -> [f64; 8] {
 /// that a straddle can never occur in practice (an f32 kernel was
 /// measurably faster but produced rare ±1 pixels against the oracle).
 #[inline]
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — literal indices 0 and 1.. into fixed [_; 64] blocks
 pub fn inverse_dct_pixels(coeffs: &[i16; 64], dq: &[f64; 64], out: &mut [u8; 64]) {
     // An OR over the 63 AC terms: branch-free, so it vectorises.
     if coeffs[1..].iter().fold(0, |any, &c| any | c) == 0 {
@@ -316,7 +322,8 @@ fn dc_pixel(dc: i16, dq: f64) -> u8 {
 /// [`inverse_dct_pixels`] without the DC-only shortcut: the full AAN
 /// kernel for every block.
 #[inline]
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — rows/columns loop over literal 0..8 into [_; 64] blocks; UNZIGZAG entries are < 64
+#[expect(clippy::indexing_slicing, reason = "rows/columns loop over literal 0..8 into [_; 64] \
+          blocks; UNZIGZAG entries are < 64")]
 fn aan_inverse_dct_pixels(coeffs: &[i16; 64], dq: &[f64; 64], out: &mut [u8; 64]) {
     let mut rows = [[0f64; 8]; 8];
     for v in 0..8 {

@@ -5,6 +5,10 @@
 //! PCR partial-read representation) decode to the best approximation the
 //! present scans allow, exactly like libjpeg renders an interrupted
 //! download.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::bitio::{split_restart_segments, BitReader};
 use crate::consts::*;
@@ -214,12 +218,13 @@ fn walk_segments(
             }
             Segment::Marker { marker: m, payload } => match m {
                 DQT => {
+                    #[expect(clippy::indexing_slicing, reason = "parse_dqt rejects table id > 3")]
                     for (id, table) in marker::parse_dqt(payload)? {
-                        // pcr-lint: allow(no-panic-in-hot-path) — parse_dqt rejects table id > 3
                         qtables[usize::from(id)] = Some(table);
                     }
                 }
                 DHT => {
+                    #[expect(clippy::indexing_slicing, reason = "parse_dht rejects table id > 3")]
                     for (class, id, table) in marker::parse_dht(payload)? {
                         let dec = HuffDecoder::from_table(&table)?;
                         let tables = if class == 0 {
@@ -227,7 +232,6 @@ fn walk_segments(
                         } else {
                             &mut ac_tables
                         };
-                        // pcr-lint: allow(no-panic-in-hot-path) — parse_dht rejects table id > 3
                         tables[usize::from(id)] = Some(dec);
                     }
                 }
@@ -292,7 +296,8 @@ fn walk_segments(
 /// like a truncated scan-list: present segments decode, missing ones
 /// leave their blocks at the prior approximation. Extra segments beyond
 /// the expected count are ignored.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one scan's whole decode context, passed unbundled \
+          on the hot path")]
 fn decode_scan_entropy(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,

@@ -1,5 +1,9 @@
 //! Entropy decoding for baseline and progressive scans, mirroring
 //! `entropy.rs` (encode side) and libjpeg's `jdhuff.c`/`jdphuff.c`.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::bitio::{extend, BitSource};
 use crate::error::{Error, Result};
@@ -34,12 +38,12 @@ impl<D> DecodeTables<'_, D> {
     }
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — comp_index is
-// validated against frame.components when the scan header is parsed.
 /// Number of restart-interval units in a scan: MCUs for an interleaved
 /// scan, blocks for a non-interleaved one (T.81 E.1.4 — in a
 /// non-interleaved scan the MCU is a single block). Restart intervals
 /// count in these units.
+#[expect(clippy::indexing_slicing, reason = "comp_index is validated against frame.components \
+          when the scan header is parsed")]
 pub fn mcu_units(frame: &FrameInfo, scan: &ScanInfo) -> u32 {
     if scan.components.len() == 1 {
         let c = &frame.components[scan.components[0].comp_index];
@@ -83,14 +87,14 @@ pub fn decode_scan_range<D: SymbolDecoder, R: BitSource>(
     }
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — scan.validate
-// checks every comp_index; block coordinates stay inside the component's
-// blocks_w x blocks_h grid by construction of the loops.
 /// Walks the blocks of the scan units `units` — interleaved scans in MCU
 /// order, single-component scans in raster order — calling
 /// `f(comp_slot, block_row, block_col)` where `comp_slot` indexes
 /// `scan.components`. The one block walk of the decoder and the
 /// tokenizer.
+#[expect(clippy::indexing_slicing, reason = "scan.validate checks every comp_index; block \
+          coordinates stay inside the component's blocks_w x blocks_h grid by construction of \
+          the loops")]
 pub(crate) fn for_each_block(
     frame: &FrameInfo,
     scan: &ScanInfo,
@@ -127,9 +131,8 @@ pub(crate) fn for_each_block(
     Ok(())
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot indexes the
-// per-scan vectors sized from scan.components; k is guarded <= 63 before
-// block[k].
+#[expect(clippy::indexing_slicing, reason = "slot indexes the per-scan vectors sized from \
+          scan.components; k is guarded <= 63 before block[k]")]
 fn decode_sequential<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -198,8 +201,8 @@ fn dc_step<D: SymbolDecoder, R: BitSource>(table: &D, r: &mut R, pred: i32) -> R
     Ok(pred.wrapping_add(diff))
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot indexes the
-// per-scan vectors sized from scan.components; DC writes touch index 0 only.
+#[expect(clippy::indexing_slicing, reason = "slot indexes the per-scan vectors sized from \
+          scan.components; DC writes touch index 0 only")]
 fn decode_dc_first<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -223,8 +226,8 @@ fn decode_dc_first<D: SymbolDecoder, R: BitSource>(
     })
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — slot < 
-// scan.components.len() by for_each_block; DC writes touch index 0 only.
+#[expect(clippy::indexing_slicing, reason = "slot < scan.components.len() by for_each_block; DC \
+          writes touch index 0 only")]
 fn decode_dc_refine<R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -243,9 +246,8 @@ fn decode_dc_refine<R: BitSource>(
     })
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have
-// exactly one component (scan.validate); k is guarded <= se <= 63 before
-// block[k].
+#[expect(clippy::indexing_slicing, reason = "AC scans have exactly one component \
+          (scan.validate); k is guarded <= se <= 63 before block[k]")]
 fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,
@@ -303,9 +305,6 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
     })
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — the fast table
-// has 1 << 10 entries and `(word << used) >> 54` is a 10-bit index; a
-// step is taken only while `k + run <= se <= 63`.
 /// Takes the coefficient steps at the head of the stream that `fast`
 /// resolves, as many as the bit buffer holds before each consume: step
 /// by step, `block[k + run]` gets the value shifted left by `al` and `k`
@@ -315,6 +314,8 @@ fn decode_ac_first<D: SymbolDecoder, R: BitSource>(
 /// included. Returns the new `k`; the bits taken are the ones the
 /// stepwise path would have read for the same steps.
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "the fast table has 1 << 10 entries and `(word << \
+          used) >> 54` is a 10-bit index; a step is taken only while `k + run <= se <= 63`")]
 fn fast_ac_steps<R: BitSource>(
     fast: &FastAc,
     r: &mut R,
@@ -387,6 +388,7 @@ pub(crate) fn nonzero_mask64(block: &[i16; 64]) -> u64 {
 const BIT_POSITIONS: [u64; 256] = {
     let mut table = [0u64; 256];
     let mut b = 0;
+    #[expect(clippy::indexing_slicing, reason = "b < 256, at compile time")]
     while b < 256 {
         let (mut pos, mut count, mut bit) = (0u64, 0, 0);
         while bit < 8 {
@@ -396,7 +398,7 @@ const BIT_POSITIONS: [u64; 256] = {
             }
             bit += 1;
         }
-        table[b] = pos; // pcr-lint: allow(no-panic-in-hot-path) — b < 256, at compile time
+        table[b] = pos;
         b += 1;
     }
     table
@@ -414,6 +416,7 @@ fn pop4(nib: u64) -> u64 {
 const DEPOSIT4: [u8; 256] = {
     let mut table = [0u8; 256];
     let mut i = 0;
+    #[expect(clippy::indexing_slicing, reason = "i < 256, at compile time")]
     while i < 256 {
         let (nib, top) = (i >> 4, i & 15);
         let (mut out, mut taken, mut bit) = (0u8, 0, 0);
@@ -424,7 +427,7 @@ const DEPOSIT4: [u8; 256] = {
             }
             bit += 1;
         }
-        table[i] = out; // pcr-lint: allow(no-panic-in-hot-path) — i < 256, at compile time
+        table[i] = out;
         i += 1;
     }
     table
@@ -473,8 +476,6 @@ fn apply_corrections(block: &mut [i16; 64], nz: u64, corr: u64, count: u32, p1: 
     }
 }
 
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — AC scans have one
-// component (scan.validate).
 /// Successive approximation of an AC band (T.81 G.1.2.3).
 ///
 /// Correction bits never steer the walk: every already-nonzero position
@@ -494,6 +495,7 @@ fn apply_corrections(block: &mut [i16; 64], nz: u64, corr: u64, count: u32, p1: 
 /// window or a code (the reference stack, a corrupt stream) and for an
 /// illegal size, the step goes through the fused 16-bit
 /// [`SymbolDecoder::decode_then_bits`] path instead.
+#[expect(clippy::indexing_slicing, reason = "AC scans have one component (scan.validate)")]
 fn decode_ac_refine<D: SymbolDecoder, R: BitSource>(
     frame: &FrameInfo,
     coeffs: &mut CoeffPlanes,

@@ -9,6 +9,10 @@
 //! probe; longer codes escape to a compact per-prefix second-level table
 //! indexed by the remaining bits, so any legal JPEG code (<= 16 bits)
 //! decodes in at most two probes with no bit-at-a-time loop.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::bitio::{extend, BitSource, BitWriter};
 use crate::error::{Error, Result};
@@ -50,24 +54,28 @@ impl HuffTable {
     }
 
     /// The standard table constructors (T.81 Annex K).
+    #[expect(clippy::expect_used, reason = "Annex K constants")]
     pub fn std_dc_luma() -> Self {
         Self::new(crate::consts::STD_DC_LUMA_BITS, crate::consts::STD_DC_LUMA_VALS.to_vec())
-            .expect("standard table is valid") // pcr-lint: allow(no-panic-in-hot-path) — Annex K constants
+            .expect("standard table is valid")
     }
     /// Standard DC chroma table.
+    #[expect(clippy::expect_used, reason = "Annex K constants")]
     pub fn std_dc_chroma() -> Self {
         Self::new(crate::consts::STD_DC_CHROMA_BITS, crate::consts::STD_DC_CHROMA_VALS.to_vec())
-            .expect("standard table is valid") // pcr-lint: allow(no-panic-in-hot-path) — Annex K constants
+            .expect("standard table is valid")
     }
     /// Standard AC luma table.
+    #[expect(clippy::expect_used, reason = "Annex K constants")]
     pub fn std_ac_luma() -> Self {
         Self::new(crate::consts::STD_AC_LUMA_BITS, crate::consts::STD_AC_LUMA_VALS.to_vec())
-            .expect("standard table is valid") // pcr-lint: allow(no-panic-in-hot-path) — Annex K constants
+            .expect("standard table is valid")
     }
     /// Standard AC chroma table.
+    #[expect(clippy::expect_used, reason = "Annex K constants")]
     pub fn std_ac_chroma() -> Self {
         Self::new(crate::consts::STD_AC_CHROMA_BITS, crate::consts::STD_AC_CHROMA_VALS.to_vec())
-            .expect("standard table is valid") // pcr-lint: allow(no-panic-in-hot-path) — Annex K constants
+            .expect("standard table is valid")
     }
 }
 
@@ -86,21 +94,23 @@ impl HuffEncoder {
         let mut next_code = 0u32;
         let mut k = 0usize;
         for l in 1..=16u32 {
-            // pcr-lint: allow(no-panic-in-hot-path) — l in 1..=16 indexes [u8; 16]
+            #[expect(clippy::indexing_slicing, reason = "l in 1..=16 indexes [u8; 16]; sym is a \
+                      u8 into the [_; 256] arrays")]
             for _ in 0..t.bits[(l - 1) as usize] {
                 // `bits` and `vals` are pub, so a hand-built table may
                 // declare more codes than it has values: checked lookup.
                 let sym = *t.vals.get(k).ok_or_else(|| {
                     Error::BadHuffman("bits declare more codes than vals holds".into())
                 })? as usize;
-                if len[sym] != 0 { // pcr-lint: allow(no-panic-in-hot-path) — sym is a u8, arrays are [_; 256]
+                #[expect(clippy::indexing_slicing, reason = "sym is a u8, arrays are [_; 256]")]
+                if len[sym] != 0 {
                     return Err(Error::BadHuffman(format!("duplicate symbol {sym}")));
                 }
                 if next_code >= 1 << l {
                     return Err(Error::BadHuffman("code overflow".into()));
                 }
-                code[sym] = next_code as u16; // pcr-lint: allow(no-panic-in-hot-path) — sym < 256
-                len[sym] = l as u8; // pcr-lint: allow(no-panic-in-hot-path) — sym < 256
+                code[sym] = next_code as u16;
+                len[sym] = l as u8;
                 next_code += 1;
                 k += 1;
             }
@@ -112,22 +122,25 @@ impl HuffEncoder {
     /// Emits the code for `symbol`.
     #[inline]
     pub fn encode(&self, w: &mut BitWriter, symbol: u8) {
-        let l = self.len[symbol as usize]; // pcr-lint: allow(no-panic-in-hot-path) — u8 indexes [_; 256]
+        #[expect(clippy::indexing_slicing, reason = "u8 indexes [_; 256]")]
+        let l = self.len[symbol as usize];
         debug_assert!(l > 0, "symbol {symbol:#04x} has no code");
-        // pcr-lint: allow(no-panic-in-hot-path) — u8 indexes [_; 256]
+        #[expect(clippy::indexing_slicing, reason = "u8 indexes [_; 256]")]
         w.put_bits(u32::from(self.code[symbol as usize]), u32::from(l));
     }
 
     /// Code length for a symbol (0 if absent).
     #[inline]
     pub fn code_len(&self, symbol: u8) -> u8 {
-        self.len[symbol as usize] // pcr-lint: allow(no-panic-in-hot-path) — u8 indexes [_; 256]
+        #[expect(clippy::indexing_slicing, reason = "u8 indexes [_; 256]")]
+        self.len[symbol as usize]
     }
 
     /// Code bits for a symbol, right-aligned (0 if absent).
     #[inline]
     pub(crate) fn code(&self, symbol: u8) -> u16 {
-        self.code[symbol as usize] // pcr-lint: allow(no-panic-in-hot-path) — u8 indexes [_; 256]
+        #[expect(clippy::indexing_slicing, reason = "u8 indexes [_; 256]")]
+        self.code[symbol as usize]
     }
 }
 
@@ -234,7 +247,7 @@ impl HuffDecoder {
         let mut c = 0u32;
         let mut idx = 0usize;
         for l in 1..=16u32 {
-            // pcr-lint: allow(no-panic-in-hot-path) — l in 1..=16 indexes [u8; 16]
+            #[expect(clippy::indexing_slicing, reason = "l in 1..=16 indexes [u8; 16]")]
             for _ in 0..t.bits[(l - 1) as usize] {
                 if c >= 1 << l {
                     return Err(Error::BadHuffman("code overflow".into()));
@@ -248,29 +261,32 @@ impl HuffDecoder {
                     // All windows starting with this code resolve to it.
                     let first = (c << (LOOKUP_BITS - l)) as usize;
                     let span = 1usize << (LOOKUP_BITS - l);
-                    // pcr-lint: allow(no-panic-in-hot-path) — c < 1<<l, so first + span <= 1<<LOOKUP_BITS
+                    #[expect(clippy::indexing_slicing, reason = "c < 1<<l, so first + span <= \
+                              1<<LOOKUP_BITS")]
                     lut1[first..first + span].fill(entry);
                 } else {
                     // Long code: route its first-level prefix to a
                     // second-level block (allocated on first use), then
                     // fill the block's windows for the remaining bits.
                     let prefix = (c >> (l - LOOKUP_BITS)) as usize;
-                    // pcr-lint: allow(no-panic-in-hot-path) — prefix < 1<<LOOKUP_BITS since c < 1<<l
+                    #[expect(clippy::indexing_slicing, reason = "prefix < 1<<LOOKUP_BITS since c \
+                              < 1<<l")]
                     let base = if lut1[prefix] & ESCAPE != 0 {
-                        (lut1[prefix] & !ESCAPE) as usize // pcr-lint: allow(no-panic-in-hot-path) — same prefix bound
+                        (lut1[prefix] & !ESCAPE) as usize
                     } else {
                         let base = lut2.len();
                         if base >= (ESCAPE as usize) {
                             return Err(Error::BadHuffman("second-level overflow".into()));
                         }
                         lut2.resize(base + (1 << (MAX_CODE_BITS - LOOKUP_BITS)), 0);
-                        lut1[prefix] = ESCAPE | base as u16; // pcr-lint: allow(no-panic-in-hot-path) — same prefix bound
+                        lut1[prefix] = ESCAPE | base as u16;
                         base
                     };
                     let rem = c & ((1 << (l - LOOKUP_BITS)) - 1);
                     let first = (rem << (MAX_CODE_BITS - l)) as usize;
                     let span = 1usize << (MAX_CODE_BITS - l);
-                    // pcr-lint: allow(no-panic-in-hot-path) — first + span <= the 64-entry block at base
+                    #[expect(clippy::indexing_slicing, reason = "first + span <= the 64-entry \
+                              block at base")]
                     lut2[base + first..base + first + span].fill(entry);
                 }
                 c += 1;
@@ -329,12 +345,13 @@ impl HuffDecoder {
     #[inline]
     fn lookup16(&self, w: u32) -> Option<(u8, u32)> {
         debug_assert!(w < 1 << MAX_CODE_BITS);
-        // pcr-lint: allow(no-panic-in-hot-path) — a 16-bit window shifted right by 6 is < 1024
+        #[expect(clippy::indexing_slicing, reason = "a 16-bit window shifted right by 6 is < 1024")]
         let entry = self.lut1[(w >> (MAX_CODE_BITS - LOOKUP_BITS)) as usize];
         let entry = if entry & ESCAPE == 0 {
             entry
         } else {
-            // pcr-lint: allow(no-panic-in-hot-path) — base + 6 masked bits stays in the 64-entry block
+            #[expect(clippy::indexing_slicing, reason = "base + 6 masked bits stays in the \
+                      64-entry block")]
             self.lut2[(entry & !ESCAPE) as usize
                 + (w & ((1 << (MAX_CODE_BITS - LOOKUP_BITS)) - 1)) as usize]
         };
@@ -396,11 +413,10 @@ impl SymbolDecoder for HuffDecoder {
 /// those sweeps break ties (lowest frequency first, highest symbol index
 /// among equals, the merged tree keeping the first one's index), so the
 /// merge sequence — and with it every code length — is the same.
-// pcr-lint: allow(no-panic-in-hot-path) for-next-item — faithful port of
-// libjpeg's jpeg_gen_optimal_table: every index is a symbol index below
-// nsyms + 1 <= 257 (codesize/others have 257 slots) or a code length the
-// MAX_CLEN check keeps inside bits' MAX_CLEN + 1 slots (the adjustment
-// loops walk l in 1..=MAX_CLEN), and the function runs at pack time only.
+#[expect(clippy::indexing_slicing, reason = "faithful port of libjpeg's jpeg_gen_optimal_table: \
+          every index is a symbol index below nsyms + 1 <= 257 (codesize/others have 257 slots) \
+          or a code length the MAX_CLEN check keeps inside bits' MAX_CLEN + 1 slots (the \
+          adjustment loops walk l in 1..=MAX_CLEN), and the function runs at pack time only")]
 pub fn gen_optimal_table(freq_in: &[u32]) -> Result<HuffTable> {
     const MAX_CLEN: usize = 32;
     const END: usize = usize::MAX;

@@ -1,5 +1,9 @@
 //! Pixel <-> coefficient conversion: color planes, chroma subsampling,
 //! block splitting, forward/inverse DCT and quantization.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::consts::ZIGZAG;
 use crate::dct::{descale, forward_dct_raw, forward_quant_scales, inverse_dct_pixels, inverse_quant_scales};
@@ -170,9 +174,9 @@ pub fn planes_to_coeffs(
                 }
                 forward_dct_raw(&spatial, &mut freq);
                 let block = coeffs.block_mut(frame, ci, brow, bcol);
+                #[expect(clippy::indexing_slicing, reason = "ZIGZAG entries are < 64, into [f64; \
+                          64] arrays")]
                 for (v, &i) in block.iter_mut().zip(&ZIGZAG) {
-                    // pcr-lint: allow(no-panic-in-hot-path) — ZIGZAG entries
-                    // are < 64, into [f64; 64] arrays
                     *v = descale(freq[i] * qm[i]) as i16;
                 }
             }

@@ -75,6 +75,8 @@
 //! Every queue is bounded, so a slow consumer exerts backpressure all the
 //! way to the reads; the batch channel holds two batches — double
 //! buffering: one being consumed, one staged.
+#![expect(clippy::disallowed_types, reason = "this is the wall-clock loader: its stall \
+          accounting reads real time")]
 
 use crate::config::{DecodeMode, LoaderConfig};
 use crate::crew::{CrewLease, CrewShape, CrewSlot, Stage};

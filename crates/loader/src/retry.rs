@@ -27,6 +27,10 @@
 //! `(policy seed, record, group, attempt)`, never a clock or RNG, so a
 //! seeded fault plan replays the identical recovery sequence run after
 //! run.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::source::{ReadPlan, RecordSource};
 use pcr_metrics::EpochFaultCounters;

@@ -1,10 +1,12 @@
 //! Wall-clock measurement helpers.
 //!
 //! Outside `parallel.rs` this is the one place in the loader crate
-//! allowed to touch `std::time::Instant` (see the `clock-discipline` rule
-//! in `pcr-analyze`). The decode pool times each image's decode
-//! (`DecodeMode::Real`) through [`measure`], which keeps the sites
+//! allowed to touch `std::time::Instant` (clippy's `disallowed_types`,
+//! configured in `clippy.toml`). The decode pool times each image's
+//! decode (`DecodeMode::Real`) through [`measure`], which keeps the sites
 //! auditable.
+#![expect(clippy::disallowed_types, reason = "the delivery step's one sanctioned wall-clock \
+          measurement helper")]
 
 /// Runs `f` and returns its result together with the elapsed wall-clock
 /// seconds.

@@ -26,6 +26,14 @@
 //! * **latency** — the modeled service time of the read is multiplied by
 //!   `latency_factor`; combined with a read deadline this surfaces as a
 //!   loader-side timeout.
+// A hot module: it runs per coefficient or parses untrusted bytes, so it
+// may not panic. Each exception is an `#[expect]` with its reason.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A wire module: it moves integers between untrusted bytes and memory, so
+// no cast may truncate and no allocation may be sized by an unchecked
+// count (`clippy.toml` lists the banned allocation calls).
+#![deny(clippy::cast_possible_truncation, clippy::disallowed_methods)]
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,6 +266,8 @@ impl FaultPlan {
             if self.hit(self.torn, SALT_TORN, nh, offset, len) {
                 // Deliver a deterministic fraction of the request.
                 let frac = unit(mix(self.site(SALT_TORN, nh, offset, len)));
+                #[expect(clippy::cast_possible_truncation, reason = "frac is in [0, 1), so the \
+                          product stays below len, a u64")]
                 let delivered = ((len as f64) * frac) as u64;
                 return FaultDecision::Torn { delivered: delivered.min(len.saturating_sub(1)) };
             }
@@ -285,8 +295,6 @@ impl FaultPlan {
         // bytes sometimes.
         let back_half = object_len / 2;
         let pos = back_half + (h % object_len.saturating_sub(back_half).max(1));
-        // pcr-lint: allow(no-truncating-cast) — masked to 3 bits (a bit
-        // index 0..=7); truncation is the point.
         Some((pos.min(object_len - 1), (h >> 32) as u32 & 7))
     }
 
@@ -427,6 +435,8 @@ impl FaultStatsSnapshot {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::cast_possible_truncation, clippy::disallowed_methods,
+             reason = "test fixtures: small literal sizes and values")]
     use super::*;
 
     #[test]

@@ -393,7 +393,7 @@ impl ObjectStore {
     /// `(name, offset, len)`. Returns `Err` for injected failures; on
     /// delivery fills in the latency multiplier and any silent bit flip
     /// covered by the range.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one attempt's site, plan and outcome slots")]
     fn apply_fault_plan(
         &self,
         plan: &FaultPlan,

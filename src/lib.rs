@@ -44,6 +44,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub use pcr_autotune as autotune;
 pub use pcr_core as core;

@@ -1,17 +1,18 @@
 //! The no-panic contract of every untrusted-bytes parser, checked the
 //! direct way: feed arbitrary, truncated, and bit-flipped bytes into
-//! `PcrRecord::parse`, `ShardIndex::parse`, `ContainerManifest::from_bytes`,
-//! `PcrContainer::open`, `DecisionLog::parse`, and the restart-marker
+//! `PcrRecord::parse`, `RecordFile::parse`, `ShardIndex::parse`,
+//! `ContainerManifest::from_bytes`, `PcrContainer::open`,
+//! `DecisionLog::parse`, and the restart-marker
 //! entropy paths (`split_restart_segments`, restart-stream decode,
 //! per-group `segment_count`) and require a `Result` back — never a
 //! panic. Formats the program only reads (row footers, version-2
 //! records, restart-marker JPEGs) come from committed fixtures. This is
-//! the runtime twin of the `no-panic-in-hot-path` / `bounded-alloc` lint
-//! rules `pcr-analyze` enforces statically over the same modules.
+//! the runtime twin of the no-panic and bounded-allocation clippy lints
+//! each of those modules denies (ARCHITECTURE.md, "Lints").
 
 use pcr::core::container::{ContainerManifest, ShardIndex};
 use pcr::core::declog::{DecisionLog, DecisionRecord};
-use pcr::core::{write_container, PcrContainer, PcrRecord};
+use pcr::core::{write_container, PcrContainer, PcrRecord, RecordFile};
 use pcr::metrics::TriggerKind;
 use pcr::datasets::{to_pcr_dataset, DatasetSpec, Scale, SyntheticDataset};
 use proptest::{prop, proptest, ProptestConfig};
@@ -75,6 +76,13 @@ proptest! {
         bytes in prop::collection::vec(proptest::any::<u8>(), 0..512)
     ) {
         let _ = PcrRecord::parse(&bytes);
+    }
+
+    #[test]
+    fn record_file_parse_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(proptest::any::<u8>(), 0..512)
+    ) {
+        let _ = RecordFile::parse(&[b"TREC".as_slice(), &bytes].concat());
     }
 
     #[test]
