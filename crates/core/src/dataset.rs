@@ -5,8 +5,13 @@
 
 use crate::error::{Error, Result};
 use crate::record::{fit_scans, PcrRecord, PcrRecordBuilder, SampleMeta};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use pcr_jpeg::{EncodeConfig, ImageBuf, ScanLayout};
+use std::any::Any;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Metadata for one record, sufficient to plan reads at any scan group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,25 +154,155 @@ pub fn map_in_order_with<S, T: Send, R: Send>(
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// An image queued for the record being filled, in add order.
-enum Pending {
+/// The state a [`Crew`]'s threads and its owner share, under one lock.
+struct CrewState<T, R> {
+    /// Submitted items no thread has taken yet, oldest first, each with
+    /// its sequence number.
+    queue: VecDeque<(u64, T)>,
+    /// Results by sequence number, until the owner takes them.
+    done: BTreeMap<u64, R>,
+    /// The first panic a job raised, until the owner takes it.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set when the crew is dropped: each thread exits after its job.
+    closed: bool,
+}
+
+struct CrewShared<T, R> {
+    state: Mutex<CrewState<T, R>>,
+    /// Wakes the threads: an item was queued, or the crew closed.
+    queued: Condvar,
+    /// Wakes the owner: a job ended.
+    ended: Condvar,
+}
+
+/// Threads that live as long as the crew and map `f` over the items
+/// submitted to it, starting them in submission order. Its owner takes
+/// each result back by the sequence number [`submit`](Self::submit)
+/// returned. The threads start at the first submission, and dropping the
+/// crew joins them; a panic in `f` resumes on the owner's next
+/// [`take`](Self::take).
+struct Crew<T, R> {
+    shared: Arc<CrewShared<T, R>>,
+    f: Arc<dyn Fn(T) -> R + Send + Sync>,
+    workers: usize,
+    threads: Vec<JoinHandle<()>>,
+    next: u64,
+}
+
+impl<T: Send + 'static, R: Send + 'static> Crew<T, R> {
+    /// A crew of `workers` threads (at least one), none started yet.
+    fn new(workers: usize, f: impl Fn(T) -> R + Send + Sync + 'static) -> Self {
+        let state =
+            CrewState { queue: VecDeque::new(), done: BTreeMap::new(), panic: None, closed: false };
+        Self {
+            shared: Arc::new(CrewShared {
+                state: Mutex::new(state),
+                queued: Condvar::new(),
+                ended: Condvar::new(),
+            }),
+            f: Arc::new(f),
+            workers: workers.max(1),
+            threads: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Queues `item` and returns the sequence number to take its result by.
+    fn submit(&mut self, item: T) -> u64 {
+        if self.threads.is_empty() {
+            self.threads = (0..self.workers)
+                .map(|i| {
+                    let (shared, f) = (Arc::clone(&self.shared), Arc::clone(&self.f));
+                    std::thread::Builder::new()
+                        .name(format!("pcr-pack-{i}"))
+                        .spawn(move || Self::work(&shared, &*f))
+                        .expect("spawn pack thread")
+                })
+                .collect();
+        }
+        let seq = self.next;
+        self.next += 1;
+        self.shared.state.lock().queue.push_back((seq, item));
+        self.shared.queued.notify_one();
+        seq
+    }
+
+    /// Waits for the result of submission `seq` and returns it; resumes
+    /// the panic of any job that panicked instead.
+    fn take(&self, seq: u64) -> R {
+        let mut state = self.shared.state.lock();
+        loop {
+            if let Some(result) = state.done.remove(&seq) {
+                return result;
+            }
+            if let Some(panic) = state.panic.take() {
+                drop(state);
+                std::panic::resume_unwind(panic);
+            }
+            state = self.shared.ended.wait(state);
+        }
+    }
+
+    /// One thread's loop: take the oldest queued item, map it outside the
+    /// lock, file its result, until the crew closes.
+    fn work(shared: &CrewShared<T, R>, f: &(dyn Fn(T) -> R + Send + Sync)) {
+        loop {
+            let mut state = shared.state.lock();
+            let (seq, item) = loop {
+                if state.closed {
+                    return;
+                }
+                if let Some(job) = state.queue.pop_front() {
+                    break job;
+                }
+                state = shared.queued.wait(state);
+            };
+            drop(state);
+            let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
+            let mut state = shared.state.lock();
+            match outcome {
+                Ok(result) => {
+                    state.done.insert(seq, result);
+                }
+                Err(panic) => {
+                    state.panic.get_or_insert(panic);
+                }
+            }
+            drop(state);
+            shared.ended.notify_one();
+        }
+    }
+}
+
+impl<T, R> Drop for Crew<T, R> {
+    fn drop(&mut self) {
+        self.shared.state.lock().closed = true;
+        self.shared.queued.notify_all();
+        for thread in self.threads.drain(..) {
+            // Jobs run under catch_unwind, so a thread cannot die of one.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A conversion an add queues on the crew.
+enum Conversion {
     /// A JPEG to re-script losslessly ([`PcrDatasetBuilder::add_baseline_jpeg`]).
     Transcode(Vec<u8>),
     /// Pixels to encode as progressive JPEG at a quality
     /// ([`PcrDatasetBuilder::add_image`]).
     Encode(ImageBuf, u8),
-    /// A progressive JPEG already split and checked
-    /// ([`PcrDatasetBuilder::add_progressive_jpeg`]).
-    Ready(Vec<u8>, ScanLayout),
 }
 
-impl Pending {
-    /// The progressive JPEG this image enters its record as, with its scans.
-    fn convert(self, num_groups: usize) -> Result<(Vec<u8>, ScanLayout)> {
+/// A converted image: the progressive JPEG it enters its record as, with
+/// its scans.
+type Converted = (Vec<u8>, ScanLayout);
+
+impl Conversion {
+    fn run(self, num_groups: usize) -> Result<Converted> {
         let jpeg = match self {
-            Pending::Ready(jpeg, layout) => return Ok((jpeg, layout)),
-            Pending::Transcode(jpeg) => pcr_jpeg::to_progressive(&jpeg)?,
-            Pending::Encode(img, quality) => {
+            Conversion::Transcode(jpeg) => pcr_jpeg::to_progressive(&jpeg)?,
+            Conversion::Encode(img, quality) => {
                 pcr_jpeg::encode(&img, &EncodeConfig::progressive(quality))?
             }
         };
@@ -176,21 +311,37 @@ impl Pending {
     }
 }
 
+/// An image of a record not yet appended, in add order.
+enum Slot {
+    /// A progressive JPEG already split and checked
+    /// ([`PcrDatasetBuilder::add_progressive_jpeg`]).
+    Ready(Vec<u8>, ScanLayout),
+    /// The sequence number of its conversion on the crew.
+    Converting(u64),
+}
+
 /// Streams images into fixed-size records, building the dataset and its
 /// metadata database in one pass (the paper's encoder component).
 ///
-/// Conversions are deferred: `add_image` and `add_baseline_jpeg` queue an
-/// owned copy of their input, and when a record fills (or at `finish`) its
-/// queued conversions run across the machine's cores with
-/// [`map_in_order`]. Results enter the record in add order, so the bytes
-/// are those of serial packing whatever the core count. A conversion
-/// error surfaces from the add that fills the record, or from `finish`.
+/// Conversions run on one crew of `available_parallelism()` threads that
+/// lives as long as the builder: `add_image` and `add_baseline_jpeg` queue
+/// an owned copy of their input, and the crew converts in add order while
+/// the caller keeps adding. The crew starts at the first queued
+/// conversion (a builder fed only progressive JPEGs starts none), and
+/// [`finish`](Self::finish) or dropping the builder joins it. Records are
+/// appended one behind: the add that fills record k+1 waits only for
+/// record k's conversions and appends record k, so at most two records
+/// are in flight. Results enter their record in add order, so the bytes
+/// are those of serial packing whatever the core count.
 pub struct PcrDatasetBuilder {
     images_per_record: usize,
     num_groups: usize,
     name_prefix: String,
-    workers: usize,
-    pending: Vec<(SampleMeta, Pending)>,
+    crew: Crew<Conversion, Result<Converted>>,
+    /// The record being filled.
+    filling: Vec<(SampleMeta, Slot)>,
+    /// The last filled record, appended when the next one fills.
+    filled: Option<Vec<(SampleMeta, Slot)>>,
     dataset: PcrDataset,
     bytes_flushed: u64,
 }
@@ -204,12 +355,14 @@ impl PcrDatasetBuilder {
     }
 
     fn new_with_workers(images_per_record: usize, num_groups: usize, workers: usize) -> Self {
+        let num_groups = num_groups.max(1);
         Self {
             images_per_record: images_per_record.max(1),
-            num_groups: num_groups.max(1),
+            num_groups,
             name_prefix: "record".to_string(),
-            workers,
-            pending: Vec::new(),
+            crew: Crew::new(workers, move |conversion: Conversion| conversion.run(num_groups)),
+            filling: Vec::new(),
+            filled: None,
             dataset: PcrDataset::default(),
             bytes_flushed: 0,
         }
@@ -221,16 +374,17 @@ impl PcrDatasetBuilder {
         self
     }
 
-    /// Queues a raw image, to be progressive-encoded at `quality` when its
-    /// record fills.
+    /// Queues a raw image on the crew, to be progressive-encoded at
+    /// `quality`.
     ///
     /// # Errors
-    /// The encode runs later, so its error does not come back from this
-    /// call: the add that fills the record (or [`finish`](Self::finish))
-    /// returns the error of the record's first failing image, in add
-    /// order, and that record is not added.
+    /// The encode runs on the crew, so its error does not come back from
+    /// this call. Record k's error comes back from the add that fills
+    /// record k+1, or from [`finish`](Self::finish): the error of its
+    /// first failing image, in add order. That record is not added, the
+    /// progress counters do not move, and later records are added.
     pub fn add_image(&mut self, meta: SampleMeta, img: &ImageBuf, quality: u8) -> Result<()> {
-        self.push(meta, Pending::Encode(img.clone(), quality))
+        self.queue(meta, Conversion::Encode(img.clone(), quality))
     }
 
     /// Adds an existing progressive JPEG.
@@ -238,50 +392,57 @@ impl PcrDatasetBuilder {
     /// # Errors
     /// A stream that does not split into scans, or has more scans than the
     /// builder has groups, is refused at once and not queued. Like every
-    /// add, the call that fills a record also returns the error of that
-    /// record's first failing queued conversion, and the record is not
-    /// added.
+    /// add, the call that fills record k+1 also returns the error of
+    /// record k's first failing conversion, and record k is not added.
     pub fn add_progressive_jpeg(&mut self, meta: SampleMeta, jpeg: Vec<u8>) -> Result<()> {
         let layout = fit_scans(&jpeg, self.num_groups)?;
-        self.push(meta, Pending::Ready(jpeg, layout))
+        self.push(meta, Slot::Ready(jpeg, layout))
     }
 
-    /// Queues a baseline or progressive JPEG, to be losslessly re-scripted
-    /// to the default progressive script (the `jpegtran` step) when its
-    /// record fills.
+    /// Queues a baseline or progressive JPEG on the crew, to be losslessly
+    /// re-scripted to the default progressive script (the `jpegtran`
+    /// step).
     ///
     /// # Errors
-    /// The transcode runs later, so its error does not come back from this
-    /// call: the add that fills the record (or [`finish`](Self::finish))
-    /// returns the error of the record's first failing image, in add
-    /// order, and that record is not added.
+    /// The transcode runs on the crew, so its error does not come back
+    /// from this call. Record k's error comes back from the add that fills
+    /// record k+1, or from [`finish`](Self::finish): the error of its
+    /// first failing image, in add order. That record is not added, the
+    /// progress counters do not move, and later records are added.
     pub fn add_baseline_jpeg(&mut self, meta: SampleMeta, jpeg: &[u8]) -> Result<()> {
-        self.push(meta, Pending::Transcode(jpeg.to_vec()))
+        self.queue(meta, Conversion::Transcode(jpeg.to_vec()))
     }
 
-    fn push(&mut self, meta: SampleMeta, image: Pending) -> Result<()> {
-        self.pending.push((meta, image));
-        if self.pending.len() >= self.images_per_record {
-            self.flush()?;
-        }
-        Ok(())
+    fn queue(&mut self, meta: SampleMeta, conversion: Conversion) -> Result<()> {
+        let seq = self.crew.submit(conversion);
+        self.push(meta, Slot::Converting(seq))
     }
 
-    /// Converts the queued images across the workers and appends their
-    /// record. The queue is emptied whether or not a conversion fails.
-    fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
+    /// Adds one image to the record being filled; when that fills the
+    /// record, appends the record filled before it.
+    fn push(&mut self, meta: SampleMeta, image: Slot) -> Result<()> {
+        self.filling.push((meta, image));
+        if self.filling.len() < self.images_per_record {
             return Ok(());
         }
-        let pending = std::mem::take(&mut self.pending);
-        // A record of progressive JPEGs alone has nothing to convert.
-        let busy = pending.iter().any(|(_, image)| !matches!(image, Pending::Ready(..)));
-        let workers = if busy { self.workers } else { 1 };
-        let num_groups = self.num_groups;
-        let converted = map_in_order(pending, workers, |(meta, image)| {
-            image.convert(num_groups).map(|(jpeg, layout)| (meta, jpeg, layout))
-        });
-        let mut builder = PcrRecordBuilder::new(num_groups);
+        let filled = std::mem::take(&mut self.filling);
+        match self.filled.replace(filled) {
+            Some(previous) => self.append(previous),
+            None => Ok(()),
+        }
+    }
+
+    /// Waits for a record's conversions and appends it. Every conversion
+    /// is taken back whether or not one failed.
+    fn append(&mut self, images: Vec<(SampleMeta, Slot)>) -> Result<()> {
+        let converted: Vec<_> = images
+            .into_iter()
+            .map(|(meta, image)| match image {
+                Slot::Ready(jpeg, layout) => Ok((meta, jpeg, layout)),
+                Slot::Converting(seq) => self.crew.take(seq).map(|(jpeg, layout)| (meta, jpeg, layout)),
+            })
+            .collect();
+        let mut builder = PcrRecordBuilder::new(self.num_groups);
         for image in converted {
             let (meta, jpeg, layout) = image?;
             builder.push_split(meta, jpeg, layout);
@@ -306,25 +467,33 @@ impl PcrDatasetBuilder {
         Ok(())
     }
 
-    /// Records flushed to the dataset so far (excludes the partial
-    /// record still accumulating). Progress-reporting hook for packers.
+    /// Records appended to the dataset so far (excludes the last filled
+    /// record and the partial one). Progress-reporting hook for packers.
     pub fn records_flushed(&self) -> usize {
         self.dataset.records.len()
     }
 
-    /// Encoded bytes flushed to the dataset so far (excludes the partial
-    /// record still accumulating). Progress-reporting hook for packers.
+    /// Encoded bytes appended to the dataset so far (excludes the last
+    /// filled record and the partial one). Progress-reporting hook for
+    /// packers.
     pub fn bytes_flushed(&self) -> u64 {
         self.bytes_flushed
     }
 
-    /// Converts and flushes any partial record and returns the dataset.
+    /// Appends the last filled record and any partial one, joins the
+    /// crew and returns the dataset.
     ///
     /// # Errors
-    /// The error of the partial record's first failing conversion, in add
-    /// order; or, when no record was ever added, a `BadInput` error.
+    /// The error of the first failing conversion of those two records, in
+    /// add order; or, when no record was ever added, a `BadInput` error.
     pub fn finish(mut self) -> Result<PcrDataset> {
-        self.flush()?;
+        if let Some(filled) = self.filled.take() {
+            self.append(filled)?;
+        }
+        let partial = std::mem::take(&mut self.filling);
+        if !partial.is_empty() {
+            self.append(partial)?;
+        }
         if self.dataset.records.is_empty() {
             return Err(Error::BadInput("dataset needs at least one image".into()));
         }
@@ -373,15 +542,17 @@ mod tests {
     }
 
     #[test]
-    fn progress_counters_track_flushed_records_only() {
+    fn progress_counters_track_appended_records_only() {
         let mut b = PcrDatasetBuilder::new(4, 10);
-        for i in 0..6u32 {
-            assert_eq!((b.records_flushed(), b.bytes_flushed() > 0), (i as usize / 4, i >= 4));
+        for i in 0..10u32 {
+            // Record 0 is appended by the add that fills record 1.
+            assert_eq!((b.records_flushed(), b.bytes_flushed() > 0), (usize::from(i >= 8), i >= 8));
             b.add_image(SampleMeta { label: 0, id: format!("i{i}") }, &img(i), 85).unwrap();
         }
         let flushed = b.bytes_flushed();
         let ds = b.finish().unwrap();
-        // One full record was flushed before `finish` added the partial one.
+        // `finish` appended the last full record and the partial one.
+        assert_eq!(ds.num_records(), 3);
         assert_eq!(flushed, ds.records[0].len() as u64);
     }
 
@@ -535,7 +706,7 @@ mod tests {
 
     proptest::proptest! {
         /// Any sequence of the three adds packs to the same records and
-        /// `MetaDb` on one worker, on several, and serially.
+        /// `MetaDb` through a crew of one to four threads as serially.
         #[test]
         fn fan_out_packs_the_bytes_of_serial_packing(
             per_record in 1usize..=9,
@@ -549,7 +720,7 @@ mod tests {
                 })
                 .collect();
             let reference = serial_reference(&adds, per_record);
-            for workers in [1, 3] {
+            for workers in 1..=4 {
                 let ds = pack(&adds, per_record, workers);
                 proptest::prop_assert!(ds.records == reference.records, "{workers} workers");
                 proptest::prop_assert_eq!(&ds.db, &reference.db);
@@ -557,34 +728,70 @@ mod tests {
         }
     }
 
-    /// A corrupt baseline JPEG fails at the add that fills its record, or
-    /// at `finish` for a partial record; either way that record is
-    /// dropped, the builder's counters do not move, and the next record
-    /// packs as usual.
+    /// Record k's conversion error comes back one record late: from the
+    /// add that fills record k+1, or from `finish` for the last filled
+    /// record and the partial one. It is the error of the record's first
+    /// failing image in add order; that record is dropped, the builder's
+    /// counters do not move, and later records pack as usual.
     #[test]
-    fn conversion_errors_surface_when_their_record_fills() {
+    fn conversion_errors_surface_when_the_next_record_fills() {
         let good =
             |i: u32| pcr_jpeg::encode(&img(i), &pcr_jpeg::EncodeConfig::baseline(90)).unwrap();
-        let mut corrupt = good(99);
-        corrupt.truncate(corrupt.len() / 2);
+        let mut truncated = good(99);
+        truncated.truncate(truncated.len() / 2);
+        let not_jpeg = vec![0x5a; 64];
+        let error_of = |jpeg: &[u8]| Error::Jpeg(pcr_jpeg::to_progressive(jpeg).unwrap_err());
+        assert_ne!(error_of(&truncated), error_of(&not_jpeg));
         let meta = |i: u32| SampleMeta { label: i, id: format!("i{i}") };
         for workers in [1, 3] {
             let mut b = PcrDatasetBuilder::new_with_workers(8, 10, workers);
-            for i in 0..7u32 {
-                let jpeg = if i == 2 { corrupt.clone() } else { good(i) };
+            // Record 0 fails at images 2 and 5; its fill returns nothing.
+            for i in 0..8u32 {
+                let jpeg = match i {
+                    2 => truncated.clone(),
+                    5 => not_jpeg.clone(),
+                    _ => good(i),
+                };
                 assert!(b.add_baseline_jpeg(meta(i), &jpeg).is_ok(), "add {i} failed early");
             }
-            assert!(b.add_baseline_jpeg(meta(7), &good(7)).is_err());
+            for i in 8..15u32 {
+                b.add_baseline_jpeg(meta(i), &good(i)).unwrap();
+            }
+            // Filling record 1 returns record 0's first error in add order.
+            assert_eq!(b.add_baseline_jpeg(meta(15), &good(15)), Err(error_of(&truncated)));
             assert_eq!((b.records_flushed(), b.bytes_flushed()), (0, 0));
-            for i in 8..16u32 {
+            for i in 16..24u32 {
                 b.add_baseline_jpeg(meta(i), &good(i)).unwrap();
             }
             assert_eq!(b.records_flushed(), 1);
             let flushed = b.bytes_flushed();
-            b.add_baseline_jpeg(meta(16), &corrupt).unwrap();
-            b.add_baseline_jpeg(meta(17), &good(17)).unwrap();
+            b.add_baseline_jpeg(meta(24), &not_jpeg).unwrap();
+            b.add_baseline_jpeg(meta(25), &good(25)).unwrap();
             assert_eq!((b.records_flushed(), b.bytes_flushed()), (1, flushed));
-            assert!(b.finish().is_err());
+            // `finish` appends record 2, then fails on the partial record 3.
+            assert_eq!(b.finish().err(), Some(error_of(&not_jpeg)));
+
+            // A failing last full record fails `finish` too.
+            let mut b = PcrDatasetBuilder::new_with_workers(2, 10, workers);
+            for i in 0..4u32 {
+                let jpeg = if i == 3 { truncated.clone() } else { good(i) };
+                b.add_baseline_jpeg(meta(i), &jpeg).unwrap();
+            }
+            assert_eq!(b.records_flushed(), 1);
+            assert_eq!(b.finish().err(), Some(error_of(&truncated)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 refused")]
+    fn crew_resumes_a_worker_panic_on_the_caller() {
+        let mut crew = Crew::new(3, |x: u32| {
+            assert!(x != 3, "item {x} refused");
+            x
+        });
+        let seqs: Vec<u64> = (0..8).map(|x| crew.submit(x)).collect();
+        for seq in seqs {
+            crew.take(seq);
         }
     }
 }

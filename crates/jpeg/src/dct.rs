@@ -94,11 +94,13 @@ pub fn descale(v: f64) -> i32 {
 }
 
 /// Branch-free round-to-nearest (ties to even) via the classic
-/// 1.5·2^52 magic add — baseline x86-64 has no float rounding
-/// instruction, so `f64::round` would be a libm call in the innermost
-/// pixel loop. Exact for |x| < 2^51 (far beyond the pixel domain);
-/// larger magnitudes produce defined garbage that the pixel clamp
-/// swallows.
+/// 1.5·2^52 magic add. The default build targets x86-64-v3, which has
+/// SSE4.1's `roundsd`, but a portable build (`-C target-cpu=x86-64`)
+/// has no float rounding instruction, and there `f64::round` would be a
+/// libm call in the innermost pixel loop; the add is two instructions
+/// at either level, so the kernel keeps one source. Exact for
+/// |x| < 2^51 (far beyond the pixel domain); larger magnitudes produce
+/// defined garbage that the pixel clamp swallows.
 #[inline]
 fn round_ne64(x: f64) -> i32 {
     const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 * 2^52

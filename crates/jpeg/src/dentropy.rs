@@ -412,7 +412,9 @@ fn pop4(nib: u64) -> u64 {
 
 /// `DEPOSIT4[nib << 4 | top]`: the set bits of nibble `nib`, ascending,
 /// take the bits of nibble `top` from its most significant end — a
-/// four-bit `pdep`, which the default x86-64 target lacks.
+/// four-bit `pdep`. The x86-64-v3 build has BMI2, but LLVM does not
+/// form `pdep` from plain code and its intrinsic needs `unsafe`, which
+/// the crate forbids; a portable build has no `pdep` at all.
 const DEPOSIT4: [u8; 256] = {
     let mut table = [0u8; 256];
     let mut i = 0;
